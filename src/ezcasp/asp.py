@@ -3,8 +3,11 @@
 Rules are ``a0 <- a1,...,al, not a(l+1),..., not am, not not a(m+1),...``
 with `a0` an atom or absent (denial).  This module provides clausification,
 the reduct, answer-set checking via the least model of the positive reduct,
-unit propagation over records, greatest-unfounded-set computation, and a
-brute-force answer-set enumerator used as an oracle.
+records, watched-literal unit propagation and a linear greatest-unfounded-set
+check for the search, and a brute-force answer-set enumerator used as an
+oracle.  `find_unit_step`, `unit_propagate` and `greatest_unfounded_set` are
+the plain reference versions of the search's propagators: they rescan every
+clause or rule and serve as independent checks.
 
 Atoms are interned strings; internally they are integer ids and literals are
 signed ids (``id+1`` positive, ``-(id+1)`` negative).  Program structures are
@@ -14,13 +17,15 @@ single-owner mutable search state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "RuleP", "RegularProgram", "Record", "Clause",
-    "clausify", "reduct", "least_model", "is_answer_set",
-    "unit_propagate", "find_unit_step", "greatest_unfounded_set",
+    "RuleP", "RegularProgram", "Record", "Clause", "Propagator",
+    "UnfoundedCheck", "rule_clause", "clausify", "reduct", "least_model",
+    "is_answer_set", "unit_propagate", "find_unit_step",
+    "greatest_unfounded_set",
     "enumerate_answer_sets_bruteforce",
     "lit_atom", "lit_sign", "neg",
 ]
@@ -141,19 +146,21 @@ class RegularProgram:
 # Clausification and reduct
 # ---------------------------------------------------------------------------
 
+def rule_clause(r: RuleP) -> Clause:
+    """The clause of one rule: head, complemented positive body, negated
+    body atoms positive, doubly-negated complemented; no head for denials."""
+    lits: List[int] = []
+    if r.head is not None:
+        lits.append(r.head + 1)
+    lits.extend(-(a + 1) for a in r.pos)
+    lits.extend(a + 1 for a in r.neg)
+    lits.extend(-(a + 1) for a in r.nneg)
+    return tuple(dict.fromkeys(lits))
+
+
 def clausify(prog: RegularProgram) -> List[Clause]:
-    """One clause per rule: head, complemented positive body, negated body
-    atoms positive, doubly-negated complemented; absent head for denials."""
-    out: List[Clause] = []
-    for r in prog.rules:
-        lits: List[int] = []
-        if r.head is not None:
-            lits.append(r.head + 1)
-        lits.extend(-(a + 1) for a in r.pos)
-        lits.extend(a + 1 for a in r.neg)
-        lits.extend(-(a + 1) for a in r.nneg)
-        out.append(tuple(dict.fromkeys(lits)))
-    return out
+    """One clause per rule, in rule order (see `rule_clause`)."""
+    return [rule_clause(r) for r in prog.rules]
 
 
 def _body_holds_mask(r: RuleP, x: int) -> bool:
@@ -241,50 +248,69 @@ def enumerate_answer_sets_bruteforce(prog: RegularProgram,
 class Record:
     """Annotated literal sequence: distinct literals, decision flags, and an
     optional trailing inconsistency (either a complementary pair created by
-    the final literal, or an explicit bottom marker)."""
+    the final literal, or an explicit bottom marker).
+
+    The literals are kept in order on `trail`, with the trail positions of
+    the decision literals in `decisions`.  `val` is indexed by the signed
+    literal itself (negative literals wrap around from the end of the list):
+    +1 if the literal holds, -1 if its complement holds, 0 if its atom is
+    unassigned.
+    """
 
     def __init__(self, n_atoms: int):
         self.n_atoms = n_atoms
-        self.entries: List[Tuple[int, bool]] = []
-        self.assign: Dict[int, int] = {}      # atom id -> +1 / -1
+        self.trail: List[int] = []
+        self.decisions: List[int] = []
+        self.val: List[int] = [0] * (2 * n_atoms + 1)
         self.bot = False
+        self.clash = False          # the last literal's complement holds
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.trail)
+
+    @property
+    def entries(self) -> List[Tuple[int, bool]]:
+        """(literal, decided) pairs in record order."""
+        dec = set(self.decisions)
+        return [(lit, i in dec) for i, lit in enumerate(self.trail)]
 
     def value(self, atom: int) -> int:
-        return self.assign.get(atom, 0)
+        return self.val[atom + 1]
 
     def holds(self, lit: int) -> bool:
-        return self.assign.get(lit_atom(lit), 0) == (1 if lit > 0 else -1)
+        return self.val[lit] == 1
 
     def is_unassigned(self, lit: int) -> bool:
-        return lit_atom(lit) not in self.assign
+        return self.val[lit] == 0
 
     @property
     def consistent(self) -> bool:
-        return not self.bot and len(self.assign) == len(self.entries)
+        return not self.bot and not self.clash
 
     def is_complete(self) -> bool:
-        return len(self.assign) == self.n_atoms and self.consistent
+        return len(self.trail) == self.n_atoms and self.consistent
 
     def literals(self) -> List[int]:
-        return [lit for lit, _ in self.entries]
+        return list(self.trail)
 
     def append(self, lit: int, decided: bool = False) -> None:
         if self.bot:
             raise ValueError("cannot extend past bottom")
-        if not self.consistent:
+        if self.clash:
             raise ValueError("cannot extend an inconsistent record")
-        if self.holds(lit):
+        v = self.val[lit]
+        if v == 1:
             raise ValueError(f"duplicate literal {lit}")
-        if decided and not self.is_unassigned(lit):
-            raise ValueError("decision on an assigned atom")
-        self.entries.append((lit, decided))
-        a = lit_atom(lit)
-        if a not in self.assign:
-            self.assign[a] = 1 if lit > 0 else -1
-        # else: complement already present; record is now M'l, inconsistent
+        if decided:
+            if v:
+                raise ValueError("decision on an assigned atom")
+            self.decisions.append(len(self.trail))
+        self.trail.append(lit)
+        if v:
+            self.clash = True       # complement present: M'l, inconsistent
+        else:
+            self.val[lit] = 1
+            self.val[-lit] = -1
 
     def append_bot(self) -> None:
         if self.bot:
@@ -292,35 +318,31 @@ class Record:
         self.bot = True
 
     def has_decision(self) -> bool:
-        return any(d for _, d in self.entries)
+        return bool(self.decisions)
 
     def backjump_last_decision(self) -> int:
         """Chronological backtrack: drop through the most recent decision
         literal, assert its complement (undecided), return that literal."""
-        idx = max(i for i, (_, d) in enumerate(self.entries) if d)
-        lit, _ = self.entries[idx]
-        for l, _ in self.entries[idx:]:
-            a = lit_atom(l)
-            if self.assign.get(a) == (1 if l > 0 else -1):
-                del self.assign[a]
-        del self.entries[idx:]
-        self.bot = False
-        self.append(neg(lit), decided=False)
-        return neg(lit)
+        if not self.decisions:
+            raise ValueError("no decision literal to backtrack to")
+        idx = self.decisions.pop()
+        val = self.val
+        lit = self.trail[idx]
+        for l in self.trail[idx:]:
+            if val[l] == 1:         # not the clashing complement
+                val[l] = val[-l] = 0
+        del self.trail[idx:]
+        self.bot = self.clash = False
+        self.append(-lit)
+        return -lit
 
     def clear(self) -> None:
-        self.entries.clear()
-        self.assign.clear()
-        self.bot = False
-
-    def state_token(self) -> str:
-        parts = []
-        for lit, d in self.entries:
-            name = str(lit)
-            parts.append(name + ("*" if d else ""))
-        if self.bot:
-            parts.append("#")
-        return " ".join(parts)
+        val = self.val
+        for l in self.trail:
+            val[l] = val[-l] = 0
+        self.trail.clear()
+        self.decisions.clear()
+        self.bot = self.clash = False
 
 
 def _clause_status(m: Record, clause: Clause):
@@ -374,6 +396,173 @@ def unit_propagate(m: Record, clauses: Sequence[Clause]) -> Record:
             return m
 
 
+class Propagator:
+    """Unit propagation over a Record with two watched literals per clause.
+
+    Each clause of length two or more watches two of its literals (kept at
+    positions 0 and 1 of a private copy).  `step` walks the record's trail
+    from a propagation head; for each literal it visits only the clauses
+    that watch its complement, moves the watch to a literal that is not
+    false, or else reports the clause as unit (its other watch is
+    unassigned) or falsified.  Clauses of length one are checked directly.
+    The caller appends the literal `step` returns, so every propagation is
+    one Unit Propagate edge; `backjump` and `reset` replace the record's own
+    Backtrack and clear so that the head and the pending units follow them.
+
+    The closure reached by `step` is the one `unit_propagate` reaches over
+    the same clauses, though the literals may come in a different order.
+    That rests on chronological backtracking, and on decisions being
+    appended only at the fixpoint (after `step` returned None): a false
+    watch whose clause is kept because the other watch is true was then
+    falsified no earlier in the decision levels than that watch became
+    true.  A clause added to a
+    non-empty record can break that (its only true literal may sit on a
+    later level than all its false ones); such clauses are re-attached
+    after each backjump until their watches are safe again.
+    """
+
+    def __init__(self, m: Record, clauses: Iterable[Clause] = ()):
+        self.m = m
+        self.clauses: List[Clause] = []
+        self._lits: List[List[int]] = []
+        self._watches: List[List[int]] = [[] for _ in m.val]
+        self._units: List[int] = []
+        self._unit_next = 0
+        self._queue: List[Tuple[int, int]] = []
+        self._fragile: List[int] = []
+        self._head = 0
+        for c in clauses:
+            self.add_clause(c)
+
+    def add_clause(self, clause: Clause) -> None:
+        """Add a clause; allowed at any point of the search."""
+        ci = len(self.clauses)
+        self.clauses.append(clause)
+        c = list(clause)
+        self._lits.append(c)
+        if len(c) == 1:
+            self._units.append(ci)
+        elif c:                     # empty clauses are rejected before search
+            if not self.m.trail:
+                self._watches[c[0]].append(ci)
+                self._watches[c[1]].append(ci)
+            elif not self._attach(ci):
+                self._fragile.append(ci)
+
+    def step(self) -> Optional[Tuple[int, Clause]]:
+        """The next unit-propagation edge (literal, clause), or None at the
+        fixpoint.  A falsified clause comes back with one of its literals:
+        appending it makes the record inconsistent, the conflict edge."""
+        m = self.m
+        if m.bot or m.clash:
+            return None
+        val, queue, trail = m.val, self._queue, m.trail
+        while True:
+            while queue:
+                lit, ci = queue.pop()
+                if val[lit] != 1:
+                    return lit, self.clauses[ci]
+            if self._head == len(trail):
+                break
+            self._head += 1
+            conflict = self._visit(-trail[self._head - 1])
+            if conflict is not None:
+                return conflict
+        units = self._units
+        while self._unit_next < len(units):
+            clause = self.clauses[units[self._unit_next]]
+            if val[clause[0]] != 1:
+                return clause[0], clause
+            self._unit_next += 1
+        return None
+
+    def _visit(self, f: int) -> Optional[Tuple[int, Clause]]:
+        """Visit the clauses watching `f`, which has just become false."""
+        wl = self._watches[f]
+        val, lits, watches = self.m.val, self._lits, self._watches
+        i = j = 0
+        n = len(wl)
+        while i < n:
+            ci = wl[i]
+            i += 1
+            c = lits[ci]
+            other = c[0]
+            if other == f:
+                other = c[0] = c[1]
+                c[1] = f
+            if val[other] == 1:
+                wl[j] = ci
+                j += 1
+                continue
+            for k in range(2, len(c)):
+                x = c[k]
+                if val[x] != -1:
+                    c[1] = x
+                    c[k] = f
+                    watches[x].append(ci)
+                    break
+            else:
+                wl[j] = ci
+                j += 1
+                if val[other] == -1:
+                    del wl[j:i]
+                    return other, self.clauses[ci]
+                self._queue.append((other, ci))
+        del wl[j:]
+        return None
+
+    def _attach(self, ci: int) -> bool:
+        """Watch two literals of clause `ci` on a non-empty record: literals
+        that are not false first, then false ones by latest trail position.
+        Queues the clause if it is unit or falsified.  True iff the watches
+        stay valid on any later backjump."""
+        m = self.m
+        val = m.val
+        pos: Dict[int, int] = {}
+        for i, lit in enumerate(m.trail):
+            pos.setdefault(abs(lit), i)
+        c = self._lits[ci]
+        end = len(m.trail)
+        c.sort(key=lambda x: pos[abs(x)] if val[x] == -1 else end,
+               reverse=True)
+        w0, w1 = c[0], c[1]
+        self._watches[w0].append(ci)
+        self._watches[w1].append(ci)
+        if val[w1] != -1:
+            return True
+        if val[w0] != 1:
+            self._queue.append((w0, ci))
+            return False
+        # w0 true, everything else false: safe unless w0 was set on a later
+        # decision level than w1 was falsified
+        return (bisect_right(m.decisions, pos[abs(w0)])
+                <= bisect_right(m.decisions, pos[abs(w1)]))
+
+    def backjump(self) -> int:
+        """Backtrack on the record (see `Record.backjump_last_decision`)."""
+        m = self.m
+        if m.decisions:
+            self._head = min(self._head, m.decisions[-1])
+        flipped = m.backjump_last_decision()
+        self._queue.clear()
+        self._unit_next = 0
+        fragile, self._fragile = self._fragile, []
+        for ci in fragile:
+            c = self._lits[ci]
+            self._watches[c[0]].remove(ci)
+            self._watches[c[1]].remove(ci)
+            if not self._attach(ci):
+                self._fragile.append(ci)
+        return flipped
+
+    def reset(self) -> None:
+        """Clear the record; every watch is then on an unassigned literal."""
+        self.m.clear()
+        self._head = self._unit_next = 0
+        self._queue.clear()
+        self._fragile.clear()
+
+
 # ---------------------------------------------------------------------------
 # Unfounded sets
 # ---------------------------------------------------------------------------
@@ -412,3 +601,56 @@ def greatest_unfounded_set(prog: RegularProgram,
                 supported.add(a)
                 changed = True
     return frozenset(range(prog.n_atoms)) - supported
+
+
+class UnfoundedCheck:
+    """Greatest unfounded sets of one program over changing records.
+
+    The non-denial rules are indexed once, by positive body atom.  Each call
+    then finds the supported atoms with a body counter per rule and a
+    worklist: a rule fires when its positive body is supported and no body
+    literal is contradicted by the record, which takes time linear in the
+    program.  The greatest unfounded set is the complement.
+    """
+
+    def __init__(self, prog: RegularProgram):
+        rules = [r for r in prog.rules if r.head is not None]
+        self.n_atoms = prog.n_atoms
+        self._head = [r.head for r in rules]
+        self._npos = [len(r.pos) for r in rules]
+        # a rule is contradicted when one of these literals holds
+        self._block = [tuple(-(a + 1) for a in r.pos)
+                       + tuple(a + 1 for a in r.neg)
+                       + tuple(-(a + 1) for a in r.nneg) for r in rules]
+        self._facts = [i for i, r in enumerate(rules) if not r.pos]
+        self._by_pos: List[List[int]] = [[] for _ in range(prog.n_atoms)]
+        for i, r in enumerate(rules):
+            for a in r.pos:
+                self._by_pos[a].append(i)
+
+    def supported(self, m: Record) -> bytearray:
+        """1 for each atom outside the greatest unfounded set on consistent
+        `m`, 0 for each atom in it."""
+        val, head, block, by_pos = m.val, self._head, self._block, self._by_pos
+        count = self._npos[:]
+        sup = bytearray(self.n_atoms)
+        work = self._facts[:]
+        while work:
+            ri = work.pop()
+            a = head[ri]
+            if sup[a]:
+                continue
+            for x in block[ri]:
+                if val[x] == 1:
+                    break
+            else:
+                sup[a] = 1
+                for rj in by_pos[a]:
+                    count[rj] -= 1
+                    if not count[rj]:
+                        work.append(rj)
+        return sup
+
+    def greatest(self, m: Record) -> FrozenSet[int]:
+        sup = self.supported(m)
+        return frozenset(a for a in range(self.n_atoms) if not sup[a])

@@ -27,16 +27,23 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from . import fd
-from .asp import (Clause, Record, RegularProgram, RuleP, clausify,
-                  find_unit_step, greatest_unfounded_set, lit_atom, neg)
+# find_unit_step and greatest_unfounded_set are the reference versions of the
+# search's propagators; they are not called here, but stay importable from
+# this module so that span wrappers keyed on its names (perfbench/spans.py)
+# keep resolving them
+from .asp import (Propagator, Record, RegularProgram, RuleP,  # noqa: F401
+                  UnfoundedCheck, clausify, find_unit_step,
+                  greatest_unfounded_set, lit_atom, rule_clause)
 from .ground import CAProgram
 
 __all__ = [
     "SchemaConfig", "SolveResult", "ExtendedAnswerSet", "SolveStats",
-    "solve_ca", "cp_entailed_denial", "BudgetExceeded",
+    "solve_ca", "cp_entailed_denial", "constraint_projection",
+    "BudgetExceeded",
     "denial_key", "DEFAULT_STEP_BUDGET",
 ]
 
@@ -54,15 +61,13 @@ class SchemaConfig:
     check_freq: clear-box CSP check frequency in decisions (None = check
     complete assignments only); limit: maximum number of extended answer sets
     (0 = all); max_alphas_per_model: cap on evaluations enumerated per answer
-    set (0 = all); seed is reserved for future randomized heuristics (the
-    default heuristics are deterministic).
+    set (0 = all).
     """
     schema: str = "black"
     semantics: str = "weak"
     check_freq: Optional[int] = 1
     limit: int = 1
     max_alphas_per_model: int = 0
-    seed: Optional[int] = None
     step_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -115,23 +120,39 @@ def denial_key(d: RuleP) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return (tuple(sorted(d.pos)), tuple(sorted(d.neg)))
 
 
+def constraint_projection(program: CAProgram, m_literals: Sequence[int],
+                          semantics: str) -> Tuple[Tuple[int, ...], RuleP]:
+    """M's constraint literals in declaration order, and the denial blocking
+    that projection.
+
+    The denial's body holds the positive constraint atoms of M as-is and,
+    under full semantics, the negative constraint literals as not-literals.
+    """
+    m_set = set(m_literals)
+    lits = []
+    for c in program.constraint_order:
+        if (c + 1) in m_set:
+            lits.append(c + 1)
+        elif -(c + 1) in m_set:
+            lits.append(-(c + 1))
+    pos = tuple(l - 1 for l in lits if l > 0)
+    negs = tuple(-l - 1 for l in lits if l < 0) if semantics == "full" \
+        else ()
+    return tuple(lits), RuleP(None, pos, negs, ())
+
+
 def cp_entailed_denial(program: CAProgram, m_literals: Sequence[int],
                        semantics: str) -> RuleP:
     """The denial blocking M's constraint-literal projection.
 
-    Body: positive constraint atoms of M as-is and, under full semantics,
-    negative constraint literals as not-literals.  By construction every
-    answer set satisfies it while the failing assignment does not.  Must only
-    be called when the csp-abstraction of M is infeasible.
+    By construction every answer set satisfies it while the failing
+    assignment does not.  Must only be called when the csp-abstraction of M
+    is infeasible.
     """
     inst = fd.build_csp(program, m_literals, semantics)
     if fd.feasible(inst):
         raise ValueError("cp_entailed_denial called on a feasible record")
-    m_set = set(m_literals)
-    pos = tuple(c for c in program.constraint_order if (c + 1) in m_set)
-    negs = tuple(c for c in program.constraint_order
-                 if semantics == "full" and -(c + 1) in m_set)
-    return RuleP(None, pos, negs, ())
+    return constraint_projection(program, m_literals, semantics)[1]
 
 
 class _Trace:
@@ -173,6 +194,7 @@ class _Trace:
 
 def state_digest(m: Record, names: Sequence[str], gamma_keys: Sequence[str],
                  lam_keys: Sequence[str]) -> str:
+    """Short hash of M||Gamma||Lambda; computed only when tracing."""
     parts = []
     for lit, d in m.entries:
         parts.append(("-" if lit < 0 else "") + names[lit_atom(lit)]
@@ -186,7 +208,15 @@ def state_digest(m: Record, names: Sequence[str], gamma_keys: Sequence[str],
 
 class _Run:
     """One transition-system run from the empty state to a semi-terminal
-    state or Failstate."""
+    state or Failstate.
+
+    Unit Propagate edges come from a watched-literal propagator over the
+    record's trail, and Unfounded edges from a linear greatest-unfounded-set
+    check; `asp.find_unit_step` and `asp.greatest_unfounded_set` are their
+    reference versions.  The closure under both rules does not depend on the
+    order in which they fire, so decisions, learned denials and models are
+    those of the reference; only the edges up to a conflict may differ.
+    With the trace off no state digest or edge payload is computed."""
 
     def __init__(self, program: CAProgram, cfg: SchemaConfig,
                  stats: SolveStats, trace: _Trace, run_index: int,
@@ -199,12 +229,13 @@ class _Run:
         self.budget = budget
         self.abstraction: RegularProgram = program.asp_abstraction()
         self.names = self.abstraction.names
-        self.clauses: List[Clause] = clausify(self.abstraction)
         self.gamma: List[RuleP] = []
         self.gamma_keys: set = set()
         self.lam: List[RuleP] = []
         self.lam_keys: set = set()
         self.m = Record(self.abstraction.n_atoms)
+        self.prop = Propagator(self.m, clausify(self.abstraction))
+        self.unfounded = UnfoundedCheck(self.abstraction)
         self.decisions_since_check = 0
 
     # -- helpers --------------------------------------------------------
@@ -214,44 +245,47 @@ class _Run:
                             [str(denial_key(d)) for d in self.gamma],
                             [str(denial_key(d)) for d in self.lam])
 
-    def _emit(self, rule: str, payload: dict, pre: str) -> None:
+    def _pre(self) -> Optional[str]:
+        """The pre-state digest of the next edge; None with the trace off."""
+        return self._digest() if self.trace.enabled else None
+
+    def _emit(self, rule: str, pre: Optional[str],
+              payload: Optional[Callable[[], dict]] = None) -> None:
         self.stats.steps += 1
         if self.stats.steps > self.budget:
             raise BudgetExceeded()
-        self.trace.edge(self.run, rule, payload, pre, self._digest())
+        if pre is not None:
+            self.trace.edge(self.run, rule, payload() if payload else {},
+                            pre, self._digest())
 
     def _csp_feasible(self) -> bool:
         self.stats.csp_checks += 1
-        inst = fd.build_csp(self.program, self.m.literals(),
-                            self.cfg.semantics)
+        inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
         return fd.feasible(inst)
 
-    def _learn_projection(self) -> bool:
+    def _lit_strs(self, lits: Sequence[int]) -> List[str]:
+        return [self.trace.lit_str(x) for x in lits]
+
+    def _learn(self, projection: Tuple[int, ...], d: RuleP) -> bool:
         """Learn the cp-entailed projection denial; False if stale or empty."""
-        m_set = set(self.m.literals())
-        pos = tuple(c for c in self.program.constraint_order
-                    if (c + 1) in m_set)
-        negs = tuple(c for c in self.program.constraint_order
-                     if self.cfg.semantics == "full" and -(c + 1) in m_set)
-        d = RuleP(None, pos, negs, ())
         key = denial_key(d)
-        if (not pos and not negs) or key in self.gamma_keys \
+        if (not d.pos and not d.neg) or key in self.gamma_keys \
                 or key in self.lam_keys:
             return False
-        pre = self._digest()
+        pre = self._pre()
         self.gamma.append(d)
         self.gamma_keys.add(key)
-        self.clauses.append(clausify(RegularProgram(self.names, [d]))[0])
+        self.prop.add_clause(rule_clause(d))
         self.stats.learned += 1
-        self._emit("Learn", {"denial": self.trace.denial_json(d),
-                             "reason": {"kind": "cp-conflict",
-                                        "projection": self._projection_strs()}},
-                   pre)
+        self._emit("Learn", pre, lambda: {
+            "denial": self.trace.denial_json(d),
+            "reason": {"kind": "cp-conflict",
+                       "projection": self._lit_strs(projection)}})
         return True
 
     def _restart(self) -> None:
-        pre = self._digest()
-        self.m.clear()
+        pre = self._pre()
+        self.prop.reset()
         if self.cfg.schema == "black":
             self.lam.clear()
             self.lam_keys.clear()
@@ -260,58 +294,63 @@ class _Run:
             rule = "Restart"
         self.decisions_since_check = 0
         self.stats.restarts += 1
-        self._emit(rule, {}, pre)
+        self._emit(rule, pre)
 
-    def _unfounded_literal(self):
-        gus = greatest_unfounded_set(self.abstraction, self.m.literals())
-        for a in sorted(gus):
-            if self.m.value(a) >= 0:      # unassigned or positively assigned
-                return a, gus
+    def _unfounded_atom(self) -> Optional[Tuple[int, bytearray]]:
+        """The first atom of the greatest unfounded set that M does not
+        already falsify, with the supported-atom flags it came from."""
+        sup = self.unfounded.supported(self.m)
+        val = self.m.val
+        a = sup.find(0)
+        while a >= 0:
+            if val[a + 1] != -1:        # unassigned or positively assigned
+                return a, sup
+            a = sup.find(0, a + 1)
         return None
 
     # -- the run --------------------------------------------------------
 
     def execute(self):
         """-> ('model', Record) | ('failstate',)."""
-        cfg = self.cfg
+        cfg, m, prop, stats = self.cfg, self.m, self.prop, self.stats
+        lit_str = self.trace.lit_str
+        n_atoms = self.abstraction.n_atoms
         while True:
-            if not self.m.consistent:
-                pre = self._digest()
-                if self.m.has_decision():
-                    flipped = self.m.backjump_last_decision()
-                    self._emit("Backtrack",
-                               {"lit": self.trace.lit_str(flipped)}, pre)
+            if not m.consistent:
+                pre = self._pre()
+                if m.decisions:
+                    flipped = prop.backjump()
+                    self._emit("Backtrack", pre,
+                               lambda: {"lit": lit_str(flipped)})
                 else:
-                    self._emit("Fail", {}, pre)
+                    self._emit("Fail", pre)
                     return ("failstate",)
                 continue
 
-            step = find_unit_step(self.m, self.clauses)
+            step = prop.step()
             if step is not None:
                 lit, clause = step
-                pre = self._digest()
-                self.m.append(lit)
-                self.stats.propagations += 1
-                self._emit("UnitPropagate",
-                           {"lit": self.trace.lit_str(lit),
-                            "clause": [self.trace.lit_str(x) for x in clause]},
-                           pre)
+                pre = self._pre()
+                m.append(lit)
+                stats.propagations += 1
+                self._emit("UnitPropagate", pre, lambda: {
+                    "lit": lit_str(lit), "clause": self._lit_strs(clause)})
                 continue
 
-            unf = self._unfounded_literal()
+            unf = self._unfounded_atom()
             if unf is not None:
-                a, gus = unf
-                pre = self._digest()
-                self.m.append(neg(a + 1))
-                self.stats.propagations += 1
-                self._emit("Unfounded",
-                           {"lit": self.trace.lit_str(-(a + 1)),
-                            "unfounded": sorted(self.names[x] for x in gus)},
-                           pre)
+                a, sup = unf
+                pre = self._pre()
+                m.append(-(a + 1))
+                stats.propagations += 1
+                self._emit("Unfounded", pre, lambda: {
+                    "lit": lit_str(-(a + 1)),
+                    "unfounded": sorted(self.names[x] for x in range(n_atoms)
+                                        if not sup[x])})
                 continue
 
             # consistent propagation fixpoint
-            complete = self.m.is_complete()
+            complete = m.is_complete()
             if cfg.schema in ("black", "grey"):
                 check_now = complete
             else:
@@ -321,38 +360,29 @@ class _Run:
 
             if check_now:
                 if complete:
-                    self.stats.candidates += 1
+                    stats.candidates += 1
                 self.decisions_since_check = 0
                 if not self._csp_feasible():
-                    pre = self._digest()
-                    self.m.append_bot()
-                    self._emit("CPPropagate",
-                               {"projection": self._projection_strs()}, pre)
-                    learned = self._learn_projection()
+                    pre = self._pre()
+                    m.append_bot()
+                    projection, denial = constraint_projection(
+                        self.program, m.trail, cfg.semantics)
+                    self._emit("CPPropagate", pre, lambda: {
+                        "projection": self._lit_strs(projection)})
+                    learned = self._learn(projection, denial)
                     if cfg.schema in ("black", "grey") and learned:
                         self._restart()
                     # otherwise resolve by Backtrack/Fail on the next loop
                     continue
                 if complete:
-                    return ("model", self.m)
+                    return ("model", m)
 
-            pre = self._digest()
-            target = next(a for a in range(self.abstraction.n_atoms)
-                          if self.m.value(a) == 0)
-            self.m.append(target + 1, decided=True)
-            self.stats.decisions += 1
+            pre = self._pre()
+            target = m.val.index(0, 1, n_atoms + 1)    # first unassigned atom
+            m.append(target, decided=True)
+            stats.decisions += 1
             self.decisions_since_check += 1
-            self._emit("Decide", {"lit": self.trace.lit_str(target + 1)}, pre)
-
-    def _projection_strs(self) -> List[str]:
-        m_set = set(self.m.literals())
-        out = []
-        for c in self.program.constraint_order:
-            if (c + 1) in m_set:
-                out.append(self.trace.lit_str(c + 1))
-            elif -(c + 1) in m_set:
-                out.append(self.trace.lit_str(-(c + 1)))
-        return out
+            self._emit("Decide", pre, lambda: {"lit": lit_str(target)})
 
 
 def _blocking_denial(m: Record) -> RuleP:
@@ -371,7 +401,7 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     re-launched with a blocking denial to find the next answer set.
     """
     stats = SolveStats()
-    names = program.asp_abstraction().names
+    names = program.pi.names        # the abstraction adds no atoms
     trace = _Trace(collect_trace, names)
     budget = cfg.effective_budget()
     models: List[ExtendedAnswerSet] = []

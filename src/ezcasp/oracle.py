@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import fd
 from .asp import (Record, RegularProgram, RuleP, clausify, lit_atom,
-                  greatest_unfounded_set)
+                  greatest_unfounded_set, rule_clause)
 from .engine import denial_key, state_digest
 from .ground import CAProgram
 
@@ -239,7 +239,10 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
         pos = 1
     run_program = program.with_extra_denials(blocking) if blocking else program
     abstraction = run_program.asp_abstraction()
-    clauses = [frozenset(c) for c in clausify(abstraction)]
+    program_clauses = frozenset(frozenset(c) for c in clausify(abstraction))
+    # the program's clauses and those of the learned denials in gamma and
+    # lambda; Learn adds to it and RestartT rebuilds it
+    clauses = program_clauses
 
     m = Record(abstraction.n_atoms)
     gamma: List[RuleP] = []
@@ -275,12 +278,6 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             return True
         return a < b        # tuple comparison is lexicographic throughout
 
-    def learned_clauses() -> List[frozenset]:
-        out = list(clauses)
-        for d in gamma + lam:
-            out.append(frozenset(clausify(RegularProgram(names, [d]))[0]))
-        return out
-
     for i, rec in entries[pos:]:
         if rec.get("event") == "end":
             end_rec = rec
@@ -306,7 +303,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             if not m.consistent:
                 raise _Violation(f"step {i}: UnitPropagate on inconsistent "
                                  f"record")
-            if clause not in learned_clauses():
+            if clause not in clauses:
                 raise _Violation(f"step {i}: clause not in program")
             if lit not in clause:
                 raise _Violation(f"step {i}: literal not in clause")
@@ -347,6 +344,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 except OracleBoundExceeded:
                     pass
             (gamma if rule == "Learn" else lam).append(d)
+            clauses = clauses | {frozenset(rule_clause(d))}
             unused_learns += 1
         elif rule == "Backtrack":
             lit = _lit_of(payload["lit"], index)
@@ -373,6 +371,8 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             m.clear()
             if rule == "RestartT":
                 lam.clear()
+                clauses = program_clauses.union(
+                    frozenset(rule_clause(d)) for d in gamma)
         elif rule == "AspPropagate":
             lit = _lit_of(payload["lit"], index)
             if not _asp_entails(run_program, gamma + lam, m, lit):
@@ -399,7 +399,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
     elif status == "model":
         if failed:
             raise _Violation("model end after Fail edge")
-        _check_semi_terminal(run_program, abstraction, learned_clauses(), m,
+        _check_semi_terminal(run_program, abstraction, clauses, m,
                              semantics, assignment_bound)
         model = set(end_rec.get("model", []))
         actual = {names[lit_atom(l)] for l in m.literals() if l > 0}

@@ -6,7 +6,7 @@ from ezcasp.engine import SchemaConfig, cp_entailed_denial, solve_ca
 from ezcasp.ground import ground_program
 from ezcasp import oracle
 
-from conftest import RIDDLE_EZ, make_conflict_pair
+from conftest import ENCODINGS, RIDDLE_EZ, make_conflict_pair
 
 
 def _rules(trace, run=None):
@@ -310,6 +310,41 @@ def test_all_traces_validate():
                                collect_trace=True)
                 ok, why = oracle.validate_trace(res.trace, P, semantics=sem)
                 assert ok, (seed, schema, sem, why)
+
+
+def _wseq_four_leaves_tight() -> str:
+    """wseq_unsat.ez with four leaves and budget 5: every one of the three
+    colored positions costs at least 2, so no sequence fits."""
+    text = (ENCODINGS / "wseq_unsat.ez").read_text()
+    rules = text[text.index("% Give each leaf"):]
+    return """
+leaf(l1). leaf(l2). leaf(l3). leaf(l4).
+location(0). location(1). location(2). location(3).
+leafWeightCardinality(l1,1,2). leafCost(l1,1).
+leafWeightCardinality(l2,2,1). leafCost(l2,2).
+leafWeightCardinality(l3,1,2). leafCost(l3,1).
+leafWeightCardinality(l4,2,1). leafCost(l4,2).
+max_total_weight(5).
+coloredPos(1). coloredPos(2). coloredPos(3).
+""" + rules
+
+
+def test_tight_wseq_four_leaves_unsat_under_every_schema():
+    # a realistic search (thousands of edges, learning and restarts under
+    # black and grey, backtracking under clear): every trace validates, and
+    # turning the trace off changes neither the counters nor the models
+    P = ground_program(_wseq_four_leaves_tight())
+    for schema in ("black", "grey", "clear"):
+        cfg = SchemaConfig(schema=schema)
+        traced = solve_ca(P, cfg, collect_trace=True)
+        assert traced.status == "unsat", schema
+        assert traced.stats.learned > 0, schema
+        ok, why = oracle.validate_trace(traced.trace, P)
+        assert ok, (schema, why)
+        plain = solve_ca(P, cfg)
+        assert plain.trace is None
+        assert plain.stats == traced.stats, schema
+        assert plain.models == traced.models == []
 
 
 def test_clear_box_check_frequency_two():

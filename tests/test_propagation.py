@@ -1,0 +1,184 @@
+"""Differential tests of the search's propagators against the reference
+versions in `ezcasp.asp`: the watched-literal `Propagator` against
+`unit_propagate`, and `UnfoundedCheck` against `greatest_unfounded_set`."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from ezcasp import oracle
+from ezcasp.asp import (Propagator, Record, RegularProgram, RuleP,
+                        UnfoundedCheck, greatest_unfounded_set,
+                        unit_propagate)
+
+N = 6
+
+_lit = st.builds(lambda a, s: a if s else -a, st.integers(1, N),
+                 st.booleans())
+_clause = st.lists(_lit, min_size=1, max_size=3).map(
+    lambda lits: tuple(dict.fromkeys(lits)))
+
+
+def _fixpoint(prop):
+    """Append every literal the propagator yields, as the engine does."""
+    while True:
+        step = prop.step()
+        if step is None:
+            return
+        prop.m.append(step[0])
+
+
+# -- watched-literal unit propagation --------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_clause, max_size=8),
+       st.lists(st.tuples(st.sampled_from((0, 0, 0, 1, 1, 2, 3, 3, 4)),
+                          st.integers(0, 63), _clause),
+                max_size=40))
+def test_watched_propagation_matches_reference(clauses, ops):
+    a = Record(N)
+    prop = Propagator(a, clauses)
+    b = Record(N)
+    ref = list(clauses)
+
+    def settle():
+        if a.consistent:
+            _fixpoint(prop)
+        unit_propagate(b, ref)
+        assert a.consistent == b.consistent
+        if a.consistent:
+            assert set(a.trail) == set(b.trail)
+            assert prop.step() is None
+        assert [a.trail[i] for i in a.decisions] == \
+            [b.trail[i] for i in b.decisions]
+
+    settle()
+    for kind, k, clause in ops:
+        if kind == 0 and a.consistent:                      # Decide
+            free = [x for x in range(1, N + 1) if a.is_unassigned(x)]
+            if not free:
+                continue
+            lit = free[(k >> 1) % len(free)] * (1 if k & 1 else -1)
+            a.append(lit, decided=True)
+            b.append(lit, decided=True)
+        elif kind == 1 and a.decisions:                     # Backtrack
+            if a.consistent:
+                a.append_bot()
+                b.append_bot()
+            assert prop.backjump() == b.backjump_last_decision()
+        elif kind == 2:                                     # Restart
+            prop.reset()
+            b.clear()
+        elif kind == 3:                                     # learn any clause
+            prop.add_clause(clause)
+            ref.append(clause)
+        elif kind == 4 and a.consistent and a.trail:        # learn a clause
+            if k & 1:                                       # M falsifies,
+                a.append_bot()                              # after a CSP
+                b.append_bot()                              # conflict or not
+            # the last decision and up to two more literals of M, as in a
+            # learned conflict clause
+            picks = a.decisions[-1:] + [k % len(a.trail),
+                                        (k // 7) % len(a.trail)]
+            falsified = tuple(dict.fromkeys(-a.trail[i] for i in picks))
+            prop.add_clause(falsified)
+            ref.append(falsified)
+        settle()
+
+
+def test_learned_clause_propagates_after_later_backjumps():
+    # a clause learned at level 3 whose only true literal (after the first
+    # backjump) sits on a later level than its false one must become unit
+    # again once a second backjump unassigns that literal
+    m = Record(4)
+    prop = Propagator(m, [])
+    for lit in (1, 2, 3):
+        m.append(lit, decided=True)
+    m.append_bot()
+    prop.add_clause((-3, -1))
+    assert prop.backjump() == -3            # -3 true at level 2, -1 false
+    assert prop.step() is None
+    m.append_bot()
+    assert prop.backjump() == -2            # -3 unassigned again
+    step = prop.step()
+    assert step == (-3, (-3, -1))
+    m.append(step[0])
+    assert prop.step() is None
+    assert m.trail == [1, -2, -3]
+
+
+def test_unit_clauses_are_checked_directly():
+    m = Record(2)
+    prop = Propagator(m, [(1,), (-1, 2)])
+    _fixpoint(prop)
+    assert set(m.trail) == {1, 2}
+    prop.add_clause((-2,))
+    _fixpoint(prop)
+    assert not m.consistent
+    prop.reset()
+    _fixpoint(prop)
+    assert not m.consistent and not m.decisions
+
+    # a unit clause learned above level 0 holds again after a backjump
+    m = Record(2)
+    prop = Propagator(m, [])
+    m.append(1, decided=True)
+    prop.add_clause((2,))
+    _fixpoint(prop)
+    assert m.trail == [1, 2]
+    m.append_bot()
+    prop.backjump()
+    _fixpoint(prop)
+    assert m.trail == [-1, 2]
+
+
+# -- the linear unfounded-set check -------------------------------------------------
+
+def _partial_records(rng, n_atoms, count):
+    for _ in range(count):
+        m = Record(n_atoms)
+        for a in rng.sample(range(n_atoms), rng.randint(0, n_atoms)):
+            m.append((a + 1) if rng.random() < 0.5 else -(a + 1))
+        yield m
+
+
+def test_unfounded_check_matches_reference_on_corpus():
+    rng = random.Random(3)
+    for seed in range(80):
+        prog = oracle.random_program(seed).asp_abstraction()
+        check = UnfoundedCheck(prog)
+        for m in _partial_records(rng, prog.n_atoms, 12):
+            assert check.greatest(m) == \
+                greatest_unfounded_set(prog, m.literals()), seed
+
+
+def _looping_program(rng, n_atoms=6, n_rules=9):
+    """Random rules whose positive bodies often close positive loops."""
+    rules = []
+    for _ in range(n_rules):
+        head = rng.randrange(n_atoms) if rng.random() < 0.9 else None
+        body = rng.sample(range(n_atoms), 3)
+        rules.append(RuleP(head, tuple(body[:rng.randint(0, 2)]),
+                           tuple(body[2:3]) if rng.random() < 0.3 else (),
+                           ()))
+    return RegularProgram([f"a{i}" for i in range(n_atoms)], rules)
+
+
+def test_unfounded_check_matches_reference_on_positive_loops():
+    # a <- b.  b <- a.  b <- not c.  c <- c: {a, b} is founded only while c
+    # is not true, and c is always unfounded
+    prog = RegularProgram.build([("a", ["b"], [], []), ("b", ["a"], [], []),
+                                 ("b", [], ["c"], []), ("c", ["c"], [], [])])
+    check = UnfoundedCheck(prog)
+    m = Record(3)
+    assert check.greatest(m) == frozenset({2})
+    m.append(3)
+    assert check.greatest(m) == frozenset({0, 1, 2})
+
+    rng = random.Random(5)
+    for _ in range(150):
+        prog = _looping_program(rng)
+        check = UnfoundedCheck(prog)
+        for m in _partial_records(rng, prog.n_atoms, 8):
+            assert check.greatest(m) == \
+                greatest_unfounded_set(prog, m.literals()), prog.rules
