@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -254,3 +255,18 @@ def test_complement_unsupported_is_cli_error(tmp_path, capsys):
                  "required(all_different([x,y])) :- pick.")
     code, _, err = run_cli(capsys, f, "--semantics", "full", "-n", "0")
     assert code == EXIT_ERROR and "complement" in err
+
+
+# -- ground-program snapshots ------------------------------------------------------
+
+DUMP_GROUND = pathlib.Path(__file__).resolve().parent / "data" / "dump_ground"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in ENCODINGS.glob("*.ez")))
+def test_dump_ground_matches_snapshot(capsys, name):
+    # The rule order of the ground program fixes the atom table and so the
+    # search; a grounder change must not reorder either.  Regenerate with
+    # `python -m ezcasp src/ezcasp/encodings/NAME.ez --dump-ground`.
+    code, out, _ = run_cli(capsys, ENCODINGS / f"{name}.ez", "--dump-ground")
+    assert code == 0
+    assert out == (DUMP_GROUND / f"{name}.txt").read_text()
