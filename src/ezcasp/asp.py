@@ -63,11 +63,11 @@ class RegularProgram:
         if len(self.index) != len(self.names):
             raise ValueError("duplicate atom names")
         self.rules: Tuple[RuleP, ...] = tuple(rules)
-        self._check()
+        self._check(self.rules)
 
-    def _check(self) -> None:
+    def _check(self, rules: Sequence[RuleP]) -> None:
         n = len(self.names)
-        for r in self.rules:
+        for r in rules:
             for part in (r.pos, r.neg, r.nneg):
                 if len(set(part)) != len(part):
                     raise ValueError(f"duplicate atoms in one body part: {r}")
@@ -111,7 +111,14 @@ class RegularProgram:
         return cls(names, out)
 
     def extended(self, extra: Sequence[RuleP]) -> "RegularProgram":
-        return RegularProgram(self.names, tuple(self.rules) + tuple(extra))
+        """The program with rules appended; only they are checked, and the
+        atom table and its index are shared."""
+        extra = tuple(extra)
+        self._check(extra)
+        out = type(self).__new__(type(self))
+        out.names, out.index = self.names, self.index
+        out.rules = self.rules + extra
+        return out
 
     @property
     def n_atoms(self) -> int:

@@ -5,7 +5,11 @@ driven by domain predicates (relations whose atoms are all definitively
 derivable facts) and `Var = arithmetic` bindings, built-ins are evaluated and
 eliminated, and positive atoms over non-factual relations are kept in the
 instances regardless of derivability (they restrict only variables nothing
-else binds).  `expand_lists` replaces intensional lists by their extensional
+else binds).  Joins look up hash indexes on their bound argument positions,
+a built-in runs as soon as its variables are bound, and the fact and
+possible-atom fixpoints re-instantiate a rule only when a relation it reads
+has grown; the ground rules come out in the order of the plain nested-loop
+instantiation (`_plan_rule`'s reference order).  `expand_lists` replaces intensional lists by their extensional
 representation; `to_ca_program` maps the ground program to a CA program:
 constraint-variable declarations, one constraint atom per distinct
 required-argument with its constraint expression, and the two linking
@@ -280,13 +284,45 @@ def _expand_head_ranges(a: Atom, pos: Optional[SourcePos]) -> List[Atom]:
     return [Atom(a.rel, combo) for combo in itertools.product(*slots)]
 
 
-@dataclass
-class _Plan:
-    steps: List[Tuple[str, object]]
+def _has_op(t: Term) -> bool:
+    """Whether t contains built-in arithmetic, whose evaluation may fail."""
+    if isinstance(t, OpExpr):
+        return True
+    if isinstance(t, Compound):
+        return any(_has_op(a) for a in t.args)
+    if isinstance(t, ListTerm):
+        return any(_has_op(a) for a in t.items)
+    if isinstance(t, IntensionalList):
+        return any(_has_op(a) for a in t.prefix)
+    if isinstance(t, RangeTerm):
+        return _has_op(t.lo) or _has_op(t.hi)
+    return False
+
+
+def _matchable(t: Term) -> bool:
+    """Whether a bound pattern equal to t can match: `_match` unifies only
+    constants and compounds of them."""
+    if isinstance(t, Const):
+        return True
+    return isinstance(t, Compound) and all(_matchable(a) for a in t.args)
+
+
+def _classify(b: BuiltinLit, bound: Set[str]):
+    """A built-in as a test or a `Var = expr` binding, once evaluable."""
+    lv, rv = _vars_in(b.lhs), _vars_in(b.rhs)
+    if lv | rv <= bound:
+        return ("test", b)
+    if b.op == "=" and isinstance(b.lhs, Var) \
+            and b.lhs.name not in bound and rv <= bound:
+        return ("bind", b.lhs.name, b.rhs)
+    if b.op == "=" and isinstance(b.rhs, Var) \
+            and b.rhs.name not in bound and lv <= bound:
+        return ("bind", b.rhs.name, b.lhs)
+    return None
 
 
 def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
-               facts_mode: bool = False) -> _Plan:
+               facts_mode: bool = False) -> List[Tuple[str, object]]:
     """Order body elements so each is evaluable when reached.
 
     Substitutions are driven by domain predicates (relations whose atoms are
@@ -296,14 +332,14 @@ def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
     atoms), matching the instantiation shown in the grounding examples where
     non-factual body atoms are kept regardless of derivability.  In
     facts_mode every positive atom must match an established fact.
+
+    This is the reference order: every domain match first, then built-ins
+    and the rest.  Negative literals and fully bound non-domain atoms do
+    not restrict and get no step.  `_compile` derives the order that runs.
     """
     remaining = list(r.body)
     bound: Set[str] = set()
     steps: List[Tuple[str, object]] = []
-
-    def take(i: int, step: Tuple[str, object]) -> None:
-        steps.append(step)
-        del remaining[i]
 
     while remaining:
         progressed = False
@@ -312,7 +348,8 @@ def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
             if isinstance(b, Lit) and b.kind == "pos" and \
                     (facts_mode or
                      (b.atom.rel, len(b.atom.args)) in domain_rels):
-                take(i, ("match_fact", b.atom))
+                steps.append(("match_fact", b.atom))
+                del remaining[i]
                 bound |= _atom_vars(b.atom)
                 progressed = True
                 break
@@ -321,37 +358,25 @@ def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
         # 2) built-ins, negative literals and aggregates once bound
         for i, b in enumerate(remaining):
             if isinstance(b, BuiltinLit):
-                lv, rv = _vars_in(b.lhs), _vars_in(b.rhs)
-                if lv | rv <= bound:
-                    take(i, ("test", b))
+                step = _classify(b, bound)
+                if step is not None:
+                    steps.append(("builtin", b))
+                    if step[0] == "bind":
+                        bound.add(step[1])
                     progressed = True
-                    break
-                if b.op == "=" and isinstance(b.lhs, Var) \
-                        and b.lhs.name not in bound and rv <= bound:
-                    take(i, ("bind", (b.lhs.name, b.rhs)))
-                    bound.add(b.lhs.name)
-                    progressed = True
-                    break
-                if b.op == "=" and isinstance(b.rhs, Var) \
-                        and b.rhs.name not in bound and lv <= bound:
-                    take(i, ("bind", (b.rhs.name, b.lhs)))
-                    bound.add(b.rhs.name)
-                    progressed = True
-                    break
             elif isinstance(b, Lit) and b.kind in ("not", "notnot"):
-                if _atom_vars(b.atom) <= bound:
-                    take(i, ("neg", b))
-                    progressed = True
-                    break
+                progressed = _atom_vars(b.atom) <= bound
             elif isinstance(b, AggregateLit):
                 outer: Set[str] = set()
                 for bnd in (b.lower, b.upper):
                     if bnd is not None:
                         outer |= _vars_in(bnd)
                 if outer <= bound:
-                    take(i, ("agg", b))
+                    steps.append(("agg", b))
                     progressed = True
-                    break
+            if progressed:
+                del remaining[i]
+                break
         if progressed:
             continue
         # 3) non-domain positive atoms: fully bound instances are kept
@@ -359,11 +384,10 @@ def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
         #    the possible atoms
         for i, b in enumerate(remaining):
             if isinstance(b, Lit) and b.kind == "pos":
-                if _atom_vars(b.atom) <= bound:
-                    take(i, ("emit", b.atom))
-                else:
-                    take(i, ("match_possible", b.atom))
+                if not _atom_vars(b.atom) <= bound:
+                    steps.append(("match_possible", b.atom))
                     bound |= _atom_vars(b.atom)
+                del remaining[i]
                 progressed = True
                 break
         if not progressed:
@@ -395,46 +419,184 @@ def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
     if unsafe:
         raise GroundError(f"unsafe rule: head variable {sorted(unsafe)[0]} "
                           f"cannot be bound", r.pos)
-    return _Plan(steps)
+    return steps
+
+
+class _Table:
+    """The ground atoms of one relation in insertion order, with a hash
+    index per tuple of bound argument positions that some join looks up.
+    Indexes are built on first use and kept up to date as atoms are added;
+    an index bucket lists its atoms in insertion order."""
+
+    __slots__ = ("atoms", "names", "indexes")
+
+    def __init__(self) -> None:
+        self.atoms: List[Atom] = []
+        self.names: Set[str] = set()          # canonical names of the atoms
+        self.indexes: Dict[Tuple[int, ...], Dict[tuple, List[Atom]]] = {}
+
+    @staticmethod
+    def _key(a: Atom, positions: Tuple[int, ...]) -> Optional[tuple]:
+        key = tuple(a.args[i] for i in positions)
+        # an argument that no bound pattern can match is left unindexed
+        return key if all(_matchable(t) for t in key) else None
+
+    def add(self, a: Atom, name: str) -> None:
+        self.atoms.append(a)
+        self.names.add(name)
+        for positions, index in self.indexes.items():
+            key = self._key(a, positions)
+            if key is not None:
+                index.setdefault(key, []).append(a)
+
+    def pop(self, name: str) -> None:
+        """Undo the last `add`."""
+        a = self.atoms.pop()
+        self.names.discard(name)
+        for positions, index in self.indexes.items():
+            key = self._key(a, positions)
+            if key is not None:
+                index[key].pop()
+
+    def lookup(self, positions: Tuple[int, ...], key: tuple) -> Sequence[Atom]:
+        index = self.indexes.get(positions)
+        if index is None:
+            index = self.indexes[positions] = {}
+            for a in self.atoms:
+                k = self._key(a, positions)
+                if k is not None:
+                    index.setdefault(k, []).append(a)
+        return index.get(key, ())
 
 
 class _GroundState:
-    def __init__(self) -> None:
-        # (rel, arity) -> insertion-ordered canonical-key -> ground Atom
-        self.possible: Dict[Tuple[str, int], Dict[str, Atom]] = {}
-        self.fact_atoms: Dict[Tuple[str, int], Dict[str, Atom]] = {}
-        self.facts: Set[str] = set()
-        self.count = 0
+    """Possible atoms and established facts, one `_Table` per relation, plus
+    a log of the additions of the current rule run, so that it can be
+    undone."""
 
-    def add(self, a: Atom, fact: bool) -> bool:
-        key = (a.rel, len(a.args))
-        bucket = self.possible.setdefault(key, {})
+    def __init__(self) -> None:
+        self.possible: Dict[Tuple[str, int], _Table] = {}
+        self.fact_atoms: Dict[Tuple[str, int], _Table] = {}
+        self.count = 0                        # possible atoms
+        self.log: List[Tuple[_Table, str, bool]] = []
+
+    def table(self, rel: str, arity: int, fact: bool) -> _Table:
+        tables = self.fact_atoms if fact else self.possible
+        t = tables.get((rel, arity))
+        if t is None:
+            t = tables[(rel, arity)] = _Table()
+        return t
+
+    def add(self, a: Atom, fact: bool) -> str:
+        """Add a ground atom; returns its canonical name."""
         c = canon_atom(a)
-        new = c not in bucket
-        if new:
-            bucket[c] = a
+        t = self.table(a.rel, len(a.args), False)
+        if c not in t.names:
+            t.add(a, c)
+            self.log.append((t, c, False))
             self.count += 1
             if self.count > _MAX_POSSIBLE_ATOMS:
                 raise GroundError("grounding did not converge "
                                   "(possible-atom bound exceeded)")
-        changed = new
-        if fact and c not in self.facts:
-            self.facts.add(c)
-            self.fact_atoms.setdefault(key, {})[c] = a
-            changed = True
-        return changed
+        if fact:
+            t = self.table(a.rel, len(a.args), True)
+            if c not in t.names:
+                t.add(a, c)
+                self.log.append((t, c, True))
+        return c
 
-    def lookup(self, rel: str, arity: int) -> List[Atom]:
-        return list(self.possible.get((rel, arity), {}).values())
+    def rollback(self) -> None:
+        """Undo every logged addition."""
+        while self.log:
+            t, c, fact = self.log.pop()
+            t.pop(c)
+            if not fact:
+                self.count -= 1
 
     def lookup_facts(self, rel: str, arity: int) -> List[Atom]:
-        return list(self.fact_atoms.get((rel, arity), {}).values())
+        t = self.fact_atoms.get((rel, arity))
+        return t.atoms if t is not None else []
 
-    def is_fact(self, a: Atom) -> bool:
-        return canon_atom(a) in self.facts
+    def contains(self, a: Atom, fact: bool) -> bool:
+        t = (self.fact_atoms if fact else self.possible).get(
+            (a.rel, len(a.args)))
+        return t is not None and canon_atom(a) in t.names
 
-    def in_possible(self, a: Atom) -> bool:
-        return canon_atom(a) in self.possible.get((a.rel, len(a.args)), {})
+
+def _may_fail(step: Tuple[str, object]) -> bool:
+    """Whether evaluating a reference step can raise a GroundError."""
+    kind, payload = step
+    if kind in ("match_fact", "match_possible"):
+        return any(_has_op(t) for t in payload.args)
+    if kind == "builtin":
+        return payload.op not in ("=", "!=") or \
+            _has_op(payload.lhs) or _has_op(payload.rhs)
+    return True                                   # aggregates
+
+
+def _compile(steps: List[Tuple[str, object]], state: _GroundState,
+             hoist: bool) -> list:
+    """Executable steps for `_instantiate`.
+
+    Without `hoist` this is the reference order, and every join scans its
+    whole relation.  With it, a built-in runs as soon as its variables are
+    bound (a `Var = expr` whose variable a later join would bind becomes a
+    binding, which makes that join a lookup), and each join looks up the
+    argument positions bound by then.  Built-ins only filter, so the
+    substitutions come out in the same order.  A built-in never moves ahead
+    of a step that may fail: a tuple it would filter out must still reach
+    the failing step.  Whatever the hoisted order fails on in addition,
+    `_RulePlan.run` retries in the reference order.
+    """
+    pending = list(steps)
+    bound: Set[str] = set()
+    out = []
+    while pending:
+        j = 0
+        if hoist:
+            for k, (kind, payload) in enumerate(pending):
+                if k and _may_fail(pending[k - 1]):
+                    break
+                if kind == "builtin" and _classify(payload, bound):
+                    j = k
+                    break
+        kind, payload = pending.pop(j)
+        if kind == "builtin":
+            step = _classify(payload, bound)
+            if step[0] == "bind":
+                bound.add(step[1])
+            out.append(step)
+        elif kind == "agg":
+            out.append((kind, payload))
+        else:
+            atom: Atom = payload
+            positions = tuple(i for i, t in enumerate(atom.args)
+                              if hoist and _vars_in(t) <= bound)
+            rest = [i for i in range(len(atom.args)) if i not in positions]
+            if any(_has_op(atom.args[i]) for i in rest):
+                # keep the left-to-right evaluation of the reference match
+                positions, rest = (), list(range(len(atom.args)))
+            keys = tuple(atom.args[i] for i in positions)
+            rest_pats = tuple((i, atom.args[i]) for i in rest)
+            names = [p.name for _, p in rest_pats
+                     if isinstance(p, Var) and p.name not in bound]
+            simple = len(names) == len(rest_pats) == len(set(names))
+            table = state.table(atom.rel, len(atom.args),
+                                kind == "match_fact")
+            out.append(("match", table, positions, keys, rest_pats, simple))
+            bound |= _atom_vars(atom)
+    return out
+
+
+def _ground_arg(t: Term, env: Dict[str, Term],
+                pos: Optional[SourcePos]) -> Term:
+    """`_eval_term(_subst(t, env))`; a bound variable's value is already
+    evaluated."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    if isinstance(t, Const):
+        return t
+    return _eval_term(_subst(t, env), pos)
 
 
 def _test_builtin(b: BuiltinLit, env: Dict[str, Term],
@@ -453,44 +615,46 @@ def _test_builtin(b: BuiltinLit, env: Dict[str, Term],
             "=<": a <= c, ">": a > c, ">=": a >= c}[op]
 
 
-def _instantiate(rule: Rule, plan: _Plan, state: _GroundState):
-    """Yield every substitution admitted by the plan."""
+def _instantiate(steps: list, state: _GroundState,
+                 pos: Optional[SourcePos]):
+    """Yield every substitution admitted by the compiled steps.  A join
+    sees its relation as it was when the join was reached."""
+    n = len(steps)
 
     def walk(i: int, env: Dict[str, Term]):
-        if i == len(plan.steps):
+        if i == n:
             yield env
             return
-        kind, payload = plan.steps[i]
-        if kind in ("match_fact", "match_possible"):
-            pat: Atom = payload
-            source = state.lookup_facts if kind == "match_fact" \
-                else state.lookup
-            for cand in source(pat.rel, len(pat.args)):
-                nxt = env
-                ok = True
-                for p, v in zip(pat.args, cand.args):
-                    res = _match(p, v, nxt)
-                    if res is None:
-                        ok = False
-                        break
-                    nxt = res
-                if ok:
-                    yield from walk(i + 1, nxt)
-        elif kind == "emit":
-            yield from walk(i + 1, env)
+        step = steps[i]
+        kind = step[0]
+        if kind == "match":
+            _, table, positions, keys, rest, simple = step
+            cands = table.lookup(positions, tuple(
+                _ground_arg(t, env, None) for t in keys)) \
+                if positions else table.atoms
+            for cand in itertools.islice(cands, len(cands)):
+                if simple:
+                    nxt = dict(env)
+                    for j, p in rest:
+                        nxt[p.name] = cand.args[j]
+                else:
+                    nxt = env
+                    for j, p in rest:
+                        nxt = _match(p, cand.args[j], nxt)
+                        if nxt is None:
+                            break
+                    if nxt is None:
+                        continue
+                yield from walk(i + 1, nxt)
         elif kind == "bind":
-            name, expr = payload
-            val = _eval_term(_subst(expr, env), rule.pos)
             nxt = dict(env)
-            nxt[name] = val
+            nxt[step[1]] = _eval_term(_subst(step[2], env), pos)
             yield from walk(i + 1, nxt)
         elif kind == "test":
-            if _test_builtin(payload, env, rule.pos):
+            if _test_builtin(step[1], env, pos):
                 yield from walk(i + 1, env)
-        elif kind == "neg":
-            yield from walk(i + 1, env)
         elif kind == "agg":
-            if _eval_aggregate(payload, env, state, rule.pos):
+            if _eval_aggregate(step[1], env, state, pos):
                 yield from walk(i + 1, env)
         else:
             raise AssertionError(kind)
@@ -508,11 +672,11 @@ def _eval_aggregate(agg: AggregateLit, env: Dict[str, Term],
                            for t in item.atom.args))
             if not _is_ground_atom(a):
                 raise GroundError("aggregate member not ground", pos)
-            if state.is_fact(a):
+            if state.contains(a, fact=True):
                 w = 1 if item.weight is None else \
                     _int_of(_subst(item.weight, ienv), "aggregate weight", pos)
                 total += w
-            elif state.in_possible(a):
+            elif state.contains(a, fact=False):
                 raise GroundError(
                     f"aggregate over non-factual atom {canon_atom(a)}", pos)
     if agg.lower is not None and \
@@ -547,6 +711,97 @@ def _expand_conditions(conds: Sequence[Atom], env: Dict[str, Term],
             nxt = res
         if ok:
             yield from _expand_conditions(rest, nxt, state, pos)
+
+
+class _RulePlan:
+    """A rule with its compiled steps, the tables its instantiation reads,
+    and the substitutions of its latest run, each with the head instances
+    (and their canonical names) that it added."""
+
+    def __init__(self, rule: Rule, steps: List[Tuple[str, object]],
+                 state: _GroundState) -> None:
+        self.rule = rule
+        self.steps = steps
+        self.fast = _compile(steps, state, hoist=True)
+        reads = [s[1] for s in self.fast if s[0] == "match"]
+        conds: List[Atom] = []
+        if isinstance(rule.head, Choice):
+            for e in rule.head.elems:
+                conds.extend(e.conds)
+        for b in rule.body:
+            if isinstance(b, AggregateLit):
+                for item in b.items:
+                    conds.extend(item.conds)
+                    reads.append(state.table(item.atom.rel,
+                                             len(item.atom.args), False))
+        reads.extend(state.table(c.rel, len(c.args), True) for c in conds)
+        self.reads = reads
+        # an atom head with neither arithmetic nor ranges to expand
+        self.plain = isinstance(rule.head, Atom) and not any(
+            _has_op(t) or isinstance(t, RangeTerm) for t in rule.head.args)
+        self.seen: Optional[Tuple[int, ...]] = None
+        self.instances: List[Tuple[Dict[str, Term],
+                                   List[Tuple[Atom, str]]]] = []
+
+    def dirty(self) -> bool:
+        """Whether a table this rule reads gained atoms since its last run
+        began; if not, running it again would give the same substitutions."""
+        return self.seen != tuple(len(t.atoms) for t in self.reads)
+
+    def run(self, state: _GroundState, fact: bool) -> None:
+        """Instantiate the rule and add its head instances to the state."""
+        self.seen = tuple(len(t.atoms) for t in self.reads)
+        state.log.clear()
+        try:
+            self.instances = self._instances(self.fast, state, fact)
+        except GroundError:
+            # The hoisted order may fail on a tuple that a join placed
+            # earlier in the reference order filters out: undo this run and
+            # redo it in the reference order, which fails exactly where the
+            # reference grounder fails.
+            state.rollback()
+            self.instances = self._instances(
+                _compile(self.steps, state, hoist=False), state, fact)
+
+    def _instances(self, steps: list, state: _GroundState, fact: bool):
+        return [(env, self._add_heads(env, state, fact))
+                for env in _instantiate(steps, state, self.rule.pos)]
+
+    def _add_heads(self, env: Dict[str, Term], state: _GroundState,
+                   fact: bool) -> List[Tuple[Atom, str]]:
+        """Add the head instances of one substitution; returns them with
+        their canonical names, choice elements in element and condition
+        order."""
+        rule = self.rule
+        out: List[Tuple[Atom, str]] = []
+        if isinstance(rule.head, Atom):
+            a = Atom(rule.head.rel,
+                     tuple(_subst(t, env) for t in rule.head.args))
+            for inst in [a] if self.plain else \
+                    _expand_head_ranges(a, rule.pos):
+                out.append((inst, state.add(inst, fact)))
+        elif isinstance(rule.head, Choice):
+            for elem in rule.head.elems:
+                for cenv in _expand_conditions(elem.conds, env, state,
+                                               rule.pos):
+                    a = Atom(elem.atom.rel,
+                             tuple(_subst(t, cenv) for t in elem.atom.args))
+                    for inst in _expand_head_ranges(a, rule.pos):
+                        out.append((inst, state.add(inst, fact)))
+        return out
+
+
+def _fixpoint(plans: List[_RulePlan], state: _GroundState,
+              fact: bool) -> None:
+    """Run the rules round after round, in program order, until a round adds
+    nothing; a rule runs only when a table it reads has grown."""
+    ran = True
+    while ran:
+        ran = False
+        for rp in plans:
+            if rp.dirty():
+                rp.run(state, fact)
+                ran = True
 
 
 def _reject_required_in_bodies(p: EzProgram) -> None:
@@ -621,27 +876,24 @@ def _compute_facts(p: EzProgram, state: _GroundState,
             continue
         if any(isinstance(b, AggregateLit) for b in r.body):
             continue
-        definite.append((r, _plan_rule(r, domain_rels, facts_mode=True)))
-    changed = True
-    while changed:
-        changed = False
-        for rule, plan in definite:
-            for env in _instantiate(rule, plan, state):
-                a = Atom(rule.head.rel,
-                         tuple(_subst(t, env) for t in rule.head.args))
-                for inst in _expand_head_ranges(a, rule.pos):
-                    changed |= state.add(inst, fact=True)
+        definite.append(_RulePlan(r, _plan_rule(r, domain_rels,
+                                                facts_mode=True), state))
+    _fixpoint(definite, state, fact=True)
 
 
 def ground(p: EzProgram) -> EzProgram:
-    """Naive bottom-up instantiation; built-ins evaluated and eliminated.
+    """Bottom-up instantiation with indexed joins; built-ins evaluated and
+    eliminated.
 
-    Substitutions are restricted by domain predicates (and by non-factual
-    atoms only where they bind otherwise-unbound variables); emitted rules
-    keep their instantiated bodies intact.  Output rules contain only ground
-    atoms and ground not/not-not literals; choice heads keep their (now
-    integer) bounds with expanded elements.  Intensional lists are left
-    untouched (see expand_lists).
+    Established facts are computed first, then the possible atoms, each as
+    a fixpoint in which a rule is instantiated again only when a relation
+    it reads has gained atoms; the ground rules are emitted from each rule's
+    last instantiation.  Substitutions are restricted by domain predicates
+    (and by non-factual atoms only where they bind otherwise-unbound
+    variables); emitted rules keep their instantiated bodies intact.  Output
+    rules contain only ground atoms and ground not/not-not literals; choice
+    heads keep their (now integer) bounds with expanded elements.
+    Intensional lists are left untouched (see expand_lists).
     """
     _reject_required_in_bodies(p)
     domain_rels = _domain_relations(p)
@@ -665,63 +917,32 @@ def ground(p: EzProgram) -> EzProgram:
     state = _GroundState()
     _compute_facts(p, state, domain_rels)
 
-    plans = [(r, _plan_rule(r, domain_rels)) for r in p.rules]
+    plans = [_RulePlan(r, _plan_rule(r, domain_rels), state) for r in p.rules]
+    _fixpoint(plans, state, fact=False)
 
-    # possible-atom fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for rule, plan in plans:
-            for env in _instantiate(rule, plan, state):
-                if isinstance(rule.head, Atom):
-                    a = Atom(rule.head.rel,
-                             tuple(_subst(t, env) for t in rule.head.args))
-                    for inst in _expand_head_ranges(a, rule.pos):
-                        changed |= state.add(inst, fact=False)
-                elif isinstance(rule.head, Choice):
-                    for elem in rule.head.elems:
-                        for cenv in _expand_conditions(elem.conds, env, state,
-                                                       rule.pos):
-                            a = Atom(elem.atom.rel,
-                                     tuple(_subst(t, cenv)
-                                           for t in elem.atom.args))
-                            for inst in _expand_head_ranges(a, rule.pos):
-                                changed |= state.add(inst, fact=False)
-
-    # emission
+    # emission: each rule's last run saw the final tables
     out: List[Rule] = []
     seen: Set[str] = set()
-    for rule, plan in plans:
-        for env in _instantiate(rule, plan, state):
-            body: List[Lit] = []
-            for b in rule.body:
-                if isinstance(b, Lit):
-                    a = Atom(b.atom.rel,
-                             tuple(_eval_term(_subst(t, env), rule.pos)
-                                   for t in b.atom.args))
-                    body.append(Lit(b.kind, a))
-            heads: List[Union[None, Atom, Choice]] = []
+    for rp in plans:
+        rule = rp.rule
+        for env, insts in rp.instances:
+            body = tuple(Lit(b.kind, Atom(b.atom.rel,
+                                          tuple(_ground_arg(t, env, rule.pos)
+                                                for t in b.atom.args)))
+                         for b in rule.body if isinstance(b, Lit))
+            heads: List[Tuple[Union[None, Atom, Choice], str]] = []
             if rule.head is None:
-                heads.append(None)
+                heads.append((None, ""))
             elif isinstance(rule.head, Atom):
-                a = Atom(rule.head.rel,
-                         tuple(_subst(t, env) for t in rule.head.args))
-                heads.extend(_expand_head_ranges(a, rule.pos))
+                heads.extend(insts)
             else:
                 ch = rule.head
                 elems: List[ChoiceElem] = []
                 added: Set[str] = set()
-                for elem in ch.elems:
-                    for cenv in _expand_conditions(elem.conds, env, state,
-                                                   rule.pos):
-                        a = Atom(elem.atom.rel,
-                                 tuple(_eval_term(_subst(t, cenv), rule.pos)
-                                       for t in elem.atom.args))
-                        for inst in _expand_head_ranges(a, rule.pos):
-                            c = canon_atom(inst)
-                            if c not in added:
-                                added.add(c)
-                                elems.append(ChoiceElem(inst, ()))
+                for inst, c in insts:
+                    if c not in added:
+                        added.add(c)
+                        elems.append(ChoiceElem(inst, ()))
                 lower = None if ch.lower is None else \
                     Const(_int_of(_subst(ch.lower, env), "choice bound",
                                   rule.pos))
@@ -732,29 +953,20 @@ def ground(p: EzProgram) -> EzProgram:
                         lower.value > upper.value:
                     raise GroundError("choice bounds violate lower <= upper",
                                       rule.pos)
-                heads.append(Choice(lower, tuple(elems), upper))
-            for h in heads:
-                gr = Rule(h, tuple(body), rule.pos)
-                key = _rule_canon(gr)
+                lo = "" if lower is None else canon_term(lower)
+                hi = "" if upper is None else canon_term(upper)
+                heads.append((Choice(lower, tuple(elems), upper),
+                              lo + "{" + ";".join(sorted(added)) + "}" + hi))
+            if not heads:
+                continue
+            # rules are told apart by canonical text, source position aside
+            body_key = ",".join(f"{b.kind}:{canon_atom(b.atom)}" for b in body)
+            for h, hc in heads:
+                key = hc + ":-" + body_key
                 if key not in seen:
                     seen.add(key)
-                    out.append(gr)
+                    out.append(Rule(h, body, rule.pos))
     return EzProgram(tuple(out))
-
-
-def _rule_canon(r: Rule) -> str:
-    if r.head is None:
-        h = ""
-    elif isinstance(r.head, Atom):
-        h = canon_atom(r.head)
-    else:
-        lo = "" if r.head.lower is None else canon_term(r.head.lower)
-        hi = "" if r.head.upper is None else canon_term(r.head.upper)
-        h = lo + "{" + ";".join(sorted(canon_atom(e.atom)
-                                       for e in r.head.elems)) + "}" + hi
-    b = ",".join(f"{x.kind}:{canon_atom(x.atom)}"
-                 for x in r.body if isinstance(x, Lit))
-    return h + ":-" + b
 
 
 # ---------------------------------------------------------------------------
@@ -912,11 +1124,11 @@ class CAProgram:
         self.var_decls: Tuple[CADecl, ...] = tuple(var_decls)
         self.suppressed = suppressed          # atom names hidden in ez output
         self.warnings = list(warnings)
+        heads = {r.head for r in pi.rules}
         for cid in self.constraint_order:
-            for r in pi.rules:
-                if r.head == cid:
-                    raise ValueError(
-                        f"constraint atom {pi.names[cid]} occurs in a head")
+            if cid in heads:
+                raise ValueError(
+                    f"constraint atom {pi.names[cid]} occurs in a head")
         if set(self.gamma) != set(self.constraint_order):
             raise ValueError("gamma must be defined on exactly the "
                              "constraint alphabet")
@@ -1127,13 +1339,21 @@ def to_ca_program(p: EzProgram, decls: Sequence[VariableDecl],
     # propositional rules
     proto: List[Tuple[Optional[str], List[str], List[str], List[str]]] = []
 
+    names: Dict[Atom, str] = {}           # each ground atom is named once
+
     def atom_name(a: Atom) -> str:
-        if a.rel == "required":
-            key = canon_term(a.args[0])
-            if key not in req_name:
-                raise GroundError(f"unknown required atom {display_atom(a)}")
-            return req_name[key]
-        return display_atom(a)
+        name = names.get(a)
+        if name is None:
+            if a.rel == "required":
+                key = canon_term(a.args[0])
+                if key not in req_name:
+                    raise GroundError(
+                        f"unknown required atom {display_atom(a)}")
+                name = req_name[key]
+            else:
+                name = display_atom(a)
+            names[a] = name
+        return name
 
     for r in p.rules:
         pos_b = [atom_name(b.atom) for b in r.body

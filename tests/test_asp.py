@@ -24,6 +24,20 @@ def test_clausify_fact():
     assert clausify(prog) == [(1,)]
 
 
+def test_extended_checks_appended_rules_and_shares_the_table():
+    prog = RegularProgram.build([("a", ["b"], [], [])])
+    ext = prog.extended([RuleP(None, (0,), (1,))])
+    assert ext.rules[-1] == RuleP(None, (0,), (1,))
+    assert ext.names == prog.names and ext.index is prog.index
+    assert prog.rules == (RuleP(0, (1,), ()),)
+    with pytest.raises(ValueError):
+        prog.extended([RuleP(None, (2,), ())])        # atom id out of range
+    with pytest.raises(ValueError):
+        prog.extended([RuleP(5, (), ())])             # head id out of range
+    with pytest.raises(ValueError):
+        prog.extended([RuleP(None, (0, 0), ())])      # duplicate body atom
+
+
 def test_clausify_normal_rule_truth_table():
     prog = RegularProgram.build([("lightOn", ["switch"], ["am"], [])])
     (clause,) = clausify(prog)

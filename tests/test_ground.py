@@ -107,6 +107,17 @@ def test_aggregate_over_nonfactual_atom_rejected():
     with pytest.raises(GroundError) as e:
         _ground_text("{ w }. ok :- #sum[w = 1] 3.")
     assert "non-factual" in str(e.value)
+    # w becomes possible only after the aggregate's rule first ran
+    with pytest.raises(GroundError) as e:
+        _ground_text("ok :- #sum[w = 1] 3. { w }.")
+    assert "non-factual" in str(e.value)
+
+
+def test_bound_list_argument_matches_nothing():
+    # a bound pattern unifies constants and compounds only, also when the
+    # join is an index lookup
+    g = _ground_text("p([1,2]). q(X) :- p(X). r(X) :- q(X), p(X).")
+    assert library_ground_canon(g) == {"p([1,2]):-", "q([1,2]):-pos:p([1,2])"}
 
 
 def test_grounding_equivalence_with_bruteforce():
@@ -117,10 +128,51 @@ def test_grounding_equivalence_with_bruteforce():
         "f(a). g(b). h(X,Y) :- f(X), g(Y). :- h(X,Y), f(X), g(Y).",
         "p(f(a)). p(f(b)). q(X) :- p(f(X)).",
         "d(1). d(2). { c(X) } :- d(X). e(X) :- d(X), not c(X).",
+        # a compound argument bound by earlier joins: one index lookup
+        "k(1). k(2). p(f(1,2)). p(f(2,3)). p(f(2,1)). "
+        "q(X,Y) :- k(X), k(Y), p(f(X,Y)).",
+        # an arithmetic pattern in a bound position
+        "n(1). n(2). n(3). n(5). s(X) :- n(X), n(X+1).",
+        # transitive closure: r(1,5) is derived in the third fact round
+        "e(1,2). e(2,3). e(3,4). e(4,5). "
+        "r(X,Y) :- e(X,Y). r(X,Z) :- e(X,Y), r(Y,Z).",
+        # a(X) gets its possible atoms only in the second round
+        "d(1). d(2). { a(X) } :- b(X). { b(X) } :- d(X). "
+        "c(X) :- a(X), d(Y), X < Y.",
+        # X > 1 runs between the joins over p and q
+        "p(1). p(2). p(3). q(2). q(3). r(X,Y) :- p(X), q(Y), X > 1, X != Y.",
     ]
     for src in corpus:
         p = preprocess(parse(src))
         assert library_ground_canon(ground(p)) == brute_ground(p), src
+
+
+def test_early_builtin_raises_no_new_error():
+    # Z = X / Y runs before c(X,Y) would filter out Y = 0; the grounder
+    # must still give the instance that survives the join
+    g = _ground_text("a(0). a(1). a(2). b(0). b(1). c(1,1). "
+                     "q(Z) :- a(X), b(Y), c(X,Y), Z = X / Y.")
+    assert library_ground_canon(g) == {
+        "a(0):-", "a(1):-", "a(2):-", "b(0):-", "b(1):-", "c(1,1):-",
+        "q(1):-pos:a(1),pos:b(1),pos:c(1,1)"}
+    # P1 = P - 1 binds P1 ahead of loc(P1), which has no atoms at all
+    g = _ground_text("p(a). l(0). loc(X) :- l(X), X > 5. "
+                     "q(P1) :- p(P), loc(P1), P1 = P - 1.")
+    assert library_ground_canon(g) == {"l(0):-", "p(a):-"}
+    # X > 5 would filter out every tuple, but X / Y fails first
+    with pytest.raises(GroundError) as e:
+        _ground_text("p(1). p(2). q(0). r(X) :- p(X), q(Y), X / Y > 0, X > 5.")
+    assert "division by zero" in str(e.value)
+
+
+def test_early_builtin_on_symbolic_term_still_fails():
+    with pytest.raises(GroundError) as e:
+        _ground_text("a(x). b(1). c(x,1). "
+                     "q(Z) :- a(X), b(Y), c(X,Y), Z = X + Y.")
+    assert "non-integer term x" in str(e.value)
+    with pytest.raises(GroundError) as e:
+        _ground_text("p(a). loc(0). q(P1) :- p(P), loc(P1), P1 = P - 1.")
+    assert "non-integer term a" in str(e.value)
 
 
 # -- term order and canonical forms ------------------------------------------------
