@@ -540,16 +540,37 @@ def _compile(steps: List[Tuple[str, object]], state: _GroundState,
 
     Without `hoist` this is the reference order, and every join scans its
     whole relation.  With it, a built-in runs as soon as its variables are
-    bound (a `Var = expr` whose variable a later join would bind becomes a
-    binding, which makes that join a lookup), and each join looks up the
-    argument positions bound by then.  Built-ins only filter, so the
-    substitutions come out in the same order.  A built-in never moves ahead
-    of a step that may fail: a tuple it would filter out must still reach
-    the failing step.  Whatever the hoisted order fails on in addition,
-    `_RulePlan.run` retries in the reference order.
+    bound, and each join looks up the argument positions bound by then.
+    Built-ins only filter, so the substitutions come out in the same order.
+    A built-in never moves ahead of a step that may fail: a tuple it would
+    filter out must still reach the failing step.  Whatever the hoisted
+    order fails on in addition, `_RulePlan.run` retries in the reference
+    order.
+
+    A `Var = expr` that the reference order tests after the join binding
+    the variable becomes a binding ahead of that join (which makes the join
+    a lookup) only when `expr` is arithmetic, as in `P1 = P - 1`: the join
+    binds any value, lists included, and the test compares with `==`, while
+    a lookup finds only the values `_match` can match, integers among them.
     """
-    pending = list(steps)
+    joined: Set[str] = set()          # variables a join binds first
     bound: Set[str] = set()
+    for kind, payload in steps:
+        if kind == "builtin":
+            step = _classify(payload, bound)
+            if step[0] == "bind":
+                bound.add(step[1])
+        elif kind != "agg":
+            joined |= _atom_vars(payload) - bound
+            bound |= _atom_vars(payload)
+
+    def ready(step) -> bool:
+        return step is not None and (
+            step[0] == "test" or step[1] not in joined
+            or isinstance(step[2], OpExpr))
+
+    pending = list(steps)
+    bound = set()
     out = []
     while pending:
         j = 0
@@ -557,7 +578,7 @@ def _compile(steps: List[Tuple[str, object]], state: _GroundState,
             for k, (kind, payload) in enumerate(pending):
                 if k and _may_fail(pending[k - 1]):
                     break
-                if kind == "builtin" and _classify(payload, bound):
+                if kind == "builtin" and ready(_classify(payload, bound)):
                     j = k
                     break
         kind, payload = pending.pop(j)
@@ -578,25 +599,11 @@ def _compile(steps: List[Tuple[str, object]], state: _GroundState,
                 positions, rest = (), list(range(len(atom.args)))
             keys = tuple(atom.args[i] for i in positions)
             rest_pats = tuple((i, atom.args[i]) for i in rest)
-            names = [p.name for _, p in rest_pats
-                     if isinstance(p, Var) and p.name not in bound]
-            simple = len(names) == len(rest_pats) == len(set(names))
             table = state.table(atom.rel, len(atom.args),
                                 kind == "match_fact")
-            out.append(("match", table, positions, keys, rest_pats, simple))
+            out.append(("match", table, positions, keys, rest_pats))
             bound |= _atom_vars(atom)
     return out
-
-
-def _ground_arg(t: Term, env: Dict[str, Term],
-                pos: Optional[SourcePos]) -> Term:
-    """`_eval_term(_subst(t, env))`; a bound variable's value is already
-    evaluated."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, Const):
-        return t
-    return _eval_term(_subst(t, env), pos)
 
 
 def _test_builtin(b: BuiltinLit, env: Dict[str, Term],
@@ -628,24 +635,18 @@ def _instantiate(steps: list, state: _GroundState,
         step = steps[i]
         kind = step[0]
         if kind == "match":
-            _, table, positions, keys, rest, simple = step
+            _, table, positions, keys, rest = step
             cands = table.lookup(positions, tuple(
-                _ground_arg(t, env, None) for t in keys)) \
+                _eval_term(_subst(t, env)) for t in keys)) \
                 if positions else table.atoms
             for cand in itertools.islice(cands, len(cands)):
-                if simple:
-                    nxt = dict(env)
-                    for j, p in rest:
-                        nxt[p.name] = cand.args[j]
-                else:
-                    nxt = env
-                    for j, p in rest:
-                        nxt = _match(p, cand.args[j], nxt)
-                        if nxt is None:
-                            break
+                nxt = env
+                for j, p in rest:
+                    nxt = _match(p, cand.args[j], nxt)
                     if nxt is None:
-                        continue
-                yield from walk(i + 1, nxt)
+                        break
+                if nxt is not None:
+                    yield from walk(i + 1, nxt)
         elif kind == "bind":
             nxt = dict(env)
             nxt[step[1]] = _eval_term(_subst(step[2], env), pos)
@@ -736,9 +737,6 @@ class _RulePlan:
                                              len(item.atom.args), False))
         reads.extend(state.table(c.rel, len(c.args), True) for c in conds)
         self.reads = reads
-        # an atom head with neither arithmetic nor ranges to expand
-        self.plain = isinstance(rule.head, Atom) and not any(
-            _has_op(t) or isinstance(t, RangeTerm) for t in rule.head.args)
         self.seen: Optional[Tuple[int, ...]] = None
         self.instances: List[Tuple[Dict[str, Term],
                                    List[Tuple[Atom, str]]]] = []
@@ -777,8 +775,7 @@ class _RulePlan:
         if isinstance(rule.head, Atom):
             a = Atom(rule.head.rel,
                      tuple(_subst(t, env) for t in rule.head.args))
-            for inst in [a] if self.plain else \
-                    _expand_head_ranges(a, rule.pos):
+            for inst in _expand_head_ranges(a, rule.pos):
                 out.append((inst, state.add(inst, fact)))
         elif isinstance(rule.head, Choice):
             for elem in rule.head.elems:
@@ -927,7 +924,8 @@ def ground(p: EzProgram) -> EzProgram:
         rule = rp.rule
         for env, insts in rp.instances:
             body = tuple(Lit(b.kind, Atom(b.atom.rel,
-                                          tuple(_ground_arg(t, env, rule.pos)
+                                          tuple(_eval_term(_subst(t, env),
+                                                           rule.pos)
                                                 for t in b.atom.args)))
                          for b in rule.body if isinstance(b, Lit))
             heads: List[Tuple[Union[None, Atom, Choice], str]] = []
@@ -1124,11 +1122,11 @@ class CAProgram:
         self.var_decls: Tuple[CADecl, ...] = tuple(var_decls)
         self.suppressed = suppressed          # atom names hidden in ez output
         self.warnings = list(warnings)
-        heads = {r.head for r in pi.rules}
         for cid in self.constraint_order:
-            if cid in heads:
-                raise ValueError(
-                    f"constraint atom {pi.names[cid]} occurs in a head")
+            for r in pi.rules:
+                if r.head == cid:
+                    raise ValueError(
+                        f"constraint atom {pi.names[cid]} occurs in a head")
         if set(self.gamma) != set(self.constraint_order):
             raise ValueError("gamma must be defined on exactly the "
                              "constraint alphabet")

@@ -120,6 +120,17 @@ def test_bound_list_argument_matches_nothing():
     assert library_ground_canon(g) == {"p([1,2]):-", "q([1,2]):-pos:p([1,2])"}
 
 
+def test_equality_after_join_admits_list_values():
+    # the join binds X to any value and the test compares with `==`, so the
+    # equality must not become a binding that turns the join into a lookup
+    for value in ("[1,2]", "f([1],a)", "[q/1]"):
+        g = _ground_text(f"p({value}). r({value}). q(1). "
+                         f"s(X) :- r(Y), p(X), X = Y.")
+        assert sum(r.head.rel == "s" for r in g.rules) == 1, value
+    g = _ground_text("p(f([1],a)). r([1]). s(X) :- r(Y), p(X), X = f(Y,a).")
+    assert sum(r.head.rel == "s" for r in g.rules) == 1
+
+
 def test_grounding_equivalence_with_bruteforce():
     corpus = [
         "p(1). p(2). p(3). q(X,Y) :- p(X), p(Y), X < Y.",
