@@ -25,10 +25,11 @@ CAProgram are safe.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import fd
 # find_unit_step and greatest_unfounded_set are the reference versions of the
@@ -237,6 +238,9 @@ class _Run:
         self.prop = Propagator(self.m, clausify(self.abstraction))
         self.unfounded = UnfoundedCheck(self.abstraction)
         self.decisions_since_check = 0
+        # the solutions of the last CSP check, in labeling order; when the
+        # run ends in a model, they are the model's evaluations
+        self.csp_solutions: Iterator[Dict[str, int]] = iter(())
 
     # -- helpers --------------------------------------------------------
 
@@ -261,7 +265,10 @@ class _Run:
     def _csp_feasible(self) -> bool:
         self.stats.csp_checks += 1
         inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
-        return fd.feasible(inst)
+        search = fd.solutions(inst)
+        first = next(search, None)
+        self.csp_solutions = itertools.chain((first,), search)
+        return first is not None
 
     def _lit_strs(self, lits: Sequence[int]) -> List[str]:
         return [self.trace.lit_str(x) for x in lits]
@@ -397,8 +404,9 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     integration schema and semantics.
 
     Enumerates up to cfg.limit extended answer sets (0 = all): evaluations
-    are enumerated per answer set in labeling order, then the search is
-    re-launched with a blocking denial to find the next answer set.
+    are enumerated per answer set in labeling order, by the same fd search
+    that found the answer set's CSP feasible, then the search is re-launched
+    with a blocking denial to find the next answer set.
     """
     stats = SolveStats()
     names = program.pi.names        # the abstraction adds no atoms
@@ -433,7 +441,6 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
             trace.end(run_idx, "model", model=atoms)
             status = "sat"
 
-            inst = fd.build_csp(program, m.literals(), cfg.semantics)
             alpha_cap = None
             if cfg.max_alphas_per_model:
                 alpha_cap = cfg.max_alphas_per_model
@@ -441,7 +448,11 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
                 remaining = cfg.limit - len(models)
                 alpha_cap = min(alpha_cap, remaining) \
                     if alpha_cap is not None else remaining
-            sols, _ = fd.solve(inst, limit=alpha_cap)
+            # the run's last CSP check was on this model and found its first
+            # evaluation; the same search goes on to the others
+            sols = itertools.islice(
+                run.csp_solutions,
+                None if alpha_cap is None else max(alpha_cap, 1))
             lits = tuple(m.literals())
             for s in sols:
                 models.append(ExtendedAnswerSet(

@@ -14,21 +14,38 @@ bounds for all_distinct, time-table filtering for cumulative (serialized is
 cumulative with unit resources), light dedicated filters for the remaining
 globals, and three-valued filtering for reified formulas.
 
-Labeling is deterministic: leftmost unfixed variable in declaration order,
-ascending values, binary x=v / x!=v branching.  A `CSPInstance` is single-
-owner mutable during search; independent instances may be solved on separate
-threads.
+Propagation is event-driven (Schulte & Stuckey, "Efficient constraint
+propagation engines", TOPLAS 2008): each variable has a watch list of the
+constraints that mention it, and a constraint is filtered again only after a
+domain it watches narrowed.  A filter that narrows a domain queues every
+watcher of that variable, itself included, so the queue empties at a common
+fixpoint of all constraints.
+
+Search is a generator (`solutions`) over an explicit stack of choice points,
+so its depth is not bounded by the interpreter's recursion limit.  It works
+on one copy of the instance, trailing each domain change and undoing it on
+backtracking.  Labeling is deterministic: leftmost unfixed variable in
+declaration order, ascending values, binary x=v / x!=v branching, each branch
+propagating from the variable just branched on.  Every solution is a leaf
+that `satisfied` accepts, and any sound propagator leaves the same leaves, so
+solutions come in the lexicographic order of `var_order` whatever order the
+queue runs in.  A `CSPInstance` is single-owner mutable during search;
+independent instances may be solved on separate threads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
+                    Tuple)
 
 __all__ = [
     "IntConst", "VarRef", "Arith", "Cmp", "BoolExpr", "Global", "ConstraintExpr",
     "Domain", "CSPInstance", "FdError", "ComplementUnsupported",
-    "satisfied", "eval_term", "complement", "propagate", "solve", "feasible",
+    "satisfied", "eval_term", "complement", "propagate", "solutions", "solve",
+    "feasible",
     "vars_of", "build_csp", "CMP_NAMES",
 ]
 
@@ -77,22 +94,32 @@ class Arith:
     args: tuple
 
 
+class _Constraint:
+    """Base of the constraint node types.  Nodes are immutable and shared
+    by every CSP built from one program, so their variables are collected
+    once per node."""
+
+    @cached_property
+    def variables(self) -> FrozenSet[str]:
+        return frozenset(vars_of(self))
+
+
 @dataclass(frozen=True)
-class Cmp:
+class Cmp(_Constraint):
     op: str
     lhs: "ConstraintExpr"
     rhs: "ConstraintExpr"
 
 
 @dataclass(frozen=True)
-class BoolExpr:
+class BoolExpr(_Constraint):
     """Reified connective: op in {or, and, xor, impl, iff, not}."""
     op: str
     args: tuple
 
 
 @dataclass(frozen=True)
-class Global:
+class Global(_Constraint):
     """Global constraint; args are tuples of terms, ints, or comparison-op
     names, per the catalog's signature for `name`."""
     name: str
@@ -410,12 +437,17 @@ class Domain:
 # ---------------------------------------------------------------------------
 
 class CSPInstance:
-    """Variables in declaration order, their current domains, constraints."""
+    """Variables in declaration order, their current domains, constraints.
+
+    Constraints are added with `post`; the watch lists are built from them
+    on first use and dropped by `post`."""
 
     def __init__(self):
         self.var_order: List[str] = []
         self.domains: Dict[str, Domain] = {}
         self.constraints: List[object] = []
+        self._watch: Optional[Dict[str, Tuple[int, ...]]] = None
+        self._trail: Optional[_Trail] = None      # set on a search's copy
 
     def add_var(self, name: str, lo: int, hi: int) -> None:
         if name in self.domains:
@@ -426,6 +458,18 @@ class CSPInstance:
 
     def post(self, c) -> None:
         self.constraints.append(c)
+        self._watch = None
+
+    def watch_lists(self) -> Dict[str, Tuple[int, ...]]:
+        """Per variable, the indices of the constraints that mention it, in
+        ascending order."""
+        if self._watch is None:
+            watch: Dict[str, List[int]] = {}
+            for i, c in enumerate(self.constraints):
+                for v in c.variables:
+                    watch.setdefault(v, []).append(i)
+            self._watch = {v: tuple(ix) for v, ix in watch.items()}
+        return self._watch
 
     def copy(self) -> "CSPInstance":
         inst = CSPInstance()
@@ -531,34 +575,89 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class _Store:
-    """Mutable propagation context over a CSPInstance's domains."""
+class _Trail:
+    """Domain states saved during search, restored on backtracking.
 
-    def __init__(self, domains: Dict[str, Domain]):
+    The search is cut into segments at its choice points.  A domain is saved
+    before its first possible change in a segment, so undoing the trail to
+    the start of a segment restores every domain the segment changed.
+    Segment 0, before the first choice point, is never undone and saves
+    nothing."""
+
+    def __init__(self):
+        self.entries: List[Tuple[Domain, int, int, Set[int]]] = []
+        self.saved: Dict[str, int] = {}     # variable -> segment of its save
+        self.segment = 0
+
+    def save(self, name: str, d: Domain) -> None:
+        if self.segment and self.saved.get(name) != self.segment:
+            self.saved[name] = self.segment
+            self.entries.append((d, d.lo, d.hi, set(d.holes)))
+
+    def mark(self) -> int:
+        """Start a segment; returns the position that undoes it."""
+        self.segment += 1
+        return len(self.entries)
+
+    def undo(self, pos: int) -> None:
+        """Restore the domains to their state at `pos`; starts a segment."""
+        entries = self.entries
+        while len(entries) > pos:
+            d, lo, hi, holes = entries.pop()
+            d.lo, d.hi, d.holes = lo, hi, holes
+        self.segment += 1
+
+
+class _Store:
+    """Mutable propagation context over a CSPInstance's domains; `touched`
+    lists the variables whose domains narrowed, in order, with repeats.
+    Under search, a domain is saved on the trail before it may change."""
+
+    def __init__(self, domains: Dict[str, Domain],
+                 trail: Optional[_Trail] = None):
         self.domains = domains
-        self.changed = False
+        self.trail = trail
+        self.touched: List[str] = []
         self.failed = False
 
     def dom(self, name: str) -> Domain:
         return self.domains[name]
 
+    def _writable(self, name: str) -> Domain:
+        d = self.domains[name]
+        if self.trail is not None:
+            self.trail.save(name, d)
+        return d
+
     def note(self, changed: bool, name: str) -> None:
         if changed:
-            self.changed = True
+            self.touched.append(name)
             if self.domains[name].empty:
                 self.failed = True
 
+    # each guard is the condition under which the Domain method changes the
+    # domain, so that only a change is trailed
     def set_min(self, name: str, v: int) -> None:
-        self.note(self.domains[name].set_min(v), name)
+        if v > self.domains[name].lo:
+            self.note(self._writable(name).set_min(v), name)
 
     def set_max(self, name: str, v: int) -> None:
-        self.note(self.domains[name].set_max(v), name)
+        if v < self.domains[name].hi:
+            self.note(self._writable(name).set_max(v), name)
 
     def remove(self, name: str, v: int) -> None:
-        self.note(self.domains[name].remove(v), name)
+        if self.domains[name].contains(v):
+            self.note(self._writable(name).remove(v), name)
 
     def fix(self, name: str, v: int) -> None:
-        self.note(self.domains[name].fix(v), name)
+        d = self.domains[name]
+        if v > d.lo or v < d.hi:
+            self.note(self._writable(name).fix(v), name)
+
+    def intersect_range(self, name: str, lo: int, hi: int) -> None:
+        d = self.domains[name]
+        if lo > d.lo or hi < d.hi:
+            self.note(self._writable(name).intersect_range(lo, hi), name)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +986,7 @@ def _filter_global(st: _Store, g: Global) -> None:
         n = len(xs)
         for v in xs + ys:
             if isinstance(v, VarRef):
-                st.note(st.dom(v.name).intersect_range(1, n), v.name)
+                st.intersect_range(v.name, 1, n)
                 if st.failed:
                     return
         for i, x in enumerate(xs):
@@ -906,7 +1005,7 @@ def _filter_global(st: _Store, g: Global) -> None:
         n = len(vs)
         for i, v in enumerate(vs):
             if isinstance(v, VarRef):
-                st.note(st.dom(v.name).intersect_range(1, n), v.name)
+                st.intersect_range(v.name, 1, n)
                 if n > 1:
                     st.remove(v.name, i + 1)
                 if st.failed:
@@ -1002,7 +1101,7 @@ def _filter_global(st: _Store, g: Global) -> None:
         idx, vs, tgt = args
         n = len(vs)
         if isinstance(idx, VarRef):
-            st.note(st.dom(idx.name).intersect_range(1, n), idx.name)
+            st.intersect_range(idx.name, 1, n)
             if st.failed:
                 return
             d_idx = st.dom(idx.name)
@@ -1113,85 +1212,120 @@ def _filter_global(st: _Store, g: Global) -> None:
         raise FdError(f"unknown global constraint {name!r}")
 
 
-def propagate(csp: CSPInstance) -> bool:
-    """Filter all constraints to mutual fixpoint; False on inconsistency.
+def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
+              ) -> bool:
+    """Filter the constraints to a common fixpoint; False on inconsistency.
 
-    Never removes a value that belongs to a solution; reports inconsistency
-    only when some domain empties or a constraint is interval-refuted.
+    The queue starts from every constraint when `changed` is None, and
+    otherwise from the watchers of the variables in `changed`, whose domains
+    narrowed since `csp` was last at a fixpoint.  Never removes a value that
+    belongs to a solution; reports inconsistency only when some domain
+    empties or a constraint is interval-refuted.
     """
-    st = _Store(csp.domains)
-    if any(d.empty for d in csp.domains.values()):
-        return False
+    domains, constraints = csp.domains, csp.constraints
+    watch = csp.watch_lists()
+    st = _Store(domains, csp._trail)
+    touched = st.touched
+    if changed is None:
+        if any(d.empty for d in domains.values()):
+            return False
+        queue = deque(range(len(constraints)))
+        queued = bytearray(b"\x01") * len(constraints)
+    else:
+        touched.extend(changed)
+        if any(domains[v].empty for v in touched):
+            return False
+        queue = deque()
+        queued = bytearray(len(constraints))
     while True:
-        st.changed = False
-        for c in csp.constraints:
-            if isinstance(c, Cmp):
-                _filter_cmp(st, c)
-            elif isinstance(c, BoolExpr):
-                if _definitely(c, st) is False:
-                    st.failed = True
-                else:
-                    _require(st, c, True)
-            elif isinstance(c, Global):
-                _filter_global(st, c)
-            else:
-                raise FdError(f"not a constraint: {c!r}")
-            if st.failed:
-                return False
-        if not st.changed:
+        for v in touched:
+            for j in watch.get(v, ()):
+                if not queued[j]:
+                    queued[j] = 1
+                    queue.append(j)
+        touched.clear()
+        if not queue:
             return True
+        i = queue.popleft()
+        queued[i] = 0
+        c = constraints[i]
+        if isinstance(c, Cmp):
+            _filter_cmp(st, c)
+        elif isinstance(c, BoolExpr):
+            if _definitely(c, st) is False:
+                st.failed = True
+            else:
+                _require(st, c, True)
+        elif isinstance(c, Global):
+            _filter_global(st, c)
+        else:
+            raise FdError(f"not a constraint: {c!r}")
+        if st.failed:
+            return False
 
 
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
 
+def solutions(csp: CSPInstance) -> Iterator[Dict[str, int]]:
+    """The solutions of `csp`, one at a time, in labeling order.
+
+    Depth-first search with propagation at every node, on one copy of `csp`
+    whose domain changes are trailed; `csp` itself is not modified.  Each
+    open x = v branch is a choice point on an explicit stack, and
+    backtracking undoes the trail to it and goes on with x != v.  Solutions
+    come in labeling order: leftmost unfixed variable in declaration order,
+    ascending values, binary x=v / x!=v branching.
+    """
+    work = csp.copy()
+    trail = work._trail = _Trail()
+    doms, order = work.domains, work.var_order
+    choices: List[Tuple[int, str, int, int]] = []   # (trail pos, x, v, k)
+    changed: Optional[Tuple[str, ...]] = None
+    k = 0                           # every variable before order[k] is fixed
+    while True:
+        if propagate(work, changed):
+            while k < len(order) and doms[order[k]].fixed:
+                k += 1
+            if k < len(order):
+                x = order[k]
+                v = doms[x].lo
+                choices.append((trail.mark(), x, v, k))
+                trail.save(x, doms[x])
+                doms[x].fix(v)
+                changed = (x,)
+                continue
+            e = work.evaluation()
+            if all(satisfied(c, e) for c in work.constraints):
+                yield e
+        if not choices:
+            return
+        pos, x, v, k = choices.pop()
+        trail.undo(pos)
+        trail.save(x, doms[x])
+        doms[x].remove(v)
+        changed = (x,)
+
+
 def solve(csp: CSPInstance, limit: Optional[int] = None
           ) -> Tuple[List[Dict[str, int]], bool]:
-    """Backtracking search with propagation at every node.
+    """The first solutions of `csp` in labeling order (see `solutions`).
 
     Returns (solutions, exhausted).  `limit` caps the number of solutions
     (None = enumerate all); `exhausted` is True iff the search tree was fully
     explored, so an empty solution list with exhausted=True means UNSAT.
-    Solutions come in labeling order: leftmost variable in declaration order,
-    ascending values, binary x=v / x!=v branching.
     """
-    work = csp.copy()
-    solutions: List[Dict[str, int]] = []
-
-    def leaf_ok(inst: CSPInstance) -> bool:
-        e = inst.evaluation()
-        return all(satisfied(c, e) for c in inst.constraints)
-
-    def descend(inst: CSPInstance) -> bool:
-        """DFS with binary x=v / x!=v branching; the x!=v spine is iterated
-        in place so recursion depth is bounded by the variable count.
-        Returns False when the solution limit was hit."""
-        while True:
-            if not propagate(inst):
-                return True
-            unf = next((n for n in inst.var_order
-                        if not inst.domains[n].fixed), None)
-            if unf is None:
-                if leaf_ok(inst):
-                    solutions.append(inst.evaluation())
-                    if limit is not None and len(solutions) >= limit:
-                        return False
-                return True
-            v = inst.domains[unf].lo
-            left = inst.copy()
-            left.domains[unf].fix(v)
-            if not descend(left):
-                return False
-            inst.domains[unf].remove(v)
-
-    exhausted = descend(work)
-    return solutions, exhausted
+    found: List[Dict[str, int]] = []
+    for e in solutions(csp):
+        found.append(e)
+        if limit is not None and len(found) >= limit:
+            return found, False
+    return found, True
 
 
 def feasible(csp: CSPInstance) -> bool:
-    sols, _ = solve(csp, limit=1)
-    return bool(sols)
+    return next(solutions(csp), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1233,7 +1367,7 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
             dhi = hi if decl.hi is None else min(hi, decl.hi)
             inst.add_var(decl.var, dlo, dhi)
     for c in posted:
-        for v in sorted(vars_of(c)):
+        for v in sorted(c.variables):
             if v not in inst.domains:
                 inst.add_var(v, lo, hi)
         inst.post(c)

@@ -1122,11 +1122,11 @@ class CAProgram:
         self.var_decls: Tuple[CADecl, ...] = tuple(var_decls)
         self.suppressed = suppressed          # atom names hidden in ez output
         self.warnings = list(warnings)
+        heads = {r.head for r in pi.rules}
         for cid in self.constraint_order:
-            for r in pi.rules:
-                if r.head == cid:
-                    raise ValueError(
-                        f"constraint atom {pi.names[cid]} occurs in a head")
+            if cid in heads:
+                raise ValueError(
+                    f"constraint atom {pi.names[cid]} occurs in a head")
         if set(self.gamma) != set(self.constraint_order):
             raise ValueError("gamma must be defined on exactly the "
                              "constraint alphabet")

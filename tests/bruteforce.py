@@ -9,7 +9,7 @@ product loops.
 import itertools
 
 from ezcasp.asp import RegularProgram, lit_atom
-from ezcasp.ground import canon_atom, canon_term, term_key
+from ezcasp.ground import GroundError, canon_atom, canon_term, term_key
 from ezcasp.lang import (Atom, BuiltinLit, Choice, Compound, Const, EzProgram,
                          Lit, OpExpr, RangeTerm, Rule, Var)
 
@@ -69,6 +69,11 @@ def _apply(t, env):
         if t.op == "-" and len(vals) == 1:
             return Const(-vals[0])
         a, b = vals
+        if t.op == "/":
+            if b == 0:
+                raise GroundError("division by zero in built-in arithmetic")
+            q = abs(a) // abs(b)        # truncates toward zero
+            return Const(q if (a >= 0) == (b >= 0) else -q)
         return Const({"+": a + b, "-": a - b, "*": a * b}[t.op])
     return t
 
@@ -97,8 +102,10 @@ def brute_ground(p: EzProgram):
     possible atom, a non-domain positive atom restricts only the variables
     no earlier element bound, and fully-bound non-domain atoms are kept
     regardless of derivability.  Handles plain atoms, negation, and
-    comparison built-ins; `=`-binding and choice conditions are outside this
-    oracle's scope.  Returns a set of canonical rule strings.
+    comparison built-ins, which run after the domain atoms and raise
+    GroundError on a division by zero as the grounder does; `=`-binding (of
+    a value no atom holds) and choice conditions are outside this oracle's
+    scope.  Returns a set of canonical rule strings.
     """
     heads_of = {}
     for r in p.rules:
@@ -169,10 +176,8 @@ def brute_ground(p: EzProgram):
             yield dict(zip(vs, combo))
 
     def body_ok(r: Rule, env):
-        # built-ins first (env is total, order does not matter for them)
-        for b in r.body:
-            if isinstance(b, BuiltinLit) and not _eval_builtin(b, env):
-                return False
+        # domain atoms, then built-ins, then non-domain atoms: the grounder's
+        # reference order, which decides where a division by zero is raised
         bound = set()
         pos_atoms = [b.atom for b in r.body
                      if isinstance(b, Lit) and b.kind == "pos"]
@@ -189,6 +194,9 @@ def brute_ground(p: EzProgram):
                     if a.args else set()
             else:
                 non_domain.append((a, inst))
+        for b in r.body:
+            if isinstance(b, BuiltinLit) and not _eval_builtin(b, env):
+                return False
         for a, inst in non_domain:       # body order among non-domain atoms
             avars = set()
             for t in a.args:

@@ -56,6 +56,29 @@ def test_pure_asp_program_runs_without_csp():
     assert res.stats.csp_checks == res.stats.candidates
 
 
+def test_one_fd_search_per_model(monkeypatch):
+    calls = {"build_csp": 0, "solutions": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fd, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fd, name, counted)
+    # twelve evaluations of one answer set come from its feasibility check
+    P = ground_program((ENCODINGS / "light.ez").read_text())
+    res = solve_ca(P, SchemaConfig(limit=0))
+    assert len(res.models) == 12 and len(_atom_sets(res)) == 1
+    assert res.stats.csp_checks == 1
+    assert calls == {"build_csp": 1, "solutions": 1}
+    # 22 answer sets after 35 failed checks: one search per check
+    calls.update(build_csp=0, solutions=0)
+    P = ground_program((ENCODINGS / "wseq_toy.ez").read_text())
+    res = solve_ca(P, SchemaConfig(limit=0))
+    assert len(_atom_sets(res)) == len(res.models) == 22
+    assert res.stats.csp_checks == 22 + res.stats.learned
+    assert calls == {"build_csp": res.stats.csp_checks,
+                     "solutions": res.stats.csp_checks}
+
+
 # -- schema-specific behavior ------------------------------------------------------
 
 def test_black_box_conflict_learns_and_restarts():

@@ -275,6 +275,45 @@ def test_solver_equals_bruteforce_per_global(which):
             (which, seed)
 
 
+def test_solutions_are_the_bruteforce_ones_in_lexicographic_order():
+    # any sound propagator leaves the same leaves in the same order, which
+    # is what lets the propagation order change freely
+    for which in GLOBALS:
+        for seed in range(8):
+            inst = gen_instance(20_000 + seed, force_global=which)
+            oracle = sorted(enumerate_csp_solutions(inst),
+                            key=lambda e: [e[n] for n in inst.var_order])
+            assert solve(inst) == (oracle, True), (which, seed)
+
+
+def test_long_chain_needs_no_recursion():
+    n = 1200
+    inst = CSPInstance()
+    for i in range(n):
+        inst.add_var(f"x{i}", 0, 1)
+    for i in range(n - 1):
+        inst.post(C("leq", V(f"x{i}"), V(f"x{i + 1}")))
+    sols, exhausted = solve(inst, limit=1)
+    assert sols == [{f"x{i}": 0 for i in range(n)}] and not exhausted
+
+
+def test_propagate_from_changed_variables():
+    inst = CSPInstance()
+    for n in ("x", "y", "z"):
+        inst.add_var(n, 0, 9)
+    inst.post(C("lt", V("x"), V("y")))
+    inst.post(C("lt", V("y"), V("z")))
+    assert propagate(inst)
+    assert [(inst.domains[n].lo, inst.domains[n].hi) for n in "xyz"] == \
+        [(0, 7), (1, 8), (2, 9)]
+    inst.domains["x"].set_min(5)
+    assert propagate(inst, ["x"])
+    assert [(inst.domains[n].lo, inst.domains[n].hi) for n in "xyz"] == \
+        [(5, 7), (6, 8), (7, 9)]
+    inst.domains["z"].set_max(6)
+    assert not propagate(inst, ["z"])
+
+
 def test_all_different_and_all_distinct_agree():
     for seed in range(40):
         inst = gen_instance(seed, force_global="all_different")

@@ -152,6 +152,9 @@ def test_grounding_equivalence_with_bruteforce():
         "c(X) :- a(X), d(Y), X < Y.",
         # X > 1 runs between the joins over p and q
         "p(1). p(2). p(3). q(2). q(3). r(X,Y) :- p(X), q(Y), X > 1, X != Y.",
+        # integer division; c(X,Y) filters out the divisor 0
+        "a(0). a(1). a(2). b(0). b(1). c(1,1). c(2,1). c(2,2). "
+        "q(Z) :- a(X), b(Y), c(X,Y), Z = X / Y.",
     ]
     for src in corpus:
         p = preprocess(parse(src))
