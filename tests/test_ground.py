@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from ezcasp import fd
@@ -8,7 +10,7 @@ from ezcasp.lang import (Atom, Compound, Const, EzProgram, IntensionalList,
                          Lit, ListTerm, Rule, parse, preprocess)
 
 from bruteforce import brute_ground, library_ground_canon
-from conftest import LIGHT_EZ, RIDDLE_EZ
+from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ
 
 
 def _ground_text(text: str) -> EzProgram:
@@ -451,3 +453,53 @@ def test_grounding_equivalence_with_nondomain_sharing():
            "both(X) :- c(X), e(X).")
     p = preprocess(parse(src))
     assert library_ground_canon(ground(p)) == brute_ground(p)
+
+
+# -- CA-program snapshots ----------------------------------------------------------
+
+CA_PROGRAM = pathlib.Path(__file__).resolve().parent / "data" / "ca_program"
+DUMP_GROUND_EZ = pathlib.Path(__file__).resolve().parent / "data" / "dump_ground"
+
+
+def ca_program_text(P) -> str:
+    """Everything `to_ca_program` emits, one item per line: the atom table,
+    the propositional rules in order (choice-bound and linking denials
+    included), the constraint order with gamma, the declarations, the
+    suppressed names and the warnings."""
+    lines = ["% atoms"]
+    lines += [f"{i} {n}" for i, n in enumerate(P.pi.names)]
+    lines.append("% rules")
+    for r in P.pi.rules:
+        body = [str(a) for a in r.pos] + [f"not {a}" for a in r.neg] + \
+            [f"not not {a}" for a in r.nneg]
+        head = "" if r.head is None else str(r.head)
+        lines.append(f"{head} :- {', '.join(body)}.")
+    lines.append("% constraint atoms and gamma")
+    lines += [f"{cid} {P.gamma[cid]!r}" for cid in P.constraint_order]
+    lines.append("% declarations")
+    lines += [repr(d) for d in P.var_decls]
+    lines.append(f"% domain {P.domain[0]}..{P.domain[1]}")
+    lines.append("% suppressed")
+    lines += sorted(P.suppressed)
+    lines.append("% warnings")
+    lines += P.warnings
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source", sorted(ENCODINGS.glob("*.ez")) + sorted(DUMP_GROUND_EZ.glob("*.ez")),
+    ids=lambda p: p.stem)
+def test_ca_program_matches_snapshot(source):
+    # Atom ids and rule order fix the search; a grounder or translation
+    # change must not alter either.  Regenerate with
+    # `PYTHONPATH=src:tests python -c "import test_ground as t; t.write_ca_snapshots()"`.
+    P = ground_program(source.read_text())
+    assert ca_program_text(P) == (CA_PROGRAM / f"{source.stem}.txt").read_text()
+
+
+def write_ca_snapshots() -> None:
+    CA_PROGRAM.mkdir(exist_ok=True)
+    for source in sorted(ENCODINGS.glob("*.ez")) + \
+            sorted(DUMP_GROUND_EZ.glob("*.ez")):
+        (CA_PROGRAM / f"{source.stem}.txt").write_text(
+            ca_program_text(ground_program(source.read_text())))
