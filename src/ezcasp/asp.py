@@ -88,27 +88,26 @@ class RegularProgram:
         constraint atoms a caller wants in At even before denials mention
         them).
         """
-        names: List[str] = []
-        index: Dict[str, int] = {}
-
-        def intern(name: str) -> int:
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-            return index[name]
-
+        index: Dict[str, int] = {}            # name -> id, in id order
         out: List[RuleP] = []
         for head, pos, negs, nneg in rules:
-            h = intern(head) if head is not None else None
+            h = None if head is None else index.setdefault(head, len(index))
             out.append(RuleP(
                 h,
-                tuple(dict.fromkeys(intern(a) for a in pos)),
-                tuple(dict.fromkeys(intern(a) for a in negs)),
-                tuple(dict.fromkeys(intern(a) for a in nneg)),
+                tuple(dict.fromkeys([index.setdefault(a, len(index))
+                                     for a in pos])),
+                tuple(dict.fromkeys([index.setdefault(a, len(index))
+                                     for a in negs])),
+                tuple(dict.fromkeys([index.setdefault(a, len(index))
+                                     for a in nneg])),
             ))
         for a in extra_atoms:
-            intern(a)
-        return cls(names, out)
+            index.setdefault(a, len(index))
+        # ids come from the table and each body part is deduplicated, so
+        # the checks of __init__ hold by construction
+        prog = cls.__new__(cls)
+        prog.names, prog.index, prog.rules = tuple(index), index, tuple(out)
+        return prog
 
     def extended(self, extra: Sequence[RuleP]) -> "RegularProgram":
         """The program with rules appended; only they are checked, and the

@@ -738,6 +738,8 @@ class _RulePlan:
         reads.extend(state.table(c.rel, len(c.args), True) for c in conds)
         self.reads = reads
         self.seen: Optional[Tuple[int, ...]] = None
+        self.head_vars = tuple(sorted(_atom_vars(rule.head))) \
+            if isinstance(rule.head, Atom) else ()
         self.instances: List[Tuple[Dict[str, Term],
                                    List[Tuple[Atom, str]]]] = []
 
@@ -762,22 +764,30 @@ class _RulePlan:
                 _compile(self.steps, state, hoist=False), state, fact)
 
     def _instances(self, steps: list, state: _GroundState, fact: bool):
-        return [(env, self._add_heads(env, state, fact))
+        built: Dict[tuple, List[Tuple[Atom, str]]] = {}
+        return [(env, self._add_heads(env, state, fact, built))
                 for env in _instantiate(steps, state, self.rule.pos)]
 
     def _add_heads(self, env: Dict[str, Term], state: _GroundState,
-                   fact: bool) -> List[Tuple[Atom, str]]:
+                   fact: bool, built: Dict[tuple, List[Tuple[Atom, str]]]
+                   ) -> List[Tuple[Atom, str]]:
         """Add the head instances of one substitution; returns them with
         their canonical names, choice elements in element and condition
-        order."""
+        order.  An atom head is built once per binding of its variables in
+        a run (`built`); adding it again would change nothing."""
         rule = self.rule
-        out: List[Tuple[Atom, str]] = []
         if isinstance(rule.head, Atom):
-            a = Atom(rule.head.rel,
-                     tuple(_subst(t, env) for t in rule.head.args))
-            for inst in _expand_head_ranges(a, rule.pos):
-                out.append((inst, state.add(inst, fact)))
-        elif isinstance(rule.head, Choice):
+            binding = tuple(map(env.get, self.head_vars))
+            out = built.get(binding)
+            if out is None:
+                a = Atom(rule.head.rel,
+                         tuple(_subst(t, env) for t in rule.head.args))
+                out = built[binding] = [
+                    (inst, state.add(inst, fact))
+                    for inst in _expand_head_ranges(a, rule.pos)]
+            return out
+        out: List[Tuple[Atom, str]] = []
+        if isinstance(rule.head, Choice):
             for elem in rule.head.elems:
                 for cenv in _expand_conditions(elem.conds, env, state,
                                                rule.pos):
@@ -861,11 +871,12 @@ def _domain_relations(p: EzProgram) -> Set[Tuple[str, int]]:
 
 
 def _compute_facts(p: EzProgram, state: _GroundState,
-                   domain_rels: Set[Tuple[str, int]]) -> None:
+                   domain_rels: Set[Tuple[str, int]]) -> Dict[int, _RulePlan]:
     """Least fixpoint of definite rules: plain atom head, no negation, no
-    aggregates, positive body atoms matched against established facts."""
-    definite = []
-    for r in p.rules:
+    aggregates, positive body atoms matched against established facts.
+    Returns the plans of the definite rules by rule index."""
+    definite: Dict[int, _RulePlan] = {}
+    for i, r in enumerate(p.rules):
         if not isinstance(r.head, Atom):
             continue
         if any(isinstance(b, Lit) and b.kind in ("not", "notnot")
@@ -873,9 +884,10 @@ def _compute_facts(p: EzProgram, state: _GroundState,
             continue
         if any(isinstance(b, AggregateLit) for b in r.body):
             continue
-        definite.append(_RulePlan(r, _plan_rule(r, domain_rels,
-                                                facts_mode=True), state))
-    _fixpoint(definite, state, fact=True)
+        definite[i] = _RulePlan(r, _plan_rule(r, domain_rels,
+                                              facts_mode=True), state)
+    _fixpoint(list(definite.values()), state, fact=True)
+    return definite
 
 
 def ground(p: EzProgram) -> EzProgram:
@@ -912,27 +924,50 @@ def ground(p: EzProgram) -> EzProgram:
                     f"{len(c.args)}", r.pos)
 
     state = _GroundState()
-    _compute_facts(p, state, domain_rels)
+    definite = _compute_facts(p, state, domain_rels)
 
-    plans = [_RulePlan(r, _plan_rule(r, domain_rels), state) for r in p.rules]
+    # A definite rule whose positive body is over domain relations has the
+    # same plan in both passes and reads only fact tables, which are final
+    # now: its last facts-pass run stands, heads included (a fact is also
+    # a possible atom).
+    plans = [definite[i] if i in definite and all(
+                 (b.atom.rel, len(b.atom.args)) in domain_rels
+                 for b in r.body if isinstance(b, Lit))
+             else _RulePlan(r, _plan_rule(r, domain_rels), state)
+             for i, r in enumerate(p.rules)]
     _fixpoint(plans, state, fact=False)
 
-    # emission: each rule's last run saw the final tables
+    # emission: each rule's last run saw the final tables.  A body literal
+    # is built and named once per binding of its own variables, and each
+    # distinct ground atom is one object in the output.
     out: List[Rule] = []
     seen: Set[str] = set()
+    atoms: Dict[str, Atom] = {}
     for rp in plans:
         rule = rp.rule
+        lits = [(b, tuple(sorted(_atom_vars(b.atom))), {})
+                for b in rule.body if isinstance(b, Lit)]
         for env, insts in rp.instances:
-            body = tuple(Lit(b.kind, Atom(b.atom.rel,
-                                          tuple(_eval_term(_subst(t, env),
-                                                           rule.pos)
-                                                for t in b.atom.args)))
-                         for b in rule.body if isinstance(b, Lit))
+            body: List[Lit] = []
+            keys: List[str] = []
+            for b, names, memo in lits:
+                binding = tuple(map(env.get, names))
+                built = memo.get(binding)
+                if built is None:
+                    a = Atom(b.atom.rel, tuple(_eval_term(_subst(t, env),
+                                                          rule.pos)
+                                               for t in b.atom.args))
+                    c = canon_atom(a)
+                    built = memo[binding] = (
+                        Lit(b.kind, atoms.setdefault(c, a)), f"{b.kind}:{c}")
+                body.append(built[0])
+                keys.append(built[1])
             heads: List[Tuple[Union[None, Atom, Choice], str]] = []
             if rule.head is None:
                 heads.append((None, ""))
             elif isinstance(rule.head, Atom):
-                heads.extend(insts)
+                heads.extend((atoms.setdefault(c, inst), c)
+                             for inst, c in insts)
             else:
                 ch = rule.head
                 elems: List[ChoiceElem] = []
@@ -940,7 +975,7 @@ def ground(p: EzProgram) -> EzProgram:
                 for inst, c in insts:
                     if c not in added:
                         added.add(c)
-                        elems.append(ChoiceElem(inst, ()))
+                        elems.append(ChoiceElem(atoms.setdefault(c, inst), ()))
                 lower = None if ch.lower is None else \
                     Const(_int_of(_subst(ch.lower, env), "choice bound",
                                   rule.pos))
@@ -958,12 +993,13 @@ def ground(p: EzProgram) -> EzProgram:
             if not heads:
                 continue
             # rules are told apart by canonical text, source position aside
-            body_key = ",".join(f"{b.kind}:{canon_atom(b.atom)}" for b in body)
+            body_key = ",".join(keys)
+            ground_body = tuple(body)
             for h, hc in heads:
                 key = hc + ":-" + body_key
                 if key not in seen:
                     seen.add(key)
-                    out.append(Rule(h, body, rule.pos))
+                    out.append(Rule(h, ground_body, rule.pos))
     return EzProgram(tuple(out))
 
 
@@ -1032,16 +1068,21 @@ def expand_lists(p: EzProgram, decls: Sequence[VariableDecl]
 
     facts_by_rel: Dict[Tuple[str, int], List[Atom]] = {}
     rels: Set[Tuple[str, int]] = set()
-    for r in p.rules:
-        heads = [r.head] if isinstance(r.head, Atom) else \
-            [e.atom for e in r.head.elems] if isinstance(r.head, Choice) else []
-        for h in heads:
-            rels.add((h.rel, len(h.args)))
-            if r.is_fact and isinstance(r.head, Atom):
-                facts_by_rel.setdefault((h.rel, len(h.args)), []).append(h)
-        for b in r.body:
-            if isinstance(b, Lit):
-                rels.add((b.atom.rel, len(b.atom.args)))
+
+    def scan_relations() -> None:
+        """Fill rels and facts_by_rel, on the first list over a relation."""
+        for r in p.rules:
+            heads = [r.head] if isinstance(r.head, Atom) else \
+                [e.atom for e in r.head.elems] \
+                if isinstance(r.head, Choice) else []
+            for h in heads:
+                rels.add((h.rel, len(h.args)))
+                if r.is_fact and isinstance(r.head, Atom):
+                    facts_by_rel.setdefault((h.rel, len(h.args)),
+                                            []).append(h)
+            for b in r.body:
+                if isinstance(b, Lit):
+                    rels.add((b.atom.rel, len(b.atom.args)))
 
     warnings: List[str] = []
 
@@ -1060,6 +1101,8 @@ def expand_lists(p: EzProgram, decls: Sequence[VariableDecl]
                 if not members:
                     warnings.append(f"empty expansion of [{t.name}/{t.arity}]")
                 return ListTerm(tuple(members))
+            if not rels:
+                scan_relations()
             if (t.name, t.arity) in rels:
                 facts = [a for a in facts_by_rel.get((t.name, t.arity), [])
                          if a.args[:len(prefix)] == prefix]
@@ -1073,20 +1116,29 @@ def expand_lists(p: EzProgram, decls: Sequence[VariableDecl]
                 f"intensional list over undeclared functor/relation "
                 f"{t.name}/{t.arity}", pos)
         if isinstance(t, Compound):
-            return Compound(t.functor, tuple(lam(a, pos) for a in t.args))
+            args = lam_all(t.args, pos)
+            return t if args is t.args else Compound(t.functor, args)
         if isinstance(t, ListTerm):
-            items = tuple(lam(a, pos) for a in t.items)
+            items = lam_all(t.items, pos)
             if any(isinstance(a, IntensionalList) for a in items):
                 raise GroundError("nested intensional list", pos)
-            return ListTerm(items)
+            return t if items is t.items else ListTerm(items)
         return t
 
+    def lam_all(ts: tuple, pos: Optional[SourcePos]) -> tuple:
+        """The terms expanded; `ts` itself when none holds a list."""
+        out = tuple(lam(a, pos) for a in ts)
+        return ts if all(x is y for x, y in zip(out, ts)) else out
+
+    # only the rules whose required-argument holds a list are rebuilt
     out: List[Rule] = []
     for r in p.rules:
         head = r.head
         if isinstance(head, Atom) and head.rel == "required":
-            head = Atom("required", tuple(lam(a, r.pos) for a in head.args))
-        out.append(Rule(head, r.body, r.pos))
+            args = lam_all(head.args, r.pos)
+            if args is not head.args:
+                r = Rule(Atom("required", args), r.body, r.pos)
+        out.append(r)
     return EzProgram(tuple(out)), warnings
 
 
@@ -1315,14 +1367,16 @@ def to_ca_program(p: EzProgram, decls: Sequence[VariableDecl],
 
     # constraint alphabet: one atom per distinct required-argument
     required_terms: Dict[str, Term] = {}
-    for r in p.rules:
+    required_key: Dict[int, str] = {}     # rule index -> its argument's key
+    for i, r in enumerate(p.rules):
         if isinstance(r.head, Atom) and r.head.rel == "required":
             beta = r.head.args[0]
             if not _is_ground(beta):
                 raise GroundError("required-argument not ground", r.pos)
             if isinstance(beta, IntensionalList):
                 raise GroundError("unexpanded intensional list", r.pos)
-            required_terms.setdefault(canon_term(beta), beta)
+            key = required_key[i] = canon_term(beta)
+            required_terms.setdefault(key, beta)
 
     gamma: Dict[str, object] = {}
     beta_name: Dict[str, str] = {}
@@ -1337,33 +1391,31 @@ def to_ca_program(p: EzProgram, decls: Sequence[VariableDecl],
     # propositional rules
     proto: List[Tuple[Optional[str], List[str], List[str], List[str]]] = []
 
-    names: Dict[Atom, str] = {}           # each ground atom is named once
+    # Each atom object is named once.  The cache is keyed by identity,
+    # which `ground` makes one object per distinct atom, and which stays
+    # unique while `p` holds every atom; required atoms occur only in heads.
+    names: Dict[int, str] = {}
 
     def atom_name(a: Atom) -> str:
-        name = names.get(a)
+        name = names.get(id(a))
         if name is None:
-            if a.rel == "required":
-                key = canon_term(a.args[0])
-                if key not in req_name:
-                    raise GroundError(
-                        f"unknown required atom {display_atom(a)}")
-                name = req_name[key]
-            else:
-                name = display_atom(a)
-            names[a] = name
+            name = names[id(a)] = display_atom(a)
         return name
 
-    for r in p.rules:
-        pos_b = [atom_name(b.atom) for b in r.body
-                 if isinstance(b, Lit) and b.kind == "pos"]
-        neg_b = [atom_name(b.atom) for b in r.body
-                 if isinstance(b, Lit) and b.kind == "not"]
-        nn_b = [atom_name(b.atom) for b in r.body
-                if isinstance(b, Lit) and b.kind == "notnot"]
+    for i, r in enumerate(p.rules):
+        pos_b: List[str] = []
+        neg_b: List[str] = []
+        nn_b: List[str] = []
+        for b in r.body:
+            if isinstance(b, Lit):
+                (pos_b if b.kind == "pos" else
+                 neg_b if b.kind == "not" else nn_b).append(atom_name(b.atom))
         if r.head is None:
             proto.append((None, pos_b, neg_b, nn_b))
         elif isinstance(r.head, Atom):
-            proto.append((atom_name(r.head), pos_b, neg_b, nn_b))
+            head = req_name[required_key[i]] if i in required_key else \
+                atom_name(r.head)
+            proto.append((head, pos_b, neg_b, nn_b))
         else:
             ch = r.head
             elems = [atom_name(e.atom) for e in ch.elems]
