@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fd
 from .engine import SchemaConfig, solve_ca
-from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError,
-                     collect_var_decls, expand_lists, ground, to_ca_program)
-from .lang import EzSyntaxError, parse, preprocess, pretty_print
+from .ground import CAProgram, DEFAULT_FD_RANGE, GroundError, ground_stages
+from .lang import EzSyntaxError, pretty_print
 
 __all__ = ["main", "emit_clp", "bench", "RunReport", "format_model"]
 
@@ -302,11 +301,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _dump_ground_text(source: str, default_range) -> str:
     from .ground import _restore_ops
     from .lang import Atom, EzProgram, Rule
-    p = preprocess(parse(source))
-    g = ground(p)
-    decls = collect_var_decls(g)
-    expanded, warnings = expand_lists(g, decls)
-    program = to_ca_program(expanded, decls, default_range)
+    expanded, program = ground_stages(source, default_range)
     shown = EzProgram(tuple(
         Rule(Atom("required", tuple(_restore_ops(t) for t in r.head.args)),
              r.body, r.pos)
@@ -318,7 +313,7 @@ def _dump_ground_text(source: str, default_range) -> str:
         lines.append("% constraint atoms:")
         for cid in program.constraint_order:
             lines.append(f"%   {names[cid]}")
-    for w in warnings + program.warnings:
+    for w in program.warnings:
         lines.append(f"% warning: {w}")
     return "\n".join(line for line in lines if line) + "\n"
 

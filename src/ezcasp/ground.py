@@ -41,7 +41,7 @@ from .lang import (
 __all__ = [
     "GroundError", "VariableDecl", "CAProgram",
     "ground", "expand_lists", "collect_var_decls", "to_ca_program",
-    "ground_program", "canon_term", "canon_atom", "term_key", "display_term",
+    "ground_program", "ground_stages", "canon_term", "canon_atom", "term_key", "display_term",
     "display_atom", "DEFAULT_FD_RANGE",
 ]
 
@@ -163,11 +163,15 @@ def _subst(t: Term, env: Dict[str, Term]) -> Term:
     return t
 
 
-def _eval_term(t: Term, pos: Optional[SourcePos] = None) -> Term:
+def _eval_term(t: Term, pos: Optional[SourcePos] = None,
+               env: Optional[Dict[str, Term]] = None) -> Term:
     """Evaluate built-in arithmetic in a ground term; OpExpr nodes must
-    reduce to integers."""
+    reduce to integers.  With `env`, this is `_eval_term(_subst(t, env))`
+    in one pass: the bound values are ground and evaluated already."""
+    if isinstance(t, Var):
+        return t if env is None else env.get(t.name, t)
     if isinstance(t, OpExpr):
-        args = [_eval_term(a, pos) for a in t.args]
+        args = [_eval_term(a, pos, env) for a in t.args]
         vals = []
         for a in args:
             if not (isinstance(a, Const) and isinstance(a.value, int)):
@@ -191,15 +195,17 @@ def _eval_term(t: Term, pos: Optional[SourcePos] = None) -> Term:
             return Const(q if (a >= 0) == (b >= 0) else -q)
         raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_eval_term(a, pos) for a in t.args))
+        return Compound(t.functor,
+                        tuple(_eval_term(a, pos, env) for a in t.args))
     if isinstance(t, ListTerm):
-        return ListTerm(tuple(_eval_term(a, pos) for a in t.items))
+        return ListTerm(tuple(_eval_term(a, pos, env) for a in t.items))
     if isinstance(t, IntensionalList):
-        return IntensionalList(t.name,
-                               tuple(_eval_term(a, pos) for a in t.prefix),
-                               t.arity)
+        return IntensionalList(
+            t.name, tuple(_eval_term(a, pos, env) for a in t.prefix),
+            t.arity)
     if isinstance(t, RangeTerm):
-        return RangeTerm(_eval_term(t.lo, pos), _eval_term(t.hi, pos))
+        return RangeTerm(_eval_term(t.lo, pos, env),
+                         _eval_term(t.hi, pos, env))
     return t
 
 
@@ -270,11 +276,13 @@ def _match(pattern: Term, value: Term, env: Dict[str, Term]) -> Optional[Dict[st
 # Grounding
 # ---------------------------------------------------------------------------
 
-def _expand_head_ranges(a: Atom, pos: Optional[SourcePos]) -> List[Atom]:
-    """Expand RangeTerm arguments of a ground head atom into instances."""
+def _expand_head_ranges(a: Atom, pos: Optional[SourcePos],
+                        env: Dict[str, Term]) -> List[Atom]:
+    """Expand RangeTerm arguments of a head atom, ground under env, into
+    instances."""
     slots: List[List[Term]] = []
     for t in a.args:
-        t = _eval_term(t, pos)
+        t = _eval_term(t, pos, env)
         if isinstance(t, RangeTerm):
             lo = _int_of(t.lo, "range bound", pos)
             hi = _int_of(t.hi, "range bound", pos)
@@ -608,8 +616,8 @@ def _compile(steps: List[Tuple[str, object]], state: _GroundState,
 
 def _test_builtin(b: BuiltinLit, env: Dict[str, Term],
                   pos: Optional[SourcePos]) -> bool:
-    lhs = _eval_term(_subst(b.lhs, env), pos)
-    rhs = _eval_term(_subst(b.rhs, env), pos)
+    lhs = _eval_term(b.lhs, pos, env)
+    rhs = _eval_term(b.rhs, pos, env)
     op = b.op
     if isinstance(lhs, Const) and isinstance(lhs.value, int) and \
             isinstance(rhs, Const) and isinstance(rhs.value, int):
@@ -637,7 +645,7 @@ def _instantiate(steps: list, state: _GroundState,
         if kind == "match":
             _, table, positions, keys, rest = step
             cands = table.lookup(positions, tuple(
-                _eval_term(_subst(t, env)) for t in keys)) \
+                _eval_term(t, None, env) for t in keys)) \
                 if positions else table.atoms
             for cand in itertools.islice(cands, len(cands)):
                 nxt = env
@@ -649,7 +657,7 @@ def _instantiate(steps: list, state: _GroundState,
                     yield from walk(i + 1, nxt)
         elif kind == "bind":
             nxt = dict(env)
-            nxt[step[1]] = _eval_term(_subst(step[2], env), pos)
+            nxt[step[1]] = _eval_term(step[2], pos, env)
             yield from walk(i + 1, nxt)
         elif kind == "test":
             if _test_builtin(step[1], env, pos):
@@ -669,8 +677,7 @@ def _eval_aggregate(agg: AggregateLit, env: Dict[str, Term],
     for item in agg.items:
         for ienv in _expand_conditions(item.conds, env, state, pos):
             a = Atom(item.atom.rel,
-                     tuple(_eval_term(_subst(t, ienv), pos)
-                           for t in item.atom.args))
+                     tuple(_eval_term(t, pos, ienv) for t in item.atom.args))
             if not _is_ground_atom(a):
                 raise GroundError("aggregate member not ground", pos)
             if state.contains(a, fact=True):
@@ -780,20 +787,17 @@ class _RulePlan:
             binding = tuple(map(env.get, self.head_vars))
             out = built.get(binding)
             if out is None:
-                a = Atom(rule.head.rel,
-                         tuple(_subst(t, env) for t in rule.head.args))
                 out = built[binding] = [
                     (inst, state.add(inst, fact))
-                    for inst in _expand_head_ranges(a, rule.pos)]
+                    for inst in _expand_head_ranges(rule.head, rule.pos, env)]
             return out
         out: List[Tuple[Atom, str]] = []
         if isinstance(rule.head, Choice):
             for elem in rule.head.elems:
                 for cenv in _expand_conditions(elem.conds, env, state,
                                                rule.pos):
-                    a = Atom(elem.atom.rel,
-                             tuple(_subst(t, cenv) for t in elem.atom.args))
-                    for inst in _expand_head_ranges(a, rule.pos):
+                    for inst in _expand_head_ranges(elem.atom, rule.pos,
+                                                    cenv):
                         out.append((inst, state.add(inst, fact)))
         return out
 
@@ -954,8 +958,7 @@ def ground(p: EzProgram) -> EzProgram:
                 binding = tuple(map(env.get, names))
                 built = memo.get(binding)
                 if built is None:
-                    a = Atom(b.atom.rel, tuple(_eval_term(_subst(t, env),
-                                                          rule.pos)
+                    a = Atom(b.atom.rel, tuple(_eval_term(t, rule.pos, env)
                                                for t in b.atom.args))
                     c = canon_atom(a)
                     built = memo[binding] = (
@@ -1214,17 +1217,6 @@ class CAProgram:
         clone.warnings = list(self.warnings)
         return clone
 
-    def csp_variables(self) -> List[str]:
-        names: List[str] = []
-        for d in self.var_decls:
-            if d.var not in names:
-                names.append(d.var)
-        for cid in self.constraint_order:
-            for v in sorted(fd.vars_of(self.gamma[cid])):
-                if v not in names:
-                    names.append(v)
-        return names
-
     def __repr__(self) -> str:
         return (f"CAProgram({self.pi.n_atoms} atoms, "
                 f"{len(self.constraint_order)} constraint atoms, "
@@ -1468,12 +1460,15 @@ def _check_combos(n: int, k: int, pos: Optional[SourcePos]) -> None:
         raise GroundError("choice bounds too large to compile", pos)
 
 
-def ground_program(source: Union[str, EzProgram],
-                   default_range: Tuple[int, int] = DEFAULT_FD_RANGE
-                   ) -> CAProgram:
+def ground_stages(source: Union[str, EzProgram],
+                  default_range: Tuple[int, int] = DEFAULT_FD_RANGE
+                  ) -> Tuple[EzProgram, CAProgram]:
     """Full pipeline: parse (if text), preprocess, ground, expand lists,
-    translate to a CA program."""
+    translate to a CA program.  Returns the ground, list-expanded program
+    (what `--dump-ground` prints) and the CA program, which carries the
+    expansion warnings."""
     p = parse(source) if isinstance(source, str) else source
+    # grounding would merge the duplicates before to_ca_program sees them
     n_domain_facts = sum(
         1 for r in p.rules
         if isinstance(r.head, Atom) and r.head.rel == "cspdomain")
@@ -1485,4 +1480,11 @@ def ground_program(source: Union[str, EzProgram],
     expanded, warnings = expand_lists(g, decls)
     ca = to_ca_program(expanded, decls, default_range)
     ca.warnings.extend(warnings)
-    return ca
+    return expanded, ca
+
+
+def ground_program(source: Union[str, EzProgram],
+                   default_range: Tuple[int, int] = DEFAULT_FD_RANGE
+                   ) -> CAProgram:
+    """The CA program of `ground_stages`."""
+    return ground_stages(source, default_range)[1]

@@ -113,6 +113,17 @@ def test_dump_ground(capsys):
         [m.assignment for m in r2.models]
 
 
+def test_dump_ground_rejects_what_solving_rejects(tmp_path, capsys):
+    # grounding merges the two facts, so the check must run before it
+    f = tmp_path / "dup.ez"
+    f.write_text("cspdomain(fd). cspdomain(fd). cspvar(x,0,3). "
+                 "required(x > 1).")
+    for extra in ((), ("--dump-ground",)):
+        code, out, err = run_cli(capsys, f, *extra)
+        assert code == EXIT_ERROR and out == ""
+        assert "duplicate cspdomain fact" in err
+
+
 def test_dump_trace_validates_in_separate_process(tmp_path):
     trace = tmp_path / "light.trace"
     cmd = [sys.executable, "-m", "ezcasp", str(LIGHT),

@@ -1,3 +1,4 @@
+import collections
 import pathlib
 
 import pytest
@@ -189,6 +190,39 @@ def test_early_builtin_on_symbolic_term_still_fails():
     with pytest.raises(GroundError) as e:
         _ground_text("p(a). loc(0). q(P1) :- p(P), loc(P1), P1 = P - 1.")
     assert "non-integer term a" in str(e.value)
+
+
+def test_error_while_building_a_body_literal_keeps_message_and_position():
+    # a negative literal is no join step: it is first evaluated when the
+    # ground rules are emitted
+    for src, msg in [
+        ("n(1..3).\np(X) :- n(X), not q(X/0).\n{ q(X) } :- n(X).\n",
+         "2:1: division by zero in built-in arithmetic"),
+        # the first two bindings build, the third fails
+        ("n(0..2).\n\nr(X) :- n(X), not s(X), not q(2/(2-X)).\n",
+         "3:1: division by zero in built-in arithmetic"),
+    ]:
+        with pytest.raises(GroundError) as e:
+            _ground_text(src)
+        assert str(e.value) == msg
+
+
+def test_definite_rule_over_domain_relations_runs_in_one_pass(monkeypatch):
+    # its possible-atom pass would repeat the facts pass: same plan, same
+    # final fact tables
+    import ezcasp.ground as ground_mod
+    calls = collections.Counter()
+    instantiate = ground_mod._instantiate
+
+    def counting(steps, state, pos):
+        calls[pos] += 1
+        return instantiate(steps, state, pos)
+
+    monkeypatch.setattr(ground_mod, "_instantiate", counting)
+    p = preprocess(parse((ENCODINGS / "is_toy.ez").read_text()))
+    ground(p)
+    # every rule of is_toy.ez is definite over domain relations
+    assert calls == {r.pos: 1 for r in p.rules}
 
 
 # -- term order and canonical forms ------------------------------------------------
