@@ -9,11 +9,15 @@ else binds).  Joins look up hash indexes on their bound argument positions,
 a built-in runs as soon as its variables are bound, and the fact and
 possible-atom fixpoints re-instantiate a rule only when a relation it reads
 has grown; the ground rules come out in the order of the plain nested-loop
-instantiation (`_plan_rule`'s reference order).  `expand_lists` replaces intensional lists by their extensional
-representation; `to_ca_program` maps the ground program to a CA program:
-constraint-variable declarations, one constraint atom per distinct
+instantiation (`_plan_rule`'s reference order).  Each ground atom is built
+and named once: a head once per binding of its variables in a rule run, a
+body literal once per binding of its own variables at emission, and each
+distinct atom is one object in the ground program.  `expand_lists` replaces
+intensional lists by their extensional representation, rebuilding only the
+terms that hold one; `to_ca_program` maps the ground program to a CA
+program: constraint-variable declarations, one constraint atom per distinct
 required-argument with its constraint expression, and the two linking
-denials per required atom.
+denials per required atom.  `ground_stages` runs the whole pipeline.
 
 Safety: every variable of a rule must be bound by a positive non-builtin body
 atom or, transitively, by a `Var = arithmetic` built-in over bound variables.
@@ -41,8 +45,8 @@ from .lang import (
 __all__ = [
     "GroundError", "VariableDecl", "CAProgram",
     "ground", "expand_lists", "collect_var_decls", "to_ca_program",
-    "ground_program", "ground_stages", "canon_term", "canon_atom", "term_key", "display_term",
-    "display_atom", "DEFAULT_FD_RANGE",
+    "ground_program", "ground_stages", "canon_term", "canon_atom",
+    "term_key", "display_term", "display_atom", "DEFAULT_FD_RANGE",
 ]
 
 DEFAULT_FD_RANGE = (0, 2 ** 20)
@@ -900,13 +904,16 @@ def ground(p: EzProgram) -> EzProgram:
 
     Established facts are computed first, then the possible atoms, each as
     a fixpoint in which a rule is instantiated again only when a relation
-    it reads has gained atoms; the ground rules are emitted from each rule's
-    last instantiation.  Substitutions are restricted by domain predicates
+    it reads has gained atoms.  A definite rule over domain relations runs
+    in the first pass only.  The ground rules are emitted from each rule's
+    last instantiation, each body literal built and named once per binding
+    of its variables.  Substitutions are restricted by domain predicates
     (and by non-factual atoms only where they bind otherwise-unbound
     variables); emitted rules keep their instantiated bodies intact.  Output
-    rules contain only ground atoms and ground not/not-not literals; choice
-    heads keep their (now integer) bounds with expanded elements.
-    Intensional lists are left untouched (see expand_lists).
+    rules contain only ground atoms and ground not/not-not literals, one
+    object per distinct atom; choice heads keep their (now integer) bounds
+    with expanded elements.  Intensional lists are left untouched (see
+    expand_lists).
     """
     _reject_required_in_bodies(p)
     domain_rels = _domain_relations(p)
