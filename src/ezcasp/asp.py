@@ -3,10 +3,11 @@
 Rules are ``a0 <- a1,...,al, not a(l+1),..., not am, not not a(m+1),...``
 with `a0` an atom or absent (denial).  This module provides clausification,
 the reduct, answer-set checking via the least model of the positive reduct,
-records, watched-literal unit propagation and a linear greatest-unfounded-set
-check for the search, and a brute-force answer-set enumerator used as an
-oracle.  `find_unit_step`, `unit_propagate` and `greatest_unfounded_set` are
-the plain reference versions of the search's propagators: they rescan every
+records, the search's watched-literal unit propagation and incremental
+greatest-unfounded-set check (both follow one record through its backjumps
+and resets), and a brute-force answer-set enumerator used as an oracle.
+`find_unit_step`, `unit_propagate` and `greatest_unfounded_set` are the
+plain reference versions of the search's propagators: they rescan every
 clause or rule and serve as independent checks.
 
 Atoms are interned strings; internally they are integer ids and literals are
@@ -17,7 +18,7 @@ single-owner mutable search state.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -568,6 +569,19 @@ class Propagator:
         self._queue.clear()
         self._fragile.clear()
 
+    def truncate(self, n: int) -> None:
+        """Drop every clause after the first `n`; on the empty record only,
+        so that no dropped clause is pending."""
+        if self.m.trail or self.m.bot:
+            raise ValueError("clauses are dropped on the empty record only")
+        for ci in range(n, len(self._lits)):
+            c = self._lits[ci]
+            if len(c) > 1:
+                self._watches[c[0]].remove(ci)
+                self._watches[c[1]].remove(ci)
+        del self.clauses[n:], self._lits[n:]
+        del self._units[bisect_left(self._units, n):]
+
 
 # ---------------------------------------------------------------------------
 # Unfounded sets
@@ -610,52 +624,137 @@ def greatest_unfounded_set(prog: RegularProgram,
 
 
 class UnfoundedCheck:
-    """Greatest unfounded sets of one program over changing records.
+    """Greatest unfounded sets of one program over a changing record.
 
-    The non-denial rules are indexed once, by positive body atom.  Each call
-    then finds the supported atoms with a body counter per rule and a
-    worklist: a rule fires when its positive body is supported and no body
-    literal is contradicted by the record, which takes time linear in the
-    program.  The greatest unfounded set is the complement.
+    Every atom outside the greatest unfounded set has a source: one of its
+    non-denial rules that no literal of the record blocks and whose positive
+    body atoms all have sources, with no cycle among them.  The check keeps a
+    source rule per atom (or none), the number of true blocking literals per
+    rule and the number of unsourced positive body atoms per rule, and
+    `supported` brings them up to date with the trail literals it has not
+    seen yet:
+
+    - a literal that blocks an atom's source rule takes the source away from
+      that atom and, transitively, from every atom whose source rule has a
+      sourceless atom in its positive body; these atoms are then sourced
+      again bottom-up wherever a rule allows;
+    - `backjump` forgets the literals past a trail position, and the rules
+      they had blocked become candidate sources again;
+    - `reset` restores the state of the empty record, computed once by a
+      worklist when the check is built.
+
+    After each call the sourced atoms are the least fixpoint that
+    `greatest_unfounded_set` complements.  The search calls `backjump` and
+    `reset` alongside the record's own; a call with another record than the
+    last one starts from the empty-record state.
     """
 
     def __init__(self, prog: RegularProgram):
         rules = [r for r in prog.rules if r.head is not None]
-        self.n_atoms = prog.n_atoms
+        n = self.n_atoms = prog.n_atoms
         self._head = [r.head for r in rules]
-        self._npos = [len(r.pos) for r in rules]
-        # a rule is contradicted when one of these literals holds
-        self._block = [tuple(-(a + 1) for a in r.pos)
-                       + tuple(a + 1 for a in r.neg)
-                       + tuple(-(a + 1) for a in r.nneg) for r in rules]
-        self._facts = [i for i, r in enumerate(rules) if not r.pos]
-        self._by_pos: List[List[int]] = [[] for _ in range(prog.n_atoms)]
+        by_head: List[List[int]] = [[] for _ in range(n)]
+        by_pos: List[List[int]] = [[] for _ in range(n)]
+        # the rules each literal blocks, indexed like `Record.val`; a rule
+        # listed twice under one literal is counted twice when it holds
+        blocks: List[List[int]] = [[] for _ in range(2 * n + 1)]
         for i, r in enumerate(rules):
+            by_head[r.head].append(i)
             for a in r.pos:
-                self._by_pos[a].append(i)
+                by_pos[a].append(i)
+                blocks[-a - 1].append(i)
+            for a in r.neg:
+                blocks[a + 1].append(i)
+            for a in r.nneg:
+                blocks[-a - 1].append(i)
+        self._by_head, self._by_pos, self._blocks = by_head, by_pos, blocks
+        self._n_blocked = [0] * len(rules)
+        self._n_open = [len(r.pos) for r in rules]
+        self._src = [-1] * n
+        self._sup = bytearray(n)
+        self._seen: List[int] = []          # the trail literals processed
+        self._unblocked: List[int] = []     # candidates after a backjump
+        self._m: Optional[Record] = None
+        self._grow([i for i, r in enumerate(rules) if not r.pos])
+        self._empty = (self._src[:], self._n_open[:], bytes(self._sup))
 
-    def supported(self, m: Record) -> bytearray:
-        """1 for each atom outside the greatest unfounded set on consistent
-        `m`, 0 for each atom in it."""
-        val, head, block, by_pos = m.val, self._head, self._block, self._by_pos
-        count = self._npos[:]
-        sup = bytearray(self.n_atoms)
-        work = self._facts[:]
+    def _grow(self, work: List[int]) -> None:
+        """Source the head of each rule in `work` that is unblocked and has
+        a sourced positive body, and of every rule that this completes."""
+        head, src, sup = self._head, self._src, self._sup
+        n_blocked, n_open, by_pos = self._n_blocked, self._n_open, self._by_pos
         while work:
             ri = work.pop()
             a = head[ri]
-            if sup[a]:
+            if sup[a] or n_blocked[ri] or n_open[ri]:
                 continue
-            for x in block[ri]:
-                if val[x] == 1:
-                    break
-            else:
-                sup[a] = 1
+            sup[a] = 1
+            src[a] = ri
+            for rj in by_pos[a]:
+                n_open[rj] -= 1
+                if not n_open[rj]:
+                    work.append(rj)
+
+    def supported(self, m: Record) -> bytearray:
+        """1 for each atom outside the greatest unfounded set on consistent
+        `m`, 0 for each atom in it.  The flags belong to the check and change
+        with its next update."""
+        if m is not self._m:
+            self._m = m
+            self.reset()
+        trail, seen = m.trail, self._seen
+        if len(seen) > len(trail) or \
+                (seen and trail[len(seen) - 1] != seen[-1]):
+            raise ValueError("record backtracked without a backjump or reset")
+        work, self._unblocked = self._unblocked, []
+        if len(seen) < len(trail):
+            head, src, sup = self._head, self._src, self._sup
+            n_blocked, n_open = self._n_blocked, self._n_open
+            blocks, by_pos, by_head = self._blocks, self._by_pos, self._by_head
+            lost: List[int] = []
+            for lit in trail[len(seen):]:
+                for ri in blocks[lit]:
+                    n_blocked[ri] += 1
+                    a = head[ri]
+                    if src[a] == ri:
+                        src[a] = -1
+                        sup[a] = 0
+                        lost.append(a)
+            seen.extend(trail[len(seen):])
+            for a in lost:                  # grows while it is walked
                 for rj in by_pos[a]:
-                    count[rj] -= 1
-                    if not count[rj]:
-                        work.append(rj)
-        return sup
+                    n_open[rj] += 1
+                    b = head[rj]
+                    if src[b] == rj:
+                        src[b] = -1
+                        sup[b] = 0
+                        lost.append(b)
+            for a in lost:
+                work.extend(by_head[a])
+        self._grow(work)
+        return self._sup
+
+    def backjump(self, pos: int) -> None:
+        """Forget the record's literals from trail position `pos` on."""
+        seen = self._seen
+        n_blocked, blocks, unblocked = \
+            self._n_blocked, self._blocks, self._unblocked
+        for lit in seen[pos:]:
+            for ri in blocks[lit]:
+                n_blocked[ri] -= 1
+                if not n_blocked[ri]:
+                    unblocked.append(ri)
+        del seen[pos:]
+
+    def reset(self) -> None:
+        """Return to the state of the empty record."""
+        src, n_open, sup = self._empty
+        self._src[:] = src
+        self._n_open[:] = n_open
+        self._sup[:] = sup
+        self._n_blocked = [0] * len(self._n_blocked)
+        self._seen.clear()
+        self._unblocked.clear()
 
     def greatest(self, m: Record) -> FrozenSet[int]:
         sup = self.supported(m)

@@ -112,28 +112,18 @@ def emit_clp(program: CAProgram, m_literals: Sequence[int]) -> str:
     pos_atoms = {l - 1 for l in m_set if l > 0}
 
     table: Dict[str, str] = {}
-    var_names: List[str] = []
-    ranges: List[Tuple[str, int, int]] = []
-    lo0, hi0 = program.domain
-    for d in program.var_decls:
-        if d.atom is None or d.atom in pos_atoms:
-            if d.var not in var_names:
-                var_names.append(d.var)
-                ranges.append((d.var,
-                               lo0 if d.lo is None else d.lo,
-                               hi0 if d.hi is None else d.hi))
+    ranges = fd.declared_ranges(program, pos_atoms)
     posted = []
     for cid in program.constraint_order:
         if cid in pos_atoms:
             posted.append(program.gamma[cid])
     for c in posted:
         for v in sorted(fd.vars_of(c)):
-            if v not in var_names:
-                var_names.append(v)
-                ranges.append((v, lo0, hi0))
+            ranges.setdefault(v, program.domain)
+    var_names = list(ranges)
 
     goals: List[str] = []
-    for name, lo, hi in ranges:
+    for name, (lo, hi) in ranges.items():
         v = _clp_var(name, table)
         goals.append(f"{v} >= {lo}")
         goals.append(f"{v} =< {hi}")

@@ -15,10 +15,13 @@ Restart/Restart_t edges, restricted by the selected integration schema:
 
 Every run starts from the empty state, halts in a semi-terminal state or
 Failstate, and (optionally) emits a machine-checkable trace.  Enumeration of
-further answer sets re-runs the search on the program extended with a
-blocking denial over the previous model's literals.
+further answer sets runs the search again on the program extended with a
+blocking denial over the previous model's literals.  The runs of one solve
+share one record, one propagator and one unfounded-set check: a new run
+resets them, drops the learned denials of the previous run and adds only
+the new blocking denial.
 
-One solver run owns its state exclusively; concurrent runs over a shared
+One solve owns its state exclusively; concurrent solves over a shared
 CAProgram are safe.
 """
 
@@ -208,12 +211,15 @@ def state_digest(m: Record, names: Sequence[str], gamma_keys: Sequence[str],
 
 
 class _Run:
-    """One transition-system run from the empty state to a semi-terminal
-    state or Failstate.
+    """The search state of one solve and its current run, which goes from
+    the empty state to a semi-terminal state or Failstate.
 
-    Unit Propagate edges come from a watched-literal propagator over the
-    record's trail, and Unfounded edges from a linear greatest-unfounded-set
-    check; `asp.find_unit_step` and `asp.greatest_unfounded_set` are their
+    The record, the propagator over the abstraction's clauses and the
+    unfounded-set check are built for the first run; `next_run` resets them,
+    drops the learned denials and adds one blocking denial.  Unit Propagate
+    edges come from the watched-literal propagator over the record's trail,
+    and Unfounded edges from the incremental unfounded-set check;
+    `asp.find_unit_step` and `asp.greatest_unfounded_set` are their
     reference versions.  The closure under both rules does not depend on the
     order in which they fire, so decisions, learned denials and models are
     those of the reference; only the edges up to a conflict may differ.
@@ -230,17 +236,34 @@ class _Run:
         self.budget = budget
         self.abstraction: RegularProgram = program.asp_abstraction()
         self.names = self.abstraction.names
+        self.m = Record(self.abstraction.n_atoms)
+        self.prop = Propagator(self.m, clausify(self.abstraction))
+        self.unfounded = UnfoundedCheck(self.abstraction)
+        self._start_run()
+
+    def _start_run(self) -> None:
         self.gamma: List[RuleP] = []
         self.gamma_keys: set = set()
         self.lam: List[RuleP] = []
         self.lam_keys: set = set()
-        self.m = Record(self.abstraction.n_atoms)
-        self.prop = Propagator(self.m, clausify(self.abstraction))
-        self.unfounded = UnfoundedCheck(self.abstraction)
         self.decisions_since_check = 0
         # the solutions of the last CSP check, in labeling order; when the
         # run ends in a model, they are the model's evaluations
         self.csp_solutions: Iterator[Dict[str, int]] = iter(())
+        # the clauses of the program and its blocking denials; the learned
+        # denials follow them
+        self.n_kept = len(self.prop.clauses)
+
+    def next_run(self, blocking: RuleP) -> None:
+        """Start the next run from the empty state, on the program extended
+        with the denial `blocking`.  Blocking and learned denials have no
+        head, so the unfounded-set check needs no change."""
+        self.run += 1
+        self.prop.reset()
+        self.unfounded.reset()
+        self.prop.truncate(self.n_kept)
+        self.prop.add_clause(rule_clause(blocking))
+        self._start_run()
 
     # -- helpers --------------------------------------------------------
 
@@ -293,6 +316,7 @@ class _Run:
     def _restart(self) -> None:
         pre = self._pre()
         self.prop.reset()
+        self.unfounded.reset()
         if self.cfg.schema == "black":
             self.lam.clear()
             self.lam_keys.clear()
@@ -326,6 +350,7 @@ class _Run:
             if not m.consistent:
                 pre = self._pre()
                 if m.decisions:
+                    self.unfounded.backjump(m.decisions[-1])
                     flipped = prop.backjump()
                     self._emit("Backtrack", pre,
                                lambda: {"lit": lit_str(flipped)})
@@ -405,8 +430,8 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
 
     Enumerates up to cfg.limit extended answer sets (0 = all): evaluations
     are enumerated per answer set in labeling order, by the same fd search
-    that found the answer set's CSP feasible, then the search is re-launched
-    with a blocking denial to find the next answer set.
+    that found the answer set's CSP feasible, then a new run with a blocking
+    denial looks for the next answer set.
     """
     stats = SolveStats()
     names = program.pi.names        # the abstraction adds no atoms
@@ -423,14 +448,12 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
         return SolveResult("unsat", [], stats,
                            trace.records if collect_trace else None)
 
+    run = _Run(program, cfg, stats, trace, 0, budget)
     try:
         while True:
-            run_program = program.with_extra_denials(blocking) if blocking \
-                else program
-            run_idx = stats.runs
+            run_idx = run.run
             stats.runs += 1
             trace.start(run_idx, blocking, cfg)
-            run = _Run(run_program, cfg, stats, trace, run_idx, budget)
             outcome = run.execute()
             if outcome[0] == "failstate":
                 trace.end(run_idx, "failstate")
@@ -462,6 +485,7 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
             if not m.literals():
                 break           # the empty model over no atoms is unique
             blocking.append(_blocking_denial(m))
+            run.next_run(blocking[-1])
     except BudgetExceeded:
         return SolveResult("budget", models, stats,
                            trace.records if collect_trace else None)

@@ -46,7 +46,7 @@ __all__ = [
     "Domain", "CSPInstance", "FdError", "ComplementUnsupported",
     "satisfied", "eval_term", "complement", "propagate", "solutions", "solve",
     "feasible",
-    "vars_of", "build_csp", "CMP_NAMES",
+    "vars_of", "declared_ranges", "build_csp", "CMP_NAMES",
 ]
 
 CMP_NAMES = ("lt", "leq", "gt", "geq", "eq", "neq")
@@ -1332,16 +1332,32 @@ def feasible(csp: CSPInstance) -> bool:
 # csp-abstractions of CA programs
 # ---------------------------------------------------------------------------
 
+def declared_ranges(program, pos_atoms: Set[int]
+                    ) -> Dict[str, Tuple[int, int]]:
+    """The range of each variable with an active declaration (declaration
+    atom in `pos_atoms`, or unconditional), in declaration order: the
+    intersection of its active ranged declarations, or the program domain
+    (the default range) when every one of them is range-free."""
+    ranges: Dict[str, Optional[Tuple[int, int]]] = {}
+    for decl in program.var_decls:
+        if decl.atom is not None and decl.atom not in pos_atoms:
+            continue
+        r = ranges.setdefault(decl.var, None)
+        if decl.lo is not None:
+            ranges[decl.var] = (decl.lo, decl.hi) if r is None else \
+                (max(r[0], decl.lo), min(r[1], decl.hi))
+    return {v: program.domain if r is None else r for v, r in ranges.items()}
+
+
 def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
               ) -> CSPInstance:
     """The CSP induced by the constraint literals of M.
 
     weak: post gamma(c) for positive constraint literals only; full:
     additionally post complement(gamma(c)) for each negative constraint
-    literal.  Variables are the active declarations (declaration atom true in
-    M, or unconditional) plus any variable referenced by a posted constraint;
-    a variable's range is the program domain intersected with every active
-    declaration for it.
+    literal.  Variables are the active declarations, with their
+    `declared_ranges`, plus any variable referenced by a posted constraint,
+    which gets the program domain.
 
     Raises ComplementUnsupported under full semantics when a negated literal
     maps to a global constraint or reified formula.
@@ -1360,12 +1376,9 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
             posted.append(complement(program.gamma[cid]))
 
     inst = CSPInstance()
+    for v, (lo, hi) in declared_ranges(program, pos_atoms).items():
+        inst.add_var(v, lo, hi)
     lo, hi = program.domain
-    for decl in program.var_decls:
-        if decl.atom is None or decl.atom in pos_atoms:
-            dlo = lo if decl.lo is None else max(lo, decl.lo)
-            dhi = hi if decl.hi is None else min(hi, decl.hi)
-            inst.add_var(decl.var, dlo, dhi)
     for c in posted:
         for v in sorted(c.variables):
             if v not in inst.domains:

@@ -1129,9 +1129,9 @@ def expand_lists(p: EzProgram, decls: Sequence[VariableDecl]
             args = lam_all(t.args, pos)
             return t if args is t.args else Compound(t.functor, args)
         if isinstance(t, ListTerm):
-            items = lam_all(t.items, pos)
-            if any(isinstance(a, IntensionalList) for a in items):
+            if any(isinstance(a, IntensionalList) for a in t.items):
                 raise GroundError("nested intensional list", pos)
+            items = lam_all(t.items, pos)
             return t if items is t.items else ListTerm(items)
         return t
 

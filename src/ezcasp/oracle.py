@@ -471,9 +471,10 @@ def _check_semi_terminal(run_program: CAProgram, abstraction: RegularProgram,
 
 def random_ez_source(seed: int, n_regular: int = 4, n_constraint: int = 2,
                      n_vars: int = 2, n_rules: int = 6,
-                     domain_size: int = 6) -> str:
+                     domain_size: int = 6, min_lo: int = 0) -> str:
     """Deterministic random EZ program: safe, head-restricted required atoms,
-    primitive constraints over a few fd variables."""
+    primitive constraints over a few fd variables.  Each variable's lower
+    bound is drawn from `min_lo`..2."""
     rng = random.Random(seed)
     if n_rules == 0 and n_regular == 0 and n_constraint == 0:
         return "cspdomain(fd).\n"
@@ -481,7 +482,7 @@ def random_ez_source(seed: int, n_regular: int = 4, n_constraint: int = 2,
     vars_ = [f"v{i}" for i in range(max(n_vars, 1))]
     lines = ["cspdomain(fd)."]
     for v in vars_:
-        lo = rng.randint(0, 2)
+        lo = rng.randint(min_lo, 2)
         hi = lo + rng.randint(1, max(domain_size - 1, 1))
         lines.append(f"cspvar({v},{lo},{hi}).")
 
@@ -540,8 +541,9 @@ def random_ez_source(seed: int, n_regular: int = 4, n_constraint: int = 2,
 
 def random_program(seed: int, n_regular: int = 4, n_constraint: int = 2,
                    n_vars: int = 2, n_rules: int = 6,
-                   domain_size: int = 6) -> CAProgram:
+                   domain_size: int = 6, min_lo: int = 0) -> CAProgram:
     """Deterministic random CA program (grounded from random_ez_source)."""
     from .ground import ground_program
     return ground_program(random_ez_source(seed, n_regular, n_constraint,
-                                           n_vars, n_rules, domain_size))
+                                           n_vars, n_rules, domain_size,
+                                           min_lo))

@@ -2,7 +2,8 @@ import pytest
 
 from ezcasp import fd
 from ezcasp.asp import RuleP, is_answer_set
-from ezcasp.engine import SchemaConfig, cp_entailed_denial, solve_ca
+from ezcasp.engine import (SchemaConfig, SolveStats, cp_entailed_denial,
+                           solve_ca)
 from ezcasp.ground import ground_program
 from ezcasp import oracle
 
@@ -47,6 +48,43 @@ def test_riddle_unique_extended_answer_set():
         assert len(res.models) == 1
         assert res.models[0].assignment_dict() == {
             "age(1)": 12, "age(2)": 9, "age(3)": 6}
+
+
+def test_declared_range_is_not_clamped_by_the_default_range():
+    from ezcasp.cli import emit_clp
+    P = ground_program("cspdomain(fd). cspvar(x,-4,4). required(x = -1). "
+                       "cspvar(y). cspvar(z). cspvar(z,-9,-3).")
+    res = solve_ca(P, SchemaConfig(limit=0, max_alphas_per_model=1))
+    assert res.status == "sat"
+    assert res.models[0].assignment_dict() == {"x": -1, "y": 0, "z": -9}
+    inst = fd.build_csp(P, res.models[0].literals)
+    # the default range applies only to a variable without a ranged
+    # declaration; the CLP export uses the same ranges
+    assert {v: (d.lo, d.hi) for v, d in inst.domains.items()} == {
+        "x": (-4, 4), "y": P.domain, "z": (-9, -3)}
+    clp = emit_clp(P, res.models[0].literals)
+    assert "V_x >= -4, V_x =< 4" in clp and "V_z >= -9, V_z =< -3" in clp
+
+
+def test_reverse_folding_four_points_one_pivot():
+    # the chain (0,0) (1,0) (2,0) (3,0) turned clockwise at point 2 puts
+    # points 3 and 4 at (1,-1) and (1,-2); no other pivot gives that goal
+    text = (ENCODINGS / "rf_toy.ez").read_text()
+    for old, new in (("index(3).", "index(3). index(4)."),
+                     ("init(3,1,1).", "init(3,2,0). init(4,3,0)."),
+                     ("goal(3,2,0).", "goal(3,1,-1). goal(4,1,-2).")):
+        assert old in text
+        text = text.replace(old, new)
+    P = ground_program(text)
+    for schema in ("black", "grey", "clear"):
+        res = solve_ca(P, SchemaConfig(schema=schema, limit=0))
+        assert len(res.models) == 1, schema
+        m = res.models[0]
+        assert {a for a in m.atoms if a.startswith("pivot")} == \
+            {"pivot(1,2,clock)"}
+        final = m.assignment_dict()
+        assert [(final[f"tfoldx(2,{i})"], final[f"tfoldy(2,{i})"])
+                for i in range(1, 5)] == [(0, 0), (1, 0), (1, -1), (1, -2)]
 
 
 def test_pure_asp_program_runs_without_csp():
@@ -266,6 +304,51 @@ def test_step_budget_env_override(p1, monkeypatch):
     assert res.status == "budget"
 
 
+# -- counters ----------------------------------------------------------------------
+
+# (encoding, schema, status, models, SolveStats fields in order: decisions,
+# propagations, csp_checks, learned, restarts, steps, runs, candidates) for
+# every bundled encoding with limit=0 and max_alphas_per_model=1; a change
+# that should not alter the search must leave every figure as it is
+PINNED_COUNTERS = [
+    ("is_toy", "black", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1)),
+    ("is_toy", "grey", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1)),
+    ("is_toy", "clear", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1)),
+    ("light", "black", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1)),
+    ("light", "grey", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1)),
+    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1)),
+    ("rf_toy", "black", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8)),
+    ("rf_toy", "grey", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8)),
+    ("rf_toy", "clear", "sat", 1, (8, 501, 9, 7, 0, 531, 2, 8)),
+    ("riddle", "black", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3)),
+    ("riddle", "grey", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3)),
+    ("riddle", "clear", "sat", 1, (2, 107, 3, 2, 0, 116, 2, 3)),
+    ("smm", "black", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1)),
+    ("smm", "grey", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1)),
+    ("smm", "clear", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1)),
+    ("wseq_toy", "black", "sat", 22, (543, 6624, 57, 35, 35, 7677, 23, 57)),
+    ("wseq_toy", "grey", "sat", 22, (543, 6624, 57, 35, 35, 7677, 23, 57)),
+    ("wseq_toy", "clear", "sat", 22, (334, 3700, 333, 35, 0, 4392, 23, 57)),
+    ("wseq_unsat", "black", "unsat", 0, (110, 1779, 15, 15, 15, 2013, 1, 15)),
+    ("wseq_unsat", "grey", "unsat", 0, (110, 1779, 15, 15, 15, 2013, 1, 15)),
+    ("wseq_unsat", "clear", "unsat", 0, (17, 216, 23, 15, 0, 281, 1, 14)),
+]
+
+
+def test_bundled_encodings_counters_are_pinned():
+    assert sorted({row[0] for row in PINNED_COUNTERS}) == \
+        sorted(f.stem for f in ENCODINGS.glob("*.ez"))
+    programs = {}
+    for name, schema, status, n_models, counters in PINNED_COUNTERS:
+        if name not in programs:
+            programs[name] = ground_program(
+                (ENCODINGS / f"{name}.ez").read_text())
+        res = solve_ca(programs[name], SchemaConfig(
+            schema=schema, limit=0, max_alphas_per_model=1))
+        assert (res.status, len(res.models), res.stats) == \
+            (status, n_models, SolveStats(*counters)), (name, schema)
+
+
 # -- config validation --------------------------------------------------------------
 
 def test_schema_config_validation():
@@ -291,6 +374,27 @@ def test_every_model_passes_answer_set_and_feasibility_checks():
                 for m in res.models:
                     assert is_answer_set(ab, m.atoms)
                     assert fd.feasible(fd.build_csp(P, m.literals, sem))
+
+
+def test_corpus_with_negative_lower_bounds_matches_the_oracle():
+    # lower bounds in -3..2: the solver finds the oracle's answer sets under
+    # both semantics, and some of its evaluations take a negative value
+    negative = 0
+    for seed in range(40):
+        P = oracle.random_program(seed, min_lo=-3)
+        for sem in ("weak", "full"):
+            try:
+                expected = set(oracle.enumerate_weak_answer_sets(P)
+                               if sem == "weak"
+                               else oracle.enumerate_full_answer_sets(P))
+            except oracle.OracleBoundExceeded:
+                continue
+            res = solve_ca(P, SchemaConfig(semantics=sem, limit=0,
+                                           max_alphas_per_model=1))
+            assert _atom_sets(res) == expected, (seed, sem)
+            negative += any(v < 0 for m in res.models
+                            for _, v in m.assignment)
+    assert negative > 0
 
 
 def test_learned_denials_preserve_answer_sets():

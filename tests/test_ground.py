@@ -314,6 +314,13 @@ def test_lambda_unknown_name_rejected():
     assert "undeclared" in str(e.value)
 
 
+def test_nested_intensional_list_rejected():
+    with pytest.raises(GroundError) as e:
+        ground_program("cspdomain(fd). cspvar(v(1),0,3). cspvar(v(2),0,3). "
+                       "required(all_different([[v/1]])).")
+    assert "nested intensional list" in str(e.value)
+
+
 def test_expansion_outputs_are_sorted():
     import random
     rng = random.Random(3)

@@ -1,14 +1,17 @@
 """Differential tests of the search's propagators against the reference
 versions in `ezcasp.asp`: the watched-literal `Propagator` against
-`unit_propagate`, and `UnfoundedCheck` against `greatest_unfounded_set`."""
+`unit_propagate`, and the incremental `UnfoundedCheck` against
+`greatest_unfounded_set`."""
 
 import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from ezcasp import oracle
 from ezcasp.asp import (Propagator, Record, RegularProgram, RuleP,
-                        UnfoundedCheck, greatest_unfounded_set,
+                        UnfoundedCheck, clausify, greatest_unfounded_set,
                         unit_propagate)
 
 N = 6
@@ -182,3 +185,95 @@ def test_unfounded_check_matches_reference_on_positive_loops():
         for m in _partial_records(rng, prog.n_atoms, 8):
             assert check.greatest(m) == \
                 greatest_unfounded_set(prog, m.literals()), prog.rules
+
+
+def _search_steps(rng, prog, n_ops):
+    """Random Decide, propagate, Backtrack, Restart, Learn and new-run steps
+    over one record, propagator and unfounded-set check, kept as the engine
+    keeps them for a whole solve.  At every consistent point the check's
+    flags must be the complement of `greatest_unfounded_set`, and every
+    propagating clause must belong to the current run."""
+    n = prog.n_atoms
+    m = Record(n)
+    kept = clausify(prog)               # the program and blocking denials
+    run = list(kept)                    # and this run's learned denials
+    prop = Propagator(m, kept)
+    check = UnfoundedCheck(prog)
+
+    def agree():
+        if m.consistent:
+            sup = check.supported(m)
+            assert {a for a in range(n) if not sup[a]} == \
+                greatest_unfounded_set(prog, m.trail), (prog.rules, m.trail)
+
+    def propagate():
+        agree()
+        while m.consistent:
+            step = prop.step()
+            if step is not None:
+                assert step[1] in run
+                m.append(step[0])
+            else:
+                sup = check.supported(m)
+                a = next((a for a in range(n)
+                          if not sup[a] and m.value(a) != -1), None)
+                if a is None:
+                    return
+                m.append(-(a + 1))
+            agree()
+
+    propagate()
+    for _ in range(n_ops):
+        kind = rng.randrange(5)
+        if kind == 0 and m.consistent:                      # Decide
+            free = [a for a in range(n) if m.value(a) == 0]
+            if free:
+                m.append(rng.choice(free) + 1 if rng.random() < 0.5
+                         else -(rng.choice(free) + 1), decided=True)
+        elif kind == 1 and m.decisions:                     # Backtrack
+            if m.consistent:
+                m.append_bot()
+            check.backjump(m.decisions[-1])
+            prop.backjump()
+        elif kind == 2 and m.trail and m.consistent:        # Learn a denial
+            lits = rng.sample(m.trail, min(len(m.trail), 3))  # M violates
+            m.append_bot()
+            prop.add_clause(tuple(-x for x in lits))
+            run.append(tuple(-x for x in lits))
+        elif kind == 3:                                     # Restart
+            prop.reset()
+            check.reset()
+        elif kind == 4:                                     # next run
+            prop.reset()
+            check.reset()
+            prop.truncate(len(kept))
+            atoms = rng.sample(range(n), rng.randint(1, n))
+            blocking = tuple(a + 1 if rng.random() < 0.5 else -(a + 1)
+                             for a in atoms)
+            prop.add_clause(blocking)
+            kept.append(blocking)
+            run = list(kept)
+        propagate()
+
+
+def test_incremental_unfounded_check_along_random_searches():
+    rng = random.Random(11)
+    for seed in range(60):
+        prog = oracle.random_program(seed).asp_abstraction()
+        if prog.n_atoms:
+            _search_steps(rng, prog, 40)
+    for _ in range(150):
+        _search_steps(rng, _looping_program(rng), 40)
+
+
+def test_unfounded_check_requires_backjump_notice():
+    prog = RegularProgram.build([("a", [], ["b"], []), ("b", [], ["a"], [])])
+    m = Record(2)
+    check = UnfoundedCheck(prog)
+    m.append(1, decided=True)
+    m.append(-2)
+    check.supported(m)
+    m.append_bot()
+    m.backjump_last_decision()          # the check is not told
+    with pytest.raises(ValueError):
+        check.supported(m)
