@@ -9,8 +9,9 @@ Exit status: 10 = SAT, 20 = UNSAT, 1 = error or budget exceeded.
 
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
-bindings sorted by variable name.  The step budget can be overridden with the
-EZCASP_STEP_BUDGET environment variable.
+bindings sorted by variable name.  The step budget bounds the transition
+edges and the fd search nodes of a solve together; it can be overridden with
+the EZCASP_STEP_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def _run_oracle(program: CAProgram, args) -> int:
         enum = enumerate_weak_answer_sets if args.semantics == "weak" \
             else enumerate_full_answer_sets
         sets = enum(program)
-    except OracleBoundExceeded as exc:
+    except (OracleBoundExceeded, fd.ComplementUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if not sets:

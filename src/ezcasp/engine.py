@@ -65,7 +65,9 @@ class SchemaConfig:
     check_freq: clear-box CSP check frequency in decisions (None = check
     complete assignments only); limit: maximum number of extended answer sets
     (0 = all); max_alphas_per_model: cap on evaluations enumerated per answer
-    set (0 = all).
+    set (0 = all); step_budget: bound on the transition edges plus the fd
+    search nodes of a solve (None = EZCASP_STEP_BUDGET, else
+    DEFAULT_STEP_BUDGET).
     """
     schema: str = "black"
     semantics: str = "weak"
@@ -107,9 +109,10 @@ class SolveStats:
     csp_checks: int = 0
     learned: int = 0
     restarts: int = 0
-    steps: int = 0
+    steps: int = 0             # transition edges
     runs: int = 0
     candidates: int = 0        # complete candidate models submitted to the CSP
+    fd_nodes: int = 0          # fd search nodes, one `fd.propagate` call each
 
 
 @dataclass
@@ -278,8 +281,10 @@ class _Run:
 
     def _emit(self, rule: str, pre: Optional[str],
               payload: Optional[Callable[[], dict]] = None) -> None:
-        self.stats.steps += 1
-        if self.stats.steps > self.budget:
+        stats = self.stats
+        stats.steps += 1
+        # transition edges and fd search nodes share the step budget
+        if stats.steps + stats.fd_nodes > self.budget:
             raise BudgetExceeded()
         if pre is not None:
             self.trace.edge(self.run, rule, payload() if payload else {},
@@ -288,7 +293,16 @@ class _Run:
     def _csp_feasible(self) -> bool:
         self.stats.csp_checks += 1
         inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
-        search = fd.solutions(inst)
+        stats, budget = self.stats, self.budget
+
+        # the search outlives the check in `csp_solutions`; charging through
+        # the stats, not the run, keeps it from holding the run in a cycle
+        def charge() -> None:
+            stats.fd_nodes += 1
+            if stats.steps + stats.fd_nodes > budget:
+                raise BudgetExceeded()
+
+        search = fd.solutions(inst, charge)
         first = next(search, None)
         self.csp_solutions = itertools.chain((first,), search)
         return first is not None

@@ -19,18 +19,24 @@ propagation engines", TOPLAS 2008): each variable has a watch list of the
 constraints that mention it, and a constraint is filtered again only after a
 domain it watches narrowed.  A filter that narrows a domain queues every
 watcher of that variable, itself included, so the queue empties at a common
-fixpoint of all constraints.
+fixpoint of all constraints.  Following the same paper, a propagator is
+compiled once and each run only reads domains: every comparison node
+carries its linear and interval forms (`Cmp.form`), built with the node,
+and its complement, built on first use.  A reified `or` is evaluated once
+per run, in one left-to-right pass over its disjuncts that decides between
+failure, entailment and the single open disjunct to enforce.
 
 Search is a generator (`solutions`) over an explicit stack of choice points,
 so its depth is not bounded by the interpreter's recursion limit.  It works
 on one copy of the instance, trailing each domain change and undoing it on
-backtracking.  Labeling is deterministic: leftmost unfixed variable in
-declaration order, ascending values, binary x=v / x!=v branching, each branch
-propagating from the variable just branched on.  Every solution is a leaf
-that `satisfied` accepts, and any sound propagator leaves the same leaves, so
-solutions come in the lexicographic order of `var_order` whatever order the
-queue runs in.  A `CSPInstance` is single-owner mutable during search;
-independent instances may be solved on separate threads.
+backtracking; a caller can charge each search node to a budget.  Labeling
+is deterministic: leftmost unfixed variable in declaration order, ascending
+values, binary x=v / x!=v branching, each branch propagating from the
+variable just branched on.  Every solution is a leaf that `satisfied`
+accepts, and any sound propagator leaves the same leaves, so solutions come
+in the lexicographic order of `var_order` whatever order the queue runs in.
+A `CSPInstance` is single-owner mutable during search; independent instances
+may be solved on separate threads.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 __all__ = [
     "IntConst", "VarRef", "Arith", "Cmp", "BoolExpr", "Global", "ConstraintExpr",
@@ -106,9 +112,26 @@ class _Constraint:
 
 @dataclass(frozen=True)
 class Cmp(_Constraint):
+    """Comparison lhs op rhs, compiled once when the node is built.
+
+    Its `form` is (lin, const, diff).  lin is the linear form of lhs - rhs
+    as (variable, coefficient) pairs without zero coefficients, and const
+    its constant; lin is None if a side is not linear.  diff is set when
+    each side is linear with each variable once: the pairs of lhs followed
+    by the negated pairs of rhs, so that const plus their interval is
+    exactly the interval of lhs - rhs that `_ival` gives; otherwise None.
+    diff is lin itself when the two are equal."""
     op: str
     lhs: "ConstraintExpr"
     rhs: "ConstraintExpr"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "form", _compile_cmp(self))
+
+    @cached_property
+    def complement(self) -> "Cmp":
+        """The complementary comparison, built once per node."""
+        return Cmp(_CMP_COMPLEMENT[self.op], self.lhs, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -335,7 +358,7 @@ def complement(c) -> Cmp:
     """Complement of a primitive comparison: exactly one of c and
     complement(c) holds under any evaluation."""
     if isinstance(c, Cmp):
-        return Cmp(_CMP_COMPLEMENT[c.op], c.lhs, c.rhs)
+        return c.complement
     raise ComplementUnsupported(
         f"complement of non-primitive constraint unsupported: {c!r}")
 
@@ -567,6 +590,35 @@ def _linearize(t) -> Optional[Tuple[Dict[str, int], int]]:
     return None
 
 
+def _n_refs(t) -> int:
+    """Number of variable occurrences in an arithmetic term."""
+    if isinstance(t, VarRef):
+        return 1
+    if isinstance(t, Arith):
+        return sum(_n_refs(a) for a in t.args)
+    return 0
+
+
+def _compile_cmp(c: Cmp) -> tuple:
+    """The compiled form of a comparison (see `Cmp.form`)."""
+    lhs, rhs = _linearize(c.lhs), _linearize(c.rhs)
+    if lhs is None or rhs is None:
+        return None, 0, None
+    coeffs = dict(lhs[0])
+    for k, v in rhs[0].items():
+        coeffs[k] = coeffs.get(k, 0) - v
+    lin = tuple((k, v) for k, v in coeffs.items() if v)
+    diff = None
+    # a side whose coefficients cover each occurrence once has an exact
+    # interval; a repeated variable or a dropped zero coefficient does not
+    if len(lhs[0]) == _n_refs(c.lhs) and len(rhs[0]) == _n_refs(c.rhs):
+        diff = tuple(lhs[0].items()) + \
+            tuple((k, -v) for k, v in rhs[0].items())
+        if diff == lin:
+            diff = lin
+    return lin, lhs[1] - rhs[1], diff
+
+
 def _floor_div(a: int, b: int) -> int:
     return a // b
 
@@ -664,21 +716,22 @@ class _Store:
 # Propagators
 # ---------------------------------------------------------------------------
 
-def _filter_linear(st: _Store, coeffs: Dict[str, int], const: int,
-                   op: str) -> None:
-    """Bounds consistency for sum(coeffs * vars) + const  op  0."""
+def _filter_linear(st: _Store, coeffs: Sequence[Tuple[str, int]],
+                   const: int, op: str) -> None:
+    """Bounds consistency for sum(coeff * var) + const  op  0, over
+    (variable, coefficient) pairs with distinct variables and nonzero
+    coefficients."""
+    doms = st.domains
     if op == "neq":
-        unfixed = [n for n in coeffs if not st.dom(n).fixed]
+        unfixed = [(n, c) for n, c in coeffs if not doms[n].fixed]
         if not unfixed:
-            total = const + sum(c * st.dom(n).lo for n, c in coeffs.items())
+            total = const + sum(c * doms[n].lo for n, c in coeffs)
             if total == 0:
                 st.failed = True
             return
         if len(unfixed) == 1:
-            n = unfixed[0]
-            rest = const + sum(c * st.dom(m).lo for m, c in coeffs.items()
-                               if m != n)
-            c = coeffs[n]
+            n, c = unfixed[0]
+            rest = const + sum(k * doms[m].lo for m, k in coeffs if m != n)
             if rest % c == 0:
                 st.remove(n, -rest // c)
         return
@@ -691,20 +744,19 @@ def _filter_linear(st: _Store, coeffs: Dict[str, int], const: int,
 
     for kind, k in bounds:
         lo_sum = hi_sum = 0
-        term_lo: Dict[str, int] = {}
-        term_hi: Dict[str, int] = {}
-        for n, c in coeffs.items():
-            d = st.dom(n)
+        terms = []
+        for n, c in coeffs:
+            d = doms[n]
             a, b = (c * d.lo, c * d.hi) if c > 0 else (c * d.hi, c * d.lo)
-            term_lo[n], term_hi[n] = a, b
+            terms.append((a, b))
             lo_sum += a
             hi_sum += b
         if kind == "leq":
             if lo_sum > k:
                 st.failed = True
                 return
-            for n, c in coeffs.items():
-                slack = k - (lo_sum - term_lo[n])
+            for (n, c), (a, _) in zip(coeffs, terms):
+                slack = k - (lo_sum - a)
                 if c > 0:
                     st.set_max(n, _floor_div(slack, c))
                 else:
@@ -715,8 +767,8 @@ def _filter_linear(st: _Store, coeffs: Dict[str, int], const: int,
             if hi_sum < k:
                 st.failed = True
                 return
-            for n, c in coeffs.items():
-                slack = k - (hi_sum - term_hi[n])
+            for (n, c), (_, b) in zip(coeffs, terms):
+                slack = k - (hi_sum - b)
                 if c > 0:
                     st.set_min(n, _ceil_div(slack, c))
                 else:
@@ -726,80 +778,122 @@ def _filter_linear(st: _Store, coeffs: Dict[str, int], const: int,
 
 
 def _filter_cmp(st: _Store, c: Cmp) -> None:
-    lhs, rhs = _linearize(c.lhs), _linearize(c.rhs)
-    if lhs is not None and rhs is not None:
-        coeffs = dict(lhs[0])
-        for k, v in rhs[0].items():
-            coeffs[k] = coeffs.get(k, 0) - v
-        coeffs = {k: v for k, v in coeffs.items() if v}
-        _filter_linear(st, coeffs, lhs[1] - rhs[1], c.op)
-        return
+    lin, const, _ = c.form
+    if lin is not None:
+        _filter_linear(st, lin, const, c.op)
     # non-linear: forward interval check only
-    if _definitely(c, st) is False:
+    elif _definitely(c, st) is False:
         st.failed = True
 
 
+def _disjuncts(st: _Store, args: tuple, sat: bool
+               ) -> Tuple[Optional[bool], object]:
+    """One left-to-right pass over the disjuncts `args`, where a disjunct
+    holds when its truth is `sat`, stopping at the first that holds.
+    Returns the truth of the disjunction (`sat`, `not sat` when every
+    disjunct is refuted, None when open) and, when open, its only open
+    disjunct or None if there are several."""
+    open_arg = None
+    n_open = 0
+    for a in args:
+        v = _definitely(a, st)
+        if v is sat:
+            return sat, None
+        if v is None:
+            n_open += 1
+            open_arg = a
+    if not n_open:
+        return not sat, None
+    return None, open_arg if n_open == 1 else None
+
+
 def _definitely(c, st: _Store) -> Optional[bool]:
-    """Three-valued truth of a constraint under current domains."""
+    """Three-valued truth of a constraint under current domains.
+
+    A comparison is decided by the interval of lhs - rhs: read from its
+    compiled form when each side is linear with each variable once, and
+    otherwise from the `_ival` intervals of the sides.  `or` and `and` are
+    decided in one pass that stops at the first disjunct that holds
+    (`_disjuncts`)."""
     if isinstance(c, Cmp):
+        _, lo, diff = c.form
+        doms = st.domains
         try:
-            llo, lhi = _ival(c.lhs, st.domains)
-            rlo, rhi = _ival(c.rhs, st.domains)
+            if diff is None:
+                llo, lhi = _ival(c.lhs, doms)
+                rlo, rhi = _ival(c.rhs, doms)
+                lo, hi = llo - rhi, lhi - rlo
+            else:
+                hi = lo
+                for n, k in diff:
+                    d = doms[n]
+                    if k >= 0:
+                        lo += k * d.lo
+                        hi += k * d.hi
+                    else:
+                        lo += k * d.hi
+                        hi += k * d.lo
         except KeyError:
             return None
-        if c.op == "lt":
-            return True if lhi < rlo else (False if llo >= rhi else None)
-        if c.op == "leq":
-            return True if lhi <= rlo else (False if llo > rhi else None)
-        if c.op == "gt":
-            return True if llo > rhi else (False if lhi <= rlo else None)
-        if c.op == "geq":
-            return True if llo >= rhi else (False if lhi < rlo else None)
-        if c.op == "eq":
-            if llo == lhi == rlo == rhi:
+        op = c.op
+        if op == "lt":
+            return True if hi < 0 else (False if lo >= 0 else None)
+        if op == "leq":
+            return True if hi <= 0 else (False if lo > 0 else None)
+        if op == "gt":
+            return True if lo > 0 else (False if hi <= 0 else None)
+        if op == "geq":
+            return True if lo >= 0 else (False if hi < 0 else None)
+        if op == "eq":
+            if lo == hi == 0:
                 return True
-            return False if lhi < rlo or rhi < llo else None
-        if c.op == "neq":
-            if lhi < rlo or rhi < llo:
+            return False if hi < 0 or lo > 0 else None
+        if op == "neq":
+            if hi < 0 or lo > 0:
                 return True
-            return False if llo == lhi == rlo == rhi else None
+            return False if lo == hi == 0 else None
     if isinstance(c, BoolExpr):
+        op = c.op
+        if op == "or":
+            return _disjuncts(st, c.args, True)[0]
+        if op == "and":
+            return _disjuncts(st, c.args, False)[0]
         vals = [_definitely(a, st) for a in c.args]
-        if c.op == "not":
+        if op == "not":
             return None if vals[0] is None else (not vals[0])
-        if c.op == "or":
-            if any(v is True for v in vals):
-                return True
-            return False if all(v is False for v in vals) else None
-        if c.op == "and":
-            if any(v is False for v in vals):
-                return False
-            return True if all(v is True for v in vals) else None
-        if c.op == "xor":
+        if op == "xor":
             if None in vals:
                 return None
             return vals[0] != vals[1]
-        if c.op == "impl":
+        if op == "impl":
             if vals[0] is False or vals[1] is True:
                 return True
             if vals[0] is True and vals[1] is False:
                 return False
             return None
-        if c.op == "iff":
+        if op == "iff":
             if None in vals:
                 return None
             return vals[0] == vals[1]
     if isinstance(c, Global):
-        if all(st.dom(n).fixed for n in vars_of(c)):
-            return satisfied(c, {n: st.dom(n).lo for n in vars_of(c)})
+        doms = st.domains
+        names = c.variables
+        if all(doms[n].fixed for n in names):
+            return satisfied(c, {n: doms[n].lo for n in names})
         return None
     raise FdError(f"not a constraint: {c!r}")
 
 
 def _require(st: _Store, c, want: bool) -> None:
-    """Enforce c (or its negation): implication-based reified filtering."""
+    """Enforce c (or its negation): implication-based reified filtering.
+
+    A negated comparison enforces its cached complement.  The
+    non-conjunctive case of `or` and `and` (`or` wanted true, `and` wanted
+    false) evaluates each disjunct at most once, in the pass of
+    `_disjuncts`: it fails when every disjunct is refuted and enforces the
+    only open one."""
     if isinstance(c, Cmp):
-        _filter_cmp(st, c if want else complement(c))
+        _filter_cmp(st, c if want else c.complement)
         return
     if isinstance(c, Global):
         if want:
@@ -821,17 +915,11 @@ def _require(st: _Store, c, want: bool) -> None:
                     return
             return
         if op in ("or", "and"):
-            # enforce the only undecided disjunct once the rest are refuted
-            vals = [_definitely(a, st) for a in args]
-            sat_val = want
-            if any(v is sat_val for v in vals):
-                return
-            open_idx = [i for i, v in enumerate(vals) if v is None]
-            if not open_idx:
+            val, only = _disjuncts(st, args, want)
+            if val is (not want):
                 st.failed = True
-                return
-            if len(open_idx) == 1:
-                _require(st, args[open_idx[0]], want)
+            elif only is not None:
+                _require(st, only, want)
             return
         if op == "impl":
             if want:
@@ -1207,7 +1295,8 @@ def _filter_global(st: _Store, g: Global) -> None:
             coeffs[target.name] = coeffs.get(target.name, 0) - 1
         else:
             const -= eval_term(target, {})
-        _filter_linear(st, {k: v for k, v in coeffs.items() if v}, const, op)
+        _filter_linear(st, [(k, v) for k, v in coeffs.items() if v], const,
+                       op)
     else:
         raise FdError(f"unknown global constraint {name!r}")
 
@@ -1220,7 +1309,10 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
     otherwise from the watchers of the variables in `changed`, whose domains
     narrowed since `csp` was last at a fixpoint.  Never removes a value that
     belongs to a solution; reports inconsistency only when some domain
-    empties or a constraint is interval-refuted.
+    empties or a constraint is interval-refuted.  Filters read the compiled
+    forms of comparisons; a reified `or` is refuted, found entailed or
+    enforced by `_require` alone, which evaluates each disjunct at most
+    once, and any other formula is first tested with `_definitely`.
     """
     domains, constraints = csp.domains, csp.constraints
     watch = csp.watch_lists()
@@ -1252,7 +1344,8 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
         if isinstance(c, Cmp):
             _filter_cmp(st, c)
         elif isinstance(c, BoolExpr):
-            if _definitely(c, st) is False:
+            # an `or` is refuted by the same pass that enforces it
+            if c.op != "or" and _definitely(c, st) is False:
                 st.failed = True
             else:
                 _require(st, c, True)
@@ -1268,7 +1361,9 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
 # Search
 # ---------------------------------------------------------------------------
 
-def solutions(csp: CSPInstance) -> Iterator[Dict[str, int]]:
+def solutions(csp: CSPInstance,
+              charge: Optional[Callable[[], None]] = None
+              ) -> Iterator[Dict[str, int]]:
     """The solutions of `csp`, one at a time, in labeling order.
 
     Depth-first search with propagation at every node, on one copy of `csp`
@@ -1276,7 +1371,9 @@ def solutions(csp: CSPInstance) -> Iterator[Dict[str, int]]:
     open x = v branch is a choice point on an explicit stack, and
     backtracking undoes the trail to it and goes on with x != v.  Solutions
     come in labeling order: leftmost unfixed variable in declaration order,
-    ascending values, binary x=v / x!=v branching.
+    ascending values, binary x=v / x!=v branching.  `charge`, if given, is
+    called before each node's `propagate` call; an exception it raises ends
+    the search.
     """
     work = csp.copy()
     trail = work._trail = _Trail()
@@ -1285,6 +1382,8 @@ def solutions(csp: CSPInstance) -> Iterator[Dict[str, int]]:
     changed: Optional[Tuple[str, ...]] = None
     k = 0                           # every variable before order[k] is fixed
     while True:
+        if charge is not None:
+            charge()
         if propagate(work, changed):
             while k < len(order) and doms[order[k]].fixed:
                 k += 1

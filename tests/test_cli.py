@@ -268,6 +268,30 @@ def test_complement_unsupported_is_cli_error(tmp_path, capsys):
     assert code == EXIT_ERROR and "complement" in err
 
 
+def test_oracle_complement_unsupported_is_cli_error(tmp_path, capsys):
+    f = tmp_path / "g.ez"
+    f.write_text("cspdomain(fd). cspvar(x,0,3). {a}. "
+                 "required(x > 2 \\/ x < 1) :- a. required(x = 2) :- not a.")
+    code, out, err = run_cli(capsys, f, "--oracle", "--semantics", "full",
+                             "-n", "0")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: ") and "complement" in err
+
+
+def test_budget_covers_fd_labeling_via_cli(tmp_path, capsys, monkeypatch):
+    # 35 edges, but refuting the pigeonhole takes 239 fd search nodes
+    f = tmp_path / "ph.ez"
+    f.write_text("cspdomain(fd). i(1..6). cspvar(x(I),1,5) :- i(I). "
+                 "required(all_different([x/1])).")
+    monkeypatch.setenv("EZCASP_STEP_BUDGET", "100")
+    code, out, err = run_cli(capsys, f)
+    assert code == EXIT_ERROR and out == ""
+    assert err == "step budget exceeded\n"
+    monkeypatch.setenv("EZCASP_STEP_BUDGET", "274")
+    code, out, _ = run_cli(capsys, f)
+    assert code == EXIT_UNSAT and out == "UNSAT\n"
+
+
 # -- ground-program snapshots ------------------------------------------------------
 
 DUMP_GROUND = pathlib.Path(__file__).resolve().parent / "data" / "dump_ground"

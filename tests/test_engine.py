@@ -304,34 +304,74 @@ def test_step_budget_env_override(p1, monkeypatch):
     assert res.status == "budget"
 
 
+PIGEONHOLE = ("cspdomain(fd). i(1..6). cspvar(x(I),1,5) :- i(I). "
+              "required(all_different([x/1])).")
+
+
+def test_step_budget_covers_fd_labeling():
+    # the edges fit the budget, the labeling that refutes the CSP does not
+    P = ground_program(PIGEONHOLE)
+    res = solve_ca(P, SchemaConfig(step_budget=100))
+    assert res.status == "budget"
+    assert res.stats.steps <= 35 and res.stats.fd_nodes > 0
+    assert res.stats.steps + res.stats.fd_nodes == 101
+    res = solve_ca(P, SchemaConfig())
+    assert res.status == "unsat"
+    assert (res.stats.steps, res.stats.fd_nodes) == (35, 239)
+    assert solve_ca(P, SchemaConfig(step_budget=274)).status == "unsat"
+    assert solve_ca(P, SchemaConfig(step_budget=273)).status == "budget"
+
+
+def test_fd_nodes_count_the_propagate_calls(monkeypatch):
+    calls = []
+    propagate = fd.propagate
+
+    def counted(*args):
+        calls.append(1)
+        return propagate(*args)
+
+    monkeypatch.setattr(fd, "propagate", counted)
+    for name in ("rf_toy", "wseq_unsat", "light"):
+        P = ground_program((ENCODINGS / f"{name}.ez").read_text())
+        for schema in ("black", "clear"):
+            calls.clear()
+            res = solve_ca(P, SchemaConfig(schema=schema, limit=0))
+            assert res.stats.fd_nodes == len(calls) > 0, (name, schema)
+
+
 # -- counters ----------------------------------------------------------------------
 
 # (encoding, schema, status, models, SolveStats fields in order: decisions,
-# propagations, csp_checks, learned, restarts, steps, runs, candidates) for
+# propagations, csp_checks, learned, restarts, steps, runs, candidates,
+# fd_nodes) for
 # every bundled encoding with limit=0 and max_alphas_per_model=1; a change
 # that should not alter the search must leave every figure as it is
 PINNED_COUNTERS = [
-    ("is_toy", "black", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1)),
-    ("is_toy", "grey", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1)),
-    ("is_toy", "clear", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1)),
-    ("light", "black", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1)),
-    ("light", "grey", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1)),
-    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1)),
-    ("rf_toy", "black", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8)),
-    ("rf_toy", "grey", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8)),
-    ("rf_toy", "clear", "sat", 1, (8, 501, 9, 7, 0, 531, 2, 8)),
-    ("riddle", "black", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3)),
-    ("riddle", "grey", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3)),
-    ("riddle", "clear", "sat", 1, (2, 107, 3, 2, 0, 116, 2, 3)),
-    ("smm", "black", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1)),
-    ("smm", "grey", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1)),
-    ("smm", "clear", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1)),
-    ("wseq_toy", "black", "sat", 22, (543, 6624, 57, 35, 35, 7677, 23, 57)),
-    ("wseq_toy", "grey", "sat", 22, (543, 6624, 57, 35, 35, 7677, 23, 57)),
-    ("wseq_toy", "clear", "sat", 22, (334, 3700, 333, 35, 0, 4392, 23, 57)),
-    ("wseq_unsat", "black", "unsat", 0, (110, 1779, 15, 15, 15, 2013, 1, 15)),
-    ("wseq_unsat", "grey", "unsat", 0, (110, 1779, 15, 15, 15, 2013, 1, 15)),
-    ("wseq_unsat", "clear", "unsat", 0, (17, 216, 23, 15, 0, 281, 1, 14)),
+    ("is_toy", "black", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7)),
+    ("is_toy", "grey", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7)),
+    ("is_toy", "clear", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7)),
+    ("light", "black", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2)),
+    ("light", "grey", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2)),
+    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1, 6)),
+    ("rf_toy", "black", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8, 8)),
+    ("rf_toy", "grey", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8, 8)),
+    ("rf_toy", "clear", "sat", 1, (8, 501, 9, 7, 0, 531, 2, 8, 9)),
+    ("riddle", "black", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3, 3)),
+    ("riddle", "grey", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3, 3)),
+    ("riddle", "clear", "sat", 1, (2, 107, 3, 2, 0, 116, 2, 3, 3)),
+    ("smm", "black", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
+    ("smm", "grey", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
+    ("smm", "clear", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
+    ("wseq_toy", "black", "sat", 22,
+      (543, 6624, 57, 35, 35, 7677, 23, 57, 57)),
+    ("wseq_toy", "grey", "sat", 22, (543, 6624, 57, 35, 35, 7677, 23, 57, 57)),
+    ("wseq_toy", "clear", "sat", 22,
+      (334, 3700, 333, 35, 0, 4392, 23, 57, 746)),
+    ("wseq_unsat", "black", "unsat", 0,
+      (110, 1779, 15, 15, 15, 2013, 1, 15, 15)),
+    ("wseq_unsat", "grey", "unsat", 0,
+      (110, 1779, 15, 15, 15, 2013, 1, 15, 15)),
+    ("wseq_unsat", "clear", "unsat", 0, (17, 216, 23, 15, 0, 281, 1, 14, 36)),
 ]
 
 

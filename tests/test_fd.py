@@ -338,6 +338,37 @@ def test_reified_or_forces_remaining_branch():
     assert inst.domains["y"].hi == 2
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_reified_or_evaluates_each_disjunct_once(monkeypatch, k):
+    # one run of the filter each: every disjunct open, every disjunct
+    # refuted, the first disjunct entailed
+    from ezcasp import fd
+    names = [f"x{i}" for i in range(k)]
+    shapes = [
+        (True, [C("gt", V(n), I(3)) for n in names]),
+        (False, [C("gt", V(n), I(9)) for n in names]),
+        (True, [C("geq", V(names[0]), I(0))] +
+         [C("gt", V(n), I(3)) for n in names[1:]]),
+    ]
+    seen = []
+    definitely = fd._definitely
+
+    def counted(c, st):
+        seen.append(c)
+        return definitely(c, st)
+
+    monkeypatch.setattr(fd, "_definitely", counted)
+    for ok, disjuncts in shapes:
+        inst = CSPInstance()
+        for n in names:
+            inst.add_var(n, 0, 9)
+        inst.post(B("or", tuple(disjuncts)))
+        seen.clear()
+        assert propagate(inst) is ok
+        assert seen and all(seen.count(d) <= 1 for d in disjuncts), seen
+    assert seen == [disjuncts[0]]
+
+
 def test_reified_implication_is_material():
     c = B("impl", (C("eq", V("a"), I(1)), C("eq", V("b"), I(2))))
     assert satisfied(c, {"a": 0, "b": 0})
