@@ -2,7 +2,8 @@
 
 The snapshot covers the `csp_gen` instances of seeds 0-999, at the root and
 after each of up to two seeded value removals, and hand-written cases for
-each reified connective.  Propagation must reach exactly these fixpoints,
+each reified connective and for global constraints with constant
+arguments.  Propagation must reach exactly these fixpoints,
 failed ones included.  Regenerate the files with
 
     PYTHONPATH=src:tests python tests/test_fd_fixpoints.py
@@ -143,6 +144,73 @@ def cases():
               A("neg", (z,)))))),
         "complement_posted": _instance(XY, complement(C("lt", x, I(5))),
                                        complement(C("neq", y, I(3)))),
+        # global constraints with constant items, values, indices, targets
+        # and limits, and sums whose coefficients merge
+        "all_different_const_item": _instance(
+            [("x", 3, 3), ("y", 2, 4)], G("all_different", ((x, I(3), y),))),
+        "all_distinct_const_item": _instance(
+            [("x", 0, 1), ("y", 0, 1), ("z", 0, 2)],
+            G("all_distinct", ((x, I(1), y, z),))),
+        "count_const_value_upper": _instance(
+            XYZ, G("count", (I(2), (x, I(2), y, z), "eq", I(2)))),
+        "count_const_value_lower": _instance(
+            [("x", 2, 2), ("y", 0, 9), ("z", 1, 3)],
+            G("count", (I(2), (x, I(2), y, z), "eq", I(2)))),
+        "count_const_value_fix": _instance(
+            [("x", 0, 1), ("y", 1, 3), ("z", 2, 4)],
+            G("count", (I(2), (x, I(2), y, z), "geq", I(3)))),
+        "count_const_value_refuted": _instance(
+            [("x", 0, 1), ("y", 3, 9)],
+            G("count", (I(2), (x, I(5), y), "gt", I(0)))),
+        "element_const_index_and_target": _instance(
+            XYZ, G("element", (I(2), (x, y, z), I(4)))),
+        "element_const_index_const_item": _instance(
+            XY, G("element", (I(2), (x, I(7), y), I(4)))),
+        "element_const_index_out_of_range": _instance(
+            XY, G("element", (I(4), (x, y, I(1)), I(4)))),
+        "element_var_index_const_items": _instance(
+            [("x", 0, 9), ("y", 0, 9), ("z", 0, 9)],
+            G("element", (x, (I(5), I(3), y, I(8)), I(3)))),
+        "element_var_index_var_target": _instance(
+            [("x", 0, 9), ("y", 2, 4)],
+            G("element", (x, (I(5), I(3), I(9)), y))),
+        "minimum_const_items": _instance(
+            XY, G("minimum", (x, (I(6), y, I(4))))),
+        "maximum_const_value": _instance(
+            XY, G("maximum", (I(5), (x, y, I(2))))),
+        "maximum_const_value_refuted": _instance(
+            [("x", 6, 9), ("y", 0, 9)], G("maximum", (I(5), (x, y)))),
+        "cumulative_const_limit": _instance(
+            [("x", 0, 3), ("y", 0, 3), ("z", 2, 2)],
+            G("cumulative", ((x, y, z), (2, 2, 2), (1, 2, 2), I(3)))),
+        "cumulative_const_start": _instance(
+            [("x", 0, 4), ("y", 0, 4)],
+            G("cumulative", ((x, I(2), y), (2, 2, 1), (2, 2, 1), I(3)))),
+        "serialized_const_start": _instance(
+            [("x", 0, 4), ("y", 0, 4)],
+            G("serialized", ((I(1), x, y), (2, 2, 1)))),
+        "disjoint2_const_items": _instance(
+            [("x", 0, 1), ("y", 0, 1)],
+            G("disjoint2", ((x, I(0)), (2, 2), (y, I(0)), (2, 2)))),
+        "sum_const_items": _instance(
+            XY, G("sum", ((x, I(3), y, I(-1)), "leq", I(6)))),
+        "sum_repeated_variable": _instance(
+            XY, G("sum", ((x, y, x), "leq", I(7)))),
+        "sum_variable_target": _instance(
+            [("x", 0, 4), ("y", 0, 3), ("z", 0, 20)],
+            G("sum", ((x, y), "eq", z))),
+        "sum_target_in_list": _instance(
+            XY, G("sum", ((x, y), "geq", y))),
+        "sum_neq_const_items": _instance(
+            [("x", 2, 2), ("y", 0, 9)],
+            G("sum", ((x, I(3), y), "neq", I(9)))),
+        "scalar_product_cancel": _instance(
+            XYZ, G("scalar_product", ((2, 1, -2, 3), (x, y, x, I(1)), "geq",
+                                      I(10)))),
+        "scalar_product_zero_coefficient": _instance(
+            XYZ, G("scalar_product", ((0, 2, -1), (x, y, z), "eq", I(4)))),
+        "scalar_product_all_cancel": _instance(
+            XY, G("scalar_product", ((1, -1), (x, x), "lt", I(0)))),
     }
 
 
