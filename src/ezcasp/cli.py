@@ -388,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _run_oracle(program: CAProgram, args) -> int:
     from .oracle import (OracleBoundExceeded, enumerate_full_answer_sets,
-                         enumerate_weak_answer_sets)
+                         enumerate_weak_answer_sets, exhaustive_solutions)
     try:
         enum = enumerate_weak_answer_sets if args.semantics == "weak" \
             else enumerate_full_answer_sets
@@ -404,22 +404,10 @@ def _run_oracle(program: CAProgram, args) -> int:
         lits = [(program.pi.index[a] + 1) for a in s]
         lits += [-(i + 1) for i in range(program.n_atoms)
                  if program.pi.names[i] not in s]
-        alpha = _first_solution_exhaustive(program, lits, args.semantics)
+        inst = fd.build_csp(program, lits, args.semantics)
+        alpha = next(exhaustive_solutions(inst), {})
         print(format_model(s, sorted(alpha.items()), program.suppressed))
     return EXIT_SAT
-
-
-def _first_solution_exhaustive(program: CAProgram, lits, semantics
-                               ) -> Dict[str, int]:
-    import itertools
-    inst = fd.build_csp(program, lits, semantics)
-    names = list(inst.var_order)
-    domains = [list(inst.domains[n].values()) for n in names]
-    for combo in itertools.product(*domains):
-        e = dict(zip(names, combo))
-        if all(fd.satisfied(c, e) for c in inst.constraints):
-            return e
-    return {}
 
 
 if __name__ == "__main__":

@@ -22,9 +22,14 @@ watcher of that variable, itself included, so the queue empties at a common
 fixpoint of all constraints.  Following the same paper, a propagator is
 compiled once and each run only reads domains: every comparison node
 carries its linear and interval forms (`Cmp.form`), built with the node,
-and its complement, built on first use.  A reified `or` is evaluated once
-per run, in one left-to-right pass over its disjuncts that decides between
-failure, entailment and the single open disjunct to enforce.
+and its complement, built on first use; every `sum` and `scalar_product`
+node carries the linear form of its sum minus its target (`Global.form`),
+built with the node.  The other global filters narrow only plain-variable
+items, and read every other item, index, target, count value or limit as
+its interval under the live domains (`_ival`).  A reified `or` is
+evaluated once per run, in one left-to-right pass over its disjuncts that
+decides between failure, entailment and the single open disjunct to
+enforce.
 
 Search is a generator (`solutions`) over an explicit stack of choice points,
 so its depth is not bounded by the interpreter's recursion limit.  It works
@@ -144,9 +149,20 @@ class BoolExpr(_Constraint):
 @dataclass(frozen=True)
 class Global(_Constraint):
     """Global constraint; args are tuples of terms, ints, or comparison-op
-    names, per the catalog's signature for `name`."""
+    names, per the catalog's signature for `name`.
+
+    A `sum` or `scalar_product` is compiled once when the node is built.
+    Its `form` is (lin, const): the linear form of the weighted sum of the
+    items minus the target, as (variable, coefficient) pairs with repeated
+    variables merged and zero coefficients dropped, and its constant; lin
+    is None if an item or the target is not linear.  Any other global has
+    form None."""
     name: str
     args: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "form", _compile_sum(self)
+                           if self.name in _SUMS else None)
 
 
 ConstraintExpr = object
@@ -501,9 +517,6 @@ class CSPInstance:
         inst.constraints = list(self.constraints)
         return inst
 
-    def all_fixed(self) -> bool:
-        return all(d.fixed for d in self.domains.values())
-
     def evaluation(self) -> Dict[str, int]:
         return {n: d.lo for n, d in self.domains.items()}
 
@@ -617,6 +630,55 @@ def _compile_cmp(c: Cmp) -> tuple:
         if diff == lin:
             diff = lin
     return lin, lhs[1] - rhs[1], diff
+
+
+_SUMS = ("sum", "scalar_product")
+
+
+def _sum_terms(g: Global) -> List[Tuple[int, object]]:
+    """The (coefficient, term) pairs whose total is the weighted sum of a
+    `sum` or `scalar_product` minus its target."""
+    if g.name == "sum":
+        items, _, target = g.args
+        coeffs = (1,) * len(items)
+    else:
+        coeffs, items, _, target = g.args
+    return list(zip(coeffs, items)) + [(-1, target)]
+
+
+def _compile_sum(g: Global) -> tuple:
+    """The compiled form of a `sum` or `scalar_product` (see `Global`), in
+    one pass over its items, so a long list needs no deep recursion."""
+    coeffs: Dict[str, int] = {}
+    const = 0
+    for c, t in _sum_terms(g):
+        lin = _linearize(t)
+        if lin is None:
+            return None, 0
+        for k, v in lin[0].items():
+            coeffs[k] = coeffs.get(k, 0) + c * v
+        const += c * lin[1]
+    return tuple((k, v) for k, v in coeffs.items() if v), const
+
+
+def _decide(op: str, lo: int, hi: int) -> Optional[bool]:
+    """Three-valued truth of `d op 0` for an integer d known to lie in
+    [lo, hi]: True if it holds for every such d, False if for none."""
+    if op == "lt":
+        return True if hi < 0 else (False if lo >= 0 else None)
+    if op == "leq":
+        return True if hi <= 0 else (False if lo > 0 else None)
+    if op == "gt":
+        return True if lo > 0 else (False if hi <= 0 else None)
+    if op == "geq":
+        return True if lo >= 0 else (False if hi < 0 else None)
+    if op == "eq":
+        if lo == hi == 0:
+            return True
+        return False if hi < 0 or lo > 0 else None
+    if hi < 0 or lo > 0:        # neq
+        return True
+    return False if lo == hi == 0 else None
 
 
 def _floor_div(a: int, b: int) -> int:
@@ -835,23 +897,7 @@ def _definitely(c, st: _Store) -> Optional[bool]:
                         hi += k * d.lo
         except KeyError:
             return None
-        op = c.op
-        if op == "lt":
-            return True if hi < 0 else (False if lo >= 0 else None)
-        if op == "leq":
-            return True if hi <= 0 else (False if lo > 0 else None)
-        if op == "gt":
-            return True if lo > 0 else (False if hi <= 0 else None)
-        if op == "geq":
-            return True if lo >= 0 else (False if hi < 0 else None)
-        if op == "eq":
-            if lo == hi == 0:
-                return True
-            return False if hi < 0 or lo > 0 else None
-        if op == "neq":
-            if hi < 0 or lo > 0:
-                return True
-            return False if lo == hi == 0 else None
+        return _decide(c.op, lo, hi)
     if isinstance(c, BoolExpr):
         op = c.op
         if op == "or":
@@ -951,11 +997,7 @@ def _require(st: _Store, c, want: bool) -> None:
 
 # -- global-constraint filters ------------------------------------------------
 
-def _term_vars(items) -> List[object]:
-    return list(items)
-
-
-def _filter_pairwise_diseq(st: _Store, names: List[object]) -> None:
+def _filter_pairwise_diseq(st: _Store, names: Sequence[object]) -> None:
     for i, a in enumerate(names):
         if not isinstance(a, VarRef):
             continue
@@ -971,7 +1013,7 @@ def _filter_pairwise_diseq(st: _Store, names: List[object]) -> None:
                 return
 
 
-def _filter_all_distinct(st: _Store, names: List[object]) -> None:
+def _filter_all_distinct(st: _Store, names: Sequence[object]) -> None:
     _filter_pairwise_diseq(st, names)
     if st.failed:
         return
@@ -999,16 +1041,13 @@ def _filter_all_distinct(st: _Store, names: List[object]) -> None:
 
 
 def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
-    if isinstance(limit, VarRef):
-        lim_hi = st.dom(limit.name).hi
-    else:
-        lim_hi = eval_term(limit, {})
+    lim_hi = _ival(limit, st.domains)[1]
     jobs = []
     for s, d, r in zip(starts, durs, ress):
         if isinstance(s, VarRef):
             jobs.append((s.name, d, r))
-    if not jobs:
-        return
+    if not jobs or all(d <= 0 for d in durs):
+        return      # no start to narrow, or no time at which a task runs
 
     def profile(exclude: Optional[str]) -> Dict[int, int]:
         prof: Dict[int, int] = {}
@@ -1064,13 +1103,17 @@ def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
 
 
 def _filter_global(st: _Store, g: Global) -> None:
+    """Filter a global constraint.  Only plain-variable items are narrowed;
+    any other item, and every index, target, count value or limit, is read
+    as its `_ival` interval under the live domains."""
     name, args = g.name, g.args
+    doms = st.domains
     if name == "all_different":
-        _filter_pairwise_diseq(st, _term_vars(args[0]))
+        _filter_pairwise_diseq(st, args[0])
     elif name == "all_distinct":
-        _filter_all_distinct(st, _term_vars(args[0]))
+        _filter_all_distinct(st, args[0])
     elif name == "assignment":
-        xs, ys = _term_vars(args[0]), _term_vars(args[1])
+        xs, ys = args
         n = len(xs)
         for v in xs + ys:
             if isinstance(v, VarRef):
@@ -1078,9 +1121,8 @@ def _filter_global(st: _Store, g: Global) -> None:
                 if st.failed:
                     return
         for i, x in enumerate(xs):
-            if isinstance(x, VarRef) and st.dom(x.name).fixed:
-                j = st.dom(x.name).lo
-                y = ys[j - 1]
+            if isinstance(x, VarRef) and doms[x.name].fixed:
+                y = ys[doms[x.name].lo - 1]
                 if isinstance(y, VarRef):
                     st.fix(y.name, i + 1)
                 if st.failed:
@@ -1089,7 +1131,7 @@ def _filter_global(st: _Store, g: Global) -> None:
         if not st.failed:
             _filter_pairwise_diseq(st, ys)
     elif name == "circuit":
-        vs = _term_vars(args[0])
+        vs = args[0]
         n = len(vs)
         for i, v in enumerate(vs):
             if isinstance(v, VarRef):
@@ -1104,8 +1146,8 @@ def _filter_global(st: _Store, g: Global) -> None:
         # a closed chain of fixed successors shorter than n is a subtour
         succ = {}
         for i, v in enumerate(vs):
-            if isinstance(v, VarRef) and st.dom(v.name).fixed:
-                succ[i + 1] = st.dom(v.name).lo
+            if isinstance(v, VarRef) and doms[v.name].fixed:
+                succ[i + 1] = doms[v.name].lo
         for start in succ:
             cur, steps = start, 0
             while cur in succ and steps <= n:
@@ -1117,69 +1159,50 @@ def _filter_global(st: _Store, g: Global) -> None:
                     return
     elif name == "count":
         m, vs, op, target = args
-        if isinstance(m, VarRef) and not st.dom(m.name).fixed:
+        mlo, mval = _ival(m, doms)
+        if mlo != mval:
             return
-        mval = st.dom(m.name).lo if isinstance(m, VarRef) else eval_term(m, {})
         lower = upper = 0
         for v in vs:
-            if isinstance(v, VarRef):
-                d = st.dom(v.name)
-                if d.contains(mval):
-                    upper += 1
-                    if d.fixed:
-                        lower += 1
-            elif eval_term(v, {}) == mval:
-                lower += 1
+            lo, hi = _ival(v, doms)
+            if doms[v.name].contains(mval) if isinstance(v, VarRef) \
+                    else lo <= mval <= hi:
                 upper += 1
-        if isinstance(target, VarRef):
-            tlo, thi = st.dom(target.name).lo, st.dom(target.name).hi
-        else:
-            tlo = thi = eval_term(target, {})
-        ok = any(_CMP_FUN[op](c, t)
-                 for c in (lower, upper) for t in (tlo, thi)) or \
-            any(_CMP_FUN[op](c, t)
-                for c in range(lower, upper + 1) for t in (tlo, thi))
-        if not ok:
+                if lo == hi:
+                    lower += 1
+        tlo, thi = _ival(target, doms)
+        # some count in [lower, upper] and target in [tlo, thi] satisfy op
+        if _decide(op, lower - thi, upper - tlo) is False:
             st.failed = True
             return
         if op == "eq" and tlo == thi:
             if lower == tlo:
                 for v in vs:
-                    if isinstance(v, VarRef) and not st.dom(v.name).fixed:
+                    if isinstance(v, VarRef) and not doms[v.name].fixed:
                         st.remove(v.name, mval)
                         if st.failed:
                             return
             elif upper == tlo:
                 for v in vs:
-                    if isinstance(v, VarRef) and st.dom(v.name).contains(mval) \
-                            and not st.dom(v.name).fixed:
+                    if isinstance(v, VarRef) and doms[v.name].contains(mval) \
+                            and not doms[v.name].fixed:
                         st.fix(v.name, mval)
                         if st.failed:
                             return
     elif name == "cumulative":
-        _filter_cumulative(st, args[0], list(args[1]), list(args[2]), args[3])
+        _filter_cumulative(st, *args)
     elif name == "serialized":
-        starts = _term_vars(args[0])
-        durs = list(args[1])
-        _filter_cumulative(st, starts, durs, [1] * len(durs), IntConst(1))
+        starts, durs = args
+        _filter_cumulative(st, starts, durs, (1,) * len(durs), 1)
     elif name == "disjoint2":
-        xs, ws, ys, hs = (_term_vars(args[0]), list(args[1]),
-                          _term_vars(args[2]), list(args[3]))
+        xs, ws, ys, hs = args
         n = len(xs)
-
-        def rng(v):
-            if isinstance(v, VarRef):
-                d = st.dom(v.name)
-                return d.lo, d.hi
-            k = eval_term(v, {})
-            return k, k
-
         for i in range(n):
             for j in range(i + 1, n):
                 if min(ws[i], hs[i], ws[j], hs[j]) <= 0:
                     continue
-                xi, xj = rng(xs[i]), rng(xs[j])
-                yi, yj = rng(ys[i]), rng(ys[j])
+                xi, xj = _ival(xs[i], doms), _ival(xs[j], doms)
+                yi, yj = _ival(ys[i], doms), _ival(ys[j], doms)
                 x_sep = xi[0] + ws[i] <= xj[1] or xj[0] + ws[j] <= xi[1]
                 y_sep = yi[0] + hs[i] <= yj[1] or yj[0] + hs[j] <= yi[1]
                 if not x_sep and not y_sep:
@@ -1192,83 +1215,49 @@ def _filter_global(st: _Store, g: Global) -> None:
             st.intersect_range(idx.name, 1, n)
             if st.failed:
                 return
-            d_idx = st.dom(idx.name)
+            d_idx = doms[idx.name]
         else:
-            k = eval_term(idx, {})
-            if not 1 <= k <= n:
+            klo, khi = _ival(idx, doms)
+            d_idx = Domain(max(klo, 1), min(khi, n))
+            if d_idx.empty:
                 st.failed = True
                 return
-            d_idx = Domain(k, k)
-
-        def t_rng(v):
-            if isinstance(v, VarRef):
-                d = st.dom(v.name)
-                return d.lo, d.hi
-            k = eval_term(v, {})
-            return k, k
-
-        tlo, thi = t_rng(tgt)
+        tlo, thi = _ival(tgt, doms)
         if isinstance(idx, VarRef):
             for i in list(d_idx.values()):
-                vlo, vhi = t_rng(vs[i - 1])
+                vlo, vhi = _ival(vs[i - 1], doms)
                 if vhi < tlo or vlo > thi:
                     st.remove(idx.name, i)
                     if st.failed:
                         return
-            d_idx = st.dom(idx.name)
         if d_idx.fixed:
-            i = d_idx.lo
-            v = vs[i - 1]
+            v = vs[d_idx.lo - 1]
             if isinstance(v, VarRef):
-                st.set_min(v.name, tlo)
-                st.set_max(v.name, thi)
+                st.intersect_range(v.name, tlo, thi)
                 if st.failed:
                     return
-                vlo, vhi = t_rng(v)
-            else:
-                vlo, vhi = t_rng(v)
-            if isinstance(tgt, VarRef):
-                st.set_min(tgt.name, vlo)
-                st.set_max(tgt.name, vhi)
+            vlo, vhi = _ival(v, doms)
         else:
-            lows, highs = [], []
-            for i in d_idx.values():
-                vlo, vhi = t_rng(vs[i - 1])
-                lows.append(vlo)
-                highs.append(vhi)
-            if lows and isinstance(tgt, VarRef):
-                st.set_min(tgt.name, min(lows))
-                st.set_max(tgt.name, max(highs))
+            rngs = [_ival(vs[i - 1], doms) for i in d_idx.values()]
+            vlo, vhi = min(r[0] for r in rngs), max(r[1] for r in rngs)
+        if isinstance(tgt, VarRef):
+            st.intersect_range(tgt.name, vlo, vhi)
     elif name in ("minimum", "maximum"):
         m, vs = args
-
-        def t_rng(v):
-            if isinstance(v, VarRef):
-                d = st.dom(v.name)
-                return d.lo, d.hi
-            k = eval_term(v, {})
-            return k, k
-
-        rngs = [t_rng(v) for v in vs]
-        if not rngs:
+        if not vs:
             st.failed = True
             return
-        if name == "minimum":
-            mlo, mhi = min(r[0] for r in rngs), min(r[1] for r in rngs)
-        else:
-            mlo, mhi = max(r[0] for r in rngs), max(r[1] for r in rngs)
+        rngs = [_ival(v, doms) for v in vs]
+        pick = min if name == "minimum" else max
+        mlo, mhi = pick(r[0] for r in rngs), pick(r[1] for r in rngs)
         if isinstance(m, VarRef):
-            st.set_min(m.name, mlo)
-            st.set_max(m.name, mhi)
+            st.intersect_range(m.name, mlo, mhi)
             if st.failed:
                 return
-            cur = st.dom(m.name)
-            mval_lo, mval_hi = cur.lo, cur.hi
-        else:
-            mval_lo = mval_hi = eval_term(m, {})
-            if not mlo <= mval_lo <= mhi:
-                st.failed = True
-                return
+        mval_lo, mval_hi = _ival(m, doms)
+        if mval_hi < mlo or mval_lo > mhi:
+            st.failed = True
+            return
         for v in vs:
             if isinstance(v, VarRef):
                 if name == "minimum":
@@ -1277,26 +1266,20 @@ def _filter_global(st: _Store, g: Global) -> None:
                     st.set_max(v.name, mval_hi)
                 if st.failed:
                     return
-    elif name in ("sum", "scalar_product"):
-        if name == "sum":
-            vs, op, target = args
-            coeffs_in = [(1, v) for v in vs]
-        else:
-            cs, vs, op, target = args
-            coeffs_in = list(zip([eval_term(c, {}) for c in cs], vs))
-        coeffs: Dict[str, int] = {}
-        const = 0
-        for c, v in coeffs_in:
-            if isinstance(v, VarRef):
-                coeffs[v.name] = coeffs.get(v.name, 0) + c
-            else:
-                const += c * eval_term(v, {})
-        if isinstance(target, VarRef):
-            coeffs[target.name] = coeffs.get(target.name, 0) - 1
-        else:
-            const -= eval_term(target, {})
-        _filter_linear(st, [(k, v) for k, v in coeffs.items() if v], const,
-                       op)
+    elif name in _SUMS:
+        lin, const = g.form
+        op = args[-2]
+        if lin is not None:
+            _filter_linear(st, lin, const, op)
+            return
+        # a non-linear item or target: forward interval check only
+        lo = hi = 0
+        for c, t in _sum_terms(g):
+            a, b = _ival(t, doms)
+            lo += min(c * a, c * b)
+            hi += max(c * a, c * b)
+        if _decide(op, lo, hi) is False:
+            st.failed = True
     else:
         raise FdError(f"unknown global constraint {name!r}")
 
@@ -1310,9 +1293,10 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
     narrowed since `csp` was last at a fixpoint.  Never removes a value that
     belongs to a solution; reports inconsistency only when some domain
     empties or a constraint is interval-refuted.  Filters read the compiled
-    forms of comparisons; a reified `or` is refuted, found entailed or
-    enforced by `_require` alone, which evaluates each disjunct at most
-    once, and any other formula is first tested with `_definitely`.
+    forms of comparisons, sums and scalar products; a reified `or` is
+    refuted, found entailed or enforced by `_require` alone, which evaluates
+    each disjunct at most once, and any other formula is first tested with
+    `_definitely`.
     """
     domains, constraints = csp.domains, csp.constraints
     watch = csp.watch_lists()

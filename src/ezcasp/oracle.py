@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from . import fd
 from .asp import (Record, RegularProgram, RuleP, clausify, lit_atom,
@@ -26,8 +27,8 @@ from .ground import CAProgram
 __all__ = [
     "OracleBoundExceeded", "enumerate_weak_answer_sets",
     "enumerate_full_answer_sets", "abstraction_answer_sets",
-    "csp_feasible_exhaustive", "validate_trace", "random_program",
-    "random_ez_source", "is_entailed_denial",
+    "csp_feasible_exhaustive", "exhaustive_solutions", "validate_trace",
+    "random_program", "random_ez_source", "is_entailed_denial",
 ]
 
 ATOM_BOUND = 16
@@ -83,6 +84,17 @@ def _mask_literals(x: int, n: int) -> List[int]:
     return [(a + 1) if (x >> a) & 1 else -(a + 1) for a in range(n)]
 
 
+def exhaustive_solutions(inst: fd.CSPInstance) -> Iterator[Dict[str, int]]:
+    """The solutions of `inst` by raw assignment enumeration, checked with
+    `fd.satisfied`, in the lexicographic order of `inst.var_order`."""
+    names = inst.var_order
+    for combo in itertools.product(*(inst.domains[n].values()
+                                     for n in names)):
+        e = dict(zip(names, combo))
+        if all(fd.satisfied(c, e) for c in inst.constraints):
+            yield e
+
+
 def csp_feasible_exhaustive(program: CAProgram, m_literals: Sequence[int],
                             semantics: str,
                             assignment_bound: int = ASSIGNMENT_BOUND) -> bool:
@@ -92,16 +104,7 @@ def csp_feasible_exhaustive(program: CAProgram, m_literals: Sequence[int],
     if total > assignment_bound:
         raise OracleBoundExceeded(
             f"{total} assignments exceed oracle bound {assignment_bound}")
-    if not inst.constraints and all(not d.empty
-                                    for d in inst.domains.values()):
-        return True
-    names = list(inst.var_order)
-    domains = [list(inst.domains[n].values()) for n in names]
-    for combo in itertools.product(*domains):
-        e = dict(zip(names, combo))
-        if all(fd.satisfied(c, e) for c in inst.constraints):
-            return True
-    return False
+    return next(exhaustive_solutions(inst), None) is not None
 
 
 def enumerate_weak_answer_sets(program: CAProgram,
@@ -177,13 +180,7 @@ def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str,
                  assignment_bound: int) -> bool:
     inst = fd.build_csp(program, lits, semantics)
     if inst.assignment_count() <= assignment_bound:
-        names = list(inst.var_order)
-        domains = [list(inst.domains[n].values()) for n in names]
-        for combo in itertools.product(*domains):
-            e = dict(zip(names, combo))
-            if all(fd.satisfied(c, e) for c in inst.constraints):
-                return True
-        return False
+        return next(exhaustive_solutions(inst), None) is not None
     return fd.feasible(inst)
 
 

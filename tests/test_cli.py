@@ -191,6 +191,18 @@ def test_oracle_flag_unsat(tmp_path, capsys):
     assert code == EXIT_UNSAT and out == "UNSAT\n"
 
 
+@pytest.mark.parametrize("items", ["x+1,y", "x,1/0"])
+def test_sum_over_arithmetic_items_matches_oracle(tmp_path, capsys, items):
+    # y's range leaves one solution, so the solver prints what the oracle
+    # prints: its one model per answer set
+    f = tmp_path / "s.ez"
+    f.write_text("cspdomain(fd). cspvar(x,0,5). cspvar(y,4,5). "
+                 f"required(sum([{items}],eq,5)).")
+    solved = run_cli(capsys, f, "-n", "0")
+    assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
+    assert solved[1].count("\n") == 1
+
+
 def test_default_range_flag(tmp_path, capsys):
     f = tmp_path / "r.ez"
     f.write_text("cspdomain(fd). cspvar(x). required(x >= 2).")

@@ -7,6 +7,7 @@ from ezcasp.fd import (Arith, BoolExpr, Cmp, ComplementUnsupported,
                        CSPInstance, Domain, Global, IntConst, VarRef,
                        build_csp, complement, eval_term, propagate,
                        satisfied, solve, vars_of)
+from ezcasp.lang import GLOBAL_CONSTRAINTS
 
 from bruteforce import enumerate_csp_solutions
 from conftest import make_p1
@@ -284,6 +285,103 @@ def test_solutions_are_the_bruteforce_ones_in_lexicographic_order():
             oracle = sorted(enumerate_csp_solutions(inst),
                             key=lambda e: [e[n] for n in inst.var_order])
             assert solve(inst) == (oracle, True), (which, seed)
+
+
+def test_catalog_matches_the_language():
+    # a global missing here would escape the per-global tests above
+    assert set(GLOBALS) == GLOBAL_CONSTRAINTS
+
+
+# items, indices, targets, values and limits that are not plain variables:
+# arithmetic over variables, constants and an undefined constant
+X, Y, Z = V("x"), V("y"), V("z")
+X1, Y1 = A("plus", (X, I(1))), A("plus", (Y, I(1)))
+Y2 = A("times", (I(2), Y))
+XY = A("times", (X, Y))
+UNDEF = A("div", (I(1), I(0)))
+NON_VARIABLE_ARGS = {
+    "sum_arith": G("sum", ((X1, Y2, Z), "eq", I(7))),
+    "sum_const": G("sum", ((X, I(3), Z), "leq", I(5))),
+    "sum_arith_target": G("sum", ((X, Z), "geq", Y2)),
+    "sum_nonlinear": G("sum", ((XY, Z), "eq", I(5))),
+    "sum_undefined": G("sum", ((X, UNDEF), "eq", I(3))),
+    "scalar_product_arith": G("scalar_product", ((2, -1, 1), (X1, Y2, Z),
+                                                 "geq", I(3))),
+    "scalar_product_const": G("scalar_product", ((1, 2), (I(3), Z), "eq",
+                                                 X1)),
+    "scalar_product_undefined": G("scalar_product", ((1, 1), (X, UNDEF),
+                                                     "leq", I(9))),
+    "count_arith": G("count", (I(2), (X1, Y2, Z), "eq", I(1))),
+    "count_arith_value": G("count", (X1, (Y, Z, I(2)), "geq", I(2))),
+    "count_const_arith_target": G("count", (I(3), (X, I(3), Z), "eq", Y2)),
+    "count_variable_target": G("count", (I(1), (X,), "eq", Y)),
+    "count_undefined": G("count", (I(1), (X, UNDEF), "eq", I(1))),
+    "count_undefined_value": G("count", (UNDEF, (X, Y), "eq", I(0))),
+    "element_arith": G("element", (I(2), (X1, Y2, Z), I(4))),
+    "element_const": G("element", (X, (I(3), Y2, Z), Z)),
+    "element_arith_index": G("element", (Y1, (X, I(2), Z), X)),
+    "element_undefined": G("element", (I(1), (X, UNDEF), I(0))),
+    "element_undefined_index": G("element", (UNDEF, (X, Y), I(1))),
+    "minimum_arith": G("minimum", (X, (Y1, Y2, Z))),
+    "maximum_arith_value": G("maximum", (X1, (Y, I(2), Z))),
+    "minimum_undefined": G("minimum", (I(1), (X, UNDEF))),
+    "maximum_undefined_value": G("maximum", (UNDEF, (X, Y))),
+    "cumulative_arith_limit": G("cumulative", ((X, Y, Z), (2, 2, 1),
+                                               (1, 1, 2), Y1)),
+    "cumulative_arith_start": G("cumulative", ((X1, Y, Z), (2, 2, 1),
+                                               (1, 2, 1), I(2))),
+    "cumulative_const_limit": G("cumulative", ((X, Y), (2, 1), (1, 1), I(1))),
+    "cumulative_undefined_limit": G("cumulative", ((X, Y), (2, 2), (1, 1),
+                                                   UNDEF)),
+    "cumulative_nothing_runs": G("cumulative", ((X, Y), (0, 0), (1, 1),
+                                                I(-1))),
+    "serialized_arith_start": G("serialized", ((X1, Z), (2, 2))),
+    "disjoint2_arith": G("disjoint2", ((X1, Y), (2, 2), (Z, Y2), (1, 2))),
+    "disjoint2_const": G("disjoint2", ((X, I(1)), (2, 2), (Y, I(0)), (2, 2))),
+    "disjoint2_undefined": G("disjoint2", ((X, UNDEF), (1, 1), (Y, Z),
+                                           (1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", NON_VARIABLE_ARGS)
+def test_globals_with_non_variable_args_equal_bruteforce(name):
+    inst = CSPInstance()
+    for n, hi in (("x", 3), ("y", 2), ("z", 4)):
+        inst.add_var(n, 0, hi)
+    inst.post(NON_VARIABLE_ARGS[name])
+    oracle = sorted(enumerate_csp_solutions(inst),
+                    key=lambda e: [e[n] for n in inst.var_order])
+    assert solve(inst) == (oracle, True)
+
+
+def test_sum_is_compiled_once_per_node(monkeypatch):
+    from ezcasp import fd
+    g = G("scalar_product", ((2, 1, -2, 3), (X, Y, X, X1), "geq", Z))
+    assert g.form == ((("x", 3), ("y", 1), ("z", -1)), 3)
+    assert G("sum", ((XY, Z), "eq", I(5))).form == (None, 0)
+    calls = []
+    linearize = fd._linearize
+    monkeypatch.setattr(fd, "_linearize",
+                        lambda t: calls.append(t) or linearize(t))
+    inst = CSPInstance()
+    for n in ("x", "y", "z"):
+        inst.add_var(n, 0, 9)
+    inst.post(g)
+    assert solve(inst, limit=3)[0] and calls == []
+
+
+def test_long_sum_needs_no_recursion():
+    n = 2000
+    inst = CSPInstance()
+    for i in range(n):
+        inst.add_var(f"x{i}", 0, 1)
+    inst.add_var("t", n, 2 * n)
+    g = G("sum", (tuple(A("plus", (V(f"x{i}"), I(0))) if i % 2 else
+                        V(f"x{i}") for i in range(n)), "eq", V("t")))
+    assert len(g.form[0]) == n + 1
+    inst.post(g)
+    sols, exhausted = solve(inst, limit=1)
+    assert sols == [dict({f"x{i}": 1 for i in range(n)}, t=n)]
 
 
 def test_long_chain_needs_no_recursion():
