@@ -1159,8 +1159,8 @@ def _filter_global(st: _Store, g: Global) -> None:
                     return
     elif name == "count":
         m, vs, op, target = args
-        mlo, mval = _ival(m, doms)
-        if mlo != mval:
+        mval, mhi = _ival(m, doms)
+        if mval != mhi:
             return
         lower = upper = 0
         for v in vs:
