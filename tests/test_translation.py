@@ -1,0 +1,66 @@
+"""The translation from EZ text to CA program, pinned on a random corpus.
+
+For every case, `tests/data/translation/digests.txt` holds a digest of the
+`--dump-ground` text and one of `test_ground.ca_program_text` (atom table,
+rules, constraint order with gamma, declarations, suppressed names and
+warnings).  The cases are `oracle.random_ez_source` seeds 0-499, seeds
+250-499 with `min_lo=-3`, plus every bundled encoding.  A grounder or
+translation change must leave every digest as it is.  Regenerate with
+`PYTHONPATH=src:tests python tests/test_translation.py`.
+"""
+
+import hashlib
+import pathlib
+
+from ezcasp.cli import _dump_ground_text
+from ezcasp.ground import DEFAULT_FD_RANGE, GroundError, ground_program
+from ezcasp.oracle import random_ez_source
+
+from conftest import ENCODINGS
+from test_ground import DUMP_GROUND_EZ, ca_program_text
+
+DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "translation" \
+    / "digests.txt"
+
+N_SEEDS = 500
+
+
+def cases():
+    """(name, EZ source) of every pinned case."""
+    for seed in range(N_SEEDS):
+        min_lo = -3 if seed >= N_SEEDS // 2 else 0
+        yield f"random-{seed}-{min_lo}", random_ez_source(seed, min_lo=min_lo)
+    for source in sorted(ENCODINGS.glob("*.ez")) + \
+            sorted(DUMP_GROUND_EZ.glob("*.ez")):
+        yield source.stem, source.read_text()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+def digest_line(name: str, source: str) -> str:
+    try:
+        dump = _dump_ground_text(source, DEFAULT_FD_RANGE)
+        ca = ca_program_text(ground_program(source))
+    except GroundError as exc:
+        dump = ca = f"error: {exc}"
+    return f"{name} {_digest(dump)} {_digest(ca)}"
+
+
+def test_translation_matches_pinned_digests():
+    pinned = DIGESTS.read_text().splitlines()
+    now = [digest_line(name, source) for name, source in cases()]
+    assert len(now) == len(pinned)
+    changed = [p.split()[0] for p, n in zip(pinned, now) if p != n]
+    assert not changed, f"{len(changed)} cases changed: {changed[:10]}"
+
+
+def write_digests() -> None:
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text("".join(digest_line(name, source) + "\n"
+                               for name, source in cases()))
+
+
+if __name__ == "__main__":
+    write_digests()
