@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 __all__ = [
     "RuleP", "RegularProgram", "Record", "Clause", "Propagator",
@@ -79,17 +80,23 @@ class RegularProgram:
                 raise ValueError(f"head id out of range: {r}")
 
     @classmethod
-    def build(cls, rules: Iterable[Tuple[Optional[str], Sequence[str],
-                                         Sequence[str], Sequence[str]]],
-              extra_atoms: Sequence[str] = ()) -> "RegularProgram":
+    def build(cls, rules: Iterable[Tuple[Optional[Hashable],
+                                         Sequence[Hashable],
+                                         Sequence[Hashable],
+                                         Sequence[Hashable]]],
+              extra_atoms: Sequence[Hashable] = (),
+              name: Optional[Callable[[Hashable], str]] = None
+              ) -> "RegularProgram":
         """Intern atoms in order of first occurrence and build the program.
 
         Each rule is (head or None, positive, negated, doubly-negated) over
-        atom names; `extra_atoms` forces additional table entries (e.g.
+        atoms; `extra_atoms` forces additional table entries (e.g.
         constraint atoms a caller wants in At even before denials mention
-        them).
+        them).  An atom is its name, or, with `name`, any key that `name`
+        maps to its name, called once per distinct key; keys with the same
+        name are one atom.
         """
-        index: Dict[str, int] = {}            # name -> id, in id order
+        index: Dict[Hashable, int] = {}       # key -> id, in id order
         out: List[RuleP] = []
         for head, pos, negs, nneg in rules:
             h = None if head is None else index.setdefault(head, len(index))
@@ -104,6 +111,18 @@ class RegularProgram:
             ))
         for a in extra_atoms:
             index.setdefault(a, len(index))
+        if name is not None:
+            names: Dict[str, int] = {}
+            ids = [names.setdefault(name(k), len(names)) for k in index]
+            if len(names) < len(index):
+                # merging atoms renumbers in order of first occurrence and
+                # may repeat an atom within a body part
+                def part(atoms):
+                    return tuple(dict.fromkeys([ids[a] for a in atoms]))
+                out = [RuleP(None if r.head is None else ids[r.head],
+                             part(r.pos), part(r.neg), part(r.nneg))
+                       for r in out]
+            index = names
         # ids come from the table and each body part is deduplicated, so
         # the checks of __init__ hold by construction
         prog = cls.__new__(cls)

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fd
 from .engine import SchemaConfig, solve_ca
-from .ground import CAProgram, DEFAULT_FD_RANGE, GroundError, ground_stages
-from .lang import EzSyntaxError, pretty_print
+from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError, display_atom,
+                     ground_stages)
+from .lang import Atom, EzSyntaxError, print_rule
 
 __all__ = ["main", "emit_clp", "bench", "RunReport", "format_model"]
 
@@ -290,15 +291,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _dump_ground_text(source: str, default_range) -> str:
-    from .ground import _restore_ops
-    from .lang import Atom, EzProgram, Rule
     expanded, program = ground_stages(source, default_range)
-    shown = EzProgram(tuple(
-        Rule(Atom("required", tuple(_restore_ops(t) for t in r.head.args)),
-             r.body, r.pos)
-        if isinstance(r.head, Atom) and r.head.rel == "required" else r
-        for r in expanded.rules))
-    lines = [pretty_print(shown).rstrip()]
+    # a required head is shown as in the constraint atoms' names
+    lines = [print_rule(r, display_atom(r.head))
+             if isinstance(r.head, Atom) and r.head.rel == "required"
+             else print_rule(r) for r in expanded.rules]
     names = program.pi.names
     if program.constraint_order:
         lines.append("% constraint atoms:")

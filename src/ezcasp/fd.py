@@ -246,8 +246,10 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
                    for i in range(n) for j in range(n))
     if name == "circuit":
         vs = _values(args[0], e)
+        if vs is None:
+            return False
         n = len(vs)
-        if vs is None or any(not 1 <= v <= n for v in vs) or len(set(vs)) != n:
+        if any(not 1 <= v <= n for v in vs) or len(set(vs)) != n:
             return False
         seen, cur = 1, vs[0]
         while cur != 1 and seen <= n:
@@ -1115,6 +1117,9 @@ def _filter_global(st: _Store, g: Global) -> None:
     elif name == "assignment":
         xs, ys = args
         n = len(xs)
+        if len(ys) != n:
+            st.failed = True                    # as `_sat_global` rejects it
+            return
         for v in xs + ys:
             if isinstance(v, VarRef):
                 st.intersect_range(v.name, 1, n)

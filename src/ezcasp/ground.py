@@ -11,13 +11,17 @@ possible-atom fixpoints re-instantiate a rule only when a relation it reads
 has grown; the ground rules come out in the order of the plain nested-loop
 instantiation (`_plan_rule`'s reference order).  Each ground atom is built
 and named once: a head once per binding of its variables in a rule run, a
-body literal once per binding of its own variables at emission, and each
-distinct atom is one object in the ground program.  `expand_lists` replaces
-intensional lists by their extensional representation, rebuilding only the
-terms that hold one; `to_ca_program` maps the ground program to a CA
-program: constraint-variable declarations, one constraint atom per distinct
-required-argument with its constraint expression, and the two linking
-denials per required atom.  `ground_stages` runs the whole pipeline.
+body literal once per binding of its own variables at emission.  `ground`
+returns a `GroundProgram`: the rules plus an atom table, in which each
+distinct atom is one object with an id in insertion order, entered under
+the canonical name the grounder computed.  `expand_lists` replaces
+intensional lists by their extensional representation, visiting only the
+rules whose required head holds one; `to_ca_program` maps the ground
+program to a CA program without naming a required-argument again:
+constraint-variable declarations, one constraint atom per distinct required
+atom with its constraint expression, and the two linking denials per
+required atom.  Display names come from one printer, `display_term`.
+`ground_stages` runs the whole pipeline.
 
 Safety: every variable of a rule must be bound by a positive non-builtin body
 atom or, transitively, by a `Var = arithmetic` built-in over bound variables.
@@ -30,20 +34,21 @@ Everything is a pure transformation over immutable inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from . import fd
 from .asp import RegularProgram
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
-    SourcePos, Term, Var, CMP_OPS, GLOBAL_CONSTRAINTS, display_op, parse,
-    preprocess,
+    SourcePos, Term, Var, CMP_OPS, GLOBAL_CONSTRAINTS, _print_term,
+    display_op, needs_parens, parse, preprocess,
 )
 
 __all__ = [
-    "GroundError", "VariableDecl", "CAProgram",
+    "GroundError", "GroundProgram", "VariableDecl", "CAProgram",
     "ground", "expand_lists", "collect_var_decls", "to_ca_program",
     "ground_program", "ground_stages", "canon_term", "canon_atom",
     "term_key", "display_term", "display_atom", "DEFAULT_FD_RANGE",
@@ -104,34 +109,50 @@ def canon_atom(a: Atom) -> str:
     return f"{a.rel}({','.join(canon_term(t) for t in a.args)})"
 
 
-def _restore_ops(t: Term) -> Term:
-    """Map canonical operator functors back to surface operators for display."""
+def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
+    """The display text of t, in one pass: canonical operator functors are
+    shown as surface operators, parenthesized as the parser reads them, and
+    `neg` of an integer as the negative integer.  Also returns the operator
+    of t if it is shown as a binary operation, and its value if it is shown
+    as an integer."""
+    if isinstance(t, Const):
+        v = t.value
+        return str(v), None, v if isinstance(v, int) else None
     if isinstance(t, Compound):
-        args = tuple(_restore_ops(a) for a in t.args)
-        if t.functor == "neg" and len(args) == 1:
-            if isinstance(args[0], Const) and isinstance(args[0].value, int):
-                return Const(-args[0].value)
-            return OpExpr("-", args)
-        if t.functor == "not" and len(args) == 1:
-            return OpExpr("!", args)
-        op = display_op(t.functor)
+        f, args = t.functor, t.args
+        op = display_op(f)
         if op is not None and len(args) == 2:
-            return OpExpr(op, args)
-        return Compound(t.functor, args)
+            lhs, lop, _ = _shown(args[0])
+            rhs, rop, _ = _shown(args[1])
+            if lop is not None and needs_parens(lop, op, "left"):
+                lhs = f"({lhs})"
+            if rop is not None and needs_parens(rop, op, "right"):
+                rhs = f"({rhs})"
+            return f"{lhs} {op} {rhs}", op, None
+        if len(args) == 1 and f in ("neg", "not"):
+            arg, aop, v = _shown(args[0])
+            if f == "neg" and v is not None:
+                return str(-v), None, -v
+            if aop is not None and needs_parens(aop, op, "right"):
+                arg = f"({arg})"
+            return op + arg, None, None
+        return f"{f}({','.join(_shown(a)[0] for a in args)})", None, None
     if isinstance(t, ListTerm):
-        return ListTerm(tuple(_restore_ops(a) for a in t.items))
-    return t
+        return f"[{','.join(_shown(a)[0] for a in t.items)}]", None, None
+    # no canonical functor is shown inside any other term
+    op = t.op if isinstance(t, OpExpr) and len(t.args) == 2 else None
+    return _print_term(t), op, None
 
 
 def display_term(t: Term) -> str:
-    from .lang import _print_term
-    return _print_term(_restore_ops(t))
+    """How a term is shown to users: as `_shown` prints it."""
+    return _shown(t)[0]
 
 
 def display_atom(a: Atom) -> str:
     if not a.args:
         return a.rel
-    return f"{a.rel}({','.join(display_term(t) for t in a.args)})"
+    return f"{a.rel}({','.join(_shown(t)[0] for t in a.args)})"
 
 
 def _is_ground(t: Term) -> bool:
@@ -308,6 +329,18 @@ def _has_op(t: Term) -> bool:
         return any(_has_op(a) for a in t.prefix)
     if isinstance(t, RangeTerm):
         return _has_op(t.lo) or _has_op(t.hi)
+    return False
+
+
+def _has_list(t: Term) -> bool:
+    """Whether t holds an intensional list where `expand_lists` looks: at
+    the top or inside compounds and lists."""
+    if isinstance(t, IntensionalList):
+        return True
+    if isinstance(t, Compound):
+        return any(_has_list(a) for a in t.args)
+    if isinstance(t, ListTerm):
+        return any(_has_list(a) for a in t.items)
     return False
 
 
@@ -751,8 +784,19 @@ class _RulePlan:
         self.seen: Optional[Tuple[int, ...]] = None
         self.head_vars = tuple(sorted(_atom_vars(rule.head))) \
             if isinstance(rule.head, Atom) else ()
+        self.required = isinstance(rule.head, Atom) and \
+            rule.head.rel == "required"
+        self.lists = self.required and any(_has_list(t)
+                                           for t in rule.head.args)
         self.instances: List[Tuple[Dict[str, Term],
                                    List[Tuple[Atom, str]]]] = []
+
+    def holds_list(self, env: Dict[str, Term]) -> bool:
+        """Whether the required head instance under env holds an
+        intensional list: the head does, or a variable is bound to a term
+        that does."""
+        return self.lists or self.required and any(
+            _has_list(env[v]) for v in self.head_vars)
 
     def dirty(self) -> bool:
         """Whether a table this rule reads gained atoms since its last run
@@ -898,7 +942,78 @@ def _compute_facts(p: EzProgram, state: _GroundState,
     return definite
 
 
-def ground(p: EzProgram) -> EzProgram:
+_KINDS = ("pos", "not", "notnot")          # body literal kinds, by code
+
+
+@dataclass(frozen=True)
+class GroundProgram(EzProgram):
+    """A ground program with its atom table, as `ground` emits it.
+
+    `atoms` lists the distinct atoms in order of insertion, an atom's id
+    being its position, and `index` maps the canonical name of each to its
+    id.  Every atom in `rules` is the table's object for its name, so an
+    atom's identity is its key.  `lists` holds the index of each rule whose
+    required head holds an intensional list.  Programs compare by their
+    rules, as any `EzProgram`."""
+    atoms: Tuple[Atom, ...] = field(compare=False)
+    index: Dict[str, int] = field(compare=False)
+    lists: Tuple[int, ...] = field(compare=False)
+
+    @classmethod
+    def of(cls, p: EzProgram) -> "GroundProgram":
+        """A ground program built by hand, with its atom table; each atom is
+        named by `canon_atom`, and its rules are rebuilt over the table's
+        atoms."""
+        out = _Emitter()
+
+        def atom(a: Atom) -> Atom:
+            return out.atoms[out.atom(a, canon_atom(a))]
+
+        for r in p.rules:
+            head = r.head
+            if isinstance(head, Atom):
+                head = atom(head)
+            elif isinstance(head, Choice):
+                head = Choice(head.lower, tuple(
+                    ChoiceElem(atom(e.atom), e.conds) for e in head.elems),
+                    head.upper)
+            body = tuple(Lit(b.kind, atom(b.atom)) if isinstance(b, Lit)
+                         else b for b in r.body)
+            out.rule(Rule(head, body, r.pos),
+                     isinstance(head, Atom) and head.rel == "required"
+                     and any(_has_list(t) for t in head.args))
+        return out.program()
+
+
+class _Emitter:
+    """Collects the rules of a `GroundProgram` and its atom table."""
+
+    def __init__(self) -> None:
+        self.atoms: List[Atom] = []
+        self.index: Dict[str, int] = {}
+        self.rules: List[Rule] = []
+        self.lists: List[int] = []
+
+    def atom(self, a: Atom, name: str) -> int:
+        """The id of the atom with canonical name `name`; a new atom is
+        entered as `a`."""
+        i = self.index.get(name)
+        if i is None:
+            i = self.index[name] = len(self.atoms)
+            self.atoms.append(a)
+        return i
+
+    def rule(self, r: Rule, holds_list: bool) -> None:
+        if holds_list:
+            self.lists.append(len(self.rules))
+        self.rules.append(r)
+
+    def program(self) -> GroundProgram:
+        return GroundProgram(tuple(self.rules), tuple(self.atoms),
+                             self.index, tuple(self.lists))
+
+
+def ground(p: EzProgram) -> GroundProgram:
     """Bottom-up instantiation with indexed joins; built-ins evaluated and
     eliminated.
 
@@ -911,9 +1026,11 @@ def ground(p: EzProgram) -> EzProgram:
     (and by non-factual atoms only where they bind otherwise-unbound
     variables); emitted rules keep their instantiated bodies intact.  Output
     rules contain only ground atoms and ground not/not-not literals, one
-    object per distinct atom; choice heads keep their (now integer) bounds
-    with expanded elements.  Intensional lists are left untouched (see
-    expand_lists).
+    object per distinct atom, which is entered in the atom table under its
+    canonical name; choice heads keep their (now integer) bounds with
+    expanded elements.  Intensional lists are left untouched (see
+    expand_lists); the program lists the rules whose required head holds
+    one, from the rule's head or the terms its variables are bound to.
     """
     _reject_required_in_bodies(p)
     domain_rels = _domain_relations(p)
@@ -950,42 +1067,43 @@ def ground(p: EzProgram) -> EzProgram:
 
     # emission: each rule's last run saw the final tables.  A body literal
     # is built and named once per binding of its own variables, and each
-    # distinct ground atom is one object in the output.
-    out: List[Rule] = []
-    seen: Set[str] = set()
-    atoms: Dict[str, Atom] = {}
+    # distinct ground atom is one object in the output and one table entry.
+    out = _Emitter()
+    seen: Set[tuple] = set()
     for rp in plans:
         rule = rp.rule
-        lits = [(b, tuple(sorted(_atom_vars(b.atom))), {})
+        lits = [(b.kind, _KINDS.index(b.kind), b.atom,
+                 tuple(sorted(_atom_vars(b.atom))), {})
                 for b in rule.body if isinstance(b, Lit)]
         for env, insts in rp.instances:
             body: List[Lit] = []
-            keys: List[str] = []
-            for b, names, memo in lits:
+            keys: List[int] = []
+            for kind, code, atom, names, memo in lits:
                 binding = tuple(map(env.get, names))
                 built = memo.get(binding)
                 if built is None:
-                    a = Atom(b.atom.rel, tuple(_eval_term(t, rule.pos, env)
-                                               for t in b.atom.args))
-                    c = canon_atom(a)
-                    built = memo[binding] = (
-                        Lit(b.kind, atoms.setdefault(c, a)), f"{b.kind}:{c}")
+                    a = Atom(atom.rel, tuple(_eval_term(t, rule.pos, env)
+                                             for t in atom.args))
+                    i = out.atom(a, canon_atom(a))
+                    built = memo[binding] = (Lit(kind, out.atoms[i]),
+                                             3 * i + code)
                 body.append(built[0])
                 keys.append(built[1])
-            heads: List[Tuple[Union[None, Atom, Choice], str]] = []
+            # (head, key telling it apart)
+            heads: List[Tuple[Union[None, Atom, Choice], object]] = []
             if rule.head is None:
-                heads.append((None, ""))
+                heads.append((None, None))
             elif isinstance(rule.head, Atom):
-                heads.extend((atoms.setdefault(c, inst), c)
-                             for inst, c in insts)
+                for inst, c in insts:
+                    i = out.atom(inst, c)
+                    heads.append((out.atoms[i], i))
             else:
                 ch = rule.head
-                elems: List[ChoiceElem] = []
-                added: Set[str] = set()
+                elems: Dict[int, ChoiceElem] = {}
                 for inst, c in insts:
-                    if c not in added:
-                        added.add(c)
-                        elems.append(ChoiceElem(atoms.setdefault(c, inst), ()))
+                    i = out.atom(inst, c)
+                    if i not in elems:
+                        elems[i] = ChoiceElem(out.atoms[i], ())
                 lower = None if ch.lower is None else \
                     Const(_int_of(_subst(ch.lower, env), "choice bound",
                                   rule.pos))
@@ -996,21 +1114,20 @@ def ground(p: EzProgram) -> EzProgram:
                         lower.value > upper.value:
                     raise GroundError("choice bounds violate lower <= upper",
                                       rule.pos)
-                lo = "" if lower is None else canon_term(lower)
-                hi = "" if upper is None else canon_term(upper)
-                heads.append((Choice(lower, tuple(elems), upper),
-                              lo + "{" + ";".join(sorted(added)) + "}" + hi))
+                heads.append((Choice(lower, tuple(elems.values()), upper),
+                              (lower, frozenset(elems), upper)))
             if not heads:
                 continue
-            # rules are told apart by canonical text, source position aside
-            body_key = ",".join(keys)
+            # rules are told apart by their atoms, source position aside
+            body_key = tuple(keys)
             ground_body = tuple(body)
-            for h, hc in heads:
-                key = hc + ":-" + body_key
+            holds_list = rp.holds_list(env)
+            for h, hk in heads:
+                key = (hk, body_key)
                 if key not in seen:
                     seen.add(key)
-                    out.append(Rule(h, ground_body, rule.pos))
-    return EzProgram(tuple(out))
+                    out.rule(Rule(h, ground_body, rule.pos), holds_list)
+    return out.program()
 
 
 # ---------------------------------------------------------------------------
@@ -1062,16 +1179,21 @@ def collect_var_decls(p: EzProgram) -> List[VariableDecl]:
     return decls
 
 
-def expand_lists(p: EzProgram, decls: Sequence[VariableDecl]
-                 ) -> Tuple[EzProgram, List[str]]:
+def expand_lists(p: GroundProgram, decls: Sequence[VariableDecl]
+                 ) -> Tuple[GroundProgram, List[str]]:
     """Replace intensional lists in required-arguments by extensional lists.
 
     ``[f(t..)/k]`` over variables expands to the lexicographically ordered
     declared variables with functor f, arity k and the given prefix;
     ``[r(t..)/k]`` over a relation expands to the k-th arguments of the
-    matching facts in lexicographic fact order.  Returns the rewritten
-    program and a list of warnings for empty expansions.
+    matching facts in lexicographic fact order.  Only the rules in
+    `p.lists` are visited; each expanded required atom is named and
+    entered in a copy of the atom table, and every other rule object is
+    kept.  Returns the rewritten program (`p` itself when no rule holds a
+    list) and a list of warnings for empty expansions.
     """
+    if not p.lists:
+        return p, []
     var_terms = [d.var_term for d in decls]
     var_functors = {(t.functor, len(t.args)) for t in var_terms
                     if isinstance(t, Compound)}
@@ -1140,16 +1262,18 @@ def expand_lists(p: EzProgram, decls: Sequence[VariableDecl]
         out = tuple(lam(a, pos) for a in ts)
         return ts if all(x is y for x, y in zip(out, ts)) else out
 
-    # only the rules whose required-argument holds a list are rebuilt
-    out: List[Rule] = []
-    for r in p.rules:
-        head = r.head
-        if isinstance(head, Atom) and head.rel == "required":
-            args = lam_all(head.args, r.pos)
-            if args is not head.args:
-                r = Rule(Atom("required", args), r.body, r.pos)
-        out.append(r)
-    return EzProgram(tuple(out)), warnings
+    rules = list(p.rules)
+    atoms, index = list(p.atoms), dict(p.index)
+    for k in p.lists:
+        r = rules[k]
+        args = lam_all(r.head.args, r.pos)
+        if args is not r.head.args:
+            a = Atom("required", args)
+            i = index.setdefault(canon_atom(a), len(atoms))
+            if i == len(atoms):
+                atoms.append(a)
+            rules[k] = Rule(atoms[i], r.body, r.pos)
+    return GroundProgram(tuple(rules), tuple(atoms), index, ()), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -1230,9 +1354,10 @@ class CAProgram:
                 f"D={self.domain[0]}..{self.domain[1]})")
 
 
-def _build_constraint_expr(t: Term, declared: Set[str],
+def _build_constraint_expr(t: Term, declared: Dict[Term, "fd.VarRef"],
                            pos: Optional[SourcePos]):
-    """Map a ground required-argument term to a constraint expression."""
+    """Map a ground required-argument term to a constraint expression;
+    `declared` maps each declared variable term to its reference."""
 
     def arith(x: Term):
         if isinstance(x, Const) and isinstance(x.value, int):
@@ -1242,9 +1367,9 @@ def _build_constraint_expr(t: Term, declared: Set[str],
             if len(x.args) != n:
                 raise GroundError(f"arity error in {x.functor}", pos)
             return fd.Arith(x.functor, tuple(arith(a) for a in x.args))
-        name = canon_term(x)
-        if name in declared:
-            return fd.VarRef(name)
+        ref = declared.get(x)
+        if ref is not None:
+            return ref
         raise GroundError(
             f"required-argument references undeclared constraint variable "
             f"{display_term(x)}", pos)
@@ -1295,8 +1420,14 @@ def _build_constraint_expr(t: Term, declared: Set[str],
                     return fd.Global(f, (scalar(a[0]), var_list(a[1]),
                                          cmp_name(a[2]), scalar(a[3])))
                 if f == "cumulative":
+                    ress = int_list(a[2])
+                    if any(r < 0 for r in ress):
+                        # fd's compulsory-part profile counts use only up
+                        raise GroundError(
+                            f"cumulative resources must be nonnegative, "
+                            f"got {min(ress)}", pos)
                     return fd.Global(f, (var_list(a[0]), int_list(a[1]),
-                                         int_list(a[2]), scalar(a[3])))
+                                         ress, scalar(a[3])))
                 if f == "disjoint2":
                     return fd.Global(f, (var_list(a[0]), int_list(a[1]),
                                          var_list(a[2]), int_list(a[3])))
@@ -1321,12 +1452,21 @@ def _build_constraint_expr(t: Term, declared: Set[str],
     return build(t)
 
 
-def to_ca_program(p: EzProgram, decls: Sequence[VariableDecl],
+def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
                   default_range: Tuple[int, int] = DEFAULT_FD_RANGE
                   ) -> CAProgram:
-    """Translate a ground, list-expanded program into a CA program."""
+    """Translate a ground, list-expanded program into a CA program.
+
+    The atoms are keyed by identity, which the program's table makes one
+    object per canonical name: a required atom's key is its constraint
+    atom's key, so no required-argument is named again.  The propositional
+    rules are built over the keys, and `RegularProgram.build` numbers the
+    atoms in order of first occurrence and names each once, with
+    `display_atom`."""
     domain_args = []
     has_reserved = False
+    # the key of each distinct required atom, with its first rule
+    required: Dict[int, Rule] = {}
     for r in p.rules:
         heads = [r.head] if isinstance(r.head, Atom) else \
             [e.atom for e in r.head.elems] if isinstance(r.head, Choice) else []
@@ -1337,9 +1477,11 @@ def to_ca_program(p: EzProgram, decls: Sequence[VariableDecl],
                 if not r.is_fact:
                     raise GroundError("cspdomain must be a fact", r.pos)
                 domain_args.append((h.args[0], r.pos))
-            if h.rel == "required" and isinstance(r.head, Choice):
-                raise GroundError("required not allowed in choice heads",
-                                  r.pos)
+            if h.rel == "required":
+                if isinstance(r.head, Choice):
+                    raise GroundError("required not allowed in choice heads",
+                                      r.pos)
+                required.setdefault(id(h), r)
         for b in r.body:
             if isinstance(b, Lit):
                 if b.atom.rel == "required":
@@ -1361,104 +1503,84 @@ def to_ca_program(p: EzProgram, decls: Sequence[VariableDecl],
             raise GroundError(f"unsupported domain {arg.value!r} "
                               f"(only fd is supported)", dpos)
 
-    declared = {d.var for d in decls}
-    decl_atoms = {d.atom for d in decls}
-
     # constraint alphabet: one atom per distinct required-argument
-    required_terms: Dict[str, Term] = {}
-    required_key: Dict[int, str] = {}     # rule index -> its argument's key
-    for i, r in enumerate(p.rules):
-        if isinstance(r.head, Atom) and r.head.rel == "required":
-            beta = r.head.args[0]
-            if not _is_ground(beta):
-                raise GroundError("required-argument not ground", r.pos)
-            if isinstance(beta, IntensionalList):
-                raise GroundError("unexpanded intensional list", r.pos)
-            key = required_key[i] = canon_term(beta)
-            required_terms.setdefault(key, beta)
+    for r in required.values():
+        if isinstance(r.head.args[0], IntensionalList):
+            raise GroundError("unexpanded intensional list", r.pos)
+    declared = {d.var_term: fd.VarRef(d.var) for d in decls}
+    gamma: Dict[int, object] = {}
+    shown: Dict[int, str] = {}            # required-argument display names
+    for key, r in required.items():
+        beta = r.head.args[0]
+        gamma[key] = _build_constraint_expr(beta, declared, None)
+        shown[key] = display_term(beta)
 
-    gamma: Dict[str, object] = {}
-    beta_name: Dict[str, str] = {}
-    req_name: Dict[str, str] = {}
-    for key, beta in required_terms.items():
-        gamma_expr = _build_constraint_expr(beta, declared, None)
-        disp = display_term(beta)
-        beta_name[key] = f"|{disp}|"
-        req_name[key] = f"required({disp})"
-        gamma[beta_name[key]] = gamma_expr
+    atoms = {id(a): a for a in p.atoms}
 
-    # propositional rules
-    proto: List[Tuple[Optional[str], List[str], List[str], List[str]]] = []
+    def name(key: int) -> str:
+        if key < 0:
+            return f"|{shown[~key]}|"
+        if key in shown:
+            return f"required({shown[key]})"
+        return display_atom(atoms[key])
 
-    # Each atom object is named once.  The cache is keyed by identity,
-    # which `ground` makes one object per distinct atom, and which stays
-    # unique while `p` holds every atom; required atoms occur only in heads.
-    names: Dict[int, str] = {}
+    # constraint and ez atoms live in reserved name spaces (|..| and
+    # required(..)), so the three alphabets are disjoint by construction
+    pi = RegularProgram.build(_proto_rules(p.rules, required), name=name)
 
-    def atom_name(a: Atom) -> str:
-        name = names.get(id(a))
-        if name is None:
-            name = names[id(a)] = display_atom(a)
-        return name
+    # a declaration atom that never materialized in a rule is always active
+    ca_decls = [CADecl(pi.index.get(d.atom), d.var, d.lo, d.hi)
+                for d in decls]
+    betas = [f"|{shown[k]}|" for k in required]
+    return CAProgram(pi, betas,
+                     {b: gamma[k] for b, k in zip(betas, required)},
+                     domain=default_range,
+                     var_decls=ca_decls, suppressed=frozenset(betas))
 
-    for i, r in enumerate(p.rules):
-        pos_b: List[str] = []
-        neg_b: List[str] = []
-        nn_b: List[str] = []
+
+def _proto_rules(rules: Sequence[Rule], required: Iterable[int]
+                 ) -> Iterator[Tuple[Optional[int], List[int], List[int],
+                                     List[int]]]:
+    """The propositional rules of a CA program over atom keys, for
+    `RegularProgram.build`: each rule, a choice rule as one rule per element
+    and the denials of its bounds, then the two linking denials of each
+    required atom key k, whose constraint atom has the key ~k.  A rule's
+    lists are built only when it is taken."""
+    for r in rules:
+        pos_b: List[int] = []
+        neg_b: List[int] = []
+        nn_b: List[int] = []
         for b in r.body:
             if isinstance(b, Lit):
                 (pos_b if b.kind == "pos" else
-                 neg_b if b.kind == "not" else nn_b).append(atom_name(b.atom))
+                 neg_b if b.kind == "not" else nn_b).append(id(b.atom))
         if r.head is None:
-            proto.append((None, pos_b, neg_b, nn_b))
+            yield None, pos_b, neg_b, nn_b
         elif isinstance(r.head, Atom):
-            head = req_name[required_key[i]] if i in required_key else \
-                atom_name(r.head)
-            proto.append((head, pos_b, neg_b, nn_b))
+            yield id(r.head), pos_b, neg_b, nn_b
         else:
             ch = r.head
-            elems = [atom_name(e.atom) for e in ch.elems]
+            elems = [id(e.atom) for e in ch.elems]
             for e in elems:
-                proto.append((e, pos_b, neg_b, nn_b + [e]))
+                yield e, pos_b, neg_b, nn_b + [e]
             n = len(elems)
             lo = None if ch.lower is None else ch.lower.value
             hi = None if ch.upper is None else ch.upper.value
             if lo is not None and lo > 0:
                 k = n - lo + 1
                 if k <= 0:
-                    proto.append((None, pos_b, neg_b, nn_b))
+                    yield None, pos_b, neg_b, nn_b
                 else:
                     _check_combos(n, k, r.pos)
                     for subset in itertools.combinations(elems, k):
-                        proto.append((None, pos_b, neg_b + list(subset), nn_b))
+                        yield None, pos_b, neg_b + list(subset), nn_b
             if hi is not None and hi < n:
                 _check_combos(n, hi + 1, r.pos)
                 for subset in itertools.combinations(elems, hi + 1):
-                    proto.append((None, pos_b + list(subset), neg_b, nn_b))
-
-    # linking denials per required atom
-    for key in required_terms:
-        proto.append((None, [req_name[key]], [beta_name[key]], []))
-        proto.append((None, [beta_name[key]], [req_name[key]], []))
-
-    # constraint and ez atoms live in reserved name spaces (|..| and
-    # required(..)), so the three alphabets are disjoint by construction
-    pi = RegularProgram.build(proto)
-
-    ca_decls = []
-    for d in decls:
-        atom_id = pi.index.get(d.atom)
-        if atom_id is None:
-            # declaration atom never materialized in a rule; always active
-            atom_id = None
-        ca_decls.append(CADecl(atom_id, d.var, d.lo, d.hi))
-
-    suppressed = frozenset(beta_name.values())
-    return CAProgram(pi, list(beta_name[k] for k in required_terms),
-                     {beta_name[k]: gamma[beta_name[k]]
-                      for k in required_terms},
-                     domain=default_range,
-                     var_decls=ca_decls, suppressed=suppressed)
+                    yield None, pos_b + list(subset), neg_b, nn_b
+    for k in required:
+        yield None, [k], [~k], []
+        yield None, [~k], [k], []
 
 
 def _check_combos(n: int, k: int, pos: Optional[SourcePos]) -> None:

@@ -24,7 +24,7 @@ __all__ = [
     "Atom", "Lit", "BuiltinLit", "AggItem", "AggregateLit", "BodyElement",
     "ChoiceElem", "Choice", "Rule", "EzProgram",
     "EzSyntaxError", "SourcePos",
-    "parse", "preprocess", "pretty_print",
+    "parse", "preprocess", "pretty_print", "print_rule", "needs_parens",
     "CMP_OPS", "ARITH_OPS", "LOGIC_OPS", "CANON_FUNCTORS",
     "canonical_functor", "display_op", "GLOBAL_CONSTRAINTS",
     "RESERVED_RELATIONS",
@@ -699,17 +699,20 @@ def _op_level(op: str) -> int:
 _RIGHT_ASSOC = frozenset({"->", "<-"})
 
 
+def needs_parens(child_op: str, parent_op: str, side: str) -> bool:
+    """Whether an operand that is a binary `child_op` expression needs
+    parentheses on the given side ('left' or 'right') of `parent_op`."""
+    child, parent = _op_level(child_op), _op_level(parent_op)
+    if child == parent:
+        return side != ("right" if parent_op in _RIGHT_ASSOC else "left")
+    return child < parent
+
+
 def _print_paren(t: Term, parent_op: str, side: str) -> str:
     s = _print_term(t)
-    if not (isinstance(t, OpExpr) and len(t.args) == 2):
-        return s
-    child, parent = _op_level(t.op), _op_level(parent_op)
-    if child < parent:
+    if isinstance(t, OpExpr) and len(t.args) == 2 and \
+            needs_parens(t.op, parent_op, side):
         return f"({s})"
-    if child == parent:
-        assoc_side = "right" if parent_op in _RIGHT_ASSOC else "left"
-        if side != assoc_side:
-            return f"({s})"
     return s
 
 
@@ -740,10 +743,12 @@ def _print_body_element(b: BodyElement) -> str:
     raise TypeError(f"not a body element: {b!r}")
 
 
-def _print_rule(r: Rule) -> str:
+def print_rule(r: Rule, head: Optional[str] = None) -> str:
+    """Render one rule as EZ text; `head`, when given, is printed in place
+    of its atom head."""
     parts = []
     if isinstance(r.head, Atom):
-        parts.append(_print_atom(r.head))
+        parts.append(_print_atom(r.head) if head is None else head)
     elif isinstance(r.head, Choice):
         elems = "; ".join(
             _print_atom(e.atom) + "".join(f" : {_print_atom(c)}" for c in e.conds)
@@ -763,4 +768,4 @@ def _print_rule(r: Rule) -> str:
 
 def pretty_print(p: EzProgram) -> str:
     """Render a program as re-parseable EZ text (round-trips through parse)."""
-    return "\n".join(_print_rule(r) for r in p.rules) + ("\n" if p.rules else "")
+    return "\n".join(print_rule(r) for r in p.rules) + ("\n" if p.rules else "")

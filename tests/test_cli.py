@@ -319,3 +319,30 @@ def test_dump_ground_matches_snapshot(capsys, source):
     code, out, _ = run_cli(capsys, source, "--dump-ground")
     assert code == 0
     assert out == (DUMP_GROUND / f"{source.stem}.txt").read_text()
+
+
+@pytest.mark.parametrize("constraint", [
+    "assignment([x,y],[z])",      # lists of different lengths
+    "circuit([x,1/0])",           # an undefined item
+])
+def test_global_edge_cases_match_oracle(tmp_path, capsys, constraint):
+    f = tmp_path / "g.ez"
+    f.write_text("cspdomain(fd). cspvar(x,1,2). cspvar(y,1,2). "
+                 f"cspvar(z,1,2). required({constraint}).")
+    solved = run_cli(capsys, f, "-n", "0")
+    assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
+    assert solved == (EXIT_UNSAT, "UNSAT\n", "")
+
+
+def test_negative_cumulative_resource_is_rejected(tmp_path, capsys):
+    # x=y=0 would be a solution, but fd's cumulative filter assumes
+    # nonnegative use, so the grounder rejects the constraint
+    f = tmp_path / "c.ez"
+    f.write_text("cspdomain(fd). cspvar(x,0,0). cspvar(y,0,1). "
+                 "required(cumulative([x,y],[2,2],[2,-2],0)).")
+    solved = run_cli(capsys, f, "-n", "0")
+    assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
+    code, out, err = solved
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {f}: cumulative resources must be nonnegative, " \
+        "got -2\n"

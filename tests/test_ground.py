@@ -4,8 +4,8 @@ import pathlib
 import pytest
 
 from ezcasp import fd
-from ezcasp.ground import (GroundError, VariableDecl, canon_atom,
-                           canon_term, display_atom, display_term,
+from ezcasp.ground import (GroundError, GroundProgram, VariableDecl,
+                           canon_atom, canon_term, display_atom, display_term,
                            expand_lists, ground, ground_program, term_key)
 from ezcasp.lang import (Atom, Compound, Const, EzProgram, IntensionalList,
                          Lit, ListTerm, Rule, parse, preprocess)
@@ -264,7 +264,7 @@ def test_lambda_v_prefix_expansion():
                    Compound("w", (Const("b"), Const(1))))
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("w", (Const("a"),), 2),)),)), ()))
-    out, warnings = expand_lists(prog, decls)
+    out, warnings = expand_lists(GroundProgram.of(prog), decls)
     arg = out.rules[0].head.args[0].args[0]
     assert arg == ListTerm((Compound("w", (Const("a"), Const(1))),
                             Compound("w", (Const("a"), Const(2)))))
@@ -272,7 +272,7 @@ def test_lambda_v_prefix_expansion():
     # [v/1] expands to all three v variables in lexicographic order
     prog2 = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("v", (), 1),)),)), ()))
-    out2, _ = expand_lists(prog2, decls)
+    out2, _ = expand_lists(GroundProgram.of(prog2), decls)
     assert out2.rules[0].head.args[0].args[0] == ListTerm(
         (Compound("v", (Const(1),)), Compound("v", (Const(2),)),
          Compound("v", (Const(3),))))
@@ -281,7 +281,7 @@ def test_lambda_v_prefix_expansion():
 def test_lambda_r_expansion():
     prog = preprocess(parse(
         "rpp(a,3). rpp(b,1). rpp(c,2). required(sum([rpp/2], =<, 9))."))
-    out, _ = expand_lists(prog, [])
+    out, _ = expand_lists(GroundProgram.of(prog), [])
     assert out.rules[-1].head.args[0].args[0] == ListTerm(
         (Const(3), Const(1), Const(2)))
 
@@ -291,7 +291,7 @@ def test_lambda_r_prefix_expansion():
         "rp(a,1,3). rp(a,2,1). rp(b,5,7)."
         "required(sum([rp(a,2)/3], =<, 9))."
         "required(sum([rp(a)/3], =<, 9))."))
-    out, _ = expand_lists(prog, [])
+    out, _ = expand_lists(GroundProgram.of(prog), [])
     assert out.rules[-2].head.args[0].args[0] == ListTerm((Const(1),))
     assert out.rules[-1].head.args[0].args[0] == ListTerm((Const(3), Const(1)))
 
@@ -301,7 +301,7 @@ def test_lambda_empty_expansion_warns():
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("v", (Const(9),), 1),)),)), ()))
     decls = _decls(Compound("v", (Const(1),)), Compound("v", (Const(2),)))
-    out, warnings = expand_lists(prog, decls)
+    out, warnings = expand_lists(GroundProgram.of(prog), decls)
     assert out.rules[0].head.args[0].args[0] == ListTerm(())
     assert warnings and "empty expansion" in warnings[0]
 
@@ -310,7 +310,7 @@ def test_lambda_unknown_name_rejected():
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("nosuch", (), 1),)),)), ()))
     with pytest.raises(GroundError) as e:
-        expand_lists(prog, [])
+        expand_lists(GroundProgram.of(prog), [])
     assert "undeclared" in str(e.value)
 
 
@@ -327,10 +327,62 @@ def test_expansion_outputs_are_sorted():
     terms = [Compound("v", (Const(i),)) for i in rng.sample(range(20), 8)]
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("v", (), 1),)),)), ()))
-    out, _ = expand_lists(prog, _decls(*terms))
+    out, _ = expand_lists(GroundProgram.of(prog), _decls(*terms))
     items = out.rules[0].head.args[0].args[0].items
     keys = [term_key(t) for t in items]
     assert keys == sorted(keys)
+
+
+def _subterms(t):
+    yield t
+    for a in getattr(t, "args", getattr(t, "items", ())):
+        yield from _subterms(a)
+
+
+def test_list_free_translation_walks_no_required_argument(monkeypatch):
+    # the grounder has named every atom: list expansion keeps every rule
+    # object, and translation neither names nor checks a required-argument
+    # or any of its compound subterms again (constants are shared with the
+    # declarations, whose variables are named)
+    from ezcasp import ground as ground_mod
+    g = _ground_text(RIDDLE_EZ)
+    decls = ground_mod.collect_var_decls(g)
+    out, warnings = expand_lists(g, decls)
+    assert len(out.rules) == len(g.rules) and not warnings
+    assert all(r is s for r, s in zip(out.rules, g.rules))
+    walked = {id(t) for r in g.rules
+              if isinstance(r.head, Atom) and r.head.rel == "required"
+              for t in _subterms(r.head.args[0])
+              if not isinstance(t, Const)}
+    assert walked
+    calls = []
+    for fn in ("canon_term", "_is_ground"):
+        orig = getattr(ground_mod, fn)
+        monkeypatch.setattr(ground_mod, fn,
+                            lambda t, _f=orig: calls.append(id(t)) or _f(t))
+    P = ground_mod.to_ca_program(out, decls)
+    assert len(P.constraint_order) == 8
+    assert not walked & set(calls)
+
+
+def test_expand_lists_rebuilds_only_the_rules_with_lists():
+    g = _ground_text("cspdomain(fd). cspvar(v(1),0,3). cspvar(v(2),0,3). "
+                     "p([v/1]). required(v(1) > 0). "
+                     "required(all_different([v/1])). "
+                     "required(all_different(X)) :- p(X).")
+    assert len(g.lists) == 2
+    out, _ = expand_lists(g, [d for d in _decls(
+        Compound("v", (Const(1),)), Compound("v", (Const(2),)))])
+    changed = [i for i, (r, s) in enumerate(zip(out.rules, g.rules))
+               if r is not s]
+    assert changed == list(g.lists)
+    expanded = ListTerm((Compound("v", (Const(1),)),
+                         Compound("v", (Const(2),))))
+    # both rules now have the one table atom as their head
+    heads = [out.rules[i].head for i in changed]
+    assert heads[0] is heads[1]
+    assert heads[0] == Atom("required", (Compound("all_different",
+                                                  (expanded,)),))
 
 
 # -- CA construction -------------------------------------------------------------
