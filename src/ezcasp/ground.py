@@ -43,7 +43,8 @@ from .asp import RegularProgram
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
-    SourcePos, Term, Var, CMP_OPS, GLOBAL_CONSTRAINTS, _print_term,
+    SourcePos, Term, Var, CANON_FUNCTORS, CMP_OPS, GLOBAL_CONSTRAINTS,
+    _print_term,
     display_op, needs_parens, parse, preprocess,
 )
 
@@ -92,9 +93,9 @@ def canon_term(t: Term) -> str:
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Compound):
-        return f"{t.functor}({','.join(canon_term(a) for a in t.args)})"
+        return f"{t.functor}({','.join([canon_term(a) for a in t.args])})"
     if isinstance(t, ListTerm):
-        return f"[{','.join(canon_term(a) for a in t.items)}]"
+        return f"[{','.join([canon_term(a) for a in t.items])}]"
     if isinstance(t, IntensionalList):
         inner = t.name
         if t.prefix:
@@ -106,7 +107,10 @@ def canon_term(t: Term) -> str:
 def canon_atom(a: Atom) -> str:
     if not a.args:
         return a.rel
-    return f"{a.rel}({','.join(canon_term(t) for t in a.args)})"
+    return f"{a.rel}({','.join([canon_term(t) for t in a.args])})"
+
+
+_SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}
 
 
 def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
@@ -120,7 +124,7 @@ def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
         return str(v), None, v if isinstance(v, int) else None
     if isinstance(t, Compound):
         f, args = t.functor, t.args
-        op = display_op(f)
+        op = _SHOWN_OPS.get(f)
         if op is not None and len(args) == 2:
             lhs, lop, _ = _shown(args[0])
             rhs, rop, _ = _shown(args[1])
@@ -136,9 +140,9 @@ def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
             if aop is not None and needs_parens(aop, op, "right"):
                 arg = f"({arg})"
             return op + arg, None, None
-        return f"{f}({','.join(_shown(a)[0] for a in args)})", None, None
+        return f"{f}({','.join([_shown(a)[0] for a in args])})", None, None
     if isinstance(t, ListTerm):
-        return f"[{','.join(_shown(a)[0] for a in t.items)}]", None, None
+        return f"[{','.join([_shown(a)[0] for a in t.items])}]", None, None
     # no canonical functor is shown inside any other term
     op = t.op if isinstance(t, OpExpr) and len(t.args) == 2 else None
     return _print_term(t), op, None
@@ -152,7 +156,7 @@ def display_term(t: Term) -> str:
 def display_atom(a: Atom) -> str:
     if not a.args:
         return a.rel
-    return f"{a.rel}({','.join(_shown(t)[0] for t in a.args)})"
+    return f"{a.rel}({','.join([_shown(t)[0] for t in a.args])})"
 
 
 def _is_ground(t: Term) -> bool:
@@ -221,9 +225,9 @@ def _eval_term(t: Term, pos: Optional[SourcePos] = None,
         raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
     if isinstance(t, Compound):
         return Compound(t.functor,
-                        tuple(_eval_term(a, pos, env) for a in t.args))
+                        tuple([_eval_term(a, pos, env) for a in t.args]))
     if isinstance(t, ListTerm):
-        return ListTerm(tuple(_eval_term(a, pos, env) for a in t.items))
+        return ListTerm(tuple([_eval_term(a, pos, env) for a in t.items]))
     if isinstance(t, IntensionalList):
         return IntensionalList(
             t.name, tuple(_eval_term(a, pos, env) for a in t.prefix),

@@ -16,6 +16,7 @@ pretty_print may be called concurrently from any number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 __all__ = [
@@ -699,6 +700,7 @@ def _op_level(op: str) -> int:
 _RIGHT_ASSOC = frozenset({"->", "<-"})
 
 
+@lru_cache(maxsize=None)
 def needs_parens(child_op: str, parent_op: str, side: str) -> bool:
     """Whether an operand that is a binary `child_op` expression needs
     parentheses on the given side ('left' or 'right') of `parent_op`."""
