@@ -44,8 +44,7 @@ from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
     SourcePos, Term, Var, CANON_FUNCTORS, CMP_OPS, GLOBAL_CONSTRAINTS,
-    _print_term,
-    display_op, needs_parens, parse, preprocess,
+    _print_term, display_op, needs_parens, parse, preprocess,
 )
 
 __all__ = [
@@ -110,7 +109,7 @@ def canon_atom(a: Atom) -> str:
     return f"{a.rel}({','.join([canon_term(t) for t in a.args])})"
 
 
-_SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}
+_SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}   # read per node
 
 
 def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
@@ -346,6 +345,13 @@ def _has_list(t: Term) -> bool:
     if isinstance(t, ListTerm):
         return any(_has_list(a) for a in t.items)
     return False
+
+
+def _holds_list(head) -> bool:
+    """Whether a rule head is a required atom that holds an intensional
+    list."""
+    return isinstance(head, Atom) and head.rel == "required" and \
+        any(_has_list(t) for t in head.args)
 
 
 def _matchable(t: Term) -> bool:
@@ -790,8 +796,7 @@ class _RulePlan:
             if isinstance(rule.head, Atom) else ()
         self.required = isinstance(rule.head, Atom) and \
             rule.head.rel == "required"
-        self.lists = self.required and any(_has_list(t)
-                                           for t in rule.head.args)
+        self.lists = _holds_list(rule.head)
         self.instances: List[Tuple[Dict[str, Term],
                                    List[Tuple[Atom, str]]]] = []
 
@@ -983,9 +988,7 @@ class GroundProgram(EzProgram):
                     head.upper)
             body = tuple(Lit(b.kind, atom(b.atom)) if isinstance(b, Lit)
                          else b for b in r.body)
-            out.rule(Rule(head, body, r.pos),
-                     isinstance(head, Atom) and head.rel == "required"
-                     and any(_has_list(t) for t in head.args))
+            out.rule(Rule(head, body, r.pos), _holds_list(head))
         return out.program()
 
 
@@ -1426,7 +1429,8 @@ def _build_constraint_expr(t: Term, declared: Dict[Term, "fd.VarRef"],
                 if f == "cumulative":
                     ress = int_list(a[2])
                     if any(r < 0 for r in ress):
-                        # fd's compulsory-part profile counts use only up
+                        # fd's compulsory-part profile assumes that use
+                        # only adds up
                         raise GroundError(
                             f"cumulative resources must be nonnegative, "
                             f"got {min(ress)}", pos)
@@ -1462,11 +1466,11 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     """Translate a ground, list-expanded program into a CA program.
 
     The atoms are keyed by identity, which the program's table makes one
-    object per canonical name: a required atom's key is its constraint
-    atom's key, so no required-argument is named again.  The propositional
-    rules are built over the keys, and `RegularProgram.build` numbers the
-    atoms in order of first occurrence and names each once, with
-    `display_atom`."""
+    object per canonical name, so the distinct required atoms are told
+    apart without naming their arguments again.  The propositional rules
+    are built over the keys, and `RegularProgram.build` numbers the atoms
+    in order of first occurrence and names each once, with `display_atom`.
+    """
     domain_args = []
     has_reserved = False
     # the key of each distinct required atom, with its first rule
@@ -1548,8 +1552,9 @@ def _proto_rules(rules: Sequence[Rule], required: Iterable[int]
     """The propositional rules of a CA program over atom keys, for
     `RegularProgram.build`: each rule, a choice rule as one rule per element
     and the denials of its bounds, then the two linking denials of each
-    required atom key k, whose constraint atom has the key ~k.  A rule's
-    lists are built only when it is taken."""
+    required atom key k, whose constraint atom has the key ~k.  It yields
+    one rule at a time, so that the keys of the whole program are never
+    held at once."""
     for r in rules:
         pos_b: List[int] = []
         neg_b: List[int] = []

@@ -444,6 +444,15 @@ def test_ca_errors(src, fragment):
     assert fragment in str(e.value)
 
 
+def test_atoms_shown_alike_are_one_atom():
+    # neg(3) and -3 are distinct ground terms shown as -3; the CA program's
+    # alphabet is the display names, so both atoms are one atom there
+    P = ground_program("p(neg(3)). p(-3). q :- p(neg(3)), p(-3).")
+    assert P.pi.names == ("p(-3)", "q")
+    (q,) = [r for r in P.pi.rules if r.head == 1]
+    assert q.pos == (0,)
+
+
 def test_alphabets_disjoint_by_construction():
     # a regular atom spelled like the required-argument's canonical form
     # stays a separate atom: constraint atoms live in the |..| name space
