@@ -347,13 +347,6 @@ def _has_list(t: Term) -> bool:
     return False
 
 
-def _holds_list(head) -> bool:
-    """Whether a rule head is a required atom that holds an intensional
-    list."""
-    return isinstance(head, Atom) and head.rel == "required" and \
-        any(_has_list(t) for t in head.args)
-
-
 def _matchable(t: Term) -> bool:
     """Whether a bound pattern equal to t can match: `_match` unifies only
     constants and compounds of them."""
@@ -796,7 +789,8 @@ class _RulePlan:
             if isinstance(rule.head, Atom) else ()
         self.required = isinstance(rule.head, Atom) and \
             rule.head.rel == "required"
-        self.lists = _holds_list(rule.head)
+        self.lists = self.required and any(_has_list(t)
+                                           for t in rule.head.args)
         self.instances: List[Tuple[Dict[str, Term],
                                    List[Tuple[Atom, str]]]] = []
 
@@ -968,57 +962,6 @@ class GroundProgram(EzProgram):
     index: Dict[str, int] = field(compare=False)
     lists: Tuple[int, ...] = field(compare=False)
 
-    @classmethod
-    def of(cls, p: EzProgram) -> "GroundProgram":
-        """A ground program built by hand, with its atom table; each atom is
-        named by `canon_atom`, and its rules are rebuilt over the table's
-        atoms."""
-        out = _Emitter()
-
-        def atom(a: Atom) -> Atom:
-            return out.atoms[out.atom(a, canon_atom(a))]
-
-        for r in p.rules:
-            head = r.head
-            if isinstance(head, Atom):
-                head = atom(head)
-            elif isinstance(head, Choice):
-                head = Choice(head.lower, tuple(
-                    ChoiceElem(atom(e.atom), e.conds) for e in head.elems),
-                    head.upper)
-            body = tuple(Lit(b.kind, atom(b.atom)) if isinstance(b, Lit)
-                         else b for b in r.body)
-            out.rule(Rule(head, body, r.pos), _holds_list(head))
-        return out.program()
-
-
-class _Emitter:
-    """Collects the rules of a `GroundProgram` and its atom table."""
-
-    def __init__(self) -> None:
-        self.atoms: List[Atom] = []
-        self.index: Dict[str, int] = {}
-        self.rules: List[Rule] = []
-        self.lists: List[int] = []
-
-    def atom(self, a: Atom, name: str) -> int:
-        """The id of the atom with canonical name `name`; a new atom is
-        entered as `a`."""
-        i = self.index.get(name)
-        if i is None:
-            i = self.index[name] = len(self.atoms)
-            self.atoms.append(a)
-        return i
-
-    def rule(self, r: Rule, holds_list: bool) -> None:
-        if holds_list:
-            self.lists.append(len(self.rules))
-        self.rules.append(r)
-
-    def program(self) -> GroundProgram:
-        return GroundProgram(tuple(self.rules), tuple(self.atoms),
-                             self.index, tuple(self.lists))
-
 
 def ground(p: EzProgram) -> GroundProgram:
     """Bottom-up instantiation with indexed joins; built-ins evaluated and
@@ -1075,7 +1018,19 @@ def ground(p: EzProgram) -> GroundProgram:
     # emission: each rule's last run saw the final tables.  A body literal
     # is built and named once per binding of its own variables, and each
     # distinct ground atom is one object in the output and one table entry.
-    out = _Emitter()
+    rules: List[Rule] = []
+    lists: List[int] = []
+    atoms: List[Atom] = []
+    index: Dict[str, int] = {}
+
+    def enter(a: Atom, name: str) -> int:
+        """The id of the atom named `name`; a new atom is entered as a."""
+        i = index.get(name)
+        if i is None:
+            i = index[name] = len(atoms)
+            atoms.append(a)
+        return i
+
     seen: Set[tuple] = set()
     for rp in plans:
         rule = rp.rule
@@ -1091,8 +1046,8 @@ def ground(p: EzProgram) -> GroundProgram:
                 if built is None:
                     a = Atom(atom.rel, tuple(_eval_term(t, rule.pos, env)
                                              for t in atom.args))
-                    i = out.atom(a, canon_atom(a))
-                    built = memo[binding] = (Lit(kind, out.atoms[i]),
+                    i = enter(a, canon_atom(a))
+                    built = memo[binding] = (Lit(kind, atoms[i]),
                                              3 * i + code)
                 body.append(built[0])
                 keys.append(built[1])
@@ -1102,15 +1057,15 @@ def ground(p: EzProgram) -> GroundProgram:
                 heads.append((None, None))
             elif isinstance(rule.head, Atom):
                 for inst, c in insts:
-                    i = out.atom(inst, c)
-                    heads.append((out.atoms[i], i))
+                    i = enter(inst, c)
+                    heads.append((atoms[i], i))
             else:
                 ch = rule.head
                 elems: Dict[int, ChoiceElem] = {}
                 for inst, c in insts:
-                    i = out.atom(inst, c)
+                    i = enter(inst, c)
                     if i not in elems:
-                        elems[i] = ChoiceElem(out.atoms[i], ())
+                        elems[i] = ChoiceElem(atoms[i], ())
                 lower = None if ch.lower is None else \
                     Const(_int_of(_subst(ch.lower, env), "choice bound",
                                   rule.pos))
@@ -1133,8 +1088,10 @@ def ground(p: EzProgram) -> GroundProgram:
                 key = (hk, body_key)
                 if key not in seen:
                     seen.add(key)
-                    out.rule(Rule(h, ground_body, rule.pos), holds_list)
-    return out.program()
+                    if holds_list:
+                        lists.append(len(rules))
+                    rules.append(Rule(h, ground_body, rule.pos))
+    return GroundProgram(tuple(rules), tuple(atoms), index, tuple(lists))
 
 
 # ---------------------------------------------------------------------------

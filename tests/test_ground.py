@@ -4,8 +4,8 @@ import pathlib
 import pytest
 
 from ezcasp import fd
-from ezcasp.ground import (GroundError, GroundProgram, VariableDecl,
-                           canon_atom, canon_term, display_atom, display_term,
+from ezcasp.ground import (GroundError, VariableDecl, canon_atom,
+                           canon_term, display_atom, display_term,
                            expand_lists, ground, ground_program, term_key)
 from ezcasp.lang import (Atom, Compound, Const, EzProgram, IntensionalList,
                          Lit, ListTerm, Rule, parse, preprocess)
@@ -264,7 +264,7 @@ def test_lambda_v_prefix_expansion():
                    Compound("w", (Const("b"), Const(1))))
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("w", (Const("a"),), 2),)),)), ()))
-    out, warnings = expand_lists(GroundProgram.of(prog), decls)
+    out, warnings = expand_lists(ground(prog), decls)
     arg = out.rules[0].head.args[0].args[0]
     assert arg == ListTerm((Compound("w", (Const("a"), Const(1))),
                             Compound("w", (Const("a"), Const(2)))))
@@ -272,7 +272,7 @@ def test_lambda_v_prefix_expansion():
     # [v/1] expands to all three v variables in lexicographic order
     prog2 = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("v", (), 1),)),)), ()))
-    out2, _ = expand_lists(GroundProgram.of(prog2), decls)
+    out2, _ = expand_lists(ground(prog2), decls)
     assert out2.rules[0].head.args[0].args[0] == ListTerm(
         (Compound("v", (Const(1),)), Compound("v", (Const(2),)),
          Compound("v", (Const(3),))))
@@ -281,7 +281,7 @@ def test_lambda_v_prefix_expansion():
 def test_lambda_r_expansion():
     prog = preprocess(parse(
         "rpp(a,3). rpp(b,1). rpp(c,2). required(sum([rpp/2], =<, 9))."))
-    out, _ = expand_lists(GroundProgram.of(prog), [])
+    out, _ = expand_lists(ground(prog), [])
     assert out.rules[-1].head.args[0].args[0] == ListTerm(
         (Const(3), Const(1), Const(2)))
 
@@ -291,7 +291,7 @@ def test_lambda_r_prefix_expansion():
         "rp(a,1,3). rp(a,2,1). rp(b,5,7)."
         "required(sum([rp(a,2)/3], =<, 9))."
         "required(sum([rp(a)/3], =<, 9))."))
-    out, _ = expand_lists(GroundProgram.of(prog), [])
+    out, _ = expand_lists(ground(prog), [])
     assert out.rules[-2].head.args[0].args[0] == ListTerm((Const(1),))
     assert out.rules[-1].head.args[0].args[0] == ListTerm((Const(3), Const(1)))
 
@@ -301,7 +301,7 @@ def test_lambda_empty_expansion_warns():
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("v", (Const(9),), 1),)),)), ()))
     decls = _decls(Compound("v", (Const(1),)), Compound("v", (Const(2),)))
-    out, warnings = expand_lists(GroundProgram.of(prog), decls)
+    out, warnings = expand_lists(ground(prog), decls)
     assert out.rules[0].head.args[0].args[0] == ListTerm(())
     assert warnings and "empty expansion" in warnings[0]
 
@@ -310,7 +310,7 @@ def test_lambda_unknown_name_rejected():
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("nosuch", (), 1),)),)), ()))
     with pytest.raises(GroundError) as e:
-        expand_lists(GroundProgram.of(prog), [])
+        expand_lists(ground(prog), [])
     assert "undeclared" in str(e.value)
 
 
@@ -327,7 +327,7 @@ def test_expansion_outputs_are_sorted():
     terms = [Compound("v", (Const(i),)) for i in rng.sample(range(20), 8)]
     prog = _wrap(Rule(Atom("required", (Compound(
         "all_different", (IntensionalList("v", (), 1),)),)), ()))
-    out, _ = expand_lists(GroundProgram.of(prog), _decls(*terms))
+    out, _ = expand_lists(ground(prog), _decls(*terms))
     items = out.rules[0].head.args[0].args[0].items
     keys = [term_key(t) for t in items]
     assert keys == sorted(keys)
