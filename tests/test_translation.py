@@ -3,15 +3,19 @@
 For every case, `tests/data/translation/digests.txt` holds a digest of the
 `--dump-ground` text and one of `test_ground.ca_program_text` (atom table,
 rules, constraint order with gamma, declarations, suppressed names and
-warnings).  The cases are `oracle.random_ez_source` seeds 0-499, seeds
-250-499 with `min_lo=-3`, plus every bundled encoding.  A grounder or
-translation change must leave every digest as it is.  Regenerate with
+warnings).  `tests/data/translation/clauses.txt` holds, for the same cases,
+a digest of the clauses of the program's ASP abstraction in order, one per
+rule (`asp.clausify`).  The cases are `oracle.random_ez_source` seeds
+0-499, seeds 250-499 with `min_lo=-3`, plus every bundled encoding.  A
+grounder, translation or clause-builder change must leave every digest as
+it is.  Regenerate both files with
 `PYTHONPATH=src:tests python tests/test_translation.py`.
 """
 
 import hashlib
 import pathlib
 
+from ezcasp.asp import clausify
 from ezcasp.cli import _dump_ground_text
 from ezcasp.ground import DEFAULT_FD_RANGE, GroundError, ground_program
 from ezcasp.oracle import random_ez_source
@@ -19,8 +23,9 @@ from ezcasp.oracle import random_ez_source
 from conftest import ENCODINGS
 from test_ground import DUMP_GROUND_EZ, ca_program_text
 
-DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "translation" \
-    / "digests.txt"
+DATA = pathlib.Path(__file__).resolve().parent / "data" / "translation"
+DIGESTS = DATA / "digests.txt"
+CLAUSES = DATA / "clauses.txt"
 
 N_SEEDS = 500
 
@@ -48,18 +53,37 @@ def digest_line(name: str, source: str) -> str:
     return f"{name} {_digest(dump)} {_digest(ca)}"
 
 
-def test_translation_matches_pinned_digests():
-    pinned = DIGESTS.read_text().splitlines()
-    now = [digest_line(name, source) for name, source in cases()]
+def clause_line(name: str, source: str) -> str:
+    try:
+        program = ground_program(source)
+    except GroundError:
+        return f"{name} error"
+    clauses = clausify(program.asp_abstraction())
+    text = "\n".join(" ".join(map(str, c)) for c in clauses)
+    return f"{name} {len(clauses)} {_digest(text)}"
+
+
+def _assert_pinned(path: pathlib.Path, line) -> None:
+    pinned = path.read_text().splitlines()
+    now = [line(name, source) for name, source in cases()]
     assert len(now) == len(pinned)
     changed = [p.split()[0] for p, n in zip(pinned, now) if p != n]
     assert not changed, f"{len(changed)} cases changed: {changed[:10]}"
 
 
+def test_translation_matches_pinned_digests():
+    _assert_pinned(DIGESTS, digest_line)
+
+
+def test_clauses_match_pinned_digests():
+    _assert_pinned(CLAUSES, clause_line)
+
+
 def write_digests() -> None:
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text("".join(digest_line(name, source) + "\n"
-                               for name, source in cases()))
+    DATA.mkdir(exist_ok=True)
+    for path, line in ((DIGESTS, digest_line), (CLAUSES, clause_line)):
+        path.write_text("".join(line(name, source) + "\n"
+                                for name, source in cases()))
 
 
 if __name__ == "__main__":
