@@ -19,12 +19,12 @@ single-owner mutable search state.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from operator import invert
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
-                    Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple)
 
 __all__ = [
-    "RuleP", "RegularProgram", "Record", "Clause", "Propagator",
+    "RuleP", "RegularProgram", "AtomIds", "Record", "Clause", "Propagator",
     "UnfoundedCheck", "rule_clause", "clausify", "reduct", "least_model",
     "is_answer_set", "unit_propagate", "find_unit_step",
     "greatest_unfounded_set",
@@ -47,8 +47,7 @@ def neg(lit: int) -> int:
     return -lit
 
 
-@dataclass(frozen=True)
-class RuleP:
+class RuleP(NamedTuple):
     """Ground rule; head is an atom id or None for a denial."""
     head: Optional[int]
     pos: Tuple[int, ...]
@@ -93,41 +92,16 @@ class RegularProgram:
         atoms; `extra_atoms` forces additional table entries (e.g.
         constraint atoms a caller wants in At even before denials mention
         them).  An atom is its name, or, with `name`, any key that `name`
-        maps to its name, called once per distinct key; keys with the same
-        name are one atom.
+        maps to its name.  One pass over the rules names each key where it
+        first occurs and numbers it by its name (see `AtomIds`), so keys
+        with the same name are one atom, and drops the atoms that then
+        repeat within a body part.
         """
-        index: Dict[Hashable, int] = {}       # key -> id, in id order
-        out: List[RuleP] = []
-        for head, pos, negs, nneg in rules:
-            h = None if head is None else index.setdefault(head, len(index))
-            out.append(RuleP(
-                h,
-                tuple(dict.fromkeys([index.setdefault(a, len(index))
-                                     for a in pos])),
-                tuple(dict.fromkeys([index.setdefault(a, len(index))
-                                     for a in negs])),
-                tuple(dict.fromkeys([index.setdefault(a, len(index))
-                                     for a in nneg])),
-            ))
+        ids = AtomIds(name)
+        out = [ids.rule(*r) for r in rules]
         for a in extra_atoms:
-            index.setdefault(a, len(index))
-        if name is not None:
-            names: Dict[str, int] = {}
-            ids = [names.setdefault(name(k), len(names)) for k in index]
-            if len(names) < len(index):
-                # merging atoms renumbers in order of first occurrence and
-                # may repeat an atom within a body part
-                def part(atoms):
-                    return tuple(dict.fromkeys([ids[a] for a in atoms]))
-                out = [RuleP(None if r.head is None else ids[r.head],
-                             part(r.pos), part(r.neg), part(r.nneg))
-                       for r in out]
-            index = names
-        # ids come from the table and each body part is deduplicated, so
-        # the checks of __init__ hold by construction
-        prog = cls.__new__(cls)
-        prog.names, prog.index, prog.rules = tuple(index), index, tuple(out)
-        return prog
+            ids[a]
+        return ids.program(out)
 
     def extended(self, extra: Sequence[RuleP]) -> "RegularProgram":
         """The program with rules appended; only they are checked, and the
@@ -168,25 +142,78 @@ class RegularProgram:
         return f"RegularProgram({self.n_atoms} atoms, {len(self.rules)} rules)"
 
 
+class AtomIds(dict):
+    """Atom keys to atom ids, numbered in order of first occurrence.
+
+    A key that is looked up for the first time is named, once: by `name`,
+    or, without it, the key is its own name.  It gets the id of its name,
+    a new id if the name is new, so keys with the same name are one atom.
+    """
+
+    def __init__(self, name: Optional[Callable[[Hashable], str]] = None):
+        super().__init__()
+        self.name = name
+        self.names: Dict[str, int] = {}         # name -> id, in id order
+
+    def __missing__(self, key: Hashable) -> int:
+        i = self[key] = self.names.setdefault(
+            key if self.name is None else self.name(key), len(self.names))
+        return i
+
+    def rule(self, head: Optional[Hashable], pos: Sequence[Hashable],
+             neg: Sequence[Hashable], nneg: Sequence[Hashable] = ()
+             ) -> RuleP:
+        """The rule over atom ids.  Keys are looked up in the order head,
+        positive, negated, doubly negated; an atom that repeats within a
+        body part is kept at its first place."""
+        return RuleP(None if head is None else self[head],
+                     self.part(pos), self.part(neg), self.part(nneg))
+
+    def part(self, keys: Sequence[Hashable]) -> Tuple[int, ...]:
+        """The ids of the keys, each once, in order of first occurrence."""
+        if len(keys) < 2:
+            return (self[keys[0]],) if keys else ()
+        return tuple(dict.fromkeys([self[k] for k in keys]))
+
+    def program(self, rules: Sequence[RuleP]) -> RegularProgram:
+        """The program of `rules`, over the atoms of this table; the rules
+        come from `rule`, so the checks of `RegularProgram` hold by
+        construction."""
+        prog = RegularProgram.__new__(RegularProgram)
+        prog.names, prog.index = tuple(self.names), self.names
+        prog.rules = tuple(rules)
+        return prog
+
+
 # ---------------------------------------------------------------------------
 # Clausification and reduct
 # ---------------------------------------------------------------------------
 
+_succ = (1).__add__                     # a + 1, the positive literal of a
+
+
 def rule_clause(r: RuleP) -> Clause:
     """The clause of one rule: head, complemented positive body, negated
-    body atoms positive, doubly-negated complemented; no head for denials."""
-    lits: List[int] = []
-    if r.head is not None:
-        lits.append(r.head + 1)
-    lits.extend(-(a + 1) for a in r.pos)
-    lits.extend(a + 1 for a in r.neg)
-    lits.extend(-(a + 1) for a in r.nneg)
-    return tuple(dict.fromkeys(lits))
+    body atoms positive, doubly-negated complemented; no head for denials.
+    A literal that repeats is kept at its first place.  Each body part
+    holds an atom once, so only a head that is also negated, or a positive
+    atom that is also doubly negated, can repeat one; only those rules are
+    looked through for repeats."""
+    head, pos, neg, nneg = r
+    # ~a is -(a + 1), the negative literal of a
+    if head is None:
+        lits = (*map(invert, pos), *map(_succ, neg), *map(invert, nneg))
+    else:
+        lits = (head + 1, *map(invert, pos), *map(_succ, neg),
+                *map(invert, nneg))
+        if head in neg:
+            return tuple(dict.fromkeys(lits))
+    return tuple(dict.fromkeys(lits)) if nneg else lits
 
 
 def clausify(prog: RegularProgram) -> List[Clause]:
     """One clause per rule, in rule order (see `rule_clause`)."""
-    return [rule_clause(r) for r in prog.rules]
+    return list(map(rule_clause, prog.rules))
 
 
 def _body_holds_mask(r: RuleP, x: int) -> bool:
@@ -441,10 +468,15 @@ class Propagator:
     appended only at the fixpoint (after `step` returned None): a false
     watch whose clause is kept because the other watch is true was then
     falsified no earlier in the decision levels than that watch became
-    true.  A clause added to a
-    non-empty record can break that (its only true literal may sit on a
-    later level than all its false ones); such clauses are re-attached
-    after each backjump until their watches are safe again.
+    true.  A clause added to a non-empty record can break that (its only
+    true literal may sit on a later level than all its false ones); such
+    clauses are re-attached after each backjump until their watches are
+    safe again.
+
+    The initial clauses are given on the empty record and attached in one
+    pass, each watching its first two literals; that pass also notes
+    whether one of them is empty (`empty_clause`).  `add_clause` adds one
+    clause at any later point.
     """
 
     def __init__(self, m: Record, clauses: Iterable[Clause] = ()):
@@ -457,8 +489,24 @@ class Propagator:
         self._queue: List[Tuple[int, int]] = []
         self._fragile: List[int] = []
         self._head = 0
-        for c in clauses:
-            self.add_clause(c)
+        if m.trail or m.bot:
+            raise ValueError("initial clauses are added on the empty record")
+        # whether one of the initial clauses is empty, which no record
+        # satisfies; the search rejects such a program before it starts
+        self.empty_clause = False
+        # on the empty record every clause watches its first two literals
+        self.clauses = list(clauses)
+        lits, watches, units = self._lits, self._watches, self._units
+        for ci, clause in enumerate(self.clauses):
+            c = list(clause)
+            lits.append(c)
+            if len(c) > 1:
+                watches[c[0]].append(ci)
+                watches[c[1]].append(ci)
+            elif c:
+                units.append(ci)
+            else:
+                self.empty_clause = True
 
     def add_clause(self, clause: Clause) -> None:
         """Add a clause; allowed at any point of the search."""
@@ -669,32 +717,41 @@ class UnfoundedCheck:
     """
 
     def __init__(self, prog: RegularProgram):
-        rules = [r for r in prog.rules if r.head is not None]
         n = self.n_atoms = prog.n_atoms
-        self._head = [r.head for r in rules]
+        head: List[int] = []                # the non-denial rules' heads
+        n_open: List[int] = []
         by_head: List[List[int]] = [[] for _ in range(n)]
         by_pos: List[List[int]] = [[] for _ in range(n)]
         # the rules each literal blocks, indexed like `Record.val`; a rule
         # listed twice under one literal is counted twice when it holds
         blocks: List[List[int]] = [[] for _ in range(2 * n + 1)]
-        for i, r in enumerate(rules):
-            by_head[r.head].append(i)
-            for a in r.pos:
-                by_pos[a].append(i)
-                blocks[-a - 1].append(i)
-            for a in r.neg:
+        work: List[int] = []                # the rules without positive body
+        for h, pos, neg, nneg in prog.rules:
+            if h is None:
+                continue
+            i = len(head)
+            head.append(h)
+            n_open.append(len(pos))
+            by_head[h].append(i)
+            if pos:
+                for a in pos:
+                    by_pos[a].append(i)
+                    blocks[-a - 1].append(i)
+            else:
+                work.append(i)
+            for a in neg:
                 blocks[a + 1].append(i)
-            for a in r.nneg:
+            for a in nneg:
                 blocks[-a - 1].append(i)
+        self._head, self._n_open = head, n_open
         self._by_head, self._by_pos, self._blocks = by_head, by_pos, blocks
-        self._n_blocked = [0] * len(rules)
-        self._n_open = [len(r.pos) for r in rules]
+        self._n_blocked = [0] * len(head)
         self._src = [-1] * n
         self._sup = bytearray(n)
         self._seen: List[int] = []          # the trail literals processed
         self._unblocked: List[int] = []     # candidates after a backjump
         self._m: Optional[Record] = None
-        self._grow([i for i, r in enumerate(rules) if not r.pos])
+        self._grow(work)
         self._empty = (self._src[:], self._n_open[:], bytes(self._sup))
 
     def _grow(self, work: List[int]) -> None:

@@ -455,14 +455,13 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     blocking: List[RuleP] = []
     status = "unsat"
 
-    # an empty denial is violated by every record; no transition edge can
-    # represent the conflict, so the degenerate case is decided up front
-    if any(r.head is None and not (r.pos or r.neg or r.nneg)
-           for r in program.pi.rules):
+    run = _Run(program, cfg, stats, trace, 0, budget)
+    # an empty denial, whose clause is empty, is violated by every record;
+    # no transition edge can represent the conflict, so the degenerate case
+    # is decided up front
+    if run.prop.empty_clause:
         return SolveResult("unsat", [], stats,
                            trace.records if collect_trace else None)
-
-    run = _Run(program, cfg, stats, trace, 0, budget)
     try:
         while True:
             run_idx = run.run

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from . import fd
-from .asp import RegularProgram
+from .asp import AtomIds, RegularProgram, RuleP
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
@@ -246,25 +247,25 @@ def _int_of(t: Term, what: str, pos: Optional[SourcePos] = None) -> int:
 
 def _vars_in(t: Term) -> Set[str]:
     out: Set[str] = set()
-
-    def walk(x: Term) -> None:
-        if isinstance(x, Var):
-            out.add(x.name)
-        elif isinstance(x, (Compound, OpExpr)):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, ListTerm):
-            for a in x.items:
-                walk(a)
-        elif isinstance(x, IntensionalList):
-            for a in x.prefix:
-                walk(a)
-        elif isinstance(x, RangeTerm):
-            walk(x.lo)
-            walk(x.hi)
-
-    walk(t)
+    _add_vars(t, out)
     return out
+
+
+def _add_vars(x: Term, out: Set[str]) -> None:
+    if isinstance(x, Var):
+        out.add(x.name)
+    elif isinstance(x, (Compound, OpExpr)):
+        for a in x.args:
+            _add_vars(a, out)
+    elif isinstance(x, ListTerm):
+        for a in x.items:
+            _add_vars(a, out)
+    elif isinstance(x, IntensionalList):
+        for a in x.prefix:
+            _add_vars(a, out)
+    elif isinstance(x, RangeTerm):
+        _add_vars(x.lo, out)
+        _add_vars(x.hi, out)
 
 
 def _atom_vars(a: Atom) -> Set[str]:
@@ -674,41 +675,43 @@ def _instantiate(steps: list, state: _GroundState,
                  pos: Optional[SourcePos]):
     """Yield every substitution admitted by the compiled steps.  A join
     sees its relation as it was when the join was reached."""
-    n = len(steps)
+    return _walk(steps, 0, {}, state, pos)
 
-    def walk(i: int, env: Dict[str, Term]):
-        if i == n:
-            yield env
-            return
-        step = steps[i]
-        kind = step[0]
-        if kind == "match":
-            _, table, positions, keys, rest = step
-            cands = table.lookup(positions, tuple(
-                _eval_term(t, None, env) for t in keys)) \
-                if positions else table.atoms
-            for cand in itertools.islice(cands, len(cands)):
-                nxt = env
-                for j, p in rest:
-                    nxt = _match(p, cand.args[j], nxt)
-                    if nxt is None:
-                        break
-                if nxt is not None:
-                    yield from walk(i + 1, nxt)
-        elif kind == "bind":
-            nxt = dict(env)
-            nxt[step[1]] = _eval_term(step[2], pos, env)
-            yield from walk(i + 1, nxt)
-        elif kind == "test":
-            if _test_builtin(step[1], env, pos):
-                yield from walk(i + 1, env)
-        elif kind == "agg":
-            if _eval_aggregate(step[1], env, state, pos):
-                yield from walk(i + 1, env)
-        else:
-            raise AssertionError(kind)
 
-    yield from walk(0, {})
+def _walk(steps: list, i: int, env: Dict[str, Term], state: _GroundState,
+          pos: Optional[SourcePos]):
+    """The substitutions extending env that steps i, i+1, ... admit."""
+    if i == len(steps):
+        yield env
+        return
+    step = steps[i]
+    kind = step[0]
+    i += 1
+    if kind == "match":
+        _, table, positions, keys, rest = step
+        cands = table.lookup(positions, tuple(
+            _eval_term(t, None, env) for t in keys)) \
+            if positions else table.atoms
+        for cand in itertools.islice(cands, len(cands)):
+            nxt = env
+            for j, p in rest:
+                nxt = _match(p, cand.args[j], nxt)
+                if nxt is None:
+                    break
+            if nxt is not None:
+                yield from _walk(steps, i, nxt, state, pos)
+    elif kind == "bind":
+        nxt = dict(env)
+        nxt[step[1]] = _eval_term(step[2], pos, env)
+        yield from _walk(steps, i, nxt, state, pos)
+    elif kind == "test":
+        if _test_builtin(step[1], env, pos):
+            yield from _walk(steps, i, env, state, pos)
+    elif kind == "agg":
+        if _eval_aggregate(step[1], env, state, pos):
+            yield from _walk(steps, i, env, state, pos)
+    else:
+        raise AssertionError(kind)
 
 
 def _eval_aggregate(agg: AggregateLit, env: Dict[str, Term],
@@ -797,9 +800,8 @@ class _RulePlan:
     def holds_list(self, env: Dict[str, Term]) -> bool:
         """Whether the required head instance under env holds an
         intensional list: the head does, or a variable is bound to a term
-        that does."""
-        return self.lists or self.required and any(
-            _has_list(env[v]) for v in self.head_vars)
+        that does.  For a required rule only."""
+        return self.lists or any(_has_list(env[v]) for v in self.head_vars)
 
     def dirty(self) -> bool:
         """Whether a table this rule reads gained atoms since its last run
@@ -963,6 +965,18 @@ class GroundProgram(EzProgram):
     lists: Tuple[int, ...] = field(compare=False)
 
 
+def _binding_key(positions: List[int]):
+    """The function taking a tuple of bound values to the values at
+    `positions`, sorted, as one hashable key."""
+    if not positions:
+        return _no_variables
+    return itemgetter(*sorted(positions))
+
+
+def _no_variables(bound: tuple) -> tuple:
+    return ()
+
+
 def ground(p: EzProgram) -> GroundProgram:
     """Bottom-up instantiation with indexed joins; built-ins evaluated and
     eliminated.
@@ -1031,31 +1045,46 @@ def ground(p: EzProgram) -> GroundProgram:
             atoms.append(a)
         return i
 
+    # one literal object per atom and kind, keyed 3 * id + kind code
+    shared: Dict[int, Lit] = {}
     seen: Set[tuple] = set()
     for rp in plans:
         rule = rp.rule
+        atom_head = isinstance(rule.head, Atom)
+        # A body literal is built once per binding of its own variables.
+        # The binding is keyed by the identities of the bound terms, read
+        # from one tuple per substitution: the rule's substitutions keep the
+        # terms alive, and hashing them as terms would walk each one.
+        # Equal terms that are distinct objects build the atom again, and it
+        # is then entered once, by its name.
+        body_lits = [b for b in rule.body if isinstance(b, Lit)]
+        names = sorted(set().union(*[_atom_vars(b.atom) for b in body_lits]))
+        where = {v: i for i, v in enumerate(names)}
         lits = [(b.kind, _KINDS.index(b.kind), b.atom,
-                 tuple(sorted(_atom_vars(b.atom))), {})
-                for b in rule.body if isinstance(b, Lit)]
+                 _binding_key([where[v] for v in _atom_vars(b.atom)]), {})
+                for b in body_lits]
         for env, insts in rp.instances:
+            if atom_head and not insts:
+                continue                    # an empty range in the head
+            bound = tuple(map(id, map(env.get, names)))
             body: List[Lit] = []
-            keys: List[int] = []
-            for kind, code, atom, names, memo in lits:
-                binding = tuple(map(env.get, names))
-                built = memo.get(binding)
-                if built is None:
+            for kind, code, atom, key, memo in lits:
+                binding = key(bound)
+                lit = memo.get(binding)
+                if lit is None:
                     a = Atom(atom.rel, tuple(_eval_term(t, rule.pos, env)
                                              for t in atom.args))
-                    i = enter(a, canon_atom(a))
-                    built = memo[binding] = (Lit(kind, atoms[i]),
-                                             3 * i + code)
-                body.append(built[0])
-                keys.append(built[1])
+                    i = 3 * enter(a, canon_atom(a)) + code
+                    lit = shared.get(i)
+                    if lit is None:
+                        lit = shared[i] = Lit(kind, atoms[i // 3])
+                    memo[binding] = lit
+                body.append(lit)
             # (head, key telling it apart)
             heads: List[Tuple[Union[None, Atom, Choice], object]] = []
             if rule.head is None:
                 heads.append((None, None))
-            elif isinstance(rule.head, Atom):
+            elif atom_head:
                 for inst, c in insts:
                     i = enter(inst, c)
                     heads.append((atoms[i], i))
@@ -1078,17 +1107,14 @@ def ground(p: EzProgram) -> GroundProgram:
                                       rule.pos)
                 heads.append((Choice(lower, tuple(elems.values()), upper),
                               (lower, frozenset(elems), upper)))
-            if not heads:
-                continue
             # rules are told apart by their atoms, source position aside
-            body_key = tuple(keys)
             ground_body = tuple(body)
-            holds_list = rp.holds_list(env)
+            body_key = tuple(map(id, ground_body))
             for h, hk in heads:
                 key = (hk, body_key)
                 if key not in seen:
                     seen.add(key)
-                    if holds_list:
+                    if rp.required and rp.holds_list(env):
                         lists.append(len(rules))
                     rules.append(Rule(h, ground_body, rule.pos))
     return GroundProgram(tuple(rules), tuple(atoms), index, tuple(lists))
@@ -1158,86 +1184,100 @@ def expand_lists(p: GroundProgram, decls: Sequence[VariableDecl]
     """
     if not p.lists:
         return p, []
-    var_terms = [d.var_term for d in decls]
-    var_functors = {(t.functor, len(t.args)) for t in var_terms
-                    if isinstance(t, Compound)}
-
-    facts_by_rel: Dict[Tuple[str, int], List[Atom]] = {}
-    rels: Set[Tuple[str, int]] = set()
-
-    def scan_relations() -> None:
-        """Fill rels and facts_by_rel, on the first list over a relation."""
-        for r in p.rules:
-            heads = [r.head] if isinstance(r.head, Atom) else \
-                [e.atom for e in r.head.elems] \
-                if isinstance(r.head, Choice) else []
-            for h in heads:
-                rels.add((h.rel, len(h.args)))
-                if r.is_fact and isinstance(r.head, Atom):
-                    facts_by_rel.setdefault((h.rel, len(h.args)),
-                                            []).append(h)
-            for b in r.body:
-                if isinstance(b, Lit):
-                    rels.add((b.atom.rel, len(b.atom.args)))
-
-    warnings: List[str] = []
-
-    def lam(t: Term, pos: Optional[SourcePos]) -> Term:
-        if isinstance(t, IntensionalList):
-            if not all(_is_ground(a) for a in t.prefix):
-                raise GroundError("intensional list prefix not ground", pos)
-            prefix = tuple(_eval_term(a, pos) for a in t.prefix)
-            if (t.name, t.arity) in var_functors:
-                members = [v for v in var_terms
-                           if isinstance(v, Compound) and v.functor == t.name
-                           and len(v.args) == t.arity
-                           and v.args[:len(prefix)] == prefix]
-                members = sorted({canon_term(m): m for m in members}.values(),
-                                 key=term_key)
-                if not members:
-                    warnings.append(f"empty expansion of [{t.name}/{t.arity}]")
-                return ListTerm(tuple(members))
-            if not rels:
-                scan_relations()
-            if (t.name, t.arity) in rels:
-                facts = [a for a in facts_by_rel.get((t.name, t.arity), [])
-                         if a.args[:len(prefix)] == prefix]
-                facts = sorted({canon_atom(a): a for a in facts}.values(),
-                               key=lambda a: tuple(term_key(x)
-                                                   for x in a.args))
-                if not facts:
-                    warnings.append(f"empty expansion of [{t.name}/{t.arity}]")
-                return ListTerm(tuple(a.args[t.arity - 1] for a in facts))
-            raise GroundError(
-                f"intensional list over undeclared functor/relation "
-                f"{t.name}/{t.arity}", pos)
-        if isinstance(t, Compound):
-            args = lam_all(t.args, pos)
-            return t if args is t.args else Compound(t.functor, args)
-        if isinstance(t, ListTerm):
-            if any(isinstance(a, IntensionalList) for a in t.items):
-                raise GroundError("nested intensional list", pos)
-            items = lam_all(t.items, pos)
-            return t if items is t.items else ListTerm(items)
-        return t
-
-    def lam_all(ts: tuple, pos: Optional[SourcePos]) -> tuple:
-        """The terms expanded; `ts` itself when none holds a list."""
-        out = tuple(lam(a, pos) for a in ts)
-        return ts if all(x is y for x, y in zip(out, ts)) else out
-
+    expander = _ListExpander(p.rules, decls)
     rules = list(p.rules)
     atoms, index = list(p.atoms), dict(p.index)
     for k in p.lists:
         r = rules[k]
-        args = lam_all(r.head.args, r.pos)
+        args = expander.terms(r.head.args, r.pos)
         if args is not r.head.args:
             a = Atom("required", args)
             i = index.setdefault(canon_atom(a), len(atoms))
             if i == len(atoms):
                 atoms.append(a)
             rules[k] = Rule(atoms[i], r.body, r.pos)
-    return GroundProgram(tuple(rules), tuple(atoms), index, ()), warnings
+    return (GroundProgram(tuple(rules), tuple(atoms), index, ()),
+            expander.warnings)
+
+
+class _ListExpander:
+    """The extensional lists of the intensional lists in the terms of one
+    ground program (see `expand_lists`), with the warnings for empty
+    expansions."""
+
+    def __init__(self, rules: Sequence[Rule],
+                 decls: Sequence[VariableDecl]) -> None:
+        self.rules = rules
+        self.var_terms = [d.var_term for d in decls]
+        self.var_functors = {(t.functor, len(t.args)) for t in self.var_terms
+                             if isinstance(t, Compound)}
+        self.facts_by_rel: Dict[Tuple[str, int], List[Atom]] = {}
+        self.rels: Set[Tuple[str, int]] = set()
+        self.warnings: List[str] = []
+
+    def scan_relations(self) -> None:
+        """Fill rels and facts_by_rel, on the first list over a relation."""
+        for r in self.rules:
+            heads = [r.head] if isinstance(r.head, Atom) else \
+                [e.atom for e in r.head.elems] \
+                if isinstance(r.head, Choice) else []
+            for h in heads:
+                self.rels.add((h.rel, len(h.args)))
+                if r.is_fact and isinstance(r.head, Atom):
+                    self.facts_by_rel.setdefault((h.rel, len(h.args)),
+                                                 []).append(h)
+            for b in r.body:
+                if isinstance(b, Lit):
+                    self.rels.add((b.atom.rel, len(b.atom.args)))
+
+    def term(self, t: Term, pos: Optional[SourcePos]) -> Term:
+        """t with its intensional lists expanded; t itself if it holds
+        none."""
+        if isinstance(t, IntensionalList):
+            if not all(_is_ground(a) for a in t.prefix):
+                raise GroundError("intensional list prefix not ground", pos)
+            prefix = tuple(_eval_term(a, pos) for a in t.prefix)
+            if (t.name, t.arity) in self.var_functors:
+                members = [v for v in self.var_terms
+                           if isinstance(v, Compound) and v.functor == t.name
+                           and len(v.args) == t.arity
+                           and v.args[:len(prefix)] == prefix]
+                members = sorted({canon_term(m): m for m in members}.values(),
+                                 key=term_key)
+                if not members:
+                    self.warnings.append(
+                        f"empty expansion of [{t.name}/{t.arity}]")
+                return ListTerm(tuple(members))
+            if not self.rels:
+                self.scan_relations()
+            if (t.name, t.arity) in self.rels:
+                facts = [a for a in self.facts_by_rel.get((t.name, t.arity),
+                                                          [])
+                         if a.args[:len(prefix)] == prefix]
+                facts = sorted({canon_atom(a): a for a in facts}.values(),
+                               key=lambda a: tuple(term_key(x)
+                                                   for x in a.args))
+                if not facts:
+                    self.warnings.append(
+                        f"empty expansion of [{t.name}/{t.arity}]")
+                return ListTerm(tuple(a.args[t.arity - 1] for a in facts))
+            raise GroundError(
+                f"intensional list over undeclared functor/relation "
+                f"{t.name}/{t.arity}", pos)
+        if isinstance(t, Compound):
+            args = self.terms(t.args, pos)
+            return t if args is t.args else Compound(t.functor, args)
+        if isinstance(t, ListTerm):
+            if any(isinstance(a, IntensionalList) for a in t.items):
+                raise GroundError("nested intensional list", pos)
+            items = self.terms(t.items, pos)
+            return t if items is t.items else ListTerm(items)
+        return t
+
+    def terms(self, ts: tuple, pos: Optional[SourcePos]) -> tuple:
+        """The terms expanded; `ts` itself when none holds a list."""
+        out = tuple(self.term(a, pos) for a in ts)
+        return ts if all(x is y for x, y in zip(out, ts)) else out
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1334,6 @@ class CAProgram:
         return "regular"
 
     def asp_abstraction(self) -> RegularProgram:
-        from .asp import RuleP
         extra = [RuleP(c, (), (), (c,)) for c in self.constraint_order]
         return self.pi.extended(extra)
 
@@ -1318,103 +1357,114 @@ class CAProgram:
                 f"D={self.domain[0]}..{self.domain[1]})")
 
 
-def _build_constraint_expr(t: Term, declared: Dict[Term, "fd.VarRef"],
+def _build_constraint_expr(x: Term, declared: Dict[Term, "fd.VarRef"],
                            pos: Optional[SourcePos]):
     """Map a ground required-argument term to a constraint expression;
     `declared` maps each declared variable term to its reference."""
-
-    def arith(x: Term):
-        if isinstance(x, Const) and isinstance(x.value, int):
-            return fd.IntConst(x.value)
-        if isinstance(x, Compound) and x.functor in _ARITH_FUNCTORS:
-            n = 1 if x.functor == "neg" else 2
-            if len(x.args) != n:
-                raise GroundError(f"arity error in {x.functor}", pos)
-            return fd.Arith(x.functor, tuple(arith(a) for a in x.args))
-        ref = declared.get(x)
-        if ref is not None:
-            return ref
-        raise GroundError(
-            f"required-argument references undeclared constraint variable "
-            f"{display_term(x)}", pos)
-
-    def scalar(x: Term):
-        return arith(x)
-
-    def var_list(x: Term) -> tuple:
-        if not isinstance(x, ListTerm):
-            raise GroundError("expected a list argument", pos)
-        return tuple(scalar(i) for i in x.items)
-
-    def int_list(x: Term) -> tuple:
-        if not isinstance(x, ListTerm):
-            raise GroundError("expected a list argument", pos)
-        return tuple(_int_of(i, "list element", pos) for i in x.items)
-
-    def cmp_name(x: Term) -> str:
-        if isinstance(x, Const) and isinstance(x.value, str):
-            if x.value in fd.CMP_NAMES:
-                return x.value
-            if x.value in CMP_OPS:
-                return CMP_OPS[x.value]
-        raise GroundError(f"expected a comparison operator, got "
-                          f"{display_term(x)}", pos)
-
-    def build(x: Term):
-        if not isinstance(x, Compound):
-            raise GroundError(f"not a constraint: {display_term(x)}", pos)
-        f = x.functor
-        if f in _CMP_FUNCTORS:
-            if len(x.args) != 2:
-                raise GroundError(f"arity error in comparison {f}", pos)
-            return fd.Cmp(f, arith(x.args[0]), arith(x.args[1]))
-        if f in _LOGIC_FUNCTORS:
-            want = 1 if f == "not" else 2
-            if len(x.args) != want:
-                raise GroundError(f"arity error in connective {f}", pos)
-            return fd.BoolExpr(f, tuple(build(a) for a in x.args))
-        if f in GLOBAL_CONSTRAINTS:
-            a = x.args
-            try:
-                if f in ("all_different", "all_distinct", "circuit"):
-                    return fd.Global(f, (var_list(a[0]),))
-                if f == "assignment":
-                    return fd.Global(f, (var_list(a[0]), var_list(a[1])))
-                if f in ("count",):
-                    return fd.Global(f, (scalar(a[0]), var_list(a[1]),
-                                         cmp_name(a[2]), scalar(a[3])))
-                if f == "cumulative":
-                    ress = int_list(a[2])
-                    if any(r < 0 for r in ress):
-                        # fd's compulsory-part profile assumes that use
-                        # only adds up
-                        raise GroundError(
-                            f"cumulative resources must be nonnegative, "
-                            f"got {min(ress)}", pos)
-                    return fd.Global(f, (var_list(a[0]), int_list(a[1]),
-                                         ress, scalar(a[3])))
-                if f == "disjoint2":
-                    return fd.Global(f, (var_list(a[0]), int_list(a[1]),
-                                         var_list(a[2]), int_list(a[3])))
-                if f == "element":
-                    return fd.Global(f, (scalar(a[0]), var_list(a[1]),
-                                         scalar(a[2])))
-                if f in ("minimum", "maximum"):
-                    return fd.Global(f, (scalar(a[0]), var_list(a[1])))
-                if f == "scalar_product":
-                    return fd.Global(f, (int_list(a[0]), var_list(a[1]),
-                                         cmp_name(a[2]), scalar(a[3])))
-                if f == "serialized":
-                    return fd.Global(f, (var_list(a[0]), int_list(a[1])))
-                if f == "sum":
-                    return fd.Global(f, (var_list(a[0]), cmp_name(a[1]),
-                                         scalar(a[2])))
-            except IndexError:
-                raise GroundError(f"arity error in global constraint {f}",
-                                  pos)
+    if not isinstance(x, Compound):
         raise GroundError(f"not a constraint: {display_term(x)}", pos)
+    f = x.functor
+    if f in _CMP_FUNCTORS:
+        if len(x.args) != 2:
+            raise GroundError(f"arity error in comparison {f}", pos)
+        return fd.Cmp(f, _arith(x.args[0], declared, pos),
+                      _arith(x.args[1], declared, pos))
+    if f in _LOGIC_FUNCTORS:
+        want = 1 if f == "not" else 2
+        if len(x.args) != want:
+            raise GroundError(f"arity error in connective {f}", pos)
+        return fd.BoolExpr(f, tuple(_build_constraint_expr(a, declared, pos)
+                                    for a in x.args))
+    if f in GLOBAL_CONSTRAINTS:
+        a = x.args
 
-    return build(t)
+        def scalar(i: int):
+            return _arith(a[i], declared, pos)
+
+        def var_list(i: int) -> tuple:
+            return _var_list(a[i], declared, pos)
+
+        def int_list(i: int) -> tuple:
+            return _int_list(a[i], pos)
+
+        try:
+            if f in ("all_different", "all_distinct", "circuit"):
+                return fd.Global(f, (var_list(0),))
+            if f == "assignment":
+                return fd.Global(f, (var_list(0), var_list(1)))
+            if f in ("count",):
+                return fd.Global(f, (scalar(0), var_list(1),
+                                     _cmp_name(a[2], pos), scalar(3)))
+            if f == "cumulative":
+                ress = int_list(2)
+                if any(r < 0 for r in ress):
+                    # fd's compulsory-part profile assumes that use only
+                    # adds up
+                    raise GroundError(
+                        f"cumulative resources must be nonnegative, "
+                        f"got {min(ress)}", pos)
+                return fd.Global(f, (var_list(0), int_list(1), ress,
+                                     scalar(3)))
+            if f == "disjoint2":
+                return fd.Global(f, (var_list(0), int_list(1),
+                                     var_list(2), int_list(3)))
+            if f == "element":
+                return fd.Global(f, (scalar(0), var_list(1), scalar(2)))
+            if f in ("minimum", "maximum"):
+                return fd.Global(f, (scalar(0), var_list(1)))
+            if f == "scalar_product":
+                return fd.Global(f, (int_list(0), var_list(1),
+                                     _cmp_name(a[2], pos), scalar(3)))
+            if f == "serialized":
+                return fd.Global(f, (var_list(0), int_list(1)))
+            if f == "sum":
+                return fd.Global(f, (var_list(0), _cmp_name(a[1], pos),
+                                     scalar(2)))
+        except IndexError:
+            raise GroundError(f"arity error in global constraint {f}", pos)
+    raise GroundError(f"not a constraint: {display_term(x)}", pos)
+
+
+def _arith(x: Term, declared: Dict[Term, "fd.VarRef"],
+           pos: Optional[SourcePos]):
+    """The arithmetic expression of a ground term."""
+    if isinstance(x, Const) and isinstance(x.value, int):
+        return fd.IntConst(x.value)
+    if isinstance(x, Compound) and x.functor in _ARITH_FUNCTORS:
+        n = 1 if x.functor == "neg" else 2
+        if len(x.args) != n:
+            raise GroundError(f"arity error in {x.functor}", pos)
+        return fd.Arith(x.functor, tuple(_arith(a, declared, pos)
+                                         for a in x.args))
+    ref = declared.get(x)
+    if ref is not None:
+        return ref
+    raise GroundError(
+        f"required-argument references undeclared constraint variable "
+        f"{display_term(x)}", pos)
+
+
+def _var_list(x: Term, declared: Dict[Term, "fd.VarRef"],
+              pos: Optional[SourcePos]) -> tuple:
+    if not isinstance(x, ListTerm):
+        raise GroundError("expected a list argument", pos)
+    return tuple(_arith(i, declared, pos) for i in x.items)
+
+
+def _int_list(x: Term, pos: Optional[SourcePos]) -> tuple:
+    if not isinstance(x, ListTerm):
+        raise GroundError("expected a list argument", pos)
+    return tuple(_int_of(i, "list element", pos) for i in x.items)
+
+
+def _cmp_name(x: Term, pos: Optional[SourcePos]) -> str:
+    if isinstance(x, Const) and isinstance(x.value, str):
+        if x.value in fd.CMP_NAMES:
+            return x.value
+        if x.value in CMP_OPS:
+            return CMP_OPS[x.value]
+    raise GroundError(f"expected a comparison operator, got "
+                      f"{display_term(x)}", pos)
 
 
 def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
@@ -1422,43 +1472,81 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
                   ) -> CAProgram:
     """Translate a ground, list-expanded program into a CA program.
 
-    The atoms are keyed by identity, which the program's table makes one
-    object per canonical name, so the distinct required atoms are told
-    apart without naming their arguments again.  The propositional rules
-    are built over the keys, and `RegularProgram.build` numbers the atoms
-    in order of first occurrence and names each once, with `display_atom`.
+    One walk over the rules checks their heads (the `cspdomain` fact, the
+    distinct required atoms) and turns each into propositional rules over
+    atom ids: a choice rule into one rule per element and the denials of
+    its bounds.  The atoms are keyed by identity, which the program's table
+    makes one object per canonical name, so the distinct required atoms
+    are told apart without naming their arguments again.  An
+    `asp.AtomIds` table numbers the keys in order of first occurrence and
+    names each once, with `display_atom`; atoms shown alike are one atom,
+    and a choice rule's bounds count its elements after that merge.  The
+    constraint expressions are built after the walk, and then the two
+    linking denials of each required atom.
     """
-    domain_args = []
-    has_reserved = False
-    # the key of each distinct required atom, with its first rule
+    atoms = {id(a): a for a in p.atoms}
+    # the key of each distinct required atom, with its first rule, and the
+    # display name of its argument; its constraint atom has the key ~key
     required: Dict[int, Rule] = {}
+    shown: Dict[int, str] = {}
+
+    def name(key: int) -> str:
+        if key < 0:
+            return f"|{shown[~key]}|"
+        a = atoms[key]
+        if a.rel == "required":
+            s = shown[key] = display_term(a.args[0])
+            return f"required({s})"
+        return display_atom(a)
+
+    # constraint and ez atoms live in reserved name spaces (|..| and
+    # required(..)), so the three alphabets are disjoint by construction
+    ids = AtomIds(name)
+    rule = ids.rule
+    out: List[RuleP] = []
+    domain_args = []
+    # a choice too large to compile is reported after the other errors
+    too_large: Optional[GroundError] = None
     for r in p.rules:
-        heads = [r.head] if isinstance(r.head, Atom) else \
-            [e.atom for e in r.head.elems] if isinstance(r.head, Choice) else []
-        for h in heads:
-            if h.reserved:
-                has_reserved = True
-            if h.rel == "cspdomain":
+        pos: List[int] = []
+        neg: List[int] = []
+        nn: List[int] = []
+        for b in r.body:
+            kind = b.kind
+            (pos if kind == "pos" else neg if kind == "not" else nn).append(
+                id(b.atom))
+        head = r.head
+        if head is None:
+            out.append(rule(None, pos, neg, nn))
+            continue
+        if head.__class__ is Atom:
+            if head.rel == "required":
+                required.setdefault(id(head), r)
+            elif head.rel == "cspdomain":
                 if not r.is_fact:
                     raise GroundError("cspdomain must be a fact", r.pos)
-                domain_args.append((h.args[0], r.pos))
-            if h.rel == "required":
-                if isinstance(r.head, Choice):
-                    raise GroundError("required not allowed in choice heads",
-                                      r.pos)
-                required.setdefault(id(h), r)
-        for b in r.body:
-            if isinstance(b, Lit):
-                if b.atom.rel == "required":
-                    raise GroundError(
-                        "required-atoms may only occur in rule heads", r.pos)
-                if b.atom.reserved:
-                    has_reserved = True
+                domain_args.append((head.args[0], r.pos))
+            out.append(rule(id(head), pos, neg, nn))
+            continue
+        elems = []
+        for e in head.elems:
+            if e.atom.rel == "cspdomain":
+                if not r.is_fact:
+                    raise GroundError("cspdomain must be a fact", r.pos)
+                domain_args.append((e.atom.args[0], r.pos))
+            k = id(e.atom)
+            out.append(rule(k, pos, neg, nn + [k]))
+            elems.append(k)
+        if too_large is None:
+            try:
+                out.extend(_bound_denials(r, elems, ids, pos, neg, nn))
+            except GroundError as exc:
+                too_large = exc
 
     if len(domain_args) > 1:
         raise GroundError("duplicate cspdomain fact")
     if not domain_args:
-        if has_reserved:
+        if any(a.reserved for a in p.atoms):
             raise GroundError("missing cspdomain fact")
     else:
         arg, dpos = domain_args[0]
@@ -1473,25 +1561,15 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
         if isinstance(r.head.args[0], IntensionalList):
             raise GroundError("unexpanded intensional list", r.pos)
     declared = {d.var_term: fd.VarRef(d.var) for d in decls}
-    gamma: Dict[int, object] = {}
-    shown: Dict[int, str] = {}            # required-argument display names
-    for key, r in required.items():
-        beta = r.head.args[0]
-        gamma[key] = _build_constraint_expr(beta, declared, None)
-        shown[key] = display_term(beta)
+    gamma = {key: _build_constraint_expr(r.head.args[0], declared, None)
+             for key, r in required.items()}
+    if too_large is not None:
+        raise too_large
 
-    atoms = {id(a): a for a in p.atoms}
-
-    def name(key: int) -> str:
-        if key < 0:
-            return f"|{shown[~key]}|"
-        if key in shown:
-            return f"required({shown[key]})"
-        return display_atom(atoms[key])
-
-    # constraint and ez atoms live in reserved name spaces (|..| and
-    # required(..)), so the three alphabets are disjoint by construction
-    pi = RegularProgram.build(_proto_rules(p.rules, required), name=name)
+    for k in required:
+        out.append(rule(None, [k], [~k]))
+        out.append(rule(None, [~k], [k]))
+    pi = ids.program(out)
 
     # a declaration atom that never materialized in a rule is always active
     ca_decls = [CADecl(pi.index.get(d.atom), d.var, d.lo, d.hi)
@@ -1503,50 +1581,31 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
                      var_decls=ca_decls, suppressed=frozenset(betas))
 
 
-def _proto_rules(rules: Sequence[Rule], required: Iterable[int]
-                 ) -> Iterator[Tuple[Optional[int], List[int], List[int],
-                                     List[int]]]:
-    """The propositional rules of a CA program over atom keys, for
-    `RegularProgram.build`: each rule, a choice rule as one rule per element
-    and the denials of its bounds, then the two linking denials of each
-    required atom key k, whose constraint atom has the key ~k.  It yields
-    one rule at a time, so that the keys of the whole program are never
-    held at once."""
-    for r in rules:
-        pos_b: List[int] = []
-        neg_b: List[int] = []
-        nn_b: List[int] = []
-        for b in r.body:
-            if isinstance(b, Lit):
-                (pos_b if b.kind == "pos" else
-                 neg_b if b.kind == "not" else nn_b).append(id(b.atom))
-        if r.head is None:
-            yield None, pos_b, neg_b, nn_b
-        elif isinstance(r.head, Atom):
-            yield id(r.head), pos_b, neg_b, nn_b
+def _bound_denials(r: Rule, elems: List[int], ids: AtomIds,
+                   pos: List[int], neg: List[int], nn: List[int]
+                   ) -> Iterator[RuleP]:
+    """The denials of the bounds of choice rule r, whose element keys are
+    `elems` and whose body is `pos`, `neg`, `nn`, all interned in `ids`.
+    The bounds count atoms, so elements shown alike count once."""
+    first: Dict[int, int] = {}
+    for k in elems:
+        first.setdefault(ids[k], k)
+    elems = list(first.values())
+    n = len(elems)
+    lo = None if r.head.lower is None else r.head.lower.value
+    hi = None if r.head.upper is None else r.head.upper.value
+    if lo is not None and lo > 0:
+        k = n - lo + 1
+        if k <= 0:
+            yield ids.rule(None, pos, neg, nn)
         else:
-            ch = r.head
-            elems = [id(e.atom) for e in ch.elems]
-            for e in elems:
-                yield e, pos_b, neg_b, nn_b + [e]
-            n = len(elems)
-            lo = None if ch.lower is None else ch.lower.value
-            hi = None if ch.upper is None else ch.upper.value
-            if lo is not None and lo > 0:
-                k = n - lo + 1
-                if k <= 0:
-                    yield None, pos_b, neg_b, nn_b
-                else:
-                    _check_combos(n, k, r.pos)
-                    for subset in itertools.combinations(elems, k):
-                        yield None, pos_b, neg_b + list(subset), nn_b
-            if hi is not None and hi < n:
-                _check_combos(n, hi + 1, r.pos)
-                for subset in itertools.combinations(elems, hi + 1):
-                    yield None, pos_b + list(subset), neg_b, nn_b
-    for k in required:
-        yield None, [k], [~k], []
-        yield None, [~k], [k], []
+            _check_combos(n, k, r.pos)
+            for subset in itertools.combinations(elems, k):
+                yield ids.rule(None, pos, neg + list(subset), nn)
+    if hi is not None and hi < n:
+        _check_combos(n, hi + 1, r.pos)
+        for subset in itertools.combinations(elems, hi + 1):
+            yield ids.rule(None, pos + list(subset), neg, nn)
 
 
 def _check_combos(n: int, k: int, pos: Optional[SourcePos]) -> None:

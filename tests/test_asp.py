@@ -2,12 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ezcasp.asp import (Record, RegularProgram, RuleP, clausify,
                         enumerate_answer_sets_bruteforce, find_unit_step,
                         greatest_unfounded_set, is_answer_set, least_model,
-                        reduct, unit_propagate)
+                        reduct, rule_clause, unit_propagate)
 
 from bruteforce import all_unfounded_sets, is_unfounded
 
@@ -36,6 +36,62 @@ def test_extended_checks_appended_rules_and_shares_the_table():
         prog.extended([RuleP(5, (), ())])             # head id out of range
     with pytest.raises(ValueError):
         prog.extended([RuleP(None, (0, 0), ())])      # duplicate body atom
+
+
+# keys "a" and "A" are both named "a", and so one atom
+_key = st.sampled_from(["a", "A", "b", "B", "c"])
+_key_rule = st.tuples(st.one_of(st.none(), _key), st.lists(_key, max_size=3),
+                      st.lists(_key, max_size=3), st.lists(_key, max_size=2))
+
+
+def _first_each(items):
+    out = []
+    for x in items:
+        if x not in out:
+            out.append(x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_key_rule, max_size=6), st.lists(_key, max_size=2))
+@example([("a", [], ["a"], [])], [])                # a head also negated
+@example([("b", ["a"], [], ["a"])], [])             # pos overlapping nneg
+@example([(None, ["a", "a"], ["b", "b"], ["c", "c"])], [])    # repeats
+@example([("a", ["A"], ["b", "B"], ["A"])], ["C"])  # names that merge
+def test_build_and_clauses_equal_reference_formulas(rules, extra):
+    named = []
+
+    def name(key):
+        named.append(key)
+        return key.lower()
+
+    prog = RegularProgram.build(rules, extra, name=name)
+    # every key is named once, where it first occurs; atoms are numbered
+    # in order of their names' first occurrence
+    keys = []
+    for head, pos, neg, nneg in rules:
+        keys += ([] if head is None else [head]) + pos + neg + nneg
+    keys += extra
+    assert named == _first_each(keys)
+    names = _first_each([k.lower() for k in keys])
+    assert prog.names == tuple(names)
+    assert prog.index == {n: i for i, n in enumerate(names)}
+
+    def ids(part):
+        return tuple(_first_each([names.index(k.lower()) for k in part]))
+
+    assert list(prog.rules) == [
+        RuleP(None if h is None else names.index(h.lower()),
+              ids(pos), ids(neg), ids(nneg))
+        for h, pos, neg, nneg in rules]
+    RegularProgram(prog.names, prog.rules)          # the checks hold
+    # a clause: head, -pos, neg, -nneg, each literal at its first place
+    for r in prog.rules:
+        lits = ([] if r.head is None else [r.head + 1]) \
+            + [-(a + 1) for a in r.pos] + [a + 1 for a in r.neg] \
+            + [-(a + 1) for a in r.nneg]
+        assert rule_clause(r) == tuple(_first_each(lits))
+    assert clausify(prog) == [rule_clause(r) for r in prog.rules]
 
 
 def test_clausify_normal_rule_truth_table():

@@ -1,5 +1,7 @@
 import collections
+import gc
 import pathlib
+import types
 
 import pytest
 
@@ -451,6 +453,28 @@ def test_atoms_shown_alike_are_one_atom():
     assert P.pi.names == ("p(-3)", "q")
     (q,) = [r for r in P.pi.rules if r.head == 1]
     assert q.pos == (0,)
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS.glob("*.ez")),
+                         ids=lambda path: path.stem)
+def test_grounding_leaves_no_cycle_of_functions(encoding):
+    # the grounder's functions hold no reference to themselves, so what a
+    # finished grounding held is freed by reference counting alone
+    source = encoding.read_text()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ground_program(source)
+        gc.collect()
+        cyclic = sorted({f.__qualname__ for f in gc.garbage
+                         if isinstance(f, types.FunctionType)
+                         and f.__module__.startswith("ezcasp")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert cyclic == []
 
 
 def test_alphabets_disjoint_by_construction():
