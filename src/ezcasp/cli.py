@@ -7,6 +7,11 @@ Usage:
 
 Exit status: 10 = SAT, 20 = UNSAT, 1 = error or budget exceeded.
 
+With `--stats FILE`, a solve also writes FILE as JSON: `atoms` and `rules`
+of the CA program, the wall times `ground_stages_s` (EZ text to CA program)
+and `solve_ca_s` (the search), and `stats`, the solve's `SolveStats`
+counters.
+
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
 bindings sorted by variable name.  The step budget bounds the transition
@@ -278,6 +283,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="write the transition trace as JSON lines")
     ap.add_argument("--emit-clp", metavar="FILE",
                     help="write the CLP translation of the first answer set")
+    ap.add_argument("--stats", metavar="FILE",
+                    help="after solving, write the solve counters, the atom "
+                         "and rule counts and the wall times of grounding "
+                         "and search as JSON")
     ap.add_argument("--validate-trace", metavar="FILE",
                     help="validate a trace file against the program and exit")
     ap.add_argument("--oracle", action="store_true",
@@ -335,7 +344,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(_dump_ground_text(source, args.default_range))
             return 0
         from .ground import ground_program
+        start = time.perf_counter()
         program = ground_program(source, args.default_range)
+        ground_s = time.perf_counter() - start
     except (EzSyntaxError, GroundError) as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -358,10 +369,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = SchemaConfig(schema=args.schema, semantics=args.semantics,
                        check_freq=args.check_freq, limit=args.n)
     try:
+        start = time.perf_counter()
         res = solve_ca(program, cfg, collect_trace=bool(args.dump_trace))
+        solve_s = time.perf_counter() - start
     except fd.ComplementUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+
+    if args.stats:
+        try:
+            with open(args.stats, "w") as f:
+                json.dump({"atoms": program.n_atoms,
+                           "rules": len(program.pi.rules),
+                           "ground_stages_s": round(ground_s, 6),
+                           "solve_ca_s": round(solve_s, 6),
+                           "stats": vars(res.stats)}, f, indent=1)
+                f.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
     if args.dump_trace and res.trace is not None:
         with open(args.dump_trace, "w") as f:

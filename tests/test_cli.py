@@ -346,3 +346,43 @@ def test_negative_cumulative_resource_is_rejected(tmp_path, capsys):
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: {f}: cumulative resources must be nonnegative, " \
         "got -2\n"
+
+
+@pytest.mark.parametrize("source, models", [
+    ("1 { p(-3) ; p(neg(3)) ; p(4) } 1.", ["{ p(-3) }", "{ p(4) }"]),
+    ("1 { p(-3) ; p(neg(3)) } 1.", ["{ p(-3) }"]),
+    ("q(-3). q(neg(3)). 1 { p(X) : q(X) } 1.", ["{ p(-3), q(-3) }"]),
+])
+def test_choice_bounds_count_atoms_shown_alike_once(tmp_path, capsys, source,
+                                                     models):
+    # p(-3) and p(neg(3)) are one atom of the CA program, so a bound
+    # counts them once: choosing it is choosing one element
+    f = tmp_path / "c.ez"
+    f.write_text(source)
+    solved = run_cli(capsys, f, "-n", "0")
+    assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
+    assert solved == (EXIT_SAT, "".join(m + "\n" for m in models), "")
+
+
+@pytest.mark.parametrize("path, n", [(LIGHT, "0"), (RIDDLE, "1")])
+def test_stats_file(tmp_path, capsys, path, n):
+    plain = run_cli(capsys, path, "-n", n)
+    stats = tmp_path / "stats.json"
+    assert run_cli(capsys, path, "-n", n, "--stats", stats) == plain
+    written = json.loads(stats.read_text())
+    program = ground_program(path.read_text())
+    res = solve_ca(program, SchemaConfig(limit=int(n)))
+    assert written["atoms"] == program.n_atoms
+    assert written["rules"] == len(program.pi.rules)
+    assert written["stats"] == vars(res.stats)
+    assert written["ground_stages_s"] > 0 and written["solve_ca_s"] > 0
+
+
+def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):
+    f = tmp_path / "u.ez"
+    f.write_text("a. :- a.")
+    stats = tmp_path / "stats.json"
+    assert run_cli(capsys, f, "--stats", stats) == (EXIT_UNSAT, "UNSAT\n", "")
+    assert json.loads(stats.read_text())["stats"]["runs"] == 1
+    code, out, err = run_cli(capsys, f, "--stats", tmp_path / "no" / "s.json")
+    assert code == EXIT_ERROR and out == "" and err.startswith("error: ")
