@@ -17,11 +17,11 @@ distinct atom is one object with an id in insertion order, entered under
 the canonical name the grounder computed.  `expand_lists` replaces
 intensional lists by their extensional representation, visiting only the
 rules whose required head holds one; `to_ca_program` maps the ground
-program to a CA program without naming a required-argument again:
-constraint-variable declarations, one constraint atom per distinct required
-atom with its constraint expression, and the two linking denials per
-required atom.  Display names come from one printer, `display_term`.
-`ground_stages` runs the whole pipeline.
+program to a CA program in one walk over its rules, without naming a
+required-argument again: constraint-variable declarations, one constraint
+atom per distinct required atom with its constraint expression, and the two
+linking denials per required atom.  Display names come from one printer,
+`display_term`.  `ground_stages` runs the whole pipeline.
 
 Safety: every variable of a rule must be bound by a positive non-builtin body
 atom or, transitively, by a `Var = arithmetic` built-in over bound variables.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+from typing import (Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
 from . import fd
@@ -965,15 +965,8 @@ class GroundProgram(EzProgram):
     lists: Tuple[int, ...] = field(compare=False)
 
 
-def _binding_key(positions: List[int]):
-    """The function taking a tuple of bound values to the values at
-    `positions`, sorted, as one hashable key."""
-    if not positions:
-        return _no_variables
-    return itemgetter(*sorted(positions))
-
-
 def _no_variables(bound: tuple) -> tuple:
+    """The binding of a literal without variables."""
     return ()
 
 
@@ -1051,18 +1044,20 @@ def ground(p: EzProgram) -> GroundProgram:
     for rp in plans:
         rule = rp.rule
         atom_head = isinstance(rule.head, Atom)
-        # A body literal is built once per binding of its own variables.
-        # The binding is keyed by the identities of the bound terms, read
-        # from one tuple per substitution: the rule's substitutions keep the
-        # terms alive, and hashing them as terms would walk each one.
-        # Equal terms that are distinct objects build the atom again, and it
-        # is then entered once, by its name.
+        # A body literal is built once per binding of its own variables,
+        # keyed by the identities of the bound terms, which are read once
+        # per substitution.  The rule's substitutions keep the terms alive,
+        # and hashing them as terms would walk each one; equal terms that
+        # are distinct objects build the atom again, which is then entered
+        # once, by its name.
         body_lits = [b for b in rule.body if isinstance(b, Lit)]
         names = sorted(set().union(*[_atom_vars(b.atom) for b in body_lits]))
         where = {v: i for i, v in enumerate(names)}
-        lits = [(b.kind, _KINDS.index(b.kind), b.atom,
-                 _binding_key([where[v] for v in _atom_vars(b.atom)]), {})
-                for b in body_lits]
+        lits = []
+        for b in body_lits:
+            own = sorted(where[v] for v in _atom_vars(b.atom))
+            lits.append((b.kind, _KINDS.index(b.kind), b.atom,
+                         itemgetter(*own) if own else _no_variables, {}))
         for env, insts in rp.instances:
             if atom_head and not insts:
                 continue                    # an empty range in the head
@@ -1107,7 +1102,8 @@ def ground(p: EzProgram) -> GroundProgram:
                                       rule.pos)
                 heads.append((Choice(lower, tuple(elems.values()), upper),
                               (lower, frozenset(elems), upper)))
-            # rules are told apart by their atoms, source position aside
+            # rules are told apart by their atoms, source position aside;
+            # a body literal object stands for its atom and kind
             ground_body = tuple(body)
             body_key = tuple(map(id, ground_body))
             for h, hk in heads:
