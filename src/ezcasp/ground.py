@@ -1063,8 +1063,8 @@ def ground(p: EzProgram) -> GroundProgram:
                 continue                    # an empty range in the head
             bound = tuple(map(id, map(env.get, names)))
             body: List[Lit] = []
-            for kind, code, atom, key, memo in lits:
-                binding = key(bound)
+            for kind, code, atom, binding_of, memo in lits:
+                binding = binding_of(bound)
                 lit = memo.get(binding)
                 if lit is None:
                     a = Atom(atom.rel, tuple(_eval_term(t, rule.pos, env)
@@ -1580,9 +1580,9 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
 def _bound_denials(r: Rule, elems: List[int], ids: AtomIds,
                    pos: List[int], neg: List[int], nn: List[int]
                    ) -> Iterator[RuleP]:
-    """The denials of the bounds of choice rule r, whose element keys are
-    `elems` and whose body is `pos`, `neg`, `nn`, all interned in `ids`.
-    The bounds count atoms, so elements shown alike count once."""
+    """The denials of the bounds of choice rule r, over the keys of its
+    body (`pos`, `neg`, `nn`) and of its elements (`elems`, already in
+    `ids`).  The bounds count atoms, so elements shown alike count once."""
     first: Dict[int, int] = {}
     for k in elems:
         first.setdefault(ids[k], k)
