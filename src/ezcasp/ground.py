@@ -1038,7 +1038,7 @@ def ground(p: EzProgram) -> GroundProgram:
             atoms.append(a)
         return i
 
-    # one literal object per atom and kind, keyed 3 * id + kind code
+    # one literal object per atom and kind, under the key 3 * id + kind code
     shared: Dict[int, Lit] = {}
     seen: Set[tuple] = set()
     for rp in plans:
@@ -1062,19 +1062,17 @@ def ground(p: EzProgram) -> GroundProgram:
             if atom_head and not insts:
                 continue                    # an empty range in the head
             bound = tuple(map(id, map(env.get, names)))
-            body: List[Lit] = []
+            keys: List[int] = []
             for kind, code, atom, binding_of, memo in lits:
                 binding = binding_of(bound)
-                lit = memo.get(binding)
-                if lit is None:
+                k = memo.get(binding)
+                if k is None:
                     a = Atom(atom.rel, tuple(_eval_term(t, rule.pos, env)
                                              for t in atom.args))
-                    i = 3 * enter(a, canon_atom(a)) + code
-                    lit = shared.get(i)
-                    if lit is None:
-                        lit = shared[i] = Lit(kind, atoms[i // 3])
-                    memo[binding] = lit
-                body.append(lit)
+                    k = memo[binding] = 3 * enter(a, canon_atom(a)) + code
+                    if k not in shared:
+                        shared[k] = Lit(kind, atoms[k // 3])
+                keys.append(k)
             # (head, key telling it apart)
             heads: List[Tuple[Union[None, Atom, Choice], object]] = []
             if rule.head is None:
@@ -1102,10 +1100,9 @@ def ground(p: EzProgram) -> GroundProgram:
                                       rule.pos)
                 heads.append((Choice(lower, tuple(elems.values()), upper),
                               (lower, frozenset(elems), upper)))
-            # rules are told apart by their atoms, source position aside;
-            # a body literal object stands for its atom and kind
-            ground_body = tuple(body)
-            body_key = tuple(map(id, ground_body))
+            # rules are told apart by their atoms, source position aside
+            body_key = tuple(keys)
+            ground_body = tuple(map(shared.__getitem__, keys))
             for h, hk in heads:
                 key = (hk, body_key)
                 if key not in seen:
