@@ -100,7 +100,7 @@ class RegularProgram:
         ids = AtomIds(name)
         out = [ids.rule(*r) for r in rules]
         for a in extra_atoms:
-            ids[a]
+            ids[a]                      # enters a new key
         return ids.program(out)
 
     def extended(self, extra: Sequence[RuleP]) -> "RegularProgram":

@@ -1527,6 +1527,9 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
                 if not r.is_fact:
                     raise GroundError("cspdomain must be a fact", r.pos)
                 domain_args.append((e.atom.args[0], r.pos))
+            elif e.atom.rel == "required":
+                raise GroundError("required not allowed in choice heads",
+                                  r.pos)
             k = id(e.atom)
             out.append(rule(k, pos, neg, nn + [k]))
             elems.append(k)

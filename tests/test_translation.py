@@ -7,8 +7,8 @@ warnings).  `tests/data/translation/clauses.txt` holds, for the same cases,
 a digest of the clauses of the program's ASP abstraction in order, one per
 rule (`asp.clausify`).  The cases are `oracle.random_ez_source` seeds
 0-499, seeds 250-499 with `min_lo=-3`, plus every bundled encoding.  A
-grounder, translation or clause-builder change must leave every digest as
-it is.  Regenerate both files with
+change to grounding, translation or clausification must leave every digest
+as it is.  Regenerate both files with
 `PYTHONPATH=src:tests python tests/test_translation.py`.
 """
 
