@@ -453,25 +453,26 @@ class Propagator:
     """Unit propagation over a Record with two watched literals per clause.
 
     Each clause of length two or more watches two of its literals (kept at
-    positions 0 and 1 of a private copy).  `step` walks the record's trail
-    from a propagation head; for each literal it visits only the clauses
-    that watch its complement, moves the watch to a literal that is not
-    false, or else reports the clause as unit (its other watch is
-    unassigned) or falsified.  Clauses of length one are checked directly.
-    The caller appends the literal `step` returns, so every propagation is
-    one Unit Propagate edge; `backjump` and `reset` replace the record's own
-    Backtrack and clear so that the head and the pending units follow them.
+    positions 0 and 1 of a private copy).  `propagate` walks the record's
+    trail from a propagation head; for each literal it visits only the
+    clauses that watch its complement, moves the watch to a literal that is
+    not false, or else finds the clause unit (its other watch is
+    unassigned) or falsified, and appends the literal the clause gives.
+    Clauses of length one are checked directly.  Every literal appended is
+    one Unit Propagate edge; a limit of one makes one edge per call.
+    `backjump` and `reset` replace the record's own Backtrack and clear so
+    that the head and the pending units follow them.
 
-    The closure reached by `step` is the one `unit_propagate` reaches over
-    the same clauses, though the literals may come in a different order.
-    That rests on chronological backtracking, and on decisions being
-    appended only at the fixpoint (after `step` returned None): a false
-    watch whose clause is kept because the other watch is true was then
-    falsified no earlier in the decision levels than that watch became
-    true.  A clause added to a non-empty record can break that (its only
-    true literal may sit on a later level than all its false ones); such
-    clauses are re-attached after each backjump until their watches are
-    safe again.
+    The closure reached by `propagate` is the one `unit_propagate` reaches
+    over the same clauses, though the literals may come in a different
+    order.  That rests on chronological backtracking, and on decisions
+    being appended only at the fixpoint (after `propagate` appended fewer
+    literals than its limit): a false watch whose clause is kept because the
+    other watch is true was then falsified no earlier in the decision levels
+    than that watch became true.  A clause added to a non-empty record can
+    break that (its only true literal may sit on a later level than all its
+    false ones); such clauses are re-attached after each backjump until
+    their watches are safe again.
 
     The initial clauses are given on the empty record and attached in one
     pass, each watching its first two literals; that pass also notes
@@ -489,6 +490,7 @@ class Propagator:
         self._queue: List[Tuple[int, int]] = []
         self._fragile: List[int] = []
         self._head = 0
+        self.reason: Optional[Clause] = None
         if m.trail or m.bot:
             raise ValueError("initial clauses are added on the empty record")
         # whether one of the initial clauses is empty, which no record
@@ -523,67 +525,86 @@ class Propagator:
             elif not self._attach(ci):
                 self._fragile.append(ci)
 
-    def step(self) -> Optional[Tuple[int, Clause]]:
-        """The next unit-propagation edge (literal, clause), or None at the
-        fixpoint.  A falsified clause comes back with one of its literals:
-        appending it makes the record inconsistent, the conflict edge."""
+    def propagate(self, limit: int) -> int:
+        """Append unit-propagation literals to the record until the fixpoint,
+        until a literal that makes the record inconsistent (the conflict
+        edge: a falsified clause gives one of its literals), or until
+        `limit` literals are appended; returns how many were appended.
+        `reason` is then the clause of the last one.  Calls with any limits
+        append the same literals in the same order."""
         m = self.m
         if m.bot or m.clash:
-            return None
-        val, queue, trail = m.val, self._queue, m.trail
+            return 0
+        val, trail, queue = m.val, m.trail, self._queue
+        lits, watches, clauses = self._lits, self._watches, self.clauses
+        units = self._units
+        head = self._head
+        n = 0
         while True:
             while queue:
                 lit, ci = queue.pop()
                 if val[lit] != 1:
-                    return lit, self.clauses[ci]
-            if self._head == len(trail):
-                break
-            self._head += 1
-            conflict = self._visit(-trail[self._head - 1])
-            if conflict is not None:
-                return conflict
-        units = self._units
-        while self._unit_next < len(units):
-            clause = self.clauses[units[self._unit_next]]
-            if val[clause[0]] != 1:
-                return clause[0], clause
-            self._unit_next += 1
-        return None
-
-    def _visit(self, f: int) -> Optional[Tuple[int, Clause]]:
-        """Visit the clauses watching `f`, which has just become false."""
-        wl = self._watches[f]
-        val, lits, watches = self.m.val, self._lits, self._watches
-        i = j = 0
-        n = len(wl)
-        while i < n:
-            ci = wl[i]
-            i += 1
-            c = lits[ci]
-            other = c[0]
-            if other == f:
-                other = c[0] = c[1]
-                c[1] = f
-            if val[other] == 1:
-                wl[j] = ci
-                j += 1
+                    m.append(lit)
+                    n += 1
+                    if m.clash or n == limit:
+                        self._head = head
+                        self.reason = clauses[ci]
+                        return n
+            if head < len(trail):
+                # visit the clauses watching the literal that has just
+                # become false: move the watch to a literal that is not
+                # false, or else the clause is unit (its other watch is
+                # unassigned) or falsified
+                f = -trail[head]
+                head += 1
+                wl = watches[f]
+                i = j = 0
+                nw = len(wl)
+                while i < nw:
+                    ci = wl[i]
+                    i += 1
+                    c = lits[ci]
+                    other = c[0]
+                    if other == f:
+                        other = c[0] = c[1]
+                        c[1] = f
+                    if val[other] == 1:
+                        wl[j] = ci
+                        j += 1
+                        continue
+                    for k in range(2, len(c)):
+                        x = c[k]
+                        if val[x] != -1:
+                            c[1] = x
+                            c[k] = f
+                            watches[x].append(ci)
+                            break
+                    else:
+                        wl[j] = ci
+                        j += 1
+                        if val[other] == -1:
+                            del wl[j:i]
+                            m.append(other)
+                            self._head = head
+                            self.reason = clauses[ci]
+                            return n + 1
+                        queue.append((other, ci))
+                del wl[j:]
                 continue
-            for k in range(2, len(c)):
-                x = c[k]
-                if val[x] != -1:
-                    c[1] = x
-                    c[k] = f
-                    watches[x].append(ci)
+            while self._unit_next < len(units):
+                clause = clauses[units[self._unit_next]]
+                if val[clause[0]] != 1:
                     break
+                self._unit_next += 1
             else:
-                wl[j] = ci
-                j += 1
-                if val[other] == -1:
-                    del wl[j:i]
-                    return other, self.clauses[ci]
-                self._queue.append((other, ci))
-        del wl[j:]
-        return None
+                self._head = head
+                return n
+            m.append(clause[0])
+            n += 1
+            if m.clash or n == limit:
+                self._head = head
+                self.reason = clause
+                return n
 
     def _attach(self, ci: int) -> bool:
         """Watch two literals of clause `ci` on a non-empty record: literals
@@ -711,7 +732,10 @@ class UnfoundedCheck:
       worklist when the check is built.
 
     After each call the sourced atoms are the least fixpoint that
-    `greatest_unfounded_set` complements.  The search calls `backjump` and
+    `greatest_unfounded_set` complements.  `pending` lists the unsourced
+    atoms that the record does not falsify; it looks only at the atoms that
+    lost their source or their false literal since its last call, and at
+    those it returned then.  The search calls `backjump` and
     `reset` alongside the record's own; a call with another record than the
     last one starts from the empty-record state.
     """
@@ -752,7 +776,12 @@ class UnfoundedCheck:
         self._unblocked: List[int] = []     # candidates after a backjump
         self._m: Optional[Record] = None
         self._grow(work)
-        self._empty = (self._src[:], self._n_open[:], bytes(self._sup))
+        # a superset of the unsourced atoms that the record does not
+        # falsify: the atoms that lost their source or their false literal
+        # since `pending` last kept those it returned
+        self._pending = {a for a in range(n) if not self._sup[a]}
+        self._empty = (self._src[:], self._n_open[:], bytes(self._sup),
+                       frozenset(self._pending))
 
     def _grow(self, work: List[int]) -> None:
         """Source the head of each rule in `work` that is unblocked and has
@@ -807,6 +836,7 @@ class UnfoundedCheck:
                         lost.append(b)
             for a in lost:
                 work.extend(by_head[a])
+            self._pending.update(lost)
         self._grow(work)
         return self._sup
 
@@ -820,17 +850,32 @@ class UnfoundedCheck:
                 n_blocked[ri] -= 1
                 if not n_blocked[ri]:
                     unblocked.append(ri)
+        self._pending.update(-lit - 1 for lit in seen[pos:] if lit < 0)
         del seen[pos:]
 
     def reset(self) -> None:
         """Return to the state of the empty record."""
-        src, n_open, sup = self._empty
+        src, n_open, sup, pending = self._empty
         self._src[:] = src
         self._n_open[:] = n_open
         self._sup[:] = sup
         self._n_blocked = [0] * len(self._n_blocked)
         self._seen.clear()
         self._unblocked.clear()
+        self._pending = set(pending)
+
+    def pending(self, m: Record) -> List[int]:
+        """The atoms of the greatest unfounded set on consistent `m` that
+        `m` does not falsify, in increasing id order, from one update."""
+        sup = self.supported(m)
+        val = m.val
+        pending = self._pending
+        out = [a for a in pending if not sup[a] and val[a + 1] != -1]
+        pending.clear()
+        if out:
+            out.sort()
+            pending.update(out)
+        return out
 
     def greatest(self, m: Record) -> FrozenSet[int]:
         sup = self.supported(m)

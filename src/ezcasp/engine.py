@@ -14,7 +14,18 @@ Restart/Restart_t edges, restricted by the selected integration schema:
            backtracking and no restarts ever occur.
 
 Every run starts from the empty state, halts in a semi-terminal state or
-Failstate, and (optionally) emits a machine-checkable trace.  Enumeration of
+Failstate, and (optionally) emits a machine-checkable trace.  The driver
+advances one propagation fixpoint per step, not one edge: it appends the
+Unit Propagate literals up to the fixpoint or a conflict, then every atom of
+one greatest unfounded set that the record does not falsify, in increasing
+id order and each as its own Unfounded edge, up to the first clash; only
+then does it propagate again, check the CSP or decide.  The closure does not
+depend on that order, so decisions, CSP checks, learned denials, restarts,
+runs, candidates, fd nodes and models are those of an order that fires one
+edge at a time; `propagations` and `steps` can differ where a conflict is
+reached after fewer or more edges.  A trace records the same edges in the
+same order, one at a time, and the step budget runs out at the same edge
+with the trace on or off.  Enumeration of
 further answer sets runs the search again on the program extended with a
 blocking denial over the previous model's literals.  The runs of one solve
 share one record, one propagator and one unfounded-set check: a new run
@@ -27,7 +38,6 @@ CAProgram are safe.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -202,6 +212,7 @@ class _Trace:
 def state_digest(m: Record, names: Sequence[str], gamma_keys: Sequence[str],
                  lam_keys: Sequence[str]) -> str:
     """Short hash of M||Gamma||Lambda; computed only when tracing."""
+    import hashlib                  # only traced solves pay for the import
     parts = []
     for lit, d in m.entries:
         parts.append(("-" if lit < 0 else "") + names[lit_atom(lit)]
@@ -221,12 +232,17 @@ class _Run:
     unfounded-set check are built for the first run; `next_run` resets them,
     drops the learned denials and adds one blocking denial.  Unit Propagate
     edges come from the watched-literal propagator over the record's trail,
-    and Unfounded edges from the incremental unfounded-set check;
+    appended up to the fixpoint in one call, and Unfounded edges from one
+    update of the incremental unfounded-set check per fixpoint;
     `asp.find_unit_step` and `asp.greatest_unfounded_set` are their
     reference versions.  The closure under both rules does not depend on the
     order in which they fire, so decisions, learned denials and models are
     those of the reference; only the edges up to a conflict may differ.
-    With the trace off no state digest or edge payload is computed."""
+    With the trace off no state digest or edge payload is computed, and one
+    call of the propagator may append literals up to the first edge past
+    the step budget; with it on, each call appends one, so that every edge
+    gets its own digests and payload.
+    """
 
     def __init__(self, program: CAProgram, cfg: SchemaConfig,
                  stats: SolveStats, trace: _Trace, run_index: int,
@@ -280,9 +296,12 @@ class _Run:
         return self._digest() if self.trace.enabled else None
 
     def _emit(self, rule: str, pre: Optional[str],
-              payload: Optional[Callable[[], dict]] = None) -> None:
+              payload: Optional[Callable[[], dict]] = None,
+              n: int = 1) -> None:
+        """Count `n` edges of `rule` that were just applied; with the trace
+        on, `n` is 1 and the edge is recorded."""
         stats = self.stats
-        stats.steps += 1
+        stats.steps += n
         # transition edges and fd search nodes share the step budget
         if stats.steps + stats.fd_nodes > self.budget:
             raise BudgetExceeded()
@@ -341,30 +360,19 @@ class _Run:
         self.stats.restarts += 1
         self._emit(rule, pre)
 
-    def _unfounded_atom(self) -> Optional[Tuple[int, bytearray]]:
-        """The first atom of the greatest unfounded set that M does not
-        already falsify, with the supported-atom flags it came from."""
-        sup = self.unfounded.supported(self.m)
-        val = self.m.val
-        a = sup.find(0)
-        while a >= 0:
-            if val[a + 1] != -1:        # unassigned or positively assigned
-                return a, sup
-            a = sup.find(0, a + 1)
-        return None
-
     # -- the run --------------------------------------------------------
 
     def execute(self):
         """-> ('model', Record) | ('failstate',)."""
         cfg, m, prop, stats = self.cfg, self.m, self.prop, self.stats
+        unfounded, traced = self.unfounded, self.trace.enabled
         lit_str = self.trace.lit_str
         n_atoms = self.abstraction.n_atoms
         while True:
             if not m.consistent:
                 pre = self._pre()
                 if m.decisions:
-                    self.unfounded.backjump(m.decisions[-1])
+                    unfounded.backjump(m.decisions[-1])
                     flipped = prop.backjump()
                     self._emit("Backtrack", pre,
                                lambda: {"lit": lit_str(flipped)})
@@ -373,26 +381,34 @@ class _Run:
                     return ("failstate",)
                 continue
 
-            step = prop.step()
-            if step is not None:
-                lit, clause = step
-                pre = self._pre()
-                m.append(lit)
-                stats.propagations += 1
+            # Unit Propagate to the fixpoint or a conflict, as far as the
+            # budget reaches; one edge per call with the trace on
+            pre = self._pre()
+            limit = 1 if traced else \
+                self.budget + 1 - stats.steps - stats.fd_nodes
+            n = prop.propagate(limit)
+            if n:
+                stats.propagations += n
                 self._emit("UnitPropagate", pre, lambda: {
-                    "lit": lit_str(lit), "clause": self._lit_strs(clause)})
-                continue
+                    "lit": lit_str(m.trail[-1]),
+                    "clause": self._lit_strs(prop.reason)}, n)
+                if n == limit or not m.consistent:
+                    continue
 
-            unf = self._unfounded_atom()
-            if unf is not None:
-                a, sup = unf
+            # the atoms of one greatest unfounded set, each its own edge,
+            # up to the first that M holds true
+            atoms = unfounded.pending(m)
+            for a in atoms:
                 pre = self._pre()
+                gus = unfounded.greatest(m) if traced else None
                 m.append(-(a + 1))
                 stats.propagations += 1
                 self._emit("Unfounded", pre, lambda: {
                     "lit": lit_str(-(a + 1)),
-                    "unfounded": sorted(self.names[x] for x in range(n_atoms)
-                                        if not sup[x])})
+                    "unfounded": sorted(self.names[x] for x in gus)})
+                if m.clash:
+                    break
+            if atoms:
                 continue
 
             # consistent propagation fixpoint

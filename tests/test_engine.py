@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ezcasp import fd
@@ -322,6 +324,41 @@ def test_step_budget_covers_fd_labeling():
     assert solve_ca(P, SchemaConfig(step_budget=273)).status == "budget"
 
 
+def _budget_sweep(P, schema, sample=None):
+    """Every budget below the edges plus fd nodes of the whole solve, or a
+    seeded sample of `sample` of them, runs out at exactly one past it;
+    that total is the first budget that completes, with the unbudgeted
+    answer."""
+    def solve(budget):
+        return solve_ca(P, SchemaConfig(schema=schema, limit=0,
+                                        max_alphas_per_model=1,
+                                        step_budget=budget))
+
+    full = solve(None)
+    total = full.stats.steps + full.stats.fd_nodes
+    budgets = range(1, total) if sample is None else \
+        sorted(random.Random(7).sample(range(1, total), sample))
+    for budget in budgets:
+        res = solve(budget)
+        assert res.status == "budget", (schema, budget)
+        assert res.stats.steps + res.stats.fd_nodes == budget + 1, \
+            (schema, budget)
+    res = solve(total)
+    assert (res.status, res.models) == (full.status, full.models)
+
+
+@pytest.mark.parametrize("schema", ["black", "grey", "clear"])
+def test_step_budget_is_exact_at_every_value(schema):
+    _budget_sweep(ground_program(RIDDLE_EZ), schema)
+
+
+@pytest.mark.parametrize("schema", ["black", "grey", "clear"])
+def test_step_budget_is_exact_on_a_sample(schema):
+    # a full sweep would cost about total**2 / 2 edges
+    _budget_sweep(ground_program((ENCODINGS / "rf_toy.ez").read_text()),
+                  schema, sample=50)
+
+
 def test_fd_nodes_count_the_propagate_calls(monkeypatch):
     calls = []
     propagate = fd.propagate
@@ -464,6 +501,30 @@ def test_full_answer_sets_project_into_weak():
         weak = solve_ca(P, SchemaConfig(semantics="weak", limit=0,
                                         max_alphas_per_model=1))
         assert _atom_sets(full) <= _atom_sets(weak), seed
+
+
+def _same_with_and_without_trace(P, cfg):
+    plain = solve_ca(P, cfg)
+    traced = solve_ca(P, cfg, collect_trace=True)
+    assert (traced.status, traced.models, traced.stats) == \
+        (plain.status, plain.models, plain.stats)
+    ok, why = oracle.validate_trace(traced.trace, P, semantics=cfg.semantics)
+    assert ok, why
+
+
+@pytest.mark.parametrize("schema", ["black", "grey", "clear"])
+def test_tracing_changes_no_answer_or_counter(schema):
+    # tracing appends one Unit Propagate literal per step of the search,
+    # without it the search appends them to the fixpoint
+    for path in sorted(ENCODINGS.glob("*.ez")):
+        _same_with_and_without_trace(
+            ground_program(path.read_text()),
+            SchemaConfig(schema=schema, limit=0, max_alphas_per_model=1))
+    for seed in range(80):
+        _same_with_and_without_trace(
+            oracle.random_program(seed),
+            SchemaConfig(schema=schema, semantics=("weak", "full")[seed % 2],
+                         limit=0))
 
 
 def test_all_traces_validate():

@@ -23,12 +23,9 @@ _clause = st.lists(_lit, min_size=1, max_size=3).map(
 
 
 def _fixpoint(prop):
-    """Append every literal the propagator yields, as the engine does."""
-    while True:
-        step = prop.step()
-        if step is None:
-            return
-        prop.m.append(step[0])
+    """Propagate to the fixpoint or a conflict, one literal per call."""
+    while prop.propagate(1):
+        pass
 
 
 # -- watched-literal unit propagation --------------------------------------------
@@ -39,19 +36,25 @@ def _fixpoint(prop):
                           st.integers(0, 63), _clause),
                 max_size=40))
 def test_watched_propagation_matches_reference(clauses, ops):
+    # `a` propagates one literal per call, `c` as far as it goes: both
+    # append the same literals in the same order
     a = Record(N)
     prop = Propagator(a, clauses)
+    c = Record(N)
+    prop_c = Propagator(c, clauses)
     b = Record(N)
     ref = list(clauses)
 
     def settle():
         if a.consistent:
             _fixpoint(prop)
+        prop_c.propagate(2 * N + 1)
         unit_propagate(b, ref)
+        assert a.trail == c.trail and a.decisions == c.decisions
         assert a.consistent == b.consistent
         if a.consistent:
             assert set(a.trail) == set(b.trail)
-            assert prop.step() is None
+            assert prop.propagate(1) == 0
         assert [a.trail[i] for i in a.decisions] == \
             [b.trail[i] for i in b.decisions]
 
@@ -64,27 +67,34 @@ def test_watched_propagation_matches_reference(clauses, ops):
             lit = free[(k >> 1) % len(free)] * (1 if k & 1 else -1)
             a.append(lit, decided=True)
             b.append(lit, decided=True)
+            c.append(lit, decided=True)
         elif kind == 1 and a.decisions:                     # Backtrack
             if a.consistent:
                 a.append_bot()
                 b.append_bot()
-            assert prop.backjump() == b.backjump_last_decision()
+                c.append_bot()
+            assert prop.backjump() == b.backjump_last_decision() == \
+                prop_c.backjump()
         elif kind == 2:                                     # Restart
             prop.reset()
+            prop_c.reset()
             b.clear()
         elif kind == 3:                                     # learn any clause
             prop.add_clause(clause)
+            prop_c.add_clause(clause)
             ref.append(clause)
         elif kind == 4 and a.consistent and a.trail:        # learn a clause
             if k & 1:                                       # M falsifies,
                 a.append_bot()                              # after a CSP
                 b.append_bot()                              # conflict or not
+                c.append_bot()
             # the last decision and up to two more literals of M, as in a
             # learned conflict clause
             picks = a.decisions[-1:] + [k % len(a.trail),
                                         (k // 7) % len(a.trail)]
             falsified = tuple(dict.fromkeys(-a.trail[i] for i in picks))
             prop.add_clause(falsified)
+            prop_c.add_clause(falsified)
             ref.append(falsified)
         settle()
 
@@ -100,13 +110,12 @@ def test_learned_clause_propagates_after_later_backjumps():
     m.append_bot()
     prop.add_clause((-3, -1))
     assert prop.backjump() == -3            # -3 true at level 2, -1 false
-    assert prop.step() is None
+    assert prop.propagate(1) == 0
     m.append_bot()
     assert prop.backjump() == -2            # -3 unassigned again
-    step = prop.step()
-    assert step == (-3, (-3, -1))
-    m.append(step[0])
-    assert prop.step() is None
+    assert prop.propagate(1) == 1
+    assert (m.trail[-1], prop.reason) == (-3, (-3, -1))
+    assert prop.propagate(1) == 0
     assert m.trail == [1, -2, -3]
 
 
@@ -209,18 +218,22 @@ def _search_steps(rng, prog, n_ops):
     def propagate():
         agree()
         while m.consistent:
-            step = prop.step()
-            if step is not None:
-                assert step[1] in run
-                m.append(step[0])
-            else:
-                sup = check.supported(m)
-                a = next((a for a in range(n)
-                          if not sup[a] and m.value(a) != -1), None)
-                if a is None:
-                    return
+            if prop.propagate(1):
+                assert prop.reason in run
+                agree()
+                continue
+            # one batch of unfounded atoms, as the engine appends them
+            atoms = check.pending(m)
+            assert atoms == sorted(
+                a for a in greatest_unfounded_set(prog, m.trail)
+                if m.value(a) != -1)
+            if not atoms:
+                return
+            for a in atoms:
                 m.append(-(a + 1))
-            agree()
+                agree()
+                if not m.consistent:
+                    break
 
     propagate()
     for _ in range(n_ops):
