@@ -272,6 +272,7 @@ class _Run:
         # the clauses of the program and its blocking denials; the learned
         # denials follow them
         self.n_kept = len(self.prop.clauses)
+        self._post: Optional[str] = None    # digest of the current state
 
     def next_run(self, blocking: RuleP) -> None:
         """Start the next run from the empty state, on the program extended
@@ -292,8 +293,14 @@ class _Run:
                             [str(denial_key(d)) for d in self.lam])
 
     def _pre(self) -> Optional[str]:
-        """The pre-state digest of the next edge; None with the trace off."""
-        return self._digest() if self.trace.enabled else None
+        """The pre-state digest of the next edge; None with the trace off.
+        Every change of state within a run is an edge, so after the first
+        edge it is the post-state digest of the last one."""
+        if not self.trace.enabled:
+            return None
+        if self._post is None:
+            self._post = self._digest()
+        return self._post
 
     def _emit(self, rule: str, pre: Optional[str],
               payload: Optional[Callable[[], dict]] = None,
@@ -306,8 +313,9 @@ class _Run:
         if stats.steps + stats.fd_nodes > self.budget:
             raise BudgetExceeded()
         if pre is not None:
+            self._post = self._digest()
             self.trace.edge(self.run, rule, payload() if payload else {},
-                            pre, self._digest())
+                            pre, self._post)
 
     def _csp_feasible(self) -> bool:
         self.stats.csp_checks += 1
