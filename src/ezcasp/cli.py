@@ -111,38 +111,24 @@ def _clp_constraint(c, table: Dict[str, str]) -> str:
     raise ValueError(f"not a constraint: {c!r}")
 
 
-def emit_clp(program: CAProgram, m_literals: Sequence[int]) -> str:
-    """Translate the csp-abstraction of an answer set into a Prolog-style
-    solve/1 clause: ranges first, then posted constraints in declaration
-    order, then labeling over all variables."""
-    m_set = set(m_literals)
-    pos_atoms = {l - 1 for l in m_set if l > 0}
-
+def emit_clp(program: CAProgram, m_literals: Sequence[int],
+             semantics: str = "weak") -> str:
+    """Translate the csp-abstraction of an answer set (`fd.build_csp` under
+    `semantics`) into a Prolog-style solve/1 clause: ranges first, then
+    posted constraints in declaration order, then labeling over all
+    variables."""
+    inst = fd.build_csp(program, m_literals, semantics)
     table: Dict[str, str] = {}
-    ranges = fd.declared_ranges(program, pos_atoms)
-    posted = []
-    for cid in program.constraint_order:
-        if cid in pos_atoms:
-            posted.append(program.gamma[cid])
-    for c in posted:
-        for v in sorted(fd.vars_of(c)):
-            ranges.setdefault(v, program.domain)
-    var_names = list(ranges)
-
     goals: List[str] = []
-    for name, (lo, hi) in ranges.items():
+    for name in inst.var_order:
         v = _clp_var(name, table)
-        goals.append(f"{v} >= {lo}")
-        goals.append(f"{v} =< {hi}")
-    for c in posted:
-        goals.append(_clp_constraint(c, table))
-    head_items = []
-    for name in var_names:
-        head_items.append(name)
-        head_items.append(_clp_var(name, table))
-    lab = ",".join(_clp_var(n, table) for n in var_names)
+        dom = inst.domains[name]
+        goals += [f"{v} >= {dom.lo}", f"{v} =< {dom.hi}"]
+    goals += [_clp_constraint(c, table) for c in inst.constraints]
+    head = ",".join(f"{name},{table[name]}" for name in inst.var_order)
+    lab = ",".join(table[name] for name in inst.var_order)
     goals.append(f"labeling([{lab}])")
-    return f"solve([{','.join(head_items)}]) :- {', '.join(goals)}."
+    return f"solve([{head}]) :- {', '.join(goals)}."
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +391,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_model(m.atoms, m.assignment, program.suppressed))
     if args.emit_clp and res.models:
         with open(args.emit_clp, "w") as f:
-            f.write(emit_clp(program, res.models[0].literals) + "\n")
+            f.write(emit_clp(program, res.models[0].literals,
+                             args.semantics) + "\n")
     return EXIT_SAT
 
 

@@ -45,19 +45,13 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from . import fd
-# find_unit_step and greatest_unfounded_set are the reference versions of the
-# search's propagators; they are not called here, but stay importable from
-# this module so that span wrappers keyed on its names (perfbench/spans.py)
-# keep resolving them
-from .asp import (Propagator, Record, RegularProgram, RuleP,  # noqa: F401
-                  UnfoundedCheck, clausify, find_unit_step,
-                  greatest_unfounded_set, lit_atom, rule_clause)
+from .asp import (Propagator, Record, RegularProgram, RuleP, UnfoundedCheck,
+                  clausify, lit_atom, rule_clause)
 from .ground import CAProgram
 
 __all__ = [
     "SchemaConfig", "SolveResult", "ExtendedAnswerSet", "SolveStats",
-    "solve_ca", "cp_entailed_denial", "constraint_projection",
-    "BudgetExceeded",
+    "solve_ca", "cp_entailed_denial", "BudgetExceeded",
     "denial_key", "DEFAULT_STEP_BUDGET",
 ]
 
@@ -137,25 +131,14 @@ def denial_key(d: RuleP) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return (tuple(sorted(d.pos)), tuple(sorted(d.neg)))
 
 
-def constraint_projection(program: CAProgram, m_literals: Sequence[int],
-                          semantics: str) -> Tuple[Tuple[int, ...], RuleP]:
-    """M's constraint literals in declaration order, and the denial blocking
-    that projection.
-
-    The denial's body holds the positive constraint atoms of M as-is and,
-    under full semantics, the negative constraint literals as not-literals.
-    """
-    m_set = set(m_literals)
-    lits = []
-    for c in program.constraint_order:
-        if (c + 1) in m_set:
-            lits.append(c + 1)
-        elif -(c + 1) in m_set:
-            lits.append(-(c + 1))
-    pos = tuple(l - 1 for l in lits if l > 0)
-    negs = tuple(-l - 1 for l in lits if l < 0) if semantics == "full" \
-        else ()
-    return tuple(lits), RuleP(None, pos, negs, ())
+def _projection_denial(projection: Sequence[int], semantics: str) -> RuleP:
+    """The denial blocking a constraint-literal projection (see
+    `fd.build_csp`): its body holds the positive constraint atoms as-is and,
+    under full semantics, the negative ones as not-literals."""
+    pos = tuple(l - 1 for l in projection if l > 0)
+    negs = tuple(-l - 1 for l in projection if l < 0) \
+        if semantics == "full" else ()
+    return RuleP(None, pos, negs, ())
 
 
 def cp_entailed_denial(program: CAProgram, m_literals: Sequence[int],
@@ -169,7 +152,7 @@ def cp_entailed_denial(program: CAProgram, m_literals: Sequence[int],
     inst = fd.build_csp(program, m_literals, semantics)
     if fd.feasible(inst):
         raise ValueError("cp_entailed_denial called on a feasible record")
-    return constraint_projection(program, m_literals, semantics)[1]
+    return _projection_denial(inst.projection, semantics)
 
 
 class _Trace:
@@ -258,6 +241,8 @@ class _Run:
         self.m = Record(self.abstraction.n_atoms)
         self.prop = Propagator(self.m, clausify(self.abstraction))
         self.unfounded = UnfoundedCheck(self.abstraction)
+        # M's constraint literals at the last CSP check
+        self.projection: Tuple[int, ...] = ()
         self._start_run()
 
     def _start_run(self) -> None:
@@ -318,8 +303,11 @@ class _Run:
                             pre, self._post)
 
     def _csp_feasible(self) -> bool:
+        """Check the csp-abstraction of M, keeping its constraint-literal
+        projection for the Learn edge of a failed check."""
         self.stats.csp_checks += 1
         inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
+        self.projection = inst.projection
         stats, budget = self.stats, self.budget
 
         # the search outlives the check in `csp_solutions`; charging through
@@ -337,8 +325,10 @@ class _Run:
     def _lit_strs(self, lits: Sequence[int]) -> List[str]:
         return [self.trace.lit_str(x) for x in lits]
 
-    def _learn(self, projection: Tuple[int, ...], d: RuleP) -> bool:
-        """Learn the cp-entailed projection denial; False if stale or empty."""
+    def _learn(self) -> bool:
+        """Learn the cp-entailed denial of the last check's projection; False
+        if stale or empty."""
+        d = _projection_denial(self.projection, self.cfg.semantics)
         key = denial_key(d)
         if (not d.pos and not d.neg) or key in self.gamma_keys \
                 or key in self.lam_keys:
@@ -351,7 +341,7 @@ class _Run:
         self._emit("Learn", pre, lambda: {
             "denial": self.trace.denial_json(d),
             "reason": {"kind": "cp-conflict",
-                       "projection": self._lit_strs(projection)}})
+                       "projection": self._lit_strs(self.projection)}})
         return True
 
     def _restart(self) -> None:
@@ -435,11 +425,9 @@ class _Run:
                 if not self._csp_feasible():
                     pre = self._pre()
                     m.append_bot()
-                    projection, denial = constraint_projection(
-                        self.program, m.trail, cfg.semantics)
                     self._emit("CPPropagate", pre, lambda: {
-                        "projection": self._lit_strs(projection)})
-                    learned = self._learn(projection, denial)
+                        "projection": self._lit_strs(self.projection)})
+                    learned = self._learn()
                     if cfg.schema in ("black", "grey") and learned:
                         self._restart()
                     # otherwise resolve by Backtrack/Fail on the next loop

@@ -57,7 +57,7 @@ __all__ = [
     "Domain", "CSPInstance", "FdError", "ComplementUnsupported",
     "satisfied", "eval_term", "complement", "propagate", "solutions", "solve",
     "feasible",
-    "vars_of", "declared_ranges", "build_csp", "CMP_NAMES",
+    "vars_of", "build_csp", "CMP_NAMES",
 ]
 
 CMP_NAMES = ("lt", "leq", "gt", "geq", "eq", "neq")
@@ -481,12 +481,14 @@ class CSPInstance:
     """Variables in declaration order, their current domains, constraints.
 
     Constraints are added with `post`; the watch lists are built from them
-    on first use and dropped by `post`."""
+    on first use and dropped by `post`.  An instance that `build_csp` made
+    also holds the `projection` it was built from."""
 
     def __init__(self):
         self.var_order: List[str] = []
         self.domains: Dict[str, Domain] = {}
         self.constraints: List[object] = []
+        self.projection: Tuple[int, ...] = ()
         self._watch: Optional[Dict[str, Tuple[int, ...]]] = None
         self._trail: Optional[_Trail] = None      # set on a search's copy
 
@@ -1420,53 +1422,54 @@ def feasible(csp: CSPInstance) -> bool:
 # csp-abstractions of CA programs
 # ---------------------------------------------------------------------------
 
-def declared_ranges(program, pos_atoms: Set[int]
-                    ) -> Dict[str, Tuple[int, int]]:
-    """The range of each variable with an active declaration (declaration
-    atom in `pos_atoms`, or unconditional), in declaration order: the
-    intersection of its active ranged declarations, or the program domain
-    (the default range) when every one of them is range-free."""
-    ranges: Dict[str, Optional[Tuple[int, int]]] = {}
-    for decl in program.var_decls:
-        if decl.atom is not None and decl.atom not in pos_atoms:
-            continue
-        r = ranges.setdefault(decl.var, None)
-        if decl.lo is not None:
-            ranges[decl.var] = (decl.lo, decl.hi) if r is None else \
-                (max(r[0], decl.lo), min(r[1], decl.hi))
-    return {v: program.domain if r is None else r for v, r in ranges.items()}
-
-
 def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
               ) -> CSPInstance:
-    """The CSP induced by the constraint literals of M.
+    """The csp-abstraction of M: the CSP induced by its constraint literals.
 
-    weak: post gamma(c) for positive constraint literals only; full:
-    additionally post complement(gamma(c)) for each negative constraint
-    literal.  Variables are the active declarations, with their
-    `declared_ranges`, plus any variable referenced by a posted constraint,
-    which gets the program domain.
+    The instance's `projection` holds M's constraint literals, positive and
+    negative, in declaration order, under either semantics.  weak: post
+    gamma(c) for the positive ones only; full: additionally post
+    complement(gamma(c)) for each negative one.  Variables are those with an
+    active declaration (declaration atom in M, or unconditional), in
+    declaration order, each ranging over the intersection of its active
+    ranged declarations, or over the program domain (the default range)
+    when every one of them is range-free; then any variable referenced by a
+    posted constraint, which gets the program domain.
 
     Raises ComplementUnsupported under full semantics when a negated literal
     maps to a global constraint or reified formula.
     """
     if semantics not in ("weak", "full"):
         raise ValueError(f"unknown semantics {semantics!r}")
+    full = semantics == "full"
     m_set = set(m_literals)
-    pos_atoms = {l - 1 for l in m_set if l > 0}
-    neg_atoms = {-l - 1 for l in m_set if l < 0}
 
+    projection: List[int] = []
     posted = []
     for cid in program.constraint_order:
-        if cid in pos_atoms:
+        lit = cid + 1
+        if lit in m_set:
+            projection.append(lit)
             posted.append(program.gamma[cid])
-        elif semantics == "full" and cid in neg_atoms:
-            posted.append(complement(program.gamma[cid]))
+        elif -lit in m_set:
+            projection.append(-lit)
+            if full:
+                posted.append(complement(program.gamma[cid]))
+
+    ranges: Dict[str, Optional[Tuple[int, int]]] = {}
+    for decl in program.var_decls:
+        if decl.atom is not None and decl.atom + 1 not in m_set:
+            continue
+        r = ranges.setdefault(decl.var, None)
+        if decl.lo is not None:
+            ranges[decl.var] = (decl.lo, decl.hi) if r is None else \
+                (max(r[0], decl.lo), min(r[1], decl.hi))
 
     inst = CSPInstance()
-    for v, (lo, hi) in declared_ranges(program, pos_atoms).items():
-        inst.add_var(v, lo, hi)
+    inst.projection = tuple(projection)
     lo, hi = program.domain
+    for v, r in ranges.items():
+        inst.add_var(v, *(r or (lo, hi)))
     for c in posted:
         for v in sorted(c.variables):
             if v not in inst.domains:

@@ -764,6 +764,25 @@ def _expand_conditions(conds: Sequence[Atom], env: Dict[str, Term],
             yield from _expand_conditions(rest, nxt, state, pos)
 
 
+def _head_atoms(r: Rule) -> List[Atom]:
+    """The atoms of a rule's head: the atom, or the atoms of the choice
+    elements; none for a denial."""
+    if isinstance(r.head, Atom):
+        return [r.head]
+    if isinstance(r.head, Choice):
+        return [e.atom for e in r.head.elems]
+    return []
+
+
+def _conditions(r: Rule) -> List[Atom]:
+    """The conditions of a rule's choice elements, then those of its
+    aggregate items, in order."""
+    conds = [c for e in r.head.elems for c in e.conds] \
+        if isinstance(r.head, Choice) else []
+    return conds + [c for b in r.body if isinstance(b, AggregateLit)
+                    for item in b.items for c in item.conds]
+
+
 class _RulePlan:
     """A rule with its compiled steps, the tables its instantiation reads,
     and the substitutions of its latest run, each with the head instances
@@ -775,17 +794,12 @@ class _RulePlan:
         self.steps = steps
         self.fast = _compile(steps, state, hoist=True)
         reads = [s[1] for s in self.fast if s[0] == "match"]
-        conds: List[Atom] = []
-        if isinstance(rule.head, Choice):
-            for e in rule.head.elems:
-                conds.extend(e.conds)
         for b in rule.body:
             if isinstance(b, AggregateLit):
-                for item in b.items:
-                    conds.extend(item.conds)
-                    reads.append(state.table(item.atom.rel,
-                                             len(item.atom.args), False))
-        reads.extend(state.table(c.rel, len(c.args), True) for c in conds)
+                reads.extend(state.table(item.atom.rel, len(item.atom.args),
+                                         False) for item in b.items)
+        reads.extend(state.table(c.rel, len(c.args), True)
+                     for c in _conditions(rule))
         self.reads = reads
         self.seen: Optional[Tuple[int, ...]] = None
         self.head_vars = tuple(sorted(_atom_vars(rule.head))) \
@@ -898,9 +912,7 @@ def _domain_relations(p: EzProgram) -> Set[Tuple[str, int]]:
     extension and do not restrict instantiation."""
     heads_of: Dict[Tuple[str, int], List[Rule]] = {}
     for r in p.rules:
-        heads = [r.head] if isinstance(r.head, Atom) else \
-            [e.atom for e in r.head.elems] if isinstance(r.head, Choice) else []
-        for h in heads:
+        for h in _head_atoms(r):
             key = (h.rel, len(h.args))
             heads_of.setdefault(key, []).append(r)
     domain = set(heads_of)
@@ -994,15 +1006,7 @@ def ground(p: EzProgram) -> GroundProgram:
 
     # choice-element and aggregate-item conditions must be factual
     for r in p.rules:
-        conds = []
-        if isinstance(r.head, Choice):
-            for e in r.head.elems:
-                conds.extend(e.conds)
-        for b in r.body:
-            if isinstance(b, AggregateLit):
-                for item in b.items:
-                    conds.extend(item.conds)
-        for c in conds:
+        for c in _conditions(r):
             if (c.rel, len(c.args)) not in domain_rels:
                 raise GroundError(
                     f"condition over non-factual relation {c.rel}/"
@@ -1136,9 +1140,7 @@ def collect_var_decls(p: EzProgram) -> List[VariableDecl]:
     decls: List[VariableDecl] = []
     seen: Set[str] = set()
     for r in p.rules:
-        heads = [r.head] if isinstance(r.head, Atom) else \
-            [e.atom for e in r.head.elems] if isinstance(r.head, Choice) else []
-        for h in heads:
+        for h in _head_atoms(r):
             if h.rel != "cspvar":
                 continue
             if isinstance(r.head, Choice):
@@ -1211,10 +1213,7 @@ class _ListExpander:
     def scan_relations(self) -> None:
         """Fill rels and facts_by_rel, on the first list over a relation."""
         for r in self.rules:
-            heads = [r.head] if isinstance(r.head, Atom) else \
-                [e.atom for e in r.head.elems] \
-                if isinstance(r.head, Choice) else []
-            for h in heads:
+            for h in _head_atoms(r):
                 self.rels.add((h.rel, len(h.args)))
                 if r.is_fact and isinstance(r.head, Atom):
                     self.facts_by_rel.setdefault((h.rel, len(h.args)),

@@ -316,7 +316,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 raise _Violation(f"step {i}: Unfounded on inconsistent record")
             if not u or lit > 0 or lit_atom(lit) not in u:
                 raise _Violation(f"step {i}: literal not from unfounded set")
-            if not _is_unfounded(abstraction, gamma + lam, m, u):
+            if not _is_unfounded(abstraction, m, u):
                 raise _Violation(f"step {i}: set is not unfounded")
             if m.holds(lit):
                 raise _Violation(f"step {i}: literal already in record")
@@ -406,8 +406,8 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
         raise _Violation(f"unknown end status {status!r}")
 
 
-def _is_unfounded(abstraction: RegularProgram, denials: Sequence[RuleP],
-                  m: Record, u: Set[int]) -> bool:
+def _is_unfounded(abstraction: RegularProgram, m: Record,
+                  u: Set[int]) -> bool:
     pos_m = {lit_atom(l) for l in m.literals() if l > 0}
     neg_m = {lit_atom(l) for l in m.literals() if l < 0}
     for a in u:

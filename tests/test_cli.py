@@ -178,6 +178,29 @@ def test_emit_clp_two_variables_declaration_order(tmp_path):
                       "labeling([V_y,V_x]).")
 
 
+def test_emit_clp_follows_full_semantics(tmp_path, capsys):
+    # a is never true, so the constraint atom is false; under full semantics
+    # its complement is posted, and the clause must admit only x=0 and x=1,
+    # as the solver's models do
+    src = tmp_path / "neg.ez"
+    src.write_text("cspdomain(fd). cspvar(x,0,3). { a }. :- a. "
+                   "required(x >= 2) :- a.\n")
+    out_file = tmp_path / "neg.clp"
+    code, out, _ = run_cli(capsys, src, "--semantics", "full", "-n", "0",
+                           "--emit-clp", out_file)
+    assert code == EXIT_SAT
+    assert [line.split()[-2] for line in out.strip().split("\n")] == [
+        "x=0", "x=1"]
+    text = " ".join(out_file.read_text().split())
+    assert text == ("solve([x,V_x]) :- V_x >= 0, V_x =< 3, V_x < 2, "
+                    "labeling([V_x]).")
+    # under weak semantics the same model posts nothing
+    code, _, _ = run_cli(capsys, src, "-n", "0", "--emit-clp", out_file)
+    assert code == EXIT_SAT
+    assert " ".join(out_file.read_text().split()) == (
+        "solve([x,V_x]) :- V_x >= 0, V_x =< 3, labeling([V_x]).")
+
+
 def test_oracle_flag(capsys):
     code, out, _ = run_cli(capsys, LIGHT, "--oracle", "-n", "0")
     assert code == EXIT_SAT

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ezcasp import fd
-from ezcasp.asp import RuleP, is_answer_set
+from ezcasp.asp import Record, RuleP, is_answer_set
 from ezcasp.engine import (SchemaConfig, SolveStats, cp_entailed_denial,
                            solve_ca)
 from ezcasp.ground import ground_program
@@ -262,6 +262,68 @@ def test_p2_denial_not_pm_is_cp_entailed(p2):
     assert oracle.is_entailed_denial(p2, d, "full")
     masks = oracle.abstraction_answer_sets(p2)
     assert any(not (x >> pm) & 1 for x in masks)   # cp-, not asp-entailed
+
+
+def _projection_edges(P, trace):
+    """Replay `trace` on P; for each CPPropagate edge, its projection, M's
+    constraint literals in declaration order, and the edge that follows."""
+    index = P.pi.index
+
+    def lit(s):
+        return -(index[s[1:]] + 1) if s.startswith("-") else index[s] + 1
+
+    out = []
+    for k, rec in enumerate(trace):
+        rule = rec.get("rule")
+        if rec.get("event") == "start":
+            m = Record(P.pi.n_atoms)
+        elif rule == "Decide":
+            m.append(lit(rec["payload"]["lit"]), decided=True)
+        elif rule in ("UnitPropagate", "Unfounded"):
+            m.append(lit(rec["payload"]["lit"]))
+        elif rule == "Backtrack":
+            m.backjump_last_decision()
+        elif rule in ("Restart", "RestartT"):
+            m.clear()
+        elif rule == "CPPropagate":
+            held = set(m.literals())
+            expected = [x for c in P.constraint_order
+                        for x in (c + 1, -(c + 1)) if x in held]
+            out.append(([lit(s) for s in rec["payload"]["projection"]],
+                        expected, trace[k + 1]))
+            m.append_bot()
+    return out
+
+
+def test_projection_is_the_constraint_literals_of_m():
+    programs = [ground_program(p.read_text())
+                for p in sorted(ENCODINGS.glob("*.ez"))]
+    programs += [oracle.random_program(seed) for seed in range(60)]
+    # per semantics: projections with a negative literal, Learn edges
+    seen = {"weak": [0, 0], "full": [0, 0]}
+    for P in programs:
+        index = P.pi.index
+        for schema in ("black", "clear"):
+            for sem in ("weak", "full"):
+                res = solve_ca(P, SchemaConfig(schema=schema, semantics=sem,
+                                               limit=0,
+                                               max_alphas_per_model=1),
+                               collect_trace=True)
+                for got, expected, nxt in _projection_edges(P, res.trace):
+                    assert got == expected
+                    seen[sem][0] += any(x < 0 for x in expected)
+                    if nxt.get("rule") != "Learn":
+                        continue
+                    # the learned denial blocks exactly the projection, its
+                    # negative literals only under full semantics
+                    d = nxt["payload"]["denial"]
+                    assert [index[a] + 1 for a in d["pos"]] == \
+                        [x for x in expected if x > 0]
+                    assert [-(index[a] + 1) for a in d["neg"]] == \
+                        ([x for x in expected if x < 0] if sem == "full"
+                         else [])
+                    seen[sem][1] += 1
+    assert all(a > 0 and b > 0 for a, b in seen.values()), seen
 
 
 # -- enumeration -----------------------------------------------------------------

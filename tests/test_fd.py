@@ -511,6 +511,28 @@ def test_build_csp_weak_drops_negative_literals():
         not enumerate_csp_solutions(full2)
 
 
+def test_build_csp_projection_in_declaration_order():
+    p1 = make_p1()
+    lt_id = p1.pi.index["|x < 12|"]
+    geq_id = p1.pi.index["|x >= 12|"]
+    light = p1.pi.index["lightOn"] + 1
+    # both constraint literals negative, given against declaration order
+    m = [-(geq_id + 1), light, -(lt_id + 1)]
+    weak = build_csp(p1, m, "weak")
+    full = build_csp(p1, m, "full")
+    # weak semantics records the negative literals but posts none of them
+    assert weak.projection == (-(lt_id + 1), -(geq_id + 1))
+    assert weak.constraints == [] and weak.var_order == []
+    assert full.projection == weak.projection
+    assert full.constraints == [complement(p1.gamma[lt_id]),
+                                complement(p1.gamma[geq_id])]
+    # an unassigned constraint atom is not in the projection
+    inst = build_csp(p1, [geq_id + 1, light], "weak")
+    assert inst.projection == (geq_id + 1,)
+    assert inst.constraints == [p1.gamma[geq_id]]
+    assert build_csp(p1, [light], "full").projection == ()
+
+
 def test_build_csp_no_constraint_literals():
     p1 = make_p1()
     inst = build_csp(p1, [p1.pi.index["lightOn"] + 1], "full")
