@@ -29,7 +29,7 @@ __all__ = [
     "is_answer_set", "unit_propagate", "find_unit_step",
     "greatest_unfounded_set",
     "enumerate_answer_sets_bruteforce",
-    "lit_atom", "lit_sign", "neg",
+    "lit_atom",
 ]
 
 Clause = Tuple[int, ...]
@@ -37,14 +37,6 @@ Clause = Tuple[int, ...]
 
 def lit_atom(lit: int) -> int:
     return abs(lit) - 1
-
-
-def lit_sign(lit: int) -> bool:
-    return lit > 0
-
-
-def neg(lit: int) -> int:
-    return -lit
 
 
 class RuleP(NamedTuple):
@@ -254,25 +246,25 @@ def least_model(positive: Sequence[Tuple[Optional[int], Tuple[int, ...]]]) -> in
     return lm
 
 
-def _is_answer_set_mask(prog: RegularProgram, x: int) -> bool:
-    lm = 0
+def _is_answer_set_mask(masks: Sequence[Tuple[int, int, int, int]],
+                        x: int) -> bool:
+    """Whether the atom mask `x` is an answer set of the program whose
+    `rule_masks` are `masks`: no denial body holds in X, and X is the least
+    model of the positive reduct."""
     # one pass computes both: denial violation check and the positive reduct
-    kept: List[Tuple[int, Tuple[int, ...]]] = []
-    for r in prog.rules:
-        if not _body_holds_mask(r, x):
-            continue
-        if r.head is None:
-            return False
-        kept.append((r.head, r.pos))
+    kept: List[Tuple[int, int]] = []
+    for hm, pm, nm, nn in masks:
+        if (x & pm) == pm and (x & nm) == 0 and (x & nn) == nn:
+            if hm == 0:
+                return False
+            kept.append((hm, pm))
+    lm = 0
     changed = True
     while changed:
         changed = False
-        for head, pos in kept:
-            hbit = 1 << head
-            if lm & hbit:
-                continue
-            if all(lm >> a & 1 for a in pos):
-                lm |= hbit
+        for hm, pm in kept:
+            if not (lm & hm) and (lm & pm) == pm:
+                lm |= hm
                 changed = True
     return lm == x
 
@@ -280,7 +272,7 @@ def _is_answer_set_mask(prog: RegularProgram, x: int) -> bool:
 def is_answer_set(prog: RegularProgram, x_atoms: Iterable[str]) -> bool:
     """True iff X is subset-minimal among models of the clausified reduct,
     decided by the least-model fixpoint of the positive reduct."""
-    return _is_answer_set_mask(prog, prog.mask_of(x_atoms))
+    return _is_answer_set_mask(prog.rule_masks(), prog.mask_of(x_atoms))
 
 
 def enumerate_answer_sets_bruteforce(prog: RegularProgram,
@@ -289,8 +281,9 @@ def enumerate_answer_sets_bruteforce(prog: RegularProgram,
     n = prog.n_atoms
     if n > bound:
         raise ValueError(f"atom bound exceeded: {n} > {bound}")
+    masks = prog.rule_masks()
     found = [prog.atom_set(x) for x in range(1 << n)
-             if _is_answer_set_mask(prog, x)]
+             if _is_answer_set_mask(masks, x)]
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 
@@ -317,9 +310,6 @@ class Record:
         self.val: List[int] = [0] * (2 * n_atoms + 1)
         self.bot = False
         self.clash = False          # the last literal's complement holds
-
-    def __len__(self) -> int:
-        return len(self.trail)
 
     @property
     def entries(self) -> List[Tuple[int, bool]]:

@@ -2,7 +2,7 @@
 
 States are M||Gamma||Lambda: a record of annotated literals plus permanent and
 temporal stores of learned denials.  The driver applies Decide, Fail,
-Backtrack, Unit Propagate, Unfounded, CP-Propagate, Learn/Learn_t and
+Backtrack, Unit Propagate, Unfounded, CP-Propagate, Learn and
 Restart/Restart_t edges, restricted by the selected integration schema:
 
   black  - the constraint solver is consulted only on complete propagated
@@ -12,6 +12,9 @@ Restart/Restart_t edges, restricted by the selected integration schema:
   clear  - the constraint solver is consulted on partial assignments every
            `check_freq` decisions; conflicts are resolved by chronological
            backtracking and no restarts ever occur.
+
+No edge writes the temporal store, so Lambda stays empty and grey searches
+as black does; only the name of the restart edge differs.
 
 Every run starts from the empty state, halts in a semi-terminal state or
 Failstate, and (optionally) emits a machine-checkable trace.  The driver
@@ -51,7 +54,7 @@ from .ground import CAProgram
 
 __all__ = [
     "SchemaConfig", "SolveResult", "ExtendedAnswerSet", "SolveStats",
-    "solve_ca", "cp_entailed_denial", "BudgetExceeded",
+    "solve_ca", "BudgetExceeded",
     "denial_key", "DEFAULT_STEP_BUDGET",
 ]
 
@@ -139,20 +142,6 @@ def _projection_denial(projection: Sequence[int], semantics: str) -> RuleP:
     negs = tuple(-l - 1 for l in projection if l < 0) \
         if semantics == "full" else ()
     return RuleP(None, pos, negs, ())
-
-
-def cp_entailed_denial(program: CAProgram, m_literals: Sequence[int],
-                       semantics: str) -> RuleP:
-    """The denial blocking M's constraint-literal projection.
-
-    By construction every answer set satisfies it while the failing
-    assignment does not.  Must only be called when the csp-abstraction of M
-    is infeasible.
-    """
-    inst = fd.build_csp(program, m_literals, semantics)
-    if fd.feasible(inst):
-        raise ValueError("cp_entailed_denial called on a feasible record")
-    return _projection_denial(inst.projection, semantics)
 
 
 class _Trace:
@@ -247,9 +236,6 @@ class _Run:
 
     def _start_run(self) -> None:
         self.gamma: List[RuleP] = []
-        self.gamma_keys: set = set()
-        self.lam: List[RuleP] = []
-        self.lam_keys: set = set()
         self.decisions_since_check = 0
         # the solutions of the last CSP check, in labeling order; when the
         # run ends in a model, they are the model's evaluations
@@ -274,8 +260,7 @@ class _Run:
 
     def _digest(self) -> str:
         return state_digest(self.m, self.names,
-                            [str(denial_key(d)) for d in self.gamma],
-                            [str(denial_key(d)) for d in self.lam])
+                            [str(denial_key(d)) for d in self.gamma], ())
 
     def _pre(self) -> Optional[str]:
         """The pre-state digest of the next edge; None with the trace off.
@@ -327,15 +312,14 @@ class _Run:
 
     def _learn(self) -> bool:
         """Learn the cp-entailed denial of the last check's projection; False
-        if stale or empty."""
+        if it is empty.  It is fresh: the check ran at a consistent
+        propagation fixpoint, where M satisfies every learned denial, and
+        its body lies in M."""
         d = _projection_denial(self.projection, self.cfg.semantics)
-        key = denial_key(d)
-        if (not d.pos and not d.neg) or key in self.gamma_keys \
-                or key in self.lam_keys:
+        if not d.pos and not d.neg:
             return False
         pre = self._pre()
         self.gamma.append(d)
-        self.gamma_keys.add(key)
         self.prop.add_clause(rule_clause(d))
         self.stats.learned += 1
         self._emit("Learn", pre, lambda: {
@@ -348,12 +332,7 @@ class _Run:
         pre = self._pre()
         self.prop.reset()
         self.unfounded.reset()
-        if self.cfg.schema == "black":
-            self.lam.clear()
-            self.lam_keys.clear()
-            rule = "RestartT"
-        else:
-            rule = "Restart"
+        rule = "RestartT" if self.cfg.schema == "black" else "Restart"
         self.decisions_since_check = 0
         self.stats.restarts += 1
         self._emit(rule, pre)

@@ -493,11 +493,9 @@ class CSPInstance:
         self._trail: Optional[_Trail] = None      # set on a search's copy
 
     def add_var(self, name: str, lo: int, hi: int) -> None:
-        if name in self.domains:
-            self.domains[name].intersect_range(lo, hi)
-        else:
-            self.var_order.append(name)
-            self.domains[name] = Domain(lo, hi)
+        """Add a new variable ranging over lo..hi."""
+        self.var_order.append(name)
+        self.domains[name] = Domain(lo, hi)
 
     def post(self, c) -> None:
         self.constraints.append(c)

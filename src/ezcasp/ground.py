@@ -1317,14 +1317,6 @@ class CAProgram:
     def n_atoms(self) -> int:
         return self.pi.n_atoms
 
-    def classify(self, atom_id: int) -> str:
-        if atom_id in self.constraint_set:
-            return "constraint"
-        name = self.pi.names[atom_id]
-        if name.startswith("required(") and name.endswith(")"):
-            return "ez"
-        return "regular"
-
     def asp_abstraction(self) -> RegularProgram:
         extra = [RuleP(c, (), (), (c,)) for c in self.constraint_order]
         return self.pi.extended(extra)

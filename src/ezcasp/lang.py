@@ -210,10 +210,6 @@ class Rule:
     def is_fact(self) -> bool:
         return self.head is not None and not self.body
 
-    @property
-    def is_denial(self) -> bool:
-        return self.head is None
-
 
 @dataclass(frozen=True)
 class EzProgram:

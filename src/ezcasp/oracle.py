@@ -19,8 +19,8 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 from . import fd
-from .asp import (Record, RegularProgram, RuleP, clausify, lit_atom,
-                  greatest_unfounded_set, rule_clause)
+from .asp import (Record, RegularProgram, RuleP, _is_answer_set_mask,
+                  clausify, greatest_unfounded_set, lit_atom, rule_clause)
 from .engine import denial_key, state_digest
 from .ground import CAProgram
 
@@ -49,29 +49,7 @@ def _answer_set_masks(prog: RegularProgram, bound: int = ATOM_BOUND
     if n > bound:
         raise OracleBoundExceeded(f"{n} atoms exceeds oracle bound {bound}")
     masks = prog.rule_masks()
-    out = []
-    for x in range(1 << n):
-        kept = []
-        ok = True
-        for hm, pm, nm, nn in masks:
-            if (x & pm) == pm and (x & nm) == 0 and (x & nn) == nn:
-                if hm == 0:
-                    ok = False
-                    break
-                kept.append((hm, pm))
-        if not ok:
-            continue
-        lm = 0
-        changed = True
-        while changed:
-            changed = False
-            for hm, pm in kept:
-                if not (lm & hm) and (lm & pm) == pm:
-                    lm |= hm
-                    changed = True
-        if lm == x:
-            out.append(x)
-    return out
+    return [x for x in range(1 << n) if _is_answer_set_mask(masks, x)]
 
 
 def abstraction_answer_sets(program: CAProgram, bound: int = ATOM_BOUND
@@ -141,15 +119,14 @@ def enumerate_full_answer_sets(program: CAProgram,
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
-def is_entailed_denial(program: CAProgram, denial: RuleP, semantics: str,
-                       atom_bound: int = ATOM_BOUND,
-                       assignment_bound: int = ASSIGNMENT_BOUND) -> bool:
+def is_entailed_denial(program: CAProgram, denial: RuleP, semantics: str
+                       ) -> bool:
     """A denial is entailed (asp- or cp-) iff every answer set of the program
     satisfies its clause; checked by exhaustion."""
     enum = enumerate_weak_answer_sets if semantics == "weak" \
         else enumerate_full_answer_sets
     names = program.pi.names
-    for ans in enum(program, atom_bound, assignment_bound):
+    for ans in enum(program):
         body_holds = all(names[a] in ans for a in denial.pos) and \
             all(names[a] not in ans for a in denial.neg)
         if body_holds:
@@ -176,18 +153,16 @@ def _denial_of(d: dict, index: Dict[str, int]) -> RuleP:
                  tuple(index[a] for a in d["neg"]), ())
 
 
-def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str,
-                 assignment_bound: int) -> bool:
+def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str
+                 ) -> bool:
     inst = fd.build_csp(program, lits, semantics)
-    if inst.assignment_count() <= assignment_bound:
+    if inst.assignment_count() <= ASSIGNMENT_BOUND:
         return next(exhaustive_solutions(inst), None) is not None
     return fd.feasible(inst)
 
 
 def validate_trace(records: Sequence[dict], program: CAProgram,
-                   semantics: str = "weak",
-                   check_entailment: str = "auto",
-                   assignment_bound: int = ASSIGNMENT_BOUND
+                   semantics: str = "weak"
                    ) -> Tuple[bool, Optional[str]]:
     """Replay a trace and check every edge guard.
 
@@ -211,21 +186,19 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     for i, rec in enumerate(records):
         runs.setdefault(rec.get("run", 0), []).append((i, rec))
 
-    entail_ok = check_entailment == "always" or (
-        check_entailment == "auto" and program.n_atoms <= 14)
+    entail_ok = program.n_atoms <= 14
 
     try:
         for run_id in sorted(runs):
             _validate_run(runs[run_id], program, semantics, names, index,
-                          entail_ok, assignment_bound)
+                          entail_ok)
     except _Violation as v:
         return False, str(v)
     return True, None
 
 
 def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
-                  semantics: str, names, index, entail_ok: bool,
-                  assignment_bound: int) -> None:
+                  semantics: str, names, index, entail_ok: bool) -> None:
     blocking: List[RuleP] = []
     pos = 0
     if entries and entries[0][1].get("event") == "start":
@@ -322,8 +295,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 raise _Violation(f"step {i}: literal already in record")
             m.append(lit)
         elif rule == "CPPropagate":
-            if _feasibility(run_program, m.literals(), semantics,
-                            assignment_bound):
+            if _feasibility(run_program, m.literals(), semantics):
                 raise _Violation(f"step {i}: csp-abstraction is feasible")
             m.append_bot()
         elif rule in ("Learn", "LearnT"):
@@ -334,8 +306,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             if entail_ok:
                 extended = run_program.with_extra_denials(gamma + lam)
                 try:
-                    if not is_entailed_denial(extended, d, semantics,
-                                              assignment_bound=assignment_bound):
+                    if not is_entailed_denial(extended, d, semantics):
                         raise _Violation(
                             f"step {i}: learned denial not entailed")
                 except OracleBoundExceeded:
@@ -397,7 +368,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
         if failed:
             raise _Violation("model end after Fail edge")
         _check_semi_terminal(run_program, abstraction, clauses, m,
-                             semantics, assignment_bound)
+                             semantics)
         model = set(end_rec.get("model", []))
         actual = {names[lit_atom(l)] for l in m.literals() if l > 0}
         if model != actual:
@@ -442,7 +413,7 @@ def _asp_entails(program: CAProgram, denials: Sequence[RuleP], m: Record,
 
 def _check_semi_terminal(run_program: CAProgram, abstraction: RegularProgram,
                          clauses: Sequence[frozenset], m: Record,
-                         semantics: str, assignment_bound: int) -> None:
+                         semantics: str) -> None:
     if not m.consistent:
         raise _Violation("final record inconsistent in a model run")
     if not m.is_complete():
@@ -456,8 +427,7 @@ def _check_semi_terminal(run_program: CAProgram, abstraction: RegularProgram,
     if any(m.value(a) > 0 for a in gus):
         raise _Violation("unfounded atom true in final record "
                          "(Unfounded applicable)")
-    if not _feasibility(run_program, m.literals(), semantics,
-                        assignment_bound):
+    if not _feasibility(run_program, m.literals(), semantics):
         raise _Violation("final csp-abstraction infeasible "
                          "(CP-Propagate applicable)")
 

@@ -4,7 +4,7 @@ import pytest
 
 from ezcasp import fd
 from ezcasp.asp import Record, RuleP, is_answer_set
-from ezcasp.engine import (SchemaConfig, SolveStats, cp_entailed_denial,
+from ezcasp.engine import (SchemaConfig, SolveStats, _projection_denial,
                            solve_ca)
 from ezcasp.ground import ground_program
 from ezcasp import oracle
@@ -223,37 +223,21 @@ def test_grey_keeps_at_least_as_many_denials_as_black_at_each_restart():
     assert all(x >= y for x, y in zip(g, b))
 
 
-def test_restart_clears_lambda_only_for_black():
-    from ezcasp.engine import _Run, _Trace, SolveStats
-    for schema, expect_kept in (("black", 0), ("grey", 1)):
-        cfg = SchemaConfig(schema=schema)
-        P = make_conflict_pair()
-        run = _Run(P, cfg, SolveStats(), _Trace(False, P.pi.names), 0, 10_000)
-        run.m.append(1)
-        run.lam.append(RuleP(None, (0,), (), ()))
-        run.lam_keys.add(((0,), ()))
-        run._restart()
-        assert len(run.lam) == expect_kept, schema
-
-
 # -- cp-entailed denials ---------------------------------------------------------
 
 def test_cp_entailed_denial_projection(p1):
     lt = p1.pi.index["|x < 12|"]
     geq = p1.pi.index["|x >= 12|"]
     m = [1, 2, -(p1.pi.index["am"] + 1), -(lt + 1), -(geq + 1)]
-    d = cp_entailed_denial(p1, m, "full")
+    inst = fd.build_csp(p1, m, "full")
+    assert not fd.feasible(inst)
+    d = _projection_denial(inst.projection, "full")
     assert d.pos == () and set(d.neg) == {lt, geq}
     # the denial is entailed: every answer set satisfies it
     assert oracle.is_entailed_denial(p1, d, "full")
     # and each single branch is feasible, so the full projection is needed
     assert fd.feasible(fd.build_csp(p1, [-(geq + 1)], "full"))
     assert fd.feasible(fd.build_csp(p1, [-(lt + 1)], "full"))
-
-
-def test_cp_entailed_denial_requires_infeasible(p1):
-    with pytest.raises(ValueError):
-        cp_entailed_denial(p1, [p1.pi.index["|x >= 12|"] + 1], "full")
 
 
 def test_p2_denial_not_pm_is_cp_entailed(p2):
