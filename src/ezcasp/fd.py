@@ -1425,14 +1425,17 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
     """The csp-abstraction of M: the CSP induced by its constraint literals.
 
     The instance's `projection` holds M's constraint literals, positive and
-    negative, in declaration order, under either semantics.  weak: post
-    gamma(c) for the positive ones only; full: additionally post
-    complement(gamma(c)) for each negative one.  Variables are those with an
-    active declaration (declaration atom in M, or unconditional), in
-    declaration order, each ranging over the intersection of its active
-    ranged declarations, or over the program domain (the default range)
-    when every one of them is range-free; then any variable referenced by a
-    posted constraint, which gets the program domain.
+    negative, in declaration order, under either semantics, then the atoms
+    of M's active ranged declarations, which narrow the domains, in
+    declaration order.  weak: post gamma(c) for the positive ones only;
+    full: additionally post complement(gamma(c)) for each negative one, and
+    post each distinct constraint once, where it first occurs.  Variables
+    are those with an active declaration (declaration atom in M, or
+    unconditional), in declaration order, each ranging over the
+    intersection of its active ranged declarations, or over the program
+    domain (the default range) when every one of them is range-free; then
+    any variable referenced by a posted constraint, which gets the program
+    domain.
 
     Raises ComplementUnsupported under full semantics when a negated literal
     maps to a global constraint or reified formula.
@@ -1453,11 +1456,17 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
             projection.append(-lit)
             if full:
                 posted.append(complement(program.gamma[cid]))
+    if full:
+        # a complement can equal another posted constraint; each is posted once
+        posted = list(dict.fromkeys(posted))
 
     ranges: Dict[str, Optional[Tuple[int, int]]] = {}
     for decl in program.var_decls:
-        if decl.atom is not None and decl.atom + 1 not in m_set:
-            continue
+        if decl.atom is not None:
+            if decl.atom + 1 not in m_set:
+                continue
+            if decl.lo is not None:
+                projection.append(decl.atom + 1)
         r = ranges.setdefault(decl.var, None)
         if decl.lo is not None:
             ranges[decl.var] = (decl.lo, decl.hi) if r is None else \

@@ -44,7 +44,7 @@ from .asp import AtomIds, RegularProgram, RuleP
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
-    SourcePos, Term, Var, CANON_FUNCTORS, CMP_OPS, GLOBAL_CONSTRAINTS,
+    SourcePos, Term, Var, CANON_FUNCTORS, CMP_OPS, GLOBAL_SIGNATURES,
     _print_term, display_op, needs_parens, parse, preprocess,
 )
 
@@ -1359,53 +1359,17 @@ def _build_constraint_expr(x: Term, declared: Dict[Term, "fd.VarRef"],
             raise GroundError(f"arity error in connective {f}", pos)
         return fd.BoolExpr(f, tuple(_build_constraint_expr(a, declared, pos)
                                     for a in x.args))
-    if f in GLOBAL_CONSTRAINTS:
-        a = x.args
-
-        def scalar(i: int):
-            return _arith(a[i], declared, pos)
-
-        def var_list(i: int) -> tuple:
-            return _var_list(a[i], declared, pos)
-
-        def int_list(i: int) -> tuple:
-            return _int_list(a[i], pos)
-
-        try:
-            if f in ("all_different", "all_distinct", "circuit"):
-                return fd.Global(f, (var_list(0),))
-            if f == "assignment":
-                return fd.Global(f, (var_list(0), var_list(1)))
-            if f in ("count",):
-                return fd.Global(f, (scalar(0), var_list(1),
-                                     _cmp_name(a[2], pos), scalar(3)))
-            if f == "cumulative":
-                ress = int_list(2)
-                if any(r < 0 for r in ress):
-                    # fd's compulsory-part profile assumes that use only
-                    # adds up
-                    raise GroundError(
-                        f"cumulative resources must be nonnegative, "
-                        f"got {min(ress)}", pos)
-                return fd.Global(f, (var_list(0), int_list(1), ress,
-                                     scalar(3)))
-            if f == "disjoint2":
-                return fd.Global(f, (var_list(0), int_list(1),
-                                     var_list(2), int_list(3)))
-            if f == "element":
-                return fd.Global(f, (scalar(0), var_list(1), scalar(2)))
-            if f in ("minimum", "maximum"):
-                return fd.Global(f, (scalar(0), var_list(1)))
-            if f == "scalar_product":
-                return fd.Global(f, (int_list(0), var_list(1),
-                                     _cmp_name(a[2], pos), scalar(3)))
-            if f == "serialized":
-                return fd.Global(f, (var_list(0), int_list(1)))
-            if f == "sum":
-                return fd.Global(f, (var_list(0), _cmp_name(a[1], pos),
-                                     scalar(2)))
-        except IndexError:
+    kinds = GLOBAL_SIGNATURES.get(f)
+    if kinds is not None:
+        if len(x.args) != len(kinds):
             raise GroundError(f"arity error in global constraint {f}", pos)
+        args = tuple(_GLOBAL_ARGS[k](a, declared, pos)
+                     for k, a in zip(kinds, x.args))
+        if f == "cumulative" and any(r < 0 for r in args[2]):
+            # fd's compulsory-part profile assumes that use only adds up
+            raise GroundError(f"cumulative resources must be nonnegative, "
+                              f"got {min(args[2])}", pos)
+        return fd.Global(f, args)
     raise GroundError(f"not a constraint: {display_term(x)}", pos)
 
 
@@ -1449,6 +1413,15 @@ def _cmp_name(x: Term, pos: Optional[SourcePos]) -> str:
             return CMP_OPS[x.value]
     raise GroundError(f"expected a comparison operator, got "
                       f"{display_term(x)}", pos)
+
+
+# per argument kind of `GLOBAL_SIGNATURES`: (term, declared, pos) -> argument
+_GLOBAL_ARGS = {
+    "term": _arith,
+    "term_list": _var_list,
+    "int_list": lambda x, declared, pos: _int_list(x, pos),
+    "comparison": lambda x, declared, pos: _cmp_name(x, pos),
+}
 
 
 def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],

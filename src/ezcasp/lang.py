@@ -27,17 +27,31 @@ __all__ = [
     "EzSyntaxError", "SourcePos",
     "parse", "preprocess", "pretty_print", "print_rule", "needs_parens",
     "CMP_OPS", "ARITH_OPS", "LOGIC_OPS", "CANON_FUNCTORS",
-    "canonical_functor", "display_op", "GLOBAL_CONSTRAINTS",
+    "canonical_functor", "display_op", "GLOBAL_SIGNATURES",
+    "GLOBAL_CONSTRAINTS",
     "RESERVED_RELATIONS",
 ]
 
 RESERVED_RELATIONS = ("cspdomain", "cspvar", "required")
 
-GLOBAL_CONSTRAINTS = frozenset({
-    "all_different", "all_distinct", "assignment", "circuit", "count",
-    "cumulative", "disjoint2", "element", "minimum", "maximum",
-    "scalar_product", "serialized", "sum",
-})
+# The kind of each argument of a global constraint: a term, a list of
+# terms, a list of integers or a comparison operator.
+GLOBAL_SIGNATURES = {
+    "all_different": ("term_list",),
+    "all_distinct": ("term_list",),
+    "assignment": ("term_list", "term_list"),
+    "circuit": ("term_list",),
+    "count": ("term", "term_list", "comparison", "term"),
+    "cumulative": ("term_list", "int_list", "int_list", "term"),
+    "disjoint2": ("term_list", "int_list", "term_list", "int_list"),
+    "element": ("term", "term_list", "term"),
+    "minimum": ("term", "term_list"),
+    "maximum": ("term", "term_list"),
+    "scalar_product": ("int_list", "term_list", "comparison", "term"),
+    "serialized": ("term_list", "int_list"),
+    "sum": ("term_list", "comparison", "term"),
+}
+GLOBAL_CONSTRAINTS = frozenset(GLOBAL_SIGNATURES)
 
 # Surface operator -> canonical prefix functor, applied by preprocess()
 # inside required-arguments only.

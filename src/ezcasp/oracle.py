@@ -161,6 +161,18 @@ def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str
     return fd.feasible(inst)
 
 
+def _projection(program: CAProgram, lits: Sequence[int]) -> List[int]:
+    """What a CPPropagate payload and a Learn reason must list: M's
+    constraint literals in declaration order, then the atoms of M's active
+    ranged declarations in declaration order."""
+    held = set(lits)
+    out = [x for c in program.constraint_order for x in (c + 1, -(c + 1))
+           if x in held]
+    out += [d.atom + 1 for d in program.var_decls
+            if d.atom is not None and d.lo is not None and d.atom + 1 in held]
+    return out
+
+
 def validate_trace(records: Sequence[dict], program: CAProgram,
                    semantics: str = "weak"
                    ) -> Tuple[bool, Optional[str]]:
@@ -169,12 +181,15 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     Checks per rule: Decide (literal unassigned, record consistent), Unit
     Propagate (the clause exists and all its other literals are false),
     Unfounded (the reported set is unfounded on M), CP-Propagate (the
-    csp-abstraction is re-verified infeasible), Learn/Learn_t (freshness, and
-    entailment by exhaustion on oracle-scale programs), Backtrack (record
+    projection is M's, and the csp-abstraction is re-verified infeasible),
+    Learn/Learn_t (a reason's projection is M's, freshness, and entailment
+    by exhaustion on oracle-scale programs), Backtrack (record
     inconsistent, no decision literal after the flipped one), Fail
     (inconsistent, no decisions), Restart/Restart_t (non-empty record, and
     restart-safety: a dedicated fresh Learn precedes every restart).  A
-    completed run must stop semi-terminal (models) or in Failstate.
+    completed run must stop semi-terminal (models) or in Failstate.  A
+    trace without a run is valid only when the clausified abstraction holds
+    an empty clause.
 
     Returns (ok, None) or (False, "step <i>: reason").
     """
@@ -185,6 +200,9 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     runs: Dict[int, List[Tuple[int, dict]]] = {}
     for i, rec in enumerate(records):
         runs.setdefault(rec.get("run", 0), []).append((i, rec))
+    # a search runs unless an empty clause decides the program up front
+    if not runs and all(clausify(abstraction0)):
+        return False, "trace has no run"
 
     entail_ok = program.n_atoms <= 14
 
@@ -295,11 +313,19 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 raise _Violation(f"step {i}: literal already in record")
             m.append(lit)
         elif rule == "CPPropagate":
+            if [_lit_of(s, index) for s in payload.get("projection", ())] \
+                    != _projection(run_program, m.literals()):
+                raise _Violation(f"step {i}: projection is not M's")
             if _feasibility(run_program, m.literals(), semantics):
                 raise _Violation(f"step {i}: csp-abstraction is feasible")
             m.append_bot()
         elif rule in ("Learn", "LearnT"):
             d = _denial_of(payload["denial"], index)
+            reason = payload.get("reason")
+            if reason is not None and \
+                    [_lit_of(s, index) for s in reason["projection"]] \
+                    != _projection(run_program, m.literals()):
+                raise _Violation(f"step {i}: reason projection is not M's")
             key = denial_key(d)
             if key in {denial_key(x) for x in gamma + lam}:
                 raise _Violation(f"step {i}: learned denial not fresh")

@@ -12,6 +12,15 @@ LIGHT_EZ = (ENCODINGS / "light.ez").read_text()
 RIDDLE_EZ = (ENCODINGS / "riddle.ez").read_text()
 SMM_EZ = (ENCODINGS / "smm.ez").read_text()
 
+# Programs whose ranged declarations are conditional, for the default range
+# 0..9: making `a` true narrows x to a range that no constraint allows, so a
+# check that fails with `a` true must not block the constraint literals alone.
+CONDITIONAL_DECLS = [
+    "cspdomain(fd). {a}. cspvar(x,0,3). cspvar(x,5,9) :- a. "
+    "required(x >= 0).",
+    "cspdomain(fd). {a}. cspvar(x,5,9) :- a. required(x < 3).",
+]
+
 
 def make_light_asp() -> RegularProgram:
     """The light-domain regular program: {switch}. lightOn :- switch, not am.

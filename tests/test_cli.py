@@ -10,7 +10,7 @@ from ezcasp.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, bench, emit_clp,
 from ezcasp.engine import SchemaConfig, solve_ca
 from ezcasp.ground import ground_program
 
-from conftest import ENCODINGS, LIGHT_EZ
+from conftest import CONDITIONAL_DECLS, ENCODINGS, LIGHT_EZ
 
 
 def run_cli(capsys, *args):
@@ -150,6 +150,32 @@ def test_validate_trace_rejects_tampered_file(tmp_path, capsys):
     assert code == EXIT_ERROR and "trace invalid" in out
 
 
+def test_validate_trace_rejects_a_trace_without_a_run(tmp_path, capsys):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    assert run_cli(capsys, LIGHT, "--validate-trace", empty) == \
+        (EXIT_ERROR, "trace invalid: trace has no run\n", "")
+    # an empty clause decides the program before any run, so its trace is
+    # empty and valid
+    src = tmp_path / "e.ez"
+    src.write_text("3 { a; b }.")
+    trace = tmp_path / "e.trace"
+    assert run_cli(capsys, src, "--dump-trace", trace)[0] == EXIT_UNSAT
+    assert trace.read_text() == ""
+    assert run_cli(capsys, src, "--validate-trace", trace) == \
+        (0, "trace ok\n", "")
+
+
+def test_empty_denial_is_unsat(tmp_path, capsys):
+    # the choice bound 3 over two elements compiles to an empty denial
+    src = tmp_path / "e.ez"
+    src.write_text("3 { a; b }.")
+    assert run_cli(capsys, src, "--oracle") == (EXIT_UNSAT, "UNSAT\n", "")
+    for schema in ("black", "grey", "clear"):
+        assert run_cli(capsys, src, "--schema", schema) == \
+            (EXIT_UNSAT, "UNSAT\n", ""), schema
+
+
 def test_emit_clp_reproduces_paper_clause(tmp_path, capsys):
     out_file = tmp_path / "light.clp"
     code, _, _ = run_cli(capsys, LIGHT, "--emit-clp", out_file)
@@ -201,6 +227,26 @@ def test_emit_clp_follows_full_semantics(tmp_path, capsys):
         "solve([x,V_x]) :- V_x >= 0, V_x =< 3, labeling([V_x]).")
 
 
+@pytest.mark.parametrize("source", [
+    LIGHT_EZ,
+    # the complement comes first in declaration order
+    "cspdomain(fd). cspvar(x,0,23). { am }. :- am. "
+    "required(x < 12) :- am. required(x >= 12) :- not am.",
+])
+def test_emit_clp_posts_a_repeated_complement_once(tmp_path, capsys, source):
+    # under full semantics the false |x < 12| posts x >= 12, which the true
+    # |x >= 12| posts too
+    src = tmp_path / "p.ez"
+    src.write_text(source)
+    out_file = tmp_path / "p.clp"
+    code, _, _ = run_cli(capsys, src, "--semantics", "full",
+                         "--emit-clp", out_file)
+    assert code == EXIT_SAT
+    assert " ".join(out_file.read_text().split()) == (
+        "solve([x,V_x]) :- V_x >= 0, V_x =< 23, V_x >= 12, "
+        "labeling([V_x]).")
+
+
 def test_oracle_flag(capsys):
     code, out, _ = run_cli(capsys, LIGHT, "--oracle", "-n", "0")
     assert code == EXIT_SAT
@@ -224,6 +270,29 @@ def test_sum_over_arithmetic_items_matches_oracle(tmp_path, capsys, items):
     solved = run_cli(capsys, f, "-n", "0")
     assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
     assert solved[1].count("\n") == 1
+
+
+@pytest.mark.parametrize("source", CONDITIONAL_DECLS)
+def test_conditional_declarations_match_oracle(tmp_path, capsys, source):
+    f = tmp_path / "c.ez"
+    f.write_text(source)
+    trace = tmp_path / "c.trace"
+    for sem in ("weak", "full"):
+        opts = ("--default-range", "0..9", "--semantics", sem)
+        code, oracle_out, _ = run_cli(capsys, f, *opts, "--oracle", "-n", "0")
+        assert code == EXIT_SAT
+        expected = oracle_out.splitlines()
+        for schema in ("black", "grey", "clear"):
+            code, out, _ = run_cli(capsys, f, *opts, "--schema", schema,
+                                   "-n", "0", "--dump-trace", trace)
+            assert code == EXIT_SAT, (schema, sem)
+            lines = out.splitlines()
+            # the oracle prints the first evaluation of each answer set
+            assert set(expected) <= set(lines), (schema, sem)
+            assert {x.rsplit(", ", 1)[0] for x in lines} == \
+                {x.rsplit(", ", 1)[0] for x in expected}, (schema, sem)
+            assert run_cli(capsys, f, *opts, "--validate-trace", trace) == \
+                (0, "trace ok\n", ""), (schema, sem)
 
 
 def test_default_range_flag(tmp_path, capsys):

@@ -9,7 +9,8 @@ from ezcasp.engine import (SchemaConfig, SolveStats, _projection_denial,
 from ezcasp.ground import ground_program
 from ezcasp import oracle
 
-from conftest import ENCODINGS, RIDDLE_EZ, make_conflict_pair
+from conftest import (CONDITIONAL_DECLS, ENCODINGS, RIDDLE_EZ,
+                      make_conflict_pair)
 
 
 def _rules(trace, run=None):
@@ -66,6 +67,13 @@ def test_declared_range_is_not_clamped_by_the_default_range():
         "x": (-4, 4), "y": P.domain, "z": (-9, -3)}
     clp = emit_clp(P, res.models[0].literals)
     assert "V_x >= -4, V_x =< 4" in clp and "V_z >= -9, V_z =< -3" in clp
+
+
+def test_two_active_ranges_intersect():
+    P = ground_program("cspdomain(fd). cspvar(x,0,5). cspvar(x,3,9).")
+    res = solve_ca(P, SchemaConfig(limit=0))
+    assert [m.assignment for m in res.models] == [
+        (("x", 3),), (("x", 4),), (("x", 5),)]
 
 
 def test_reverse_folding_four_points_one_pivot():
@@ -250,7 +258,8 @@ def test_p2_denial_not_pm_is_cp_entailed(p2):
 
 def _projection_edges(P, trace):
     """Replay `trace` on P; for each CPPropagate edge, its projection, M's
-    constraint literals in declaration order, and the edge that follows."""
+    constraint literals and then the atoms of its active ranged
+    declarations, each in declaration order, and the edge that follows."""
     index = P.pi.index
 
     def lit(s):
@@ -273,6 +282,9 @@ def _projection_edges(P, trace):
             held = set(m.literals())
             expected = [x for c in P.constraint_order
                         for x in (c + 1, -(c + 1)) if x in held]
+            expected += [d.atom + 1 for d in P.var_decls
+                         if d.atom is not None and d.lo is not None
+                         and d.atom + 1 in held]
             out.append(([lit(s) for s in rec["payload"]["projection"]],
                         expected, trace[k + 1]))
             m.append_bot()
@@ -283,8 +295,10 @@ def test_projection_is_the_constraint_literals_of_m():
     programs = [ground_program(p.read_text())
                 for p in sorted(ENCODINGS.glob("*.ez"))]
     programs += [oracle.random_program(seed) for seed in range(60)]
+    programs += [ground_program(src, (0, 9)) for src in CONDITIONAL_DECLS]
     # per semantics: projections with a negative literal, Learn edges
     seen = {"weak": [0, 0], "full": [0, 0]}
+    with_decls = 0
     for P in programs:
         index = P.pi.index
         for schema in ("black", "clear"):
@@ -296,6 +310,8 @@ def test_projection_is_the_constraint_literals_of_m():
                 for got, expected, nxt in _projection_edges(P, res.trace):
                     assert got == expected
                     seen[sem][0] += any(x < 0 for x in expected)
+                    with_decls += any(x - 1 not in P.constraint_set
+                                      for x in expected)
                     if nxt.get("rule") != "Learn":
                         continue
                     # the learned denial blocks exactly the projection, its
@@ -308,6 +324,7 @@ def test_projection_is_the_constraint_literals_of_m():
                          else [])
                     seen[sem][1] += 1
     assert all(a > 0 and b > 0 for a, b in seen.values()), seen
+    assert with_decls > 0
 
 
 # -- enumeration -----------------------------------------------------------------

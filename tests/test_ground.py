@@ -9,8 +9,9 @@ from ezcasp import fd
 from ezcasp.ground import (GroundError, VariableDecl, canon_atom,
                            canon_term, display_atom, display_term,
                            expand_lists, ground, ground_program, term_key)
-from ezcasp.lang import (Atom, Compound, Const, EzProgram, IntensionalList,
-                         Lit, ListTerm, Rule, parse, preprocess)
+from ezcasp.lang import (GLOBAL_SIGNATURES, Atom, Compound, Const,
+                         EzProgram, IntensionalList, Lit, ListTerm, Rule,
+                         parse, preprocess)
 
 from bruteforce import brute_ground, library_ground_canon
 from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ
@@ -164,6 +165,26 @@ def test_grounding_equivalence_with_bruteforce():
     for src in corpus:
         p = preprocess(parse(src))
         assert library_ground_canon(ground(p)) == brute_ground(p), src
+
+
+def test_failed_hoisted_run_is_undone_and_redone(monkeypatch):
+    # the hoisted order joins b(X,Y) after the division: it adds q(1,5),
+    # then divides by zero at a(0), which b(X,Y) filters out in the
+    # reference order; the addition, a possible atom and a fact, is undone
+    # and the reference-order redo adds q(1,5) again; d(10) is there for
+    # brute force, which binds Z only to a term that some atom holds
+    from ezcasp.ground import _Table
+    pops = []
+    pop = _Table.pop
+    monkeypatch.setattr(_Table, "pop",
+                        lambda self, name: (pops.append(name),
+                                            pop(self, name)))
+    p = preprocess(parse("a(1). a(0). b(1,5). d(10). "
+                         "q(X,Y) :- a(X), Z = 10 / X, b(X,Y)."))
+    g = ground(p)
+    assert pops == ["q(1,5)", "q(1,5)"]
+    assert library_ground_canon(g) == brute_ground(p)
+    assert "q(1,5):-pos:a(1),pos:b(1,5)" in library_ground_canon(g)
 
 
 def test_early_builtin_raises_no_new_error():
@@ -629,3 +650,28 @@ def write_ca_snapshots() -> None:
             sorted(DUMP_GROUND_EZ.glob("*.ez")):
         (CA_PROGRAM / f"{source.stem}.txt").write_text(
             ca_program_text(ground_program(source.read_text())))
+
+
+# per argument kind: its text, and the type of what it is built into
+_ARG_TEXT = {"term": ("x", fd.VarRef), "term_list": ("[x,y]", tuple),
+             "int_list": ("[1,1]", tuple), "comparison": ("eq", str)}
+
+
+@pytest.mark.parametrize("name", sorted(GLOBAL_SIGNATURES))
+def test_global_constraint_arity(name):
+    kinds = GLOBAL_SIGNATURES[name]
+    args = [_ARG_TEXT[k][0] for k in kinds]
+
+    def required(args):
+        return ground_program("cspdomain(fd). cspvar(x,1,2). cspvar(y,1,2). "
+                              f"required({name}({', '.join(args)})).")
+
+    P = required(args)
+    (g,) = P.gamma.values()
+    assert isinstance(g, fd.Global) and g.name == name
+    assert [type(a) for a in g.args] == [_ARG_TEXT[k][1] for k in kinds]
+    wrong = [args + ["x"]] + ([args[:-1]] if len(args) > 1 else [])
+    for bad in wrong:
+        with pytest.raises(GroundError,
+                           match=f"arity error in global constraint {name}"):
+            required(bad)

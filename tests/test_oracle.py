@@ -124,7 +124,10 @@ class TraceBuilder:
                          lambda: self.m.append(lit))
 
     def cp_propagate(self):
-        return self.edge("CPPropagate", {"projection": []},
+        held = set(self.m.literals())
+        projection = [self.lit_str(x) for c in self.program.constraint_order
+                      for x in (c + 1, -(c + 1)) if x in held]
+        return self.edge("CPPropagate", {"projection": projection},
                          lambda: self.m.append_bot())
 
     def learn(self, pos=(), neg=()):
@@ -181,8 +184,10 @@ def test_fig4_wrong_asp_propagation_rejected(p1):
 
 
 def test_empty_trace_validates(p1):
-    ok, why = validate_trace([], p1)
-    assert ok and why is None
+    # only a program with an empty clause is solved without a run
+    empty_clause = ground_program("3 { a; b }.")
+    assert validate_trace([], empty_clause) == (True, None)
+    assert validate_trace([], p1) == (False, "trace has no run")
 
 
 def test_restart_without_learn_rejected(p1):
@@ -222,6 +227,23 @@ def test_validator_accepts_all_engine_traces_for_paper_programs():
         trace = _engine_trace(prog, sem, limit=0)
         ok, why = validate_trace(trace, prog, semantics=sem)
         assert ok, why
+
+
+@pytest.mark.parametrize("tamper", ["cp-propagate", "learn-reason"])
+def test_projection_other_than_ms_is_rejected(tamper):
+    # the projection of a CPPropagate payload and of a Learn reason must be
+    # M's constraint literals; a rewritten one is rejected even though M's
+    # csp-abstraction is infeasible and the learned denial is entailed
+    prog = make_conflict_pair()
+    trace = _engine_trace(prog)
+    assert validate_trace(trace, prog, semantics="full") == (True, None)
+    for rec in trace:
+        if tamper == "cp-propagate" and rec.get("rule") == "CPPropagate":
+            rec["payload"]["projection"] = ["b"]
+        if tamper == "learn-reason" and rec.get("rule") == "Learn":
+            rec["payload"]["reason"]["projection"] = []
+    ok, why = validate_trace(trace, prog, semantics="full")
+    assert not ok and "projection is not M's" in why, why
 
 
 # -- the ten-trace hand-mutated negative suite -------------------------------------
