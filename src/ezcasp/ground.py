@@ -1399,13 +1399,15 @@ def _var_list(x: Term, declared: Dict[Term, "fd.VarRef"],
     return tuple(_arith(i, declared, pos) for i in x.items)
 
 
-def _int_list(x: Term, pos: Optional[SourcePos]) -> tuple:
+def _int_list(x: Term, declared: Dict[Term, "fd.VarRef"],
+              pos: Optional[SourcePos]) -> tuple:
     if not isinstance(x, ListTerm):
         raise GroundError("expected a list argument", pos)
     return tuple(_int_of(i, "list element", pos) for i in x.items)
 
 
-def _cmp_name(x: Term, pos: Optional[SourcePos]) -> str:
+def _cmp_name(x: Term, declared: Dict[Term, "fd.VarRef"],
+              pos: Optional[SourcePos]) -> str:
     if isinstance(x, Const) and isinstance(x.value, str):
         if x.value in fd.CMP_NAMES:
             return x.value
@@ -1415,13 +1417,9 @@ def _cmp_name(x: Term, pos: Optional[SourcePos]) -> str:
                       f"{display_term(x)}", pos)
 
 
-# per argument kind of `GLOBAL_SIGNATURES`: (term, declared, pos) -> argument
-_GLOBAL_ARGS = {
-    "term": _arith,
-    "term_list": _var_list,
-    "int_list": lambda x, declared, pos: _int_list(x, pos),
-    "comparison": lambda x, declared, pos: _cmp_name(x, pos),
-}
+# the builder of each argument kind of `GLOBAL_SIGNATURES`
+_GLOBAL_ARGS = {"term": _arith, "term_list": _var_list,
+                "int_list": _int_list, "comparison": _cmp_name}
 
 
 def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
