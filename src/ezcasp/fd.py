@@ -5,6 +5,9 @@ logical connectives and global constraints (the catalog: all_different,
 all_distinct, assignment, circuit, count, cumulative, disjoint2, element,
 minimum, maximum, scalar_product, serialized, sum).
 
+One walker, `_subexprs`, lists an expression and everything inside it;
+`vars_of` and the occurrence count of the compiled comparisons read it.
+
 The ground-truth checker `satisfied` defines the semantics of every
 constraint; search verifies each leaf with it, so propagators only need to be
 sound (never remove a value that belongs to some solution), never complete.
@@ -49,6 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
 
@@ -168,24 +172,26 @@ class Global(_Constraint):
 ConstraintExpr = object
 
 
-def vars_of(c) -> Set[str]:
-    out: Set[str] = set()
-    _collect_vars(c, out)
+def _subexprs(c) -> list:
+    """c and every expression inside it, breadth first: the arguments of an
+    operation, a connective or a global constraint, the items of a tuple
+    argument and the sides of a comparison."""
+    out = [c]
+    for x in out:                       # the loop reads what it appends
+        kids = _KIDS.get(x.__class__)
+        if kids is not None:
+            out.extend(kids(x))
     return out
 
 
-def _collect_vars(c, out: Set[str]) -> None:
-    if isinstance(c, VarRef):
-        out.add(c.name)
-    elif isinstance(c, (Arith, BoolExpr, Global)):
-        for a in c.args:
-            _collect_vars(a, out)
-    elif isinstance(c, Cmp):
-        _collect_vars(c.lhs, out)
-        _collect_vars(c.rhs, out)
-    elif isinstance(c, tuple):
-        for a in c:
-            _collect_vars(a, out)
+# the children of each kind of node that has any
+_KIDS = {Arith: attrgetter("args"), BoolExpr: attrgetter("args"),
+         Global: attrgetter("args"), Cmp: attrgetter("lhs", "rhs"),
+         tuple: tuple}
+
+
+def vars_of(c) -> Set[str]:
+    return {x.name for x in _subexprs(c) if isinstance(x, VarRef)}
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +611,6 @@ def _linearize(t) -> Optional[Tuple[Dict[str, int], int]]:
     return None
 
 
-def _n_refs(t) -> int:
-    """Number of variable occurrences in an arithmetic term."""
-    if isinstance(t, VarRef):
-        return 1
-    if isinstance(t, Arith):
-        return sum(_n_refs(a) for a in t.args)
-    return 0
-
-
 def _compile_cmp(c: Cmp) -> tuple:
     """The compiled form of a comparison (see `Cmp.form`)."""
     lhs, rhs = _linearize(c.lhs), _linearize(c.rhs)
@@ -625,8 +622,11 @@ def _compile_cmp(c: Cmp) -> tuple:
     lin = tuple((k, v) for k, v in coeffs.items() if v)
     diff = None
     # a side whose coefficients cover each occurrence once has an exact
-    # interval; a repeated variable or a dropped zero coefficient does not
-    if len(lhs[0]) == _n_refs(c.lhs) and len(rhs[0]) == _n_refs(c.rhs):
+    # interval; a repeated variable or a dropped zero coefficient does not.
+    # No side has more coefficients than occurrences, so comparing the
+    # totals compares each side.
+    refs = len([x for x in _subexprs(c) if isinstance(x, VarRef)])
+    if len(lhs[0]) + len(rhs[0]) == refs:
         diff = tuple(lhs[0].items()) + \
             tuple((k, -v) for k, v in rhs[0].items())
         if diff == lin:

@@ -44,8 +44,9 @@ from .asp import AtomIds, RegularProgram, RuleP
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
-    SourcePos, Term, Var, CANON_FUNCTORS, CMP_OPS, GLOBAL_SIGNATURES,
-    _print_term, display_op, needs_parens, parse, preprocess,
+    SourcePos, Term, Var, ARITH_OPS, CANON_FUNCTORS, CMP_OPS,
+    GLOBAL_SIGNATURES, LOGIC_OPS, _print_term, _subterms, display_op,
+    needs_parens, parse, preprocess,
 )
 
 __all__ = [
@@ -60,9 +61,9 @@ DEFAULT_FD_RANGE = (0, 2 ** 20)
 _MAX_POSSIBLE_ATOMS = 200_000
 _MAX_CHOICE_COMBOS = 5_000
 
-_ARITH_FUNCTORS = {"plus", "minus", "times", "div", "neg"}
-_CMP_FUNCTORS = {"lt", "leq", "gt", "geq", "eq", "neq"}
-_LOGIC_FUNCTORS = {"or", "and", "xor", "impl", "iff", "not"}
+_ARITH_FUNCTORS = set(ARITH_OPS.values()) | {"neg"}
+_CMP_FUNCTORS = set(CMP_OPS.values())
+_LOGIC_FUNCTORS = set(LOGIC_OPS.values())
 
 
 class GroundError(Exception):
@@ -160,43 +161,24 @@ def display_atom(a: Atom) -> str:
 
 
 def _is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, (Compound, OpExpr)):
-        return all(_is_ground(a) for a in t.args)
-    if isinstance(t, ListTerm):
-        return all(_is_ground(a) for a in t.items)
-    if isinstance(t, IntensionalList):
-        return all(_is_ground(a) for a in t.prefix)
-    if isinstance(t, RangeTerm):
-        return _is_ground(t.lo) and _is_ground(t.hi)
-    return True
+    return not any(isinstance(s, Var) for s in _subterms(t))
 
 
-def _subst(t: Term, env: Dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        if t.name in env:
-            return env[t.name]
-        return t
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_subst(a, env) for a in t.args))
-    if isinstance(t, OpExpr):
-        return OpExpr(t.op, tuple(_subst(a, env) for a in t.args))
-    if isinstance(t, ListTerm):
-        return ListTerm(tuple(_subst(a, env) for a in t.items))
-    if isinstance(t, IntensionalList):
-        return IntensionalList(t.name, tuple(_subst(a, env) for a in t.prefix),
-                               t.arity)
-    if isinstance(t, RangeTerm):
-        return RangeTerm(_subst(t.lo, env), _subst(t.hi, env))
-    return t
+def _vars_in(t: Term) -> Set[str]:
+    return {s.name for s in _subterms(t) if isinstance(s, Var)}
+
+
+def _has_op(t: Term) -> bool:
+    """Whether t contains built-in arithmetic, whose evaluation may fail."""
+    return any(isinstance(s, OpExpr) for s in _subterms(t))
 
 
 def _eval_term(t: Term, pos: Optional[SourcePos] = None,
                env: Optional[Dict[str, Term]] = None) -> Term:
     """Evaluate built-in arithmetic in a ground term; OpExpr nodes must
-    reduce to integers.  With `env`, this is `_eval_term(_subst(t, env))`
-    in one pass: the bound values are ground and evaluated already."""
+    reduce to integers.  With `env`, the variables of t are replaced by
+    their bound values, which are ground and evaluated already; a variable
+    that `env` does not bind is left as it is."""
     if isinstance(t, Var):
         return t if env is None else env.get(t.name, t)
     if isinstance(t, OpExpr):
@@ -238,55 +220,33 @@ def _eval_term(t: Term, pos: Optional[SourcePos] = None,
     return t
 
 
-def _int_of(t: Term, what: str, pos: Optional[SourcePos] = None) -> int:
-    t = _eval_term(t, pos)
+def _int_of(t: Term, what: str, pos: Optional[SourcePos] = None,
+            env: Optional[Dict[str, Term]] = None) -> int:
+    t = _eval_term(t, pos, env)
     if isinstance(t, Const) and isinstance(t.value, int):
         return t.value
     raise GroundError(f"{what} must be an integer, got {display_term(t)}", pos)
 
 
-def _vars_in(t: Term) -> Set[str]:
-    out: Set[str] = set()
-    _add_vars(t, out)
-    return out
-
-
-def _add_vars(x: Term, out: Set[str]) -> None:
-    if isinstance(x, Var):
-        out.add(x.name)
-    elif isinstance(x, (Compound, OpExpr)):
-        for a in x.args:
-            _add_vars(a, out)
-    elif isinstance(x, ListTerm):
-        for a in x.items:
-            _add_vars(a, out)
-    elif isinstance(x, IntensionalList):
-        for a in x.prefix:
-            _add_vars(a, out)
-    elif isinstance(x, RangeTerm):
-        _add_vars(x.lo, out)
-        _add_vars(x.hi, out)
-
-
 def _atom_vars(a: Atom) -> Set[str]:
-    out: Set[str] = set()
-    for t in a.args:
-        out |= _vars_in(t)
-    return out
+    return {s.name for t in a.args for s in _subterms(t) if isinstance(s, Var)}
 
 
 def _match(pattern: Term, value: Term, env: Dict[str, Term]) -> Optional[Dict[str, Term]]:
     """Structural unification of a body pattern against a ground term.
-    Arithmetic subterms of the pattern are evaluated when already bound."""
-    pattern = _subst(pattern, env)
-    if isinstance(pattern, OpExpr):
-        if not _is_ground(pattern):
-            return None
-        pattern = _eval_term(pattern)
+    A bound variable matches its value if `_matchable` holds of it, and an
+    arithmetic subterm is evaluated once its variables are bound."""
     if isinstance(pattern, Var):
+        bound = env.get(pattern.name)
+        if bound is not None:
+            return env if bound == value and _matchable(bound) else None
         env = dict(env)
         env[pattern.name] = value
         return env
+    if isinstance(pattern, OpExpr):
+        if not _vars_in(pattern) <= env.keys():
+            return None
+        pattern = _eval_term(pattern, None, env)
     if isinstance(pattern, Const):
         return env if pattern == value else None
     if isinstance(pattern, Compound) and isinstance(value, Compound):
@@ -319,21 +279,6 @@ def _expand_head_ranges(a: Atom, pos: Optional[SourcePos],
         else:
             slots.append([t])
     return [Atom(a.rel, combo) for combo in itertools.product(*slots)]
-
-
-def _has_op(t: Term) -> bool:
-    """Whether t contains built-in arithmetic, whose evaluation may fail."""
-    if isinstance(t, OpExpr):
-        return True
-    if isinstance(t, Compound):
-        return any(_has_op(a) for a in t.args)
-    if isinstance(t, ListTerm):
-        return any(_has_op(a) for a in t.items)
-    if isinstance(t, IntensionalList):
-        return any(_has_op(a) for a in t.prefix)
-    if isinstance(t, RangeTerm):
-        return _has_op(t.lo) or _has_op(t.hi)
-    return False
 
 
 def _has_list(t: Term) -> bool:
@@ -725,16 +670,16 @@ def _eval_aggregate(agg: AggregateLit, env: Dict[str, Term],
                 raise GroundError("aggregate member not ground", pos)
             if state.contains(a, fact=True):
                 w = 1 if item.weight is None else \
-                    _int_of(_subst(item.weight, ienv), "aggregate weight", pos)
+                    _int_of(item.weight, "aggregate weight", pos, ienv)
                 total += w
             elif state.contains(a, fact=False):
                 raise GroundError(
                     f"aggregate over non-factual atom {canon_atom(a)}", pos)
     if agg.lower is not None and \
-            total < _int_of(_subst(agg.lower, env), "aggregate bound", pos):
+            total < _int_of(agg.lower, "aggregate bound", pos, env):
         return False
     if agg.upper is not None and \
-            total > _int_of(_subst(agg.upper, env), "aggregate bound", pos):
+            total > _int_of(agg.upper, "aggregate bound", pos, env):
         return False
     return True
 
@@ -1093,11 +1038,9 @@ def ground(p: EzProgram) -> GroundProgram:
                     if i not in elems:
                         elems[i] = ChoiceElem(atoms[i], ())
                 lower = None if ch.lower is None else \
-                    Const(_int_of(_subst(ch.lower, env), "choice bound",
-                                  rule.pos))
+                    Const(_int_of(ch.lower, "choice bound", rule.pos, env))
                 upper = None if ch.upper is None else \
-                    Const(_int_of(_subst(ch.upper, env), "choice bound",
-                                  rule.pos))
+                    Const(_int_of(ch.upper, "choice bound", rule.pos, env))
                 if lower is not None and upper is not None and \
                         lower.value > upper.value:
                     raise GroundError("choice bounds violate lower <= upper",

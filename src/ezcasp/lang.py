@@ -9,6 +9,10 @@ literals, built-in comparisons (``X < Y``, ``W = WR + CR``) and the lparse-style
 argument the full expression grammar is available (arithmetic, comparisons,
 reified connectives, extensional/intensional lists, global constraints).
 
+`_subterms` is the one walker over the children of a term; every traversal
+of the grounder that needs all of them goes through it.  The parser reads
+every separated list with one helper, `_Parser._seq`.
+
 Everything here is pure and operates on immutable values; parse / preprocess /
 pretty_print may be called concurrently from any number of threads.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -152,6 +157,24 @@ class RangeTerm:
 
 
 Term = Union[Const, Var, Compound, OpExpr, ListTerm, IntensionalList, RangeTerm]
+
+
+def _subterms(t: Term) -> list:
+    """t and every term inside it, breadth first: the arguments of a
+    compound or an operation, the items of a list, the prefix of an
+    intensional list and the bounds of a range."""
+    out = [t]
+    for x in out:                       # the loop reads what it appends
+        kids = _KIDS.get(x.__class__)
+        if kids is not None:
+            out.extend(kids(x))
+    return out
+
+
+# the children of each kind of term that has any
+_KIDS = {Compound: attrgetter("args"), OpExpr: attrgetter("args"),
+         ListTerm: attrgetter("items"), IntensionalList: attrgetter("prefix"),
+         RangeTerm: attrgetter("lo", "hi")}
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +379,14 @@ class _Parser:
             raise EzSyntaxError(f"expected {text!r}, found {t.text!r}", t.pos)
         return t
 
+    def _seq(self, item, seps=(",",)) -> list:
+        """One or more items read by `item`, separated by any of `seps`."""
+        items = [item()]
+        while self.peek().text in seps:
+            self.next()
+            items.append(item())
+        return items
+
     # -- program ------------------------------------------------------
 
     def program(self) -> EzProgram:
@@ -390,10 +421,7 @@ class _Parser:
         if t.kind in ("int", "var"):
             lower = self._bound(self.next())
         self.expect("{")
-        elems = [self.choice_elem()]
-        while self.peek().text in (",", ";"):
-            self.next()
-            elems.append(self.choice_elem())
+        elems = self._seq(self.choice_elem, (",", ";"))
         self.expect("}")
         upper = None
         t = self.peek()
@@ -415,11 +443,7 @@ class _Parser:
     # -- bodies ---------------------------------------------------------
 
     def body(self) -> list:
-        elems = [self.body_element()]
-        while self.at(","):
-            self.next()
-            elems.append(self.body_element())
-        return elems
+        return self._seq(self.body_element)
 
     def body_element(self) -> BodyElement:
         t = self.peek()
@@ -447,12 +471,7 @@ class _Parser:
         if self.at("#sum"):
             self.next()
         self.expect("[")
-        items = []
-        if not self.at("]"):
-            items.append(self.agg_item())
-            while self.at(","):
-                self.next()
-                items.append(self.agg_item())
+        items = [] if self.at("]") else self._seq(self.agg_item)
         self.expect("]")
         upper = None
         if self.peek().kind in ("int", "var"):
@@ -484,11 +503,7 @@ class _Parser:
             if rel == "required":
                 args = (self.expr(0),)
             else:
-                parsed = [self.term_arg()]
-                while self.at(","):
-                    self.next()
-                    parsed.append(self.term_arg())
-                args = tuple(parsed)
+                args = tuple(self._seq(self.term_arg))
             self.expect(")")
         self._check_reserved(rel, args, t.pos)
         return Atom(rel, args)
@@ -560,10 +575,7 @@ class _Parser:
         if t.kind == "ident":
             if self.at("("):
                 self.next()
-                args = [self._expr_arg()]
-                while self.at(","):
-                    self.next()
-                    args.append(self._expr_arg())
+                args = self._seq(self._expr_arg)
                 self.expect(")")
                 return Compound(t.text, tuple(args))
             return Const(t.text)
@@ -590,10 +602,7 @@ class _Parser:
             ok = True
             if self.at("("):
                 self.next()
-                items = [self.expr(0)]
-                while self.at(","):
-                    self.next()
-                    items.append(self.expr(0))
+                items = self._seq(lambda: self.expr(0))
                 if self.at(")"):
                     self.next()
                     prefix = tuple(items)
@@ -605,10 +614,7 @@ class _Parser:
                 self.expect("]")
                 return IntensionalList(name_tok.text, prefix, arity)
             self.i = save
-        items = [self.expr(0)]
-        while self.at(","):
-            self.next()
-            items.append(self.expr(0))
+        items = self._seq(lambda: self.expr(0))
         self.expect("]")
         return ListTerm(tuple(items))
 

@@ -43,19 +43,15 @@ class OracleBoundExceeded(Exception):
 # Exhaustive answer-set enumeration
 # ---------------------------------------------------------------------------
 
-def _answer_set_masks(prog: RegularProgram, bound: int = ATOM_BOUND
-                      ) -> List[int]:
+def abstraction_answer_sets(program: CAProgram, bound: int = ATOM_BOUND
+                            ) -> List[int]:
+    """Answer sets (as atom masks) of the asp-abstraction Pi[C]."""
+    prog = program.asp_abstraction()
     n = prog.n_atoms
     if n > bound:
         raise OracleBoundExceeded(f"{n} atoms exceeds oracle bound {bound}")
     masks = prog.rule_masks()
     return [x for x in range(1 << n) if _is_answer_set_mask(masks, x)]
-
-
-def abstraction_answer_sets(program: CAProgram, bound: int = ATOM_BOUND
-                            ) -> List[int]:
-    """Answer sets (as atom masks) of the asp-abstraction Pi[C]."""
-    return _answer_set_masks(program.asp_abstraction(), bound)
 
 
 def _mask_literals(x: int, n: int) -> List[int]:
@@ -85,21 +81,32 @@ def csp_feasible_exhaustive(program: CAProgram, m_literals: Sequence[int],
     return next(exhaustive_solutions(inst), None) is not None
 
 
+def _answer_sets(program: CAProgram, semantics: str,
+                 atom_bound: int = ATOM_BOUND,
+                 assignment_bound: int = ASSIGNMENT_BOUND
+                 ) -> List[FrozenSet[str]]:
+    """The answer sets under `semantics`, by exhaustion: the abstraction
+    answer sets whose csp-abstraction, built from the complete literal set,
+    has a solution."""
+    names = program.pi.names
+    out = []
+    for x in abstraction_answer_sets(program, atom_bound):
+        lits = _mask_literals(x, program.n_atoms)
+        if csp_feasible_exhaustive(program, lits, semantics,
+                                   assignment_bound):
+            out.append(frozenset(names[a] for a in range(program.n_atoms)
+                                 if (x >> a) & 1))
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
 def enumerate_weak_answer_sets(program: CAProgram,
                                atom_bound: int = ATOM_BOUND,
                                assignment_bound: int = ASSIGNMENT_BOUND
                                ) -> List[FrozenSet[str]]:
     """All weak answer sets: answer sets of the asp-abstraction whose
-    positive-literal csp-abstraction has a solution, by exhaustion."""
-    names = program.pi.names
-    out = []
-    for x in abstraction_answer_sets(program, atom_bound):
-        pos_lits = [(a + 1) for a in range(program.n_atoms) if (x >> a) & 1]
-        if csp_feasible_exhaustive(program, pos_lits, "weak",
-                                   assignment_bound):
-            out.append(frozenset(names[a] for a in range(program.n_atoms)
-                                 if (x >> a) & 1))
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    csp-abstraction, which posts the positive constraint literals only, has
+    a solution."""
+    return _answer_sets(program, "weak", atom_bound, assignment_bound)
 
 
 def enumerate_full_answer_sets(program: CAProgram,
@@ -109,24 +116,15 @@ def enumerate_full_answer_sets(program: CAProgram,
     """All (full) answer sets: complete literal sets whose positive part is
     an abstraction answer set and whose csp-abstraction, with complements
     posted for negative constraint literals, has a solution."""
-    names = program.pi.names
-    out = []
-    for x in abstraction_answer_sets(program, atom_bound):
-        lits = _mask_literals(x, program.n_atoms)
-        if csp_feasible_exhaustive(program, lits, "full", assignment_bound):
-            out.append(frozenset(names[a] for a in range(program.n_atoms)
-                                 if (x >> a) & 1))
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    return _answer_sets(program, "full", atom_bound, assignment_bound)
 
 
 def is_entailed_denial(program: CAProgram, denial: RuleP, semantics: str
                        ) -> bool:
     """A denial is entailed (asp- or cp-) iff every answer set of the program
     satisfies its clause; checked by exhaustion."""
-    enum = enumerate_weak_answer_sets if semantics == "weak" \
-        else enumerate_full_answer_sets
     names = program.pi.names
-    for ans in enum(program):
+    for ans in _answer_sets(program, semantics):
         body_holds = all(names[a] in ans for a in denial.pos) and \
             all(names[a] not in ans for a in denial.neg)
         if body_holds:
