@@ -134,13 +134,16 @@ def denial_key(d: RuleP) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return (tuple(sorted(d.pos)), tuple(sorted(d.neg)))
 
 
-def _projection_denial(projection: Sequence[int], semantics: str) -> RuleP:
-    """The denial blocking a constraint-literal projection (see
-    `fd.build_csp`): its body holds the positive constraint atoms as-is and,
-    under full semantics, the negative ones as not-literals."""
+def _projection_denial(projection: Sequence[int], semantics: str,
+                       constraints: FrozenSet[int] = frozenset()) -> RuleP:
+    """The denial blocking a projection (see `fd.build_csp`): its body
+    holds the positive atoms as-is and the negative ones as not-literals,
+    except that under weak semantics the negative literals of the
+    constraint atoms `constraints` drop out."""
     pos = tuple(l - 1 for l in projection if l > 0)
-    negs = tuple(-l - 1 for l in projection if l < 0) \
-        if semantics == "full" else ()
+    weak = semantics == "weak"
+    negs = tuple(-l - 1 for l in projection
+                 if l < 0 and not (weak and -l - 1 in constraints))
     return RuleP(None, pos, negs, ())
 
 
@@ -315,7 +318,8 @@ class _Run:
         if it is empty.  It is fresh: the check ran at a consistent
         propagation fixpoint, where M satisfies every learned denial, and
         its body lies in M."""
-        d = _projection_denial(self.projection, self.cfg.semantics)
+        d = _projection_denial(self.projection, self.cfg.semantics,
+                               self.program.constraint_set)
         if not d.pos and not d.neg:
             return False
         pre = self._pre()

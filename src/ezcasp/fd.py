@@ -1427,15 +1427,19 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
     The instance's `projection` holds M's constraint literals, positive and
     negative, in declaration order, under either semantics, then the atoms
     of M's active ranged declarations, which narrow the domains, in
-    declaration order.  weak: post gamma(c) for the positive ones only;
-    full: additionally post complement(gamma(c)) for each negative one, and
-    post each distinct constraint once, where it first occurs.  Variables
-    are those with an active declaration (declaration atom in M, or
-    unconditional), in declaration order, each ranging over the
-    intersection of its active ranged declarations, or over the program
-    domain (the default range) when every one of them is range-free; then
-    any variable referenced by a posted constraint, which gets the program
-    domain.
+    declaration order, then the negative literals of the false ranged
+    declarations of every variable that has no active ranged declaration,
+    in declaration order.  weak: post gamma(c) for the positive constraint
+    literals only; full: additionally post complement(gamma(c)) for each
+    negative one, and post each distinct constraint once, where it first
+    occurs.  Variables are those with an active declaration (declaration
+    atom in M, or unconditional), in declaration order, then any variable
+    referenced by a posted constraint.  A variable ranges over the
+    intersection of its active ranged declarations; one without any ranges
+    over the program domain (the default range), widened to cover each of
+    its ranged declarations that M leaves unassigned.  With a complete M
+    that is the program domain; on a partial M, no declaration that M later
+    makes true can give the variable values outside it.
 
     Raises ComplementUnsupported under full semantics when a negated literal
     maps to a global constraint or reified formula.
@@ -1472,14 +1476,28 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
             ranges[decl.var] = (decl.lo, decl.hi) if r is None else \
                 (max(r[0], decl.lo), min(r[1], decl.hi))
 
+    # A variable with no active ranged declaration ranges over the program
+    # domain, widened to the ranged declarations that M leaves open, which
+    # could only replace it by a range inside the widened one; the false
+    # ones join the projection.
+    lo, hi = program.domain
+    wide: Dict[str, Tuple[int, int]] = {}
+    for decl in program.var_decls:
+        if decl.lo is None or ranges.get(decl.var) is not None:
+            continue
+        if -(decl.atom + 1) in m_set:
+            projection.append(-(decl.atom + 1))
+        else:
+            w = wide.get(decl.var, (lo, hi))
+            wide[decl.var] = (min(w[0], decl.lo), max(w[1], decl.hi))
+
     inst = CSPInstance()
     inst.projection = tuple(projection)
-    lo, hi = program.domain
     for v, r in ranges.items():
-        inst.add_var(v, *(r or (lo, hi)))
+        inst.add_var(v, *(r or wide.get(v, (lo, hi))))
     for c in posted:
         for v in sorted(c.variables):
             if v not in inst.domains:
-                inst.add_var(v, lo, hi)
+                inst.add_var(v, *wide.get(v, (lo, hi)))
         inst.post(c)
     return inst

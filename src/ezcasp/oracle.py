@@ -162,12 +162,18 @@ def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str
 def _projection(program: CAProgram, lits: Sequence[int]) -> List[int]:
     """What a CPPropagate payload and a Learn reason must list: M's
     constraint literals in declaration order, then the atoms of M's active
-    ranged declarations in declaration order."""
+    ranged declarations in declaration order, then the negative literals of
+    the false ranged declarations of each variable that has no active one,
+    in declaration order."""
     held = set(lits)
     out = [x for c in program.constraint_order for x in (c + 1, -(c + 1))
            if x in held]
-    out += [d.atom + 1 for d in program.var_decls
-            if d.atom is not None and d.lo is not None and d.atom + 1 in held]
+    ranged = [d for d in program.var_decls if d.lo is not None]
+    out += [d.atom + 1 for d in ranged
+            if d.atom is not None and d.atom + 1 in held]
+    active = {d.var for d in ranged if d.atom is None or d.atom + 1 in held}
+    out += [-(d.atom + 1) for d in ranged
+            if d.var not in active and -(d.atom + 1) in held]
     return out
 
 

@@ -13,12 +13,17 @@ RIDDLE_EZ = (ENCODINGS / "riddle.ez").read_text()
 SMM_EZ = (ENCODINGS / "smm.ez").read_text()
 
 # Programs whose ranged declarations are conditional, for the default range
-# 0..9: making `a` true narrows x to a range that no constraint allows, so a
-# check that fails with `a` true must not block the constraint literals alone.
+# 0..9.  In the first two, making `a` true narrows x to a range that no
+# constraint allows, so a check that fails with `a` true must not block the
+# constraint literals alone.  In the third, `a` false leaves x on the
+# default range, which the constraint excludes, so a check that fails with
+# `a` false must not block them alone either.
 CONDITIONAL_DECLS = [
     "cspdomain(fd). {a}. cspvar(x,0,3). cspvar(x,5,9) :- a. "
     "required(x >= 0).",
     "cspdomain(fd). {a}. cspvar(x,5,9) :- a. required(x < 3).",
+    "cspdomain(fd). {b}. a :- not b. cspvar(x,-5,-1) :- a. "
+    "required(x < 0).",
 ]
 
 

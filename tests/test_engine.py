@@ -258,8 +258,10 @@ def test_p2_denial_not_pm_is_cp_entailed(p2):
 
 def _projection_edges(P, trace):
     """Replay `trace` on P; for each CPPropagate edge, its projection, M's
-    constraint literals and then the atoms of its active ranged
-    declarations, each in declaration order, and the edge that follows."""
+    constraint literals, then the atoms of its active ranged declarations,
+    then the negative literals of the false ranged declarations of each
+    variable without an active one, each in declaration order, and the
+    edge that follows."""
     index = P.pi.index
 
     def lit(s):
@@ -285,6 +287,11 @@ def _projection_edges(P, trace):
             expected += [d.atom + 1 for d in P.var_decls
                          if d.atom is not None and d.lo is not None
                          and d.atom + 1 in held]
+            active = {d.var for d in P.var_decls if d.lo is not None
+                      and (d.atom is None or d.atom + 1 in held)}
+            expected += [-(d.atom + 1) for d in P.var_decls
+                         if d.lo is not None and d.var not in active
+                         and -(d.atom + 1) in held]
             out.append(([lit(s) for s in rec["payload"]["projection"]],
                         expected, trace[k + 1]))
             m.append_bot()
@@ -298,7 +305,7 @@ def test_projection_is_the_constraint_literals_of_m():
     programs += [ground_program(src, (0, 9)) for src in CONDITIONAL_DECLS]
     # per semantics: projections with a negative literal, Learn edges
     seen = {"weak": [0, 0], "full": [0, 0]}
-    with_decls = 0
+    with_decls = weak_negs = 0
     for P in programs:
         index = P.pi.index
         for schema in ("black", "clear"):
@@ -315,16 +322,17 @@ def test_projection_is_the_constraint_literals_of_m():
                     if nxt.get("rule") != "Learn":
                         continue
                     # the learned denial blocks exactly the projection, its
-                    # negative literals only under full semantics
+                    # negative constraint literals only under full semantics
                     d = nxt["payload"]["denial"]
                     assert [index[a] + 1 for a in d["pos"]] == \
                         [x for x in expected if x > 0]
                     assert [-(index[a] + 1) for a in d["neg"]] == \
-                        ([x for x in expected if x < 0] if sem == "full"
-                         else [])
+                        [x for x in expected if x < 0 and (
+                            sem == "full" or -x - 1 not in P.constraint_set)]
                     seen[sem][1] += 1
+                    weak_negs += sem == "weak" and bool(d["neg"])
     assert all(a > 0 and b > 0 for a, b in seen.values()), seen
-    assert with_decls > 0
+    assert with_decls > 0 and weak_negs > 0
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -456,8 +464,8 @@ PINNED_COUNTERS = [
     ("rf_toy", "black", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8, 8)),
     ("rf_toy", "grey", "sat", 1, (28, 1463, 8, 7, 7, 1534, 2, 8, 8)),
     ("rf_toy", "clear", "sat", 1, (8, 501, 9, 7, 0, 531, 2, 8, 9)),
-    ("riddle", "black", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3, 3)),
-    ("riddle", "grey", "sat", 1, (4, 153, 3, 2, 2, 166, 2, 3, 3)),
+    ("riddle", "black", "sat", 1, (4, 161, 3, 2, 2, 174, 2, 3, 3)),
+    ("riddle", "grey", "sat", 1, (4, 161, 3, 2, 2, 174, 2, 3, 3)),
     ("riddle", "clear", "sat", 1, (2, 107, 3, 2, 0, 116, 2, 3, 3)),
     ("smm", "black", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
     ("smm", "grey", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
