@@ -1158,7 +1158,7 @@ class _ListExpander:
         for r in self.rules:
             for h in _head_atoms(r):
                 self.rels.add((h.rel, len(h.args)))
-                if r.is_fact and isinstance(r.head, Atom):
+                if r.is_fact:
                     self.facts_by_rel.setdefault((h.rel, len(h.args)),
                                                  []).append(h)
             for b in r.body:
@@ -1429,10 +1429,8 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
         elems = []
         for e in head.elems:
             if e.atom.rel == "cspdomain":
-                if not r.is_fact:
-                    raise GroundError("cspdomain must be a fact", r.pos)
-                domain_args.append((e.atom.args[0], r.pos))
-            elif e.atom.rel == "required":
+                raise GroundError("cspdomain must be a fact", r.pos)
+            if e.atom.rel == "required":
                 raise GroundError("required not allowed in choice heads",
                                   r.pos)
             k = id(e.atom)
@@ -1504,8 +1502,9 @@ def _bound_denials(r: Rule, elems: List[int], ids: AtomIds,
             for subset in itertools.combinations(elems, k):
                 yield ids.rule(None, pos, neg + list(subset), nn)
     if hi is not None and hi < n:
-        _check_combos(n, hi + 1, r.pos)
-        for subset in itertools.combinations(elems, hi + 1):
+        k = max(hi + 1, 0)               # a bound below zero denies the body
+        _check_combos(n, k, r.pos)
+        for subset in itertools.combinations(elems, k):
             yield ids.rule(None, pos + list(subset), neg, nn)
 
 

@@ -245,7 +245,8 @@ class Rule:
 
     @property
     def is_fact(self) -> bool:
-        return self.head is not None and not self.body
+        """An atom head without a body; a choice rule is never a fact."""
+        return isinstance(self.head, Atom) and not self.body
 
 
 @dataclass(frozen=True)

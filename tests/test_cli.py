@@ -295,6 +295,13 @@ def test_conditional_declarations_match_oracle(tmp_path, capsys, source):
                 (0, "trace ok\n", ""), (schema, sem)
 
 
+def test_choice_upper_bound_below_zero_is_unsat(tmp_path, capsys):
+    f = tmp_path / "n.ez"
+    f.write_text("p(-2). { a } X :- p(X).")
+    assert run_cli(capsys, f, "-n", "0") == (EXIT_UNSAT, "UNSAT\n", "")
+    assert run_cli(capsys, f, "--oracle") == (EXIT_UNSAT, "UNSAT\n", "")
+
+
 def test_default_range_flag(tmp_path, capsys):
     f = tmp_path / "r.ez"
     f.write_text("cspdomain(fd). cspvar(x). required(x >= 2).")

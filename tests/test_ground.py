@@ -6,6 +6,7 @@ import types
 import pytest
 
 from ezcasp import fd
+from ezcasp.asp import RuleP, enumerate_answer_sets_bruteforce
 from ezcasp.ground import (GroundError, VariableDecl, canon_atom,
                            canon_term, display_atom, display_term,
                            expand_lists, ground, ground_program, term_key)
@@ -527,6 +528,28 @@ def test_choice_bounds_compile():
 def test_choice_bounds_violate_order():
     with pytest.raises(GroundError):
         ground_program("d(1). 2 { c(X) : d(X) } 1.")
+
+
+@pytest.mark.parametrize("bound", [-1, -2, -5])
+def test_choice_upper_bound_below_zero_denies_the_body(bound):
+    # no choice meets an upper bound below zero, so the body is denied, as
+    # it is for a lower bound above the element count
+    P = ground_program(f"p({bound}). {{ a }} X :- p(X).")
+    p = P.pi.index[f"p({bound})"]
+    assert [r for r in P.pi.rules if r.head is None] == \
+        [RuleP(None, (p,), (), ())]
+    assert enumerate_answer_sets_bruteforce(P.pi) == []
+
+
+@pytest.mark.parametrize("src", [
+    "{ cspdomain(fd) }. cspvar(x,0,3). required(x > 1).",
+    "a. cspdomain(fd) :- a.",
+    "a. { cspdomain(fd) } :- a.",
+])
+def test_cspdomain_must_be_a_fact(src):
+    # a choice element is never a fact, with or without a body
+    with pytest.raises(GroundError, match="cspdomain must be a fact"):
+        ground_program(src)
 
 
 def test_default_range_applies_to_rangeless_declaration():
