@@ -136,6 +136,13 @@ def test_dump_trace_validates_in_separate_process(tmp_path):
     assert r2.returncode == 0 and "trace ok" in r2.stdout
 
 
+def test_python_m_ezcasp_prints_what_main_prints(capsys):
+    r = subprocess.run([sys.executable, "-m", "ezcasp", str(LIGHT)],
+                       capture_output=True, text=True)
+    assert r.returncode == EXIT_SAT == 10
+    assert (r.returncode, r.stdout, r.stderr) == run_cli(capsys, LIGHT)
+
+
 def test_validate_trace_rejects_tampered_file(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     code, _, _ = run_cli(capsys, LIGHT, "--dump-trace", trace)

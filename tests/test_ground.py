@@ -5,17 +5,19 @@ import types
 
 import pytest
 
-from ezcasp import fd
+from ezcasp import fd, oracle
 from ezcasp.asp import RuleP, enumerate_answer_sets_bruteforce
 from ezcasp.ground import (GroundError, VariableDecl, canon_atom,
                            canon_term, display_atom, display_term,
                            expand_lists, ground, ground_program, term_key)
+from ezcasp.engine import SchemaConfig, solve_ca
 from ezcasp.lang import (GLOBAL_SIGNATURES, Atom, Compound, Const,
-                         EzProgram, IntensionalList, Lit, ListTerm, Rule,
-                         parse, preprocess)
+                         EzProgram, EzSyntaxError, IntensionalList, Lit,
+                         ListTerm, Rule, parse, preprocess)
 
 from bruteforce import brute_ground, library_ground_canon
 from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ
+from ground_gen import random_nonground_source
 
 
 def _ground_text(text: str) -> EzProgram:
@@ -166,6 +168,28 @@ def test_grounding_equivalence_with_bruteforce():
     for src in corpus:
         p = preprocess(parse(src))
         assert library_ground_canon(ground(p)) == brute_ground(p), src
+
+
+def test_random_nonground_programs_match_the_oracle():
+    # grounding either succeeds or rejects the program; every program small
+    # enough for the oracle has its weak answer sets under black and clear
+    checked = 0
+    for seed in range(300):
+        try:
+            P = ground_program(random_nonground_source(seed))
+        except (GroundError, EzSyntaxError):
+            continue
+        if P.n_atoms > oracle.ATOM_BOUND:
+            continue
+        expected = oracle.enumerate_weak_answer_sets(P)
+        for schema in ("black", "clear"):
+            res = solve_ca(P, SchemaConfig(schema=schema, limit=0,
+                                           max_alphas_per_model=1))
+            assert sorted((m.atoms for m in res.models),
+                          key=lambda s: tuple(sorted(s))) == expected, \
+                (seed, schema)
+        checked += 1
+    assert checked >= 100
 
 
 def test_failed_hoisted_run_is_undone_and_redone(monkeypatch):
