@@ -11,8 +11,8 @@ from ezcasp.oracle import (OracleBoundExceeded,
                            enumerate_weak_answer_sets, is_entailed_denial,
                            random_ez_source, random_program, validate_trace)
 
-from conftest import make_conflict_pair, make_night, make_p1, make_p2, \
-    make_window
+from conftest import (CONDITIONAL_DECLS, ENCODINGS, make_conflict_pair,
+                      make_night, make_p1, make_p2, make_window)
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -244,6 +244,103 @@ def test_projection_other_than_ms_is_rejected(tamper):
             rec["payload"]["reason"]["projection"] = []
     ok, why = validate_trace(trace, prog, semantics="full")
     assert not ok and "projection is not M's" in why, why
+
+
+# -- tampered engine traces, one per validator guard ------------------------------
+
+def _first(trace, pred):
+    return next(k for k, rec in enumerate(trace) if pred(rec))
+
+
+def _is(rule):
+    return lambda rec: rec.get("rule") == rule
+
+
+def _model_end(rec):
+    return rec.get("status") == "model"
+
+
+def _insert_copy(trace, k):
+    trace.insert(k + 1, dict(trace[k]))
+
+
+def _drop_neg(trace, k):
+    trace[k]["payload"]["denial"]["neg"] = []
+
+
+def _block_model(trace, k):
+    # a blocking denial of the run's own model, in the run's start record
+    run = trace[k]["run"]
+    start = _first(trace, lambda r: r.get("run") == run
+                   and r.get("event") == "start")
+    trace[start]["blocking"] = trace[start]["blocking"] + [
+        {"pos": trace[k]["model"], "neg": []}]
+
+
+def _full_semantics(trace, k):
+    for rec in trace:
+        if rec.get("event") == "start":
+            rec["semantics"] = "full"
+
+
+def _flip(trace, k):
+    lit = trace[k]["payload"]["lit"]
+    trace[k]["payload"]["lit"] = lit[1:] if lit.startswith("-") else "-" + lit
+
+
+def _set(key, value):
+    def tamper(trace, k):
+        trace[k][key] = value
+    return tamper
+
+
+_TAMPERS = [
+    ("light", _is("UnitPropagate"), _set("pre", "0" * 12),
+     "pre-state digest mismatch"),
+    ("light", _is("UnitPropagate"), _set("post", "0" * 12),
+     "post-state digest mismatch"),
+    ("conditional", _is("Learn"), _drop_neg, "learned denial not entailed"),
+    ("light", _is("Fail"), _insert_copy, "edge after Failstate"),
+    ("light", lambda rec: rec is not None, lambda t, k: t.pop(),
+     "run has no end record"),
+    ("light", _model_end, lambda t, k: t[k].update(model=t[k]["model"][1:]),
+     "end record model differs from final record"),
+    ("light", _is("UnitPropagate"), _set("rule", "Jump"), "unknown rule"),
+    ("light", _is("Backtrack"), _flip, "Backtrack flipped wrong literal"),
+    ("light", _is("Backtrack"), _set("rule", "Fail"),
+     "Fail with decision literals"),
+    ("light", _model_end, _block_model, "final record falsifies a clause"),
+    ("riddle", _model_end, _full_semantics,
+     "final csp-abstraction infeasible"),
+]
+
+
+@pytest.mark.parametrize("name,where,tamper,reason", _TAMPERS,
+                         ids=[t[3] for t in _TAMPERS])
+def test_tampered_engine_trace_is_rejected(name, where, tamper, reason):
+    # the conditional-declaration program is small enough for the
+    # entailment check; a denial without its declaration not-literal is the
+    # unsound one that Learn once learned
+    if name == "conditional":
+        prog = ground_program(CONDITIONAL_DECLS[2], (0, 9))
+    else:
+        prog = ground_program((ENCODINGS / f"{name}.ez").read_text())
+    trace = _engine_trace(prog, "weak", limit=0)
+    assert validate_trace(trace, prog) == (True, None)
+    tamper(trace, _first(trace, where))
+    ok, why = validate_trace(trace, prog)
+    assert not ok and reason in why, why
+
+
+def test_unfounded_true_atom_in_final_record_is_rejected():
+    # only a positive loop keeps an unfounded atom true without falsifying
+    # a clause, and no bundled program has one
+    prog = ground_program("{a}. b :- a. b :- c. c :- b.")
+    assert validate_trace(_engine_trace(prog, "weak"), prog) == (True, None)
+    trace = TraceBuilder(prog).decide("-a").decide("b") \
+        .unit_propagate("c", ["c", "-b"]).end("model", model=["b", "c"])
+    ok, why = validate_trace(trace, prog)
+    assert not ok and "unfounded atom true in final record" in why, why
 
 
 # -- the ten-trace hand-mutated negative suite -------------------------------------
