@@ -1,10 +1,12 @@
 """Independent brute-force ground truth and the trace validator.
 
-Answer-set enumeration here exhausts all atom subsets; CSP feasibility is
-decided by enumerating every assignment over the variables' ranges and
-checking each constraint with the shared ground-truth `satisfied` predicate
-(the backtracking/propagation machinery of the fd solver is never used, so
-oracle and solver cannot share search bugs).
+Answer-set enumeration here exhausts all atom subsets, in one body for weak
+and full semantics that builds each csp-abstraction from the complete
+literal set; CSP feasibility is decided by enumerating every assignment over
+the variables' ranges and checking each constraint with the shared
+ground-truth `satisfied` predicate (the backtracking/propagation machinery
+of the fd solver is never used, so oracle and solver cannot share search
+bugs).
 
 `validate_trace` replays an emitted transition trace, re-checking every
 edge's guard, restart-safety, and that a completed run stops in a
