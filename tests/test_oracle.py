@@ -256,8 +256,12 @@ def _is(rule):
     return lambda rec: rec.get("rule") == rule
 
 
+def _end(rec):
+    return rec.get("event") == "end"
+
+
 def _model_end(rec):
-    return rec.get("status") == "model"
+    return _end(rec) and rec["status"] == "model"
 
 
 def _insert_copy(trace, k):
@@ -301,8 +305,7 @@ _TAMPERS = [
      "post-state digest mismatch"),
     ("conditional", _is("Learn"), _drop_neg, "learned denial not entailed"),
     ("light", _is("Fail"), _insert_copy, "edge after Failstate"),
-    ("light", lambda rec: rec is not None, lambda t, k: t.pop(),
-     "run has no end record"),
+    ("light", _end, lambda t, k: t.pop(k), "run has no end record"),
     ("light", _model_end, lambda t, k: t[k].update(model=t[k]["model"][1:]),
      "end record model differs from final record"),
     ("light", _is("UnitPropagate"), _set("rule", "Jump"), "unknown rule"),
