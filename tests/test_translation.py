@@ -6,9 +6,11 @@ rules, constraint order with gamma, declarations, suppressed names and
 warnings).  `tests/data/translation/clauses.txt` holds, for the same cases,
 a digest of the clauses of the program's ASP abstraction in order, one per
 rule (`asp.clausify`).  The cases are `oracle.random_ez_source` seeds
-0-499, seeds 250-499 with `min_lo=-3`, plus every bundled encoding.  A
-change to grounding, translation or clausification must leave every digest
-as it is.  Regenerate both files with
+0-499, seeds 250-499 with `min_lo=-3`, `ground_gen.random_nonground_source`
+seeds 0-999 (the pinned programs with multi-atom choice and aggregate
+conditions, arithmetic patterns and division errors), plus every bundled
+encoding.  A change to grounding, translation or clausification must leave
+every digest as it is.  Regenerate both files with
 `PYTHONPATH=src:tests python tests/test_translation.py`.
 """
 
@@ -18,9 +20,11 @@ import pathlib
 from ezcasp.asp import clausify
 from ezcasp.cli import _dump_ground_text
 from ezcasp.ground import DEFAULT_FD_RANGE, GroundError, ground_program
+from ezcasp.lang import EzSyntaxError
 from ezcasp.oracle import random_ez_source
 
 from conftest import ENCODINGS
+from ground_gen import random_nonground_source
 from test_ground import DUMP_GROUND_EZ, ca_program_text
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "translation"
@@ -28,6 +32,7 @@ DIGESTS = DATA / "digests.txt"
 CLAUSES = DATA / "clauses.txt"
 
 N_SEEDS = 500
+N_NONGROUND_SEEDS = 1000
 
 
 def cases():
@@ -35,6 +40,8 @@ def cases():
     for seed in range(N_SEEDS):
         min_lo = -3 if seed >= N_SEEDS // 2 else 0
         yield f"random-{seed}-{min_lo}", random_ez_source(seed, min_lo=min_lo)
+    for seed in range(N_NONGROUND_SEEDS):
+        yield f"nonground-{seed}", random_nonground_source(seed)
     for source in sorted(ENCODINGS.glob("*.ez")) + \
             sorted(DUMP_GROUND_EZ.glob("*.ez")):
         yield source.stem, source.read_text()
@@ -48,7 +55,7 @@ def digest_line(name: str, source: str) -> str:
     try:
         dump = _dump_ground_text(source, DEFAULT_FD_RANGE)
         ca = ca_program_text(ground_program(source))
-    except GroundError as exc:
+    except (EzSyntaxError, GroundError) as exc:
         dump = ca = f"error: {exc}"
     return f"{name} {_digest(dump)} {_digest(ca)}"
 
@@ -56,7 +63,7 @@ def digest_line(name: str, source: str) -> str:
 def clause_line(name: str, source: str) -> str:
     try:
         program = ground_program(source)
-    except GroundError:
+    except (EzSyntaxError, GroundError):
         return f"{name} error"
     clauses = clausify(program.asp_abstraction())
     text = "\n".join(" ".join(map(str, c)) for c in clauses)
