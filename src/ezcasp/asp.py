@@ -2,8 +2,8 @@
 
 Rules are ``a0 <- a1,...,al, not a(l+1),..., not am, not not a(m+1),...``
 with `a0` an atom or absent (denial).  This module provides clausification,
-the reduct, answer-set checking via the least model of the positive reduct,
-records, the search's watched-literal unit propagation and incremental
+answer-set checking via the least model of the positive reduct, records,
+the search's watched-literal unit propagation and incremental
 greatest-unfounded-set check (both follow one record through its backjumps
 and resets), and a brute-force answer-set enumerator used as an oracle.
 `find_unit_step`, `unit_propagate` and `greatest_unfounded_set` are the
@@ -25,8 +25,8 @@ from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
 
 __all__ = [
     "RuleP", "RegularProgram", "AtomIds", "Record", "Clause", "Propagator",
-    "UnfoundedCheck", "rule_clause", "clausify", "reduct", "least_model",
-    "is_answer_set", "unit_propagate", "find_unit_step",
+    "UnfoundedCheck", "rule_clause", "clausify", "is_answer_set",
+    "unit_propagate", "find_unit_step",
     "greatest_unfounded_set",
     "enumerate_answer_sets_bruteforce",
     "lit_atom",
@@ -178,7 +178,7 @@ class AtomIds(dict):
 
 
 # ---------------------------------------------------------------------------
-# Clausification and reduct
+# Clausification and answer-set checking
 # ---------------------------------------------------------------------------
 
 _succ = (1).__add__                     # a + 1, the positive literal of a
@@ -206,44 +206,6 @@ def rule_clause(r: RuleP) -> Clause:
 def clausify(prog: RegularProgram) -> List[Clause]:
     """One clause per rule, in rule order (see `rule_clause`)."""
     return list(map(rule_clause, prog.rules))
-
-
-def _body_holds_mask(r: RuleP, x: int) -> bool:
-    for a in r.pos:
-        if not x >> a & 1:
-            return False
-    for a in r.neg:
-        if x >> a & 1:
-            return False
-    for a in r.nneg:
-        if not x >> a & 1:
-            return False
-    return True
-
-
-def reduct(prog: RegularProgram, x_atoms: Iterable[str]) -> List[Tuple[Optional[int], Tuple[int, ...]]]:
-    """Positive program: rules whose body X satisfies, reduced to head <- pos."""
-    x = prog.mask_of(x_atoms)
-    return [(r.head, r.pos) for r in prog.rules if _body_holds_mask(r, x)]
-
-
-def least_model(positive: Sequence[Tuple[Optional[int], Tuple[int, ...]]]) -> int:
-    """Least model (as an atom mask) of a positive program; denial heads
-    contribute nothing here (model checking handles them separately)."""
-    lm = 0
-    changed = True
-    while changed:
-        changed = False
-        for head, pos in positive:
-            if head is None:
-                continue
-            hbit = 1 << head
-            if lm & hbit:
-                continue
-            if all(lm >> a & 1 for a in pos):
-                lm |= hbit
-                changed = True
-    return lm
 
 
 def _is_answer_set_mask(masks: Sequence[Tuple[int, int, int, int]],
@@ -504,16 +466,11 @@ class Propagator:
         """Add a clause; allowed at any point of the search."""
         ci = len(self.clauses)
         self.clauses.append(clause)
-        c = list(clause)
-        self._lits.append(c)
-        if len(c) == 1:
+        self._lits.append(list(clause))
+        if len(clause) == 1:
             self._units.append(ci)
-        elif c:                     # empty clauses are rejected before search
-            if not self.m.trail:
-                self._watches[c[0]].append(ci)
-                self._watches[c[1]].append(ci)
-            elif not self._attach(ci):
-                self._fragile.append(ci)
+        elif clause and not self._attach(ci):   # empty: rejected earlier
+            self._fragile.append(ci)
 
     def propagate(self, limit: int) -> int:
         """Append unit-propagation literals to the record until the fixpoint,

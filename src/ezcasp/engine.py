@@ -426,12 +426,6 @@ class _Run:
             self._emit("Decide", pre, lambda: {"lit": lit_str(target)})
 
 
-def _blocking_denial(m: Record) -> RuleP:
-    pos = tuple(sorted(lit_atom(l) for l in m.literals() if l > 0))
-    negs = tuple(sorted(lit_atom(l) for l in m.literals() if l < 0))
-    return RuleP(None, pos, negs, ())
-
-
 def solve_ca(program: CAProgram, cfg: SchemaConfig,
              collect_trace: bool = False) -> SolveResult:
     """Compute extended answer sets of a CA program under the configured
@@ -472,18 +466,13 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
             trace.end(run_idx, "model", model=atoms)
             status = "sat"
 
-            alpha_cap = None
-            if cfg.max_alphas_per_model:
-                alpha_cap = cfg.max_alphas_per_model
-            if cfg.limit:
-                remaining = cfg.limit - len(models)
-                alpha_cap = min(alpha_cap, remaining) \
-                    if alpha_cap is not None else remaining
             # the run's last CSP check was on this model and found its first
-            # evaluation; the same search goes on to the others
-            sols = itertools.islice(
-                run.csp_solutions,
-                None if alpha_cap is None else max(alpha_cap, 1))
+            # evaluation; the same search goes on to the others, up to the
+            # caps that are set
+            caps = [c for c in (cfg.max_alphas_per_model,
+                                cfg.limit and cfg.limit - len(models)) if c]
+            sols = itertools.islice(run.csp_solutions,
+                                    max(min(caps), 1) if caps else None)
             lits = tuple(m.literals())
             for s in sols:
                 models.append(ExtendedAnswerSet(
@@ -492,7 +481,7 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
                 break
             if not m.literals():
                 break           # the empty model over no atoms is unique
-            blocking.append(_blocking_denial(m))
+            blocking.append(_projection_denial(sorted(lits, key=abs), "full"))
             run.next_run(blocking[-1])
     except BudgetExceeded:
         return SolveResult("budget", models, stats,

@@ -450,11 +450,6 @@ class Domain:
             self.holes.add(v)
         return True
 
-    def fix(self, v: int) -> bool:
-        changed = self.set_min(v)
-        changed |= self.set_max(v)
-        return changed
-
     def intersect_range(self, lo: int, hi: int) -> bool:
         changed = self.set_min(lo)
         changed |= self.set_max(hi)
@@ -764,11 +759,6 @@ class _Store:
     def remove(self, name: str, v: int) -> None:
         if self.domains[name].contains(v):
             self.note(self._writable(name).remove(v), name)
-
-    def fix(self, name: str, v: int) -> None:
-        d = self.domains[name]
-        if v > d.lo or v < d.hi:
-            self.note(self._writable(name).fix(v), name)
 
     def intersect_range(self, name: str, lo: int, hi: int) -> None:
         d = self.domains[name]
@@ -1129,7 +1119,7 @@ def _filter_global(st: _Store, g: Global) -> None:
             if isinstance(x, VarRef) and doms[x.name].fixed:
                 y = ys[doms[x.name].lo - 1]
                 if isinstance(y, VarRef):
-                    st.fix(y.name, i + 1)
+                    st.intersect_range(y.name, i + 1, i + 1)
                 if st.failed:
                     return
         _filter_pairwise_diseq(st, xs)
@@ -1191,7 +1181,7 @@ def _filter_global(st: _Store, g: Global) -> None:
                 for v in vs:
                     if isinstance(v, VarRef) and doms[v.name].contains(mval) \
                             and not doms[v.name].fixed:
-                        st.fix(v.name, mval)
+                        st.intersect_range(v.name, mval, mval)
                         if st.failed:
                             return
     elif name == "cumulative":
@@ -1381,7 +1371,7 @@ def solutions(csp: CSPInstance,
                 v = doms[x].lo
                 choices.append((trail.mark(), x, v, k))
                 trail.save(x, doms[x])
-                doms[x].fix(v)
+                doms[x].intersect_range(v, v)
                 changed = (x,)
                 continue
             e = work.evaluation()

@@ -33,6 +33,7 @@ Everything is a pure transformation over immutable inputs.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -507,10 +508,6 @@ class _GroundState:
             if not fact:
                 self.count -= 1
 
-    def lookup_facts(self, rel: str, arity: int) -> List[Atom]:
-        t = self.fact_atoms.get((rel, arity))
-        return t.atoms if t is not None else []
-
     def contains(self, a: Atom, fact: bool) -> bool:
         t = (self.fact_atoms if fact else self.possible).get(
             (a.rel, len(a.args)))
@@ -582,7 +579,8 @@ def _compile(steps: List[Tuple[str, object]], state: _GroundState,
                 bound.add(step[1])
             out.append(step)
         elif kind == "agg":
-            out.append((kind, payload))
+            out.append((kind, payload, [_compile_conditions(item.conds, state)
+                                        for item in payload.items]))
         else:
             atom: Atom = payload
             positions = tuple(i for i, t in enumerate(atom.args)
@@ -598,6 +596,13 @@ def _compile(steps: List[Tuple[str, object]], state: _GroundState,
             out.append(("match", table, positions, keys, rest_pats))
             bound |= _atom_vars(atom)
     return out
+
+
+def _compile_conditions(conds: Sequence[Atom], state: _GroundState) -> list:
+    """`_walk` steps that join conds with the facts, each by a full scan in
+    condition order: an index lookup would evaluate a bound arithmetic
+    argument even on an empty table."""
+    return _compile([("match_fact", c) for c in conds], state, hoist=False)
 
 
 def _test_builtin(b: BuiltinLit, env: Dict[str, Term],
@@ -653,17 +658,19 @@ def _walk(steps: list, i: int, env: Dict[str, Term], state: _GroundState,
         if _test_builtin(step[1], env, pos):
             yield from _walk(steps, i, env, state, pos)
     elif kind == "agg":
-        if _eval_aggregate(step[1], env, state, pos):
+        if _eval_aggregate(step[1], step[2], env, state, pos):
             yield from _walk(steps, i, env, state, pos)
     else:
         raise AssertionError(kind)
 
 
-def _eval_aggregate(agg: AggregateLit, env: Dict[str, Term],
-                    state: _GroundState, pos: Optional[SourcePos]) -> bool:
+def _eval_aggregate(agg: AggregateLit, conds: List[list],
+                    env: Dict[str, Term], state: _GroundState,
+                    pos: Optional[SourcePos]) -> bool:
+    """Whether agg holds under env; `conds` are its items' conditions."""
     total = 0
-    for item in agg.items:
-        for ienv in _expand_conditions(item.conds, env, state, pos):
+    for item, steps in zip(agg.items, conds):
+        for ienv in _walk(steps, 0, env, state, pos):
             a = Atom(item.atom.rel,
                      tuple(_eval_term(t, pos, ienv) for t in item.atom.args))
             if not _is_ground_atom(a):
@@ -686,27 +693,6 @@ def _eval_aggregate(agg: AggregateLit, env: Dict[str, Term],
 
 def _is_ground_atom(a: Atom) -> bool:
     return all(_is_ground(t) for t in a.args)
-
-
-def _expand_conditions(conds: Sequence[Atom], env: Dict[str, Term],
-                       state: _GroundState, pos: Optional[SourcePos]):
-    """Substitutions extending env that make all condition atoms established
-    facts."""
-    if not conds:
-        yield env
-        return
-    first, rest = conds[0], conds[1:]
-    for cand in state.lookup_facts(first.rel, len(first.args)):
-        nxt = env
-        ok = True
-        for p, v in zip(first.args, cand.args):
-            res = _match(p, v, nxt)
-            if res is None:
-                ok = False
-                break
-            nxt = res
-        if ok:
-            yield from _expand_conditions(rest, nxt, state, pos)
 
 
 def _head_atoms(r: Rule) -> List[Atom]:
@@ -738,6 +724,9 @@ class _RulePlan:
         self.rule = rule
         self.steps = steps
         self.fast = _compile(steps, state, hoist=True)
+        self.elem_conds = [_compile_conditions(e.conds, state)
+                           for e in rule.head.elems] \
+            if isinstance(rule.head, Choice) else []
         reads = [s[1] for s in self.fast if s[0] == "match"]
         for b in rule.body:
             if isinstance(b, AggregateLit):
@@ -805,9 +794,8 @@ class _RulePlan:
             return out
         out: List[Tuple[Atom, str]] = []
         if isinstance(rule.head, Choice):
-            for elem in rule.head.elems:
-                for cenv in _expand_conditions(elem.conds, env, state,
-                                               rule.pos):
+            for elem, conds in zip(rule.head.elems, self.elem_conds):
+                for cenv in _walk(conds, 0, env, state, rule.pos):
                     for inst in _expand_head_ranges(elem.atom, rule.pos,
                                                     cenv):
                         out.append((inst, state.add(inst, fact)))
@@ -1266,16 +1254,8 @@ class CAProgram:
 
     def with_extra_denials(self, denials: Sequence) -> "CAProgram":
         """Same program with denials appended to the regular part."""
-        pi = self.pi.extended(denials)
-        clone = CAProgram.__new__(CAProgram)
-        clone.pi = pi
-        clone.constraint_order = list(self.constraint_order)
-        clone.constraint_set = self.constraint_set
-        clone.gamma = dict(self.gamma)
-        clone.domain = self.domain
-        clone.var_decls = self.var_decls
-        clone.suppressed = self.suppressed
-        clone.warnings = list(self.warnings)
+        clone = copy.copy(self)
+        clone.pi = self.pi.extended(denials)
         return clone
 
     def __repr__(self) -> str:
@@ -1430,9 +1410,6 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
         for e in head.elems:
             if e.atom.rel == "cspdomain":
                 raise GroundError("cspdomain must be a fact", r.pos)
-            if e.atom.rel == "required":
-                raise GroundError("required not allowed in choice heads",
-                                  r.pos)
             k = id(e.atom)
             out.append(rule(k, pos, neg, nn + [k]))
             elems.append(k)

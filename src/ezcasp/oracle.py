@@ -319,6 +319,9 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 raise _Violation(f"step {i}: literal already in record")
             m.append(lit)
         elif rule == "CPPropagate":
+            if not m.consistent:
+                raise _Violation(f"step {i}: CPPropagate on inconsistent "
+                                 f"record")
             if [_lit_of(s, index) for s in payload.get("projection", ())] \
                     != _projection(run_program, m.literals()):
                 raise _Violation(f"step {i}: projection is not M's")

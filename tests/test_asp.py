@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ezcasp.asp import (Record, RegularProgram, RuleP, clausify,
                         enumerate_answer_sets_bruteforce, find_unit_step,
-                        greatest_unfounded_set, is_answer_set, least_model,
-                        reduct, rule_clause, unit_propagate)
+                        greatest_unfounded_set, is_answer_set, rule_clause,
+                        unit_propagate)
 
 from bruteforce import all_unfounded_sets, is_unfounded
 
@@ -110,28 +110,6 @@ def test_clausify_normal_rule_truth_table():
 def test_clausify_double_negation():
     prog = RegularProgram.build([("a", [], [], ["a"])])
     assert clausify(prog) == [(1, -1)]     # tautological choice clause
-
-
-# -- reduct -------------------------------------------------------------------
-
-def test_reduct_not_not_empty():
-    prog = RegularProgram.build([("a", [], [], ["a"])])
-    assert reduct(prog, []) == []
-    assert reduct(prog, ["a"]) == [(0, ())]
-
-
-def test_reduct_positive_program():
-    # with no negation, a rule survives exactly when X satisfies its
-    # positive body; at X = At the reduct is the program itself
-    prog = RegularProgram.build([("a", [], [], []), ("b", ["a"], [], [])])
-    assert reduct(prog, ["a", "b"]) == [(r.head, r.pos) for r in prog.rules]
-    assert reduct(prog, []) == [(0, ())]
-    assert reduct(prog, ["a"]) == [(0, ()), (1, (0,))]
-
-
-def test_least_model():
-    assert least_model([(0, ()), (1, (0,))]) == 0b11
-    assert least_model([(1, (0,))]) == 0
 
 
 # -- is_answer_set ------------------------------------------------------------

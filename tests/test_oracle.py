@@ -268,6 +268,11 @@ def _insert_copy(trace, k):
     trace.insert(k + 1, dict(trace[k]))
 
 
+def _repeat_edge(trace, k):
+    # the same edge again, from the state the edge left
+    trace.insert(k + 1, dict(trace[k], pre=trace[k]["post"]))
+
+
 def _drop_neg(trace, k):
     trace[k]["payload"]["denial"]["neg"] = []
 
@@ -315,6 +320,8 @@ _TAMPERS = [
     ("light", _model_end, _block_model, "final record falsifies a clause"),
     ("riddle", _model_end, _full_semantics,
      "final csp-abstraction infeasible"),
+    ("riddle", _is("CPPropagate"), _repeat_edge,
+     "CPPropagate on inconsistent record"),
 ]
 
 
