@@ -554,8 +554,8 @@ class Propagator:
                 return n
 
     def _attach(self, ci: int) -> bool:
-        """Watch two literals of clause `ci` on a non-empty record: literals
-        that are not false first, then false ones by latest trail position.
+        """Watch two literals of clause `ci`: literals that are not false
+        first, in clause order, then false ones by latest trail position.
         Queues the clause if it is unit or falsified.  True iff the watches
         stay valid on any later backjump."""
         m = self.m
