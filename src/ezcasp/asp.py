@@ -18,7 +18,7 @@ single-owner mutable search state.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from operator import invert
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple)
@@ -603,19 +603,6 @@ class Propagator:
         self._head = self._unit_next = 0
         self._queue.clear()
         self._fragile.clear()
-
-    def truncate(self, n: int) -> None:
-        """Drop every clause after the first `n`; on the empty record only,
-        so that no dropped clause is pending."""
-        if self.m.trail or self.m.bot:
-            raise ValueError("clauses are dropped on the empty record only")
-        for ci in range(n, len(self._lits)):
-            c = self._lits[ci]
-            if len(c) > 1:
-                self._watches[c[0]].remove(ci)
-                self._watches[c[1]].remove(ci)
-        del self.clauses[n:], self._lits[n:]
-        del self._units[bisect_left(self._units, n):]
 
 
 # ---------------------------------------------------------------------------

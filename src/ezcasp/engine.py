@@ -16,7 +16,7 @@ Restart/Restart_t edges, restricted by the selected integration schema:
 No edge writes the temporal store, so Lambda stays empty and grey searches
 as black does; only the name of the restart edge differs.
 
-Every run starts from the empty state, halts in a semi-terminal state or
+Every run starts from the empty record, halts in a semi-terminal state or
 Failstate, and (optionally) emits a machine-checkable trace.  The driver
 advances one propagation fixpoint per step, not one edge: it appends the
 Unit Propagate literals up to the fixpoint or a conflict, then every atom of
@@ -31,9 +31,12 @@ same order, one at a time, and the step budget runs out at the same edge
 with the trace on or off.  Enumeration of
 further answer sets runs the search again on the program extended with a
 blocking denial over the previous model's literals.  The runs of one solve
-share one record, one propagator and one unfounded-set check: a new run
-resets them, drops the learned denials of the previous run and adds only
-the new blocking denial.
+share one record, one propagator, one unfounded-set check and the store
+Gamma: a new run resets the record and the check and adds the new blocking
+denial, and every denial learned so far stays.  A learned denial is
+entailed by the program, and a blocking denial only removes answer sets, so
+it stays entailed in every later run (Gebser, Kaufmann, Neumann & Schaub,
+"Conflict-driven answer set enumeration", LPNMR 2007).
 
 One solve owns its state exclusively; concurrent solves over a shared
 CAProgram are safe.
@@ -201,11 +204,12 @@ def state_digest(m: Record, names: Sequence[str], gamma_keys: Sequence[str],
 
 class _Run:
     """The search state of one solve and its current run, which goes from
-    the empty state to a semi-terminal state or Failstate.
+    the empty record to a semi-terminal state or Failstate.
 
     The record, the propagator over the abstraction's clauses and the
-    unfounded-set check are built for the first run; `next_run` resets them,
-    drops the learned denials and adds one blocking denial.  Unit Propagate
+    unfounded-set check are built for the first run; `next_run` resets them
+    and adds one blocking denial, and the learned denials of Gamma stay in
+    the propagator and in `gamma` for every later run.  Unit Propagate
     edges come from the watched-literal propagator over the record's trail,
     appended up to the fixpoint in one call, and Unfounded edges from one
     update of the incremental unfounded-set check per fixpoint;
@@ -235,27 +239,25 @@ class _Run:
         self.unfounded = UnfoundedCheck(self.abstraction)
         # M's constraint literals at the last CSP check
         self.projection: Tuple[int, ...] = ()
+        # the learned denials of every run so far
+        self.gamma: List[RuleP] = []
         self._start_run()
 
     def _start_run(self) -> None:
-        self.gamma: List[RuleP] = []
         self.decisions_since_check = 0
         # the solutions of the last CSP check, in labeling order; when the
         # run ends in a model, they are the model's evaluations
         self.csp_solutions: Iterator[Dict[str, int]] = iter(())
-        # the clauses of the program and its blocking denials; the learned
-        # denials follow them
-        self.n_kept = len(self.prop.clauses)
         self._post: Optional[str] = None    # digest of the current state
 
     def next_run(self, blocking: RuleP) -> None:
-        """Start the next run from the empty state, on the program extended
-        with the denial `blocking`.  Blocking and learned denials have no
-        head, so the unfounded-set check needs no change."""
+        """Start the next run from the empty record, on the program
+        extended with the denial `blocking`; Gamma is kept.
+        Blocking and learned denials have no head, so the unfounded-set
+        check needs no change."""
         self.run += 1
         self.prop.reset()
         self.unfounded.reset()
-        self.prop.truncate(self.n_kept)
         self.prop.add_clause(rule_clause(blocking))
         self._start_run()
 

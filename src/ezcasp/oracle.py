@@ -9,8 +9,9 @@ of the fd solver is never used, so oracle and solver cannot share search
 bugs).
 
 `validate_trace` replays an emitted transition trace, re-checking every
-edge's guard, restart-safety, and that a completed run stops in a
-semi-terminal state or Failstate.
+edge's guard, restart-safety, that a completed run stops in a
+semi-terminal state or Failstate, and the certificates of the learned and
+blocking denials.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
 from . import fd
 from .asp import (Record, RegularProgram, RuleP, _is_answer_set_mask,
                   clausify, greatest_unfounded_set, lit_atom, rule_clause)
-from .engine import denial_key, state_digest
+from .engine import _projection_denial, denial_key, state_digest
 from .ground import CAProgram
 
 __all__ = [
@@ -188,16 +189,30 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     Propagate (the clause exists and all its other literals are false),
     Unfounded (the reported set is unfounded on M), CP-Propagate (the
     projection is M's, and the csp-abstraction is re-verified infeasible),
-    Learn/Learn_t (a reason's projection is M's, freshness, and entailment
-    by exhaustion on oracle-scale programs), Backtrack (record
-    inconsistent, no decision literal after the flipped one), Fail
-    (inconsistent, no decisions), Restart/Restart_t (non-empty record, and
+    Learn/Learn_t (a reason's projection is M's, freshness, entailment by
+    exhaustion on oracle-scale programs, then the certificate: a
+    `cp-conflict` reason follows a CPPropagate edge on M and its denial is
+    `engine._projection_denial` of its projection under the run's
+    semantics, at any size, and a Learn without a reason is rejected where
+    entailment was not checked), Backtrack (record inconsistent, no
+    decision literal after the flipped one), Fail (inconsistent, no
+    decisions), Restart/Restart_t (non-empty record, and
     restart-safety: a dedicated fresh Learn precedes every restart).  A
     completed run must stop semi-terminal (models) or in Failstate.  A
     trace without a run is valid only when the clausified abstraction holds
     an empty clause.
 
-    Returns (ok, None) or (False, "step <i>: reason").
+    Gamma is carried from run to run, as the engine keeps it: run k starts
+    with every denial learned in runs 0..k-1, in order, in its store, its
+    clauses and its digests; each was checked on its own Learn edge.
+    Lambda starts empty in every run.  Once a run is replayed, its start
+    record must list, in order, the full-literal denials of the final
+    records of the earlier runs that ended in a model (the blocking
+    certificate).
+
+    Returns (ok, None) or (False, reason), where a reason found on an edge
+    starts with "step <i>:" and the blocking certificate's with
+    "run <k>:".
     """
     abstraction0 = program.asp_abstraction()
     names = abstraction0.names
@@ -212,17 +227,33 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
 
     entail_ok = program.n_atoms <= 14
 
+    gamma: List[RuleP] = []
+    expected: List[RuleP] = []      # the blocking denials of earlier models
     try:
         for run_id in sorted(runs):
-            _validate_run(runs[run_id], program, semantics, names, index,
-                          entail_ok)
+            blocking, model = _validate_run(runs[run_id], program, semantics,
+                                            names, index, entail_ok, gamma)
+            # checked after the replay, so that a run is first judged by
+            # its own edges and final state
+            if list(map(denial_key, blocking)) != list(map(denial_key,
+                                                           expected)):
+                raise _Violation(f"run {run_id}: blocking denials are not "
+                                 f"the earlier models'")
+            if model is not None:
+                expected.append(_projection_denial(sorted(model, key=abs),
+                                                   "full"))
     except _Violation as v:
         return False, str(v)
     return True, None
 
 
 def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
-                  semantics: str, names, index, entail_ok: bool) -> None:
+                  semantics: str, names, index, entail_ok: bool,
+                  gamma: List[RuleP]
+                  ) -> Tuple[List[RuleP], Optional[List[int]]]:
+    """Replay one run from Gamma as the earlier runs left it, appending to
+    `gamma` what the run learns; returns the run's blocking denials and,
+    if it ended in a model, the final record's literals."""
     blocking: List[RuleP] = []
     pos = 0
     if entries and entries[0][1].get("event") == "start":
@@ -236,10 +267,9 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
     program_clauses = frozenset(frozenset(c) for c in clausify(abstraction))
     # the program's clauses and those of the learned denials in gamma and
     # lambda; Learn adds to it and RestartT rebuilds it
-    clauses = program_clauses
+    clauses = program_clauses.union(frozenset(rule_clause(d)) for d in gamma)
 
     m = Record(abstraction.n_atoms)
-    gamma: List[RuleP] = []
     lam: List[RuleP] = []
     unused_learns = 0
     failed = False
@@ -338,14 +368,31 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             key = denial_key(d)
             if key in {denial_key(x) for x in gamma + lam}:
                 raise _Violation(f"step {i}: learned denial not fresh")
+            entailed = False
             if entail_ok:
                 extended = run_program.with_extra_denials(gamma + lam)
                 try:
                     if not is_entailed_denial(extended, d, semantics):
                         raise _Violation(
                             f"step {i}: learned denial not entailed")
+                    entailed = True
                 except OracleBoundExceeded:
                     pass
+            if reason is not None and reason.get("kind") == "cp-conflict":
+                # only a CPPropagate edge, which re-verified that M's
+                # csp-abstraction is infeasible, adds bottom to M
+                if not m.bot:
+                    raise _Violation(f"step {i}: cp-conflict Learn without "
+                                     f"CPPropagate on M")
+                cert = _projection_denial(
+                    [_lit_of(s, index) for s in reason["projection"]],
+                    semantics, run_program.constraint_set)
+                if key != denial_key(cert):
+                    raise _Violation(f"step {i}: learned denial is not the "
+                                     f"projection's")
+            elif not entailed:
+                raise _Violation(f"step {i}: learned denial has no "
+                                 f"certificate")
             (gamma if rule == "Learn" else lam).append(d)
             clauses = clauses | {frozenset(rule_clause(d))}
             unused_learns += 1
@@ -408,8 +455,10 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
         actual = {names[lit_atom(l)] for l in m.literals() if l > 0}
         if model != actual:
             raise _Violation("end record model differs from final record")
+        return blocking, m.literals()
     elif status != "budget":
         raise _Violation(f"unknown end status {status!r}")
+    return blocking, None
 
 
 def _is_unfounded(abstraction: RegularProgram, m: Record,

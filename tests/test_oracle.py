@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from ezcasp import engine
 from ezcasp.asp import Record, RuleP, lit_atom
 from ezcasp.engine import SchemaConfig, denial_key, solve_ca, state_digest
 from ezcasp.ground import ground_program
@@ -130,12 +131,13 @@ class TraceBuilder:
         return self.edge("CPPropagate", {"projection": projection},
                          lambda: self.m.append_bot())
 
-    def learn(self, pos=(), neg=()):
+    def learn(self, pos=(), neg=(), reason=None):
         d = RuleP(None, tuple(self.index[a] for a in pos),
                   tuple(self.index[a] for a in neg), ())
-        return self.edge("Learn", {"denial": {"pos": list(pos),
-                                              "neg": list(neg)}},
-                         lambda: self.gamma.append(d))
+        payload = {"denial": {"pos": list(pos), "neg": list(neg)}}
+        if reason is not None:
+            payload["reason"] = reason
+        return self.edge("Learn", payload, lambda: self.gamma.append(d))
 
     def backtrack(self, s):
         return self.edge("Backtrack", {"lit": s},
@@ -303,6 +305,23 @@ def _set(key, value):
     return tamper
 
 
+def _cut_denials(semantics):
+    """An engine that is wrong on purpose: each denial it builds under
+    `semantics` keeps only its first literal.  Under the weak semantics of
+    these traces, "weak" cuts the learned denials and "full" the blocking
+    denials.  The validator does not share the patched function."""
+    build = engine._projection_denial
+
+    def cut(projection, sem, *rest):
+        d = build(projection, sem, *rest)
+        if sem != semantics:
+            return d
+        return RuleP(None, d.pos[:1], () if d.pos else d.neg[:1], ())
+
+    return lambda monkeypatch: monkeypatch.setattr(
+        engine, "_projection_denial", cut)
+
+
 _TAMPERS = [
     ("light", _is("UnitPropagate"), _set("pre", "0" * 12),
      "pre-state digest mismatch"),
@@ -318,26 +337,46 @@ _TAMPERS = [
     ("light", _is("Backtrack"), _set("rule", "Fail"),
      "Fail with decision literals"),
     ("light", _model_end, _block_model, "final record falsifies a clause"),
-    ("riddle", _model_end, _full_semantics,
+    ("night", _model_end, _full_semantics,
      "final csp-abstraction infeasible"),
     ("riddle", _is("CPPropagate"), _repeat_edge,
      "CPPropagate on inconsistent record"),
+    ("riddle", _is("Learn"), lambda t, k: t[k]["payload"].pop("reason"),
+     "learned denial has no certificate"),
+    # engines that are wrong on purpose (`where` None), above the oracle's
+    # atom bound; only the certificates reject them
+    ("riddle", None, _cut_denials("weak"),
+     "learned denial is not the projection's"),
+    ("rf_toy", None, _cut_denials("weak"),
+     "learned denial is not the projection's"),
+    ("wseq_toy", None, _cut_denials("full"),
+     "blocking denials are not the earlier models'"),
 ]
 
 
 @pytest.mark.parametrize("name,where,tamper,reason", _TAMPERS,
-                         ids=[t[3] for t in _TAMPERS])
-def test_tampered_engine_trace_is_rejected(name, where, tamper, reason):
+                         ids=[t[3] if t[1] else f"{t[0]}: {t[3]}"
+                              for t in _TAMPERS])
+def test_tampered_engine_trace_is_rejected(name, where, tamper, reason,
+                                           monkeypatch):
     # the conditional-declaration program is small enough for the
     # entailment check; a denial without its declaration not-literal is the
-    # unsound one that Learn once learned
+    # unsound one that Learn once learned.  The night program has a weak
+    # answer set that is not a full one, which its run reaches without a
+    # Learn edge that the full semantics would judge first
     if name == "conditional":
         prog = ground_program(CONDITIONAL_DECLS[2], (0, 9))
+    elif name == "night":
+        prog = make_night()
     else:
         prog = ground_program((ENCODINGS / f"{name}.ez").read_text())
     trace = _engine_trace(prog, "weak", limit=0)
     assert validate_trace(trace, prog) == (True, None)
-    tamper(trace, _first(trace, where))
+    if where is None:
+        tamper(monkeypatch)
+        trace = _engine_trace(prog, "weak", limit=0)
+    else:
+        tamper(trace, _first(trace, where))
     ok, why = validate_trace(trace, prog)
     assert not ok and reason in why, why
 
@@ -351,6 +390,18 @@ def test_unfounded_true_atom_in_final_record_is_rejected():
         .unit_propagate("c", ["c", "-b"]).end("model", model=["b", "c"])
     ok, why = validate_trace(trace, prog)
     assert not ok and "unfounded atom true in final record" in why, why
+
+
+def test_cp_conflict_learn_without_cp_propagate_is_rejected():
+    # above the oracle's atom bound, the denial of M's projection is sound
+    # only once a CPPropagate edge has found M's csp-abstraction infeasible
+    prog = ground_program((ENCODINGS / "riddle.ez").read_text())
+    c = prog.pi.names[prog.constraint_order[0]]
+    trace = TraceBuilder(prog).decide(c).learn(
+        pos=[c], reason={"kind": "cp-conflict", "projection": [c]}
+    ).end("budget")
+    ok, why = validate_trace(trace, prog)
+    assert not ok and "cp-conflict Learn without CPPropagate" in why, why
 
 
 # -- the ten-trace hand-mutated negative suite -------------------------------------

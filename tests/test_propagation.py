@@ -201,12 +201,12 @@ def _search_steps(rng, prog, n_ops):
     over one record, propagator and unfounded-set check, kept as the engine
     keeps them for a whole solve.  At every consistent point the check's
     flags must be the complement of `greatest_unfounded_set`, and every
-    propagating clause must belong to the current run."""
+    propagating clause must be one of the program, a blocking denial or a
+    learned denial of any run so far."""
     n = prog.n_atoms
     m = Record(n)
-    kept = clausify(prog)               # the program and blocking denials
-    run = list(kept)                    # and this run's learned denials
-    prop = Propagator(m, kept)
+    clauses = clausify(prog)
+    prop = Propagator(m, clauses)       # which copies them
     check = UnfoundedCheck(prog)
 
     def agree():
@@ -219,7 +219,7 @@ def _search_steps(rng, prog, n_ops):
         agree()
         while m.consistent:
             if prop.propagate(1):
-                assert prop.reason in run
+                assert prop.reason in clauses
                 agree()
                 continue
             # one batch of unfounded atoms, as the engine appends them
@@ -252,20 +252,19 @@ def _search_steps(rng, prog, n_ops):
             lits = rng.sample(m.trail, min(len(m.trail), 3))  # M violates
             m.append_bot()
             prop.add_clause(tuple(-x for x in lits))
-            run.append(tuple(-x for x in lits))
+            clauses.append(tuple(-x for x in lits))
         elif kind == 3:                                     # Restart
             prop.reset()
             check.reset()
         elif kind == 4:                                     # next run
+            # the learned clauses stay, and the blocking clause is added
             prop.reset()
             check.reset()
-            prop.truncate(len(kept))
             atoms = rng.sample(range(n), rng.randint(1, n))
             blocking = tuple(a + 1 if rng.random() < 0.5 else -(a + 1)
                              for a in atoms)
             prop.add_clause(blocking)
-            kept.append(blocking)
-            run = list(kept)
+            clauses.append(blocking)
         propagate()
 
 
