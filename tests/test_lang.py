@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from ezcasp.lang import (Atom, Compound, Const, EzProgram, EzSyntaxError,
                          IntensionalList, ListTerm, OpExpr, Rule, Var,
-                         CANON_FUNCTORS, parse, preprocess, pretty_print)
+                         CANON_FUNCTORS, _tokenize, parse, preprocess,
+                         pretty_print)
 
 from conftest import LIGHT_EZ, RIDDLE_EZ, SMM_EZ
 
@@ -211,3 +212,75 @@ def test_canonical_functor_set_is_closed():
                  "times", "div", "or", "and", "xor", "impl", "iff", "not",
                  "neg"):
         assert name in CANON_FUNCTORS
+
+
+# -- tokenizer pins ----------------------------------------------------------
+# (kind, text, line, col) of every token, or the error text, for inputs at
+# the edges of the lexical grammar.  Columns count characters, a tab or a
+# carriage return as one; the end-of-file token of a text that ends inside
+# a comment sits where the comment starts.
+
+TOKEN_PINS = [
+    ("a.\tb :-\tc.\r\nd.\r\n",
+     [("ident", "a", 1, 1), ("punct", ".", 1, 2), ("ident", "b", 1, 4),
+      ("punct", ":-", 1, 6), ("ident", "c", 1, 9), ("punct", ".", 1, 10),
+      ("ident", "d", 2, 1), ("punct", ".", 2, 2), ("eof", "", 3, 1)]),
+    ("p(1). % trailing comment",
+     [("ident", "p", 1, 1), ("punct", "(", 1, 2), ("int", "1", 1, 3),
+      ("punct", ")", 1, 4), ("punct", ".", 1, 5), ("eof", "", 1, 7)]),
+    ("p.\n%only\n",
+     [("ident", "p", 1, 1), ("punct", ".", 1, 2), ("eof", "", 3, 1)]),
+    ("n :- #sum[a = 1, b] 2.",
+     [("ident", "n", 1, 1), ("punct", ":-", 1, 3), ("punct", "#sum", 1, 6),
+      ("punct", "[", 1, 10), ("ident", "a", 1, 11), ("punct", "=", 1, 13),
+      ("int", "1", 1, 15), ("punct", ",", 1, 16), ("ident", "b", 1, 18),
+      ("punct", "]", 1, 19), ("int", "2", 1, 21), ("punct", ".", 1, 22),
+      ("eof", "", 1, 23)]),
+    ("a :- # b.",
+     [("ident", "a", 1, 1), ("punct", ":-", 1, 3), ("punct", "#", 1, 6),
+      ("ident", "b", 1, 8), ("punct", ".", 1, 9), ("eof", "", 1, 10)]),
+    ("#", [("punct", "#", 1, 1), ("eof", "", 1, 2)]),
+    (":- .. <-> <- -> <= =< >= != == \\/ /\\",
+     [("punct", ":-", 1, 1), ("punct", "..", 1, 4), ("punct", "<->", 1, 7),
+      ("punct", "<-", 1, 11), ("punct", "->", 1, 14), ("punct", "<=", 1, 17),
+      ("punct", "=<", 1, 20), ("punct", ">=", 1, 23), ("punct", "!=", 1, 26),
+      ("punct", "==", 1, 29), ("punct", "\\/", 1, 32),
+      ("punct", "/\\", 1, 35), ("eof", "", 1, 37)]),
+    ("=<>!\\+-*/()[]{},.;:",
+     [("punct", "=<", 1, 1), ("punct", ">", 1, 3), ("punct", "!", 1, 4),
+      ("punct", "\\", 1, 5), ("punct", "+", 1, 6), ("punct", "-", 1, 7),
+      ("punct", "*", 1, 8), ("punct", "/", 1, 9), ("punct", "(", 1, 10),
+      ("punct", ")", 1, 11), ("punct", "[", 1, 12), ("punct", "]", 1, 13),
+      ("punct", "{", 1, 14), ("punct", "}", 1, 15), ("punct", ",", 1, 16),
+      ("punct", ".", 1, 17), ("punct", ";", 1, 18), ("punct", ":", 1, 19),
+      ("eof", "", 1, 20)]),
+    ("p(1..3).",
+     [("ident", "p", 1, 1), ("punct", "(", 1, 2), ("int", "1", 1, 3),
+      ("punct", "..", 1, 4), ("int", "3", 1, 6), ("punct", ")", 1, 7),
+      ("punct", ".", 1, 8), ("eof", "", 1, 9)]),
+    ("_x. é(1). Éa. 1a.",
+     [("var", "_x", 1, 1), ("punct", ".", 1, 3), ("ident", "é", 1, 5),
+      ("punct", "(", 1, 6), ("int", "1", 1, 7), ("punct", ")", 1, 8),
+      ("punct", ".", 1, 9), ("var", "Éa", 1, 11), ("punct", ".", 1, 13),
+      ("int", "1", 1, 15), ("ident", "a", 1, 16), ("punct", ".", 1, 17),
+      ("eof", "", 1, 18)]),
+    ("p(٣).",
+     [("ident", "p", 1, 1), ("punct", "(", 1, 2), ("int", "٣", 1, 3),
+      ("punct", ")", 1, 4), ("punct", ".", 1, 5), ("eof", "", 1, 6)]),
+    ("x @ y", "1:3: unexpected character '@'"),
+    ("\n  $", "2:3: unexpected character '$'"),
+]
+
+
+def _stream(text: str):
+    """The tokens of text as (kind, text, line, col), or the error text."""
+    try:
+        return [(t.kind, t.text, t.pos.line, t.pos.col)
+                for t in _tokenize(text)]
+    except EzSyntaxError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text,want", TOKEN_PINS)
+def test_tokenizer_pins(text, want):
+    assert _stream(text) == want
