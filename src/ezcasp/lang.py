@@ -19,6 +19,7 @@ pretty_print may be called concurrently from any number of threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -261,77 +262,66 @@ class EzProgram:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # 'int' | 'ident' | 'var' | 'punct' | 'eof'
-    text: str
-    pos: SourcePos
-
-
 _MULTI = [":-", "..", "<->", "<-", "->", "<=", "=<", ">=", "!=", "==", "\\/", "/\\"]
 _SINGLE = "=<>!\\+-*/()[]{},.;:"
 
+# One token per match, after the blanks and the comment before it.  The
+# alternatives are tried in order: an integer is a run of decimal digits
+# (what `int` reads), a word starts with a letter or `_`, and a
+# multi-character operator wins over its first character.  A word that
+# starts with a lowercase ASCII letter is an identifier and one that starts
+# with an uppercase ASCII letter or `_` a variable; any other word is
+# classified by its first character.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:%[^\n]*)?(?:(?P<nl>\n)|(?P<int>\d+)|(?P<ident>[a-z]\w*)"
+    r"|(?P<var>[A-Z_]\w*)|(?P<word>\w+)|(?P<hash>#[^\W\d_]*)|(?P<punct>"
+    + "|".join(map(re.escape, _MULTI)) + "|[" + re.escape(_SINGLE) + "])"
+    r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
+_PLAIN = frozenset(("int", "ident", "var", "punct"))
+
 
 def _tokenize(text: str) -> list:
+    """The tokens of text, each a tuple (kind, text, line, col), the kind
+    'int', 'ident', 'var', 'punct' or 'eof'.  Columns count characters;
+    the 'eof' token of a text that ends in a comment is where the comment
+    starts."""
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = toks.append
+    line, start = 1, 0                  # the current line and its offset
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in _PLAIN:
+            append((kind, m[kind], line, m.start(kind) - start + 1))
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "eof":
+            end = text.find("%", m.start())
+            append(("eof", "", line,
+                    (len(text) if end < 0 else end) - start + 1))
+            return toks
+        i = m.start(kind)
+        word = m[kind]
+        if kind == "word" and word[0].isalpha():
+            append(("var" if word[0].isupper() else "ident", word, line,
+                    i - start + 1))
             continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = SourcePos(line, col)
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if word[0].isupper() or word[0] == "_" else "ident"
-            toks.append(_Token(kind, word, pos))
-            col += j - i
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            toks.append(_Token("punct", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for m in _MULTI:
-            if text.startswith(m, i):
-                matched = m
-                break
-        if matched is None and c in _SINGLE:
-            matched = c
-        if matched is None:
-            raise EzSyntaxError(f"unexpected character {c!r}", pos)
-        toks.append(_Token("punct", matched, pos))
-        i += len(matched)
-        col += len(matched)
-    toks.append(_Token("eof", "", SourcePos(line, col)))
-    return toks
+        if kind == "hash":
+            # `#` and the letters after it; `_TOKEN` also reads digits that
+            # are not decimal (such as `²`) into the run, and the first of
+            # them starts no token
+            n = 1
+            while n < len(word) and word[n].isalpha():
+                n += 1
+            if n == len(word):
+                append(("punct", word, line, i - start + 1))
+                continue
+            i += n
+        raise EzSyntaxError(f"unexpected character {text[i]!r}",
+                            SourcePos(line, i - start + 1))
+    raise AssertionError("no end-of-text match")
 
 
 # ---------------------------------------------------------------------------
@@ -355,35 +345,44 @@ _CMP_TOKENS = frozenset(CMP_OPS)
 _ARITH_TOKENS = frozenset(ARITH_OPS)
 
 
+def _pos(t: tuple) -> SourcePos:
+    """The position of a token."""
+    return SourcePos(t[2], t[3])
+
+
 class _Parser:
+    """Recursive descent over the tokens of `_tokenize`; t[0] is a token's
+    kind and t[1] its text."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
 
     # -- token helpers ------------------------------------------------
 
-    def peek(self, k: int = 0) -> _Token:
+    def peek(self, k: int = 0) -> tuple:
         return self.toks[min(self.i + k, len(self.toks) - 1)]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "ident")
+        t = self.toks[self.i]
+        return t[1] == text and t[0] in ("punct", "ident")
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple:
         t = self.next()
-        if t.text != text:
-            raise EzSyntaxError(f"expected {text!r}, found {t.text!r}", t.pos)
+        if t[1] != text:
+            raise EzSyntaxError(f"expected {text!r}, found {t[1]!r}", _pos(t))
         return t
 
     def _seq(self, item, seps=(",",)) -> list:
         """One or more items read by `item`, separated by any of `seps`."""
         items = [item()]
-        while self.peek().text in seps:
+        while self.toks[self.i][1] in seps:
             self.next()
             items.append(item())
         return items
@@ -392,12 +391,12 @@ class _Parser:
 
     def program(self) -> EzProgram:
         rules = []
-        while self.peek().kind != "eof":
+        while self.toks[self.i][0] != "eof":
             rules.append(self.rule())
         return EzProgram(tuple(rules))
 
     def rule(self) -> Rule:
-        pos = self.peek().pos
+        pos = _pos(self.peek())
         head: Union[None, Atom, Choice]
         if self.at(":-"):
             head = None
@@ -412,26 +411,24 @@ class _Parser:
 
     def head(self) -> Union[Atom, Choice]:
         t = self.peek()
-        if t.text == "{" or (t.kind in ("int", "var") and self.peek(1).text == "{"):
+        if t[1] == "{" or (t[0] in ("int", "var") and self.peek(1)[1] == "{"):
             return self.choice()
         return self.atom()
 
     def choice(self) -> Choice:
         lower = None
-        t = self.peek()
-        if t.kind in ("int", "var"):
+        if self.peek()[0] in ("int", "var"):
             lower = self._bound(self.next())
         self.expect("{")
         elems = self._seq(self.choice_elem, (",", ";"))
         self.expect("}")
         upper = None
-        t = self.peek()
-        if t.kind in ("int", "var"):
+        if self.peek()[0] in ("int", "var"):
             upper = self._bound(self.next())
         return Choice(lower, tuple(elems), upper)
 
-    def _bound(self, t: _Token) -> Term:
-        return Const(int(t.text)) if t.kind == "int" else Var(t.text)
+    def _bound(self, t: tuple) -> Term:
+        return Const(int(t[1])) if t[0] == "int" else Var(t[1])
 
     def choice_elem(self) -> ChoiceElem:
         a = self.atom()
@@ -448,25 +445,24 @@ class _Parser:
 
     def body_element(self) -> BodyElement:
         t = self.peek()
-        if t.kind == "ident" and t.text == "not":
+        if t[0] == "ident" and t[1] == "not":
             self.next()
-            if self.peek().kind == "ident" and self.peek().text == "not":
+            if self.peek()[:2] == ("ident", "not"):
                 self.next()
                 return Lit("notnot", self.atom())
             return Lit("not", self.atom())
-        if t.text in ("#sum", "["):
+        if t[1] in ("#sum", "["):
             return self.aggregate(lower=None)
-        if t.kind in ("int", "var") and self.peek(1).text in ("#sum", "["):
+        if t[0] in ("int", "var") and self.peek(1)[1] in ("#sum", "["):
             lower = self._bound(self.next())
             return self.aggregate(lower)
         lhs = self.arith_expr()
-        op = self.peek().text
+        op = self.peek()[1]
         if op in _CMP_TOKENS:
             self.next()
             rhs = self.arith_expr()
             return BuiltinLit("=" if op == "==" else op, lhs, rhs)
-        atom = self._term_to_atom(lhs, t.pos)
-        return Lit("pos", atom)
+        return Lit("pos", self._term_to_atom(lhs, t))
 
     def aggregate(self, lower: Optional[Term]) -> AggregateLit:
         if self.at("#sum"):
@@ -475,7 +471,7 @@ class _Parser:
         items = [] if self.at("]") else self._seq(self.agg_item)
         self.expect("]")
         upper = None
-        if self.peek().kind in ("int", "var"):
+        if self.peek()[0] in ("int", "var"):
             upper = self._bound(self.next())
         return AggregateLit(lower, tuple(items), upper)
 
@@ -495,9 +491,9 @@ class _Parser:
 
     def atom(self) -> Atom:
         t = self.next()
-        if t.kind != "ident":
-            raise EzSyntaxError(f"expected atom, found {t.text!r}", t.pos)
-        rel = t.text
+        if t[0] != "ident":
+            raise EzSyntaxError(f"expected atom, found {t[1]!r}", _pos(t))
+        rel = t[1]
         args: tuple = ()
         if self.at("("):
             self.next()
@@ -506,25 +502,20 @@ class _Parser:
             else:
                 args = tuple(self._seq(self.term_arg))
             self.expect(")")
-        self._check_reserved(rel, args, t.pos)
+        if rel in RESERVED_RELATIONS:
+            _check_reserved(rel, args, t)
         return Atom(rel, args)
 
-    def _check_reserved(self, rel: str, args: tuple, pos: SourcePos) -> None:
-        if rel == "cspdomain" and len(args) != 1:
-            raise EzSyntaxError("cspdomain takes exactly 1 argument", pos)
-        if rel == "cspvar" and len(args) not in (1, 3):
-            raise EzSyntaxError("cspvar takes 1 or 3 arguments", pos)
-        if rel == "required" and len(args) != 1:
-            raise EzSyntaxError("required takes exactly 1 argument", pos)
-
-    def _term_to_atom(self, t: Term, pos: SourcePos) -> Atom:
+    def _term_to_atom(self, t: Term, tok: tuple) -> Atom:
+        """The atom of a body term read at token tok."""
         if isinstance(t, Const) and isinstance(t.value, str):
             a = Atom(t.value)
         elif isinstance(t, Compound):
             a = Atom(t.functor, t.args)
         else:
-            raise EzSyntaxError("expected an atom in rule body", pos)
-        self._check_reserved(a.rel, a.args, pos)
+            raise EzSyntaxError("expected an atom in rule body", _pos(tok))
+        if a.rel in RESERVED_RELATIONS:
+            _check_reserved(a.rel, a.args, tok)
         return a
 
     # -- plain terms (atom arguments outside required) -------------------
@@ -544,61 +535,63 @@ class _Parser:
     def expr(self, min_bp: int) -> Term:
         lhs = self._prefix()
         while True:
-            t = self.peek()
-            bp = _INFIX_BP.get(t.text)
-            if t.kind == "ident" and t.text == "xor":
+            t = self.toks[self.i]
+            bp = _INFIX_BP.get(t[1])
+            if t[0] == "ident" and t[1] == "xor":
                 bp = _INFIX_BP["xor"]
             if bp is None or bp[0] < min_bp:
                 return lhs
             self.next()
             rhs = self.expr(bp[1])
-            lhs = OpExpr(t.text, (lhs, rhs))
+            lhs = OpExpr(t[1], (lhs, rhs))
 
     def _prefix(self) -> Term:
         t = self.next()
-        if t.kind == "int":
-            return Const(int(t.text))
-        if t.kind == "var":
-            return Var(t.text)
-        if t.text == "-":
-            inner = self.expr(100)
-            if isinstance(inner, Const) and isinstance(inner.value, int):
-                return Const(-inner.value)
-            return OpExpr("-", (inner,))
-        if t.text == "!":
-            return OpExpr("!", (self.expr(60),))
-        if t.text == "(":
-            e = self.expr(0)
-            self.expect(")")
-            return e
-        if t.text == "[":
-            return self._list(t.pos)
-        if t.kind == "ident":
+        kind, text = t[0], t[1]
+        if kind == "int":
+            return Const(int(text))
+        if kind == "var":
+            return Var(text)
+        if kind == "ident":
             if self.at("("):
                 self.next()
                 args = self._seq(self._expr_arg)
                 self.expect(")")
-                return Compound(t.text, tuple(args))
-            return Const(t.text)
-        raise EzSyntaxError(f"unexpected token {t.text!r} in expression", t.pos)
+                return Compound(text, tuple(args))
+            return Const(text)
+        if text == "-":
+            inner = self.expr(100)
+            if isinstance(inner, Const) and isinstance(inner.value, int):
+                return Const(-inner.value)
+            return OpExpr("-", (inner,))
+        if text == "!":
+            return OpExpr("!", (self.expr(60),))
+        if text == "(":
+            e = self.expr(0)
+            self.expect(")")
+            return e
+        if text == "[":
+            return self._list()
+        raise EzSyntaxError(f"unexpected token {text!r} in expression",
+                            _pos(t))
 
     def _expr_arg(self) -> Term:
         # A bare comparison operator is legal in global-constraint argument
         # position, e.g. sum([x,y], =<, 5); it denotes the relation itself.
         t = self.peek()
-        if t.text in _CMP_TOKENS and self.peek(1).text in (",", ")"):
+        if t[1] in _CMP_TOKENS and self.peek(1)[1] in (",", ")"):
             self.next()
-            return Const(CMP_OPS[t.text])
+            return Const(CMP_OPS[t[1]])
         return self.expr(0)
 
-    def _list(self, pos: SourcePos) -> Term:
+    def _list(self) -> Term:
         if self.at("]"):
             self.next()
             return ListTerm(())
         # Intensional form: single element  name[(prefix)] / arity
         save = self.i
-        if self.peek().kind == "ident":
-            name_tok = self.next()
+        if self.peek()[0] == "ident":
+            name = self.next()[1]
             prefix: tuple = ()
             ok = True
             if self.at("("):
@@ -609,15 +602,25 @@ class _Parser:
                     prefix = tuple(items)
                 else:
                     ok = False
-            if ok and self.at("/") and self.peek(1).kind == "int":
+            if ok and self.at("/") and self.peek(1)[0] == "int":
                 self.next()
-                arity = int(self.next().text)
+                arity = int(self.next()[1])
                 self.expect("]")
-                return IntensionalList(name_tok.text, prefix, arity)
+                return IntensionalList(name, prefix, arity)
             self.i = save
         items = self._seq(lambda: self.expr(0))
         self.expect("]")
         return ListTerm(tuple(items))
+
+
+def _check_reserved(rel: str, args: tuple, tok: tuple) -> None:
+    """The arity check of a reserved relation's atom read at token tok."""
+    if rel == "cspdomain" and len(args) != 1:
+        raise EzSyntaxError("cspdomain takes exactly 1 argument", _pos(tok))
+    if rel == "cspvar" and len(args) not in (1, 3):
+        raise EzSyntaxError("cspvar takes 1 or 3 arguments", _pos(tok))
+    if rel == "required" and len(args) != 1:
+        raise EzSyntaxError("required takes exactly 1 argument", _pos(tok))
 
 
 def parse(text: str) -> EzProgram:

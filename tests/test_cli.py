@@ -66,6 +66,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == EXIT_ERROR and "error" in err
 
 
+def test_non_decimal_digit_is_one_error_line(tmp_path, capsys):
+    # `²` is a digit to `str.isdigit` but not to `int`; a decimal digit of
+    # another script is read as an integer
+    f = tmp_path / "sup.ez"
+    f.write_text("p(²).", encoding="utf-8")
+    r = subprocess.run([sys.executable, "-m", "ezcasp", str(f)],
+                       capture_output=True, text=True, encoding="utf-8")
+    assert (r.returncode, r.stdout, r.stderr) == (
+        EXIT_ERROR, "", f"error: {f}: 1:3: unexpected character '²'\n")
+    f.write_text("p(٣).", encoding="utf-8")
+    assert run_cli(capsys, f) == (EXIT_SAT, "{ p(3) }\n", "")
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "no-such-file.ez")
     assert code == EXIT_ERROR and "error" in err

@@ -53,6 +53,13 @@ def test_parse_errors(bad, fragment):
     assert fragment in str(e.value)
 
 
+def test_integers_are_runs_of_decimal_digits():
+    assert parse("p(٣).") == parse("p(3).")
+    with pytest.raises(EzSyntaxError) as e:
+        parse("p(²).")
+    assert str(e.value) == "1:3: unexpected character '²'"
+
+
 def test_parse_error_reports_position():
     with pytest.raises(EzSyntaxError) as e:
         parse("a.\nb :- ,")
@@ -268,6 +275,10 @@ TOKEN_PINS = [
      [("ident", "p", 1, 1), ("punct", "(", 1, 2), ("int", "٣", 1, 3),
       ("punct", ")", 1, 4), ("punct", ".", 1, 5), ("eof", "", 1, 6)]),
     ("x @ y", "1:3: unexpected character '@'"),
+    # `int` does not read `²`, which `str.isdigit` accepts
+    ("p(²).", "1:3: unexpected character '²'"),
+    ("p(1²).", "1:4: unexpected character '²'"),
+    ("#a² b", "1:3: unexpected character '²'"),
     ("\n  $", "2:3: unexpected character '$'"),
 ]
 
@@ -275,8 +286,7 @@ TOKEN_PINS = [
 def _stream(text: str):
     """The tokens of text as (kind, text, line, col), or the error text."""
     try:
-        return [(t.kind, t.text, t.pos.line, t.pos.col)
-                for t in _tokenize(text)]
+        return _tokenize(text)
     except EzSyntaxError as exc:
         return str(exc)
 
