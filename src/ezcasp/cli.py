@@ -9,7 +9,10 @@ Exit status: 10 = SAT, 20 = UNSAT, 1 = error or budget exceeded.
 
 With `--stats FILE`, a solve also writes FILE as JSON: `atoms` and `rules`
 of the CA program, the wall times `ground_stages_s` (EZ text to CA program)
-and `solve_ca_s` (the search), and `stats`, the solve's `SolveStats`
+and `solve_ca_s` (the search), the wall times of the front-end layers within
+`ground_stages_s` under the names of perfbench's layers, `parse_s` (parse and
+preprocess), `ground_s` (ground) and `translate_s` (collect_var_decls,
+expand_lists and to_ca_program), and `stats`, the solve's `SolveStats`
 counters.
 
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
@@ -369,6 +372,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            "rules": len(program.pi.rules),
                            "ground_stages_s": round(ground_s, 6),
                            "solve_ca_s": round(solve_s, 6),
+                           **{k: round(v, 6)
+                              for k, v in program.stage_s.items()},
                            "stats": vars(res.stats)}, f, indent=1)
                 f.write("\n")
         except OSError as exc:

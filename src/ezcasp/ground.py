@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterator, List, Optional,
@@ -91,36 +92,39 @@ def term_key(t: Term):
     raise GroundError(f"no order for non-ground term {t!r}")
 
 
-def canon_term(t: Term) -> str:
+def _name(t: Term, sub) -> str:
+    """The canonical name of a ground term; `sub` names its children."""
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Compound):
-        return f"{t.functor}({','.join([canon_term(a) for a in t.args])})"
+        return f"{t.functor}({','.join([sub(a) for a in t.args])})"
     if isinstance(t, ListTerm):
-        return f"[{','.join([canon_term(a) for a in t.items])}]"
+        return f"[{','.join([sub(a) for a in t.items])}]"
     if isinstance(t, IntensionalList):
         inner = t.name
         if t.prefix:
-            inner += f"({','.join(canon_term(a) for a in t.prefix)})"
+            inner += f"({','.join([sub(a) for a in t.prefix])})"
         return f"[{inner}/{t.arity}]"
     raise GroundError(f"cannot intern non-ground term {t!r}")
 
 
+def canon_term(t: Term) -> str:
+    return _Terms().name(t)
+
+
 def canon_atom(a: Atom) -> str:
-    if not a.args:
-        return a.rel
-    return f"{a.rel}({','.join([canon_term(t) for t in a.args])})"
+    return _Terms().name_atom(a)
 
 
 _SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}   # read per node
 
 
-def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
-    """The display text of t, in one pass: canonical operator functors are
-    shown as surface operators, parenthesized as the parser reads them, and
-    `neg` of an integer as the negative integer.  Also returns the operator
-    of t if it is shown as a binary operation, and its value if it is shown
-    as an integer."""
+def _shown(t: Term, sub) -> Tuple[str, Optional[str], Optional[int]]:
+    """The display text of t: canonical operator functors are shown as
+    surface operators, parenthesized as the parser reads them, and `neg` of
+    an integer as the negative integer.  Also returns the operator of t if
+    it is shown as a binary operation, and its value if it is shown as an
+    integer.  `sub` gives the same for each child."""
     if isinstance(t, Const):
         v = t.value
         return str(v), None, v if isinstance(v, int) else None
@@ -128,23 +132,23 @@ def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
         f, args = t.functor, t.args
         op = _SHOWN_OPS.get(f)
         if op is not None and len(args) == 2:
-            lhs, lop, _ = _shown(args[0])
-            rhs, rop, _ = _shown(args[1])
+            lhs, lop, _ = sub(args[0])
+            rhs, rop, _ = sub(args[1])
             if lop is not None and needs_parens(lop, op, "left"):
                 lhs = f"({lhs})"
             if rop is not None and needs_parens(rop, op, "right"):
                 rhs = f"({rhs})"
             return f"{lhs} {op} {rhs}", op, None
         if len(args) == 1 and f in ("neg", "not"):
-            arg, aop, v = _shown(args[0])
+            arg, aop, v = sub(args[0])
             if f == "neg" and v is not None:
                 return str(-v), None, -v
             if aop is not None and needs_parens(aop, op, "right"):
                 arg = f"({arg})"
             return op + arg, None, None
-        return f"{f}({','.join([_shown(a)[0] for a in args])})", None, None
+        return f"{f}({','.join([sub(a)[0] for a in args])})", None, None
     if isinstance(t, ListTerm):
-        return f"[{','.join([_shown(a)[0] for a in t.items])}]", None, None
+        return f"[{','.join([sub(a)[0] for a in t.items])}]", None, None
     # no canonical functor is shown inside any other term
     op = t.op if isinstance(t, OpExpr) and len(t.args) == 2 else None
     return _print_term(t), op, None
@@ -152,13 +156,183 @@ def _shown(t: Term) -> Tuple[str, Optional[str], Optional[int]]:
 
 def display_term(t: Term) -> str:
     """How a term is shown to users: as `_shown` prints it."""
-    return _shown(t)[0]
+    return _Terms().show(t)[0]
 
 
 def display_atom(a: Atom) -> str:
-    if not a.args:
-        return a.rel
-    return f"{a.rel}({','.join([_shown(t)[0] for t in a.args])})"
+    return _Terms().show_atom(a)
+
+
+class _Terms:
+    """The ground terms of one grounding, one object per distinct term, and
+    memos of their canonical names and display texts.
+
+    A constant is keyed by its value (integers and symbols never compare
+    equal), a compound by its functor and the identities of its arguments,
+    a list by the identities of its items, an intensional list by its name
+    and arity and the identities of its prefix, and an atom, in a table of
+    its own, by its relation and the identities of its arguments.  `eval`
+    builds every term through the table; a term with a variable or a range
+    is never interned.  The memos key by identity and keep only interned
+    terms, which the table keeps alive, so an identity never outlives its
+    term; the public functions make a table for one call, which memoizes
+    nothing."""
+
+    __slots__ = ("terms", "atoms", "ids", "names", "shown")
+
+    def __init__(self) -> None:
+        self.terms: Dict[object, Term] = {}
+        self.atoms: Dict[tuple, Atom] = {}
+        self.ids: Set[int] = set()            # identities of interned terms
+        self.names: Dict[int, str] = {}
+        self.shown: Dict[int, Tuple[str, Optional[str], Optional[int]]] = {}
+
+    def _const(self, c: Const) -> Const:
+        """The interned constant of c's value; c itself if there is none."""
+        d = self.terms.get(c.value)
+        if d is None:
+            d = self.terms[c.value] = c
+            self.ids.add(id(c))
+        return d
+
+    def const(self, v: Union[int, str]) -> Const:
+        c = self.terms.get(v)
+        return c if c is not None else self._const(Const(v))
+
+    def _new(self, key: tuple, t: Term) -> Term:
+        """t, which has no entry, interned under key if its children are
+        (key[1:] holds their identities); otherwise t as it is."""
+        if self.ids.issuperset(key[1:]):
+            self.terms[key] = t
+            self.ids.add(id(t))
+        return t
+
+    def eval(self, t: Term, pos: Optional[SourcePos] = None,
+             env: Optional[Dict[str, Term]] = None) -> Term:
+        """t with built-in arithmetic evaluated, built through the table;
+        OpExpr nodes must reduce to integers.  With `env`, the variables of
+        t are replaced by their bound values, which are ground and
+        evaluated already; a variable that `env` does not bind is left as
+        it is."""
+        cls = t.__class__
+        if cls is Var:
+            return t if env is None else env.get(t.name, t)
+        if cls is Compound:
+            # the arguments, variables and constants without a call
+            terms = self.terms
+            args = []
+            for a in t.args:
+                cls = a.__class__
+                if cls is Var and env is not None:
+                    args.append(env.get(a.name, a))
+                elif cls is Const:
+                    c = terms.get(a.value)
+                    args.append(c if c is not None else self._const(a))
+                else:
+                    args.append(self.eval(a, pos, env))
+            key = (t.functor, *map(id, args))
+            c = terms.get(key)
+            return c if c is not None else \
+                self._new(key, Compound(t.functor, tuple(args)))
+        if cls is Const:
+            c = self.terms.get(t.value)
+            return c if c is not None else self._const(t)
+        if cls is OpExpr:
+            return self.const(self._arith(t, pos, env))
+        if cls is ListTerm:
+            return self.list([self.eval(a, pos, env) for a in t.items])
+        if cls is IntensionalList:
+            prefix = [self.eval(a, pos, env) for a in t.prefix]
+            key = ((t.name, t.arity), *map(id, prefix))
+            c = self.terms.get(key)
+            return c if c is not None else self._new(
+                key, IntensionalList(t.name, tuple(prefix), t.arity))
+        if cls is RangeTerm:
+            return RangeTerm(self.eval(t.lo, pos, env),
+                             self.eval(t.hi, pos, env))
+        return t
+
+    def _arith(self, t: OpExpr, pos: Optional[SourcePos],
+               env: Optional[Dict[str, Term]]) -> int:
+        """The integer value of a built-in arithmetic operation."""
+        vals = []
+        for a in [self.eval(a, pos, env) for a in t.args]:
+            if not (isinstance(a, Const) and isinstance(a.value, int)):
+                raise GroundError(f"arithmetic on non-integer term "
+                                  f"{display_term(a)}", pos)
+            vals.append(a.value)
+        if t.op == "-" and len(vals) == 1:
+            return -vals[0]
+        a, b = vals[0], vals[1]
+        if t.op == "+":
+            return a + b
+        if t.op == "-":
+            return a - b
+        if t.op == "*":
+            return a * b
+        if t.op == "/":
+            if b == 0:
+                raise GroundError("division by zero in built-in arithmetic",
+                                  pos)
+            q = abs(a) // abs(b)
+            return q if (a >= 0) == (b >= 0) else -q
+        raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
+
+    def list(self, items: Sequence[Term]) -> ListTerm:
+        key = (ListTerm, *map(id, items))
+        c = self.terms.get(key)
+        return c if c is not None else self._new(key, ListTerm(tuple(items)))
+
+    def compound(self, functor: str, args: Sequence[Term]) -> Compound:
+        key = (functor, *map(id, args))
+        c = self.terms.get(key)
+        return c if c is not None else \
+            self._new(key, Compound(functor, tuple(args)))
+
+    def atom(self, rel: str, args: Sequence[Term]) -> Atom:
+        """The table's atom rel(args).  Arguments that are not interned are
+        first named, which fails as `canon_atom` does on a term that is not
+        ground, and then interned."""
+        key = (rel, *map(id, args))
+        a = self.atoms.get(key)
+        if a is None:
+            if not self.ids.issuperset(key[1:]):
+                canon_atom(Atom(rel, tuple(args)))
+                args = [self.eval(t) for t in args]
+                key = (rel, *map(id, args))
+                a = self.atoms.get(key)
+                if a is not None:
+                    return a
+            a = self.atoms[key] = Atom(rel, tuple(args))
+        return a
+
+    def name(self, t: Term) -> str:
+        """The canonical name of t (`_name`)."""
+        s = self.names.get(id(t))
+        if s is None:
+            s = _name(t, self.name)
+            if id(t) in self.ids:
+                self.names[id(t)] = s
+        return s
+
+    def name_atom(self, a: Atom) -> str:
+        if not a.args:
+            return a.rel
+        return f"{a.rel}({','.join([self.name(t) for t in a.args])})"
+
+    def show(self, t: Term) -> Tuple[str, Optional[str], Optional[int]]:
+        """The display text of t, with its operator and value (`_shown`)."""
+        r = self.shown.get(id(t))
+        if r is None:
+            r = _shown(t, self.show)
+            if id(t) in self.ids:
+                self.shown[id(t)] = r
+        return r
+
+    def show_atom(self, a: Atom) -> str:
+        if not a.args:
+            return a.rel
+        return f"{a.rel}({','.join([self.show(t)[0] for t in a.args])})"
 
 
 def _is_ground(t: Term) -> bool:
@@ -174,56 +348,10 @@ def _has_op(t: Term) -> bool:
     return any(isinstance(s, OpExpr) for s in _subterms(t))
 
 
-def _eval_term(t: Term, pos: Optional[SourcePos] = None,
-               env: Optional[Dict[str, Term]] = None) -> Term:
-    """Evaluate built-in arithmetic in a ground term; OpExpr nodes must
-    reduce to integers.  With `env`, the variables of t are replaced by
-    their bound values, which are ground and evaluated already; a variable
-    that `env` does not bind is left as it is."""
-    if isinstance(t, Var):
-        return t if env is None else env.get(t.name, t)
-    if isinstance(t, OpExpr):
-        args = [_eval_term(a, pos, env) for a in t.args]
-        vals = []
-        for a in args:
-            if not (isinstance(a, Const) and isinstance(a.value, int)):
-                raise GroundError(f"arithmetic on non-integer term "
-                                  f"{display_term(a)}", pos)
-            vals.append(a.value)
-        if t.op == "-" and len(vals) == 1:
-            return Const(-vals[0])
-        a, b = vals[0], vals[1]
-        if t.op == "+":
-            return Const(a + b)
-        if t.op == "-":
-            return Const(a - b)
-        if t.op == "*":
-            return Const(a * b)
-        if t.op == "/":
-            if b == 0:
-                raise GroundError("division by zero in built-in arithmetic",
-                                  pos)
-            q = abs(a) // abs(b)
-            return Const(q if (a >= 0) == (b >= 0) else -q)
-        raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
-    if isinstance(t, Compound):
-        return Compound(t.functor,
-                        tuple([_eval_term(a, pos, env) for a in t.args]))
-    if isinstance(t, ListTerm):
-        return ListTerm(tuple([_eval_term(a, pos, env) for a in t.items]))
-    if isinstance(t, IntensionalList):
-        return IntensionalList(
-            t.name, tuple(_eval_term(a, pos, env) for a in t.prefix),
-            t.arity)
-    if isinstance(t, RangeTerm):
-        return RangeTerm(_eval_term(t.lo, pos, env),
-                         _eval_term(t.hi, pos, env))
-    return t
-
-
-def _int_of(t: Term, what: str, pos: Optional[SourcePos] = None,
+def _int_of(terms: _Terms, t: Term, what: str,
+            pos: Optional[SourcePos] = None,
             env: Optional[Dict[str, Term]] = None) -> int:
-    t = _eval_term(t, pos, env)
+    t = terms.eval(t, pos, env)
     if isinstance(t, Const) and isinstance(t.value, int):
         return t.value
     raise GroundError(f"{what} must be an integer, got {display_term(t)}", pos)
@@ -233,28 +361,31 @@ def _atom_vars(a: Atom) -> Set[str]:
     return {s.name for t in a.args for s in _subterms(t) if isinstance(s, Var)}
 
 
-def _match(pattern: Term, value: Term, env: Dict[str, Term]) -> Optional[Dict[str, Term]]:
-    """Structural unification of a body pattern against a ground term.
-    A bound variable matches its value if `_matchable` holds of it, and an
-    arithmetic subterm is evaluated once its variables are bound."""
+def _match(terms: _Terms, pattern: Term, value: Term,
+           env: Dict[str, Term]) -> Optional[Dict[str, Term]]:
+    """Structural unification of a body pattern against an interned ground
+    term.  A bound variable, whose value is interned too, matches its value
+    if `_matchable` holds of it, and an arithmetic subterm is evaluated once
+    its variables are bound."""
     if isinstance(pattern, Var):
         bound = env.get(pattern.name)
         if bound is not None:
-            return env if bound == value and _matchable(bound) else None
+            return env if bound is value and _matchable(bound) else None
         env = dict(env)
         env[pattern.name] = value
         return env
     if isinstance(pattern, OpExpr):
         if not _vars_in(pattern) <= env.keys():
             return None
-        pattern = _eval_term(pattern, None, env)
+        pattern = terms.eval(pattern, None, env)
     if isinstance(pattern, Const):
-        return env if pattern == value else None
+        return env if value.__class__ is Const and \
+            pattern.value == value.value else None
     if isinstance(pattern, Compound) and isinstance(value, Compound):
         if pattern.functor != value.functor or len(pattern.args) != len(value.args):
             return None
         for p, v in zip(pattern.args, value.args):
-            nxt = _match(p, v, env)
+            nxt = _match(terms, p, v, env)
             if nxt is None:
                 return None
             env = nxt
@@ -266,20 +397,20 @@ def _match(pattern: Term, value: Term, env: Dict[str, Term]) -> Optional[Dict[st
 # Grounding
 # ---------------------------------------------------------------------------
 
-def _expand_head_ranges(a: Atom, pos: Optional[SourcePos],
+def _expand_head_ranges(terms: _Terms, a: Atom, pos: Optional[SourcePos],
                         env: Dict[str, Term]) -> List[Atom]:
     """Expand RangeTerm arguments of a head atom, ground under env, into
-    instances."""
-    slots: List[List[Term]] = []
+    instances, the table's atoms."""
+    slots: List[Sequence[Term]] = []
     for t in a.args:
-        t = _eval_term(t, pos, env)
+        t = terms.eval(t, pos, env)
         if isinstance(t, RangeTerm):
-            lo = _int_of(t.lo, "range bound", pos)
-            hi = _int_of(t.hi, "range bound", pos)
-            slots.append([Const(v) for v in range(lo, hi + 1)])
+            lo = _int_of(terms, t.lo, "range bound", pos)
+            hi = _int_of(terms, t.hi, "range bound", pos)
+            slots.append([terms.const(v) for v in range(lo, hi + 1)])
         else:
-            slots.append([t])
-    return [Atom(a.rel, combo) for combo in itertools.product(*slots)]
+            slots.append((t,))
+    return [terms.atom(a.rel, combo) for combo in itertools.product(*slots)]
 
 
 def _has_list(t: Term) -> bool:
@@ -418,42 +549,45 @@ def _plan_rule(r: Rule, domain_rels: Set[Tuple[str, int]],
 
 
 class _Table:
-    """The ground atoms of one relation in insertion order, with a hash
-    index per tuple of bound argument positions that some join looks up.
-    Indexes are built on first use and kept up to date as atoms are added;
-    an index bucket lists its atoms in insertion order."""
+    """The ground atoms of one relation in insertion order, each the
+    `_Terms` table's object, with a hash index per tuple of bound argument
+    positions that some join looks up, keyed by the identities of the
+    arguments there.  Indexes are built on first use and kept up to date as
+    atoms are added; an index bucket lists its atoms in insertion order."""
 
-    __slots__ = ("atoms", "names", "indexes")
+    __slots__ = ("atoms", "members", "indexes")
 
     def __init__(self) -> None:
         self.atoms: List[Atom] = []
-        self.names: Set[str] = set()          # canonical names of the atoms
+        self.members: Set[int] = set()          # identities of the atoms
         self.indexes: Dict[Tuple[int, ...], Dict[tuple, List[Atom]]] = {}
 
     @staticmethod
     def _key(a: Atom, positions: Tuple[int, ...]) -> Optional[tuple]:
-        key = tuple(a.args[i] for i in positions)
+        key = [a.args[i] for i in positions]
         # an argument that no bound pattern can match is left unindexed
-        return key if all(_matchable(t) for t in key) else None
+        return tuple(map(id, key)) if all(map(_matchable, key)) else None
 
-    def add(self, a: Atom, name: str) -> None:
+    def add(self, a: Atom) -> None:
         self.atoms.append(a)
-        self.names.add(name)
+        self.members.add(id(a))
         for positions, index in self.indexes.items():
             key = self._key(a, positions)
             if key is not None:
                 index.setdefault(key, []).append(a)
 
-    def pop(self, name: str) -> None:
+    def pop(self) -> None:
         """Undo the last `add`."""
         a = self.atoms.pop()
-        self.names.discard(name)
+        self.members.discard(id(a))
         for positions, index in self.indexes.items():
             key = self._key(a, positions)
             if key is not None:
                 index[key].pop()
 
     def lookup(self, positions: Tuple[int, ...], key: tuple) -> Sequence[Atom]:
+        """The atoms whose arguments at positions are the terms whose
+        identities are key."""
         index = self.indexes.get(positions)
         if index is None:
             index = self.indexes[positions] = {}
@@ -465,15 +599,16 @@ class _Table:
 
 
 class _GroundState:
-    """Possible atoms and established facts, one `_Table` per relation, plus
-    a log of the additions of the current rule run, so that it can be
-    undone."""
+    """The interned terms, the possible atoms and the established facts,
+    one `_Table` per relation, plus a log of the additions of the current
+    rule run, so that it can be undone."""
 
-    def __init__(self) -> None:
+    def __init__(self, terms: _Terms) -> None:
+        self.terms = terms
         self.possible: Dict[Tuple[str, int], _Table] = {}
         self.fact_atoms: Dict[Tuple[str, int], _Table] = {}
         self.count = 0                        # possible atoms
-        self.log: List[Tuple[_Table, str, bool]] = []
+        self.log: List[Tuple[_Table, bool]] = []
 
     def table(self, rel: str, arity: int, fact: bool) -> _Table:
         tables = self.fact_atoms if fact else self.possible
@@ -482,36 +617,35 @@ class _GroundState:
             t = tables[(rel, arity)] = _Table()
         return t
 
-    def add(self, a: Atom, fact: bool) -> str:
-        """Add a ground atom; returns its canonical name."""
-        c = canon_atom(a)
+    def add(self, a: Atom, fact: bool) -> None:
+        """Add a ground atom, the table's object for it."""
         t = self.table(a.rel, len(a.args), False)
-        if c not in t.names:
-            t.add(a, c)
-            self.log.append((t, c, False))
+        if id(a) not in t.members:
+            t.add(a)
+            self.log.append((t, False))
             self.count += 1
             if self.count > _MAX_POSSIBLE_ATOMS:
                 raise GroundError("grounding did not converge "
                                   "(possible-atom bound exceeded)")
         if fact:
             t = self.table(a.rel, len(a.args), True)
-            if c not in t.names:
-                t.add(a, c)
-                self.log.append((t, c, True))
-        return c
+            if id(a) not in t.members:
+                t.add(a)
+                self.log.append((t, True))
 
     def rollback(self) -> None:
         """Undo every logged addition."""
         while self.log:
-            t, c, fact = self.log.pop()
-            t.pop(c)
+            t, fact = self.log.pop()
+            t.pop()
             if not fact:
                 self.count -= 1
 
     def contains(self, a: Atom, fact: bool) -> bool:
+        """Whether the table's atom a is possible, or a fact."""
         t = (self.fact_atoms if fact else self.possible).get(
             (a.rel, len(a.args)))
-        return t is not None and canon_atom(a) in t.names
+        return t is not None and id(a) in t.members
 
 
 def _may_fail(step: Tuple[str, object]) -> bool:
@@ -605,17 +739,19 @@ def _compile_conditions(conds: Sequence[Atom], state: _GroundState) -> list:
     return _compile([("match_fact", c) for c in conds], state, hoist=False)
 
 
-def _test_builtin(b: BuiltinLit, env: Dict[str, Term],
+def _test_builtin(terms: _Terms, b: BuiltinLit, env: Dict[str, Term],
                   pos: Optional[SourcePos]) -> bool:
-    lhs = _eval_term(b.lhs, pos, env)
-    rhs = _eval_term(b.rhs, pos, env)
+    # the operands are interned: a built-in holds neither a range nor an
+    # unbound variable
+    lhs = terms.eval(b.lhs, pos, env)
+    rhs = terms.eval(b.rhs, pos, env)
     op = b.op
     if isinstance(lhs, Const) and isinstance(lhs.value, int) and \
             isinstance(rhs, Const) and isinstance(rhs.value, int):
         a, c = lhs.value, rhs.value
     else:
         if op in ("=", "!="):
-            return (lhs == rhs) if op == "=" else (lhs != rhs)
+            return (lhs is rhs) if op == "=" else (lhs is not rhs)
         a, c = term_key(lhs), term_key(rhs)     # total order on ground terms
     return {"=": a == c, "!=": a != c, "<": a < c, "<=": a <= c,
             "=<": a <= c, ">": a > c, ">=": a >= c}[op]
@@ -639,23 +775,24 @@ def _walk(steps: list, i: int, env: Dict[str, Term], state: _GroundState,
     i += 1
     if kind == "match":
         _, table, positions, keys, rest = step
+        terms = state.terms
         cands = table.lookup(positions, tuple(
-            _eval_term(t, None, env) for t in keys)) \
+            [id(terms.eval(t, None, env)) for t in keys])) \
             if positions else table.atoms
         for cand in itertools.islice(cands, len(cands)):
             nxt = env
             for j, p in rest:
-                nxt = _match(p, cand.args[j], nxt)
+                nxt = _match(terms, p, cand.args[j], nxt)
                 if nxt is None:
                     break
             if nxt is not None:
                 yield from _walk(steps, i, nxt, state, pos)
     elif kind == "bind":
         nxt = dict(env)
-        nxt[step[1]] = _eval_term(step[2], pos, env)
+        nxt[step[1]] = state.terms.eval(step[2], pos, env)
         yield from _walk(steps, i, nxt, state, pos)
     elif kind == "test":
-        if _test_builtin(step[1], env, pos):
+        if _test_builtin(state.terms, step[1], env, pos):
             yield from _walk(steps, i, env, state, pos)
     elif kind == "agg":
         if _eval_aggregate(step[1], step[2], env, state, pos):
@@ -668,31 +805,28 @@ def _eval_aggregate(agg: AggregateLit, conds: List[list],
                     env: Dict[str, Term], state: _GroundState,
                     pos: Optional[SourcePos]) -> bool:
     """Whether agg holds under env; `conds` are its items' conditions."""
+    terms = state.terms
     total = 0
     for item, steps in zip(agg.items, conds):
         for ienv in _walk(steps, 0, env, state, pos):
-            a = Atom(item.atom.rel,
-                     tuple(_eval_term(t, pos, ienv) for t in item.atom.args))
-            if not _is_ground_atom(a):
+            args = [terms.eval(t, pos, ienv) for t in item.atom.args]
+            if not all(map(_is_ground, args)):
                 raise GroundError("aggregate member not ground", pos)
+            a = terms.atom(item.atom.rel, args)
             if state.contains(a, fact=True):
                 w = 1 if item.weight is None else \
-                    _int_of(item.weight, "aggregate weight", pos, ienv)
+                    _int_of(terms, item.weight, "aggregate weight", pos, ienv)
                 total += w
             elif state.contains(a, fact=False):
                 raise GroundError(
                     f"aggregate over non-factual atom {canon_atom(a)}", pos)
     if agg.lower is not None and \
-            total < _int_of(agg.lower, "aggregate bound", pos, env):
+            total < _int_of(terms, agg.lower, "aggregate bound", pos, env):
         return False
     if agg.upper is not None and \
-            total > _int_of(agg.upper, "aggregate bound", pos, env):
+            total > _int_of(terms, agg.upper, "aggregate bound", pos, env):
         return False
     return True
-
-
-def _is_ground_atom(a: Atom) -> bool:
-    return all(_is_ground(t) for t in a.args)
 
 
 def _head_atoms(r: Rule) -> List[Atom]:
@@ -717,7 +851,7 @@ def _conditions(r: Rule) -> List[Atom]:
 class _RulePlan:
     """A rule with its compiled steps, the tables its instantiation reads,
     and the substitutions of its latest run, each with the head instances
-    (and their canonical names) that it added."""
+    that it added."""
 
     def __init__(self, rule: Rule, steps: List[Tuple[str, object]],
                  state: _GroundState) -> None:
@@ -742,8 +876,7 @@ class _RulePlan:
             rule.head.rel == "required"
         self.lists = self.required and any(_has_list(t)
                                            for t in rule.head.args)
-        self.instances: List[Tuple[Dict[str, Term],
-                                   List[Tuple[Atom, str]]]] = []
+        self.instances: List[Tuple[Dict[str, Term], List[Atom]]] = []
 
     def holds_list(self, env: Dict[str, Term]) -> bool:
         """Whether the required head instance under env holds an
@@ -772,33 +905,37 @@ class _RulePlan:
                 _compile(self.steps, state, hoist=False), state, fact)
 
     def _instances(self, steps: list, state: _GroundState, fact: bool):
-        built: Dict[tuple, List[Tuple[Atom, str]]] = {}
+        built: Dict[tuple, List[Atom]] = {}
         return [(env, self._add_heads(env, state, fact, built))
                 for env in _instantiate(steps, state, self.rule.pos)]
 
     def _add_heads(self, env: Dict[str, Term], state: _GroundState,
-                   fact: bool, built: Dict[tuple, List[Tuple[Atom, str]]]
-                   ) -> List[Tuple[Atom, str]]:
-        """Add the head instances of one substitution; returns them with
-        their canonical names, choice elements in element and condition
-        order.  An atom head is built once per binding of its variables in
-        a run (`built`); adding it again would change nothing."""
+                   fact: bool, built: Dict[tuple, List[Atom]]
+                   ) -> List[Atom]:
+        """Add the head instances of one substitution; returns them, choice
+        elements in element and condition order.  An atom head is built
+        once per binding of its variables in a run (`built`, keyed by the
+        identities of the bound terms, which are interned); adding it again
+        would change nothing."""
         rule = self.rule
+        terms = state.terms
         if isinstance(rule.head, Atom):
-            binding = tuple(map(env.get, self.head_vars))
+            binding = tuple(map(id, map(env.get, self.head_vars)))
             out = built.get(binding)
             if out is None:
-                out = built[binding] = [
-                    (inst, state.add(inst, fact))
-                    for inst in _expand_head_ranges(rule.head, rule.pos, env)]
+                out = built[binding] = _expand_head_ranges(
+                    terms, rule.head, rule.pos, env)
+                for inst in out:
+                    state.add(inst, fact)
             return out
-        out: List[Tuple[Atom, str]] = []
+        out = []
         if isinstance(rule.head, Choice):
             for elem, conds in zip(rule.head.elems, self.elem_conds):
                 for cenv in _walk(conds, 0, env, state, rule.pos):
-                    for inst in _expand_head_ranges(elem.atom, rule.pos,
-                                                    cenv):
-                        out.append((inst, state.add(inst, fact)))
+                    for inst in _expand_head_ranges(terms, elem.atom,
+                                                    rule.pos, cenv):
+                        state.add(inst, fact)
+                        out.append(inst)
         return out
 
 
@@ -900,14 +1037,17 @@ class GroundProgram(EzProgram):
     """A ground program with its atom table, as `ground` emits it.
 
     `atoms` lists the distinct atoms in order of insertion, an atom's id
-    being its position, and `index` maps the canonical name of each to its
-    id.  Every atom in `rules` is the table's object for its name, so an
-    atom's identity is its key.  `lists` holds the index of each rule whose
-    required head holds an intensional list.  Programs compare by their
-    rules, as any `EzProgram`."""
+    being its position, and `index` maps the identity of each to its id.
+    Every atom in `rules` is the table's object, so an atom's identity is
+    its key.  `lists` holds the index of each rule whose required head
+    holds an intensional list.  `terms` holds the interned terms and their
+    memos; a program built otherwise gets an empty table, and its terms are
+    then interned where a stage needs them to be.  Programs compare by
+    their rules, as any `EzProgram`."""
     atoms: Tuple[Atom, ...] = field(compare=False)
-    index: Dict[str, int] = field(compare=False)
+    index: Dict[int, int] = field(compare=False)
     lists: Tuple[int, ...] = field(compare=False)
+    terms: _Terms = field(default_factory=_Terms, compare=False, repr=False)
 
 
 def _no_variables(bound: tuple) -> tuple:
@@ -926,11 +1066,12 @@ def ground(p: EzProgram) -> GroundProgram:
     last instantiation, each body literal built and named once per binding
     of its variables.  Substitutions are restricted by domain predicates
     (and by non-factual atoms only where they bind otherwise-unbound
-    variables); emitted rules keep their instantiated bodies intact.  Output
-    rules contain only ground atoms and ground not/not-not literals, one
-    object per distinct atom, which is entered in the atom table under its
-    canonical name; choice heads keep their (now integer) bounds with
-    expanded elements.  Intensional lists are left untouched (see
+    variables); emitted rules keep their instantiated bodies intact.  Every
+    ground term and atom is built through one `_Terms` table, so equal ones
+    are one object.  Output rules contain only ground atoms and ground
+    not/not-not literals, and each distinct atom is entered in the atom
+    table once; choice heads keep their (now integer) bounds with expanded
+    elements.  Intensional lists are left untouched (see
     expand_lists); the program lists the rules whose required head holds
     one, from the rule's head or the terms its variables are bound to.
     """
@@ -945,7 +1086,8 @@ def ground(p: EzProgram) -> GroundProgram:
                     f"condition over non-factual relation {c.rel}/"
                     f"{len(c.args)}", r.pos)
 
-    state = _GroundState()
+    terms = _Terms()
+    state = _GroundState(terms)
     definite = _compute_facts(p, state, domain_rels)
 
     # A definite rule whose positive body is over domain relations has the
@@ -960,18 +1102,18 @@ def ground(p: EzProgram) -> GroundProgram:
     _fixpoint(plans, state, fact=False)
 
     # emission: each rule's last run saw the final tables.  A body literal
-    # is built and named once per binding of its own variables, and each
-    # distinct ground atom is one object in the output and one table entry.
+    # is built once per binding of its own variables, and each distinct
+    # ground atom is one table entry.
     rules: List[Rule] = []
     lists: List[int] = []
     atoms: List[Atom] = []
-    index: Dict[str, int] = {}
+    index: Dict[int, int] = {}
 
-    def enter(a: Atom, name: str) -> int:
-        """The id of the atom named `name`; a new atom is entered as a."""
-        i = index.get(name)
+    def enter(a: Atom) -> int:
+        """The id of the table's atom a, entered if it is new."""
+        i = index.get(id(a))
         if i is None:
-            i = index[name] = len(atoms)
+            i = index[id(a)] = len(atoms)
             atoms.append(a)
         return i
 
@@ -982,11 +1124,8 @@ def ground(p: EzProgram) -> GroundProgram:
         rule = rp.rule
         atom_head = isinstance(rule.head, Atom)
         # A body literal is built once per binding of its own variables,
-        # keyed by the identities of the bound terms, which are read once
-        # per substitution.  The rule's substitutions keep the terms alive,
-        # and hashing them as terms would walk each one; equal terms that
-        # are distinct objects build the atom again, which is then entered
-        # once, by its name.
+        # keyed by the identities of the bound terms, which are interned and
+        # read once per substitution.
         body_lits = [b for b in rule.body if isinstance(b, Lit)]
         names = sorted(set().union(*[_atom_vars(b.atom) for b in body_lits]))
         where = {v: i for i, v in enumerate(names)}
@@ -1004,31 +1143,30 @@ def ground(p: EzProgram) -> GroundProgram:
                 binding = binding_of(bound)
                 k = memo.get(binding)
                 if k is None:
-                    a = Atom(atom.rel, tuple(_eval_term(t, rule.pos, env)
-                                             for t in atom.args))
-                    k = memo[binding] = 3 * enter(a, canon_atom(a)) + code
+                    a = terms.atom(atom.rel, [terms.eval(t, rule.pos, env)
+                                              for t in atom.args])
+                    k = memo[binding] = 3 * enter(a) + code
                     if k not in shared:
-                        shared[k] = Lit(kind, atoms[k // 3])
+                        shared[k] = Lit(kind, a)
                 keys.append(k)
             # (head, key telling it apart)
             heads: List[Tuple[Union[None, Atom, Choice], object]] = []
             if rule.head is None:
                 heads.append((None, None))
             elif atom_head:
-                for inst, c in insts:
-                    i = enter(inst, c)
-                    heads.append((atoms[i], i))
+                for inst in insts:
+                    heads.append((inst, enter(inst)))
             else:
                 ch = rule.head
                 elems: Dict[int, ChoiceElem] = {}
-                for inst, c in insts:
-                    i = enter(inst, c)
+                for inst in insts:
+                    i = enter(inst)
                     if i not in elems:
-                        elems[i] = ChoiceElem(atoms[i], ())
-                lower = None if ch.lower is None else \
-                    Const(_int_of(ch.lower, "choice bound", rule.pos, env))
-                upper = None if ch.upper is None else \
-                    Const(_int_of(ch.upper, "choice bound", rule.pos, env))
+                        elems[i] = ChoiceElem(inst, ())
+                lower = None if ch.lower is None else terms.const(_int_of(
+                    terms, ch.lower, "choice bound", rule.pos, env))
+                upper = None if ch.upper is None else terms.const(_int_of(
+                    terms, ch.upper, "choice bound", rule.pos, env))
                 if lower is not None and upper is not None and \
                         lower.value > upper.value:
                     raise GroundError("choice bounds violate lower <= upper",
@@ -1045,7 +1183,8 @@ def ground(p: EzProgram) -> GroundProgram:
                     if rp.required and rp.holds_list(env):
                         lists.append(len(rules))
                     rules.append(Rule(h, ground_body, rule.pos))
-    return GroundProgram(tuple(rules), tuple(atoms), index, tuple(lists))
+    return GroundProgram(tuple(rules), tuple(atoms), index, tuple(lists),
+                         terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,6 +1207,7 @@ class VariableDecl:
 
 def collect_var_decls(p: EzProgram) -> List[VariableDecl]:
     """All cspvar declarations in head position, in program order."""
+    terms = p.terms if isinstance(p, GroundProgram) else _Terms()
     decls: List[VariableDecl] = []
     seen: Set[str] = set()
     for r in p.rules:
@@ -1081,14 +1221,13 @@ def collect_var_decls(p: EzProgram) -> List[VariableDecl]:
                 raise GroundError("constraint variable cannot be an integer",
                                   r.pos)
             lo = hi = None
+            key = terms.show_atom(h)
             if len(h.args) == 3:
-                lo = _int_of(h.args[1], "cspvar lower bound", r.pos)
-                hi = _int_of(h.args[2], "cspvar upper bound", r.pos)
+                lo = _int_of(terms, h.args[1], "cspvar lower bound", r.pos)
+                hi = _int_of(terms, h.args[2], "cspvar upper bound", r.pos)
                 if lo > hi:
                     raise GroundError(
-                        f"cspvar range violates lower <= upper: "
-                        f"{display_atom(h)}", r.pos)
-            key = display_atom(h)
+                        f"cspvar range violates lower <= upper: {key}", r.pos)
             if key not in seen:
                 seen.add(key)
                 decls.append(VariableDecl(key, vt, lo, hi))
@@ -1103,38 +1242,41 @@ def expand_lists(p: GroundProgram, decls: Sequence[VariableDecl]
     declared variables with functor f, arity k and the given prefix;
     ``[r(t..)/k]`` over a relation expands to the k-th arguments of the
     matching facts in lexicographic fact order.  Only the rules in
-    `p.lists` are visited; each expanded required atom is named and
-    entered in a copy of the atom table, and every other rule object is
-    kept.  Returns the rewritten program (`p` itself when no rule holds a
-    list) and a list of warnings for empty expansions.
+    `p.lists` are visited; the lists and each expanded required atom are
+    built through the program's term table, the atom is entered in a copy
+    of the atom table, and every other rule object is kept.  Returns the
+    rewritten program (`p` itself when no rule holds a list) and a list of
+    warnings for empty expansions.
     """
     if not p.lists:
         return p, []
-    expander = _ListExpander(p.rules, decls)
+    terms = p.terms
+    expander = _ListExpander(p, decls)
     rules = list(p.rules)
     atoms, index = list(p.atoms), dict(p.index)
     for k in p.lists:
         r = rules[k]
         args = expander.terms(r.head.args, r.pos)
         if args is not r.head.args:
-            a = Atom("required", args)
-            i = index.setdefault(canon_atom(a), len(atoms))
-            if i == len(atoms):
+            a = terms.atom("required", args)
+            if index.setdefault(id(a), len(atoms)) == len(atoms):
                 atoms.append(a)
-            rules[k] = Rule(atoms[i], r.body, r.pos)
-    return (GroundProgram(tuple(rules), tuple(atoms), index, ()),
+            rules[k] = Rule(a, r.body, r.pos)
+    return (GroundProgram(tuple(rules), tuple(atoms), index, (), terms),
             expander.warnings)
 
 
 class _ListExpander:
     """The extensional lists of the intensional lists in the terms of one
     ground program (see `expand_lists`), with the warnings for empty
-    expansions."""
+    expansions.  Members are interned in the program's term table, so that
+    they are told apart by identity."""
 
-    def __init__(self, rules: Sequence[Rule],
+    def __init__(self, p: GroundProgram,
                  decls: Sequence[VariableDecl]) -> None:
-        self.rules = rules
-        self.var_terms = [d.var_term for d in decls]
+        self.program = p
+        self.table = table = p.terms
+        self.var_terms = [table.eval(d.var_term) for d in decls]
         self.var_functors = {(t.functor, len(t.args)) for t in self.var_terms
                              if isinstance(t, Compound)}
         self.facts_by_rel: Dict[Tuple[str, int], List[Atom]] = {}
@@ -1142,16 +1284,16 @@ class _ListExpander:
         self.warnings: List[str] = []
 
     def scan_relations(self) -> None:
-        """Fill rels and facts_by_rel, on the first list over a relation."""
-        for r in self.rules:
-            for h in _head_atoms(r):
-                self.rels.add((h.rel, len(h.args)))
-                if r.is_fact:
-                    self.facts_by_rel.setdefault((h.rel, len(h.args)),
-                                                 []).append(h)
-            for b in r.body:
-                if isinstance(b, Lit):
-                    self.rels.add((b.atom.rel, len(b.atom.args)))
+        """Fill rels and facts_by_rel, on the first list over a relation.
+        The relations are those of the atom table, which holds exactly the
+        atoms of the rules."""
+        p = self.program
+        self.rels = {(a.rel, len(a.args)) for a in p.atoms}
+        for r in p.rules:
+            h = r.head
+            if not r.body and h.__class__ is Atom:
+                self.facts_by_rel.setdefault((h.rel, len(h.args)),
+                                             []).append(h)
 
     def term(self, t: Term, pos: Optional[SourcePos]) -> Term:
         """t with its intensional lists expanded; t itself if it holds
@@ -1159,42 +1301,43 @@ class _ListExpander:
         if isinstance(t, IntensionalList):
             if not all(_is_ground(a) for a in t.prefix):
                 raise GroundError("intensional list prefix not ground", pos)
-            prefix = tuple(_eval_term(a, pos) for a in t.prefix)
+            prefix = tuple([self.table.eval(a, pos) for a in t.prefix])
             if (t.name, t.arity) in self.var_functors:
                 members = [v for v in self.var_terms
                            if isinstance(v, Compound) and v.functor == t.name
                            and len(v.args) == t.arity
                            and v.args[:len(prefix)] == prefix]
-                members = sorted({canon_term(m): m for m in members}.values(),
+                members = sorted({id(m): m for m in members}.values(),
                                  key=term_key)
                 if not members:
                     self.warnings.append(
                         f"empty expansion of [{t.name}/{t.arity}]")
-                return ListTerm(tuple(members))
+                return self.table.list(members)
             if not self.rels:
                 self.scan_relations()
             if (t.name, t.arity) in self.rels:
                 facts = [a for a in self.facts_by_rel.get((t.name, t.arity),
                                                           [])
                          if a.args[:len(prefix)] == prefix]
-                facts = sorted({canon_atom(a): a for a in facts}.values(),
+                facts = sorted({id(a): a for a in facts}.values(),
                                key=lambda a: tuple(term_key(x)
                                                    for x in a.args))
                 if not facts:
                     self.warnings.append(
                         f"empty expansion of [{t.name}/{t.arity}]")
-                return ListTerm(tuple(a.args[t.arity - 1] for a in facts))
+                return self.table.list([a.args[t.arity - 1] for a in facts])
             raise GroundError(
                 f"intensional list over undeclared functor/relation "
                 f"{t.name}/{t.arity}", pos)
         if isinstance(t, Compound):
             args = self.terms(t.args, pos)
-            return t if args is t.args else Compound(t.functor, args)
+            return t if args is t.args else \
+                self.table.compound(t.functor, args)
         if isinstance(t, ListTerm):
             if any(isinstance(a, IntensionalList) for a in t.items):
                 raise GroundError("nested intensional list", pos)
             items = self.terms(t.items, pos)
-            return t if items is t.items else ListTerm(items)
+            return t if items is t.items else self.table.list(items)
         return t
 
     def terms(self, ts: tuple, pos: Optional[SourcePos]) -> tuple:
@@ -1235,6 +1378,8 @@ class CAProgram:
         self.var_decls: Tuple[CADecl, ...] = tuple(var_decls)
         self.suppressed = suppressed          # atom names hidden in ez output
         self.warnings = list(warnings)
+        # seconds per front-end layer, which `ground_stages` fills in
+        self.stage_s: Dict[str, float] = {}
         heads = {r.head for r in pi.rules}
         for cid in self.constraint_order:
             if cid in heads:
@@ -1264,85 +1409,99 @@ class CAProgram:
                 f"D={self.domain[0]}..{self.domain[1]})")
 
 
-def _build_constraint_expr(x: Term, declared: Dict[Term, "fd.VarRef"],
-                           pos: Optional[SourcePos]):
-    """Map a ground required-argument term to a constraint expression;
-    `declared` maps each declared variable term to its reference."""
-    if not isinstance(x, Compound):
-        raise GroundError(f"not a constraint: {display_term(x)}", pos)
-    f = x.functor
-    if f in _CMP_FUNCTORS:
-        if len(x.args) != 2:
-            raise GroundError(f"arity error in comparison {f}", pos)
-        return fd.Cmp(f, _arith(x.args[0], declared, pos),
-                      _arith(x.args[1], declared, pos))
-    if f in _LOGIC_FUNCTORS:
-        want = 1 if f == "not" else 2
-        if len(x.args) != want:
-            raise GroundError(f"arity error in connective {f}", pos)
-        return fd.BoolExpr(f, tuple(_build_constraint_expr(a, declared, pos)
-                                    for a in x.args))
-    kinds = GLOBAL_SIGNATURES.get(f)
-    if kinds is not None:
-        if len(x.args) != len(kinds):
-            raise GroundError(f"arity error in global constraint {f}", pos)
-        args = tuple(_GLOBAL_ARGS[k](a, declared, pos)
-                     for k, a in zip(kinds, x.args))
-        if f == "cumulative" and any(r < 0 for r in args[2]):
-            # fd's compulsory-part profile assumes that use only adds up
-            raise GroundError(f"cumulative resources must be nonnegative, "
-                              f"got {min(args[2])}", pos)
-        return fd.Global(f, args)
-    raise GroundError(f"not a constraint: {display_term(x)}", pos)
+class _Gamma:
+    """The constraint expressions of the required-arguments of one
+    translation.  Each distinct subterm, interned, is built once: the memos
+    key by identity, as does `declared`, which maps each declared variable
+    term to its reference."""
 
+    def __init__(self, terms: _Terms, declared: Dict[int, "fd.VarRef"]):
+        self.terms = terms
+        self.declared = declared
+        self.constraints: Dict[int, object] = {}
+        self.ariths: Dict[int, object] = {}
 
-def _arith(x: Term, declared: Dict[Term, "fd.VarRef"],
-           pos: Optional[SourcePos]):
-    """The arithmetic expression of a ground term."""
-    if isinstance(x, Const) and isinstance(x.value, int):
-        return fd.IntConst(x.value)
-    if isinstance(x, Compound) and x.functor in _ARITH_FUNCTORS:
-        n = 1 if x.functor == "neg" else 2
-        if len(x.args) != n:
-            raise GroundError(f"arity error in {x.functor}", pos)
-        return fd.Arith(x.functor, tuple(_arith(a, declared, pos)
-                                         for a in x.args))
-    ref = declared.get(x)
-    if ref is not None:
-        return ref
-    raise GroundError(
-        f"required-argument references undeclared constraint variable "
-        f"{display_term(x)}", pos)
+    def constraint(self, x: Term):
+        """The constraint expression of a ground required-argument term."""
+        c = self.constraints.get(id(x))
+        if c is None:
+            c = self.constraints[id(x)] = self._constraint(x)
+        return c
 
+    def _constraint(self, x: Term):
+        if not isinstance(x, Compound):
+            raise GroundError(f"not a constraint: {display_term(x)}")
+        f = x.functor
+        if f in _CMP_FUNCTORS:
+            if len(x.args) != 2:
+                raise GroundError(f"arity error in comparison {f}")
+            return fd.Cmp(f, self.arith(x.args[0]), self.arith(x.args[1]))
+        if f in _LOGIC_FUNCTORS:
+            want = 1 if f == "not" else 2
+            if len(x.args) != want:
+                raise GroundError(f"arity error in connective {f}")
+            return fd.BoolExpr(f, tuple([self.constraint(a)
+                                         for a in x.args]))
+        kinds = GLOBAL_SIGNATURES.get(f)
+        if kinds is not None:
+            if len(x.args) != len(kinds):
+                raise GroundError(f"arity error in global constraint {f}")
+            args = tuple([_GLOBAL_ARGS[k](self, a)
+                          for k, a in zip(kinds, x.args)])
+            if f == "cumulative" and any(r < 0 for r in args[2]):
+                # fd's compulsory-part profile assumes that use only adds up
+                raise GroundError(f"cumulative resources must be "
+                                  f"nonnegative, got {min(args[2])}")
+            return fd.Global(f, args)
+        raise GroundError(f"not a constraint: {display_term(x)}")
 
-def _var_list(x: Term, declared: Dict[Term, "fd.VarRef"],
-              pos: Optional[SourcePos]) -> tuple:
-    if not isinstance(x, ListTerm):
-        raise GroundError("expected a list argument", pos)
-    return tuple(_arith(i, declared, pos) for i in x.items)
+    def arith(self, x: Term):
+        """The arithmetic expression of a ground term."""
+        e = self.ariths.get(id(x))
+        if e is None:
+            e = self.ariths[id(x)] = self._arith(x)
+        return e
 
+    def _arith(self, x: Term):
+        if isinstance(x, Const) and isinstance(x.value, int):
+            return fd.IntConst(x.value)
+        if isinstance(x, Compound) and x.functor in _ARITH_FUNCTORS:
+            n = 1 if x.functor == "neg" else 2
+            if len(x.args) != n:
+                raise GroundError(f"arity error in {x.functor}")
+            return fd.Arith(x.functor, tuple([self.arith(a)
+                                              for a in x.args]))
+        ref = self.declared.get(id(x))
+        if ref is not None:
+            return ref
+        raise GroundError(
+            f"required-argument references undeclared constraint variable "
+            f"{display_term(x)}")
 
-def _int_list(x: Term, declared: Dict[Term, "fd.VarRef"],
-              pos: Optional[SourcePos]) -> tuple:
-    if not isinstance(x, ListTerm):
-        raise GroundError("expected a list argument", pos)
-    return tuple(_int_of(i, "list element", pos) for i in x.items)
+    def var_list(self, x: Term) -> tuple:
+        if not isinstance(x, ListTerm):
+            raise GroundError("expected a list argument")
+        return tuple([self.arith(i) for i in x.items])
 
+    def int_list(self, x: Term) -> tuple:
+        if not isinstance(x, ListTerm):
+            raise GroundError("expected a list argument")
+        return tuple([_int_of(self.terms, i, "list element")
+                      for i in x.items])
 
-def _cmp_name(x: Term, declared: Dict[Term, "fd.VarRef"],
-              pos: Optional[SourcePos]) -> str:
-    if isinstance(x, Const) and isinstance(x.value, str):
-        if x.value in fd.CMP_NAMES:
-            return x.value
-        if x.value in CMP_OPS:
-            return CMP_OPS[x.value]
-    raise GroundError(f"expected a comparison operator, got "
-                      f"{display_term(x)}", pos)
+    def cmp_name(self, x: Term) -> str:
+        if isinstance(x, Const) and isinstance(x.value, str):
+            if x.value in fd.CMP_NAMES:
+                return x.value
+            if x.value in CMP_OPS:
+                return CMP_OPS[x.value]
+        raise GroundError(f"expected a comparison operator, got "
+                          f"{display_term(x)}")
 
 
 # the builder of each argument kind of `GLOBAL_SIGNATURES`
-_GLOBAL_ARGS = {"term": _arith, "term_list": _var_list,
-                "int_list": _int_list, "comparison": _cmp_name}
+_GLOBAL_ARGS = {"term": _Gamma.arith, "term_list": _Gamma.var_list,
+                "int_list": _Gamma.int_list, "comparison": _Gamma.cmp_name}
 
 
 def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
@@ -1354,14 +1513,18 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     distinct required atoms) and turns each into propositional rules over
     atom ids: a choice rule into one rule per element and the denials of
     its bounds.  The atoms are keyed by identity, which the program's table
-    makes one object per canonical name, so the distinct required atoms
-    are told apart without naming their arguments again.  An
-    `asp.AtomIds` table numbers the keys in order of first occurrence and
-    names each once, with `display_atom`; atoms shown alike are one atom,
+    makes one object per distinct atom, so the distinct required atoms are
+    told apart without naming their arguments.  An `asp.AtomIds` table
+    numbers the keys in order of first occurrence and names each once, as
+    `display_atom` does, from the display texts that the program's term
+    table memoizes per distinct subterm; atoms shown alike are one atom,
     and a choice rule's bounds count its elements after that merge.  The
-    constraint expressions are built after the walk, and then the two
-    linking denials of each required atom.
+    constraint expressions are built after the walk, each distinct subterm
+    once (`_Gamma`), and then the two linking denials of each required
+    atom.  A program whose terms are not interned has the required
+    arguments and declared variables it reads interned first.
     """
+    terms = p.terms
     atoms = {id(a): a for a in p.atoms}
     # the key of each distinct required atom, with its first rule, and the
     # display name of its argument; its constraint atom has the key ~key
@@ -1373,9 +1536,9 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
             return f"|{shown[~key]}|"
         a = atoms[key]
         if a.rel == "required":
-            s = shown[key] = display_term(a.args[0])
+            s = shown[key] = terms.show(a.args[0])[0]
             return f"required({s})"
-        return display_atom(a)
+        return terms.show_atom(a)
 
     # constraint and ez atoms live in reserved name spaces (|..| and
     # required(..)), so the three alphabets are disjoint by construction
@@ -1436,9 +1599,14 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     for r in required.values():
         if isinstance(r.head.args[0], IntensionalList):
             raise GroundError("unexpanded intensional list", r.pos)
-    declared = {d.var_term: fd.VarRef(d.var) for d in decls}
-    gamma = {key: _build_constraint_expr(r.head.args[0], declared, None)
-             for key, r in required.items()}
+    var_names = [terms.name(d.var_term) for d in decls]
+    build = _Gamma(terms, {id(terms.eval(d.var_term)): fd.VarRef(v)
+                           for d, v in zip(decls, var_names)})
+    gamma = {}
+    for key, r in required.items():
+        arg = r.head.args[0]
+        gamma[key] = build.constraint(
+            arg if id(arg) in terms.ids else terms.eval(arg))
     if too_large is not None:
         raise too_large
 
@@ -1448,8 +1616,8 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     pi = ids.program(out)
 
     # a declaration atom that never materialized in a rule is always active
-    ca_decls = [CADecl(pi.index.get(d.atom), d.var, d.lo, d.hi)
-                for d in decls]
+    ca_decls = [CADecl(pi.index.get(d.atom), v, d.lo, d.hi)
+                for d, v in zip(decls, var_names)]
     betas = [f"|{shown[k]}|" for k in required]
     return CAProgram(pi, betas,
                      {b: gamma[k] for b, k in zip(betas, required)},
@@ -1497,20 +1665,32 @@ def ground_stages(source: Union[str, EzProgram],
     """Full pipeline: parse (if text), preprocess, ground, expand lists,
     translate to a CA program.  Returns the ground, list-expanded program
     (what `--dump-ground` prints) and the CA program, which carries the
-    expansion warnings."""
+    expansion warnings and, in `stage_s`, the seconds spent in each layer:
+    `parse_s` (parse and preprocess), `ground_s` (ground) and
+    `translate_s` (collect_var_decls, expand_lists and to_ca_program)."""
+    clock = time.perf_counter
+    start = clock()
     p = parse(source) if isinstance(source, str) else source
+    parse_s = clock() - start
     # grounding would merge the duplicates before to_ca_program sees them
     n_domain_facts = sum(
         1 for r in p.rules
         if isinstance(r.head, Atom) and r.head.rel == "cspdomain")
     if n_domain_facts > 1:
         raise GroundError("duplicate cspdomain fact")
+    start = clock()
     p = preprocess(p)
+    grounding = clock()
     g = ground(p)
+    translating = clock()
     decls = collect_var_decls(g)
     expanded, warnings = expand_lists(g, decls)
     ca = to_ca_program(expanded, decls, default_range)
+    end = clock()
     ca.warnings.extend(warnings)
+    ca.stage_s = {"parse_s": parse_s + grounding - start,
+                  "ground_s": translating - grounding,
+                  "translate_s": end - translating}
     return expanded, ca
 
 

@@ -495,6 +495,9 @@ def test_stats_file(tmp_path, capsys, path, n):
     assert written["rules"] == len(program.pi.rules)
     assert written["stats"] == vars(res.stats)
     assert written["ground_stages_s"] > 0 and written["solve_ca_s"] > 0
+    layers = [written[k] for k in ("parse_s", "ground_s", "translate_s")]
+    assert all(t >= 0 for t in layers)
+    assert sum(layers) <= written["ground_stages_s"]
 
 
 def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):

@@ -1,23 +1,31 @@
 import collections
 import gc
 import pathlib
+import sys
 import types
 
 import pytest
 
 from ezcasp import fd, oracle
+from ezcasp import ground as ground_mod
 from ezcasp.asp import RuleP, enumerate_answer_sets_bruteforce
-from ezcasp.ground import (GroundError, VariableDecl, canon_atom,
-                           canon_term, display_atom, display_term,
-                           expand_lists, ground, ground_program, term_key)
+from ezcasp.ground import (GroundError, GroundProgram, VariableDecl,
+                           canon_atom, canon_term, display_atom, display_term,
+                           expand_lists, ground, ground_program,
+                           ground_stages, term_key)
 from ezcasp.engine import SchemaConfig, solve_ca
-from ezcasp.lang import (GLOBAL_SIGNATURES, Atom, Compound, Const,
-                         EzProgram, EzSyntaxError, IntensionalList, Lit,
-                         ListTerm, Rule, parse, preprocess)
+from ezcasp.lang import (GLOBAL_SIGNATURES, Atom, Choice, ChoiceElem,
+                         Compound, Const, EzProgram, EzSyntaxError,
+                         IntensionalList, Lit, ListTerm, Rule, parse,
+                         preprocess)
+from ezcasp.lang import _subterms as lang_subterms
 
 from bruteforce import brute_ground, library_ground_canon
 from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ
 from ground_gen import random_nonground_source
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _ground_text(text: str) -> EzProgram:
@@ -202,8 +210,8 @@ def test_failed_hoisted_run_is_undone_and_redone(monkeypatch):
     pops = []
     pop = _Table.pop
     monkeypatch.setattr(_Table, "pop",
-                        lambda self, name: (pops.append(name),
-                                            pop(self, name)))
+                        lambda self: (pops.append(canon_atom(self.atoms[-1])),
+                                      pop(self)))
     p = preprocess(parse("a(1). a(0). b(1,5). d(10). "
                          "q(X,Y) :- a(X), Z = 10 / X, b(X,Y)."))
     g = ground(p)
@@ -722,3 +730,96 @@ def test_global_constraint_arity(name):
         with pytest.raises(GroundError,
                            match=f"arity error in global constraint {name}"):
             required(bad)
+
+
+# -- interned terms ----------------------------------------------------------
+
+def _sched_text() -> str:
+    """The text of the first instance of perfbench's `sched` workload."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return gen.workload("sched", 1)[0].text
+
+
+def _interning_cases():
+    return [(p.stem, p.read_text()) for p in sorted(ENCODINGS.glob("*.ez"))] \
+        + [("sched", _sched_text())]
+
+
+def _program_terms(g):
+    """Every atom of g's rules and of its atom table, and every subterm of
+    their arguments."""
+    atoms = list(g.atoms)
+    for r in g.rules:
+        atoms.extend(ground_mod._head_atoms(r))
+        atoms.extend(b.atom for b in r.body)
+    return atoms, [s for a in atoms for t in a.args for s in lang_subterms(t)]
+
+
+@pytest.mark.parametrize("name, text", _interning_cases(),
+                         ids=[n for n, _ in _interning_cases()])
+def test_equal_ground_terms_are_one_object(name, text):
+    expanded, _ = ground_stages(text)
+    atoms, terms = _program_terms(expanded)
+    by_value = collections.defaultdict(set)
+    for t in terms:
+        by_value[t].add(id(t))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    table = {id(a) for a in expanded.atoms}
+    assert len(set(expanded.atoms)) == len(table) == len(expanded.atoms)
+    assert {id(a) for a in atoms} == table
+    # a second call shares no atom or term with the first
+    again, _ = ground_stages(text)
+    atoms2, terms2 = _program_terms(again)
+    assert not {id(x) for x in atoms + terms} & \
+        {id(x) for x in atoms2 + terms2}
+
+
+def _fresh(t):
+    """A copy of the ground term t that shares no object with it."""
+    if isinstance(t, Const):
+        return Const(t.value)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(map(_fresh, t.args)))
+    if isinstance(t, ListTerm):
+        return ListTerm(tuple(map(_fresh, t.items)))
+    # the table keeps a required atom that list expansion replaced
+    return IntensionalList(t.name, tuple(map(_fresh, t.prefix)), t.arity)
+
+
+def _not_interned(g):
+    """g with every term copied apart from every other, and no term table;
+    each distinct atom is still one object, as `GroundProgram` requires."""
+    new = {id(a): Atom(a.rel, tuple(map(_fresh, a.args))) for a in g.atoms}
+    rules = []
+    for r in g.rules:
+        head = r.head
+        if isinstance(head, Atom):
+            head = new[id(head)]
+        elif isinstance(head, Choice):
+            head = Choice(head.lower, tuple(ChoiceElem(new[id(e.atom)], ())
+                                            for e in head.elems), head.upper)
+        rules.append(Rule(head, tuple(Lit(b.kind, new[id(b.atom)])
+                                      for b in r.body), r.pos))
+    atoms = tuple(new[id(a)] for a in g.atoms)
+    return GroundProgram(tuple(rules), atoms,
+                         {id(a): i for i, a in enumerate(atoms)}, ())
+
+
+@pytest.mark.parametrize("name, text", _interning_cases(),
+                         ids=[n for n, _ in _interning_cases()])
+def test_translation_accepts_terms_that_are_not_interned(name, text):
+    expanded, _ = ground_stages(text)
+    plain = _not_interned(expanded)
+    # no term object occurs twice in the atom table: a declared variable,
+    # say, is one object in its declaration and another in each constraint
+    terms = [s for a in plain.atoms for t in a.args for s in lang_subterms(t)]
+    assert len({id(t) for t in terms}) == len(terms)
+    assert plain == expanded and not plain.terms.ids
+    want = ground_mod.to_ca_program(
+        expanded, ground_mod.collect_var_decls(expanded))
+    got = ground_mod.to_ca_program(plain, ground_mod.collect_var_decls(plain))
+    assert ca_program_text(got) == ca_program_text(want)
