@@ -9,19 +9,26 @@ else binds).  Joins look up hash indexes on their bound argument positions,
 a built-in runs as soon as its variables are bound, and the fact and
 possible-atom fixpoints re-instantiate a rule only when a relation it reads
 has grown; the ground rules come out in the order of the plain nested-loop
-instantiation (`_plan_rule`'s reference order).  Each ground atom is built
-and named once: a head once per binding of its variables in a rule run, a
-body literal once per binding of its own variables at emission.  `ground`
-returns a `GroundProgram`: the rules plus an atom table, in which each
-distinct atom is one object with an id in insertion order, entered under
-the canonical name the grounder computed.  `expand_lists` replaces
+instantiation (`_plan_rule`'s reference order).
+
+Ground terms are hash-consed: one `_Terms` table per `ground` call builds
+every ground term and atom, so that equal ones are one object, and the
+possible-atom tables, their join indexes and every cache of the grounder
+and of translation key by identity.  A term with a variable or a range is
+never interned.  Each ground atom is built once: a head once per binding
+of its variables in a rule run, a body literal once per binding of its own
+variables at emission; the grounder names none.  `ground` returns a
+`GroundProgram`: the rules, an atom table in which each distinct atom has
+an id in insertion order, and the term table.  `expand_lists` replaces
 intensional lists by their extensional representation, visiting only the
 rules whose required head holds one; `to_ca_program` maps the ground
-program to a CA program in one walk over its rules, without naming a
-required-argument again: constraint-variable declarations, one constraint
-atom per distinct required atom with its constraint expression, and the two
-linking denials per required atom.  Display names come from one printer,
-`display_term`.  `ground_stages` runs the whole pipeline.
+program to a CA program in one walk over its rules: constraint-variable
+declarations, one constraint atom per distinct required atom with its
+constraint expression, and the two linking denials per required atom.  The
+term table memoizes the display text of each distinct subterm, and
+translation builds the constraint expression of each distinct subterm
+once.  Display names come from one printer, `display_term`.
+`ground_stages` runs the whole pipeline and times its layers.
 
 Safety: every variable of a rule must be bound by a positive non-builtin body
 atom or, transitively, by a `Var = arithmetic` built-in over bound variables.
@@ -113,7 +120,10 @@ def canon_term(t: Term) -> str:
 
 
 def canon_atom(a: Atom) -> str:
-    return _Terms().name_atom(a)
+    if not a.args:
+        return a.rel
+    name = _Terms().name
+    return f"{a.rel}({','.join([name(t) for t in a.args])})"
 
 
 _SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}   # read per node
@@ -187,17 +197,12 @@ class _Terms:
         self.names: Dict[int, str] = {}
         self.shown: Dict[int, Tuple[str, Optional[str], Optional[int]]] = {}
 
-    def _const(self, c: Const) -> Const:
-        """The interned constant of c's value; c itself if there is none."""
-        d = self.terms.get(c.value)
-        if d is None:
-            d = self.terms[c.value] = c
-            self.ids.add(id(c))
-        return d
-
     def const(self, v: Union[int, str]) -> Const:
         c = self.terms.get(v)
-        return c if c is not None else self._const(Const(v))
+        if c is None:
+            c = self.terms[v] = Const(v)
+            self.ids.add(id(c))
+        return c
 
     def _new(self, key: tuple, t: Term) -> Term:
         """t, which has no entry, interned under key if its children are
@@ -227,16 +232,12 @@ class _Terms:
                     args.append(env.get(a.name, a))
                 elif cls is Const:
                     c = terms.get(a.value)
-                    args.append(c if c is not None else self._const(a))
+                    args.append(c if c is not None else self.const(a.value))
                 else:
                     args.append(self.eval(a, pos, env))
-            key = (t.functor, *map(id, args))
-            c = terms.get(key)
-            return c if c is not None else \
-                self._new(key, Compound(t.functor, tuple(args)))
+            return self.compound(t.functor, args)
         if cls is Const:
-            c = self.terms.get(t.value)
-            return c if c is not None else self._const(t)
+            return self.const(t.value)
         if cls is OpExpr:
             return self.const(self._arith(t, pos, env))
         if cls is ListTerm:
@@ -290,19 +291,14 @@ class _Terms:
             self._new(key, Compound(functor, tuple(args)))
 
     def atom(self, rel: str, args: Sequence[Term]) -> Atom:
-        """The table's atom rel(args).  Arguments that are not interned are
-        first named, which fails as `canon_atom` does on a term that is not
-        ground, and then interned."""
+        """The table's atom rel(args).  Each argument comes from `eval`, so
+        one that is not interned holds a range or a variable, and naming the
+        atom then fails as `canon_atom` does."""
         key = (rel, *map(id, args))
         a = self.atoms.get(key)
         if a is None:
             if not self.ids.issuperset(key[1:]):
                 canon_atom(Atom(rel, tuple(args)))
-                args = [self.eval(t) for t in args]
-                key = (rel, *map(id, args))
-                a = self.atoms.get(key)
-                if a is not None:
-                    return a
             a = self.atoms[key] = Atom(rel, tuple(args))
         return a
 
@@ -314,11 +310,6 @@ class _Terms:
             if id(t) in self.ids:
                 self.names[id(t)] = s
         return s
-
-    def name_atom(self, a: Atom) -> str:
-        if not a.args:
-            return a.rel
-        return f"{a.rel}({','.join([self.name(t) for t in a.args])})"
 
     def show(self, t: Term) -> Tuple[str, Optional[str], Optional[int]]:
         """The display text of t, with its operator and value (`_shown`)."""

@@ -10,8 +10,11 @@ argument the full expression grammar is available (arithmetic, comparisons,
 reified connectives, extensional/intensional lists, global constraints).
 
 `_subterms` is the one walker over the children of a term; every traversal
-of the grounder that needs all of them goes through it.  The parser reads
-every separated list with one helper, `_Parser._seq`.
+of the grounder that needs all of them goes through it.  `_tokenize` scans
+the text with one compiled pattern and gives each token as a tuple (kind,
+text, line, col); an integer is a run of decimal digits.  The parser builds
+a `SourcePos` only for a rule or an error, and reads every separated list
+with one helper, `_Parser._seq`.
 
 Everything here is pure and operates on immutable values; parse / preprocess /
 pretty_print may be called concurrently from any number of threads.
