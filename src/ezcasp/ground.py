@@ -11,8 +11,8 @@ possible-atom fixpoints re-instantiate a rule only when a relation it reads
 has grown; the ground rules come out in the order of the plain nested-loop
 instantiation (`_plan_rule`'s reference order).
 
-Ground terms are hash-consed: one `_Terms` table per `ground` call builds
-every ground term and atom, so that equal ones are one object, and the
+Ground terms are hash-consed: one `terms._Terms` table per `ground` call
+builds every ground term and atom, so that equal ones are one object, and the
 possible-atom tables, their join indexes and every cache of the grounder
 and of translation key by identity.  A term with a variable or a range is
 never interned.  Each ground atom is built once: a head once per binding
@@ -53,10 +53,11 @@ from .asp import AtomIds, RegularProgram, RuleP
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
-    SourcePos, Term, Var, ARITH_OPS, CANON_FUNCTORS, CMP_OPS,
-    GLOBAL_SIGNATURES, LOGIC_OPS, _print_term, _subterms, display_op,
-    needs_parens, parse, preprocess,
+    SourcePos, Term, Var, ARITH_OPS, CMP_OPS, GLOBAL_SIGNATURES, LOGIC_OPS,
+    _subterms, parse, preprocess,
 )
+from .terms import (GroundError, _Terms, canon_atom, canon_term,
+                    display_atom, display_term, term_key)
 
 __all__ = [
     "GroundError", "GroundProgram", "VariableDecl", "CAProgram",
@@ -75,256 +76,9 @@ _CMP_FUNCTORS = set(CMP_OPS.values())
 _LOGIC_FUNCTORS = set(LOGIC_OPS.values())
 
 
-class GroundError(Exception):
-    def __init__(self, msg: str, pos: Optional[SourcePos] = None):
-        self.pos = pos
-        super().__init__(f"{pos}: {msg}" if pos else msg)
-
-
 # ---------------------------------------------------------------------------
-# Ground-term utilities
+# Term utilities
 # ---------------------------------------------------------------------------
-
-def term_key(t: Term):
-    """Lexicographic term order: integers numerically, then symbolic
-    constants by name, then compounds by (functor, arity, args)."""
-    if isinstance(t, Const):
-        if isinstance(t.value, int):
-            return (0, t.value)
-        return (1, t.value)
-    if isinstance(t, Compound):
-        return (2, t.functor, len(t.args), tuple(term_key(a) for a in t.args))
-    if isinstance(t, ListTerm):
-        return (3, len(t.items), tuple(term_key(a) for a in t.items))
-    raise GroundError(f"no order for non-ground term {t!r}")
-
-
-def _name(t: Term, sub) -> str:
-    """The canonical name of a ground term; `sub` names its children."""
-    if isinstance(t, Const):
-        return str(t.value)
-    if isinstance(t, Compound):
-        return f"{t.functor}({','.join([sub(a) for a in t.args])})"
-    if isinstance(t, ListTerm):
-        return f"[{','.join([sub(a) for a in t.items])}]"
-    if isinstance(t, IntensionalList):
-        inner = t.name
-        if t.prefix:
-            inner += f"({','.join([sub(a) for a in t.prefix])})"
-        return f"[{inner}/{t.arity}]"
-    raise GroundError(f"cannot intern non-ground term {t!r}")
-
-
-def canon_term(t: Term) -> str:
-    return _Terms().name(t)
-
-
-def canon_atom(a: Atom) -> str:
-    if not a.args:
-        return a.rel
-    name = _Terms().name
-    return f"{a.rel}({','.join([name(t) for t in a.args])})"
-
-
-_SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}   # read per node
-
-
-def _shown(t: Term, sub) -> Tuple[str, Optional[str], Optional[int]]:
-    """The display text of t: canonical operator functors are shown as
-    surface operators, parenthesized as the parser reads them, and `neg` of
-    an integer as the negative integer.  Also returns the operator of t if
-    it is shown as a binary operation, and its value if it is shown as an
-    integer.  `sub` gives the same for each child."""
-    if isinstance(t, Const):
-        v = t.value
-        return str(v), None, v if isinstance(v, int) else None
-    if isinstance(t, Compound):
-        f, args = t.functor, t.args
-        op = _SHOWN_OPS.get(f)
-        if op is not None and len(args) == 2:
-            lhs, lop, _ = sub(args[0])
-            rhs, rop, _ = sub(args[1])
-            if lop is not None and needs_parens(lop, op, "left"):
-                lhs = f"({lhs})"
-            if rop is not None and needs_parens(rop, op, "right"):
-                rhs = f"({rhs})"
-            return f"{lhs} {op} {rhs}", op, None
-        if len(args) == 1 and f in ("neg", "not"):
-            arg, aop, v = sub(args[0])
-            if f == "neg" and v is not None:
-                return str(-v), None, -v
-            if aop is not None and needs_parens(aop, op, "right"):
-                arg = f"({arg})"
-            return op + arg, None, None
-        return f"{f}({','.join([sub(a)[0] for a in args])})", None, None
-    if isinstance(t, ListTerm):
-        return f"[{','.join([sub(a)[0] for a in t.items])}]", None, None
-    # no canonical functor is shown inside any other term
-    op = t.op if isinstance(t, OpExpr) and len(t.args) == 2 else None
-    return _print_term(t), op, None
-
-
-def display_term(t: Term) -> str:
-    """How a term is shown to users: as `_shown` prints it."""
-    return _Terms().show(t)[0]
-
-
-def display_atom(a: Atom) -> str:
-    return _Terms().show_atom(a)
-
-
-class _Terms:
-    """The ground terms of one grounding, one object per distinct term, and
-    memos of their canonical names and display texts.
-
-    A constant is keyed by its value (integers and symbols never compare
-    equal), a compound by its functor and the identities of its arguments,
-    a list by the identities of its items, an intensional list by its name
-    and arity and the identities of its prefix, and an atom, in a table of
-    its own, by its relation and the identities of its arguments.  `eval`
-    builds every term through the table; a term with a variable or a range
-    is never interned.  The memos key by identity and keep only interned
-    terms, which the table keeps alive, so an identity never outlives its
-    term; the public functions make a table for one call, which memoizes
-    nothing."""
-
-    __slots__ = ("terms", "atoms", "ids", "names", "shown")
-
-    def __init__(self) -> None:
-        self.terms: Dict[object, Term] = {}
-        self.atoms: Dict[tuple, Atom] = {}
-        self.ids: Set[int] = set()            # identities of interned terms
-        self.names: Dict[int, str] = {}
-        self.shown: Dict[int, Tuple[str, Optional[str], Optional[int]]] = {}
-
-    def const(self, v: Union[int, str]) -> Const:
-        c = self.terms.get(v)
-        if c is None:
-            c = self.terms[v] = Const(v)
-            self.ids.add(id(c))
-        return c
-
-    def _new(self, key: tuple, t: Term) -> Term:
-        """t, which has no entry, interned under key if its children are
-        (key[1:] holds their identities); otherwise t as it is."""
-        if self.ids.issuperset(key[1:]):
-            self.terms[key] = t
-            self.ids.add(id(t))
-        return t
-
-    def eval(self, t: Term, pos: Optional[SourcePos] = None,
-             env: Optional[Dict[str, Term]] = None) -> Term:
-        """t with built-in arithmetic evaluated, built through the table;
-        OpExpr nodes must reduce to integers.  With `env`, the variables of
-        t are replaced by their bound values, which are ground and
-        evaluated already; a variable that `env` does not bind is left as
-        it is."""
-        cls = t.__class__
-        if cls is Var:
-            return t if env is None else env.get(t.name, t)
-        if cls is Compound:
-            # the arguments, variables and constants without a call
-            terms = self.terms
-            args = []
-            for a in t.args:
-                cls = a.__class__
-                if cls is Var and env is not None:
-                    args.append(env.get(a.name, a))
-                elif cls is Const:
-                    c = terms.get(a.value)
-                    args.append(c if c is not None else self.const(a.value))
-                else:
-                    args.append(self.eval(a, pos, env))
-            return self.compound(t.functor, args)
-        if cls is Const:
-            return self.const(t.value)
-        if cls is OpExpr:
-            return self.const(self._arith(t, pos, env))
-        if cls is ListTerm:
-            return self.list([self.eval(a, pos, env) for a in t.items])
-        if cls is IntensionalList:
-            prefix = [self.eval(a, pos, env) for a in t.prefix]
-            key = ((t.name, t.arity), *map(id, prefix))
-            c = self.terms.get(key)
-            return c if c is not None else self._new(
-                key, IntensionalList(t.name, tuple(prefix), t.arity))
-        if cls is RangeTerm:
-            return RangeTerm(self.eval(t.lo, pos, env),
-                             self.eval(t.hi, pos, env))
-        return t
-
-    def _arith(self, t: OpExpr, pos: Optional[SourcePos],
-               env: Optional[Dict[str, Term]]) -> int:
-        """The integer value of a built-in arithmetic operation."""
-        vals = []
-        for a in [self.eval(a, pos, env) for a in t.args]:
-            if not (isinstance(a, Const) and isinstance(a.value, int)):
-                raise GroundError(f"arithmetic on non-integer term "
-                                  f"{display_term(a)}", pos)
-            vals.append(a.value)
-        if t.op == "-" and len(vals) == 1:
-            return -vals[0]
-        a, b = vals[0], vals[1]
-        if t.op == "+":
-            return a + b
-        if t.op == "-":
-            return a - b
-        if t.op == "*":
-            return a * b
-        if t.op == "/":
-            if b == 0:
-                raise GroundError("division by zero in built-in arithmetic",
-                                  pos)
-            q = abs(a) // abs(b)
-            return q if (a >= 0) == (b >= 0) else -q
-        raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
-
-    def list(self, items: Sequence[Term]) -> ListTerm:
-        key = (ListTerm, *map(id, items))
-        c = self.terms.get(key)
-        return c if c is not None else self._new(key, ListTerm(tuple(items)))
-
-    def compound(self, functor: str, args: Sequence[Term]) -> Compound:
-        key = (functor, *map(id, args))
-        c = self.terms.get(key)
-        return c if c is not None else \
-            self._new(key, Compound(functor, tuple(args)))
-
-    def atom(self, rel: str, args: Sequence[Term]) -> Atom:
-        """The table's atom rel(args).  Each argument comes from `eval`, so
-        one that is not interned holds a range or a variable, and naming the
-        atom then fails as `canon_atom` does."""
-        key = (rel, *map(id, args))
-        a = self.atoms.get(key)
-        if a is None:
-            if not self.ids.issuperset(key[1:]):
-                canon_atom(Atom(rel, tuple(args)))
-            a = self.atoms[key] = Atom(rel, tuple(args))
-        return a
-
-    def name(self, t: Term) -> str:
-        """The canonical name of t (`_name`)."""
-        s = self.names.get(id(t))
-        if s is None:
-            s = _name(t, self.name)
-            if id(t) in self.ids:
-                self.names[id(t)] = s
-        return s
-
-    def show(self, t: Term) -> Tuple[str, Optional[str], Optional[int]]:
-        """The display text of t, with its operator and value (`_shown`)."""
-        r = self.shown.get(id(t))
-        if r is None:
-            r = _shown(t, self.show)
-            if id(t) in self.ids:
-                self.shown[id(t)] = r
-        return r
-
-    def show_atom(self, a: Atom) -> str:
-        if not a.args:
-            return a.rel
-        return f"{a.rel}({','.join([self.show(t)[0] for t in a.args])})"
-
 
 def _is_ground(t: Term) -> bool:
     return not any(isinstance(s, Var) for s in _subterms(t))
@@ -1412,6 +1166,12 @@ class _Gamma:
         self.constraints: Dict[int, object] = {}
         self.ariths: Dict[int, object] = {}
 
+    def gamma(self, required: Dict[int, Rule]) -> Dict[int, object]:
+        """The constraint expression of each required atom's argument, by
+        the atom's key."""
+        return {key: self.constraint(r.head.args[0])
+                for key, r in required.items()}
+
     def constraint(self, x: Term):
         """The constraint expression of a ground required-argument term."""
         c = self.constraints.get(id(x))
@@ -1462,7 +1222,9 @@ class _Gamma:
                 raise GroundError(f"arity error in {x.functor}")
             return fd.Arith(x.functor, tuple([self.arith(a)
                                               for a in x.args]))
-        ref = self.declared.get(id(x))
+        # a term that is not interned is found by its interned copy
+        ref = self.declared.get(id(x)) or \
+            self.declared.get(id(self.terms.eval(x)))
         if ref is not None:
             return ref
         raise GroundError(
@@ -1512,8 +1274,8 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     and a choice rule's bounds count its elements after that merge.  The
     constraint expressions are built after the walk, each distinct subterm
     once (`_Gamma`), and then the two linking denials of each required
-    atom.  A program whose terms are not interned has the required
-    arguments and declared variables it reads interned first.
+    atom.  In a program whose terms are not interned, a declared variable
+    is found through its interned copy.
     """
     terms = p.terms
     atoms = {id(a): a for a in p.atoms}
@@ -1573,6 +1335,8 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
             except GroundError as exc:
                 too_large = exc
 
+    # every atom is named: the display texts are needed no more
+    terms.shown.clear()
     if len(domain_args) > 1:
         raise GroundError("duplicate cspdomain fact")
     if not domain_args:
@@ -1591,13 +1355,9 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
         if isinstance(r.head.args[0], IntensionalList):
             raise GroundError("unexpanded intensional list", r.pos)
     var_names = [terms.name(d.var_term) for d in decls]
-    build = _Gamma(terms, {id(terms.eval(d.var_term)): fd.VarRef(v)
-                           for d, v in zip(decls, var_names)})
-    gamma = {}
-    for key, r in required.items():
-        arg = r.head.args[0]
-        gamma[key] = build.constraint(
-            arg if id(arg) in terms.ids else terms.eval(arg))
+    gamma = _Gamma(terms, {id(terms.eval(d.var_term)): fd.VarRef(v)
+                           for d, v in zip(decls, var_names)}
+                   ).gamma(required)
     if too_large is not None:
         raise too_large
 
