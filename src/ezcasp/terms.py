@@ -5,9 +5,9 @@ term order.
 `_Terms` is the table.  It builds every ground term and atom that the
 grounder makes, so equal ones are one object, and it memoizes the
 canonical name and display text of each distinct interned subterm.
-`canon_term`, `display_term` and `term_key` accept any ground term; the
-first two make a table for the one call.  `ezcasp.ground` re-exports the
-public names.
+`canon_term`, `canon_atom`, `display_term`, `display_atom` and `term_key`
+accept any ground term; all but the last make a table for the one call.
+`ezcasp.ground` re-exports the public names.
 """
 
 from __future__ import annotations
