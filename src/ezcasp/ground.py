@@ -35,7 +35,9 @@ atom or, transitively, by a `Var = arithmetic` built-in over bound variables.
 Choice-element and aggregate-item conditions bind their local variables by
 matching established facts.
 
-Everything is a pure transformation over immutable inputs.
+Everything is a pure transformation over immutable inputs, apart from a
+ground program's term table, which each `ground` call makes afresh and the
+later stages extend.
 """
 
 from __future__ import annotations

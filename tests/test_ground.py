@@ -396,10 +396,11 @@ def _subterms(t):
 
 
 def test_list_free_translation_walks_no_required_argument(monkeypatch):
-    # the grounder has named every atom: list expansion keeps every rule
-    # object, and translation neither names nor checks a required-argument
-    # or any of its compound subterms again (constants are shared with the
-    # declarations, whose variables are named)
+    # list expansion keeps every rule object, and translation neither
+    # names nor checks a required-argument or any of its compound subterms:
+    # atoms are keyed by identity, and the declared variables, which are
+    # shared with the required-arguments, are named through the program's
+    # term table
     from ezcasp import ground as ground_mod
     g = _ground_text(RIDDLE_EZ)
     decls = ground_mod.collect_var_decls(g)
