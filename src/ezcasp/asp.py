@@ -237,15 +237,21 @@ def is_answer_set(prog: RegularProgram, x_atoms: Iterable[str]) -> bool:
     return _is_answer_set_mask(prog.rule_masks(), prog.mask_of(x_atoms))
 
 
-def enumerate_answer_sets_bruteforce(prog: RegularProgram,
-                                     bound: int = 20) -> List[FrozenSet[str]]:
-    """All answer sets by exhausting subsets of At; lexicographic order."""
-    n = prog.n_atoms
-    if n > bound:
-        raise ValueError(f"atom bound exceeded: {n} > {bound}")
+def _answer_set_masks(prog: RegularProgram) -> List[int]:
+    """The answer sets of `prog` as atom masks, in increasing order, by
+    exhausting the subsets of At."""
     masks = prog.rule_masks()
-    found = [prog.atom_set(x) for x in range(1 << n)
-             if _is_answer_set_mask(masks, x)]
+    return [x for x in range(1 << prog.n_atoms)
+            if _is_answer_set_mask(masks, x)]
+
+
+def enumerate_answer_sets_bruteforce(prog: RegularProgram
+                                     ) -> List[FrozenSet[str]]:
+    """All answer sets by exhausting subsets of At, for at most 20 atoms;
+    lexicographic order."""
+    if prog.n_atoms > 20:
+        raise ValueError(f"atom bound exceeded: {prog.n_atoms} > 20")
+    found = map(prog.atom_set, _answer_set_masks(prog))
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 

@@ -29,11 +29,11 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fd
-from .engine import SchemaConfig, solve_ca
+from .engine import SchemaConfig, SolveStats, solve_ca
 from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError, display_atom,
                      ground_stages)
 from .lang import Atom, EzSyntaxError, print_rule
@@ -145,20 +145,13 @@ class RunReport:
     semantics: str
     outcome: str             # 'SAT(n)' | 'UNSAT' | 'BUDGET' | 'ERROR: ...'
     wall_time: float
-    decisions: int = 0
-    propagations: int = 0
-    csp_checks: int = 0
-    learned: int = 0
-    restarts: int = 0
+    stats: SolveStats = field(default_factory=SolveStats)
 
     def row(self) -> dict:
         return {
             "instance": self.instance, "schema": self.schema,
             "semantics": self.semantics, "outcome": self.outcome,
-            "wall_time": round(self.wall_time, 4),
-            "decisions": self.decisions, "propagations": self.propagations,
-            "csp_checks": self.csp_checks, "learned": self.learned,
-            "restarts": self.restarts,
+            "wall_time": round(self.wall_time, 4), **vars(self.stats),
         }
 
 
@@ -178,14 +171,14 @@ def bench(spec_path: str, semantics: str = "weak",
                 if line.strip() and not line.strip().startswith("#")]
     for line in rows:
         parts = line.split("\t") if "\t" in line else line.split()
-        instance, schema = parts[0], parts[1]
+        instance, schema = parts[0], parts[1] if len(parts) > 1 else ""
         path = instance if os.path.isabs(instance) \
             else os.path.join(base, instance)
         t0 = time.monotonic()
         try:
-            program = ground_program(open(path).read(), default_range)
             cfg = SchemaConfig(schema=schema, semantics=semantics, limit=1,
                                max_alphas_per_model=1)
+            program = ground_program(open(path).read(), default_range)
             res = solve_ca(program, cfg)
             if res.status == "sat":
                 outcome = f"SAT({len(res.models)})"
@@ -193,11 +186,8 @@ def bench(spec_path: str, semantics: str = "weak",
                 outcome = "UNSAT"
             else:
                 outcome = "BUDGET"
-            st = res.stats
             reports.append(RunReport(instance, schema, semantics, outcome,
-                                     time.monotonic() - t0, st.decisions,
-                                     st.propagations, st.csp_checks,
-                                     st.learned, st.restarts))
+                                     time.monotonic() - t0, res.stats))
         except Exception as exc:               # per-row failure, keep going
             reports.append(RunReport(instance, schema, semantics,
                                      f"ERROR: {exc}",
@@ -214,8 +204,9 @@ def _print_bench_table(reports: List[RunReport], out) -> None:
     headers = ["instance", "schema", "outcome", "time", "dec", "prop",
                "csp", "learn", "restart"]
     rows = [[r.instance, r.schema, r.outcome, f"{r.wall_time:.2f}s",
-             str(r.decisions), str(r.propagations), str(r.csp_checks),
-             str(r.learned), str(r.restarts)] for r in reports]
+             *(str(getattr(r.stats, k)) for k in
+               ("decisions", "propagations", "csp_checks", "learned",
+                "restarts"))] for r in reports]
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     def fmt(cells):
@@ -402,12 +393,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run_oracle(program: CAProgram, args) -> int:
-    from .oracle import (OracleBoundExceeded, enumerate_full_answer_sets,
-                         enumerate_weak_answer_sets, exhaustive_solutions)
+    from .oracle import OracleBoundExceeded, answer_sets, exhaustive_solutions
     try:
-        enum = enumerate_weak_answer_sets if args.semantics == "weak" \
-            else enumerate_full_answer_sets
-        sets = enum(program)
+        sets = answer_sets(program, args.semantics)
     except (OracleBoundExceeded, fd.ComplementUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,12 +1,14 @@
 """Independent brute-force ground truth and the trace validator.
 
-Answer-set enumeration here exhausts all atom subsets, in one body for weak
-and full semantics that builds each csp-abstraction from the complete
-literal set; CSP feasibility is decided by enumerating every assignment over
-the variables' ranges and checking each constraint with the shared
-ground-truth `satisfied` predicate (the backtracking/propagation machinery
-of the fd solver is never used, so oracle and solver cannot share search
-bugs).
+`answer_sets(program, semantics)` exhausts all atom subsets, for weak and
+full semantics, and builds each csp-abstraction from the complete literal
+set; CSP feasibility is decided by enumerating every assignment over the
+variables' ranges and checking each constraint with the shared ground-truth
+`satisfied` predicate (the fd solver's search is never used, so oracle and
+solver cannot share search bugs).  Each module bound is tested in one
+function, at call time, and raises `OracleBoundExceeded`: `ATOM_BOUND`
+atoms in `abstraction_answer_sets`, `ASSIGNMENT_BOUND` assignments in
+`csp_feasible_exhaustive`.
 
 `validate_trace` replays an emitted transition trace, re-checking every
 edge's guard, restart-safety, that a completed run stops in a
@@ -22,14 +24,13 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 from . import fd
-from .asp import (Record, RegularProgram, RuleP, _is_answer_set_mask,
-                  clausify, greatest_unfounded_set, lit_atom, rule_clause)
+from .asp import (Record, RegularProgram, RuleP, _answer_set_masks, clausify,
+                  greatest_unfounded_set, lit_atom, rule_clause)
 from .engine import _projection_denial, denial_key, state_digest
 from .ground import CAProgram
 
 __all__ = [
-    "OracleBoundExceeded", "enumerate_weak_answer_sets",
-    "enumerate_full_answer_sets", "abstraction_answer_sets",
+    "OracleBoundExceeded", "answer_sets", "abstraction_answer_sets",
     "csp_feasible_exhaustive", "exhaustive_solutions", "validate_trace",
     "random_program", "random_ez_source", "is_entailed_denial",
 ]
@@ -46,19 +47,14 @@ class OracleBoundExceeded(Exception):
 # Exhaustive answer-set enumeration
 # ---------------------------------------------------------------------------
 
-def abstraction_answer_sets(program: CAProgram, bound: int = ATOM_BOUND
-                            ) -> List[int]:
+def abstraction_answer_sets(program: CAProgram) -> List[int]:
     """Answer sets (as atom masks) of the asp-abstraction Pi[C]."""
     prog = program.asp_abstraction()
     n = prog.n_atoms
-    if n > bound:
-        raise OracleBoundExceeded(f"{n} atoms exceeds oracle bound {bound}")
-    masks = prog.rule_masks()
-    return [x for x in range(1 << n) if _is_answer_set_mask(masks, x)]
-
-
-def _mask_literals(x: int, n: int) -> List[int]:
-    return [(a + 1) if (x >> a) & 1 else -(a + 1) for a in range(n)]
+    if n > ATOM_BOUND:
+        raise OracleBoundExceeded(
+            f"{n} atoms exceeds oracle bound {ATOM_BOUND}")
+    return _answer_set_masks(prog)
 
 
 def exhaustive_solutions(inst: fd.CSPInstance) -> Iterator[Dict[str, int]]:
@@ -73,53 +69,29 @@ def exhaustive_solutions(inst: fd.CSPInstance) -> Iterator[Dict[str, int]]:
 
 
 def csp_feasible_exhaustive(program: CAProgram, m_literals: Sequence[int],
-                            semantics: str,
-                            assignment_bound: int = ASSIGNMENT_BOUND) -> bool:
+                            semantics: str) -> bool:
     """Feasibility of the csp-abstraction by raw assignment enumeration."""
     inst = fd.build_csp(program, m_literals, semantics)
     total = inst.assignment_count()
-    if total > assignment_bound:
+    if total > ASSIGNMENT_BOUND:
         raise OracleBoundExceeded(
-            f"{total} assignments exceed oracle bound {assignment_bound}")
+            f"{total} assignments exceed oracle bound {ASSIGNMENT_BOUND}")
     return next(exhaustive_solutions(inst), None) is not None
 
 
-def _answer_sets(program: CAProgram, semantics: str,
-                 atom_bound: int = ATOM_BOUND,
-                 assignment_bound: int = ASSIGNMENT_BOUND
-                 ) -> List[FrozenSet[str]]:
-    """The answer sets under `semantics`, by exhaustion: the abstraction
-    answer sets whose csp-abstraction, built from the complete literal set,
-    has a solution."""
-    names = program.pi.names
+def answer_sets(program: CAProgram, semantics: str) -> List[FrozenSet[str]]:
+    """All answer sets under `semantics`, by exhaustion, in lexicographic
+    order: the abstraction answer sets whose csp-abstraction, built from
+    the complete literal set, has a solution.  Under weak semantics the
+    csp-abstraction posts the positive constraint literals only; under
+    full semantics it also posts the complements of the negative ones."""
     out = []
-    for x in abstraction_answer_sets(program, atom_bound):
-        lits = _mask_literals(x, program.n_atoms)
-        if csp_feasible_exhaustive(program, lits, semantics,
-                                   assignment_bound):
-            out.append(frozenset(names[a] for a in range(program.n_atoms)
-                                 if (x >> a) & 1))
+    for x in abstraction_answer_sets(program):
+        lits = [a + 1 if x >> a & 1 else -(a + 1)
+                for a in range(program.n_atoms)]
+        if csp_feasible_exhaustive(program, lits, semantics):
+            out.append(program.pi.atom_set(x))
     return sorted(out, key=lambda s: tuple(sorted(s)))
-
-
-def enumerate_weak_answer_sets(program: CAProgram,
-                               atom_bound: int = ATOM_BOUND,
-                               assignment_bound: int = ASSIGNMENT_BOUND
-                               ) -> List[FrozenSet[str]]:
-    """All weak answer sets: answer sets of the asp-abstraction whose
-    csp-abstraction, which posts the positive constraint literals only, has
-    a solution."""
-    return _answer_sets(program, "weak", atom_bound, assignment_bound)
-
-
-def enumerate_full_answer_sets(program: CAProgram,
-                               atom_bound: int = ATOM_BOUND,
-                               assignment_bound: int = ASSIGNMENT_BOUND
-                               ) -> List[FrozenSet[str]]:
-    """All (full) answer sets: complete literal sets whose positive part is
-    an abstraction answer set and whose csp-abstraction, with complements
-    posted for negative constraint literals, has a solution."""
-    return _answer_sets(program, "full", atom_bound, assignment_bound)
 
 
 def is_entailed_denial(program: CAProgram, denial: RuleP, semantics: str
@@ -127,7 +99,7 @@ def is_entailed_denial(program: CAProgram, denial: RuleP, semantics: str
     """A denial is entailed (asp- or cp-) iff every answer set of the program
     satisfies its clause; checked by exhaustion."""
     names = program.pi.names
-    for ans in _answer_sets(program, semantics):
+    for ans in answer_sets(program, semantics):
         body_holds = all(names[a] in ans for a in denial.pos) and \
             all(names[a] not in ans for a in denial.neg)
         if body_holds:
@@ -154,12 +126,44 @@ def _denial_of(d: dict, index: Dict[str, int]) -> RuleP:
                  tuple(index[a] for a in d["neg"]), ())
 
 
+# what reading a record that lacks a field, holds a value of another JSON
+# type or names an unknown atom raises
+_MALFORMED = (KeyError, TypeError, AttributeError)
+
+
+def _read_edge(rec: dict, index: Dict[str, int]) -> Tuple[object, dict]:
+    """The rule of an edge record and the payload fields that the rule
+    reads, with names read as atom ids and literals: `lit`, `clause`,
+    `unfounded`, `projection`, `denial` and `reason` (kind, projection)."""
+    rule, payload = rec["rule"], rec.get("payload", {})
+    f: dict = {}
+    if rule in ("Decide", "UnitPropagate", "Unfounded", "Backtrack",
+                "AspPropagate"):
+        f["lit"] = _lit_of(payload["lit"], index)
+    if rule == "UnitPropagate":
+        f["clause"] = frozenset(_lit_of(s, index) for s in payload["clause"])
+    elif rule == "Unfounded":
+        f["unfounded"] = {index[a] for a in payload["unfounded"]}
+    elif rule == "CPPropagate":
+        f["projection"] = [_lit_of(s, index)
+                           for s in payload.get("projection", ())]
+    elif rule in ("Learn", "LearnT"):
+        f["denial"] = _denial_of(payload["denial"], index)
+        reason = payload.get("reason")
+        if reason is not None:
+            f["reason"] = (reason.get("kind"), [_lit_of(s, index)
+                                                for s in reason["projection"]])
+    return rule, f
+
+
 def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str
                  ) -> bool:
-    inst = fd.build_csp(program, lits, semantics)
-    if inst.assignment_count() <= ASSIGNMENT_BOUND:
-        return next(exhaustive_solutions(inst), None) is not None
-    return fd.feasible(inst)
+    """Feasibility of the csp-abstraction: exhaustive up to the oracle's
+    assignment bound, by `fd.feasible` above it."""
+    try:
+        return csp_feasible_exhaustive(program, lits, semantics)
+    except OracleBoundExceeded:
+        return fd.feasible(fd.build_csp(program, lits, semantics))
 
 
 def _projection(program: CAProgram, lits: Sequence[int]) -> List[int]:
@@ -212,7 +216,8 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
 
     Returns (ok, None) or (False, reason), where a reason found on an edge
     starts with "step <i>:" and the blocking certificate's with
-    "run <k>:".
+    "run <k>:".  A record that lacks a field, holds a value of another
+    JSON type or names an unknown atom is rejected at its step.
     """
     abstraction0 = program.asp_abstraction()
     names = abstraction0.names
@@ -220,7 +225,11 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
 
     runs: Dict[int, List[Tuple[int, dict]]] = {}
     for i, rec in enumerate(records):
-        runs.setdefault(rec.get("run", 0), []).append((i, rec))
+        run = rec.get("run", 0) if isinstance(rec, dict) else None
+        if not isinstance(run, int):
+            return False, (f"step {i}: malformed record: not an object "
+                           f"with an integer run")
+        runs.setdefault(run, []).append((i, rec))
     # a search runs unless an empty clause decides the program up front
     if not runs and all(clausify(abstraction0)):
         return False, "trace has no run"
@@ -257,10 +266,15 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
     blocking: List[RuleP] = []
     pos = 0
     if entries and entries[0][1].get("event") == "start":
-        blocking = [_denial_of(d, index)
-                    for d in entries[0][1].get("blocking", [])]
-        if "semantics" in entries[0][1]:
-            semantics = entries[0][1]["semantics"]
+        i, start = entries[0]
+        try:
+            blocking = [_denial_of(d, index)
+                        for d in start.get("blocking", [])]
+        except _MALFORMED as exc:
+            raise _Violation(f"step {i}: malformed record: {exc!r}") from None
+        semantics = start.get("semantics", semantics)
+        if semantics not in ("weak", "full"):
+            raise _Violation(f"step {i}: unknown semantics {semantics!r}")
         pos = 1
     run_program = program.with_extra_denials(blocking) if blocking else program
     abstraction = run_program.asp_abstraction()
@@ -282,7 +296,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
     def measure():
         """Per-path termination measure: permanent store growth, then
         temporal store growth, then the decision-segment length vector of M
-        (lexicographic); Failstate is the top element."""
+        (lexicographic, as tuples compare); Failstate is the top element."""
         if failed:
             return (float("inf"),)
         alpha: List[int] = [0]
@@ -295,35 +309,29 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             alpha[-1] += 1
         return (len(gamma), len(lam), tuple(alpha))
 
-    def measure_lt(a, b) -> bool:
-        if a[0] == float("inf"):
-            return False
-        if b[0] == float("inf"):
-            return True
-        return a < b        # tuple comparison is lexicographic throughout
-
     for i, rec in entries[pos:]:
         if rec.get("event") == "end":
             end_rec = rec
             break
         if failed:
             raise _Violation(f"step {i}: edge after Failstate")
-        rule = rec["rule"]
-        payload = rec.get("payload", {})
+        try:
+            rule, f = _read_edge(rec, index)
+        except _MALFORMED as exc:
+            raise _Violation(f"step {i}: malformed record: {exc!r}") from None
         if rec.get("pre") != digest():
             raise _Violation(f"step {i}: pre-state digest mismatch")
         pre_measure = measure()
 
+        lit = f.get("lit")
         if rule == "Decide":
-            lit = _lit_of(payload["lit"], index)
             if not m.consistent:
                 raise _Violation(f"step {i}: Decide on inconsistent record")
             if not m.is_unassigned(lit):
                 raise _Violation(f"step {i}: Decide on assigned literal")
             m.append(lit, decided=True)
         elif rule == "UnitPropagate":
-            lit = _lit_of(payload["lit"], index)
-            clause = frozenset(_lit_of(s, index) for s in payload["clause"])
+            clause = f["clause"]
             if not m.consistent:
                 raise _Violation(f"step {i}: UnitPropagate on inconsistent "
                                  f"record")
@@ -337,8 +345,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 raise _Violation(f"step {i}: literal already in record")
             m.append(lit)
         elif rule == "Unfounded":
-            lit = _lit_of(payload["lit"], index)
-            u = {index[a] for a in payload["unfounded"]}
+            u = f["unfounded"]
             if not m.consistent:
                 raise _Violation(f"step {i}: Unfounded on inconsistent record")
             if not u or lit > 0 or lit_atom(lit) not in u:
@@ -352,18 +359,16 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             if not m.consistent:
                 raise _Violation(f"step {i}: CPPropagate on inconsistent "
                                  f"record")
-            if [_lit_of(s, index) for s in payload.get("projection", ())] \
-                    != _projection(run_program, m.literals()):
+            if f["projection"] != _projection(run_program, m.literals()):
                 raise _Violation(f"step {i}: projection is not M's")
             if _feasibility(run_program, m.literals(), semantics):
                 raise _Violation(f"step {i}: csp-abstraction is feasible")
             m.append_bot()
         elif rule in ("Learn", "LearnT"):
-            d = _denial_of(payload["denial"], index)
-            reason = payload.get("reason")
-            if reason is not None and \
-                    [_lit_of(s, index) for s in reason["projection"]] \
-                    != _projection(run_program, m.literals()):
+            d = f["denial"]
+            kind, projection = f.get("reason", (None, None))
+            if projection is not None and \
+                    projection != _projection(run_program, m.literals()):
                 raise _Violation(f"step {i}: reason projection is not M's")
             key = denial_key(d)
             if key in {denial_key(x) for x in gamma + lam}:
@@ -378,15 +383,14 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                     entailed = True
                 except OracleBoundExceeded:
                     pass
-            if reason is not None and reason.get("kind") == "cp-conflict":
+            if projection is not None and kind == "cp-conflict":
                 # only a CPPropagate edge, which re-verified that M's
                 # csp-abstraction is infeasible, adds bottom to M
                 if not m.bot:
                     raise _Violation(f"step {i}: cp-conflict Learn without "
                                      f"CPPropagate on M")
-                cert = _projection_denial(
-                    [_lit_of(s, index) for s in reason["projection"]],
-                    semantics, run_program.constraint_set)
+                cert = _projection_denial(projection, semantics,
+                                          run_program.constraint_set)
                 if key != denial_key(cert):
                     raise _Violation(f"step {i}: learned denial is not the "
                                      f"projection's")
@@ -397,7 +401,6 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             clauses = clauses | {frozenset(rule_clause(d))}
             unused_learns += 1
         elif rule == "Backtrack":
-            lit = _lit_of(payload["lit"], index)
             if m.consistent:
                 raise _Violation(f"step {i}: Backtrack on consistent record")
             if not m.has_decision():
@@ -424,7 +427,6 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 clauses = program_clauses.union(
                     frozenset(rule_clause(d)) for d in gamma)
         elif rule == "AspPropagate":
-            lit = _lit_of(payload["lit"], index)
             if not _asp_entails(run_program, gamma + lam, m, lit):
                 raise _Violation(f"step {i}: literal not asp-entailed")
             if m.holds(lit):
@@ -436,7 +438,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
         if rec.get("post") != digest():
             raise _Violation(f"step {i}: post-state digest mismatch")
         if rule not in ("Restart", "RestartT") and \
-                not measure_lt(pre_measure, measure()):
+                not pre_measure < measure():
             raise _Violation(f"step {i}: termination measure did not "
                              f"increase")
 
@@ -451,9 +453,11 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             raise _Violation("model end after Fail edge")
         _check_semi_terminal(run_program, abstraction, clauses, m,
                              semantics)
-        model = set(end_rec.get("model", []))
+        model = end_rec.get("model", [])
         actual = {names[lit_atom(l)] for l in m.literals() if l > 0}
-        if model != actual:
+        if not isinstance(model, list) or \
+                not all(isinstance(a, str) for a in model) or \
+                set(model) != actual:
             raise _Violation("end record model differs from final record")
         return blocking, m.literals()
     elif status != "budget":

@@ -68,8 +68,8 @@ def test_criterion_1_paper_examples_exact():
 
     # (d) the night/am program: 3 full vs 4 weak answer sets
     night = make_night()
-    weak = oracle.enumerate_weak_answer_sets(night)
-    full = oracle.enumerate_full_answer_sets(night)
+    weak = oracle.answer_sets(night, "weak")
+    full = oracle.answer_sets(night, "full")
     assert len(weak) == 4 and len(full) == 3
     assert frozenset({"night", "|x < 6|"}) in weak
     assert frozenset({"night", "|x < 6|"}) not in full
@@ -133,8 +133,8 @@ def test_criterion_3_oracle_equivalence():
         P = oracle.random_program(seed, **_corpus_params(seed))
         try:
             expected = {
-                "weak": set(oracle.enumerate_weak_answer_sets(P)),
-                "full": set(oracle.enumerate_full_answer_sets(P)),
+                "weak": set(oracle.answer_sets(P, "weak")),
+                "full": set(oracle.answer_sets(P, "full")),
             }
         except oracle.OracleBoundExceeded:
             continue

@@ -136,8 +136,8 @@ def test_empty_program():
 
 def test_bruteforce_bound():
     prog = RegularProgram.build([(f"a{i}", [], [], []) for i in range(25)])
-    with pytest.raises(ValueError):
-        enumerate_answer_sets_bruteforce(prog, bound=20)
+    with pytest.raises(ValueError, match="atom bound exceeded: 25 > 20"):
+        enumerate_answer_sets_bruteforce(prog)
 
 
 # -- unit propagation ----------------------------------------------------------

@@ -170,6 +170,19 @@ def test_validate_trace_rejects_tampered_file(tmp_path, capsys):
     assert code == EXIT_ERROR and "trace invalid" in out
 
 
+def test_validate_trace_rejects_a_malformed_record(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    assert run_cli(capsys, LIGHT, "--dump-trace", trace)[0] == EXIT_SAT
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    k = next(k for k, rec in enumerate(records) if rec.get("rule") == "Decide")
+    records[k]["payload"]["lit"] = "nosuchatom"
+    trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert run_cli(capsys, LIGHT, "--validate-trace", trace) == (
+        EXIT_ERROR,
+        f"trace invalid: step {k}: malformed record: KeyError('nosuchatom')\n",
+        "")
+
+
 def test_validate_trace_rejects_a_trace_without_a_run(tmp_path, capsys):
     empty = tmp_path / "empty.trace"
     empty.write_text("")
@@ -203,6 +216,24 @@ def test_emit_clp_reproduces_paper_clause(tmp_path, capsys):
     text = " ".join(out_file.read_text().split())
     assert text == ("solve([x,V_x]) :- V_x >= 0, V_x =< 23, V_x >= 12, "
                     "labeling([V_x]).")
+
+
+def test_emit_clp_arithmetic_disjunction_and_global(tmp_path, capsys):
+    # v(1) and v_1 both clean to V_v_1, so the second one is numbered
+    src = tmp_path / "g.ez"
+    src.write_text("cspdomain(fd). cspvar(x,0,3). cspvar(y,0,3). "
+                   "cspvar(v(1),0,3). cspvar(v_1,0,3).\n"
+                   "required(x + y > 4).\n"
+                   "required(-x < 0 \\/ y = 1).\n"
+                   "required(sum([x,y,v(1),v_1], =<, 7)).\n")
+    out_file = tmp_path / "g.clp"
+    assert run_cli(capsys, src, "--emit-clp", out_file)[0] == EXIT_SAT
+    assert out_file.read_text() == (
+        "solve([x,V_x,y,V_y,v(1),V_v_1,v_1,V_v_1_2]) :- V_x >= 0, "
+        "V_x =< 3, V_y >= 0, V_y =< 3, V_v_1 >= 0, V_v_1 =< 3, "
+        "V_v_1_2 >= 0, V_v_1_2 =< 3, V_x + V_y > 4, "
+        "or(-(V_x) < 0, V_y = 1), sum([V_x,V_y,V_v_1,V_v_1_2],leq,7), "
+        "labeling([V_x,V_y,V_v_1,V_v_1_2]).\n")
 
 
 def test_emit_clp_no_constraints():
@@ -330,6 +361,21 @@ def test_default_range_flag(tmp_path, capsys):
     assert out.count("\n") == 2       # x in {2,3}
 
 
+def test_check_freq_and_default_range_flags(capsys):
+    clear = run_cli(capsys, LIGHT, "--schema", "clear", "-n", "0")
+    assert run_cli(capsys, LIGHT, "--schema", "clear", "-n", "0",
+                   "--check-freq", "none") == clear
+    assert clear[0] == EXIT_SAT and clear[1].count("\n") == 12
+    for flag, value, message in [
+            ("--check-freq", "0", "check frequency must be >= 1"),
+            ("--default-range", "5..1", "expected LO <= HI")]:
+        with pytest.raises(SystemExit) as e:
+            main([str(LIGHT), flag, value])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"ezcasp: error: argument {flag}: {message}\n")
+
+
 def test_format_model():
     assert format_model([], []) == "{}"
     assert format_model(["b", "a"], [("x", 1)]) == "{ a, b, x=1 }"
@@ -367,6 +413,25 @@ def test_bench_records_per_row_failures(tmp_path, capsys):
         and reports[1].outcome == "SAT(1)"
 
 
+def test_bench_spec_line_without_schema_is_an_error_row(tmp_path, capsys):
+    spec = tmp_path / "s.bench"
+    spec.write_text(f"{LIGHT}\n{LIGHT}\tblack\n")
+    reports = bench(str(spec))
+    assert "ERROR: unknown schema ''" in capsys.readouterr().out
+    assert [(r.schema, r.outcome) for r in reports] == [
+        ("", "ERROR: unknown schema ''"), ("black", "SAT(1)")]
+
+
+def test_bench_rows_unsat_and_budget(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "s.bench"
+    spec.write_text(f"{ENCODINGS / 'wseq_unsat.ez'}\tclear\n")
+    assert [r.outcome for r in bench(str(spec))] == ["UNSAT"]
+    monkeypatch.setenv("EZCASP_STEP_BUDGET", "10")
+    assert [r.outcome for r in bench(str(spec))] == ["BUDGET"]
+    out = capsys.readouterr().out
+    assert "UNSAT" in out and "BUDGET" in out
+
+
 def test_bench_json_rows(tmp_path, capsys):
     spec = tmp_path / "s.bench"
     spec.write_text(f"{LIGHT}\tblack\n")
@@ -376,8 +441,10 @@ def test_bench_json_rows(tmp_path, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out_json.read_text().splitlines()]
     assert rows[0]["schema"] == "black" and rows[0]["outcome"] == "SAT(1)"
-    assert {"decisions", "propagations", "csp_checks", "learned",
-            "restarts"} <= set(rows[0])
+    # every counter of the solve's SolveStats
+    assert list(rows[0])[5:] == list(vars(solve_ca(
+        ground_program(LIGHT.read_text()), SchemaConfig(limit=1)).stats))
+    assert rows[0]["steps"] > 0 and rows[0]["runs"] == 1
 
 
 def test_desk_bench_schemas_agree(capsys):

@@ -549,9 +549,7 @@ def test_corpus_with_negative_lower_bounds_matches_the_oracle():
         P = oracle.random_program(seed, min_lo=-3)
         for sem in ("weak", "full"):
             try:
-                expected = set(oracle.enumerate_weak_answer_sets(P)
-                               if sem == "weak"
-                               else oracle.enumerate_full_answer_sets(P))
+                expected = set(oracle.answer_sets(P, sem))
             except oracle.OracleBoundExceeded:
                 continue
             res = solve_ca(P, SchemaConfig(semantics=sem, limit=0,
@@ -577,8 +575,8 @@ def test_learned_denials_preserve_answer_sets():
                                  tuple(idx[a] for a in d["neg"]), ()))
     assert learned
     extended = P.with_extra_denials(learned)
-    assert oracle.enumerate_full_answer_sets(P) == \
-        oracle.enumerate_full_answer_sets(extended)
+    assert oracle.answer_sets(P, "full") == \
+        oracle.answer_sets(extended, "full")
 
 
 def test_full_answer_sets_project_into_weak():

@@ -189,7 +189,7 @@ def test_random_nonground_programs_match_the_oracle():
             continue
         if P.n_atoms > oracle.ATOM_BOUND:
             continue
-        expected = oracle.enumerate_weak_answer_sets(P)
+        expected = oracle.answer_sets(P, "weak")
         for schema in ("black", "clear"):
             res = solve_ca(P, SchemaConfig(schema=schema, limit=0,
                                            max_alphas_per_model=1))
@@ -572,6 +572,22 @@ def test_choice_upper_bound_below_zero_denies_the_body(bound):
     assert [r for r in P.pi.rules if r.head is None] == \
         [RuleP(None, (p,), (), ())]
     assert enumerate_answer_sets_bruteforce(P.pi) == []
+
+
+@pytest.mark.parametrize("src,msg", [
+    ("a :- required(x > 1).",
+     "1:1: required-atoms may only occur in rule heads"),
+    ("{ required(x > 1) }.", "1:1: required not allowed in choice heads"),
+    ("n(1..60). 1 { c(X) : n(X) } 2.",
+     "1:11: choice bounds too large to compile"),
+    # a choice too large to compile is reported after the other errors
+    ("n(1..60). 1 { c(X) : n(X) } 2. cspdomain(foo).",
+     "1:32: cspdomain argument must be fd, q or r"),
+])
+def test_rejected_program_reports_message_and_position(src, msg):
+    with pytest.raises(GroundError) as e:
+        ground_program(src)
+    assert str(e.value) == msg
 
 
 @pytest.mark.parametrize("src", [

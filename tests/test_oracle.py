@@ -2,14 +2,14 @@ import hashlib
 
 import pytest
 
-from ezcasp import engine
+from ezcasp import engine, fd
 from ezcasp.asp import Record, RuleP, lit_atom
 from ezcasp.engine import SchemaConfig, denial_key, solve_ca, state_digest
 from ezcasp.ground import ground_program
 from ezcasp.lang import parse, pretty_print
-from ezcasp.oracle import (OracleBoundExceeded,
-                           csp_feasible_exhaustive, enumerate_full_answer_sets,
-                           enumerate_weak_answer_sets, is_entailed_denial,
+from ezcasp import oracle
+from ezcasp.oracle import (OracleBoundExceeded, answer_sets,
+                           csp_feasible_exhaustive, is_entailed_denial,
                            random_ez_source, random_program, validate_trace)
 
 from conftest import (CONDITIONAL_DECLS, ENCODINGS, make_conflict_pair,
@@ -19,43 +19,55 @@ from conftest import (CONDITIONAL_DECLS, ENCODINGS, make_conflict_pair,
 # -- enumeration ------------------------------------------------------------------
 
 def test_night_program_counts(night):
-    weak = enumerate_weak_answer_sets(night)
-    full = enumerate_full_answer_sets(night)
+    weak = answer_sets(night, "weak")
+    full = answer_sets(night, "full")
     assert len(weak) == 4 and len(full) == 3
     assert frozenset({"night", "|x < 6|"}) in weak
     assert set(full) == set(weak) - {frozenset({"night", "|x < 6|"})}
 
 
 def test_window_program(window):
-    assert enumerate_weak_answer_sets(window) == [frozenset()]
-    assert enumerate_full_answer_sets(window) == []
+    assert answer_sets(window, "weak") == [frozenset()]
+    assert answer_sets(window, "full") == []
 
 
 def test_p1_unique_full_answer_set(p1):
-    assert enumerate_full_answer_sets(p1) == [
+    assert answer_sets(p1, "full") == [
         frozenset({"lightOn", "switch", "|x >= 12|"})]
 
 
 def test_p2_unique_full_answer_set(p2):
-    assert enumerate_full_answer_sets(p2) == [
+    assert answer_sets(p2, "full") == [
         frozenset({"lightOn", "pm", "switch", "|x >= 12|"})]
 
 
 def test_no_constraint_atoms_degenerates_to_answer_sets():
     P = ground_program("{a}. b :- a. :- not b.")
-    weak = enumerate_weak_answer_sets(P)
-    full = enumerate_full_answer_sets(P)
+    weak = answer_sets(P, "weak")
+    full = answer_sets(P, "full")
     assert weak == full == [frozenset({"a", "b"})]
 
 
-def test_oracle_bounds():
+def test_oracle_bounds(monkeypatch):
     P = ground_program("cspdomain(fd). cspvar(x,0,9). cspvar(y,0,9). "
                        "required(x < y).")
-    with pytest.raises(OracleBoundExceeded):
-        enumerate_weak_answer_sets(P, assignment_bound=10)
+    monkeypatch.setattr(oracle, "ASSIGNMENT_BOUND", 10)
+    with pytest.raises(OracleBoundExceeded,
+                       match="100 assignments exceed oracle bound 10"):
+        answer_sets(P, "weak")
+    # past the bound, the validator's feasibility checks use the fd solver
+    trace = _engine_trace(P, "weak", limit=0)
+    calls = []
+    feasible = fd.feasible
+    monkeypatch.setattr(fd, "feasible",
+                        lambda inst: calls.append(inst) or feasible(inst))
+    assert validate_trace(trace, P) == (True, None)
+    assert len(calls) == 1
+    monkeypatch.undo()
     big = ground_program(" ".join("{a%d}." % i for i in range(17)))
-    with pytest.raises(OracleBoundExceeded):
-        enumerate_weak_answer_sets(big)
+    with pytest.raises(OracleBoundExceeded,
+                       match="17 atoms exceeds oracle bound 16"):
+        answer_sets(big, "weak")
 
 
 def test_feasibility_exhaustive_uses_raw_enumeration(p1):
@@ -305,6 +317,23 @@ def _set(key, value):
     return tamper
 
 
+def _as_edge(rule, **payload):
+    def tamper(trace, k):
+        trace[k].update(rule=rule, payload=dict(trace[k]["payload"],
+                                                **payload))
+    return tamper
+
+
+def _failstate_end(rec):
+    return _end(rec) and rec["status"] == "failstate"
+
+
+def _end_model(trace, k):
+    # the run ends in a model in the state before edge k
+    trace[k] = {"run": trace[k]["run"], "event": "end", "status": "model",
+                "model": []}
+
+
 def _cut_denials(semantics):
     """An engine that is wrong on purpose: each denial it builds under
     `semantics` keeps only its first literal.  Under the weak semantics of
@@ -341,6 +370,29 @@ _TAMPERS = [
      "final csp-abstraction infeasible"),
     ("riddle", _is("CPPropagate"), _repeat_edge,
      "CPPropagate on inconsistent record"),
+    # light's first Backtrack and its Fail follow an Unfounded edge that
+    # makes M inconsistent
+    ("light", _is("Backtrack"), _set("rule", "Decide"),
+     "Decide on inconsistent record"),
+    ("light", _is("Backtrack"), _as_edge("UnitPropagate", clause=[]),
+     "UnitPropagate on inconsistent record"),
+    ("light", _is("Unfounded"), _repeat_edge,
+     "Unfounded on inconsistent record"),
+    ("light", _is("UnitPropagate"), _repeat_edge,
+     "literal already in record"),
+    ("light", _is("Fail"), _as_edge("Backtrack", lit="switch"),
+     "Backtrack without decision"),
+    ("light", _is("Decide"), _set("rule", "Fail"),
+     "Fail on consistent record"),
+    ("light", _is("UnitPropagate"), _set("rule", "Restart"),
+     "Restart on empty record"),
+    ("light", _model_end, _set("status", "failstate"),
+     "failstate end without Fail edge"),
+    ("light", _failstate_end, _set("status", "model"),
+     "model end after Fail edge"),
+    ("light", _end, _set("status", "done"), "unknown end status"),
+    ("light", _is("Backtrack"), _end_model,
+     "final record inconsistent in a model run"),
     ("riddle", _is("Learn"), lambda t, k: t[k]["payload"].pop("reason"),
      "learned denial has no certificate"),
     # engines that are wrong on purpose (`where` None), above the oracle's
@@ -379,6 +431,33 @@ def test_tampered_engine_trace_is_rejected(name, where, tamper, reason,
         tamper(trace, _first(trace, where))
     ok, why = validate_trace(trace, prog)
     assert not ok and reason in why, why
+
+
+@pytest.mark.parametrize("where,tamper,reason", [
+    (_is("Decide"), lambda rec: dict(rec, payload={"lit": "nosuchatom"}),
+     "step {k}: malformed record: KeyError('nosuchatom')"),
+    (_is("Decide"), lambda rec: {k: v for k, v in rec.items() if k != "rule"},
+     "step {k}: malformed record: KeyError('rule')"),
+    (_is("Decide"), lambda rec: dict(rec, payload={}),
+     "step {k}: malformed record: KeyError('lit')"),
+    (_is("Decide"), lambda rec: list(rec.values()),
+     "step {k}: malformed record: not an object with an integer run"),
+    (lambda rec: rec.get("event") == "start",
+     lambda rec: dict(rec, blocking=[{"pos": ["nosuchatom"], "neg": []}]),
+     "step {k}: malformed record: KeyError('nosuchatom')"),
+    (lambda rec: rec.get("event") == "start",
+     lambda rec: dict(rec, semantics="strong"),
+     "step {k}: unknown semantics 'strong'"),
+    (_model_end, lambda rec: dict(rec, model=[["lightOn"]]),
+     "end record model differs from final record"),
+], ids=["unknown atom", "no rule", "no lit", "list", "blocking",
+        "semantics", "model"])
+def test_malformed_record_is_rejected(where, tamper, reason):
+    prog = ground_program((ENCODINGS / "light.ez").read_text())
+    trace = _engine_trace(prog, "weak", limit=0)
+    k = _first(trace, where)
+    trace[k] = tamper(trace[k])
+    assert validate_trace(trace, prog) == (False, reason.format(k=k))
 
 
 def test_unfounded_true_atom_in_final_record_is_rejected():
@@ -506,7 +585,7 @@ def test_random_program_size_zero_is_empty():
     src = random_ez_source(0, n_regular=0, n_constraint=0, n_vars=0,
                            n_rules=0)
     P = ground_program(src)
-    assert enumerate_weak_answer_sets(P) == [frozenset({"cspdomain(fd)"})]
+    assert answer_sets(P, "weak") == [frozenset({"cspdomain(fd)"})]
 
 
 def test_random_sources_parse_round_trip():
@@ -523,7 +602,7 @@ def test_random_programs_reground_equivalently():
         src = random_ez_source(seed)
         P = ground_program(src)
         Q = ground_program(pretty_print(parse(src)))
-        assert enumerate_weak_answer_sets(P) == enumerate_weak_answer_sets(Q)
+        assert answer_sets(P, "weak") == answer_sets(Q, "weak")
 
 
 def test_entailment_oracle(p2):
@@ -536,8 +615,8 @@ def test_weak_contains_full_projection_on_corpus():
     for seed in range(60):
         P = random_program(seed)
         try:
-            weak = set(enumerate_weak_answer_sets(P))
-            full = set(enumerate_full_answer_sets(P))
+            weak = set(answer_sets(P, "weak"))
+            full = set(answer_sets(P, "full"))
         except OracleBoundExceeded:
             continue
         assert full <= weak, seed
