@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -127,10 +128,15 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
+    """`fd_s` holds the wall times of the fd layers summed over the solve:
+    `fd_build_s` in `fd.build_csp` and `fd_search_s` in advancing
+    `fd.solutions`.  They are kept apart from the counters of `stats`,
+    which are the same on every run."""
     status: str                        # 'sat' | 'unsat' | 'budget'
     models: List[ExtendedAnswerSet]
     stats: SolveStats
     trace: Optional[List[dict]] = None
+    fd_s: Dict[str, float] = field(default_factory=dict)
 
 
 def denial_key(d: RuleP) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -241,6 +247,7 @@ class _Run:
         self.projection: Tuple[int, ...] = ()
         # the learned denials of every run so far
         self.gamma: List[RuleP] = []
+        self.fd_s = {"fd_build_s": 0.0, "fd_search_s": 0.0}
         self._start_run()
 
     def _start_run(self) -> None:
@@ -296,7 +303,9 @@ class _Run:
         """Check the csp-abstraction of M, keeping its constraint-literal
         projection for the Learn edge of a failed check."""
         self.stats.csp_checks += 1
+        t0 = time.perf_counter()
         inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
+        self.fd_s["fd_build_s"] += time.perf_counter() - t0
         self.projection = inst.projection
         stats, budget = self.stats, self.budget
 
@@ -307,7 +316,7 @@ class _Run:
             if stats.steps + stats.fd_nodes > budget:
                 raise BudgetExceeded()
 
-        search = fd.solutions(inst, charge)
+        search = _timed(fd.solutions(inst, charge), self.fd_s)
         first = next(search, None)
         self.csp_solutions = itertools.chain((first,), search)
         return first is not None
@@ -428,6 +437,22 @@ class _Run:
             self._emit("Decide", pre, lambda: {"lit": lit_str(target)})
 
 
+def _timed(search: Iterator[Dict[str, int]], fd_s: Dict[str, float]
+           ) -> Iterator[Dict[str, int]]:
+    """The solutions of `search`, adding the time spent advancing it to
+    fd_s["fd_search_s"]."""
+    clock = time.perf_counter
+    while True:
+        t0 = clock()
+        try:
+            e = next(search, None)
+        finally:
+            fd_s["fd_search_s"] += clock() - t0
+        if e is None:
+            return
+        yield e
+
+
 def solve_ca(program: CAProgram, cfg: SchemaConfig,
              collect_trace: bool = False) -> SolveResult:
     """Compute extended answer sets of a CA program under the configured
@@ -452,7 +477,7 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     # is decided up front
     if run.prop.empty_clause:
         return SolveResult("unsat", [], stats,
-                           trace.records if collect_trace else None)
+                           trace.records if collect_trace else None, run.fd_s)
     try:
         while True:
             run_idx = run.run
@@ -487,7 +512,7 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
             run.next_run(blocking[-1])
     except BudgetExceeded:
         return SolveResult("budget", models, stats,
-                           trace.records if collect_trace else None)
+                           trace.records if collect_trace else None, run.fd_s)
 
     return SolveResult(status if models else "unsat", models, stats,
-                       trace.records if collect_trace else None)
+                       trace.records if collect_trace else None, run.fd_s)

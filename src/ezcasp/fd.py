@@ -30,9 +30,14 @@ node carries the linear form of its sum minus its target (`Global.form`),
 built with the node.  The other global filters narrow only plain-variable
 items, and read every other item, index, target, count value or limit as
 its interval under the live domains (`_ival`).  A reified `or` is
-evaluated once per run, in one left-to-right pass over its disjuncts that
-decides between failure, entailment and the single open disjunct to
-enforce.
+evaluated once per run, in one left-to-right pass over its disjuncts, with
+nested `or`s flattened once per node (`BoolExpr.disjuncts`), that decides
+between failure, entailment and the single open disjunct to enforce.  An
+`or` found entailed stays entailed under narrowing, so it is put to sleep:
+propagation neither queues nor filters it again until the search
+backtracks past the node where it fell asleep (`_Trail`), or, outside a
+search, until the call ends.  Cumulative filtering builds one profile of
+compulsory parts per run and lifts each job's part out of it in turn.
 
 Search is a generator (`solutions`) over an explicit stack of choice points,
 so its depth is not bounded by the interpreter's recursion limit.  It works
@@ -148,6 +153,18 @@ class BoolExpr(_Constraint):
     """Reified connective: op in {or, and, xor, impl, iff, not}."""
     op: str
     args: tuple
+
+    @cached_property
+    def disjuncts(self) -> tuple:
+        """The arguments of an `or` with nested `or`s flattened, left to
+        right, built once per node: or(or(a, b), c) gives (a, b, c)."""
+        out = []
+        for a in self.args:
+            if isinstance(a, BoolExpr) and a.op == "or":
+                out.extend(a.disjuncts)
+            else:
+                out.append(a)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -678,44 +695,44 @@ def _decide(op: str, lo: int, hi: int) -> Optional[bool]:
     return False if lo == hi == 0 else None
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 class _Trail:
-    """Domain states saved during search, restored on backtracking.
+    """Domain states and asleep constraints saved during search, restored
+    on backtracking.
 
     The search is cut into segments at its choice points.  A domain is saved
     before its first possible change in a segment, so undoing the trail to
-    the start of a segment restores every domain the segment changed.
-    Segment 0, before the first choice point, is never undone and saves
-    nothing."""
+    the start of a segment restores every domain the segment changed.  A
+    constraint that propagation finds entailed is asleep (`asleep`, by
+    constraint index) and listed in `slept`, so undoing wakes every
+    constraint that fell asleep in the segments it undoes.  Segment 0,
+    before the first choice point, is never undone and saves nothing."""
 
-    def __init__(self):
+    def __init__(self, n_constraints: int):
         self.entries: List[Tuple[Domain, int, int, Set[int]]] = []
         self.saved: Dict[str, int] = {}     # variable -> segment of its save
         self.segment = 0
+        self.asleep = bytearray(n_constraints)
+        self.slept: List[int] = []
 
     def save(self, name: str, d: Domain) -> None:
         if self.segment and self.saved.get(name) != self.segment:
             self.saved[name] = self.segment
             self.entries.append((d, d.lo, d.hi, set(d.holes)))
 
-    def mark(self) -> int:
-        """Start a segment; returns the position that undoes it."""
+    def mark(self) -> Tuple[int, int]:
+        """Start a segment; returns the positions that undo it."""
         self.segment += 1
-        return len(self.entries)
+        return len(self.entries), len(self.slept)
 
-    def undo(self, pos: int) -> None:
-        """Restore the domains to their state at `pos`; starts a segment."""
-        entries = self.entries
-        while len(entries) > pos:
+    def undo(self, pos: Tuple[int, int]) -> None:
+        """Restore the domains and the asleep constraints to their state at
+        `pos`; starts a segment."""
+        entries, slept, asleep = self.entries, self.slept, self.asleep
+        while len(entries) > pos[0]:
             d, lo, hi, holes = entries.pop()
             d.lo, d.hi, d.holes = lo, hi, holes
+        while len(slept) > pos[1]:
+            asleep[slept.pop()] = 0
         self.segment += 1
 
 
@@ -812,9 +829,9 @@ def _filter_linear(st: _Store, coeffs: Sequence[Tuple[str, int]],
             for (n, c), (a, _) in zip(coeffs, terms):
                 slack = k - (lo_sum - a)
                 if c > 0:
-                    st.set_max(n, _floor_div(slack, c))
+                    st.set_max(n, slack // c)
                 else:
-                    st.set_min(n, _ceil_div(slack, c))
+                    st.set_min(n, -(-slack // c))
                 if st.failed:
                     return
         else:
@@ -824,9 +841,9 @@ def _filter_linear(st: _Store, coeffs: Sequence[Tuple[str, int]],
             for (n, c), (_, b) in zip(coeffs, terms):
                 slack = k - (hi_sum - b)
                 if c > 0:
-                    st.set_min(n, _ceil_div(slack, c))
+                    st.set_min(n, -(-slack // c))
                 else:
-                    st.set_max(n, _floor_div(slack, c))
+                    st.set_max(n, slack // c)
                 if st.failed:
                     return
 
@@ -893,7 +910,7 @@ def _definitely(c, st: _Store) -> Optional[bool]:
     if isinstance(c, BoolExpr):
         op = c.op
         if op == "or":
-            return _disjuncts(st, c.args, True)[0]
+            return _disjuncts(st, c.disjuncts, True)[0]
         if op == "and":
             return _disjuncts(st, c.args, False)[0]
         vals = [_definitely(a, st) for a in c.args]
@@ -941,7 +958,8 @@ def _require(st: _Store, c, want: bool) -> None:
                 st.failed = True
         return
     if isinstance(c, BoolExpr):
-        op, args = c.op, c.args
+        op = c.op
+        args = c.disjuncts if op == "or" else c.args
         if op == "not":
             _require(st, args[0], not want)
             return
@@ -1033,26 +1051,30 @@ def _filter_all_distinct(st: _Store, names: Sequence[object]) -> None:
 
 
 def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
+    """Time-table filtering over one profile of the compulsory parts.  Each
+    job is filtered against the profile less the parts of every job with
+    the same start variable, which are then added back from the narrowed
+    domain."""
     lim_hi = _ival(limit, st.domains)[1]
-    jobs = []
+    parts: Dict[str, List[Tuple[int, int]]] = {}    # start -> running jobs
     for s, d, r in zip(starts, durs, ress):
         if isinstance(s, VarRef):
-            jobs.append((s.name, d, r))
-    if not jobs or all(d <= 0 for d in durs):
+            jobs = parts.setdefault(s.name, [])
+            if d > 0:
+                jobs.append((d, r))
+    if not parts or all(d <= 0 for d in durs):
         return      # no start to narrow, or no time at which a task runs
+    prof: Dict[int, int] = {}
 
-    def profile(exclude: Optional[str]) -> Dict[int, int]:
-        prof: Dict[int, int] = {}
-        for name, d, r in jobs:
-            if name == exclude or d <= 0:
-                continue
-            sd = st.dom(name)
+    def place(name: str, sign: int) -> None:
+        sd = st.dom(name)
+        for d, r in parts[name]:
             for t in range(sd.hi, sd.lo + d):       # compulsory part
-                prof[t] = prof.get(t, 0) + r
-        return prof
+                prof[t] = prof.get(t, 0) + sign * r
 
-    full = profile(None)
-    peak = max(full.values(), default=0)
+    for name in parts:
+        place(name, 1)
+    peak = max(prof.values(), default=0)
     if peak > lim_hi:
         st.failed = True
         return
@@ -1060,11 +1082,16 @@ def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
         st.set_min(limit.name, peak)
         if st.failed:
             return
+        if limit.name in parts:         # its compulsory parts may have grown
+            prof.clear()
+            for name in parts:
+                place(name, 1)
 
-    for name, d, r in jobs:
-        if d <= 0 or r <= 0:
+    for s, d, r in zip(starts, durs, ress):
+        if not isinstance(s, VarRef) or d <= 0 or r <= 0:
             continue
-        others = profile(name)
+        name = s.name
+        place(name, -1)
         sd = st.dom(name)
         # raise the earliest start past overloaded cells
         lo = sd.lo
@@ -1072,7 +1099,7 @@ def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
         while moved and lo <= sd.hi:
             moved = False
             for t in range(lo, lo + d):
-                if others.get(t, 0) + r > lim_hi:
+                if prof.get(t, 0) + r > lim_hi:
                     lo = t + 1
                     moved = True
                     break
@@ -1085,13 +1112,14 @@ def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
         while moved and hi >= sd.lo:
             moved = False
             for t in range(hi, hi + d):
-                if others.get(t, 0) + r > lim_hi:
+                if prof.get(t, 0) + r > lim_hi:
                     hi = t - d
                     moved = True
                     break
         st.set_max(name, hi)
         if st.failed:
             return
+        place(name, 1)
 
 
 def _filter_global(st: _Store, g: Global) -> None:
@@ -1289,14 +1317,22 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
     belongs to a solution; reports inconsistency only when some domain
     empties or a constraint is interval-refuted.  Filters read the compiled
     forms of comparisons, sums and scalar products; a reified `or` is
-    refuted, found entailed or enforced by `_require` alone, which evaluates
-    each disjunct at most once, and any other formula is first tested with
-    `_definitely`.
+    refuted, found entailed or enforced by one pass over its flattened
+    disjuncts, which evaluates each at most once, and any other formula is
+    first tested with `_definitely`.  An `or` found entailed sleeps, so it
+    is not queued again: on the trail of `csp`'s search, until the search
+    backtracks past the current node, and otherwise for this call.
     """
     domains, constraints = csp.domains, csp.constraints
     watch = csp.watch_lists()
-    st = _Store(domains, csp._trail)
+    trail = csp._trail
+    st = _Store(domains, trail)
     touched = st.touched
+    if trail is None:
+        asleep, slept = bytearray(len(constraints)), None
+    else:
+        # a constraint asleep at segment 0 is not listed: it never wakes
+        asleep, slept = trail.asleep, (trail.slept if trail.segment else None)
     if changed is None:
         if any(d.empty for d in domains.values()):
             return False
@@ -1307,7 +1343,7 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
         if any(domains[v].empty for v in touched):
             return False
         queue = deque()
-        queued = bytearray(len(constraints))
+        queued = bytearray(asleep)      # an asleep constraint is never queued
     while True:
         for v in touched:
             for j in watch.get(v, ()):
@@ -1323,8 +1359,18 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
         if isinstance(c, Cmp):
             _filter_cmp(st, c)
         elif isinstance(c, BoolExpr):
-            # an `or` is refuted by the same pass that enforces it
-            if c.op != "or" and _definitely(c, st) is False:
+            if c.op == "or":
+                # refuted, entailed or enforced by one pass
+                val, only = _disjuncts(st, c.disjuncts, True)
+                if val:
+                    asleep[i] = queued[i] = 1
+                    if slept is not None:
+                        slept.append(i)
+                elif val is False:
+                    st.failed = True
+                elif only is not None:
+                    _require(st, only, True)
+            elif _definitely(c, st) is False:
                 st.failed = True
             else:
                 _require(st, c, True)
@@ -1348,16 +1394,16 @@ def solutions(csp: CSPInstance,
     Depth-first search with propagation at every node, on one copy of `csp`
     whose domain changes are trailed; `csp` itself is not modified.  Each
     open x = v branch is a choice point on an explicit stack, and
-    backtracking undoes the trail to it and goes on with x != v.  Solutions
-    come in labeling order: leftmost unfixed variable in declaration order,
-    ascending values, binary x=v / x!=v branching.  `charge`, if given, is
-    called before each node's `propagate` call; an exception it raises ends
-    the search.
+    backtracking undoes the trail to it, waking the constraints that fell
+    asleep since, and goes on with x != v.  Solutions come in labeling
+    order: leftmost unfixed variable in declaration order, ascending values,
+    binary x=v / x!=v branching.  `charge`, if given, is called before each
+    node's `propagate` call; an exception it raises ends the search.
     """
     work = csp.copy()
-    trail = work._trail = _Trail()
+    trail = work._trail = _Trail(len(work.constraints))
     doms, order = work.domains, work.var_order
-    choices: List[Tuple[int, str, int, int]] = []   # (trail pos, x, v, k)
+    choices: List[tuple] = []       # (trail positions, x, v, k)
     changed: Optional[Tuple[str, ...]] = None
     k = 0                           # every variable before order[k] is fixed
     while True:

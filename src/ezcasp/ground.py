@@ -160,18 +160,6 @@ def _expand_head_ranges(terms: _Terms, a: Atom, pos: Optional[SourcePos],
     return [terms.atom(a.rel, combo) for combo in itertools.product(*slots)]
 
 
-def _has_list(t: Term) -> bool:
-    """Whether t holds an intensional list where `expand_lists` looks: at
-    the top or inside compounds and lists."""
-    if isinstance(t, IntensionalList):
-        return True
-    if isinstance(t, Compound):
-        return any(_has_list(a) for a in t.args)
-    if isinstance(t, ListTerm):
-        return any(_has_list(a) for a in t.items)
-    return False
-
-
 def _matchable(t: Term) -> bool:
     """Whether a bound pattern equal to t can match: `_match` unifies only
     constants and compounds of them."""
@@ -621,15 +609,17 @@ class _RulePlan:
             if isinstance(rule.head, Atom) else ()
         self.required = isinstance(rule.head, Atom) and \
             rule.head.rel == "required"
-        self.lists = self.required and any(_has_list(t)
-                                           for t in rule.head.args)
+        self.has_list = state.terms.has_list
+        self.lists = self.required and any(map(self.has_list,
+                                               rule.head.args))
         self.instances: List[Tuple[Dict[str, Term], List[Atom]]] = []
 
     def holds_list(self, env: Dict[str, Term]) -> bool:
         """Whether the required head instance under env holds an
         intensional list: the head does, or a variable is bound to a term
         that does.  For a required rule only."""
-        return self.lists or any(_has_list(env[v]) for v in self.head_vars)
+        return self.lists or any(self.has_list(env[v])
+                                 for v in self.head_vars)
 
     def dirty(self) -> bool:
         """Whether a table this rule reads gained atoms since its last run

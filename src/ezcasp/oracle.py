@@ -234,14 +234,12 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     if not runs and all(clausify(abstraction0)):
         return False, "trace has no run"
 
-    entail_ok = program.n_atoms <= 14
-
     gamma: List[RuleP] = []
     expected: List[RuleP] = []      # the blocking denials of earlier models
     try:
         for run_id in sorted(runs):
             blocking, model = _validate_run(runs[run_id], program, semantics,
-                                            names, index, entail_ok, gamma)
+                                            names, index, gamma)
             # checked after the replay, so that a run is first judged by
             # its own edges and final state
             if list(map(denial_key, blocking)) != list(map(denial_key,
@@ -257,8 +255,7 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
 
 
 def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
-                  semantics: str, names, index, entail_ok: bool,
-                  gamma: List[RuleP]
+                  semantics: str, names, index, gamma: List[RuleP]
                   ) -> Tuple[List[RuleP], Optional[List[int]]]:
     """Replay one run from Gamma as the earlier runs left it, appending to
     `gamma` what the run learns; returns the run's blocking denials and,
@@ -374,15 +371,13 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             if key in {denial_key(x) for x in gamma + lam}:
                 raise _Violation(f"step {i}: learned denial not fresh")
             entailed = False
-            if entail_ok:
-                extended = run_program.with_extra_denials(gamma + lam)
-                try:
-                    if not is_entailed_denial(extended, d, semantics):
-                        raise _Violation(
-                            f"step {i}: learned denial not entailed")
-                    entailed = True
-                except OracleBoundExceeded:
-                    pass
+            extended = run_program.with_extra_denials(gamma + lam)
+            try:
+                if not is_entailed_denial(extended, d, semantics):
+                    raise _Violation(f"step {i}: learned denial not entailed")
+                entailed = True
+            except OracleBoundExceeded:
+                pass
             if projection is not None and kind == "cp-conflict":
                 # only a CPPropagate edge, which re-verified that M's
                 # csp-abstraction is infeasible, adds bottom to M

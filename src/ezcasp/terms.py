@@ -4,7 +4,8 @@ term order.
 
 `_Terms` is the table.  It builds every ground term and atom that the
 grounder makes, so equal ones are one object, and it memoizes the
-canonical name and display text of each distinct interned subterm.
+canonical name, the display text and whether it holds an intensional list
+of each distinct interned subterm.
 `canon_term`, `canon_atom`, `display_term`, `display_atom` and `term_key`
 accept any ground term; all but the last make a table for the one call.
 `ezcasp.ground` re-exports the public names.
@@ -120,7 +121,8 @@ def display_atom(a: Atom) -> str:
 
 class _Terms:
     """The ground terms of one grounding, one object per distinct term, and
-    memos of their canonical names and display texts.
+    memos of their canonical names, their display texts and whether they
+    hold an intensional list.
 
     A constant is keyed by its value (integers and symbols never compare
     equal), a compound by its functor and the identities of its arguments,
@@ -133,7 +135,7 @@ class _Terms:
     term; the public functions make a table for one call, which memoizes
     nothing."""
 
-    __slots__ = ("terms", "atoms", "ids", "names", "shown")
+    __slots__ = ("terms", "atoms", "ids", "names", "shown", "lists")
 
     def __init__(self) -> None:
         self.terms: Dict[object, Term] = {}
@@ -141,6 +143,7 @@ class _Terms:
         self.ids: Set[int] = set()            # identities of interned terms
         self.names: Dict[int, str] = {}
         self.shown: Dict[int, Tuple[str, Optional[str], Optional[int]]] = {}
+        self.lists: Dict[int, bool] = {}
 
     def const(self, v: Union[int, str]) -> Const:
         c = self.terms.get(v)
@@ -263,6 +266,23 @@ class _Terms:
             r = _shown(t, self.show)
             if id(t) in self.ids:
                 self.shown[id(t)] = r
+        return r
+
+    def has_list(self, t: Term) -> bool:
+        """Whether t holds an intensional list where `expand_lists` looks:
+        at the top or inside compounds and lists."""
+        r = self.lists.get(id(t))
+        if r is None:
+            if isinstance(t, IntensionalList):
+                r = True
+            elif isinstance(t, Compound):
+                r = any(map(self.has_list, t.args))
+            elif isinstance(t, ListTerm):
+                r = any(map(self.has_list, t.items))
+            else:
+                r = False
+            if id(t) in self.ids:
+                self.lists[id(t)] = r
         return r
 
     def show_atom(self, a: Atom) -> str:

@@ -565,6 +565,11 @@ def test_stats_file(tmp_path, capsys, path, n):
     layers = [written[k] for k in ("parse_s", "ground_s", "translate_s")]
     assert all(t >= 0 for t in layers)
     assert sum(layers) <= written["ground_stages_s"]
+    fd_layers = [written[k] for k in ("fd_build_s", "fd_search_s")]
+    assert all(t >= 0 for t in fd_layers)
+    assert sum(fd_layers) <= written["solve_ca_s"]
+    # every solve here checks a CSP, so both fd layers take time
+    assert res.stats.csp_checks and all(fd_layers)
 
 
 def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):
@@ -572,6 +577,8 @@ def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):
     f.write_text("a. :- a.")
     stats = tmp_path / "stats.json"
     assert run_cli(capsys, f, "--stats", stats) == (EXIT_UNSAT, "UNSAT\n", "")
-    assert json.loads(stats.read_text())["stats"]["runs"] == 1
+    written = json.loads(stats.read_text())
+    assert written["stats"]["runs"] == 1
+    assert written["fd_build_s"] == written["fd_search_s"] == 0     # no check
     code, out, err = run_cli(capsys, f, "--stats", tmp_path / "no" / "s.json")
     assert code == EXIT_ERROR and out == "" and err.startswith("error: ")

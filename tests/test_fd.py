@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -185,6 +186,116 @@ def test_cumulative_worked_example():
     oracle = enumerate_csp_solutions(inst)
     assert _sols_set(sols) == _sols_set(oracle)
     assert sols and all(s["sa"] != s["sb"] for s in sols)
+
+
+def _cumulative_per_job_profile(st, starts, durs, ress, limit):
+    """Reference time-table filter: the profile of the others is rebuilt
+    from the live domains for each job, leaving out every job whose start
+    is the same variable."""
+    from ezcasp.fd import _ival
+    lim_hi = _ival(limit, st.domains)[1]
+    jobs = [(s.name, d, r) for s, d, r in zip(starts, durs, ress)
+            if isinstance(s, VarRef)]
+    if not jobs or all(d <= 0 for d in durs):
+        return
+
+    def profile(exclude):
+        prof = {}
+        for name, d, r in jobs:
+            if name == exclude or d <= 0:
+                continue
+            sd = st.dom(name)
+            for t in range(sd.hi, sd.lo + d):
+                prof[t] = prof.get(t, 0) + r
+        return prof
+
+    peak = max(profile(None).values(), default=0)
+    if peak > lim_hi:
+        st.failed = True
+        return
+    if isinstance(limit, VarRef):
+        st.set_min(limit.name, peak)
+        if st.failed:
+            return
+    for name, d, r in jobs:
+        if d <= 0 or r <= 0:
+            continue
+        others = profile(name)
+        lo = st.dom(name).lo
+        moved = True
+        while moved and lo <= st.dom(name).hi:
+            moved = False
+            for t in range(lo, lo + d):
+                if others.get(t, 0) + r > lim_hi:
+                    lo, moved = t + 1, True
+                    break
+        st.set_min(name, lo)
+        if st.failed:
+            return
+        hi = st.dom(name).hi
+        moved = True
+        while moved and hi >= st.dom(name).lo:
+            moved = False
+            for t in range(hi, hi + d):
+                if others.get(t, 0) + r > lim_hi:
+                    hi, moved = t - d, True
+                    break
+        st.set_max(name, hi)
+        if st.failed:
+            return
+
+
+def _cumulative_cases(rng):
+    """Random cumulatives over x, y and the limit variable l: repeated
+    starts, constant starts, and a constant or variable limit, which may
+    also be a start."""
+    x, y, l = V("x"), V("y"), V("l")
+    starts = rng.choice([(x, x, y), (x, y, x, I(2)), (x, l, y), (y, x, x)])
+    durs = tuple(rng.randint(0, 3) for _ in starts)
+    ress = tuple(rng.randint(-1, 3) for _ in starts)
+    limit = rng.choice([l, l, I(rng.randint(0, 4)), A("plus", (l, I(1)))])
+    inst = CSPInstance()
+    for n in "xyl":
+        lo = rng.randint(0, 3)
+        inst.add_var(n, lo, lo + rng.randint(0, 4))
+    inst.post(G("cumulative", (starts, durs, ress, limit)))
+    return inst
+
+
+def test_cumulative_one_profile_equals_per_job_profiles(monkeypatch):
+    from ezcasp import fd
+    from test_fd_fixpoints import fixpoint_text
+    # raising the limit l, also a start, lengthens l's compulsory part to
+    # 2..4, which leaves x only 0..1
+    grown = CSPInstance()
+    grown.add_var("l", 0, 2)
+    grown.add_var("x", 0, 3)
+    grown.post(G("cumulative", ((V("l"), V("x")), (3, 1), (2, 1), V("l"))))
+    cases = [grown] + [_cumulative_cases(random.Random(f"cumulative:{seed}"))
+                       for seed in range(400)]
+    checked = 0
+    for seed, inst in enumerate(cases):
+        g = inst.constraints[0]
+        # one run of each filter
+        runs = []
+        for filt in (fd._filter_cumulative, _cumulative_per_job_profile):
+            copy = inst.copy()
+            st = fd._Store(copy.domains)
+            filt(st, *g.args)
+            runs.append(fixpoint_text(not st.failed, copy))
+        assert runs[0] == runs[1], (seed, g)
+        # the propagation fixpoints
+        one = inst.copy()
+        ok = propagate(one)
+        monkeypatch.setattr(fd, "_filter_cumulative",
+                            _cumulative_per_job_profile)
+        ref = inst.copy()
+        assert fixpoint_text(ok, one) == fixpoint_text(propagate(ref), ref)
+        monkeypatch.undo()
+        checked += runs[0] != fixpoint_text(True, inst)
+        if inst is grown:
+            assert runs[0] == "ok l=2..2 x=0..1"
+    assert checked > 100        # most cases narrow or fail
 
 
 def test_propagation_safety_on_random_instances():
@@ -436,10 +547,22 @@ def test_reified_or_forces_remaining_branch():
     assert inst.domains["y"].hi == 2
 
 
+def _nested_or(disjuncts, nesting):
+    """One `or` over the disjuncts: flat, as left-nested binary `or`s, or
+    as an `or` of all but the last and the last."""
+    if nesting == "flat":
+        return B("or", tuple(disjuncts))
+    if nesting == "left":
+        return functools.reduce(lambda a, b: B("or", (a, b)), disjuncts)
+    return B("or", (B("or", tuple(disjuncts[:-1])), disjuncts[-1]))
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_reified_or_evaluates_each_disjunct_once(monkeypatch, k):
-    # one run of the filter each: every disjunct open, every disjunct
-    # refuted, the first disjunct entailed
+    # one run of the filter each, on a flat `or` and on nested ones: every
+    # disjunct open, every disjunct refuted, all but the last open (so the
+    # inner `or` is the only open disjunct of the outer), the first
+    # disjunct entailed
     from ezcasp import fd
     names = [f"x{i}" for i in range(k)]
     shapes = [
@@ -448,6 +571,9 @@ def test_reified_or_evaluates_each_disjunct_once(monkeypatch, k):
         (True, [C("geq", V(names[0]), I(0))] +
          [C("gt", V(n), I(3)) for n in names[1:]]),
     ]
+    if k > 2:   # with one open disjunct, enforcing it runs the filter again
+        shapes.insert(2, (True, [C("gt", V(n), I(3)) for n in names[:-1]] +
+                          [C("gt", V(names[-1]), I(9))]))
     seen = []
     definitely = fd._definitely
 
@@ -456,15 +582,113 @@ def test_reified_or_evaluates_each_disjunct_once(monkeypatch, k):
         return definitely(c, st)
 
     monkeypatch.setattr(fd, "_definitely", counted)
-    for ok, disjuncts in shapes:
-        inst = CSPInstance()
-        for n in names:
-            inst.add_var(n, 0, 9)
-        inst.post(B("or", tuple(disjuncts)))
-        seen.clear()
-        assert propagate(inst) is ok
-        assert seen and all(seen.count(d) <= 1 for d in disjuncts), seen
-    assert seen == [disjuncts[0]]
+    for nesting in ("flat", "left", "inner"):
+        for ok, disjuncts in shapes:
+            inst = CSPInstance()
+            for n in names:
+                inst.add_var(n, 0, 9)
+            inst.post(_nested_or(disjuncts, nesting))
+            seen.clear()
+            assert propagate(inst) is ok
+            assert seen and all(seen.count(d) <= 1 for d in disjuncts), \
+                (nesting, seen)
+        assert seen == [disjuncts[0]]
+
+
+def _random_formula(rng, names, depth):
+    """A random formula of `or`s, some nested, under `and` and `not`."""
+    if depth == 0 or rng.random() < 0.3:
+        return primitive(rng, names)
+    op = rng.choice(["or", "or", "or", "and", "not"])
+    if op == "not":
+        return B("not", (_random_formula(rng, names, depth - 1),))
+    return B(op, tuple(_random_formula(rng, names, depth - 1)
+                       for _ in range(rng.randint(1, 3))))
+
+
+def _flat(c):
+    """c with every `or` inside an `or` spliced into it."""
+    if not isinstance(c, BoolExpr):
+        return c
+    args = []
+    for a in map(_flat, c.args):
+        if c.op == "or" and isinstance(a, BoolExpr) and a.op == "or":
+            args.extend(a.args)
+        else:
+            args.append(a)
+    return B(c.op, tuple(args))
+
+
+def test_nested_and_flat_ors_reach_equal_fixpoints():
+    from test_fd_fixpoints import fixpoint_text
+    nested_seen = 0
+    for seed in range(300):
+        rng = random.Random(f"nested-or:{seed}")
+        names = [f"x{i}" for i in range(rng.randint(2, 4))]
+        cs = [_random_formula(rng, names, 3) for _ in range(rng.randint(1, 3))]
+        flat = [_flat(c) for c in cs]
+        nested_seen += flat != cs
+        los = [rng.randint(-2, 2) for _ in names]
+        ranges = [(n, lo, lo + rng.randint(0, 6)) for n, lo in zip(names, los)]
+        pair = []
+        for posted in (cs, flat):
+            inst = CSPInstance()
+            for r in ranges:
+                inst.add_var(*r)
+            for c in posted:
+                inst.post(c)
+            pair.append(inst)
+        texts = [fixpoint_text(propagate(inst), inst) for inst in pair]
+        assert texts[0] == texts[1], (seed, cs)
+        if texts[0].startswith("ok"):
+            x = rng.choice(names)
+            for inst in pair:
+                inst.domains[x].set_min(inst.domains[x].lo + 1)
+            texts = [fixpoint_text(propagate(inst, [x]), inst)
+                     for inst in pair]
+            assert texts[0] == texts[1], (seed, cs)
+        assert solve(pair[0]) == solve(pair[1]), seed
+    assert nested_seen > 100
+
+
+def test_entailed_or_wakes_on_backtracking(monkeypatch):
+    # or(x = 0, z >= 3) is entailed under x = 0 and must narrow z under
+    # x != 0; or(y = 1, z <= 1) likewise one choice deeper
+    from ezcasp import fd
+    x, y, z = V("x"), V("y"), V("z")
+    inst = CSPInstance()
+    for n, hi in (("x", 2), ("y", 2), ("z", 4)):
+        inst.add_var(n, 0, hi)
+    inst.post(B("or", (C("eq", x, I(0)), C("geq", z, I(3)))))
+    inst.post(B("or", (C("eq", y, I(1)), C("leq", z, I(1)))))
+    leaves = []
+    check = fd.satisfied
+
+    def counted(c, e):
+        ok = check(c, e)
+        if c in inst.constraints:           # not the disjuncts inside
+            leaves.append(ok)
+        return ok
+
+    monkeypatch.setattr(fd, "satisfied", counted)
+    oracle = sorted(enumerate_csp_solutions(inst),
+                    key=lambda e: [e[n] for n in inst.var_order])
+    leaves.clear()
+    assert solve(inst) == (oracle, True)
+    # propagation leaves only solutions here: a constraint that slept past
+    # its backtrack would let z take values the leaf check rejects
+    assert leaves and all(leaves)
+    assert len(oracle) == 2 + 5 + 2 + 2 + 2
+
+
+def test_propagate_sleeps_for_one_call_outside_search():
+    inst = CSPInstance()
+    inst.add_var("x", 0, 0)
+    inst.add_var("y", 0, 9)
+    inst.post(B("or", (C("eq", V("x"), I(0)), C("geq", V("y"), I(4)))))
+    assert propagate(inst) and inst.domains["y"].lo == 0
+    inst.domains["x"] = Domain(1, 3)        # no longer entailed
+    assert propagate(inst, ["x"]) and inst.domains["y"].lo == 4
 
 
 def test_reified_implication_is_material():

@@ -433,6 +433,27 @@ def test_tampered_engine_trace_is_rejected(name, where, tamper, reason,
     assert not ok and reason in why, why
 
 
+@pytest.mark.parametrize("seed", [4, 26, 43, 49])
+def test_learn_entailment_is_checked_up_to_the_oracle_bound(seed,
+                                                            monkeypatch):
+    # programs of 15 atoms, inside the oracle's bound: each Learn edge is
+    # checked for entailment, not only against its certificate
+    prog = random_program(seed, n_regular=8, n_rules=10, n_constraint=3)
+    assert prog.n_atoms == 15 <= oracle.ATOM_BOUND
+    trace = _engine_trace(prog, "weak", limit=0)
+    checked = []
+    entailed = oracle.is_entailed_denial
+
+    def counted(program, denial, semantics):
+        checked.append(denial)
+        return entailed(program, denial, semantics)
+
+    monkeypatch.setattr(oracle, "is_entailed_denial", counted)
+    assert validate_trace(trace, prog) == (True, None)
+    learns = [r for r in trace if r.get("rule") == "Learn"]
+    assert learns and len(checked) == len(learns)
+
+
 @pytest.mark.parametrize("where,tamper,reason", [
     (_is("Decide"), lambda rec: dict(rec, payload={"lit": "nosuchatom"}),
      "step {k}: malformed record: KeyError('nosuchatom')"),
