@@ -340,7 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        ok, why = validate_trace(records, program, semantics=args.semantics)
+        ok, why = validate_trace(records, program)
         print("trace ok" if ok else f"trace invalid: {why}")
         return 0 if ok else EXIT_ERROR
 

@@ -255,6 +255,10 @@ def _values(items, e) -> Optional[List[int]]:
 
 def _sat_global(g: Global, e: Dict[str, int]) -> bool:
     name, args = g.name, g.args
+    if name == "serialized":       # as `_filter_global` reads it
+        if len(args[0]) != len(args[1]):
+            return False
+        name, args = "cumulative", (*args, (1,) * len(args[1]), 1)
     if name in ("all_different", "all_distinct"):
         vals = _values(args[0], e)
         return vals is not None and len(set(vals)) == len(vals)
@@ -301,7 +305,8 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
     if name == "disjoint2":
         xs, ys = _values(args[0], e), _values(args[2], e)
         ws, hs = list(args[1]), list(args[3])
-        if xs is None or ys is None:
+        if xs is None or ys is None or \
+                not len(xs) == len(ws) == len(ys) == len(hs):
             return False
         n = len(xs)
         for i in range(n):
@@ -333,19 +338,6 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
             return False
         return _CMP_FUN[args[2]](sum(c * v for c, v in zip(coeffs, vals)),
                                  target)
-    if name == "serialized":
-        starts = _values(args[0], e)
-        durs = list(args[1])
-        if starts is None:
-            return False
-        n = len(starts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if durs[i] > 0 and durs[j] > 0 and \
-                        starts[i] < starts[j] + durs[j] and \
-                        starts[j] < starts[i] + durs[i]:
-                    return False
-        return True
     if name == "sum":
         vals = _values(args[0], e)
         target = eval_term(args[2], e)
@@ -1216,10 +1208,16 @@ def _filter_global(st: _Store, g: Global) -> None:
         _filter_cumulative(st, *args)
     elif name == "serialized":
         starts, durs = args
+        if len(starts) != len(durs):
+            st.failed = True                    # as `_sat_global` rejects it
+            return
         _filter_cumulative(st, starts, durs, (1,) * len(durs), 1)
     elif name == "disjoint2":
         xs, ws, ys, hs = args
         n = len(xs)
+        if not n == len(ws) == len(ys) == len(hs):
+            st.failed = True
+            return
         for i in range(n):
             for j in range(i + 1, n):
                 if min(ws[i], hs[i], ws[j], hs[j]) <= 0:

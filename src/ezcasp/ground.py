@@ -18,8 +18,8 @@ and of translation key by identity.  A term with a variable or a range is
 never interned.  Each ground atom is built once: a head once per binding
 of its variables in a rule run, a body literal once per binding of its own
 variables at emission; the grounder names none.  `ground` returns a
-`GroundProgram`: the rules, an atom table in which each distinct atom has
-an id in insertion order, and the term table.  `expand_lists` replaces
+`GroundProgram`: the rules, an atom table that maps the identity of each
+distinct atom to the atom, and the term table.  `expand_lists` replaces
 intensional lists by their extensional representation, visiting only the
 rules whose required head holds one; `to_ca_program` maps the ground
 program to a CA program in one walk over its rules: constraint-variable
@@ -58,7 +58,7 @@ from .lang import (
     SourcePos, Term, Var, ARITH_OPS, CMP_OPS, GLOBAL_SIGNATURES, LOGIC_OPS,
     _subterms, parse, preprocess,
 )
-from .terms import (GroundError, _Terms, canon_atom, canon_term,
+from .terms import (GroundError, _Terms, _name, canon_atom, canon_term,
                     display_atom, display_term, term_key)
 
 __all__ = [
@@ -488,8 +488,7 @@ def _test_builtin(terms: _Terms, b: BuiltinLit, env: Dict[str, Term],
         if op in ("=", "!="):
             return (lhs is rhs) if op == "=" else (lhs is not rhs)
         a, c = term_key(lhs), term_key(rhs)     # total order on ground terms
-    return {"=": a == c, "!=": a != c, "<": a < c, "<=": a <= c,
-            "=<": a <= c, ">": a > c, ">=": a >= c}[op]
+    return fd._CMP_FUN[CMP_OPS[op]](a, c)
 
 
 def _instantiate(steps: list, state: _GroundState,
@@ -773,16 +772,15 @@ _KINDS = ("pos", "not", "notnot")          # body literal kinds, by code
 class GroundProgram(EzProgram):
     """A ground program with its atom table, as `ground` emits it.
 
-    `atoms` lists the distinct atoms in order of insertion, an atom's id
-    being its position, and `index` maps the identity of each to its id.
-    Every atom in `rules` is the table's object, so an atom's identity is
-    its key.  `lists` holds the index of each rule whose required head
-    holds an intensional list.  `terms` holds the interned terms and their
-    memos; a program built otherwise gets an empty table, and its terms are
-    then interned where a stage needs them to be.  Programs compare by
-    their rules, as any `EzProgram`."""
-    atoms: Tuple[Atom, ...] = field(compare=False)
-    index: Dict[int, int] = field(compare=False)
+    `atoms` maps the identity of each distinct atom to the atom, in order
+    of first occurrence, and numbers none: `to_ca_program` numbers the atoms
+    it reaches.  Every atom in `rules` is the table's object, so an atom's
+    identity is its key.  `lists` holds the index of each rule whose
+    required head holds an intensional list.  `terms` holds the interned
+    terms and their memos; a program built otherwise gets an empty table,
+    and its terms are then interned where a stage needs them to be.
+    Programs compare by their rules, as any `EzProgram`."""
+    atoms: Dict[int, Atom] = field(compare=False)
     lists: Tuple[int, ...] = field(compare=False)
     terms: _Terms = field(default_factory=_Terms, compare=False, repr=False)
 
@@ -840,20 +838,10 @@ def ground(p: EzProgram) -> GroundProgram:
 
     # emission: each rule's last run saw the final tables.  A body literal
     # is built once per binding of its own variables, and each distinct
-    # ground atom is one table entry.
+    # ground atom is one table entry, keyed by its identity.
     rules: List[Rule] = []
     lists: List[int] = []
-    atoms: List[Atom] = []
-    index: Dict[int, int] = {}
-
-    def enter(a: Atom) -> int:
-        """The id of the table's atom a, entered if it is new."""
-        i = index.get(id(a))
-        if i is None:
-            i = index[id(a)] = len(atoms)
-            atoms.append(a)
-        return i
-
+    atoms: Dict[int, Atom] = {}
     # one literal object per atom and kind, under the key 3 * id + kind code
     shared: Dict[int, Lit] = {}
     seen: Set[tuple] = set()
@@ -882,7 +870,8 @@ def ground(p: EzProgram) -> GroundProgram:
                 if k is None:
                     a = terms.atom(atom.rel, [terms.eval(t, rule.pos, env)
                                               for t in atom.args])
-                    k = memo[binding] = 3 * enter(a) + code
+                    atoms.setdefault(id(a), a)
+                    k = memo[binding] = 3 * id(a) + code
                     if k not in shared:
                         shared[k] = Lit(kind, a)
                 keys.append(k)
@@ -892,14 +881,15 @@ def ground(p: EzProgram) -> GroundProgram:
                 heads.append((None, None))
             elif atom_head:
                 for inst in insts:
-                    heads.append((inst, enter(inst)))
+                    atoms.setdefault(id(inst), inst)
+                    heads.append((inst, id(inst)))
             else:
                 ch = rule.head
                 elems: Dict[int, ChoiceElem] = {}
                 for inst in insts:
-                    i = enter(inst)
-                    if i not in elems:
-                        elems[i] = ChoiceElem(inst, ())
+                    atoms.setdefault(id(inst), inst)
+                    if id(inst) not in elems:
+                        elems[id(inst)] = ChoiceElem(inst, ())
                 lower = None if ch.lower is None else terms.const(_int_of(
                     terms, ch.lower, "choice bound", rule.pos, env))
                 upper = None if ch.upper is None else terms.const(_int_of(
@@ -920,8 +910,7 @@ def ground(p: EzProgram) -> GroundProgram:
                     if rp.required and rp.holds_list(env):
                         lists.append(len(rules))
                     rules.append(Rule(h, ground_body, rule.pos))
-    return GroundProgram(tuple(rules), tuple(atoms), index, tuple(lists),
-                         terms)
+    return GroundProgram(tuple(rules), atoms, tuple(lists), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -936,10 +925,6 @@ class VariableDecl:
     var_term: Term
     lo: Optional[int]
     hi: Optional[int]
-
-    @property
-    def var(self) -> str:
-        return canon_term(self.var_term)
 
 
 def collect_var_decls(p: EzProgram) -> List[VariableDecl]:
@@ -990,16 +975,15 @@ def expand_lists(p: GroundProgram, decls: Sequence[VariableDecl]
     terms = p.terms
     expander = _ListExpander(p, decls)
     rules = list(p.rules)
-    atoms, index = list(p.atoms), dict(p.index)
+    atoms = dict(p.atoms)
     for k in p.lists:
         r = rules[k]
         args = expander.terms(r.head.args, r.pos)
         if args is not r.head.args:
             a = terms.atom("required", args)
-            if index.setdefault(id(a), len(atoms)) == len(atoms):
-                atoms.append(a)
+            atoms.setdefault(id(a), a)
             rules[k] = Rule(a, r.body, r.pos)
-    return (GroundProgram(tuple(rules), tuple(atoms), index, (), terms),
+    return (GroundProgram(tuple(rules), atoms, (), terms),
             expander.warnings)
 
 
@@ -1025,7 +1009,7 @@ class _ListExpander:
         The relations are those of the atom table, which holds exactly the
         atoms of the rules."""
         p = self.program
-        self.rels = {(a.rel, len(a.args)) for a in p.atoms}
+        self.rels = {(a.rel, len(a.args)) for a in p.atoms.values()}
         for r in p.rules:
             h = r.head
             if not r.body and h.__class__ is Atom:
@@ -1256,21 +1240,20 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
 
     One walk over the rules checks their heads (the `cspdomain` fact, the
     distinct required atoms) and turns each into propositional rules over
-    atom ids: a choice rule into one rule per element and the denials of
-    its bounds.  The atoms are keyed by identity, which the program's table
-    makes one object per distinct atom, so the distinct required atoms are
-    told apart without naming their arguments.  An `asp.AtomIds` table
+    atom ids: a choice rule into one rule per element and the denials of its
+    bounds.  The atoms are keyed by identity, as in `p.atoms`: the program's
+    table makes one object per distinct atom, so the distinct required atoms
+    are told apart without naming their arguments.  An `asp.AtomIds` table
     numbers the keys in order of first occurrence and names each once, as
     `display_atom` does, from the display texts that the program's term
-    table memoizes per distinct subterm; atoms shown alike are one atom,
-    and a choice rule's bounds count its elements after that merge.  The
+    table memoizes per distinct subterm; atoms shown alike are one atom, and
+    a choice rule's bounds count its elements after that merge.  The
     constraint expressions are built after the walk, each distinct subterm
-    once (`_Gamma`), and then the two linking denials of each required
-    atom.  In a program whose terms are not interned, a declared variable
-    is found through its interned copy.
+    once (`_Gamma`), and then the two linking denials of each required atom.
+    In a program whose terms are not interned, a declared variable is found
+    through its interned copy.
     """
-    terms = p.terms
-    atoms = {id(a): a for a in p.atoms}
+    terms, atoms = p.terms, p.atoms
     # the key of each distinct required atom, with its first rule, and the
     # display name of its argument; its constraint atom has the key ~key
     required: Dict[int, Rule] = {}
@@ -1332,7 +1315,7 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     if len(domain_args) > 1:
         raise GroundError("duplicate cspdomain fact")
     if not domain_args:
-        if any(a.reserved for a in p.atoms):
+        if any(a.reserved for a in p.atoms.values()):
             raise GroundError("missing cspdomain fact")
     else:
         arg, dpos = domain_args[0]
@@ -1346,7 +1329,7 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     for r in required.values():
         if isinstance(r.head.args[0], IntensionalList):
             raise GroundError("unexpanded intensional list", r.pos)
-    var_names = [terms.name(d.var_term) for d in decls]
+    var_names = [_name(d.var_term) for d in decls]
     gamma = _Gamma(terms, {id(terms.eval(d.var_term)): fd.VarRef(v)
                            for d, v in zip(decls, var_names)}
                    ).gamma(required)

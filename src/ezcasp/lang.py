@@ -345,7 +345,6 @@ _INFIX_BP = {
     "*": (90, 91), "/": (90, 91),
 }
 _CMP_TOKENS = frozenset(CMP_OPS)
-_ARITH_TOKENS = frozenset(ARITH_OPS)
 
 
 def _pos(t: tuple) -> SourcePos:

@@ -184,10 +184,13 @@ def _projection(program: CAProgram, lits: Sequence[int]) -> List[int]:
     return out
 
 
-def validate_trace(records: Sequence[dict], program: CAProgram,
-                   semantics: str = "weak"
+def validate_trace(records: Sequence[dict], program: CAProgram
                    ) -> Tuple[bool, Optional[str]]:
     """Replay a trace and check every edge guard.
+
+    A run's first record must be its start record, which names the
+    semantics ("weak" or "full") that judges the run's edges and final
+    state, and lists its blocking denials.
 
     Checks per rule: Decide (literal unassigned, record consistent), Unit
     Propagate (the clause exists and all its other literals are false),
@@ -201,7 +204,9 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     entailment was not checked), Backtrack (record inconsistent, no
     decision literal after the flipped one), Fail (inconsistent, no
     decisions), Restart/Restart_t (non-empty record, and
-    restart-safety: a dedicated fresh Learn precedes every restart).  A
+    restart-safety: a dedicated fresh Learn precedes every restart),
+    AspPropagate (the literal holds in every answer set that agrees with M,
+    by exhaustion; rejected above the oracle's atom bound).  A
     completed run must stop semi-terminal (models) or in Failstate.  A
     trace without a run is valid only when the clausified abstraction holds
     an empty clause.
@@ -238,8 +243,8 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
     expected: List[RuleP] = []      # the blocking denials of earlier models
     try:
         for run_id in sorted(runs):
-            blocking, model = _validate_run(runs[run_id], program, semantics,
-                                            names, index, gamma)
+            blocking, model = _validate_run(runs[run_id], program, names,
+                                            index, gamma)
             # checked after the replay, so that a run is first judged by
             # its own edges and final state
             if list(map(denial_key, blocking)) != list(map(denial_key,
@@ -255,24 +260,22 @@ def validate_trace(records: Sequence[dict], program: CAProgram,
 
 
 def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
-                  semantics: str, names, index, gamma: List[RuleP]
+                  names, index, gamma: List[RuleP]
                   ) -> Tuple[List[RuleP], Optional[List[int]]]:
     """Replay one run from Gamma as the earlier runs left it, appending to
     `gamma` what the run learns; returns the run's blocking denials and,
     if it ended in a model, the final record's literals."""
-    blocking: List[RuleP] = []
-    pos = 0
-    if entries and entries[0][1].get("event") == "start":
-        i, start = entries[0]
-        try:
-            blocking = [_denial_of(d, index)
-                        for d in start.get("blocking", [])]
-        except _MALFORMED as exc:
-            raise _Violation(f"step {i}: malformed record: {exc!r}") from None
-        semantics = start.get("semantics", semantics)
-        if semantics not in ("weak", "full"):
-            raise _Violation(f"step {i}: unknown semantics {semantics!r}")
-        pos = 1
+    i, start = entries[0]
+    if start.get("event") != "start" or "semantics" not in start:
+        raise _Violation(f"step {i}: run does not begin with a start record "
+                         f"that names its semantics")
+    try:
+        blocking = [_denial_of(d, index) for d in start.get("blocking", [])]
+    except _MALFORMED as exc:
+        raise _Violation(f"step {i}: malformed record: {exc!r}") from None
+    semantics = start["semantics"]
+    if semantics not in ("weak", "full"):
+        raise _Violation(f"step {i}: unknown semantics {semantics!r}")
     run_program = program.with_extra_denials(blocking) if blocking else program
     abstraction = run_program.asp_abstraction()
     program_clauses = frozenset(frozenset(c) for c in clausify(abstraction))
@@ -306,7 +309,7 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
             alpha[-1] += 1
         return (len(gamma), len(lam), tuple(alpha))
 
-    for i, rec in entries[pos:]:
+    for i, rec in entries[1:]:
         if rec.get("event") == "end":
             end_rec = rec
             break
@@ -422,7 +425,12 @@ def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
                 clauses = program_clauses.union(
                     frozenset(rule_clause(d)) for d in gamma)
         elif rule == "AspPropagate":
-            if not _asp_entails(run_program, gamma + lam, m, lit):
+            try:
+                entailed = _asp_entails(run_program, gamma + lam, m, lit)
+            except OracleBoundExceeded as exc:
+                raise _Violation(f"step {i}: asp entailment not checked: "
+                                 f"{exc}") from None
+            if not entailed:
                 raise _Violation(f"step {i}: literal not asp-entailed")
             if m.holds(lit):
                 raise _Violation(f"step {i}: literal already in record")

@@ -3,11 +3,13 @@ evaluation of built-in arithmetic, canonical names, display texts and the
 term order.
 
 `_Terms` is the table.  It builds every ground term and atom that the
-grounder makes, so equal ones are one object, and it memoizes the
-canonical name, the display text and whether it holds an intensional list
-of each distinct interned subterm.
+grounder makes, so equal ones are one object, and it memoizes the display
+text and whether it holds an intensional list of each distinct interned
+subterm.  Canonical names are not memoized: a grounding names only its
+declared variables, each once.
 `canon_term`, `canon_atom`, `display_term`, `display_atom` and `term_key`
-accept any ground term; all but the last make a table for the one call.
+accept any ground term; `display_term` and `display_atom` make a table for
+the one call.
 `ezcasp.ground` re-exports the public names.
 """
 
@@ -45,31 +47,31 @@ def term_key(t: Term):
     raise GroundError(f"no order for non-ground term {t!r}")
 
 
-def _name(t: Term, sub) -> str:
-    """The canonical name of a ground term; `sub` names its children."""
+def _name(t: Term) -> str:
+    """The canonical name of a ground term."""
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Compound):
-        return f"{t.functor}({','.join([sub(a) for a in t.args])})"
+        return f"{t.functor}({','.join([_name(a) for a in t.args])})"
     if isinstance(t, ListTerm):
-        return f"[{','.join([sub(a) for a in t.items])}]"
+        return f"[{','.join([_name(a) for a in t.items])}]"
     if isinstance(t, IntensionalList):
         inner = t.name
         if t.prefix:
-            inner += f"({','.join([sub(a) for a in t.prefix])})"
+            inner += f"({','.join([_name(a) for a in t.prefix])})"
         return f"[{inner}/{t.arity}]"
     raise GroundError(f"cannot intern non-ground term {t!r}")
 
 
 def canon_term(t: Term) -> str:
-    return _Terms().name(t)
+    """The canonical name of a ground term (`_name`)."""
+    return _name(t)
 
 
 def canon_atom(a: Atom) -> str:
     if not a.args:
         return a.rel
-    name = _Terms().name
-    return f"{a.rel}({','.join([name(t) for t in a.args])})"
+    return f"{a.rel}({','.join([_name(t) for t in a.args])})"
 
 
 _SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}   # read per node
@@ -121,8 +123,7 @@ def display_atom(a: Atom) -> str:
 
 class _Terms:
     """The ground terms of one grounding, one object per distinct term, and
-    memos of their canonical names, their display texts and whether they
-    hold an intensional list.
+    memos of their display texts and whether they hold an intensional list.
 
     A constant is keyed by its value (integers and symbols never compare
     equal), a compound by its functor and the identities of its arguments,
@@ -132,16 +133,15 @@ class _Terms:
     builds every term through the table; a term with a variable or a range
     is never interned.  The memos key by identity and keep only interned
     terms, which the table keeps alive, so an identity never outlives its
-    term; the public functions make a table for one call, which memoizes
-    nothing."""
+    term; `display_term` and `display_atom` make a table for one call,
+    which memoizes nothing."""
 
-    __slots__ = ("terms", "atoms", "ids", "names", "shown", "lists")
+    __slots__ = ("terms", "atoms", "ids", "shown", "lists")
 
     def __init__(self) -> None:
         self.terms: Dict[object, Term] = {}
         self.atoms: Dict[tuple, Atom] = {}
         self.ids: Set[int] = set()            # identities of interned terms
-        self.names: Dict[int, str] = {}
         self.shown: Dict[int, Tuple[str, Optional[str], Optional[int]]] = {}
         self.lists: Dict[int, bool] = {}
 
@@ -249,15 +249,6 @@ class _Terms:
                 canon_atom(Atom(rel, tuple(args)))
             a = self.atoms[key] = Atom(rel, tuple(args))
         return a
-
-    def name(self, t: Term) -> str:
-        """The canonical name of t (`_name`)."""
-        s = self.names.get(id(t))
-        if s is None:
-            s = _name(t, self.name)
-            if id(t) in self.ids:
-                self.names[id(t)] = s
-        return s
 
     def show(self, t: Term) -> Tuple[str, Optional[str], Optional[int]]:
         """The display text of t, with its operator and value (`_shown`)."""

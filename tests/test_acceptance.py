@@ -161,7 +161,7 @@ def test_criterion_4_trace_validity():
                                                limit=0,
                                                max_alphas_per_model=1),
                                collect_trace=True)
-                ok, why = oracle.validate_trace(res.trace, P, semantics=sem)
+                ok, why = oracle.validate_trace(res.trace, P)
                 assert ok, (seed, schema, sem, why)
                 total += 1
     # paper programs too
@@ -174,7 +174,7 @@ def test_criterion_4_trace_validity():
                                               limit=0,
                                               max_alphas_per_model=1),
                            collect_trace=True)
-            ok, why = oracle.validate_trace(res.trace, prog, semantics=sem)
+            ok, why = oracle.validate_trace(res.trace, prog)
             assert ok, (schema, sem, why)
             total += 1
     # the ten-trace hand-mutated negative suite is fully rejected
@@ -185,8 +185,7 @@ def test_criterion_4_trace_validity():
     assert len(suite) == 10
     for name, records in suite:
         ok, _ = oracle.validate_trace(
-            records, conflict if name == "learn-stale" else p1,
-            semantics="full")
+            records, conflict if name == "learn-stale" else p1)
         if not ok:
             rejected += 1
     assert rejected == 10

@@ -183,6 +183,19 @@ def test_validate_trace_rejects_a_malformed_record(tmp_path, capsys):
         "")
 
 
+def test_validate_trace_rejects_asp_propagate_above_the_oracle_bound(
+        tmp_path, capsys):
+    from test_oracle import _asp_propagate_first
+    trace = tmp_path / "t.trace"
+    assert run_cli(capsys, RIDDLE, "--dump-trace", trace)[0] == EXIT_SAT
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    k = _asp_propagate_first(records, ground_program(RIDDLE.read_text()))
+    trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert run_cli(capsys, RIDDLE, "--validate-trace", trace) == (
+        EXIT_ERROR, f"trace invalid: step {k}: asp entailment not checked: "
+                    f"33 atoms exceeds oracle bound 16\n", "")
+
+
 def test_validate_trace_rejects_a_trace_without_a_run(tmp_path, capsys):
     empty = tmp_path / "empty.trace"
     empty.write_text("")
@@ -509,6 +522,8 @@ def test_dump_ground_matches_snapshot(capsys, source):
 
 @pytest.mark.parametrize("constraint", [
     "assignment([x,y],[z])",      # lists of different lengths
+    "serialized([x,y,z],[1,2])",
+    "disjoint2([x,y,z],[1,1],[x,y,z],[1,1,1])",
     "circuit([x,1/0])",           # an undefined item
 ])
 def test_global_edge_cases_match_oracle(tmp_path, capsys, constraint):

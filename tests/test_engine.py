@@ -139,7 +139,7 @@ def test_black_box_conflict_learns_and_restarts():
     assert "Backtrack" not in rules
     assert res.models and res.models[0].atoms == frozenset(
         {"b", "|x >= 12|"})
-    ok, why = oracle.validate_trace(res.trace, P, semantics="full")
+    ok, why = oracle.validate_trace(res.trace, P)
     assert ok, why
 
 
@@ -152,7 +152,7 @@ def test_grey_box_differs_only_in_restart_rule():
     rb, rg = _rules(black.trace), _rules(grey.trace)
     assert ["Restart" if r == "RestartT" else r for r in rb] == rg
     assert "Restart" in rg and "RestartT" not in rg
-    ok, why = oracle.validate_trace(grey.trace, P, semantics="full")
+    ok, why = oracle.validate_trace(grey.trace, P)
     assert ok, why
 
 
@@ -165,7 +165,7 @@ def test_clear_box_conflict_backtracks_without_restart():
     assert rules[i:i + 3] == ["CPPropagate", "Learn", "Backtrack"]
     assert "Restart" not in rules and "RestartT" not in rules
     assert res.stats.restarts == 0
-    ok, why = oracle.validate_trace(res.trace, P, semantics="full")
+    ok, why = oracle.validate_trace(res.trace, P)
     assert ok, why
 
 
@@ -345,7 +345,7 @@ def test_enumeration_via_blocking_denials(night):
     assert res.stats.runs == 5          # 4 models + the exhausting run
     starts = [r for r in res.trace if r.get("event") == "start"]
     assert [len(s["blocking"]) for s in starts] == [0, 1, 2, 3, 4]
-    ok, why = oracle.validate_trace(res.trace, night, semantics="weak")
+    ok, why = oracle.validate_trace(res.trace, night)
     assert ok, why
 
 
@@ -364,7 +364,7 @@ def test_enumeration_learns_no_denial_twice(schema, semantics):
     assert res.stats.runs > 1 and keys
     assert len(set(keys)) == len(keys) == res.stats.learned
     assert res.models == solve_ca(P, cfg).models
-    assert oracle.validate_trace(res.trace, P, semantics) == (True, None)
+    assert oracle.validate_trace(res.trace, P) == (True, None)
 
 
 def test_limit_caps_extended_answer_sets(p1):
@@ -594,7 +594,7 @@ def _same_with_and_without_trace(P, cfg):
     traced = solve_ca(P, cfg, collect_trace=True)
     assert (traced.status, traced.models, traced.stats) == \
         (plain.status, plain.models, plain.stats)
-    ok, why = oracle.validate_trace(traced.trace, P, semantics=cfg.semantics)
+    ok, why = oracle.validate_trace(traced.trace, P)
     assert ok, why
 
 
@@ -622,7 +622,7 @@ def test_all_traces_validate():
                                                limit=0,
                                                max_alphas_per_model=1),
                                collect_trace=True)
-                ok, why = oracle.validate_trace(res.trace, P, semantics=sem)
+                ok, why = oracle.validate_trace(res.trace, P)
                 assert ok, (seed, schema, sem, why)
 
 

@@ -124,6 +124,36 @@ def test_serialized_and_disjoint2():
     d = G("disjoint2", ((V("x1"), V("x2")), (2, 2), (V("y1"), V("y2")), (2, 2)))
     assert satisfied(d, {"x1": 0, "x2": 2, "y1": 0, "y2": 0})
     assert not satisfied(d, {"x1": 0, "x2": 1, "y1": 0, "y2": 1})
+    # lists of unequal lengths are unsatisfied
+    assert not satisfied(G("serialized", ((V("a"), V("b")), (2,))),
+                         {"a": 0, "b": 2})
+    assert not satisfied(G("disjoint2", ((V("x1"), V("x2")), (2, 2),
+                                         (V("y1"), V("y2")), (2,))),
+                         {"x1": 0, "x2": 2, "y1": 0, "y2": 0})
+
+
+def _serialized_pairwise(starts, durs):
+    """The reference: no two jobs of positive duration overlap."""
+    n = len(starts)
+    return not any(durs[i] > 0 and durs[j] > 0
+                   and starts[i] < starts[j] + durs[j]
+                   and starts[j] < starts[i] + durs[i]
+                   for i in range(n) for j in range(i + 1, n))
+
+
+def test_serialized_is_cumulative_with_unit_resources():
+    rng = random.Random("serialized")
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(0, 4)
+        starts = [rng.randint(-3, 5) for _ in range(n)]
+        durs = tuple(rng.randint(-2, 3) for _ in range(n))
+        names = [f"s{i}" for i in range(n)]
+        want = _serialized_pairwise(starts, durs)
+        g = G("serialized", (tuple(map(V, names)), durs))
+        assert satisfied(g, dict(zip(names, starts))) == want, (starts, durs)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # -- complement ------------------------------------------------------------------

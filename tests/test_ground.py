@@ -769,7 +769,7 @@ def _interning_cases():
 def _program_terms(g):
     """Every atom of g's rules and of its atom table, and every subterm of
     their arguments."""
-    atoms = list(g.atoms)
+    atoms = list(g.atoms.values())
     for r in g.rules:
         atoms.extend(ground_mod._head_atoms(r))
         atoms.extend(b.atom for b in r.body)
@@ -785,9 +785,10 @@ def test_equal_ground_terms_are_one_object(name, text):
     for t in terms:
         by_value[t].add(id(t))
     assert all(len(ids) == 1 for ids in by_value.values())
-    table = {id(a) for a in expanded.atoms}
-    assert len(set(expanded.atoms)) == len(table) == len(expanded.atoms)
-    assert {id(a) for a in atoms} == table
+    table = expanded.atoms
+    assert all(k == id(a) for k, a in table.items())
+    assert len(set(table.values())) == len(table)
+    assert {id(a) for a in atoms} == table.keys()
     # a second call shares no atom or term with the first
     again, _ = ground_stages(text)
     atoms2, terms2 = _program_terms(again)
@@ -810,7 +811,8 @@ def _fresh(t):
 def _not_interned(g):
     """g with every term copied apart from every other, and no term table;
     each distinct atom is still one object, as `GroundProgram` requires."""
-    new = {id(a): Atom(a.rel, tuple(map(_fresh, a.args))) for a in g.atoms}
+    new = {k: Atom(a.rel, tuple(map(_fresh, a.args)))
+           for k, a in g.atoms.items()}
     rules = []
     for r in g.rules:
         head = r.head
@@ -821,9 +823,7 @@ def _not_interned(g):
                                             for e in head.elems), head.upper)
         rules.append(Rule(head, tuple(Lit(b.kind, new[id(b.atom)])
                                       for b in r.body), r.pos))
-    atoms = tuple(new[id(a)] for a in g.atoms)
-    return GroundProgram(tuple(rules), atoms,
-                         {id(a): i for i, a in enumerate(atoms)}, ())
+    return GroundProgram(tuple(rules), {id(a): a for a in new.values()}, ())
 
 
 @pytest.mark.parametrize("name, text", _interning_cases(),
@@ -833,7 +833,8 @@ def test_translation_accepts_terms_that_are_not_interned(name, text):
     plain = _not_interned(expanded)
     # no term object occurs twice in the atom table: a declared variable,
     # say, is one object in its declaration and another in each constraint
-    terms = [s for a in plain.atoms for t in a.args for s in lang_subterms(t)]
+    terms = [s for a in plain.atoms.values() for t in a.args
+             for s in lang_subterms(t)]
     assert len({id(t) for t in terms}) == len(terms)
     assert plain == expanded and not plain.terms.ids
     want = ground_mod.to_ca_program(

@@ -84,7 +84,7 @@ class TraceBuilder:
     """Construct trace records with consistent state digests by replaying
     the edits alongside the record stream."""
 
-    def __init__(self, program, run=0, blocking=()):
+    def __init__(self, program, run=0, blocking=(), semantics="weak"):
         self.program = program
         self.names = program.asp_abstraction().names
         self.index = program.asp_abstraction().index
@@ -92,7 +92,7 @@ class TraceBuilder:
         self.gamma = []
         self.lam = []
         self.records = [{"run": run, "event": "start",
-                         "blocking": list(blocking)}]
+                         "semantics": semantics, "blocking": list(blocking)}]
         self.run = run
 
     def _digest(self):
@@ -143,13 +143,16 @@ class TraceBuilder:
         return self.edge("CPPropagate", {"projection": projection},
                          lambda: self.m.append_bot())
 
-    def learn(self, pos=(), neg=(), reason=None):
+    def learn(self, pos=(), neg=(), reason=None, rule="Learn"):
+        """A Learn edge, or with rule "LearnT" a Learn_t edge, which adds the
+        denial to the temporal store lambda."""
         d = RuleP(None, tuple(self.index[a] for a in pos),
                   tuple(self.index[a] for a in neg), ())
         payload = {"denial": {"pos": list(pos), "neg": list(neg)}}
         if reason is not None:
             payload["reason"] = reason
-        return self.edge("Learn", payload, lambda: self.gamma.append(d))
+        store = self.gamma if rule == "Learn" else self.lam
+        return self.edge(rule, payload, lambda: store.append(d))
 
     def backtrack(self, s):
         return self.edge("Backtrack", {"lit": s},
@@ -176,7 +179,7 @@ class TraceBuilder:
 def test_fig4_sample_path_validates(p1):
     # a classic sample path: semantic propagation of lightOn, switch,
     # -am, -|x<12|; decide -|x>=12|; constraint conflict; backtrack
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.asp_propagate("lightOn")
     tb.asp_propagate("switch")
     tb.asp_propagate("-am")
@@ -185,15 +188,15 @@ def test_fig4_sample_path_validates(p1):
     tb.cp_propagate()
     tb.backtrack("|x >= 12|")
     records = tb.end("model", model=["lightOn", "switch", "|x >= 12|"])
-    ok, why = validate_trace(records, p1, semantics="full")
+    ok, why = validate_trace(records, p1)
     assert ok, why
 
 
 def test_fig4_wrong_asp_propagation_rejected(p1):
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.asp_propagate("am")          # not entailed: answer sets have -am
     records = tb.end("budget")
-    ok, why = validate_trace(records, p1, semantics="full")
+    ok, why = validate_trace(records, p1)
     assert not ok and "asp-entailed" in why
 
 
@@ -207,24 +210,24 @@ def test_empty_trace_validates(p1):
 def test_restart_without_learn_rejected(p1):
     # a non-restart-safe path: propagate then Restart with no
     # preceding Learn edge
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.asp_propagate("lightOn")
     tb.restart()
     records = tb.end("budget")
-    ok, why = validate_trace(records, p1, semantics="full")
+    ok, why = validate_trace(records, p1)
     assert not ok and "restart-safety" in why
 
 
 def test_second_restart_sharing_learn_rejected(p1):
     # extends the restart-safe path by a second Restart whose Learn is used up
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.learn(neg=["switch"])
     tb.asp_propagate("lightOn")
     tb.restart()
     tb.asp_propagate("lightOn")
     tb.restart()
     records = tb.end("budget")
-    ok, why = validate_trace(records, p1, semantics="full")
+    ok, why = validate_trace(records, p1)
     assert not ok and "restart-safety" in why
 
 
@@ -239,7 +242,7 @@ def test_validator_accepts_all_engine_traces_for_paper_programs():
                       (make_night(), "weak"), (make_window(), "full"),
                       (make_conflict_pair(), "full")]:
         trace = _engine_trace(prog, sem, limit=0)
-        ok, why = validate_trace(trace, prog, semantics=sem)
+        ok, why = validate_trace(trace, prog)
         assert ok, why
 
 
@@ -250,13 +253,13 @@ def test_projection_other_than_ms_is_rejected(tamper):
     # csp-abstraction is infeasible and the learned denial is entailed
     prog = make_conflict_pair()
     trace = _engine_trace(prog)
-    assert validate_trace(trace, prog, semantics="full") == (True, None)
+    assert validate_trace(trace, prog) == (True, None)
     for rec in trace:
         if tamper == "cp-propagate" and rec.get("rule") == "CPPropagate":
             rec["payload"]["projection"] = ["b"]
         if tamper == "learn-reason" and rec.get("rule") == "Learn":
             rec["payload"]["reason"]["projection"] = []
-    ok, why = validate_trace(trace, prog, semantics="full")
+    ok, why = validate_trace(trace, prog)
     assert not ok and "projection is not M's" in why, why
 
 
@@ -469,10 +472,18 @@ def test_learn_entailment_is_checked_up_to_the_oracle_bound(seed,
     (lambda rec: rec.get("event") == "start",
      lambda rec: dict(rec, semantics="strong"),
      "step {k}: unknown semantics 'strong'"),
+    (lambda rec: rec.get("event") == "start",
+     lambda rec: {k: v for k, v in rec.items() if k != "semantics"},
+     "step {k}: run does not begin with a start record that names its "
+     "semantics"),
+    (lambda rec: rec.get("event") == "start",
+     lambda rec: dict(rec, event="begin"),
+     "step {k}: run does not begin with a start record that names its "
+     "semantics"),
     (_model_end, lambda rec: dict(rec, model=[["lightOn"]]),
      "end record model differs from final record"),
 ], ids=["unknown atom", "no rule", "no lit", "list", "blocking",
-        "semantics", "model"])
+        "semantics", "no semantics", "no start", "model"])
 def test_malformed_record_is_rejected(where, tamper, reason):
     prog = ground_program((ENCODINGS / "light.ez").read_text())
     trace = _engine_trace(prog, "weak", limit=0)
@@ -504,6 +515,57 @@ def test_cp_conflict_learn_without_cp_propagate_is_rejected():
     assert not ok and "cp-conflict Learn without CPPropagate" in why, why
 
 
+def _asp_propagate_first(trace, prog):
+    """trace with an AspPropagate edge before its first edge; returns the
+    edge's step."""
+    k = _first(trace, lambda rec: "rule" in rec)
+    trace.insert(k, {"run": trace[k]["run"], "rule": "AspPropagate",
+                     "payload": {"lit": prog.pi.names[0]},
+                     "pre": trace[k]["pre"], "post": trace[k]["pre"]})
+    return k
+
+
+def test_asp_propagate_above_the_oracle_bound_is_rejected():
+    # entailment is decided by exhaustion, which riddle's 33 atoms exceed
+    prog = ground_program((ENCODINGS / "riddle.ez").read_text())
+    trace = _engine_trace(prog, "weak", limit=0)
+    k = _asp_propagate_first(trace, prog)
+    assert validate_trace(trace, prog) == (
+        False, f"step {k}: asp entailment not checked: 33 atoms exceeds "
+               f"oracle bound 16")
+
+
+def test_temporal_store_justifies_unit_propagation_until_restart_t():
+    # a LearnT clause justifies a UnitPropagate edge; RestartT drops it
+    # from the clauses and Restart keeps it
+    conflict = make_conflict_pair()
+    denial = ["|x >= 12|", "|x < 5|"]
+    clause = ["-|x >= 12|", "-|x < 5|"]
+
+    def propagate(tb):
+        return tb.decide("|x >= 12|").unit_propagate("-|x < 5|", clause) \
+            .end("budget")
+
+    tb = TraceBuilder(conflict).learn(pos=denial, rule="LearnT")
+    assert tb.lam and not tb.gamma
+    assert validate_trace(propagate(tb), conflict) == (True, None)
+    for restart, want in [("Restart", (True, None)),
+                          ("RestartT", (False, "step 5: clause not in "
+                                                  "program"))]:
+        tb = TraceBuilder(conflict).learn(pos=denial, rule="LearnT") \
+            .decide("b").restart(restart)
+        assert validate_trace(propagate(tb), conflict) == want, restart
+
+
+def test_repeated_temporal_denial_is_not_fresh():
+    conflict = make_conflict_pair()
+    trace = TraceBuilder(conflict) \
+        .learn(pos=["|x >= 12|", "|x < 5|"], rule="LearnT") \
+        .learn(pos=["|x >= 12|", "|x < 5|"], rule="LearnT").end("budget")
+    assert validate_trace(trace, conflict) == (
+        False, "step 2: learned denial not fresh")
+
+
 # -- the ten-trace hand-mutated negative suite -------------------------------------
 
 def _negative_traces(p1, conflict):
@@ -512,7 +574,7 @@ def _negative_traces(p1, conflict):
     traces = []
 
     # 1. Decide on an already-assigned literal
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.unit_propagate("lightOn", ["lightOn"])
     rec = dict(tb.records[-1])
     tb.records.append({"run": 0, "rule": "Decide", "payload": {"lit": "lightOn"},
@@ -520,33 +582,33 @@ def _negative_traces(p1, conflict):
     traces.append(("decide-assigned", tb.end("budget")))
 
     # 2. UnitPropagate with a clause not in the program
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.unit_propagate("am", ["am"])
     traces.append(("up-foreign-clause", tb.end("budget")))
 
     # 3. UnitPropagate whose clause remainder is not falsified
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.unit_propagate("lightOn", ["lightOn", "-switch", "am"])
     traces.append(("up-remainder-open", tb.end("budget")))
 
     # 4. Unfounded with a set that is not unfounded
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.unfounded("-switch", ["switch"])
     traces.append(("unfounded-supported", tb.end("budget")))
 
     # 5. CP-Propagate on a feasible csp-abstraction
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.cp_propagate()
     traces.append(("cp-feasible", tb.end("budget")))
 
     # 6. Learn a denial that is already present (freshness break)
-    tb = TraceBuilder(conflict)
+    tb = TraceBuilder(conflict, semantics="full")
     tb.learn(pos=["|x >= 12|", "|x < 5|"])
     tb.learn(pos=["|x >= 12|", "|x < 5|"])
     traces.append(("learn-stale", tb.end("budget")))
 
     # 7. Backtrack on a consistent record
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.decide("switch")
     rec = tb.records[-1]
     tb.records.append({"run": 0, "rule": "Backtrack",
@@ -555,7 +617,7 @@ def _negative_traces(p1, conflict):
     traces.append(("backtrack-consistent", tb.end("budget")))
 
     # 8. Fail while a decision literal is still open
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.decide("am")
     tb.unit_propagate("-am", ["-am", "-|x >= 12|"])  # foreign but plausible
     rec = tb.records[-1]
@@ -564,13 +626,13 @@ def _negative_traces(p1, conflict):
     traces.append(("fail-with-decisions", tb.end("failstate")))
 
     # 9. Restart without a dedicated preceding Learn
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.asp_propagate("lightOn")
     tb.restart()
     traces.append(("restart-unsafe", tb.end("budget")))
 
     # 10. Completed model run stopping before a semi-terminal state
-    tb = TraceBuilder(p1)
+    tb = TraceBuilder(p1, semantics="full")
     tb.asp_propagate("lightOn")
     traces.append(("non-semi-terminal-stop",
                    tb.end("model", model=["lightOn"])))
@@ -584,7 +646,7 @@ def test_negative_trace_suite_fully_rejected(p1):
     assert len(suite) == 10
     for name, records in suite:
         ok, why = validate_trace(records, conflict if name == "learn-stale"
-                                 else p1, semantics="full")
+                                 else p1)
         assert not ok, name
 
 
