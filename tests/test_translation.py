@@ -12,13 +12,24 @@ conditions, arithmetic patterns and division errors), plus every bundled
 encoding.  A change to grounding, translation or clausification must leave
 every digest as it is.  Regenerate both files with
 `PYTHONPATH=src:tests python tests/test_translation.py`.
+
+`tests/data/translation/answers.txt` holds, for the same cases, the status
+and a digest of the sorted shown models of a black-box solve under weak and
+under full semantics (`answer_line`).  It checks the answer sets apart from
+the translation that the other two files pin: the oracle and the trace
+validator judge the CA program that translation emits, so a translation
+that changes answer sets would pass them.  It moves only when answer sets
+are meant to change.  Regenerate it with
+`PYTHONPATH=src:tests python -c "import test_translation as t; t.write_answers()"`.
 """
 
 import hashlib
 import pathlib
 
 from ezcasp.asp import clausify
-from ezcasp.cli import _dump_ground_text
+from ezcasp.cli import _dump_ground_text, format_model
+from ezcasp.engine import SchemaConfig, solve_ca
+from ezcasp.fd import ComplementUnsupported
 from ezcasp.ground import DEFAULT_FD_RANGE, GroundError, ground_program
 from ezcasp.lang import EzSyntaxError
 from ezcasp.oracle import random_ez_source
@@ -30,6 +41,7 @@ from test_ground import DUMP_GROUND_EZ, ca_program_text
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "translation"
 DIGESTS = DATA / "digests.txt"
 CLAUSES = DATA / "clauses.txt"
+ANSWERS = DATA / "answers.txt"
 
 N_SEEDS = 500
 N_NONGROUND_SEEDS = 1000
@@ -70,6 +82,27 @@ def clause_line(name: str, source: str) -> str:
     return f"{name} {len(clauses)} {_digest(text)}"
 
 
+def answer_line(name: str, source: str) -> str:
+    try:
+        program = ground_program(source)
+    except (EzSyntaxError, GroundError):
+        return f"{name} error"
+    fields = [name]
+    for semantics in ("weak", "full"):
+        cfg = SchemaConfig(schema="black", semantics=semantics, limit=0,
+                           max_alphas_per_model=1)
+        try:
+            res = solve_ca(program, cfg)
+        except ComplementUnsupported:
+            fields.append("complement-unsupported")
+            continue
+        shown = "\n".join(sorted(
+            format_model(m.atoms, m.assignment, program.suppressed)
+            for m in res.models))
+        fields.append(f"{res.status} {_digest(shown)}")
+    return " ".join(fields)
+
+
 def _assert_pinned(path: pathlib.Path, line) -> None:
     pinned = path.read_text().splitlines()
     now = [line(name, source) for name, source in cases()]
@@ -86,11 +119,20 @@ def test_clauses_match_pinned_digests():
     _assert_pinned(CLAUSES, clause_line)
 
 
+def test_answer_sets_match_pinned_digests():
+    _assert_pinned(ANSWERS, answer_line)
+
+
 def write_digests() -> None:
     DATA.mkdir(exist_ok=True)
     for path, line in ((DIGESTS, digest_line), (CLAUSES, clause_line)):
         path.write_text("".join(line(name, source) + "\n"
                                 for name, source in cases()))
+
+
+def write_answers() -> None:
+    ANSWERS.write_text("".join(answer_line(name, source) + "\n"
+                               for name, source in cases()))
 
 
 if __name__ == "__main__":
