@@ -12,9 +12,10 @@ of the CA program, the wall times `ground_stages_s` (EZ text to CA program)
 and `solve_ca_s` (the search), the wall times of the front-end layers within
 `ground_stages_s` under the names of perfbench's layers, `parse_s` (parse and
 preprocess), `ground_s` (ground) and `translate_s` (collect_var_decls,
-expand_lists and to_ca_program), the wall times of the fd layers within
-`solve_ca_s`, `fd_build_s` (fd.build_csp) and `fd_search_s` (advancing
-fd.solutions), and `stats`, the solve's `SolveStats` counters.
+expand_lists and to_ca_program), the wall times of the search's layers
+within `solve_ca_s`, `clausify_s` (asp.clausify, once per solve),
+`fd_build_s` (fd.build_csp) and `fd_search_s` (advancing fd.solutions), and
+`stats`, the solve's `SolveStats` counters.
 
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
@@ -331,6 +332,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EzSyntaxError, GroundError) as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        # the parser and the term walkers recurse once per nesting level
+        print(f"error: {args.file}: term nesting too deep", file=sys.stderr)
+        return EXIT_ERROR
 
     if args.validate_trace:
         from .oracle import validate_trace
@@ -365,7 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            "ground_stages_s": round(ground_s, 6),
                            "solve_ca_s": round(solve_s, 6),
                            **{k: round(v, 6) for k, v in
-                              {**program.stage_s, **res.fd_s}.items()},
+                              {**program.stage_s, **res.layer_s}.items()},
                            "stats": vars(res.stats)}, f, indent=1)
                 f.write("\n")
         except OSError as exc:

@@ -128,7 +128,8 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    """`fd_s` holds the wall times of the fd layers summed over the solve:
+    """`layer_s` holds the wall times of the solve's layers: `clausify_s`
+    in `asp.clausify`, called once per solve, and, summed over the solve,
     `fd_build_s` in `fd.build_csp` and `fd_search_s` in advancing
     `fd.solutions`.  They are kept apart from the counters of `stats`,
     which are the same on every run."""
@@ -136,7 +137,7 @@ class SolveResult:
     models: List[ExtendedAnswerSet]
     stats: SolveStats
     trace: Optional[List[dict]] = None
-    fd_s: Dict[str, float] = field(default_factory=dict)
+    layer_s: Dict[str, float] = field(default_factory=dict)
 
 
 def denial_key(d: RuleP) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -241,13 +242,16 @@ class _Run:
         self.abstraction: RegularProgram = program.asp_abstraction()
         self.names = self.abstraction.names
         self.m = Record(self.abstraction.n_atoms)
-        self.prop = Propagator(self.m, clausify(self.abstraction))
+        t0 = time.perf_counter()
+        clauses = clausify(self.abstraction)
+        self.layer_s = {"clausify_s": time.perf_counter() - t0,
+                        "fd_build_s": 0.0, "fd_search_s": 0.0}
+        self.prop = Propagator(self.m, clauses)
         self.unfounded = UnfoundedCheck(self.abstraction)
         # M's constraint literals at the last CSP check
         self.projection: Tuple[int, ...] = ()
         # the learned denials of every run so far
         self.gamma: List[RuleP] = []
-        self.fd_s = {"fd_build_s": 0.0, "fd_search_s": 0.0}
         self._start_run()
 
     def _start_run(self) -> None:
@@ -305,7 +309,7 @@ class _Run:
         self.stats.csp_checks += 1
         t0 = time.perf_counter()
         inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
-        self.fd_s["fd_build_s"] += time.perf_counter() - t0
+        self.layer_s["fd_build_s"] += time.perf_counter() - t0
         self.projection = inst.projection
         stats, budget = self.stats, self.budget
 
@@ -316,7 +320,7 @@ class _Run:
             if stats.steps + stats.fd_nodes > budget:
                 raise BudgetExceeded()
 
-        search = _timed(fd.solutions(inst, charge), self.fd_s)
+        search = _timed(fd.solutions(inst, charge), self.layer_s)
         first = next(search, None)
         self.csp_solutions = itertools.chain((first,), search)
         return first is not None
@@ -437,17 +441,17 @@ class _Run:
             self._emit("Decide", pre, lambda: {"lit": lit_str(target)})
 
 
-def _timed(search: Iterator[Dict[str, int]], fd_s: Dict[str, float]
+def _timed(search: Iterator[Dict[str, int]], layer_s: Dict[str, float]
            ) -> Iterator[Dict[str, int]]:
     """The solutions of `search`, adding the time spent advancing it to
-    fd_s["fd_search_s"]."""
+    layer_s["fd_search_s"]."""
     clock = time.perf_counter
     while True:
         t0 = clock()
         try:
             e = next(search, None)
         finally:
-            fd_s["fd_search_s"] += clock() - t0
+            layer_s["fd_search_s"] += clock() - t0
         if e is None:
             return
         yield e
@@ -477,7 +481,8 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     # is decided up front
     if run.prop.empty_clause:
         return SolveResult("unsat", [], stats,
-                           trace.records if collect_trace else None, run.fd_s)
+                           trace.records if collect_trace else None,
+                           run.layer_s)
     try:
         while True:
             run_idx = run.run
@@ -512,7 +517,8 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
             run.next_run(blocking[-1])
     except BudgetExceeded:
         return SolveResult("budget", models, stats,
-                           trace.records if collect_trace else None, run.fd_s)
+                           trace.records if collect_trace else None,
+                           run.layer_s)
 
     return SolveResult(status if models else "unsat", models, stats,
-                       trace.records if collect_trace else None, run.fd_s)
+                       trace.records if collect_trace else None, run.layer_s)

@@ -176,7 +176,8 @@ class Global(_Constraint):
     Its `form` is (lin, const): the linear form of the weighted sum of the
     items minus the target, as (variable, coefficient) pairs with repeated
     variables merged and zero coefficients dropped, and its constant; lin
-    is None if an item or the target is not linear.  Any other global has
+    is None if an item or the target is not linear, or if the lists of a
+    `scalar_product` differ in length.  Any other global has
     form None."""
     name: str
     args: tuple
@@ -256,8 +257,6 @@ def _values(items, e) -> Optional[List[int]]:
 def _sat_global(g: Global, e: Dict[str, int]) -> bool:
     name, args = g.name, g.args
     if name == "serialized":       # as `_filter_global` reads it
-        if len(args[0]) != len(args[1]):
-            return False
         name, args = "cumulative", (*args, (1,) * len(args[1]), 1)
     if name in ("all_different", "all_distinct"):
         vals = _values(args[0], e)
@@ -294,7 +293,8 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
         starts = _values(args[0], e)
         durs, ress = list(args[1]), list(args[2])
         limit = eval_term(args[3], e)
-        if starts is None or limit is None:
+        if starts is None or limit is None or \
+                not len(starts) == len(durs) == len(ress):
             return False
         for t in _active_times(starts, durs):
             used = sum(r for s, d, r in zip(starts, durs, ress)
@@ -330,20 +330,11 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
         if m is None or vals is None or not vals:
             return False
         return m == (min(vals) if name == "minimum" else max(vals))
-    if name == "scalar_product":
-        coeffs = list(args[0])
-        vals = _values(args[1], e)
-        target = eval_term(args[3], e)
-        if vals is None or target is None:
-            return False
-        return _CMP_FUN[args[2]](sum(c * v for c, v in zip(coeffs, vals)),
-                                 target)
-    if name == "sum":
-        vals = _values(args[0], e)
-        target = eval_term(args[2], e)
-        if vals is None or target is None:
-            return False
-        return _CMP_FUN[args[1]](sum(vals), target)
+    if name in _SUMS:
+        terms = _sum_terms(g)
+        vals = None if terms is None else _values([t for _, t in terms], e)
+        return vals is not None and _CMP_FUN[args[-2]](
+            sum(c * v for (c, _), v in zip(terms, vals)), 0)
     raise FdError(f"unknown global constraint {name!r}")
 
 
@@ -641,23 +632,30 @@ def _compile_cmp(c: Cmp) -> tuple:
 _SUMS = ("sum", "scalar_product")
 
 
-def _sum_terms(g: Global) -> List[Tuple[int, object]]:
+def _sum_terms(g: Global) -> Optional[List[Tuple[int, object]]]:
     """The (coefficient, term) pairs whose total is the weighted sum of a
-    `sum` or `scalar_product` minus its target."""
+    `sum` or `scalar_product` minus its target; None for a
+    `scalar_product` whose lists differ in length, which nothing
+    satisfies."""
     if g.name == "sum":
         items, _, target = g.args
         coeffs = (1,) * len(items)
     else:
         coeffs, items, _, target = g.args
+        if len(coeffs) != len(items):
+            return None
     return list(zip(coeffs, items)) + [(-1, target)]
 
 
 def _compile_sum(g: Global) -> tuple:
     """The compiled form of a `sum` or `scalar_product` (see `Global`), in
     one pass over its items, so a long list needs no deep recursion."""
+    terms = _sum_terms(g)
+    if terms is None:
+        return None, 0
     coeffs: Dict[str, int] = {}
     const = 0
-    for c, t in _sum_terms(g):
+    for c, t in terms:
         lin = _linearize(t)
         if lin is None:
             return None, 0
@@ -1046,7 +1044,10 @@ def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
     """Time-table filtering over one profile of the compulsory parts.  Each
     job is filtered against the profile less the parts of every job with
     the same start variable, which are then added back from the narrowed
-    domain."""
+    domain.  Lists of unequal lengths fail, as `_sat_global` rejects them."""
+    if not len(starts) == len(durs) == len(ress):
+        st.failed = True
+        return
     lim_hi = _ival(limit, st.domains)[1]
     parts: Dict[str, List[Tuple[int, int]]] = {}    # start -> running jobs
     for s, d, r in zip(starts, durs, ress):
@@ -1208,9 +1209,6 @@ def _filter_global(st: _Store, g: Global) -> None:
         _filter_cumulative(st, *args)
     elif name == "serialized":
         starts, durs = args
-        if len(starts) != len(durs):
-            st.failed = True                    # as `_sat_global` rejects it
-            return
         _filter_cumulative(st, starts, durs, (1,) * len(durs), 1)
     elif name == "disjoint2":
         xs, ws, ys, hs = args
@@ -1293,9 +1291,13 @@ def _filter_global(st: _Store, g: Global) -> None:
         if lin is not None:
             _filter_linear(st, lin, const, op)
             return
+        terms = _sum_terms(g)
+        if terms is None:
+            st.failed = True                    # as `_sat_global` rejects it
+            return
         # a non-linear item or target: forward interval check only
         lo = hi = 0
-        for c, t in _sum_terms(g):
+        for c, t in terms:
             a, b = _ival(t, doms)
             lo += min(c * a, c * b)
             hi += max(c * a, c * b)

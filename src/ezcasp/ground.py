@@ -24,7 +24,8 @@ intensional lists by their extensional representation, visiting only the
 rules whose required head holds one; `to_ca_program` maps the ground
 program to a CA program in one walk over its rules: constraint-variable
 declarations, one constraint atom per distinct required atom with its
-constraint expression, and the two linking denials per required atom.  The
+constraint expression, and the two linking denials per required atom; its
+rule bodies leave out the atoms of facts where another literal stays.  The
 term table memoizes the display text of each distinct subterm, and
 translation builds the constraint expression of each distinct subterm
 once.  Display names come from one printer, `display_term`.
@@ -1252,6 +1253,16 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     once (`_Gamma`), and then the two linking denials of each required atom.
     In a program whose terms are not interned, a declared variable is found
     through its interned copy.
+
+    The walk filters each ground rule's positive body once: a literal whose
+    atom is a fact (the head of a body-less atom rule) is left out of every
+    propositional rule that keeps another body literal.  With `f.` in the
+    program, `h :- f, B` and `h :- B` are strongly equivalent, so every
+    answer set is kept, and translation, clausification and the search walk
+    fewer literals.  A rule that would be left with an empty body keeps its
+    body whole, so no rule loses its body; `p` itself, and so
+    `--dump-ground`, is unchanged.  An atom's id moves only where the
+    program uses a fact before it states it.
     """
     terms, atoms = p.terms, p.atoms
     # the key of each distinct required atom, with its first rule, and the
@@ -1276,17 +1287,26 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     domain_args = []
     # a choice too large to compile is reported after the other errors
     too_large: Optional[GroundError] = None
+    # the atoms of facts, which every answer set holds
+    facts = {id(r.head) for r in p.rules if r.is_fact}
     for r in p.rules:
         pos: List[int] = []
         neg: List[int] = []
         nn: List[int] = []
         for b in r.body:
             kind = b.kind
-            (pos if kind == "pos" else neg if kind == "not" else nn).append(
-                id(b.atom))
+            if kind == "pos":
+                k = id(b.atom)
+                if k not in facts:
+                    pos.append(k)
+            else:
+                (neg if kind == "not" else nn).append(id(b.atom))
+        # `pos` leaves out the atoms of facts; `whole` is the positive body
+        # of a rule with no other literal, kept whole if it holds facts alone
+        whole = pos if pos or neg or nn else [id(b.atom) for b in r.body]
         head = r.head
         if head is None:
-            out.append(rule(None, pos, neg, nn))
+            out.append(rule(None, whole, neg, nn))
             continue
         if head.__class__ is Atom:
             if head.rel == "required":
@@ -1295,7 +1315,7 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
                 if not r.is_fact:
                     raise GroundError("cspdomain must be a fact", r.pos)
                 domain_args.append((head.args[0], r.pos))
-            out.append(rule(id(head), pos, neg, nn))
+            out.append(rule(id(head), whole, neg, nn))
             continue
         elems = []
         for e in head.elems:
@@ -1306,7 +1326,8 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
             elems.append(k)
         if too_large is None:
             try:
-                out.extend(_bound_denials(r, elems, ids, pos, neg, nn))
+                out.extend(_bound_denials(r, elems, ids, pos, neg, nn,
+                                          whole))
             except GroundError as exc:
                 too_large = exc
 
@@ -1352,11 +1373,13 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
 
 
 def _bound_denials(r: Rule, elems: List[int], ids: AtomIds,
-                   pos: List[int], neg: List[int], nn: List[int]
-                   ) -> Iterator[RuleP]:
+                   pos: List[int], neg: List[int], nn: List[int],
+                   whole: List[int]) -> Iterator[RuleP]:
     """The denials of the bounds of choice rule r, over the keys of its
     body (`pos`, `neg`, `nn`) and of its elements (`elems`, already in
-    `ids`).  The bounds count atoms, so elements shown alike count once."""
+    `ids`).  `pos` omits the atoms of facts, and `whole` is the positive
+    body of a denial without elements, as `to_ca_program` keeps it.  The
+    bounds count atoms, so elements shown alike count once."""
     first: Dict[int, int] = {}
     for k in elems:
         first.setdefault(ids[k], k)
@@ -1367,16 +1390,19 @@ def _bound_denials(r: Rule, elems: List[int], ids: AtomIds,
     if lo is not None and lo > 0:
         k = n - lo + 1
         if k <= 0:
-            yield ids.rule(None, pos, neg, nn)
+            yield ids.rule(None, whole, neg, nn)
         else:
             _check_combos(n, k, r.pos)
             for subset in itertools.combinations(elems, k):
                 yield ids.rule(None, pos, neg + list(subset), nn)
     if hi is not None and hi < n:
-        k = max(hi + 1, 0)               # a bound below zero denies the body
-        _check_combos(n, k, r.pos)
-        for subset in itertools.combinations(elems, k):
-            yield ids.rule(None, pos + list(subset), neg, nn)
+        k = hi + 1
+        if k <= 0:                       # a bound below zero denies the body
+            yield ids.rule(None, whole, neg, nn)
+        else:
+            _check_combos(n, k, r.pos)
+            for subset in itertools.combinations(elems, k):
+                yield ids.rule(None, pos + list(subset), neg, nn)
 
 
 def _check_combos(n: int, k: int, pos: Optional[SourcePos]) -> None:

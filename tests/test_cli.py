@@ -524,6 +524,9 @@ def test_dump_ground_matches_snapshot(capsys, source):
     "assignment([x,y],[z])",      # lists of different lengths
     "serialized([x,y,z],[1,2])",
     "disjoint2([x,y,z],[1,1],[x,y,z],[1,1,1])",
+    # read up to the shorter list, each would hold (x=1, y=2; x=y=1)
+    "cumulative([x,y,z],[1,1],[1,1],1)",
+    "scalar_product([1,1],[x,y,z],eq,2)",
     "circuit([x,1/0])",           # an undefined item
 ])
 def test_global_edge_cases_match_oracle(tmp_path, capsys, constraint):
@@ -533,6 +536,33 @@ def test_global_edge_cases_match_oracle(tmp_path, capsys, constraint):
     solved = run_cli(capsys, f, "-n", "0")
     assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
     assert solved == (EXIT_UNSAT, "UNSAT\n", "")
+
+
+_DOMAIN = "cspdomain(fd). cspvar(x,0,3). "
+# the shapes whose nesting grows with n, each with a size at which
+# `python -m ezcasp` printed a RecursionError traceback before the CLI
+# caught it
+DEEP_TERMS = {
+    "builtin-sum": (329, lambda n: "p(X) :- X = " + "+".join(["1"] * n) + "."),
+    "constraint-sum": (334, lambda n: _DOMAIN + "required(" +
+                       "+".join(["x"] * n) + " >= 3)."),
+    "disjunction": (329, lambda n: _DOMAIN + "required(" +
+                    " \\/ ".join(["x = 1"] * n) + ")."),
+    "nested-function": (250, lambda n: "p(" + "f(" * n + "1" + ")" * n +
+                        ")."),
+}
+
+
+@pytest.mark.parametrize("shape, n", [
+    *((shape, n) for shape, (n, _) in DEEP_TERMS.items()),
+    *((shape, 10_000) for shape in DEEP_TERMS),
+])
+def test_deep_term_is_an_error_not_a_traceback(tmp_path, capsys, shape, n):
+    f = tmp_path / "deep.ez"
+    f.write_text(DEEP_TERMS[shape][1](n))
+    for flags in ((), ("--dump-ground",)):
+        assert run_cli(capsys, f, *flags) == \
+            (EXIT_ERROR, "", f"error: {f}: term nesting too deep\n")
 
 
 def test_negative_cumulative_resource_is_rejected(tmp_path, capsys):
@@ -580,11 +610,13 @@ def test_stats_file(tmp_path, capsys, path, n):
     layers = [written[k] for k in ("parse_s", "ground_s", "translate_s")]
     assert all(t >= 0 for t in layers)
     assert sum(layers) <= written["ground_stages_s"]
-    fd_layers = [written[k] for k in ("fd_build_s", "fd_search_s")]
-    assert all(t >= 0 for t in fd_layers)
-    assert sum(fd_layers) <= written["solve_ca_s"]
+    search_layers = [written[k] for k in ("clausify_s", "fd_build_s",
+                                          "fd_search_s")]
+    assert all(t >= 0 for t in search_layers)
+    assert sum(search_layers) <= written["solve_ca_s"]
     # every solve here checks a CSP, so both fd layers take time
-    assert res.stats.csp_checks and all(fd_layers)
+    assert res.stats.csp_checks and all(search_layers[1:])
+    assert set(res.layer_s) == {"clausify_s", "fd_build_s", "fd_search_s"}
 
 
 def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):
@@ -595,5 +627,6 @@ def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):
     written = json.loads(stats.read_text())
     assert written["stats"]["runs"] == 1
     assert written["fd_build_s"] == written["fd_search_s"] == 0     # no check
+    assert written["clausify_s"] >= 0
     code, out, err = run_cli(capsys, f, "--stats", tmp_path / "no" / "s.json")
     assert code == EXIT_ERROR and out == "" and err.startswith("error: ")
