@@ -6,9 +6,9 @@ answer-set checking via the least model of the positive reduct, records,
 the search's watched-literal unit propagation and incremental
 greatest-unfounded-set check (both follow one record through its backjumps
 and resets), and a brute-force answer-set enumerator used as an oracle.
-`find_unit_step`, `unit_propagate` and `greatest_unfounded_set` are the
-plain reference versions of the search's propagators: they rescan every
-clause or rule and serve as independent checks.
+`greatest_unfounded_set` is the plain reference version of the
+unfounded-set check: it rescans every rule, and the trace validator reads
+it.
 
 Atoms are interned strings; internally they are integer ids and literals are
 signed ids (``id+1`` positive, ``-(id+1)`` negative).  Program structures are
@@ -26,7 +26,6 @@ from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
 __all__ = [
     "RuleP", "RegularProgram", "AtomIds", "Record", "Clause", "Propagator",
     "UnfoundedCheck", "rule_clause", "clausify", "is_answer_set",
-    "unit_propagate", "find_unit_step",
     "greatest_unfounded_set",
     "enumerate_answer_sets_bruteforce",
     "lit_atom",
@@ -356,57 +355,6 @@ class Record:
         self.bot = self.clash = False
 
 
-def _clause_status(m: Record, clause: Clause):
-    """-> ('sat', None) | ('unit', lit) | ('false', None) | ('open', None)."""
-    unassigned = None
-    n_open = 0
-    for lit in clause:
-        v = m.value(lit_atom(lit))
-        if v == 0:
-            n_open += 1
-            unassigned = lit
-            if n_open > 1:
-                return ("open", None)
-        elif (v > 0) == (lit > 0):
-            return ("sat", None)
-    if n_open == 1:
-        return ("unit", unassigned)
-    return ("false", None)
-
-
-def find_unit_step(m: Record, clauses: Sequence[Clause]):
-    """First applicable unit-propagation edge under a fixed clause order.
-
-    Returns (lit, clause) to append, preferring conflicts: if some clause is
-    fully falsified, its first literal is returned (appending it makes the
-    record inconsistent, which is the conflict edge).  None at fixpoint.
-    """
-    if not m.consistent:
-        return None
-    unit = None
-    for clause in clauses:
-        if not clause:
-            continue        # empty clauses are rejected before search
-        status, lit = _clause_status(m, clause)
-        if status == "false":
-            return (clause[0], clause)
-        if status == "unit" and unit is None:
-            unit = (lit, clause)
-    return unit
-
-
-def unit_propagate(m: Record, clauses: Sequence[Clause]) -> Record:
-    """Run unit propagation to fixpoint (mutates and returns `m`)."""
-    while True:
-        step = find_unit_step(m, clauses)
-        if step is None:
-            return m
-        lit, _ = step
-        m.append(lit)
-        if not m.consistent:
-            return m
-
-
 class Propagator:
     """Unit propagation over a Record with two watched literals per clause.
 
@@ -421,16 +369,16 @@ class Propagator:
     `backjump` and `reset` replace the record's own Backtrack and clear so
     that the head and the pending units follow them.
 
-    The closure reached by `propagate` is the one `unit_propagate` reaches
-    over the same clauses, though the literals may come in a different
-    order.  That rests on chronological backtracking, and on decisions
-    being appended only at the fixpoint (after `propagate` appended fewer
-    literals than its limit): a false watch whose clause is kept because the
-    other watch is true was then falsified no earlier in the decision levels
-    than that watch became true.  A clause added to a non-empty record can
-    break that (its only true literal may sit on a later level than all its
-    false ones); such clauses are re-attached after each backjump until
-    their watches are safe again.
+    The closure reached by `propagate` is the one reached by rescanning
+    every clause until none is unit, though the literals may come in a
+    different order.  That rests on chronological backtracking, and on
+    decisions being appended only at the fixpoint (after `propagate`
+    appended fewer literals than its limit): a false watch whose clause is
+    kept because the other watch is true was then falsified no earlier in
+    the decision levels than that watch became true.  A clause added to a
+    non-empty record can break that (its only true literal may sit on a
+    later level than all its false ones); such clauses are re-attached after
+    each backjump until their watches are safe again.
 
     The initial clauses are given on the empty record and attached in one
     pass, each watching its first two literals; that pass also notes

@@ -219,11 +219,12 @@ class _Run:
     the propagator and in `gamma` for every later run.  Unit Propagate
     edges come from the watched-literal propagator over the record's trail,
     appended up to the fixpoint in one call, and Unfounded edges from one
-    update of the incremental unfounded-set check per fixpoint;
-    `asp.find_unit_step` and `asp.greatest_unfounded_set` are their
-    reference versions.  The closure under both rules does not depend on the
-    order in which they fire, so decisions, learned denials and models are
-    those of the reference; only the edges up to a conflict may differ.
+    update of the incremental unfounded-set check per fixpoint; a unit
+    propagation that rescans every clause (in the tests) and
+    `asp.greatest_unfounded_set` are their reference versions.  The closure
+    under both rules does not depend on the order in which they fire, so
+    decisions, learned denials and models are those of the reference; only
+    the edges up to a conflict may differ.
     With the trace off no state digest or edge payload is computed, and one
     call of the propagator may append literals up to the first edge past
     the step budget; with it on, each call appends one, so that every edge

@@ -13,13 +13,17 @@ atoms in `abstraction_answer_sets`, `ASSIGNMENT_BOUND` assignments in
 `validate_trace` replays an emitted transition trace, re-checking every
 edge's guard, restart-safety, that a completed run stops in a
 semi-terminal state or Failstate, and the certificates of the learned and
-blocking denials.
+blocking denials.  Its replay loop reads each edge record once
+(`_read_edge`), checks the record's state digests and the termination
+measure around the edge, and leaves the edge itself to
+`_apply(state, rule, fields)`, which checks that one edge's guards on a
+`_RunState` (M, Gamma, Lambda, the clause set, the failed flag and the
+unused Learn count) and applies it.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -32,7 +36,7 @@ from .ground import CAProgram
 __all__ = [
     "OracleBoundExceeded", "answer_sets", "abstraction_answer_sets",
     "csp_feasible_exhaustive", "exhaustive_solutions", "validate_trace",
-    "random_program", "random_ez_source", "is_entailed_denial",
+    "is_entailed_denial",
 ]
 
 ATOM_BOUND = 16
@@ -159,11 +163,14 @@ def _read_edge(rec: dict, index: Dict[str, int]) -> Tuple[object, dict]:
 def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str
                  ) -> bool:
     """Feasibility of the csp-abstraction: exhaustive up to the oracle's
-    assignment bound, by `fd.feasible` above it."""
+    assignment bound, by `fd.feasible` above it; a `_Violation` where it
+    needs a complement that `fd` lacks."""
     try:
         return csp_feasible_exhaustive(program, lits, semantics)
     except OracleBoundExceeded:
         return fd.feasible(fd.build_csp(program, lits, semantics))
+    except fd.ComplementUnsupported as exc:
+        raise _Violation(f"csp-abstraction not checked: {exc}") from None
 
 
 def _projection(program: CAProgram, lits: Sequence[int]) -> List[int]:
@@ -209,7 +216,10 @@ def validate_trace(records: Sequence[dict], program: CAProgram
     by exhaustion; rejected above the oracle's atom bound).  A
     completed run must stop semi-terminal (models) or in Failstate.  A
     trace without a run is valid only when the clausified abstraction holds
-    an empty clause.
+    an empty clause.  A csp-abstraction that needs the complement of a
+    non-primitive constraint is not checked: a CPPropagate edge or final
+    state that needs one is rejected, and a Learn edge rests on its
+    certificate, as above the oracle's bounds.
 
     Gamma is carried from run to run, as the engine keeps it: run k starts
     with every denial learned in runs 0..k-1, in order, in its store, its
@@ -225,7 +235,6 @@ def validate_trace(records: Sequence[dict], program: CAProgram
     JSON type or names an unknown atom is rejected at its step.
     """
     abstraction0 = program.asp_abstraction()
-    names = abstraction0.names
     index = abstraction0.index
 
     runs: Dict[int, List[Tuple[int, dict]]] = {}
@@ -243,8 +252,8 @@ def validate_trace(records: Sequence[dict], program: CAProgram
     expected: List[RuleP] = []      # the blocking denials of earlier models
     try:
         for run_id in sorted(runs):
-            blocking, model = _validate_run(runs[run_id], program, names,
-                                            index, gamma)
+            blocking, model = _validate_run(runs[run_id], program, index,
+                                            gamma)
             # checked after the replay, so that a run is first judged by
             # its own edges and final state
             if list(map(denial_key, blocking)) != list(map(denial_key,
@@ -260,348 +269,263 @@ def validate_trace(records: Sequence[dict], program: CAProgram
 
 
 def _validate_run(entries: List[Tuple[int, dict]], program: CAProgram,
-                  names, index, gamma: List[RuleP]
+                  index: Dict[str, int], gamma: List[RuleP]
                   ) -> Tuple[List[RuleP], Optional[List[int]]]:
     """Replay one run from Gamma as the earlier runs left it, appending to
     `gamma` what the run learns; returns the run's blocking denials and,
     if it ended in a model, the final record's literals."""
     i, start = entries[0]
-    if start.get("event") != "start" or "semantics" not in start:
-        raise _Violation(f"step {i}: run does not begin with a start record "
-                         f"that names its semantics")
+    end: Optional[dict] = None
     try:
-        blocking = [_denial_of(d, index) for d in start.get("blocking", [])]
-    except _MALFORMED as exc:
-        raise _Violation(f"step {i}: malformed record: {exc!r}") from None
-    semantics = start["semantics"]
-    if semantics not in ("weak", "full"):
-        raise _Violation(f"step {i}: unknown semantics {semantics!r}")
-    run_program = program.with_extra_denials(blocking) if blocking else program
-    abstraction = run_program.asp_abstraction()
-    program_clauses = frozenset(frozenset(c) for c in clausify(abstraction))
-    # the program's clauses and those of the learned denials in gamma and
-    # lambda; Learn adds to it and RestartT rebuilds it
-    clauses = program_clauses.union(frozenset(rule_clause(d)) for d in gamma)
-
-    m = Record(abstraction.n_atoms)
-    lam: List[RuleP] = []
-    unused_learns = 0
-    failed = False
-    end_rec: Optional[dict] = None
-
-    def digest() -> str:
-        return state_digest(m, names, [str(denial_key(d)) for d in gamma],
-                            [str(denial_key(d)) for d in lam])
-
-    def measure():
-        """Per-path termination measure: permanent store growth, then
-        temporal store growth, then the decision-segment length vector of M
-        (lexicographic, as tuples compare); Failstate is the top element."""
-        if failed:
-            return (float("inf"),)
-        alpha: List[int] = [0]
-        for lit, dec in m.entries:
-            if dec:
-                alpha.append(0)
-            else:
-                alpha[-1] += 1
-        if m.bot:
-            alpha[-1] += 1
-        return (len(gamma), len(lam), tuple(alpha))
-
-    for i, rec in entries[1:]:
-        if rec.get("event") == "end":
-            end_rec = rec
-            break
-        if failed:
-            raise _Violation(f"step {i}: edge after Failstate")
-        try:
-            rule, f = _read_edge(rec, index)
-        except _MALFORMED as exc:
-            raise _Violation(f"step {i}: malformed record: {exc!r}") from None
-        if rec.get("pre") != digest():
-            raise _Violation(f"step {i}: pre-state digest mismatch")
-        pre_measure = measure()
-
-        lit = f.get("lit")
-        if rule == "Decide":
-            if not m.consistent:
-                raise _Violation(f"step {i}: Decide on inconsistent record")
-            if not m.is_unassigned(lit):
-                raise _Violation(f"step {i}: Decide on assigned literal")
-            m.append(lit, decided=True)
-        elif rule == "UnitPropagate":
-            clause = f["clause"]
-            if not m.consistent:
-                raise _Violation(f"step {i}: UnitPropagate on inconsistent "
-                                 f"record")
-            if clause not in clauses:
-                raise _Violation(f"step {i}: clause not in program")
-            if lit not in clause:
-                raise _Violation(f"step {i}: literal not in clause")
-            if any(not m.holds(-x) for x in clause if x != lit):
-                raise _Violation(f"step {i}: clause remainder not falsified")
-            if m.holds(lit):
-                raise _Violation(f"step {i}: literal already in record")
-            m.append(lit)
-        elif rule == "Unfounded":
-            u = f["unfounded"]
-            if not m.consistent:
-                raise _Violation(f"step {i}: Unfounded on inconsistent record")
-            if not u or lit > 0 or lit_atom(lit) not in u:
-                raise _Violation(f"step {i}: literal not from unfounded set")
-            if not _is_unfounded(abstraction, m, u):
-                raise _Violation(f"step {i}: set is not unfounded")
-            if m.holds(lit):
-                raise _Violation(f"step {i}: literal already in record")
-            m.append(lit)
-        elif rule == "CPPropagate":
-            if not m.consistent:
-                raise _Violation(f"step {i}: CPPropagate on inconsistent "
-                                 f"record")
-            if f["projection"] != _projection(run_program, m.literals()):
-                raise _Violation(f"step {i}: projection is not M's")
-            if _feasibility(run_program, m.literals(), semantics):
-                raise _Violation(f"step {i}: csp-abstraction is feasible")
-            m.append_bot()
-        elif rule in ("Learn", "LearnT"):
-            d = f["denial"]
-            kind, projection = f.get("reason", (None, None))
-            if projection is not None and \
-                    projection != _projection(run_program, m.literals()):
-                raise _Violation(f"step {i}: reason projection is not M's")
-            key = denial_key(d)
-            if key in {denial_key(x) for x in gamma + lam}:
-                raise _Violation(f"step {i}: learned denial not fresh")
-            entailed = False
-            extended = run_program.with_extra_denials(gamma + lam)
+        s = _RunState(start, program, index, gamma)
+        for i, rec in entries[1:]:
+            if rec.get("event") == "end":
+                end = rec
+                break
+            if s.failed:
+                raise _Violation("edge after Failstate")
             try:
-                if not is_entailed_denial(extended, d, semantics):
-                    raise _Violation(f"step {i}: learned denial not entailed")
-                entailed = True
-            except OracleBoundExceeded:
-                pass
-            if projection is not None and kind == "cp-conflict":
-                # only a CPPropagate edge, which re-verified that M's
-                # csp-abstraction is infeasible, adds bottom to M
-                if not m.bot:
-                    raise _Violation(f"step {i}: cp-conflict Learn without "
-                                     f"CPPropagate on M")
-                cert = _projection_denial(projection, semantics,
-                                          run_program.constraint_set)
-                if key != denial_key(cert):
-                    raise _Violation(f"step {i}: learned denial is not the "
-                                     f"projection's")
-            elif not entailed:
-                raise _Violation(f"step {i}: learned denial has no "
-                                 f"certificate")
-            (gamma if rule == "Learn" else lam).append(d)
-            clauses = clauses | {frozenset(rule_clause(d))}
-            unused_learns += 1
-        elif rule == "Backtrack":
-            if m.consistent:
-                raise _Violation(f"step {i}: Backtrack on consistent record")
-            if not m.has_decision():
-                raise _Violation(f"step {i}: Backtrack without decision")
-            flipped = m.backjump_last_decision()
-            if flipped != lit:
-                raise _Violation(f"step {i}: Backtrack flipped wrong literal")
-        elif rule == "Fail":
-            if m.consistent:
-                raise _Violation(f"step {i}: Fail on consistent record")
-            if m.has_decision():
-                raise _Violation(f"step {i}: Fail with decision literals")
-            failed = True
-        elif rule in ("Restart", "RestartT"):
-            if not m.entries and not m.bot:
-                raise _Violation(f"step {i}: Restart on empty record")
-            if unused_learns < 1:
-                raise _Violation(f"step {i}: restart without a dedicated "
-                                 f"preceding Learn (restart-safety)")
-            unused_learns -= 1
-            m.clear()
-            if rule == "RestartT":
-                lam.clear()
-                clauses = program_clauses.union(
-                    frozenset(rule_clause(d)) for d in gamma)
-        elif rule == "AspPropagate":
-            try:
-                entailed = _asp_entails(run_program, gamma + lam, m, lit)
-            except OracleBoundExceeded as exc:
-                raise _Violation(f"step {i}: asp entailment not checked: "
-                                 f"{exc}") from None
-            if not entailed:
-                raise _Violation(f"step {i}: literal not asp-entailed")
-            if m.holds(lit):
-                raise _Violation(f"step {i}: literal already in record")
-            m.append(lit)
-        else:
-            raise _Violation(f"step {i}: unknown rule {rule!r}")
+                rule, f = _read_edge(rec, index)
+            except _MALFORMED as exc:
+                raise _Violation(f"malformed record: {exc!r}") from None
+            if rec.get("pre") != s.digest():
+                raise _Violation("pre-state digest mismatch")
+            pre_measure = s.measure()
+            _apply(s, rule, f)
+            if rec.get("post") != s.digest():
+                raise _Violation("post-state digest mismatch")
+            if rule not in ("Restart", "RestartT") and \
+                    not pre_measure < s.measure():
+                raise _Violation("termination measure did not increase")
+    except _Violation as v:
+        raise _Violation(f"step {i}: {v}") from None
 
-        if rec.get("post") != digest():
-            raise _Violation(f"step {i}: post-state digest mismatch")
-        if rule not in ("Restart", "RestartT") and \
-                not pre_measure < measure():
-            raise _Violation(f"step {i}: termination measure did not "
-                             f"increase")
-
-    if end_rec is None:
+    if end is None:
         raise _Violation("run has no end record")
-    status = end_rec.get("status")
+    status = end.get("status")
     if status == "failstate":
-        if not failed:
+        if not s.failed:
             raise _Violation("failstate end without Fail edge")
     elif status == "model":
-        if failed:
+        if s.failed:
             raise _Violation("model end after Fail edge")
-        _check_semi_terminal(run_program, abstraction, clauses, m,
-                             semantics)
-        model = end_rec.get("model", [])
-        actual = {names[lit_atom(l)] for l in m.literals() if l > 0}
+        s.check_semi_terminal()
+        model = end.get("model", [])
+        actual = {s.names[lit_atom(l)] for l in s.m.literals() if l > 0}
         if not isinstance(model, list) or \
                 not all(isinstance(a, str) for a in model) or \
                 set(model) != actual:
             raise _Violation("end record model differs from final record")
-        return blocking, m.literals()
+        return s.blocking, s.m.literals()
     elif status != "budget":
         raise _Violation(f"unknown end status {status!r}")
-    return blocking, None
+    return s.blocking, None
+
+
+class _RunState:
+    """A run's state as the replay reaches it: the record M, the permanent
+    store Gamma (the list that the later runs start from), the temporal
+    store Lambda, the clause set, whether Failstate is reached, and how many
+    Learn edges no restart has used yet."""
+
+    def __init__(self, start: dict, program: CAProgram,
+                 index: Dict[str, int], gamma: List[RuleP]):
+        if start.get("event") != "start" or "semantics" not in start:
+            raise _Violation("run does not begin with a start record that "
+                             "names its semantics")
+        try:
+            self.blocking = [_denial_of(d, index)
+                             for d in start.get("blocking", [])]
+        except _MALFORMED as exc:
+            raise _Violation(f"malformed record: {exc!r}") from None
+        self.semantics = start["semantics"]
+        if self.semantics not in ("weak", "full"):
+            raise _Violation(f"unknown semantics {self.semantics!r}")
+        self.program = program.with_extra_denials(self.blocking)
+        self.abstraction = self.program.asp_abstraction()
+        self.names = self.abstraction.names
+        self.program_clauses = frozenset(frozenset(c) for c in
+                                         clausify(self.abstraction))
+        self.m = Record(self.abstraction.n_atoms)
+        self.gamma = gamma
+        self.lam: List[RuleP] = []
+        # the program's clauses and those of the learned denials in gamma
+        # and lambda; Learn adds to it and RestartT rebuilds it
+        self.clauses = self.program_clauses.union(
+            frozenset(rule_clause(d)) for d in gamma)
+        self.failed = False
+        self.unused_learns = 0
+
+    def digest(self) -> str:
+        return state_digest(self.m, self.names,
+                            [str(denial_key(d)) for d in self.gamma],
+                            [str(denial_key(d)) for d in self.lam])
+
+    def measure(self):
+        """Per-path termination measure: permanent store growth, then
+        temporal store growth, then the decision-segment length vector of M
+        (lexicographic, as tuples compare); Failstate is the top element."""
+        if self.failed:
+            return (float("inf"),)
+        alpha: List[int] = [0]
+        for lit, dec in self.m.entries:
+            if dec:
+                alpha.append(0)
+            else:
+                alpha[-1] += 1
+        if self.m.bot:
+            alpha[-1] += 1
+        return (len(self.gamma), len(self.lam), tuple(alpha))
+
+    def check_semi_terminal(self) -> None:
+        m = self.m
+        if not m.consistent:
+            raise _Violation("final record inconsistent in a model run")
+        if not m.is_complete():
+            raise _Violation("final record incomplete (Decide applicable)")
+        lits = set(m.literals())
+        for clause in self.clauses:
+            if all(-x in lits for x in clause):
+                raise _Violation("final record falsifies a clause "
+                                 "(Unit Propagate applicable)")
+        gus = greatest_unfounded_set(self.abstraction, m.literals())
+        if any(m.value(a) > 0 for a in gus):
+            raise _Violation("unfounded atom true in final record "
+                             "(Unfounded applicable)")
+        if not _feasibility(self.program, m.literals(), self.semantics):
+            raise _Violation("final csp-abstraction infeasible "
+                             "(CP-Propagate applicable)")
+
+
+# the rules whose edge adds a literal to M; CPPropagate adds bottom
+_ADDS = ("Decide", "UnitPropagate", "Unfounded", "AspPropagate")
+
+
+def _apply(s: _RunState, rule: str, f: dict) -> None:
+    """Check one edge's guards on `s`, given its rule and the fields that
+    `_read_edge` read, then apply it; a broken guard raises `_Violation`."""
+    m, lit = s.m, f.get("lit")
+    if rule in _ADDS + ("CPPropagate",) and not m.consistent:
+        raise _Violation(f"{rule} on inconsistent record")
+    if rule == "Decide":
+        if not m.is_unassigned(lit):
+            raise _Violation("Decide on assigned literal")
+    elif rule == "UnitPropagate":
+        clause = f["clause"]
+        if clause not in s.clauses:
+            raise _Violation("clause not in program")
+        if lit not in clause:
+            raise _Violation("literal not in clause")
+        if any(not m.holds(-x) for x in clause if x != lit):
+            raise _Violation("clause remainder not falsified")
+    elif rule == "Unfounded":
+        u = f["unfounded"]
+        if not u or lit > 0 or lit_atom(lit) not in u:
+            raise _Violation("literal not from unfounded set")
+        if not _is_unfounded(s.abstraction, m, u):
+            raise _Violation("set is not unfounded")
+    elif rule == "AspPropagate":
+        try:
+            entailed = _asp_entails(s.program, s.gamma + s.lam, m, lit)
+        except OracleBoundExceeded as exc:
+            raise _Violation(f"asp entailment not checked: {exc}") from None
+        if not entailed:
+            raise _Violation("literal not asp-entailed")
+    elif rule == "CPPropagate":
+        if f["projection"] != _projection(s.program, m.literals()):
+            raise _Violation("projection is not M's")
+        if _feasibility(s.program, m.literals(), s.semantics):
+            raise _Violation("csp-abstraction is feasible")
+        m.append_bot()
+    elif rule in ("Learn", "LearnT"):
+        _learn(s, rule, f)
+    elif rule == "Backtrack":
+        if m.consistent:
+            raise _Violation("Backtrack on consistent record")
+        if not m.has_decision():
+            raise _Violation("Backtrack without decision")
+        if m.backjump_last_decision() != lit:
+            raise _Violation("Backtrack flipped wrong literal")
+    elif rule == "Fail":
+        if m.consistent:
+            raise _Violation("Fail on consistent record")
+        if m.has_decision():
+            raise _Violation("Fail with decision literals")
+        s.failed = True
+    elif rule in ("Restart", "RestartT"):
+        if not m.entries and not m.bot:
+            raise _Violation("Restart on empty record")
+        if s.unused_learns < 1:
+            raise _Violation("restart without a dedicated preceding Learn "
+                             "(restart-safety)")
+        s.unused_learns -= 1
+        m.clear()
+        if rule == "RestartT":
+            s.lam.clear()
+            s.clauses = s.program_clauses.union(
+                frozenset(rule_clause(d)) for d in s.gamma)
+    else:
+        raise _Violation(f"unknown rule {rule!r}")
+    if rule in _ADDS:
+        if m.holds(lit):
+            raise _Violation("literal already in record")
+        m.append(lit, decided=rule == "Decide")
+
+
+def _learn(s: _RunState, rule: str, f: dict) -> None:
+    """`_apply` for a Learn edge, into Gamma, or a Learn_t edge, into
+    Lambda."""
+    d = f["denial"]
+    kind, projection = f.get("reason", (None, None))
+    if projection is not None and \
+            projection != _projection(s.program, s.m.literals()):
+        raise _Violation("reason projection is not M's")
+    key = denial_key(d)
+    if key in {denial_key(x) for x in s.gamma + s.lam}:
+        raise _Violation("learned denial not fresh")
+    entailed = None     # not checked: past a bound, or a complement fd lacks
+    try:
+        entailed = is_entailed_denial(
+            s.program.with_extra_denials(s.gamma + s.lam), d, s.semantics)
+    except (OracleBoundExceeded, fd.ComplementUnsupported):
+        pass
+    if entailed is False:
+        raise _Violation("learned denial not entailed")
+    if projection is not None and kind == "cp-conflict":
+        # only a CPPropagate edge, which re-verified that M's
+        # csp-abstraction is infeasible, adds bottom to M
+        if not s.m.bot:
+            raise _Violation("cp-conflict Learn without CPPropagate on M")
+        cert = _projection_denial(projection, s.semantics,
+                                  s.program.constraint_set)
+        if key != denial_key(cert):
+            raise _Violation("learned denial is not the projection's")
+    elif entailed is None:
+        raise _Violation("learned denial has no certificate")
+    (s.gamma if rule == "Learn" else s.lam).append(d)
+    s.clauses = s.clauses | {frozenset(rule_clause(d))}
+    s.unused_learns += 1
 
 
 def _is_unfounded(abstraction: RegularProgram, m: Record,
                   u: Set[int]) -> bool:
-    pos_m = {lit_atom(l) for l in m.literals() if l > 0}
-    neg_m = {lit_atom(l) for l in m.literals() if l < 0}
-    for a in u:
-        for r in abstraction.rules:
-            if r.head != a:
-                continue
-            contradicted = (any(x in neg_m for x in r.pos)
-                            or any(x in pos_m for x in r.neg)
-                            or any(x in neg_m for x in r.nneg))
-            if not contradicted and not (set(r.pos) & u):
-                return False
+    """Whether every rule with its head in `u` has a body literal false in
+    M or a positive body atom in `u`."""
+    for r in abstraction.rules:
+        if r.head in u and not set(r.pos) & u and \
+                not any(m.holds(-(x + 1)) for x in r.pos + r.nneg) and \
+                not any(m.holds(x + 1) for x in r.neg):
+            return False
     return True
 
 
 def _asp_entails(program: CAProgram, denials: Sequence[RuleP], m: Record,
                  lit: int) -> bool:
+    """Whether `lit` holds in every answer set of the abstraction, with
+    `denials` added, that agrees with M."""
+    def holds(x: int, l: int) -> bool:
+        return bool(x >> lit_atom(l) & 1) == (l > 0)
     extended = program.with_extra_denials(denials) if denials else program
-    masks = abstraction_answer_sets(extended)
-    m_pos = {lit_atom(l) for l in m.literals() if l > 0}
-    m_neg = {lit_atom(l) for l in m.literals() if l < 0}
-    a = lit_atom(lit)
-    for x in masks:
-        if any(not (x >> b) & 1 for b in m_pos):
-            continue
-        if any((x >> b) & 1 for b in m_neg):
-            continue
-        holds = bool((x >> a) & 1) == (lit > 0)
-        if not holds:
-            return False
-    return True
-
-
-def _check_semi_terminal(run_program: CAProgram, abstraction: RegularProgram,
-                         clauses: Sequence[frozenset], m: Record,
-                         semantics: str) -> None:
-    if not m.consistent:
-        raise _Violation("final record inconsistent in a model run")
-    if not m.is_complete():
-        raise _Violation("final record incomplete (Decide applicable)")
-    lits = set(m.literals())
-    for clause in clauses:
-        if all(-x in lits for x in clause):
-            raise _Violation("final record falsifies a clause "
-                             "(Unit Propagate applicable)")
-    gus = greatest_unfounded_set(abstraction, m.literals())
-    if any(m.value(a) > 0 for a in gus):
-        raise _Violation("unfounded atom true in final record "
-                         "(Unfounded applicable)")
-    if not _feasibility(run_program, m.literals(), semantics):
-        raise _Violation("final csp-abstraction infeasible "
-                         "(CP-Propagate applicable)")
-
-
-# ---------------------------------------------------------------------------
-# Random program corpus
-# ---------------------------------------------------------------------------
-
-def random_ez_source(seed: int, n_regular: int = 4, n_constraint: int = 2,
-                     n_vars: int = 2, n_rules: int = 6,
-                     domain_size: int = 6, min_lo: int = 0) -> str:
-    """Deterministic random EZ program: safe, head-restricted required atoms,
-    primitive constraints over a few fd variables.  Each variable's lower
-    bound is drawn from `min_lo`..2."""
-    rng = random.Random(seed)
-    if n_rules == 0 and n_regular == 0 and n_constraint == 0:
-        return "cspdomain(fd).\n"
-    atoms = [f"a{i}" for i in range(max(n_regular, 1))]
-    vars_ = [f"v{i}" for i in range(max(n_vars, 1))]
-    lines = ["cspdomain(fd)."]
-    for v in vars_:
-        lo = rng.randint(min_lo, 2)
-        hi = lo + rng.randint(1, max(domain_size - 1, 1))
-        lines.append(f"cspvar({v},{lo},{hi}).")
-
-    def expr() -> str:
-        op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
-        kind = rng.randrange(4)
-        if kind == 0:
-            return f"{rng.choice(vars_)} {op} {rng.randint(0, domain_size)}"
-        if kind == 1 and len(vars_) > 1:
-            a, b = rng.sample(vars_, 2)
-            return f"{a} {op} {b}"
-        if kind == 2 and len(vars_) > 1:
-            a, b = rng.sample(vars_, 2)
-            return f"{a} + {b} {op} {rng.randint(0, 2 * domain_size)}"
-        if kind == 3 and len(vars_) > 1:
-            a, b = rng.sample(vars_, 2)
-            return f"{a} - {b} {op} {rng.randint(-domain_size, domain_size)}"
-        return f"{rng.choice(vars_)} {op} {rng.randint(0, domain_size)}"
-
-    exprs = []
-    for _ in range(n_constraint):
-        e = expr()
-        if e not in exprs:
-            exprs.append(e)
-
-    def body(avoid: Optional[str] = None) -> str:
-        k = rng.randint(1, 2)
-        lits = []
-        pool = [a for a in atoms if a != avoid] or atoms
-        for a in rng.sample(pool, min(k, len(pool))):
-            lits.append(rng.choice(["", "not ", "not not "]) + a)
-        return ", ".join(lits)
-
-    for _ in range(n_rules):
-        kind = rng.randrange(6)
-        if kind == 0:
-            lines.append(f"{rng.choice(atoms)}.")
-        elif kind == 1:
-            lines.append("{ " + rng.choice(atoms) + " }.")
-        elif kind == 2:
-            h = rng.choice(atoms)
-            lines.append(f"{h} :- {body(avoid=h)}.")
-        elif kind == 3 and exprs:
-            e = rng.choice(exprs)
-            if rng.random() < 0.5:
-                lines.append(f"required({e}).")
-            else:
-                lines.append(f"required({e}) :- {body()}.")
-        elif kind == 4:
-            lines.append(f":- {body()}.")
-        else:
-            h = rng.choice(atoms)
-            lines.append(f"{h} :- {body(avoid=h)}.")
-    return "\n".join(lines) + "\n"
-
-
-def random_program(seed: int, n_regular: int = 4, n_constraint: int = 2,
-                   n_vars: int = 2, n_rules: int = 6,
-                   domain_size: int = 6, min_lo: int = 0) -> CAProgram:
-    """Deterministic random CA program (grounded from random_ez_source)."""
-    from .ground import ground_program
-    return ground_program(random_ez_source(seed, n_regular, n_constraint,
-                                           n_vars, n_rules, domain_size,
-                                           min_lo))
+    held = m.literals()
+    return all(holds(x, lit) for x in abstraction_answer_sets(extended)
+               if all(holds(x, l) for l in held))

@@ -1,14 +1,15 @@
 """Independent brute-force helpers used as oracles by the tests.
 
 These deliberately avoid the library's grounding joins, propagation, and
-search: substitutions are enumerated exhaustively, unfoundedness is checked
-straight from its definition, and CSP solutions come from raw assignment
-product loops.
+search: substitutions are enumerated exhaustively, unit propagation rescans
+every clause, unfoundedness is checked straight from its definition, and
+CSP solutions come from raw assignment product loops.
 """
 
 import itertools
+from typing import Sequence
 
-from ezcasp.asp import RegularProgram, lit_atom
+from ezcasp.asp import Clause, Record, RegularProgram, lit_atom
 from ezcasp.ground import GroundError, canon_atom, canon_term, term_key
 from ezcasp.lang import (Atom, BuiltinLit, Choice, Compound, Const, EzProgram,
                          Lit, OpExpr, RangeTerm, Rule, Var)
@@ -269,6 +270,61 @@ def library_ground_canon(g: EzProgram):
                                       for e in r.head.elems)) + "}"
         out.add(h + ":-" + ",".join(parts))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Unit propagation by rescanning every clause
+# ---------------------------------------------------------------------------
+
+def _clause_status(m: Record, clause: Clause):
+    """-> ('sat', None) | ('unit', lit) | ('false', None) | ('open', None)."""
+    unassigned = None
+    n_open = 0
+    for lit in clause:
+        v = m.value(lit_atom(lit))
+        if v == 0:
+            n_open += 1
+            unassigned = lit
+            if n_open > 1:
+                return ("open", None)
+        elif (v > 0) == (lit > 0):
+            return ("sat", None)
+    if n_open == 1:
+        return ("unit", unassigned)
+    return ("false", None)
+
+
+def find_unit_step(m: Record, clauses: Sequence[Clause]):
+    """First applicable unit-propagation edge under a fixed clause order.
+
+    Returns (lit, clause) to append, preferring conflicts: if some clause is
+    fully falsified, its first literal is returned (appending it makes the
+    record inconsistent, which is the conflict edge).  None at fixpoint.
+    """
+    if not m.consistent:
+        return None
+    unit = None
+    for clause in clauses:
+        if not clause:
+            continue        # empty clauses are rejected before search
+        status, lit = _clause_status(m, clause)
+        if status == "false":
+            return (clause[0], clause)
+        if status == "unit" and unit is None:
+            unit = (lit, clause)
+    return unit
+
+
+def unit_propagate(m: Record, clauses: Sequence[Clause]) -> Record:
+    """Run unit propagation to fixpoint (mutates and returns `m`)."""
+    while True:
+        step = find_unit_step(m, clauses)
+        if step is None:
+            return m
+        lit, _ = step
+        m.append(lit)
+        if not m.consistent:
+            return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Seeded random non-ground EZ programs for differential tests of the grounder.
+"""Seeded random EZ programs: the ground corpus and non-ground programs.
 
-A program holds facts of p/1, q/2 and s/1 over integers, symbols and
+`random_ez_source` writes a small ground program over a few fd variables,
+and `random_program` grounds it; the oracle, engine, propagation and
+translation tests draw their seeded corpus from them.
+
+`random_nonground_source` writes a program for differential tests of the
+grounder.  It holds facts of p/1, q/2 and s/1 over integers, symbols and
 compounds, and rules over them that join, match arithmetic patterns such as
 ``q(X+1,Y)``, bind and divide (``Z = X / Y``), compare, negate, sum with
 weights and variable bounds, and choose with variable bounds.  Some
@@ -11,6 +16,9 @@ the oracle's atom bound.
 """
 
 import random
+from typing import Optional
+
+from ezcasp.ground import CAProgram, ground_program
 
 _INTS = ["-2", "-1", "0", "1", "2", "3"]
 _OTHERS = ["a", "b", "f(1)", "f(a)", "g(1,b)"]
@@ -60,3 +68,82 @@ def random_nonground_source(seed: int) -> str:
     lines += [f"s({_const(rng)})." for _ in range(rng.randint(1, 2))]
     lines += [_rule(rng) for _ in range(rng.randint(1, 4))]
     return "\n".join(lines) + "\n"
+
+
+def random_ez_source(seed: int, n_regular: int = 4, n_constraint: int = 2,
+                     n_vars: int = 2, n_rules: int = 6,
+                     domain_size: int = 6, min_lo: int = 0) -> str:
+    """Deterministic random EZ program: safe, head-restricted required atoms,
+    primitive constraints over a few fd variables.  Each variable's lower
+    bound is drawn from `min_lo`..2."""
+    rng = random.Random(seed)
+    if n_rules == 0 and n_regular == 0 and n_constraint == 0:
+        return "cspdomain(fd).\n"
+    atoms = [f"a{i}" for i in range(max(n_regular, 1))]
+    vars_ = [f"v{i}" for i in range(max(n_vars, 1))]
+    lines = ["cspdomain(fd)."]
+    for v in vars_:
+        lo = rng.randint(min_lo, 2)
+        hi = lo + rng.randint(1, max(domain_size - 1, 1))
+        lines.append(f"cspvar({v},{lo},{hi}).")
+
+    def expr() -> str:
+        op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
+        kind = rng.randrange(4)
+        if kind == 0:
+            return f"{rng.choice(vars_)} {op} {rng.randint(0, domain_size)}"
+        if kind == 1 and len(vars_) > 1:
+            a, b = rng.sample(vars_, 2)
+            return f"{a} {op} {b}"
+        if kind == 2 and len(vars_) > 1:
+            a, b = rng.sample(vars_, 2)
+            return f"{a} + {b} {op} {rng.randint(0, 2 * domain_size)}"
+        if kind == 3 and len(vars_) > 1:
+            a, b = rng.sample(vars_, 2)
+            return f"{a} - {b} {op} {rng.randint(-domain_size, domain_size)}"
+        return f"{rng.choice(vars_)} {op} {rng.randint(0, domain_size)}"
+
+    exprs = []
+    for _ in range(n_constraint):
+        e = expr()
+        if e not in exprs:
+            exprs.append(e)
+
+    def body(avoid: Optional[str] = None) -> str:
+        k = rng.randint(1, 2)
+        lits = []
+        pool = [a for a in atoms if a != avoid] or atoms
+        for a in rng.sample(pool, min(k, len(pool))):
+            lits.append(rng.choice(["", "not ", "not not "]) + a)
+        return ", ".join(lits)
+
+    for _ in range(n_rules):
+        kind = rng.randrange(6)
+        if kind == 0:
+            lines.append(f"{rng.choice(atoms)}.")
+        elif kind == 1:
+            lines.append("{ " + rng.choice(atoms) + " }.")
+        elif kind == 2:
+            h = rng.choice(atoms)
+            lines.append(f"{h} :- {body(avoid=h)}.")
+        elif kind == 3 and exprs:
+            e = rng.choice(exprs)
+            if rng.random() < 0.5:
+                lines.append(f"required({e}).")
+            else:
+                lines.append(f"required({e}) :- {body()}.")
+        elif kind == 4:
+            lines.append(f":- {body()}.")
+        else:
+            h = rng.choice(atoms)
+            lines.append(f"{h} :- {body(avoid=h)}.")
+    return "\n".join(lines) + "\n"
+
+
+def random_program(seed: int, n_regular: int = 4, n_constraint: int = 2,
+                   n_vars: int = 2, n_rules: int = 6,
+                   domain_size: int = 6, min_lo: int = 0) -> CAProgram:
+    """Deterministic random CA program (grounded from random_ez_source)."""
+    return ground_program(random_ez_source(seed, n_regular, n_constraint,
+                                           n_vars, n_rules, domain_size,
+                                           min_lo))

@@ -24,6 +24,7 @@ from bruteforce import enumerate_csp_solutions
 from conftest import (ENCODINGS, LIGHT_EZ, RIDDLE_EZ, make_conflict_pair,
                       make_light_asp, make_night, make_p1, make_window)
 from csp_gen import GLOBALS, gen_instance, primitive
+from ground_gen import random_program
 from test_oracle import _negative_traces
 
 
@@ -103,7 +104,7 @@ def test_criterion_2_schema_equivalence():
     t0 = time.monotonic()
     disagreements = 0
     for seed in range(CORPUS_SIZE):
-        P = oracle.random_program(seed, **_corpus_params(seed))
+        P = random_program(seed, **_corpus_params(seed))
         ab = P.asp_abstraction()
         for sem in ("weak", "full"):
             outcomes = {}
@@ -130,7 +131,7 @@ def test_criterion_3_oracle_equivalence():
     checked = 0
     mismatches = 0
     for seed in range(CORPUS_SIZE):
-        P = oracle.random_program(seed, **_corpus_params(seed))
+        P = random_program(seed, **_corpus_params(seed))
         try:
             expected = {
                 "weak": set(oracle.answer_sets(P, "weak")),
@@ -154,7 +155,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_trace_validity():
     total = 0
     for seed in range(100):
-        P = oracle.random_program(seed, **_corpus_params(seed))
+        P = random_program(seed, **_corpus_params(seed))
         for schema in ("black", "grey", "clear"):
             for sem in ("weak", "full"):
                 res = solve_ca(P, SchemaConfig(schema=schema, semantics=sem,

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ezcasp.asp import (Record, RegularProgram, RuleP, clausify,
-                        enumerate_answer_sets_bruteforce, find_unit_step,
-                        greatest_unfounded_set, is_answer_set, rule_clause,
-                        unit_propagate)
+                        enumerate_answer_sets_bruteforce,
+                        greatest_unfounded_set, is_answer_set, rule_clause)
 
-from bruteforce import all_unfounded_sets, is_unfounded
+from bruteforce import (all_unfounded_sets, find_unit_step, is_unfounded,
+                        unit_propagate)
 
 
 # -- clausify ----------------------------------------------------------------

@@ -196,6 +196,28 @@ def test_validate_trace_rejects_asp_propagate_above_the_oracle_bound(
                     f"33 atoms exceeds oracle bound 16\n", "")
 
 
+def test_validate_trace_rejects_a_csp_check_without_a_complement(
+        tmp_path, capsys):
+    # under full semantics the trace's model with `a` false needs the
+    # complement of a global constraint, which fd lacks: one line, no
+    # traceback
+    src = tmp_path / "g.ez"
+    src.write_text("cspdomain(fd). cspvar(x,0,2). {a}. "
+                   "required(sum([x],eq,1)) :- a.")
+    trace = tmp_path / "g.trace"
+    assert run_cli(capsys, src, "-n", "0", "--dump-trace", trace)[0] == \
+        EXIT_SAT
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    for rec in records:
+        if rec.get("event") == "start":
+            rec["semantics"] = "full"
+    trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    code, out, err = run_cli(capsys, src, "--validate-trace", trace)
+    assert (code, err) == (EXIT_ERROR, "") and out.startswith(
+        "trace invalid: csp-abstraction not checked: complement of "
+        "non-primitive constraint unsupported: ") and out.count("\n") == 1
+
+
 def test_validate_trace_rejects_a_trace_without_a_run(tmp_path, capsys):
     empty = tmp_path / "empty.trace"
     empty.write_text("")

@@ -11,6 +11,7 @@ from ezcasp import oracle
 
 from conftest import (CONDITIONAL_DECLS, ENCODINGS, RIDDLE_EZ,
                       make_conflict_pair)
+from ground_gen import random_program
 
 
 def _rules(trace, run=None):
@@ -198,7 +199,7 @@ def test_clear_box_check_freq_none_checks_complete_only():
 
 def test_clear_box_candidates_never_exceed_black():
     for seed in range(60):
-        P = oracle.random_program(seed)
+        P = random_program(seed)
         black = solve_ca(P, SchemaConfig(schema="black", limit=0,
                                          max_alphas_per_model=1))
         clear = solve_ca(P, SchemaConfig(schema="clear", limit=0,
@@ -301,7 +302,7 @@ def _projection_edges(P, trace):
 def test_projection_is_the_constraint_literals_of_m():
     programs = [ground_program(p.read_text())
                 for p in sorted(ENCODINGS.glob("*.ez"))]
-    programs += [oracle.random_program(seed) for seed in range(60)]
+    programs += [random_program(seed) for seed in range(60)]
     programs += [ground_program(src, (0, 9)) for src in CONDITIONAL_DECLS]
     # per semantics: projections with a negative literal, Learn edges
     seen = {"weak": [0, 0], "full": [0, 0]}
@@ -529,7 +530,7 @@ def test_schema_config_validation():
 
 def test_every_model_passes_answer_set_and_feasibility_checks():
     for seed in range(80):
-        P = oracle.random_program(seed)
+        P = random_program(seed)
         for schema in ("black", "grey", "clear"):
             for sem in ("weak", "full"):
                 res = solve_ca(P, SchemaConfig(schema=schema, semantics=sem,
@@ -546,7 +547,7 @@ def test_corpus_with_negative_lower_bounds_matches_the_oracle():
     # both semantics, and some of its evaluations take a negative value
     negative = 0
     for seed in range(40):
-        P = oracle.random_program(seed, min_lo=-3)
+        P = random_program(seed, min_lo=-3)
         for sem in ("weak", "full"):
             try:
                 expected = set(oracle.answer_sets(P, sem))
@@ -581,7 +582,7 @@ def test_learned_denials_preserve_answer_sets():
 
 def test_full_answer_sets_project_into_weak():
     for seed in range(50):
-        P = oracle.random_program(seed)
+        P = random_program(seed)
         full = solve_ca(P, SchemaConfig(semantics="full", limit=0,
                                         max_alphas_per_model=1))
         weak = solve_ca(P, SchemaConfig(semantics="weak", limit=0,
@@ -608,14 +609,14 @@ def test_tracing_changes_no_answer_or_counter(schema):
             SchemaConfig(schema=schema, limit=0, max_alphas_per_model=1))
     for seed in range(80):
         _same_with_and_without_trace(
-            oracle.random_program(seed),
+            random_program(seed),
             SchemaConfig(schema=schema, semantics=("weak", "full")[seed % 2],
                          limit=0))
 
 
 def test_all_traces_validate():
     for seed in range(40):
-        P = oracle.random_program(seed)
+        P = random_program(seed)
         for schema in ("black", "grey", "clear"):
             for sem in ("weak", "full"):
                 res = solve_ca(P, SchemaConfig(schema=schema, semantics=sem,

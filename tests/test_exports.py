@@ -120,3 +120,28 @@ def test_no_dead_private_or_imported_names():
     dead = {name: _dead_names(tree, elsewhere[name])
             for name, tree in trees.items()}
     assert {name: d for name, d in dead.items() if d} == {}
+
+
+def test_every_public_name_is_used_or_exported():
+    # code that only the tests run belongs in tests/: each public top-level
+    # function or class is imported by another module of the package, read
+    # outside its own definition, or exported by `ezcasp` (under its own
+    # name or an alias)
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    imported = _imported_from(trees)
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if (alias.asname or alias.name) in ezcasp.__all__}
+    statements = [(node, _loaded_names(node))
+                  for tree in trees.values() for node in tree.body]
+    unused = [f"{name}.{node.name}" for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in imported[name] | exported
+              and not any(node.name in names for other, names in statements
+                          if other is not node)]
+    assert unused == []

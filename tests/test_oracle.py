@@ -10,10 +10,11 @@ from ezcasp.lang import parse, pretty_print
 from ezcasp import oracle
 from ezcasp.oracle import (OracleBoundExceeded, answer_sets,
                            csp_feasible_exhaustive, is_entailed_denial,
-                           random_ez_source, random_program, validate_trace)
+                           validate_trace)
 
 from conftest import (CONDITIONAL_DECLS, ENCODINGS, make_conflict_pair,
                       make_night, make_p1, make_p2, make_window)
+from ground_gen import random_ez_source, random_program
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -381,6 +382,9 @@ _TAMPERS = [
      "UnitPropagate on inconsistent record"),
     ("light", _is("Unfounded"), _repeat_edge,
      "Unfounded on inconsistent record"),
+    ("light", _is("Backtrack"),
+     _as_edge("AspPropagate", lit="-cspdomain(fd)"),
+     "AspPropagate on inconsistent record"),
     ("light", _is("UnitPropagate"), _repeat_edge,
      "literal already in record"),
     ("light", _is("Fail"), _as_edge("Backtrack", lit="switch"),
@@ -533,6 +537,46 @@ def test_asp_propagate_above_the_oracle_bound_is_rejected():
     assert validate_trace(trace, prog) == (
         False, f"step {k}: asp entailment not checked: 33 atoms exceeds "
                f"oracle bound 16")
+
+
+# fd has no complement for a global constraint, which the csp-abstraction
+# needs under full semantics once M holds the global's atom false
+_NO_COMPLEMENT = ("cspdomain(fd). cspvar(x,0,2). {a}. "
+                  "required(sum([x],eq,1)) :- a.")
+_NOT_CHECKED = ("csp-abstraction not checked: complement of non-primitive "
+                "constraint unsupported: Global(name='sum'")
+
+
+def test_final_state_that_needs_a_missing_complement_is_rejected():
+    prog = ground_program(_NO_COMPLEMENT)
+    trace = _engine_trace(prog, "weak", limit=0)
+    assert validate_trace(trace, prog) == (True, None)
+    _full_semantics(trace, None)
+    ok, why = validate_trace(trace, prog)
+    assert not ok and why.startswith(_NOT_CHECKED), why
+
+
+def test_cp_propagate_that_needs_a_missing_complement_is_rejected():
+    prog = ground_program(_NO_COMPLEMENT)
+    trace = TraceBuilder(prog, semantics="full") \
+        .decide("-|sum([x],eq,1)|").cp_propagate().end("budget")
+    ok, why = validate_trace(trace, prog)
+    assert not ok and why.startswith("step 2: " + _NOT_CHECKED), why
+
+
+def test_learn_rests_on_its_certificate_where_entailment_needs_a_complement():
+    # the entailment check enumerates answer sets whose global atom is
+    # false; it counts as not run, and the cp-conflict certificate decides
+    prog = ground_program(_NO_COMPLEMENT + " required(x > 5) :- a.")
+    c = ["|sum([x],eq,1)|", "|x > 5|"]
+    tb = TraceBuilder(prog, semantics="full").decide(c[0]).decide(c[1]) \
+        .cp_propagate()
+    trace = tb.learn(pos=c, reason={"kind": "cp-conflict", "projection": c}) \
+        .end("budget")
+    assert validate_trace(trace, prog) == (True, None)
+    trace[-2]["payload"]["reason"]["kind"] = "other"
+    assert validate_trace(trace, prog) == (
+        False, "step 4: learned denial has no certificate")
 
 
 def test_temporal_store_justifies_unit_propagation_until_restart_t():

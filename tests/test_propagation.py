@@ -1,7 +1,7 @@
-"""Differential tests of the search's propagators against the reference
-versions in `ezcasp.asp`: the watched-literal `Propagator` against
+"""Differential tests of the search's propagators against their reference
+versions: the watched-literal `Propagator` against `bruteforce`'s
 `unit_propagate`, and the incremental `UnfoundedCheck` against
-`greatest_unfounded_set`."""
+`asp.greatest_unfounded_set`."""
 
 import random
 
@@ -9,10 +9,11 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ezcasp import oracle
 from ezcasp.asp import (Propagator, Record, RegularProgram, RuleP,
-                        UnfoundedCheck, clausify, greatest_unfounded_set,
-                        unit_propagate)
+                        UnfoundedCheck, clausify, greatest_unfounded_set)
+
+from bruteforce import unit_propagate
+from ground_gen import random_program
 
 N = 6
 
@@ -157,7 +158,7 @@ def _partial_records(rng, n_atoms, count):
 def test_unfounded_check_matches_reference_on_corpus():
     rng = random.Random(3)
     for seed in range(80):
-        prog = oracle.random_program(seed).asp_abstraction()
+        prog = random_program(seed).asp_abstraction()
         check = UnfoundedCheck(prog)
         for m in _partial_records(rng, prog.n_atoms, 12):
             assert check.greatest(m) == \
@@ -271,7 +272,7 @@ def _search_steps(rng, prog, n_ops):
 def test_incremental_unfounded_check_along_random_searches():
     rng = random.Random(11)
     for seed in range(60):
-        prog = oracle.random_program(seed).asp_abstraction()
+        prog = random_program(seed).asp_abstraction()
         if prog.n_atoms:
             _search_steps(rng, prog, 40)
     for _ in range(150):

@@ -5,7 +5,7 @@ For every case, `tests/data/translation/digests.txt` holds a digest of the
 rules, constraint order with gamma, declarations, suppressed names and
 warnings).  `tests/data/translation/clauses.txt` holds, for the same cases,
 a digest of the clauses of the program's ASP abstraction in order, one per
-rule (`asp.clausify`).  The cases are `oracle.random_ez_source` seeds
+rule (`asp.clausify`).  The cases are `ground_gen.random_ez_source` seeds
 0-499, seeds 250-499 with `min_lo=-3`, `ground_gen.random_nonground_source`
 seeds 0-999 (the pinned programs with multi-atom choice and aggregate
 conditions, arithmetic patterns and division errors), plus every bundled
@@ -36,10 +36,8 @@ from ezcasp.engine import SchemaConfig, solve_ca
 from ezcasp.fd import ComplementUnsupported
 from ezcasp.ground import DEFAULT_FD_RANGE, GroundError, ground_program
 from ezcasp.lang import EzSyntaxError
-from ezcasp.oracle import random_ez_source
-
 from conftest import ENCODINGS
-from ground_gen import random_nonground_source
+from ground_gen import random_ez_source, random_nonground_source
 from test_ground import DUMP_GROUND_EZ, ca_program_text
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "translation"
