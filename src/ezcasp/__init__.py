@@ -1,17 +1,18 @@
 """Constraint answer set solver with an EZ-language front end.
 
-Pipeline: parse -> preprocess -> ground -> CA program -> transition-system
-search (black / grey / clear-box) backed by an embedded finite-domain solver.
+Pipeline: parse (which reads each required-argument into canonical functors)
+-> ground -> CA program -> transition-system search (black / grey /
+clear-box) backed by an embedded finite-domain solver.
 """
 
-from .lang import parse, preprocess, pretty_print, EzProgram, EzSyntaxError
+from .lang import parse, pretty_print, EzProgram, EzSyntaxError
 from .ground import ground_program, CAProgram, GroundError
 from .asp import RegularProgram, is_answer_set, enumerate_answer_sets_bruteforce
 from .fd import CSPInstance, build_csp, solve as solve_csp, satisfied, complement
 from .engine import SchemaConfig, solve_ca, SolveResult, ExtendedAnswerSet
 
 __all__ = [
-    "parse", "preprocess", "pretty_print", "EzProgram", "EzSyntaxError",
+    "parse", "pretty_print", "EzProgram", "EzSyntaxError",
     "ground_program", "CAProgram", "GroundError",
     "RegularProgram", "is_answer_set", "enumerate_answer_sets_bruteforce",
     "CSPInstance", "build_csp", "solve_csp", "satisfied", "complement",

@@ -10,12 +10,13 @@ Exit status: 10 = SAT, 20 = UNSAT, 1 = error or budget exceeded.
 With `--stats FILE`, a solve also writes FILE as JSON: `atoms` and `rules`
 of the CA program, the wall times `ground_stages_s` (EZ text to CA program)
 and `solve_ca_s` (the search), the wall times of the front-end layers within
-`ground_stages_s` under the names of perfbench's layers, `parse_s` (parse and
-preprocess), `ground_s` (ground) and `translate_s` (collect_var_decls,
-expand_lists and to_ca_program), the wall times of the search's layers
-within `solve_ca_s`, `clausify_s` (asp.clausify, once per solve),
-`fd_build_s` (fd.build_csp) and `fd_search_s` (advancing fd.solutions), and
-`stats`, the solve's `SolveStats` counters.
+`ground_stages_s` under the names of perfbench's layers, `parse_s` (parse,
+which also canonicalizes required-arguments), `ground_s` (ground) and
+`translate_s` (collect_var_decls, expand_lists and to_ca_program), the wall
+times of the search's layers within `solve_ca_s`, `clausify_s`
+(asp.clausify, once per solve), `fd_build_s` (fd.build_csp) and
+`fd_search_s` (advancing fd.solutions), and `stats`, the solve's
+`SolveStats` counters.
 
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
@@ -242,6 +243,25 @@ def _check_freq(text: str):
     return v
 
 
+def _count(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError("count must be >= 0")
+    return v
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to the file at path; False, after one error line, if it
+    cannot be written."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ezcasp",
@@ -251,7 +271,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     default="black", help="integration schema (default black)")
     ap.add_argument("--semantics", choices=["weak", "full"], default="weak",
                     help="csp-abstraction semantics (default weak)")
-    ap.add_argument("-n", type=int, default=1, metavar="N",
+    ap.add_argument("-n", type=_count, default=1, metavar="N",
                     help="enumerate up to N extended answer sets (0 = all)")
     ap.add_argument("--check-freq", type=_check_freq, default=1, metavar="K",
                     help="clear-box CSP check frequency in decisions "
@@ -355,6 +375,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = SchemaConfig(schema=args.schema, semantics=args.semantics,
                        check_freq=args.check_freq, limit=args.n)
     try:
+        cfg.step_budget = cfg.effective_budget()
+    except ValueError as exc:                  # EZCASP_STEP_BUDGET
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    try:
         start = time.perf_counter()
         res = solve_ca(program, cfg, collect_trace=bool(args.dump_trace))
         solve_s = time.perf_counter() - start
@@ -362,25 +387,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.stats:
-        try:
-            with open(args.stats, "w") as f:
-                json.dump({"atoms": program.n_atoms,
-                           "rules": len(program.pi.rules),
-                           "ground_stages_s": round(ground_s, 6),
-                           "solve_ca_s": round(solve_s, 6),
-                           **{k: round(v, 6) for k, v in
-                              {**program.stage_s, **res.layer_s}.items()},
-                           "stats": vars(res.stats)}, f, indent=1)
-                f.write("\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    if args.stats and not _write(args.stats, json.dumps(
+            {"atoms": program.n_atoms, "rules": len(program.pi.rules),
+             "ground_stages_s": round(ground_s, 6),
+             "solve_ca_s": round(solve_s, 6),
+             **{k: round(v, 6) for k, v in
+                {**program.stage_s, **res.layer_s}.items()},
+             "stats": vars(res.stats)}, indent=1) + "\n"):
+        return EXIT_ERROR
 
-    if args.dump_trace and res.trace is not None:
-        with open(args.dump_trace, "w") as f:
-            for rec in res.trace:
-                f.write(json.dumps(rec) + "\n")
+    if args.dump_trace and res.trace is not None and not _write(
+            args.dump_trace,
+            "".join(json.dumps(rec) + "\n" for rec in res.trace)):
+        return EXIT_ERROR
 
     if res.status == "budget":
         print("step budget exceeded", file=sys.stderr)
@@ -391,10 +410,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for m in res.models:
         print(format_model(m.atoms, m.assignment, program.suppressed))
-    if args.emit_clp and res.models:
-        with open(args.emit_clp, "w") as f:
-            f.write(emit_clp(program, res.models[0].literals,
-                             args.semantics) + "\n")
+    if args.emit_clp and res.models and not _write(
+            args.emit_clp, emit_clp(program, res.models[0].literals,
+                                    args.semantics) + "\n"):
+        return EXIT_ERROR
     return EXIT_SAT
 
 

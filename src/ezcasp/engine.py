@@ -94,11 +94,21 @@ class SchemaConfig:
             raise ValueError(f"unknown semantics {self.semantics!r}")
         if self.check_freq is not None and self.check_freq < 1:
             raise ValueError("check_freq must be >= 1")
+        for name in ("limit", "max_alphas_per_model", "step_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def effective_budget(self) -> int:
         if self.step_budget is not None:
             return self.step_budget
-        return int(os.environ.get("EZCASP_STEP_BUDGET", DEFAULT_STEP_BUDGET))
+        text = os.environ.get("EZCASP_STEP_BUDGET")
+        if text is None:
+            return DEFAULT_STEP_BUDGET
+        if not text.strip().isdecimal():
+            raise ValueError(f"EZCASP_STEP_BUDGET must be an integer >= 0, "
+                             f"not {text!r}")
+        return int(text)
 
 
 @dataclass(frozen=True)

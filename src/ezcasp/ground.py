@@ -57,7 +57,7 @@ from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
     SourcePos, Term, Var, ARITH_OPS, CMP_OPS, GLOBAL_SIGNATURES, LOGIC_OPS,
-    _subterms, parse, preprocess,
+    _subterms, parse,
 )
 from .terms import (GroundError, _Terms, _name, canon_atom, canon_term,
                     display_atom, display_term, term_key)
@@ -1083,14 +1083,14 @@ class CADecl:
 
 class CAProgram:
     """A program with constraint atoms: regular part, constraint alphabet,
-    atom-to-constraint map, integer domain, and variable declarations."""
+    atom-to-constraint map, integer domain, and variable declarations.  The
+    names of its constraint atoms are `suppressed` in printed models, and
+    `warnings` starts empty."""
 
     def __init__(self, pi: RegularProgram, constraint_atoms: Sequence[str],
                  gamma: Dict[str, object],
                  domain: Tuple[int, int] = DEFAULT_FD_RANGE,
-                 var_decls: Sequence[CADecl] = (),
-                 suppressed: FrozenSet[str] = frozenset(),
-                 warnings: Sequence[str] = ()):
+                 var_decls: Sequence[CADecl] = ()):
         self.pi = pi
         self.constraint_order: List[int] = [pi.index[a] for a in constraint_atoms]
         self.constraint_set: FrozenSet[int] = frozenset(self.constraint_order)
@@ -1098,8 +1098,8 @@ class CAProgram:
                                          for a, g in gamma.items()}
         self.domain = domain
         self.var_decls: Tuple[CADecl, ...] = tuple(var_decls)
-        self.suppressed = suppressed          # atom names hidden in ez output
-        self.warnings = list(warnings)
+        self.suppressed = frozenset(constraint_atoms)
+        self.warnings: List[str] = []
         # seconds per front-end layer, which `ground_stages` fills in
         self.stage_s: Dict[str, float] = {}
         heads = {r.head for r in pi.rules}
@@ -1369,7 +1369,7 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     return CAProgram(pi, betas,
                      {b: gamma[k] for b, k in zip(betas, required)},
                      domain=default_range,
-                     var_decls=ca_decls, suppressed=frozenset(betas))
+                     var_decls=ca_decls)
 
 
 def _bound_denials(r: Rule, elems: List[int], ids: AtomIds,
@@ -1414,12 +1414,13 @@ def _check_combos(n: int, k: int, pos: Optional[SourcePos]) -> None:
 def ground_stages(source: Union[str, EzProgram],
                   default_range: Tuple[int, int] = DEFAULT_FD_RANGE
                   ) -> Tuple[EzProgram, CAProgram]:
-    """Full pipeline: parse (if text), preprocess, ground, expand lists,
-    translate to a CA program.  Returns the ground, list-expanded program
-    (what `--dump-ground` prints) and the CA program, which carries the
-    expansion warnings and, in `stage_s`, the seconds spent in each layer:
-    `parse_s` (parse and preprocess), `ground_s` (ground) and
-    `translate_s` (collect_var_decls, expand_lists and to_ca_program)."""
+    """Full pipeline: parse (if text; a program is taken as `parse`
+    returns it), ground, expand lists, translate to a CA program.  Returns
+    the ground, list-expanded program (what `--dump-ground` prints) and the
+    CA program, which carries the expansion warnings and, in `stage_s`, the
+    seconds spent in each layer: `parse_s` (parse), `ground_s` (ground)
+    and `translate_s` (collect_var_decls, expand_lists and
+    to_ca_program)."""
     clock = time.perf_counter
     start = clock()
     p = parse(source) if isinstance(source, str) else source
@@ -1430,8 +1431,6 @@ def ground_stages(source: Union[str, EzProgram],
         if isinstance(r.head, Atom) and r.head.rel == "cspdomain")
     if n_domain_facts > 1:
         raise GroundError("duplicate cspdomain fact")
-    start = clock()
-    p = preprocess(p)
     grounding = clock()
     g = ground(p)
     translating = clock()
@@ -1440,7 +1439,7 @@ def ground_stages(source: Union[str, EzProgram],
     ca = to_ca_program(expanded, decls, default_range)
     end = clock()
     ca.warnings.extend(warnings)
-    ca.stage_s = {"parse_s": parse_s + grounding - start,
+    ca.stage_s = {"parse_s": parse_s,
                   "ground_s": translating - grounding,
                   "translate_s": end - translating}
     return expanded, ca

@@ -1,4 +1,4 @@
-"""EZ language front end: data model, parser, operator pre-processing, printer.
+"""EZ language front end: data model, parser, printer.
 
 The surface language is rule-based: `.`-terminated rules, `%` line comments,
 `:-` between head and body.  Heads are atoms, cardinality choices
@@ -7,7 +7,10 @@ literals, built-in comparisons (``X < Y``, ``W = WR + CR``) and the lparse-style
 ``#sum[ a = w : cond ] U`` aggregate.  The reserved relations `cspdomain`,
 `cspvar` and `required` drive the constraint side; inside a `required(...)`
 argument the full expression grammar is available (arithmetic, comparisons,
-reified connectives, extensional/intensional lists, global constraints).
+reified connectives, extensional/intensional lists, global constraints), and
+the parser builds each operator application there as its canonical functor:
+``required(v > 2)`` is read as ``required(gt(v,2))``.  Outside required,
+operators stay `OpExpr`s, which the grounder evaluates as built-ins.
 
 `_subterms` is the one walker over the children of a term; every traversal
 of the grounder that needs all of them goes through it.  `_tokenize` scans
@@ -16,7 +19,7 @@ text, line, col); an integer is a run of decimal digits.  The parser builds
 a `SourcePos` only for a rule or an error, and reads every separated list
 with one helper, `_Parser._seq`.
 
-Everything here is pure and operates on immutable values; parse / preprocess /
+Everything here is pure and operates on immutable values; parse and
 pretty_print may be called concurrently from any number of threads.
 """
 
@@ -34,7 +37,7 @@ __all__ = [
     "Atom", "Lit", "BuiltinLit", "AggItem", "AggregateLit", "BodyElement",
     "ChoiceElem", "Choice", "Rule", "EzProgram",
     "EzSyntaxError", "SourcePos",
-    "parse", "preprocess", "pretty_print", "print_rule", "needs_parens",
+    "parse", "pretty_print", "print_rule", "needs_parens",
     "CMP_OPS", "ARITH_OPS", "LOGIC_OPS", "CANON_FUNCTORS",
     "canonical_functor", "display_op", "GLOBAL_SIGNATURES",
     "GLOBAL_CONSTRAINTS",
@@ -62,7 +65,7 @@ GLOBAL_SIGNATURES = {
 }
 GLOBAL_CONSTRAINTS = frozenset(GLOBAL_SIGNATURES)
 
-# Surface operator -> canonical prefix functor, applied by preprocess()
+# Surface operator -> canonical prefix functor, applied by the parser
 # inside required-arguments only.
 CMP_OPS = {"<": "lt", "<=": "leq", "=<": "leq", ">": "gt", ">=": "geq",
            "=": "eq", "==": "eq", "!=": "neq"}
@@ -129,13 +132,11 @@ class Compound:
 
 @dataclass(frozen=True)
 class OpExpr:
-    """Raw operator application as written in the source (infix or prefix).
-
-    Inside required-arguments these survive parsing and are rewritten to
-    canonical `Compound`s by preprocess(); outside required they are built-in
-    arithmetic the grounder evaluates.  `op` is the normalized surface token
-    ('>=', '+', '\\/', 'xor', '<-', '!', ...); unary minus and `!` have one
-    argument.
+    """Raw operator application as written in the source (infix or prefix),
+    outside required-arguments: built-in arithmetic the grounder evaluates
+    (the parser builds canonical `Compound`s inside required).  `op` is the
+    normalized surface token ('>=', '+', '\\/', 'xor', '<-', '!', ...);
+    unary minus and `!` have one argument.
     """
     op: str
     args: tuple
@@ -354,11 +355,15 @@ def _pos(t: tuple) -> SourcePos:
 
 class _Parser:
     """Recursive descent over the tokens of `_tokenize`; t[0] is a token's
-    kind and t[1] its text."""
+    kind and t[1] its text.  While it reads the argument of a `required`
+    atom (`required` is set), it builds each operator application as its
+    canonical compound: ``v > 2`` as ``gt(v,2)``, unary minus as `neg`, `!`
+    as `not` and ``a <- b`` as ``impl(b,a)``; elsewhere as an `OpExpr`."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.required = False
 
     # -- token helpers ------------------------------------------------
 
@@ -453,6 +458,8 @@ class _Parser:
                 self.next()
                 return Lit("notnot", self.atom())
             return Lit("not", self.atom())
+        if t[0] == "ident" and t[1] == "required":
+            return Lit("pos", self.atom())      # its argument read as in heads
         if t[1] in ("#sum", "["):
             return self.aggregate(lower=None)
         if t[0] in ("int", "var") and self.peek(1)[1] in ("#sum", "["):
@@ -500,7 +507,9 @@ class _Parser:
         if self.at("("):
             self.next()
             if rel == "required":
+                self.required = True
                 args = (self.expr(0),)
+                self.required = False
             else:
                 args = tuple(self._seq(self.term_arg))
             self.expect(")")
@@ -545,7 +554,18 @@ class _Parser:
                 return lhs
             self.next()
             rhs = self.expr(bp[1])
-            lhs = OpExpr(t[1], (lhs, rhs))
+            lhs = self._op(t[1], (lhs, rhs))
+
+    def _op(self, op: str, args: tuple) -> Term:
+        """Operator op applied to args: its canonical compound inside a
+        required-argument, an `OpExpr` elsewhere."""
+        if not self.required:
+            return OpExpr(op, args)
+        if op == "<-":
+            return Compound("impl", args[::-1])
+        if op == "-" and len(args) == 1:
+            return Compound("neg", args)
+        return Compound(canonical_functor(op), args)
 
     def _prefix(self) -> Term:
         t = self.next()
@@ -565,9 +585,9 @@ class _Parser:
             inner = self.expr(100)
             if isinstance(inner, Const) and isinstance(inner.value, int):
                 return Const(-inner.value)
-            return OpExpr("-", (inner,))
+            return self._op("-", (inner,))
         if text == "!":
-            return OpExpr("!", (self.expr(60),))
+            return self._op("!", (self.expr(60),))
         if text == "(":
             e = self.expr(0)
             self.expect(")")
@@ -626,63 +646,9 @@ def _check_reserved(rel: str, args: tuple, tok: tuple) -> None:
 
 
 def parse(text: str) -> EzProgram:
-    """Parse EZ source text into an AST with source positions attached."""
+    """Parse EZ source text into an AST with source positions attached, the
+    argument of each `required` atom in canonical functors."""
     return _Parser(text).program()
-
-
-# ---------------------------------------------------------------------------
-# Pre-processing: canonical functors inside required-arguments
-# ---------------------------------------------------------------------------
-
-def _canon_term(t: Term) -> Term:
-    if isinstance(t, OpExpr):
-        args = tuple(_canon_term(a) for a in t.args)
-        if t.op == "-" and len(args) == 1:
-            return Compound("neg", args)
-        if t.op == "!":
-            return Compound("not", args)
-        if t.op == "<-":
-            return Compound("impl", (args[1], args[0]))
-        return Compound(canonical_functor(t.op), args)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_canon_term(a) for a in t.args))
-    if isinstance(t, ListTerm):
-        return ListTerm(tuple(_canon_term(a) for a in t.items))
-    if isinstance(t, IntensionalList):
-        return IntensionalList(t.name, tuple(_canon_term(a) for a in t.prefix),
-                               t.arity)
-    if isinstance(t, RangeTerm):
-        return RangeTerm(_canon_term(t.lo), _canon_term(t.hi))
-    return t
-
-
-def _preprocess_atom(a: Atom) -> Atom:
-    if a.rel == "required":
-        return Atom(a.rel, tuple(_canon_term(arg) for arg in a.args))
-    return a
-
-
-def preprocess(p: EzProgram) -> EzProgram:
-    """Rewrite operators inside required-arguments to canonical functors.
-
-    ``required(v > 2)`` becomes ``required(gt(v,2))``; built-ins outside
-    required are untouched (the grounder evaluates them).  Idempotent.
-    """
-    out = []
-    for r in p.rules:
-        head = r.head
-        if isinstance(head, Atom):
-            head = _preprocess_atom(head)
-        elif isinstance(head, Choice):
-            head = Choice(head.lower,
-                          tuple(ChoiceElem(_preprocess_atom(e.atom), e.conds)
-                                for e in head.elems),
-                          head.upper)
-        body = tuple(Lit(b.kind, _preprocess_atom(b.atom))
-                     if isinstance(b, Lit) else b
-                     for b in r.body)
-        out.append(Rule(head, body, r.pos))
-    return EzProgram(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,11 @@ def _lit_of(s: str, index: Dict[str, int]) -> int:
 
 
 def _denial_of(d: dict, index: Dict[str, int]) -> RuleP:
-    return RuleP(None, tuple(index[a] for a in d["pos"]),
-                 tuple(index[a] for a in d["neg"]), ())
+    pos = tuple(index[a] for a in d["pos"])
+    neg = tuple(index[a] for a in d["neg"])
+    if len(set(pos)) < len(pos) or len(set(neg)) < len(neg):
+        raise _Violation("malformed record: denial repeats an atom")
+    return RuleP(None, pos, neg, ())
 
 
 # what reading a record that lacks a field, holds a value of another JSON
@@ -232,7 +235,8 @@ def validate_trace(records: Sequence[dict], program: CAProgram
     Returns (ok, None) or (False, reason), where a reason found on an edge
     starts with "step <i>:" and the blocking certificate's with
     "run <k>:".  A record that lacks a field, holds a value of another
-    JSON type or names an unknown atom is rejected at its step.
+    JSON type, names an unknown atom or holds a denial that repeats an
+    atom is rejected at its step.
     """
     abstraction0 = program.asp_abstraction()
     index = abstraction0.index

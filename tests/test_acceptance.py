@@ -17,7 +17,7 @@ from ezcasp.asp import (RegularProgram, RuleP, clausify,
 from ezcasp.cli import bench, emit_clp
 from ezcasp.engine import SchemaConfig, solve_ca
 from ezcasp.ground import ground, ground_program, expand_lists
-from ezcasp.lang import parse, preprocess, Const, ListTerm
+from ezcasp.lang import parse, Const, ListTerm
 from ezcasp import oracle
 
 from bruteforce import enumerate_csp_solutions
@@ -336,17 +336,17 @@ def test_criterion_7_appendix_fidelity():
                           fd.VarRef("v(3)"))
 
     # lambda_r: [rpp/2] over facts rpp(a,3), rpp(b,1), rpp(c,2) -> [3,1,2]
-    prog = preprocess(parse(
-        "rpp(a,3). rpp(b,1). rpp(c,2). required(sum([rpp/2], =<, 9))."))
+    prog = parse(
+        "rpp(a,3). rpp(b,1). rpp(c,2). required(sum([rpp/2], =<, 9)).")
     out, _ = expand_lists(ground(prog), [])
     assert out.rules[-1].head.args[0].args[0] == ListTerm(
         (Const(3), Const(1), Const(2)))
 
     # lambda_r with prefix: [rp(a,2)/3] over rp(a,1,3), rp(a,2,1), rp(b,5,7)
-    prog2 = preprocess(parse(
+    prog2 = parse(
         "rp(a,1,3). rp(a,2,1). rp(b,5,7). "
         "required(sum([rp(a,2)/3], =<, 9)). "
-        "required(sum([rp(a)/3], =<, 9))."))
+        "required(sum([rp(a)/3], =<, 9)).")
     out2, _ = expand_lists(ground(prog2), [])
     assert out2.rules[-2].head.args[0].args[0] == ListTerm((Const(1),))
     assert out2.rules[-1].head.args[0].args[0] == ListTerm(

@@ -411,6 +411,30 @@ def test_check_freq_and_default_range_flags(capsys):
             f"ezcasp: error: argument {flag}: {message}\n")
 
 
+def test_negative_count_is_rejected(capsys):
+    with pytest.raises(SystemExit) as e:
+        main([str(LIGHT), "-n", "-1"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "ezcasp: error: argument -n: count must be >= 0\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "\u00b2"])
+def test_bad_step_budget_variable_is_one_error_line(capsys, monkeypatch,
+                                                    value):
+    monkeypatch.setenv("EZCASP_STEP_BUDGET", value)
+    assert run_cli(capsys, LIGHT) == (
+        EXIT_ERROR, "", f"error: EZCASP_STEP_BUDGET must be an integer >= 0, "
+                        f"not {value!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--emit-clp", "--dump-trace"])
+def test_unwritable_output_file_is_one_error_line(tmp_path, capsys, flag):
+    code, _, err = run_cli(capsys, LIGHT, flag, tmp_path / "no" / "x")
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_format_model():
     assert format_model([], []) == "{}"
     assert format_model(["b", "a"], [("x", 1)]) == "{ a, b, x=1 }"

@@ -526,6 +526,14 @@ def test_schema_config_validation():
         SchemaConfig(check_freq=0)
 
 
+@pytest.mark.parametrize("name", ["limit", "max_alphas_per_model",
+                                  "step_budget"])
+def test_schema_config_rejects_negative_counts(name):
+    SchemaConfig(**{name: 0})
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        SchemaConfig(**{name: -1})
+
+
 # -- verification properties -------------------------------------------------------
 
 def test_every_model_passes_answer_set_and_feasibility_checks():

@@ -16,8 +16,7 @@ from ezcasp.ground import (GroundError, GroundProgram, VariableDecl,
 from ezcasp.engine import SchemaConfig, solve_ca
 from ezcasp.lang import (GLOBAL_SIGNATURES, Atom, Choice, ChoiceElem,
                          Compound, Const, EzProgram, EzSyntaxError,
-                         IntensionalList, Lit, ListTerm, Rule, parse,
-                         preprocess)
+                         IntensionalList, Lit, ListTerm, Rule, parse)
 from ezcasp.lang import _subterms as lang_subterms
 
 from bruteforce import brute_ground, library_ground_canon
@@ -29,7 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _ground_text(text: str) -> EzProgram:
-    return ground(preprocess(parse(text)))
+    return ground(parse(text))
 
 
 # -- instantiation ---------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_grounding_equivalence_with_bruteforce():
         "q(Z) :- a(X), b(Y), c(X,Y), Z = X / Y.",
     ]
     for src in corpus:
-        p = preprocess(parse(src))
+        p = parse(src)
         assert library_ground_canon(ground(p)) == brute_ground(p), src
 
 
@@ -212,8 +211,8 @@ def test_failed_hoisted_run_is_undone_and_redone(monkeypatch):
     monkeypatch.setattr(_Table, "pop",
                         lambda self: (pops.append(canon_atom(self.atoms[-1])),
                                       pop(self)))
-    p = preprocess(parse("a(1). a(0). b(1,5). d(10). "
-                         "q(X,Y) :- a(X), Z = 10 / X, b(X,Y)."))
+    p = parse("a(1). a(0). b(1,5). d(10). "
+              "q(X,Y) :- a(X), Z = 10 / X, b(X,Y).")
     g = ground(p)
     assert pops == ["q(1,5)", "q(1,5)"]
     assert library_ground_canon(g) == brute_ground(p)
@@ -275,7 +274,7 @@ def test_definite_rule_over_domain_relations_runs_in_one_pass(monkeypatch):
         return instantiate(steps, state, pos)
 
     monkeypatch.setattr(ground_mod, "_instantiate", counting)
-    p = preprocess(parse((ENCODINGS / "is_toy.ez").read_text()))
+    p = parse((ENCODINGS / "is_toy.ez").read_text())
     ground(p)
     # every rule of is_toy.ez is definite over domain relations
     assert calls == {r.pos: 1 for r in p.rules}
@@ -335,18 +334,18 @@ def test_lambda_v_prefix_expansion():
 
 
 def test_lambda_r_expansion():
-    prog = preprocess(parse(
-        "rpp(a,3). rpp(b,1). rpp(c,2). required(sum([rpp/2], =<, 9))."))
+    prog = parse(
+        "rpp(a,3). rpp(b,1). rpp(c,2). required(sum([rpp/2], =<, 9)).")
     out, _ = expand_lists(ground(prog), [])
     assert out.rules[-1].head.args[0].args[0] == ListTerm(
         (Const(3), Const(1), Const(2)))
 
 
 def test_lambda_r_prefix_expansion():
-    prog = preprocess(parse(
+    prog = parse(
         "rp(a,1,3). rp(a,2,1). rp(b,5,7)."
         "required(sum([rp(a,2)/3], =<, 9))."
-        "required(sum([rp(a)/3], =<, 9))."))
+        "required(sum([rp(a)/3], =<, 9)).")
     out, _ = expand_lists(ground(prog), [])
     assert out.rules[-2].head.args[0].args[0] == ListTerm((Const(1),))
     assert out.rules[-1].head.args[0].args[0] == ListTerm((Const(3), Const(1)))
@@ -670,7 +669,7 @@ def test_grounding_equivalence_with_nondomain_sharing():
     # binds it against the possible atoms, the second does not restrict
     src = ("d(1). d(2). { c(X) } :- d(X). { e(X) } :- d(X). "
            "both(X) :- c(X), e(X).")
-    p = preprocess(parse(src))
+    p = parse(src)
     assert library_ground_canon(ground(p)) == brute_ground(p)
 
 

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ezcasp.lang import (Atom, Compound, Const, EzProgram, EzSyntaxError,
-                         IntensionalList, ListTerm, OpExpr, Rule, Var,
-                         CANON_FUNCTORS, _tokenize, parse, preprocess,
-                         pretty_print)
+from ezcasp.ground import display_atom
+from ezcasp.lang import (Atom, BuiltinLit, Compound, Const, EzProgram,
+                         EzSyntaxError, IntensionalList, ListTerm, OpExpr,
+                         Rule, Var, CANON_FUNCTORS, _tokenize, parse,
+                         pretty_print, print_rule)
 
 from conftest import LIGHT_EZ, RIDDLE_EZ, SMM_EZ
 
@@ -66,49 +67,60 @@ def test_parse_error_reports_position():
     assert e.value.pos is not None and e.value.pos.line == 2
 
 
+# the parser reads the argument of a required atom in canonical functors
+
 def test_preprocess_gt():
     p = parse("required(v > 2).")
-    q = preprocess(p)
-    assert q.rules[0].head.args[0] == Compound("gt", (Const("v"), Const(2)))
+    assert p.rules[0].head.args[0] == Compound("gt", (Const("v"), Const(2)))
 
 
 def test_preprocess_idempotent_on_canonical_input():
-    p = parse("required(gt(v,2)).")
-    assert preprocess(p) == p
+    assert parse("required(gt(v,2)).") == parse("required(v > 2).")
 
 
 def test_preprocess_or_geq_lt():
-    q = preprocess(parse("required(x >= 12 \\/ y < 3)."))
+    q = parse("required(x >= 12 \\/ y < 3).")
     expected = Compound("or", (Compound("geq", (Const("x"), Const(12))),
                                Compound("lt", (Const("y"), Const(3)))))
     assert q.rules[0].head.args[0] == expected
 
 
 def test_preprocess_leaves_body_builtins_alone():
-    p = parse("a(X) :- b(X), X < 3.")
-    q = preprocess(p)
-    assert q == p          # builtins outside required stay as operators
+    # outside required, operators stay built-ins that the grounder evaluates
+    (rule,) = parse("a(X+1) :- b(X), X < 3.").rules
+    assert rule.head.args == (OpExpr("+", (Var("X"), Const(1))),)
+    assert rule.body[1] == BuiltinLit("<", Var("X"), Const(3))
+
+
+def _eq(name, value):
+    return Compound("eq", (Const(name), Const(value)))
 
 
 def test_preprocess_connective_aliases():
-    q = preprocess(parse(
-        "required(a = 1 /\\ b = 2 \\/ !(c = 3) -> d = 1 <-> e = 2 \\ f = 3)."))
-
-    def only_canonical(t):
-        if isinstance(t, Compound):
-            assert not isinstance(t, OpExpr)
-            for a in t.args:
-                only_canonical(a)
-        assert not isinstance(t, OpExpr)
-
-    only_canonical(q.rules[0].head.args[0])
+    q = parse(
+        "required(a = 1 /\\ b = 2 \\/ !(c = 3) -> d = 1 <-> e = 2 \\ f = 3).")
+    assert q.rules[0].head.args[0] == Compound("iff", (
+        Compound("impl", (
+            Compound("or", (Compound("and", (_eq("a", 1), _eq("b", 2))),
+                            Compound("not", (_eq("c", 3),)))),
+            _eq("d", 1))),
+        Compound("xor", (_eq("e", 2), _eq("f", 3)))))
 
 
 def test_reverse_implication_swaps_arguments():
-    q = preprocess(parse("required(a = 1 <- b = 2)."))
-    expected = Compound("impl", (Compound("eq", (Const("b"), Const(2))),
-                                 Compound("eq", (Const("a"), Const(1)))))
-    assert q.rules[0].head.args[0] == expected
+    q = parse("required(a = 1 <- b = 2).")
+    assert q.rules[0].head.args[0] == Compound("impl", (_eq("b", 2),
+                                                        _eq("a", 1)))
+
+
+def test_required_atoms_in_bodies_are_canonical():
+    # the grounder rejects them, but they read as in heads
+    neg = Compound("neg", (Const("v"),))
+    for src in ("a :- required(-v > 2).", "a :- not required(-v > 2).",
+                "a :- not not required(-v > 2)."):
+        (lit,) = parse(src).rules[0].body
+        assert lit.atom == Atom("required", (Compound("gt",
+                                                      (neg, Const(2))),))
 
 
 def test_pretty_print_empty():
@@ -135,14 +147,16 @@ CORPUS = [
 def test_round_trip_corpus(src):
     p = parse(src)
     assert parse(pretty_print(p)) == p
-    q = preprocess(p)
-    assert parse(pretty_print(q)) == q
 
 
 @pytest.mark.parametrize("src", CORPUS)
 def test_preprocess_idempotent_corpus(src):
-    q = preprocess(parse(src))
-    assert preprocess(q) == q
+    # a required head shown with surface operators, as `--dump-ground`
+    # shows it, reads back to its canonical form
+    for r in parse(src).rules:
+        if isinstance(r.head, Atom) and r.head.rel == "required":
+            (back,) = parse(print_rule(r, display_atom(r.head))).rules
+            assert back == r
 
 
 def _canonical_only(t):
@@ -157,15 +171,29 @@ def _canonical_only(t):
 
 @pytest.mark.parametrize("src", CORPUS)
 def test_no_raw_operators_after_preprocess(src):
-    q = preprocess(parse(src))
-    for r in q.rules:
+    for r in parse(src).rules:
         if isinstance(r.head, Atom) and r.head.rel == "required":
             assert _canonical_only(r.head.args[0])
 
 
 # -- generated expression round-trips ---------------------------------------
+# Each strategy draws a pair: a surface tree, as a required-argument is
+# written, and the canonical tree that the parser reads it into.
 
 _names = st.sampled_from(["x", "y", "foo", "v"])
+
+_CANON = {"+": "plus", "-": "minus", "*": "times",
+          "<": "lt", "<=": "leq", ">": "gt", ">=": "geq", "=": "eq",
+          "!=": "neq", "\\/": "or", "/\\": "and", "xor": "xor",
+          "->": "impl", "<->": "iff", "!": "not"}
+
+
+def _op(op, *pairs):
+    surface = OpExpr(op, tuple(s for s, _ in pairs))
+    args = tuple(c for _, c in pairs)
+    if op == "<-":
+        return surface, Compound("impl", args[::-1])
+    return surface, Compound(_CANON[op], args)
 
 
 def _terms():
@@ -173,15 +201,15 @@ def _terms():
         st.integers(-20, 20).map(Const),
         _names.map(Const),
         st.sampled_from(["X", "Y"]).map(Var),
-    )
+    ).map(lambda t: (t, t))
 
     def extend(children):
         return st.one_of(
             st.tuples(st.sampled_from(["+", "-", "*"]),
-                      children, children).map(
-                          lambda t: OpExpr(t[0], (t[1], t[2]))),
+                      children, children).map(lambda t: _op(*t)),
             st.tuples(_names, st.lists(children, min_size=1, max_size=3)).map(
-                lambda t: Compound(t[0], tuple(t[1]))),
+                lambda t: (Compound(t[0], tuple(s for s, _ in t[1])),
+                           Compound(t[0], tuple(c for _, c in t[1])))),
         )
 
     return st.recursive(leaves, extend, max_leaves=8)
@@ -189,29 +217,29 @@ def _terms():
 
 def _exprs():
     cmp = st.tuples(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]),
-                    _terms(), _terms()).map(
-                        lambda t: OpExpr(t[0], (t[1], t[2])))
+                    _terms(), _terms()).map(lambda t: _op(*t))
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from(["\\/", "/\\", "xor", "->", "<->"]),
-                      children, children).map(
-                          lambda t: OpExpr(t[0], (t[1], t[2]))),
-            children.map(lambda c: OpExpr("!", (c,))),
+            st.tuples(st.sampled_from(["\\/", "/\\", "xor", "->", "<-",
+                                       "<->"]),
+                      children, children).map(lambda t: _op(*t)),
+            children.map(lambda c: _op("!", c)),
         )
 
     return st.recursive(cmp, extend, max_leaves=6)
 
 
+def _required(expr):
+    return EzProgram((Rule(Atom("required", (expr,)), ()),))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_exprs())
-def test_required_expression_round_trip(expr):
-    p = EzProgram((Rule(Atom("required", (expr,)), ()),))
-    text = pretty_print(p)
-    assert parse(text) == p
-    q = preprocess(p)
-    assert parse(pretty_print(q)) == q
-    assert preprocess(q) == q
+def test_required_expression_round_trip(pair):
+    surface, canonical = map(_required, pair)
+    assert parse(pretty_print(surface)) == canonical
+    assert parse(pretty_print(canonical)) == canonical
 
 
 def test_canonical_functor_set_is_closed():

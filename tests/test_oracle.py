@@ -338,6 +338,24 @@ def _end_model(trace, k):
                 "model": []}
 
 
+def _start_of(run):
+    return lambda rec: rec.get("event") == "start" and rec.get("run") == run
+
+
+def _repeat_blocked_atom(trace, k):
+    pos = trace[k]["blocking"][0]["pos"]
+    pos.append(pos[0])
+
+
+def _learn_repeating_an_atom(trace, k):
+    # the first Learn is entailed and has no reason, so only its repeated
+    # atom rejects it; the next Learn's entailment check would read it
+    tb = TraceBuilder(make_p1(), semantics="full")
+    tb.learn(pos=["am", "am"])
+    tb.learn(neg=["switch"])
+    trace[:] = tb.end("budget")
+
+
 def _cut_denials(semantics):
     """An engine that is wrong on purpose: each denial it builds under
     `semantics` keeps only its first literal.  Under the weak semantics of
@@ -402,6 +420,8 @@ _TAMPERS = [
      "final record inconsistent in a model run"),
     ("riddle", _is("Learn"), lambda t, k: t[k]["payload"].pop("reason"),
      "learned denial has no certificate"),
+    ("light", _start_of(1), _repeat_blocked_atom, "denial repeats an atom"),
+    ("p1", _end, _learn_repeating_an_atom, "denial repeats an atom"),
     # engines that are wrong on purpose (`where` None), above the oracle's
     # atom bound; only the certificates reject them
     ("riddle", None, _cut_denials("weak"),
@@ -427,6 +447,8 @@ def test_tampered_engine_trace_is_rejected(name, where, tamper, reason,
         prog = ground_program(CONDITIONAL_DECLS[2], (0, 9))
     elif name == "night":
         prog = make_night()
+    elif name == "p1":
+        prog = make_p1()
     else:
         prog = ground_program((ENCODINGS / f"{name}.ez").read_text())
     trace = _engine_trace(prog, "weak", limit=0)
