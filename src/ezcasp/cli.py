@@ -14,9 +14,10 @@ and `solve_ca_s` (the search), the wall times of the front-end layers within
 which also canonicalizes required-arguments), `ground_s` (ground) and
 `translate_s` (collect_var_decls, expand_lists and to_ca_program), the wall
 times of the search's layers within `solve_ca_s`, `clausify_s`
-(asp.clausify, once per solve), `fd_build_s` (fd.build_csp) and
-`fd_search_s` (advancing fd.solutions), and `stats`, the solve's
-`SolveStats` counters.
+(asp.clausify, once per solve), `fd_build_s` (fd.build_csp),
+`fd_search_s` (advancing fd.solutions) and `fd_core_s` (shrinking the
+projections of failed checks to cores), and `stats`, the solve's
+`SolveStats` counters, `core_checks` among them.
 
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable

@@ -6,8 +6,9 @@ Backtrack, Unit Propagate, Unfounded, CP-Propagate, Learn and
 Restart/Restart_t edges, restricted by the selected integration schema:
 
   black  - the constraint solver is consulted only on complete propagated
-           assignments; a failed check learns the entailed denial permanently
-           and restarts, clearing temporal denials (Restart_t);
+           assignments; a failed check learns the entailed denial of a
+           conflict core permanently and restarts, clearing temporal
+           denials (Restart_t);
   grey   - as black, but the restart preserves the temporal store (Restart);
   clear  - the constraint solver is consulted on partial assignments every
            `check_freq` decisions; conflicts are resolved by chronological
@@ -133,15 +134,17 @@ class SolveStats:
     steps: int = 0             # transition edges
     runs: int = 0
     candidates: int = 0        # complete candidate models submitted to the CSP
-    fd_nodes: int = 0          # fd search nodes, one `fd.propagate` call each
+    fd_nodes: int = 0          # `fd.propagate` calls: search nodes, core tests
+    core_checks: int = 0       # core tests, one `fd.propagate` call each
 
 
 @dataclass
 class SolveResult:
     """`layer_s` holds the wall times of the solve's layers: `clausify_s`
     in `asp.clausify`, called once per solve, and, summed over the solve,
-    `fd_build_s` in `fd.build_csp` and `fd_search_s` in advancing
-    `fd.solutions`.  They are kept apart from the counters of `stats`,
+    `fd_build_s` in `fd.build_csp`, `fd_search_s` in advancing
+    `fd.solutions` and `fd_core_s` in shrinking the projections of failed
+    checks to cores.  They are kept apart from the counters of `stats`,
     which are the same on every run."""
     status: str                        # 'sat' | 'unsat' | 'budget'
     models: List[ExtendedAnswerSet]
@@ -235,6 +238,9 @@ class _Run:
     under both rules does not depend on the order in which they fire, so
     decisions, learned denials and models are those of the reference; only
     the edges up to a conflict may differ.
+    A failed CSP check learns the denial of a core of M's projection
+    (`_core`), tested on the domains of the checked instance, which the run
+    keeps for the Learn that follows.
     With the trace off no state digest or edge payload is computed, and one
     call of the propagator may append literals up to the first edge past
     the step budget; with it on, each call appends one, so that every edge
@@ -256,11 +262,17 @@ class _Run:
         t0 = time.perf_counter()
         clauses = clausify(self.abstraction)
         self.layer_s = {"clausify_s": time.perf_counter() - t0,
-                        "fd_build_s": 0.0, "fd_search_s": 0.0}
+                        "fd_build_s": 0.0, "fd_search_s": 0.0,
+                        "fd_core_s": 0.0}
         self.prop = Propagator(self.m, clauses)
         self.unfounded = UnfoundedCheck(self.abstraction)
-        # M's constraint literals at the last CSP check
-        self.projection: Tuple[int, ...] = ()
+        # the csp-abstraction of M at the last CSP check
+        self.inst = fd.CSPInstance()
+        self.searched = False   # whether it searched past its root
+        # the indices of the constraints that changed something in its
+        # root's propagation, if that failed (`fd.solutions`)
+        self.root_active: List[int] = []
+        self.charge = _charger(stats, budget)
         # the learned denials of every run so far
         self.gamma: List[RuleP] = []
         self._start_run()
@@ -315,36 +327,68 @@ class _Run:
                             pre, self._post)
 
     def _csp_feasible(self) -> bool:
-        """Check the csp-abstraction of M, keeping its constraint-literal
-        projection for the Learn edge of a failed check."""
+        """Check the csp-abstraction of M, keeping the instance, with its
+        projection and domains, for the Learn edge of a failed check."""
         self.stats.csp_checks += 1
         t0 = time.perf_counter()
-        inst = fd.build_csp(self.program, self.m.trail, self.cfg.semantics)
+        inst = self.inst = fd.build_csp(self.program, self.m.trail,
+                                        self.cfg.semantics)
         self.layer_s["fd_build_s"] += time.perf_counter() - t0
-        self.projection = inst.projection
-        stats, budget = self.stats, self.budget
-
-        # the search outlives the check in `csp_solutions`; charging through
-        # the stats, not the run, keeps it from holding the run in a cycle
-        def charge() -> None:
-            stats.fd_nodes += 1
-            if stats.steps + stats.fd_nodes > budget:
-                raise BudgetExceeded()
-
-        search = _timed(fd.solutions(inst, charge), self.layer_s)
+        self.root_active = []
+        search = _timed(fd.solutions(inst, self.charge, self.root_active),
+                        self.layer_s)
+        nodes = self.stats.fd_nodes
         first = next(search, None)
+        self.searched = self.stats.fd_nodes - nodes > 1
         self.csp_solutions = itertools.chain((first,), search)
         return first is not None
 
     def _lit_strs(self, lits: Sequence[int]) -> List[str]:
         return [self.trace.lit_str(x) for x in lits]
 
+    def _core(self) -> Tuple[int, ...]:
+        """A core of the last failed check's projection.  Its literals that
+        post a constraint are shrunk by deletion: in projection order, each
+        is dropped if one `fd.refuted` call on the domains of the checked
+        instance still refutes the constraints of the other kept literals.
+        A refuting call, and the check's failed root propagation before the
+        first test, also drop at once every literal whose constraint
+        changed nothing in it, since the constraints that changed something
+        fail alone (`fd.propagate`).  Every declaration literal is kept; a
+        negative constraint literal that posts nothing (weak semantics) is
+        left out, as its denial leaves it out.  Each test is charged as an
+        fd node.  When the check searched past its root, one call does not
+        refute the constraints, nor any subset of them, so no test is made.
+
+        Dropping a literal only removes a posted constraint and never
+        widens a domain, so the core's csp-abstraction is infeasible, and
+        so is that of every record that holds the core's literals."""
+        inst = self.inst
+        kept = _needed(inst.posts, inst.constraints, self.root_active) \
+            if self.root_active else dict(inst.posts)
+        for lit in () if self.searched else list(kept):
+            if lit not in kept:
+                continue
+            trial = {x: c for x, c in kept.items() if x != lit}
+            posted = list(trial.values())
+            active: List[int] = []
+            self.stats.core_checks += 1
+            self.charge()
+            if fd.refuted(inst, posted, active):
+                kept = _needed(trial, posted, active)
+        constraints = self.program.constraint_set
+        return tuple(x for x in inst.projection
+                     if x in kept or abs(x) - 1 not in constraints)
+
     def _learn(self) -> bool:
-        """Learn the cp-entailed denial of the last check's projection; False
-        if it is empty.  It is fresh: the check ran at a consistent
-        propagation fixpoint, where M satisfies every learned denial, and
-        its body lies in M."""
-        d = _projection_denial(self.projection, self.cfg.semantics,
+        """Learn the cp-entailed denial of a core of the last check's
+        projection (`_core`); False if it is empty.  It is fresh: the check
+        ran at a consistent propagation fixpoint, where M satisfies every
+        learned denial, and its body lies in M."""
+        t0 = time.perf_counter()
+        core = self._core()
+        self.layer_s["fd_core_s"] += time.perf_counter() - t0
+        d = _projection_denial(core, self.cfg.semantics,
                                self.program.constraint_set)
         if not d.pos and not d.neg:
             return False
@@ -355,7 +399,8 @@ class _Run:
         self._emit("Learn", pre, lambda: {
             "denial": self.trace.denial_json(d),
             "reason": {"kind": "cp-conflict",
-                       "projection": self._lit_strs(self.projection)}})
+                       "projection": self._lit_strs(self.inst.projection),
+                       "core": self._lit_strs(core)}})
         return True
 
     def _restart(self) -> None:
@@ -435,7 +480,7 @@ class _Run:
                     pre = self._pre()
                     m.append_bot()
                     self._emit("CPPropagate", pre, lambda: {
-                        "projection": self._lit_strs(self.projection)})
+                        "projection": self._lit_strs(self.inst.projection)})
                     learned = self._learn()
                     if cfg.schema in ("black", "grey") and learned:
                         self._restart()
@@ -450,6 +495,25 @@ class _Run:
             stats.decisions += 1
             self.decisions_since_check += 1
             self._emit("Decide", pre, lambda: {"lit": lit_str(target)})
+
+
+def _needed(posts: Dict[int, object], posted: Sequence[object],
+            active: Sequence[int]) -> Dict[int, object]:
+    """The literals of `posts` whose constraints are among the `active`
+    indices of `posted`."""
+    ids = {id(posted[i]) for i in active}
+    return {x: c for x, c in posts.items() if id(c) in ids}
+
+
+def _charger(stats: SolveStats, budget: int) -> Callable[[], None]:
+    """Charge one fd node to the step budget.  A search outlives its check
+    in `csp_solutions`; charging through the stats, not the run, keeps it
+    from holding the run in a cycle."""
+    def charge() -> None:
+        stats.fd_nodes += 1
+        if stats.steps + stats.fd_nodes > budget:
+            raise BudgetExceeded()
+    return charge
 
 
 def _timed(search: Iterator[Dict[str, int]], layer_s: Dict[str, float]

@@ -65,7 +65,7 @@ __all__ = [
     "IntConst", "VarRef", "Arith", "Cmp", "BoolExpr", "Global", "ConstraintExpr",
     "Domain", "CSPInstance", "FdError", "ComplementUnsupported",
     "satisfied", "eval_term", "complement", "propagate", "solutions", "solve",
-    "feasible",
+    "feasible", "refuted",
     "vars_of", "build_csp", "CMP_NAMES",
 ]
 
@@ -483,13 +483,16 @@ class CSPInstance:
 
     Constraints are added with `post`; the watch lists are built from them
     on first use and dropped by `post`.  An instance that `build_csp` made
-    also holds the `projection` it was built from."""
+    also holds the `projection` it was built from and, in `posts`, the
+    constraint that each projection literal posts, for those that post one,
+    in projection order."""
 
     def __init__(self):
         self.var_order: List[str] = []
         self.domains: Dict[str, Domain] = {}
         self.constraints: List[object] = []
         self.projection: Tuple[int, ...] = ()
+        self.posts: Dict[int, object] = {}
         self._watch: Optional[Dict[str, Tuple[int, ...]]] = None
         self._trail: Optional[_Trail] = None      # set on a search's copy
 
@@ -1307,8 +1310,8 @@ def _filter_global(st: _Store, g: Global) -> None:
         raise FdError(f"unknown global constraint {name!r}")
 
 
-def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
-              ) -> bool:
+def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None,
+              active: Optional[List[int]] = None) -> bool:
     """Filter the constraints to a common fixpoint; False on inconsistency.
 
     The queue starts from every constraint when `changed` is None, and
@@ -1322,6 +1325,11 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
     first tested with `_definitely`.  An `or` found entailed sleeps, so it
     is not queued again: on the trail of `csp`'s search, until the search
     backtracks past the current node, and otherwise for this call.
+
+    `active`, if given, receives the index of each filter run that narrowed
+    a domain or refuted its constraint.  When the call fails, the
+    constraints listed fail alone: every filter is monotone, and the others
+    changed nothing.
     """
     domains, constraints = csp.domains, csp.constraints
     watch = csp.watch_lists()
@@ -1378,6 +1386,8 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
             _filter_global(st, c)
         else:
             raise FdError(f"not a constraint: {c!r}")
+        if active is not None and (touched or st.failed):
+            active.append(i)
         if st.failed:
             return False
 
@@ -1387,7 +1397,8 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None
 # ---------------------------------------------------------------------------
 
 def solutions(csp: CSPInstance,
-              charge: Optional[Callable[[], None]] = None
+              charge: Optional[Callable[[], None]] = None,
+              active: Optional[List[int]] = None
               ) -> Iterator[Dict[str, int]]:
     """The solutions of `csp`, one at a time, in labeling order.
 
@@ -1399,6 +1410,8 @@ def solutions(csp: CSPInstance,
     order: leftmost unfixed variable in declaration order, ascending values,
     binary x=v / x!=v branching.  `charge`, if given, is called before each
     node's `propagate` call; an exception it raises ends the search.
+    `active`, if given, is passed to the root's `propagate` call and
+    emptied again if that call does not fail.
     """
     work = csp.copy()
     trail = work._trail = _Trail(len(work.constraints))
@@ -1409,7 +1422,10 @@ def solutions(csp: CSPInstance,
     while True:
         if charge is not None:
             charge()
-        if propagate(work, changed):
+        if propagate(work, changed, active):
+            if active:
+                active.clear()          # filled only by a failed root
+            active = None
             while k < len(order) and doms[order[k]].fixed:
                 k += 1
             if k < len(order):
@@ -1452,6 +1468,16 @@ def feasible(csp: CSPInstance) -> bool:
     return next(solutions(csp), None) is not None
 
 
+def refuted(csp: CSPInstance, constraints: Sequence,
+            active: Optional[List[int]] = None) -> bool:
+    """Whether one `propagate` call refutes `constraints` on copies of the
+    domains of `csp`, which is not modified; `active` as for `propagate`."""
+    work = CSPInstance()
+    work.domains = {n: d.copy() for n, d in csp.domains.items()}
+    work.constraints = list(constraints)
+    return not propagate(work, None, active)
+
+
 # ---------------------------------------------------------------------------
 # csp-abstractions of CA programs
 # ---------------------------------------------------------------------------
@@ -1477,8 +1503,9 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
     that is the program domain; on a partial M, no declaration that M later
     makes true can give the variable values outside it.
 
-    Raises ComplementUnsupported under full semantics when a negated literal
-    maps to a global constraint or reified formula.
+    Raises ComplementUnsupported, naming the constraint atom, under full
+    semantics when a negated literal maps to a global constraint or reified
+    formula.
     """
     if semantics not in ("weak", "full"):
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -1486,16 +1513,23 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
     m_set = set(m_literals)
 
     projection: List[int] = []
-    posted = []
+    posts: Dict[int, object] = {}
     for cid in program.constraint_order:
         lit = cid + 1
         if lit in m_set:
             projection.append(lit)
-            posted.append(program.gamma[cid])
+            posts[lit] = program.gamma[cid]
         elif -lit in m_set:
             projection.append(-lit)
             if full:
-                posted.append(complement(program.gamma[cid]))
+                try:
+                    posts[-lit] = complement(program.gamma[cid])
+                except ComplementUnsupported:
+                    # named as the user wrote it, as its atom is shown
+                    raise ComplementUnsupported(
+                        f"complement of non-primitive constraint "
+                        f"unsupported: {program.pi.names[cid]}") from None
+    posted = list(posts.values())
     if full:
         # a complement can equal another posted constraint; each is posted once
         posted = list(dict.fromkeys(posted))
@@ -1529,6 +1563,7 @@ def build_csp(program, m_literals: Iterable[int], semantics: str = "weak"
 
     inst = CSPInstance()
     inst.projection = tuple(projection)
+    inst.posts = posts
     for v, r in ranges.items():
         inst.add_var(v, *(r or wide.get(v, (lo, hi))))
     for c in posted:

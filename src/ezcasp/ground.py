@@ -1092,7 +1092,9 @@ class CAProgram:
                  domain: Tuple[int, int] = DEFAULT_FD_RANGE,
                  var_decls: Sequence[CADecl] = ()):
         self.pi = pi
-        self.constraint_order: List[int] = [pi.index[a] for a in constraint_atoms]
+        # each atom once, however many of `constraint_atoms` name it
+        self.constraint_order: List[int] = list(dict.fromkeys(
+            pi.index[a] for a in constraint_atoms))
         self.constraint_set: FrozenSet[int] = frozenset(self.constraint_order)
         self.gamma: Dict[int, object] = {pi.index[a]: g
                                          for a, g in gamma.items()}
@@ -1365,9 +1367,13 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     # a declaration atom that never materialized in a rule is always active
     ca_decls = [CADecl(pi.index.get(d.atom), v, d.lo, d.hi)
                 for d, v in zip(decls, var_names)]
-    betas = [f"|{shown[k]}|" for k in required]
-    return CAProgram(pi, betas,
-                     {b: gamma[k] for b, k in zip(betas, required)},
+    # required atoms shown alike are one constraint atom, whose constraint
+    # is the first one's
+    betas: Dict[str, int] = {}
+    for k in required:
+        betas.setdefault(f"|{shown[k]}|", k)
+    return CAProgram(pi, list(betas),
+                     {b: gamma[k] for b, k in betas.items()},
                      domain=default_range,
                      var_decls=ca_decls)
 

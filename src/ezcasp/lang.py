@@ -664,7 +664,11 @@ def _print_term(t: Term) -> str:
         return f"{t.functor}({','.join(_print_term(a) for a in t.args)})"
     if isinstance(t, OpExpr):
         if len(t.args) == 1:
-            return f"{t.op}{_print_paren(t.args[0], t.op, 'right')}"
+            # a prefix operator binds tighter than every binary one
+            arg = _print_term(t.args[0])
+            if isinstance(t.args[0], OpExpr) and len(t.args[0].args) == 2:
+                arg = f"({arg})"
+            return t.op + arg
         lhs = _print_paren(t.args[0], t.op, "left")
         rhs = _print_paren(t.args[1], t.op, "right")
         return f"{lhs} {t.op} {rhs}"

@@ -141,7 +141,8 @@ _MALFORMED = (KeyError, TypeError, AttributeError)
 def _read_edge(rec: dict, index: Dict[str, int]) -> Tuple[object, dict]:
     """The rule of an edge record and the payload fields that the rule
     reads, with names read as atom ids and literals: `lit`, `clause`,
-    `unfounded`, `projection`, `denial` and `reason` (kind, projection)."""
+    `unfounded`, `projection`, `denial` and `reason` (kind, projection,
+    core); a reason without a core names its whole projection."""
     rule, payload = rec["rule"], rec.get("payload", {})
     f: dict = {}
     if rule in ("Decide", "UnitPropagate", "Unfounded", "Backtrack",
@@ -158,8 +159,11 @@ def _read_edge(rec: dict, index: Dict[str, int]) -> Tuple[object, dict]:
         f["denial"] = _denial_of(payload["denial"], index)
         reason = payload.get("reason")
         if reason is not None:
-            f["reason"] = (reason.get("kind"), [_lit_of(s, index)
-                                                for s in reason["projection"]])
+            projection = [_lit_of(s, index) for s in reason["projection"]]
+            core = reason.get("core")
+            f["reason"] = (reason.get("kind"), projection,
+                           projection if core is None else
+                           [_lit_of(s, index) for s in core])
     return rule, f
 
 
@@ -207,11 +211,13 @@ def validate_trace(records: Sequence[dict], program: CAProgram
     Unfounded (the reported set is unfounded on M), CP-Propagate (the
     projection is M's, and the csp-abstraction is re-verified infeasible),
     Learn/Learn_t (a reason's projection is M's, freshness, entailment by
-    exhaustion on oracle-scale programs, then the certificate: a
-    `cp-conflict` reason follows a CPPropagate edge on M and its denial is
-    `engine._projection_denial` of its projection under the run's
-    semantics, at any size, and a Learn without a reason is rejected where
-    entailment was not checked), Backtrack (record inconsistent, no
+    exhaustion on oracle-scale programs, then the certificate, at any
+    size: a `cp-conflict` reason follows a CPPropagate edge on M, its core
+    is a subsequence of its projection whose csp-abstraction is
+    infeasible, and its denial is `engine._projection_denial` of the core
+    under the run's semantics; a reason without a core names its whole
+    projection, and a Learn without a reason is rejected where entailment
+    was not checked), Backtrack (record inconsistent, no
     decision literal after the flipped one), Fail (inconsistent, no
     decisions), Restart/Restart_t (non-empty record, and
     restart-safety: a dedicated fresh Learn precedes every restart),
@@ -480,7 +486,7 @@ def _learn(s: _RunState, rule: str, f: dict) -> None:
     """`_apply` for a Learn edge, into Gamma, or a Learn_t edge, into
     Lambda."""
     d = f["denial"]
-    kind, projection = f.get("reason", (None, None))
+    kind, projection, core = f.get("reason", (None, None, None))
     if projection is not None and \
             projection != _projection(s.program, s.m.literals()):
         raise _Violation("reason projection is not M's")
@@ -500,10 +506,15 @@ def _learn(s: _RunState, rule: str, f: dict) -> None:
         # csp-abstraction is infeasible, adds bottom to M
         if not s.m.bot:
             raise _Violation("cp-conflict Learn without CPPropagate on M")
-        cert = _projection_denial(projection, s.semantics,
+        rest = iter(projection)         # a subsequence, each literal once
+        if not all(x in rest for x in core):
+            raise _Violation("learned core is not within M's projection")
+        if _feasibility(s.program, core, s.semantics):
+            raise _Violation("learned core is feasible")
+        cert = _projection_denial(core, s.semantics,
                                   s.program.constraint_set)
         if key != denial_key(cert):
-            raise _Violation("learned denial is not the projection's")
+            raise _Violation("learned denial is not the core's")
     elif entailed is None:
         raise _Violation("learned denial has no certificate")
     (s.gamma if rule == "Learn" else s.lam).append(d)

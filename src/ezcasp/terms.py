@@ -101,7 +101,7 @@ def _shown(t: Term, sub) -> Tuple[str, Optional[str], Optional[int]]:
             arg, aop, v = sub(args[0])
             if f == "neg" and v is not None:
                 return str(-v), None, -v
-            if aop is not None and needs_parens(aop, op, "right"):
+            if aop is not None:     # binds tighter than every binary op
                 arg = f"({arg})"
             return op + arg, None, None
         return f"{f}({','.join([sub(a)[0] for a in args])})", None, None

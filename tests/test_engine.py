@@ -309,6 +309,10 @@ def test_projection_is_the_constraint_literals_of_m():
     with_decls = weak_negs = 0
     for P in programs:
         index = P.pi.index
+
+        def names_of(lits):
+            return [("-" if x < 0 else "") + P.pi.names[abs(x) - 1]
+                    for x in lits]
         for schema in ("black", "clear"):
             for sem in ("weak", "full"):
                 res = solve_ca(P, SchemaConfig(schema=schema, semantics=sem,
@@ -322,14 +326,24 @@ def test_projection_is_the_constraint_literals_of_m():
                                       for x in expected)
                     if nxt.get("rule") != "Learn":
                         continue
-                    # the learned denial blocks exactly the projection, its
+                    # the learned denial blocks exactly the core, which keeps
+                    # every declaration literal of the projection and its
                     # negative constraint literals only under full semantics
+                    reason = nxt["payload"]["reason"]
+                    assert reason["projection"] == names_of(expected)
+                    core = [x for x in expected
+                            if names_of([x])[0] in reason["core"]]
+                    assert names_of(core) == reason["core"]
+                    cons = [x for x in core if abs(x) - 1 in P.constraint_set]
+                    assert [x for x in core if x not in cons] == \
+                        [x for x in expected
+                         if abs(x) - 1 not in P.constraint_set]
+                    assert sem == "full" or all(x > 0 for x in cons)
                     d = nxt["payload"]["denial"]
                     assert [index[a] + 1 for a in d["pos"]] == \
-                        [x for x in expected if x > 0]
+                        [x for x in core if x > 0]
                     assert [-(index[a] + 1) for a in d["neg"]] == \
-                        [x for x in expected if x < 0 and (
-                            sem == "full" or -x - 1 not in P.constraint_set)]
+                        [x for x in core if x < 0]
                     seen[sem][1] += 1
                     weak_negs += sem == "weak" and bool(d["neg"])
     assert all(a > 0 and b > 0 for a, b in seen.values()), seen
@@ -449,6 +463,37 @@ def test_step_budget_is_exact_on_a_sample(schema):
                   schema, sample=50)
 
 
+def test_learned_cores_are_infeasible_and_irreducible(monkeypatch):
+    # the oracle finds each learned core's csp-abstraction infeasible, and
+    # without any one of its constraint literals the constraints that the
+    # others post are not refuted by one propagate call on the domains of
+    # the checked instance
+    from ezcasp import engine
+    cores = []
+    core = engine._Run._core
+
+    def recorded(run):
+        c = core(run)
+        cores.append((run.program, run.cfg.semantics, run.inst, c))
+        return c
+
+    monkeypatch.setattr(engine._Run, "_core", recorded)
+    for seed in range(40):
+        P = random_program(seed)
+        for schema in ("black", "grey", "clear"):
+            for sem in ("weak", "full"):
+                solve_ca(P, SchemaConfig(schema=schema, semantics=sem,
+                                         limit=0, max_alphas_per_model=1))
+    shrunk = {"weak": 0, "full": 0}
+    for P, sem, inst, c in cores:
+        assert not oracle._feasibility(P, c, sem)
+        posted = [inst.posts[x] for x in c if x in inst.posts]
+        for i in range(len(posted)):
+            assert not fd.refuted(inst, posted[:i] + posted[i + 1:])
+        shrunk[sem] += len(posted) < len(inst.posts)
+    assert all(shrunk.values()), shrunk
+
+
 def test_fd_nodes_count_the_propagate_calls(monkeypatch):
     calls = []
     propagate = fd.propagate
@@ -470,34 +515,35 @@ def test_fd_nodes_count_the_propagate_calls(monkeypatch):
 
 # (encoding, schema, status, models, SolveStats fields in order: decisions,
 # propagations, csp_checks, learned, restarts, steps, runs, candidates,
-# fd_nodes) for
+# fd_nodes, core_checks) for
 # every bundled encoding with limit=0 and max_alphas_per_model=1; a change
 # that should not alter the search must leave every figure as it is
 PINNED_COUNTERS = [
-    ("is_toy", "black", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7)),
-    ("is_toy", "grey", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7)),
-    ("is_toy", "clear", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7)),
-    ("light", "black", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2)),
-    ("light", "grey", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2)),
-    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1, 6)),
-    ("rf_toy", "black", "sat", 1, (25, 1208, 6, 5, 5, 1269, 2, 6, 6)),
-    ("rf_toy", "grey", "sat", 1, (25, 1208, 6, 5, 5, 1269, 2, 6, 6)),
-    ("rf_toy", "clear", "sat", 1, (8, 437, 9, 5, 0, 463, 2, 6, 9)),
-    ("riddle", "black", "sat", 1, (3, 129, 2, 1, 1, 138, 2, 2, 2)),
-    ("riddle", "grey", "sat", 1, (3, 129, 2, 1, 1, 138, 2, 2, 2)),
-    ("riddle", "clear", "sat", 1, (2, 102, 2, 1, 0, 109, 2, 2, 2)),
-    ("smm", "black", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
-    ("smm", "grey", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
-    ("smm", "clear", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4)),
-    ("wseq_toy", "black", "sat", 22, (315, 3792, 24, 2, 2, 4377, 23, 24, 24)),
-    ("wseq_toy", "grey", "sat", 22, (315, 3792, 24, 2, 2, 4377, 23, 24, 24)),
+    ("is_toy", "black", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7, 0)),
+    ("is_toy", "grey", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7, 0)),
+    ("is_toy", "clear", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7, 0)),
+    ("light", "black", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2, 0)),
+    ("light", "grey", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2, 0)),
+    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1, 6, 0)),
+    ("rf_toy", "black", "sat", 1, (8, 912, 6, 5, 5, 939, 2, 6, 71, 65)),
+    ("rf_toy", "grey", "sat", 1, (8, 912, 6, 5, 5, 939, 2, 6, 71, 65)),
+    ("rf_toy", "clear", "sat", 1, (6, 404, 7, 5, 0, 426, 2, 6, 72, 65)),
+    ("riddle", "black", "sat", 1, (3, 129, 2, 1, 1, 138, 2, 2, 5, 3)),
+    ("riddle", "grey", "sat", 1, (3, 129, 2, 1, 1, 138, 2, 2, 5, 3)),
+    ("riddle", "clear", "sat", 1, (2, 102, 2, 1, 0, 109, 2, 2, 5, 3)),
+    ("smm", "black", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4, 0)),
+    ("smm", "grey", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4, 0)),
+    ("smm", "clear", "sat", 1, (0, 51, 1, 0, 0, 52, 2, 1, 4, 0)),
+    ("wseq_toy", "black", "sat", 22,
+      (315, 3792, 24, 2, 2, 4377, 23, 24, 30, 6)),
+    ("wseq_toy", "grey", "sat", 22,
+      (315, 3792, 24, 2, 2, 4377, 23, 24, 30, 6)),
     ("wseq_toy", "clear", "sat", 22,
-      (301, 3601, 300, 2, 0, 4161, 23, 24, 725)),
-    ("wseq_unsat", "black", "unsat", 0,
-      (110, 1779, 15, 15, 15, 2013, 1, 15, 15)),
-    ("wseq_unsat", "grey", "unsat", 0,
-      (110, 1779, 15, 15, 15, 2013, 1, 15, 15)),
-    ("wseq_unsat", "clear", "unsat", 0, (17, 216, 23, 15, 0, 281, 1, 14, 36)),
+      (301, 3601, 300, 2, 0, 4161, 23, 24, 731, 6)),
+    ("wseq_unsat", "black", "unsat", 0, (44, 803, 9, 9, 9, 899, 1, 9, 36, 27)),
+    ("wseq_unsat", "grey", "unsat", 0, (44, 803, 9, 9, 9, 899, 1, 9, 36, 27)),
+    ("wseq_unsat", "clear", "unsat", 0,
+      (12, 180, 16, 9, 0, 223, 1, 8, 53, 26)),
 ]
 
 

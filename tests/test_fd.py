@@ -7,12 +7,13 @@ import pytest
 from ezcasp.fd import (Arith, BoolExpr, Cmp, ComplementUnsupported,
                        CSPInstance, Domain, Global, IntConst, VarRef,
                        build_csp, complement, eval_term, propagate,
-                       satisfied, solve, vars_of)
+                       refuted, satisfied, solve, vars_of)
 from ezcasp.lang import GLOBAL_CONSTRAINTS
 
 from bruteforce import enumerate_csp_solutions
 from conftest import make_p1
-from csp_gen import GLOBALS, gen_instance, primitive
+from csp_gen import (GLOBALS, gen_instance, global_constraint, primitive,
+                     reified)
 
 V, I, C, G, B, A = VarRef, IntConst, Cmp, Global, BoolExpr, Arith
 
@@ -551,6 +552,25 @@ def test_propagate_from_changed_variables():
         [(5, 7), (6, 8), (7, 9)]
     inst.domains["z"].set_max(6)
     assert not propagate(inst, ["z"])
+
+
+def test_constraints_active_in_a_failed_propagation_fail_alone():
+    # a failed propagate call lists the constraints whose filters narrowed
+    # a domain or refuted; posted alone on the same domains, they fail too
+    failed = 0
+    for seed in range(300):
+        inst = gen_instance(seed)
+        rng = random.Random(seed)
+        names = list(inst.domains)
+        for _ in range(4):
+            inst.post(rng.choice([primitive, reified, global_constraint])(
+                rng, names))
+        active = []
+        if propagate(inst.copy(), None, active):
+            continue
+        failed += 1
+        assert refuted(inst, [inst.constraints[i] for i in active])
+    assert failed > 50, failed
 
 
 def test_all_different_and_all_distinct_agree():

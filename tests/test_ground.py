@@ -655,6 +655,29 @@ def test_ca_program_constructor_invariants():
         CAProgram(pi2, ["|c|"], {}, domain=(0, 5))
 
 
+# two required atoms that a printer which bound prefix - as loosely as
+# binary - showed alike, as -x / 2 = 0
+NEG_DIV = ("cspdomain(fd). cspvar(x,2,9). {a}. "
+           "required(-(x/2) = 0) :- a. required((-x)/2 = 0) :- not a.")
+
+
+def test_required_atoms_under_prefix_minus_are_two_constraint_atoms():
+    P = ground_program(NEG_DIV)
+    assert [P.pi.names[c] for c in P.constraint_order] == \
+        ["|-(x / 2) = 0|", "|-x / 2 = 0|"]
+    assert len(set(P.gamma.values())) == 2
+
+
+def test_constraint_order_lists_each_atom_once():
+    # constraint atoms named alike are one atom of the regular part
+    from ezcasp.asp import RegularProgram
+    from ezcasp.ground import CAProgram
+    pi = RegularProgram.build([(None, ["|c|"], [], [])])
+    gamma = {"|c|": fd.Cmp("lt", fd.VarRef("x"), fd.IntConst(1))}
+    P = CAProgram(pi, ["|c|", "|c|"], gamma, domain=(0, 5))
+    assert P.constraint_order == [pi.index["|c|"]]
+
+
 def test_ground_fixpoint_with_undefined_positive_atom():
     # an undefined relation in a positive body cannot fire, but the naive
     # ground program keeps the instance; grounding is a fixpoint on it

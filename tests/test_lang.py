@@ -149,6 +149,15 @@ def test_round_trip_corpus(src):
     assert parse(pretty_print(p)) == p
 
 
+def test_prefix_minus_keeps_its_binary_operand_parenthesized():
+    # prefix - binds tighter than * and /, so -(Y/2) is not -Y / 2
+    for body, shown in [("-(Y/2)", "-(Y / 2)"), ("-(Y*2)", "-(Y * 2)"),
+                        ("(-Y)/2", "-Y / 2")]:
+        p = parse(f"q(7). p(X) :- q(Y), X = {body}.")
+        assert f"X = {shown}." in pretty_print(p)
+        assert parse(pretty_print(p)) == p
+
+
 @pytest.mark.parametrize("src", CORPUS)
 def test_preprocess_idempotent_corpus(src):
     # a required head shown with surface operators, as `--dump-ground`

@@ -373,6 +373,25 @@ def _cut_denials(semantics):
         engine, "_projection_denial", cut)
 
 
+def _short_core(monkeypatch):
+    """An engine that is wrong on purpose: each core it learns leaves out
+    its first constraint literal, so its csp-abstraction can be feasible,
+    and its denial is that core's."""
+    core = engine._Run._core
+
+    def short(run):
+        c = core(run)
+        cons = [x for x in c if abs(x) - 1 in run.program.constraint_set]
+        return tuple(x for x in c if x != cons[0])
+
+    monkeypatch.setattr(engine._Run, "_core", short)
+
+
+def _repeat_core_literal(trace, k):
+    core = trace[k]["payload"]["reason"]["core"]
+    core.append(core[0])
+
+
 _TAMPERS = [
     ("light", _is("UnitPropagate"), _set("pre", "0" * 12),
      "pre-state digest mismatch"),
@@ -422,12 +441,15 @@ _TAMPERS = [
      "learned denial has no certificate"),
     ("light", _start_of(1), _repeat_blocked_atom, "denial repeats an atom"),
     ("p1", _end, _learn_repeating_an_atom, "denial repeats an atom"),
+    ("riddle", _is("Learn"), _repeat_core_literal,
+     "learned core is not within M's projection"),
     # engines that are wrong on purpose (`where` None), above the oracle's
     # atom bound; only the certificates reject them
     ("riddle", None, _cut_denials("weak"),
-     "learned denial is not the projection's"),
+     "learned denial is not the core's"),
     ("rf_toy", None, _cut_denials("weak"),
-     "learned denial is not the projection's"),
+     "learned denial is not the core's"),
+    ("riddle", None, _short_core, "learned core is feasible"),
     ("wseq_toy", None, _cut_denials("full"),
      "blocking denials are not the earlier models'"),
 ]
@@ -566,7 +588,7 @@ def test_asp_propagate_above_the_oracle_bound_is_rejected():
 _NO_COMPLEMENT = ("cspdomain(fd). cspvar(x,0,2). {a}. "
                   "required(sum([x],eq,1)) :- a.")
 _NOT_CHECKED = ("csp-abstraction not checked: complement of non-primitive "
-                "constraint unsupported: Global(name='sum'")
+                "constraint unsupported: |sum([x],eq,1)|")
 
 
 def test_final_state_that_needs_a_missing_complement_is_rejected():
