@@ -7,15 +7,15 @@ clear-box) backed by an embedded finite-domain solver.
 
 from .lang import parse, pretty_print, EzProgram, EzSyntaxError
 from .ground import ground_program, CAProgram, GroundError
-from .asp import RegularProgram, is_answer_set, enumerate_answer_sets_bruteforce
-from .fd import CSPInstance, build_csp, solve as solve_csp, satisfied, complement
+from .asp import RegularProgram, is_answer_set
+from .fd import CSPInstance, build_csp, satisfied, complement
 from .engine import SchemaConfig, solve_ca, SolveResult, ExtendedAnswerSet
 
 __all__ = [
     "parse", "pretty_print", "EzProgram", "EzSyntaxError",
     "ground_program", "CAProgram", "GroundError",
-    "RegularProgram", "is_answer_set", "enumerate_answer_sets_bruteforce",
-    "CSPInstance", "build_csp", "solve_csp", "satisfied", "complement",
+    "RegularProgram", "is_answer_set",
+    "CSPInstance", "build_csp", "satisfied", "complement",
     "SchemaConfig", "solve_ca", "SolveResult", "ExtendedAnswerSet",
 ]
 

@@ -5,7 +5,8 @@ with `a0` an atom or absent (denial).  This module provides clausification,
 answer-set checking via the least model of the positive reduct, records,
 the search's watched-literal unit propagation and incremental
 greatest-unfounded-set check (both follow one record through its backjumps
-and resets), and a brute-force answer-set enumerator used as an oracle.
+and resets), and the exhaustive enumeration of answer-set masks that the
+oracle reads.
 `greatest_unfounded_set` is the plain reference version of the
 unfounded-set check: it rescans every rule, and the trace validator reads
 it.
@@ -26,9 +27,7 @@ from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
 __all__ = [
     "RuleP", "RegularProgram", "AtomIds", "Record", "Clause", "Propagator",
     "UnfoundedCheck", "rule_clause", "clausify", "is_answer_set",
-    "greatest_unfounded_set",
-    "enumerate_answer_sets_bruteforce",
-    "lit_atom",
+    "greatest_unfounded_set", "lit_atom",
 ]
 
 Clause = Tuple[int, ...]
@@ -244,16 +243,6 @@ def _answer_set_masks(prog: RegularProgram) -> List[int]:
             if _is_answer_set_mask(masks, x)]
 
 
-def enumerate_answer_sets_bruteforce(prog: RegularProgram
-                                     ) -> List[FrozenSet[str]]:
-    """All answer sets by exhausting subsets of At, for at most 20 atoms;
-    lexicographic order."""
-    if prog.n_atoms > 20:
-        raise ValueError(f"atom bound exceeded: {prog.n_atoms} > 20")
-    found = map(prog.atom_set, _answer_set_masks(prog))
-    return sorted(found, key=lambda s: tuple(sorted(s)))
-
-
 # ---------------------------------------------------------------------------
 # Records and propagation
 # ---------------------------------------------------------------------------
@@ -326,9 +315,6 @@ class Record:
         if self.bot:
             raise ValueError("bottom already present")
         self.bot = True
-
-    def has_decision(self) -> bool:
-        return bool(self.decisions)
 
     def backjump_last_decision(self) -> int:
         """Chronological backtrack: drop through the most recent decision

@@ -40,7 +40,7 @@ from . import fd
 from .engine import SchemaConfig, SolveStats, solve_ca
 from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError, display_atom,
                      ground_stages)
-from .lang import Atom, EzSyntaxError, print_rule
+from .lang import Atom, EzSyntaxError, display_op, print_rule
 
 __all__ = ["main", "emit_clp", "bench", "RunReport", "format_model"]
 
@@ -92,8 +92,8 @@ def _clp_term(t, table: Dict[str, str]) -> str:
     if isinstance(t, fd.Arith):
         if t.op == "neg":
             return f"-({_clp_term(t.args[0], table)})"
-        sym = {"plus": "+", "minus": "-", "times": "*", "div": "/"}[t.op]
-        return f"{_clp_term(t.args[0], table)} {sym} {_clp_term(t.args[1], table)}"
+        return (f"{_clp_term(t.args[0], table)} {display_op(t.op)} "
+                f"{_clp_term(t.args[1], table)}")
     raise ValueError(f"not a CLP term: {t!r}")
 
 
@@ -182,7 +182,8 @@ def bench(spec_path: str, semantics: str = "weak",
         try:
             cfg = SchemaConfig(schema=schema, semantics=semantics, limit=1,
                                max_alphas_per_model=1)
-            program = ground_program(open(path).read(), default_range)
+            with open(path) as f:
+                program = ground_program(f.read(), default_range)
             res = solve_ca(program, cfg)
             if res.status == "sat":
                 outcome = f"SAT({len(res.models)})"
@@ -337,7 +338,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
 
     try:
-        source = open(args.file).read()
+        with open(args.file) as f:
+            source = f.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

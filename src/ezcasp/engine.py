@@ -268,7 +268,6 @@ class _Run:
         self.unfounded = UnfoundedCheck(self.abstraction)
         # the csp-abstraction of M at the last CSP check
         self.inst = fd.CSPInstance()
-        self.searched = False   # whether it searched past its root
         # the indices of the constraints that changed something in its
         # root's propagation, if that failed (`fd.solutions`)
         self.root_active: List[int] = []
@@ -337,9 +336,7 @@ class _Run:
         self.root_active = []
         search = _timed(fd.solutions(inst, self.charge, self.root_active),
                         self.layer_s)
-        nodes = self.stats.fd_nodes
         first = next(search, None)
-        self.searched = self.stats.fd_nodes - nodes > 1
         self.csp_solutions = itertools.chain((first,), search)
         return first is not None
 
@@ -357,25 +354,31 @@ class _Run:
         fail alone (`fd.propagate`).  Every declaration literal is kept; a
         negative constraint literal that posts nothing (weak semantics) is
         left out, as its denial leaves it out.  Each test is charged as an
-        fd node.  When the check searched past its root, one call does not
-        refute the constraints, nor any subset of them, so no test is made.
+        fd node.  Tests are made only when the root propagation failed on a
+        constraint.  When it did not fail, one call does not refute the
+        constraints, nor any subset of them, so every constraint literal is
+        kept; when a domain of the checked instance was empty, none is.
 
         Dropping a literal only removes a posted constraint and never
         widens a domain, so the core's csp-abstraction is infeasible, and
         so is that of every record that holds the core's literals."""
         inst = self.inst
-        kept = _needed(inst.posts, inst.constraints, self.root_active) \
-            if self.root_active else dict(inst.posts)
-        for lit in () if self.searched else list(kept):
-            if lit not in kept:
-                continue
-            trial = {x: c for x, c in kept.items() if x != lit}
-            posted = list(trial.values())
-            active: List[int] = []
-            self.stats.core_checks += 1
-            self.charge()
-            if fd.refuted(inst, posted, active):
-                kept = _needed(trial, posted, active)
+        if any(d.empty for d in inst.domains.values()):
+            kept = {}
+        elif not self.root_active:
+            kept = dict(inst.posts)
+        else:
+            kept = _needed(inst.posts, inst.constraints, self.root_active)
+            for lit in list(kept):
+                if lit not in kept:
+                    continue
+                trial = {x: c for x, c in kept.items() if x != lit}
+                posted = list(trial.values())
+                active: List[int] = []
+                self.stats.core_checks += 1
+                self.charge()
+                if fd.refuted(inst, posted, active):
+                    kept = _needed(trial, posted, active)
         constraints = self.program.constraint_set
         return tuple(x for x in inst.projection
                      if x in kept or abs(x) - 1 not in constraints)

@@ -57,19 +57,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import add, attrgetter, mul, neg, sub
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
 
 __all__ = [
     "IntConst", "VarRef", "Arith", "Cmp", "BoolExpr", "Global", "ConstraintExpr",
     "Domain", "CSPInstance", "FdError", "ComplementUnsupported",
-    "satisfied", "eval_term", "complement", "propagate", "solutions", "solve",
-    "feasible", "refuted",
-    "vars_of", "build_csp", "CMP_NAMES",
+    "satisfied", "eval_term", "complement", "propagate", "solutions",
+    "refuted", "vars_of", "build_csp", "CMP_NAMES",
 ]
-
-CMP_NAMES = ("lt", "leq", "gt", "geq", "eq", "neq")
 
 _CMP_FUN = {
     "lt": lambda a, b: a < b,
@@ -79,6 +76,19 @@ _CMP_FUN = {
     "eq": lambda a, b: a == b,
     "neq": lambda a, b: a != b,
 }
+CMP_NAMES = tuple(_CMP_FUN)
+
+
+def _div(a: int, b: int) -> int:
+    """Integer division truncating toward zero; ZeroDivisionError if b is 0."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+# the integer function of each arithmetic operation, which the grounder's
+# built-in arithmetic shares
+_ARITH_FUN = {"plus": add, "minus": sub, "times": mul, "div": _div,
+              "neg": neg}
 
 _CMP_COMPLEMENT = {"lt": "geq", "geq": "lt", "leq": "gt", "gt": "leq",
                    "eq": "neq", "neq": "eq"}
@@ -225,22 +235,15 @@ def eval_term(t, e: Dict[str, int]) -> Optional[int]:
     if isinstance(t, int):
         return t
     if isinstance(t, Arith):
-        vals = [eval_term(a, e) for a in t.args]
-        if any(v is None for v in vals):
-            return None
-        if t.op == "plus":
-            return vals[0] + vals[1]
-        if t.op == "minus":
-            return vals[0] - vals[1]
-        if t.op == "times":
-            return vals[0] * vals[1]
-        if t.op == "div":
-            if vals[1] == 0:
+        fun = _ARITH_FUN.get(t.op)
+        if fun is not None:
+            vals = [eval_term(a, e) for a in t.args]
+            if None in vals:
                 return None
-            q = abs(vals[0]) // abs(vals[1])
-            return q if (vals[0] >= 0) == (vals[1] >= 0) else -q
-        if t.op == "neg":
-            return -vals[0]
+            try:
+                return fun(*vals)
+            except ZeroDivisionError:
+                return None
     raise FdError(f"not an arithmetic term: {t!r}")
 
 
@@ -566,11 +569,7 @@ def _ival(t, dom: Dict[str, Domain]) -> Tuple[int, int]:
                 # divisor range includes zero; no useful bound
                 big = max(abs(a[0]), abs(a[1]))
                 return (-big, big)
-            corners = []
-            for x in (a[0], a[1]):
-                for y in (b[0], b[1]):
-                    q = abs(x) // abs(y)
-                    corners.append(q if (x >= 0) == (y >= 0) else -q)
+            corners = [_div(x, y) for x in a for y in b]
             return (min(corners), max(corners))
     raise FdError(f"not an arithmetic term: {t!r}")
 
@@ -1446,26 +1445,6 @@ def solutions(csp: CSPInstance,
         trail.save(x, doms[x])
         doms[x].remove(v)
         changed = (x,)
-
-
-def solve(csp: CSPInstance, limit: Optional[int] = None
-          ) -> Tuple[List[Dict[str, int]], bool]:
-    """The first solutions of `csp` in labeling order (see `solutions`).
-
-    Returns (solutions, exhausted).  `limit` caps the number of solutions
-    (None = enumerate all); `exhausted` is True iff the search tree was fully
-    explored, so an empty solution list with exhausted=True means UNSAT.
-    """
-    found: List[Dict[str, int]] = []
-    for e in solutions(csp):
-        found.append(e)
-        if limit is not None and len(found) >= limit:
-            return found, False
-    return found, True
-
-
-def feasible(csp: CSPInstance) -> bool:
-    return next(solutions(csp), None) is not None
 
 
 def refuted(csp: CSPInstance, constraints: Sequence,

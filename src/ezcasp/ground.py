@@ -56,10 +56,10 @@ from .asp import AtomIds, RegularProgram, RuleP
 from .lang import (
     AggregateLit, Atom, BuiltinLit, Choice, ChoiceElem, Compound, Const,
     EzProgram, IntensionalList, Lit, ListTerm, OpExpr, RangeTerm, Rule,
-    SourcePos, Term, Var, ARITH_OPS, CMP_OPS, GLOBAL_SIGNATURES, LOGIC_OPS,
+    SourcePos, Term, Var, CMP_OPS, GLOBAL_SIGNATURES, LOGIC_OPS,
     _subterms, parse,
 )
-from .terms import (GroundError, _Terms, _name, canon_atom, canon_term,
+from .terms import (GroundError, _Terms, canon_atom, canon_term,
                     display_atom, display_term, term_key)
 
 __all__ = [
@@ -74,8 +74,6 @@ DEFAULT_FD_RANGE = (0, 2 ** 20)
 _MAX_POSSIBLE_ATOMS = 200_000
 _MAX_CHOICE_COMBOS = 5_000
 
-_ARITH_FUNCTORS = set(ARITH_OPS.values()) | {"neg"}
-_CMP_FUNCTORS = set(CMP_OPS.values())
 _LOGIC_FUNCTORS = set(LOGIC_OPS.values())
 
 
@@ -1162,7 +1160,7 @@ class _Gamma:
         if not isinstance(x, Compound):
             raise GroundError(f"not a constraint: {display_term(x)}")
         f = x.functor
-        if f in _CMP_FUNCTORS:
+        if f in fd._CMP_FUN:
             if len(x.args) != 2:
                 raise GroundError(f"arity error in comparison {f}")
             return fd.Cmp(f, self.arith(x.args[0]), self.arith(x.args[1]))
@@ -1195,7 +1193,7 @@ class _Gamma:
     def _arith(self, x: Term):
         if isinstance(x, Const) and isinstance(x.value, int):
             return fd.IntConst(x.value)
-        if isinstance(x, Compound) and x.functor in _ARITH_FUNCTORS:
+        if isinstance(x, Compound) and x.functor in fd._ARITH_FUN:
             n = 1 if x.functor == "neg" else 2
             if len(x.args) != n:
                 raise GroundError(f"arity error in {x.functor}")
@@ -1352,7 +1350,7 @@ def to_ca_program(p: GroundProgram, decls: Sequence[VariableDecl],
     for r in required.values():
         if isinstance(r.head.args[0], IntensionalList):
             raise GroundError("unexpanded intensional list", r.pos)
-    var_names = [_name(d.var_term) for d in decls]
+    var_names = [canon_term(d.var_term) for d in decls]
     gamma = _Gamma(terms, {id(terms.eval(d.var_term)): fd.VarRef(v)
                            for d, v in zip(decls, var_names)}
                    ).gamma(required)

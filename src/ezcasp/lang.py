@@ -358,7 +358,8 @@ class _Parser:
     kind and t[1] its text.  While it reads the argument of a `required`
     atom (`required` is set), it builds each operator application as its
     canonical compound: ``v > 2`` as ``gt(v,2)``, unary minus as `neg`, `!`
-    as `not` and ``a <- b`` as ``impl(b,a)``; elsewhere as an `OpExpr`."""
+    as `not` and ``a <- b`` as ``impl(b,a)``; elsewhere as an `OpExpr`,
+    where `!`, a connective, is a syntax error."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -587,6 +588,9 @@ class _Parser:
                 return Const(-inner.value)
             return self._op("-", (inner,))
         if text == "!":
+            if not self.required:
+                raise EzSyntaxError("'!' outside a required argument",
+                                    _pos(t))
             return self._op("!", (self.expr(60),))
         if text == "(":
             e = self.expr(0)

@@ -170,12 +170,13 @@ def _read_edge(rec: dict, index: Dict[str, int]) -> Tuple[object, dict]:
 def _feasibility(program: CAProgram, lits: Sequence[int], semantics: str
                  ) -> bool:
     """Feasibility of the csp-abstraction: exhaustive up to the oracle's
-    assignment bound, by `fd.feasible` above it; a `_Violation` where it
+    assignment bound, by `fd.solutions` above it; a `_Violation` where it
     needs a complement that `fd` lacks."""
     try:
         return csp_feasible_exhaustive(program, lits, semantics)
     except OracleBoundExceeded:
-        return fd.feasible(fd.build_csp(program, lits, semantics))
+        inst = fd.build_csp(program, lits, semantics)
+        return next(fd.solutions(inst), None) is not None
     except fd.ComplementUnsupported as exc:
         raise _Violation(f"csp-abstraction not checked: {exc}") from None
 
@@ -452,14 +453,14 @@ def _apply(s: _RunState, rule: str, f: dict) -> None:
     elif rule == "Backtrack":
         if m.consistent:
             raise _Violation("Backtrack on consistent record")
-        if not m.has_decision():
+        if not m.decisions:
             raise _Violation("Backtrack without decision")
         if m.backjump_last_decision() != lit:
             raise _Violation("Backtrack flipped wrong literal")
     elif rule == "Fail":
         if m.consistent:
             raise _Violation("Fail on consistent record")
-        if m.has_decision():
+        if m.decisions:
             raise _Violation("Fail with decision literals")
         s.failed = True
     elif rule in ("Restart", "RestartT"):

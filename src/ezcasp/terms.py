@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
+from .fd import _ARITH_FUN
 from .lang import (
     Atom, Compound, Const, IntensionalList, ListTerm, OpExpr, RangeTerm,
-    SourcePos, Term, Var, CANON_FUNCTORS, _print_term, display_op,
+    SourcePos, Term, Var, ARITH_OPS, CANON_FUNCTORS, _print_term, display_op,
     needs_parens,
 )
 
@@ -47,31 +48,26 @@ def term_key(t: Term):
     raise GroundError(f"no order for non-ground term {t!r}")
 
 
-def _name(t: Term) -> str:
+def canon_term(t: Term) -> str:
     """The canonical name of a ground term."""
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Compound):
-        return f"{t.functor}({','.join([_name(a) for a in t.args])})"
+        return f"{t.functor}({','.join([canon_term(a) for a in t.args])})"
     if isinstance(t, ListTerm):
-        return f"[{','.join([_name(a) for a in t.items])}]"
+        return f"[{','.join([canon_term(a) for a in t.items])}]"
     if isinstance(t, IntensionalList):
         inner = t.name
         if t.prefix:
-            inner += f"({','.join([_name(a) for a in t.prefix])})"
+            inner += f"({','.join([canon_term(a) for a in t.prefix])})"
         return f"[{inner}/{t.arity}]"
     raise GroundError(f"cannot intern non-ground term {t!r}")
-
-
-def canon_term(t: Term) -> str:
-    """The canonical name of a ground term (`_name`)."""
-    return _name(t)
 
 
 def canon_atom(a: Atom) -> str:
     if not a.args:
         return a.rel
-    return f"{a.rel}({','.join([_name(t) for t in a.args])})"
+    return f"{a.rel}({','.join([canon_term(t) for t in a.args])})"
 
 
 _SHOWN_OPS = {f: display_op(f) for f in CANON_FUNCTORS}   # read per node
@@ -210,22 +206,15 @@ class _Terms:
                 raise GroundError(f"arithmetic on non-integer term "
                                   f"{display_term(a)}", pos)
             vals.append(a.value)
-        if t.op == "-" and len(vals) == 1:
-            return -vals[0]
-        a, b = vals[0], vals[1]
-        if t.op == "+":
-            return a + b
-        if t.op == "-":
-            return a - b
-        if t.op == "*":
-            return a * b
-        if t.op == "/":
-            if b == 0:
-                raise GroundError("division by zero in built-in arithmetic",
-                                  pos)
-            q = abs(a) // abs(b)
-            return q if (a >= 0) == (b >= 0) else -q
-        raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
+        fun = _ARITH_FUN.get("neg" if len(vals) == 1 and t.op == "-"
+                             else ARITH_OPS.get(t.op))
+        if fun is None:
+            raise GroundError(f"unknown arithmetic operator {t.op!r}", pos)
+        try:
+            return fun(*vals)
+        except ZeroDivisionError:
+            raise GroundError("division by zero in built-in arithmetic",
+                              pos) from None
 
     def list(self, items: Sequence[Term]) -> ListTerm:
         key = (ListTerm, *map(id, items))

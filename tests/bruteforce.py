@@ -9,7 +9,8 @@ CSP solutions come from raw assignment product loops.
 import itertools
 from typing import Sequence
 
-from ezcasp.asp import Clause, Record, RegularProgram, lit_atom
+from ezcasp.asp import (Clause, Record, RegularProgram, _answer_set_masks,
+                        lit_atom)
 from ezcasp.ground import GroundError, canon_atom, canon_term, term_key
 from ezcasp.lang import (Atom, BuiltinLit, Choice, Compound, Const, EzProgram,
                          Lit, OpExpr, RangeTerm, Rule, Var)
@@ -330,6 +331,13 @@ def unit_propagate(m: Record, clauses: Sequence[Clause]) -> Record:
 # ---------------------------------------------------------------------------
 # Unfounded sets straight from the definition
 # ---------------------------------------------------------------------------
+
+def enumerate_answer_sets(prog: RegularProgram):
+    """The answer sets of `prog`, by exhausting the subsets of its atoms
+    with `asp`'s answer-set test, in lexicographic order."""
+    found = map(prog.atom_set, _answer_set_masks(prog))
+    return sorted(found, key=lambda s: tuple(sorted(s)))
+
 
 def is_unfounded(prog: RegularProgram, m_literals, u) -> bool:
     pos_m = {lit_atom(l) for l in m_literals if l > 0}

@@ -12,15 +12,14 @@ import time
 import pytest
 
 from ezcasp import fd
-from ezcasp.asp import (RegularProgram, RuleP, clausify,
-                        enumerate_answer_sets_bruteforce, is_answer_set)
+from ezcasp.asp import RegularProgram, RuleP, clausify, is_answer_set
 from ezcasp.cli import bench, emit_clp
 from ezcasp.engine import SchemaConfig, solve_ca
 from ezcasp.ground import ground, ground_program, expand_lists
 from ezcasp.lang import parse, Const, ListTerm
 from ezcasp import oracle
 
-from bruteforce import enumerate_csp_solutions
+from bruteforce import enumerate_answer_sets, enumerate_csp_solutions
 from conftest import (ENCODINGS, LIGHT_EZ, RIDDLE_EZ, make_conflict_pair,
                       make_light_asp, make_night, make_p1, make_window)
 from csp_gen import GLOBALS, gen_instance, primitive
@@ -50,13 +49,12 @@ def test_criterion_1_paper_examples_exact():
 
     # (a) the light-domain regular program has the unique answer set
     light = make_light_asp()
-    assert enumerate_answer_sets_bruteforce(light) == [
+    assert enumerate_answer_sets(light) == [
         frozenset({"lightOn", "switch"})]
 
     # (b) a <- not not a has answer sets {} and {a}
     nn = RegularProgram.build([("a", [], [], ["a"])])
-    assert enumerate_answer_sets_bruteforce(nn) == [frozenset(),
-                                                    frozenset({"a"})]
+    assert enumerate_answer_sets(nn) == [frozenset(), frozenset({"a"})]
 
     # (c) P1 yields M1 and exactly 12 extended answer sets
     p1 = make_p1()
@@ -116,7 +114,8 @@ def test_criterion_2_schema_equivalence():
                                     frozenset(m.atoms for m in res.models))
                 for m in res.models:
                     assert is_answer_set(ab, m.atoms), (seed, sem, schema)
-                    assert fd.feasible(fd.build_csp(P, m.literals, sem)), \
+                    inst = fd.build_csp(P, m.literals, sem)
+                    assert next(fd.solutions(inst), None) is not None, \
                         (seed, sem, schema)
             if len(set(outcomes.values())) != 1:
                 disagreements += 1
@@ -286,8 +285,7 @@ def test_criterion_6_fd_solver():
         for k in range(per_global):
             inst = gen_instance(20_000 + 1000 * GLOBALS.index(which) + k,
                                 force_global=which)
-            sols, exhausted = fd.solve(inst)
-            assert exhausted
+            sols = list(fd.solutions(inst))
             expected = enumerate_csp_solutions(inst)
             assert {tuple(sorted(s.items())) for s in sols} == \
                 {tuple(sorted(s.items())) for s in expected}, (which, k)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ezcasp.asp import (Record, RegularProgram, RuleP, clausify,
-                        enumerate_answer_sets_bruteforce,
                         greatest_unfounded_set, is_answer_set, rule_clause)
 
-from bruteforce import (all_unfounded_sets, find_unit_step, is_unfounded,
-                        unit_propagate)
+from bruteforce import (all_unfounded_sets, enumerate_answer_sets,
+                        find_unit_step, is_unfounded, unit_propagate)
 
 
 # -- clausify ----------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_clausify_double_negation():
 
 def test_light_answer_set(light_asp):
     assert is_answer_set(light_asp, ["switch", "lightOn"])
-    assert enumerate_answer_sets_bruteforce(light_asp) == [
+    assert enumerate_answer_sets(light_asp) == [
         frozenset({"lightOn", "switch"})]
 
 
@@ -124,20 +123,13 @@ def test_not_not_has_two_answer_sets():
     prog = RegularProgram.build([("a", [], [], ["a"])])
     assert is_answer_set(prog, [])
     assert is_answer_set(prog, ["a"])
-    assert enumerate_answer_sets_bruteforce(prog) == [frozenset(),
-                                                      frozenset({"a"})]
+    assert enumerate_answer_sets(prog) == [frozenset(), frozenset({"a"})]
 
 
 def test_empty_program():
     prog = RegularProgram.build([])
     assert is_answer_set(prog, [])
-    assert enumerate_answer_sets_bruteforce(prog) == [frozenset()]
-
-
-def test_bruteforce_bound():
-    prog = RegularProgram.build([(f"a{i}", [], [], []) for i in range(25)])
-    with pytest.raises(ValueError, match="atom bound exceeded: 25 > 20"):
-        enumerate_answer_sets_bruteforce(prog)
+    assert enumerate_answer_sets(prog) == [frozenset()]
 
 
 # -- unit propagation ----------------------------------------------------------

@@ -79,6 +79,21 @@ def test_non_decimal_digit_is_one_error_line(tmp_path, capsys):
     assert run_cli(capsys, f) == (EXIT_SAT, "{ p(3) }\n", "")
 
 
+@pytest.mark.parametrize("source, col", [
+    ("p(!1).", 3),
+    ("p(-(!1)).", 5),
+    ("q(1). p(X) :- q(X), X < !1.", 25),
+])
+def test_bang_outside_required_is_one_error_line(tmp_path, source, col):
+    f = tmp_path / "bang.ez"
+    f.write_text(source)
+    r = subprocess.run([sys.executable, "-m", "ezcasp", str(f)],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        EXIT_ERROR, "",
+        f"error: {f}: 1:{col}: '!' outside a required argument\n")
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "no-such-file.ez")
     assert code == EXIT_ERROR and "error" in err

@@ -239,14 +239,15 @@ def test_cp_entailed_denial_projection(p1):
     geq = p1.pi.index["|x >= 12|"]
     m = [1, 2, -(p1.pi.index["am"] + 1), -(lt + 1), -(geq + 1)]
     inst = fd.build_csp(p1, m, "full")
-    assert not fd.feasible(inst)
+    assert next(fd.solutions(inst), None) is None
     d = _projection_denial(inst.projection, "full")
     assert d.pos == () and set(d.neg) == {lt, geq}
     # the denial is entailed: every answer set satisfies it
     assert oracle.is_entailed_denial(p1, d, "full")
     # and each single branch is feasible, so the full projection is needed
-    assert fd.feasible(fd.build_csp(p1, [-(geq + 1)], "full"))
-    assert fd.feasible(fd.build_csp(p1, [-(lt + 1)], "full"))
+    for lit in (geq, lt):
+        branch = fd.build_csp(p1, [-(lit + 1)], "full")
+        assert next(fd.solutions(branch), None) is not None
 
 
 def test_p2_denial_not_pm_is_cp_entailed(p2):
@@ -494,6 +495,29 @@ def test_learned_cores_are_infeasible_and_irreducible(monkeypatch):
     assert all(shrunk.values()), shrunk
 
 
+@pytest.mark.parametrize("source, fd_nodes, core", [
+    # the root propagates and the leaf fails (x / y is undefined at y = 0):
+    # no subset of the constraints is refuted by one call, so none is tested
+    ("cspdomain(fd). cspvar(x,2,2). cspvar(y,0,0). {a}. "
+     "required(x / y = 1) :- a. required(x >= 1) :- a. :- not a.", 1,
+     ["|x / y = 1|", "|x >= 1|", "cspvar(x,2,2)", "cspvar(y,0,0)"]),
+    # the declarations leave x no value: the core needs no constraint
+    ("cspdomain(fd). cspvar(x,0,3). cspvar(x,5,9) :- a. {a}. {b}. "
+     "required(x >= 0) :- b. :- not a. :- not b.", 1,
+     ["cspvar(x,0,3)", "cspvar(x,5,9)"]),
+], ids=["undefined-leaf", "empty-domain"])
+@pytest.mark.parametrize("schema", ["black", "clear"])
+def test_core_tests_only_a_failed_root_propagation(source, fd_nodes, core,
+                                                   schema):
+    res = solve_ca(ground_program(source), SchemaConfig(schema=schema),
+                   collect_trace=True)
+    (learn,) = [r["payload"] for r in res.trace if r.get("rule") == "Learn"]
+    assert res.status == "unsat"
+    assert (res.stats.fd_nodes, res.stats.core_checks) == (fd_nodes, 0)
+    assert learn["reason"]["core"] == learn["denial"]["pos"] == core
+    assert learn["denial"]["neg"] == []
+
+
 def test_fd_nodes_count_the_propagate_calls(monkeypatch):
     calls = []
     propagate = fd.propagate
@@ -593,7 +617,8 @@ def test_every_model_passes_answer_set_and_feasibility_checks():
                 ab = P.asp_abstraction()
                 for m in res.models:
                     assert is_answer_set(ab, m.atoms)
-                    assert fd.feasible(fd.build_csp(P, m.literals, sem))
+                    inst = fd.build_csp(P, m.literals, sem)
+                    assert next(fd.solutions(inst), None) is not None
 
 
 def test_corpus_with_negative_lower_bounds_matches_the_oracle():

@@ -7,7 +7,7 @@ import pytest
 from ezcasp.fd import (Arith, BoolExpr, Cmp, ComplementUnsupported,
                        CSPInstance, Domain, Global, IntConst, VarRef,
                        build_csp, complement, eval_term, propagate,
-                       refuted, satisfied, solve, vars_of)
+                       refuted, satisfied, solutions, vars_of)
 from ezcasp.lang import GLOBAL_CONSTRAINTS
 
 from bruteforce import enumerate_csp_solutions
@@ -212,8 +212,7 @@ def test_cumulative_worked_example():
         inst.add_var(n, 0, 1)
     inst.post(G("cumulative", ((V("sa"), V("sb"), V("sc")), (1, 1, 1),
                                (3, 2, 1), I(4))))
-    sols, exhausted = solve(inst)
-    assert exhausted
+    sols = list(solutions(inst))
     oracle = enumerate_csp_solutions(inst)
     assert _sols_set(sols) == _sols_set(oracle)
     assert sols and all(s["sa"] != s["sb"] for s in sols)
@@ -349,30 +348,27 @@ def test_enumerate_twelve_solutions():
     inst = CSPInstance()
     inst.add_var("x", 0, 23)
     inst.post(C("geq", V("x"), I(12)))
-    sols, exhausted = solve(inst)
-    assert exhausted and [s["x"] for s in sols] == list(range(12, 24))
+    sols = list(solutions(inst))
+    assert [s["x"] for s in sols] == list(range(12, 24))
 
 
 def test_single_value_no_constraints():
     inst = CSPInstance()
     inst.add_var("x", 5, 5)
-    sols, exhausted = solve(inst)
-    assert exhausted and sols == [{"x": 5}]
+    assert list(solutions(inst)) == [{"x": 5}]
 
 
 def test_first_mode():
     inst = CSPInstance()
     inst.add_var("x", 0, 9)
-    sols, exhausted = solve(inst, limit=1)
-    assert sols == [{"x": 0}] and not exhausted
+    assert next(solutions(inst)) == {"x": 0}
 
 
 def test_unsat_reports_exhausted():
     inst = CSPInstance()
     inst.add_var("x", 0, 3)
     inst.post(C("gt", V("x"), I(9)))
-    sols, exhausted = solve(inst)
-    assert sols == [] and exhausted
+    assert list(solutions(inst)) == []
 
 
 def test_send_more_money():
@@ -395,16 +391,14 @@ def test_send_more_money():
     inst.post(C("neq", V("s"), I(0)))
     inst.post(C("neq", V("m"), I(0)))
     inst.post(G("all_different", (tuple(V(L) for L in letters),)))
-    sols, exhausted = solve(inst)
-    assert exhausted and sols == [
+    assert list(solutions(inst)) == [
         {"s": 9, "e": 5, "n": 6, "d": 7, "m": 1, "o": 0, "r": 8, "y": 2}]
 
 
 def test_solver_equals_bruteforce_on_random_instances():
     for seed in range(200):
         inst = gen_instance(seed)
-        sols, exhausted = solve(inst)
-        assert exhausted
+        sols = list(solutions(inst))
         assert _sols_set(sols) == _sols_set(enumerate_csp_solutions(inst)), seed
 
 
@@ -412,8 +406,7 @@ def test_solver_equals_bruteforce_on_random_instances():
 def test_solver_equals_bruteforce_per_global(which):
     for seed in range(12):
         inst = gen_instance(10_000 + seed, force_global=which)
-        sols, exhausted = solve(inst)
-        assert exhausted
+        sols = list(solutions(inst))
         assert _sols_set(sols) == _sols_set(enumerate_csp_solutions(inst)), \
             (which, seed)
 
@@ -426,7 +419,7 @@ def test_solutions_are_the_bruteforce_ones_in_lexicographic_order():
             inst = gen_instance(20_000 + seed, force_global=which)
             oracle = sorted(enumerate_csp_solutions(inst),
                             key=lambda e: [e[n] for n in inst.var_order])
-            assert solve(inst) == (oracle, True), (which, seed)
+            assert list(solutions(inst)) == oracle, (which, seed)
 
 
 def test_catalog_matches_the_language():
@@ -493,7 +486,7 @@ def test_globals_with_non_variable_args_equal_bruteforce(name):
     inst.post(NON_VARIABLE_ARGS[name])
     oracle = sorted(enumerate_csp_solutions(inst),
                     key=lambda e: [e[n] for n in inst.var_order])
-    assert solve(inst) == (oracle, True)
+    assert list(solutions(inst)) == oracle
 
 
 def test_sum_is_compiled_once_per_node(monkeypatch):
@@ -509,7 +502,8 @@ def test_sum_is_compiled_once_per_node(monkeypatch):
     for n in ("x", "y", "z"):
         inst.add_var(n, 0, 9)
     inst.post(g)
-    assert solve(inst, limit=3)[0] and calls == []
+    assert len(list(itertools.islice(solutions(inst), 3))) == 3
+    assert calls == []
 
 
 def test_long_sum_needs_no_recursion():
@@ -522,8 +516,7 @@ def test_long_sum_needs_no_recursion():
                         V(f"x{i}") for i in range(n)), "eq", V("t")))
     assert len(g.form[0]) == n + 1
     inst.post(g)
-    sols, exhausted = solve(inst, limit=1)
-    assert sols == [dict({f"x{i}": 1 for i in range(n)}, t=n)]
+    assert next(solutions(inst)) == dict({f"x{i}": 1 for i in range(n)}, t=n)
 
 
 def test_long_chain_needs_no_recursion():
@@ -533,8 +526,7 @@ def test_long_chain_needs_no_recursion():
         inst.add_var(f"x{i}", 0, 1)
     for i in range(n - 1):
         inst.post(C("leq", V(f"x{i}"), V(f"x{i + 1}")))
-    sols, exhausted = solve(inst, limit=1)
-    assert sols == [{f"x{i}": 0 for i in range(n)}] and not exhausted
+    assert next(solutions(inst)) == {f"x{i}": 0 for i in range(n)}
 
 
 def test_propagate_from_changed_variables():
@@ -581,9 +573,7 @@ def test_all_different_and_all_distinct_agree():
             Global("all_distinct", c.args)
             if isinstance(c, Global) and c.name == "all_different" else c
             for c in twin.constraints]
-        a, _ = solve(inst)
-        b, _ = solve(twin)
-        assert _sols_set(a) == _sols_set(b)
+        assert _sols_set(solutions(inst)) == _sols_set(solutions(twin))
 
 
 # -- reified filtering ---------------------------------------------------------
@@ -697,7 +687,7 @@ def test_nested_and_flat_ors_reach_equal_fixpoints():
             texts = [fixpoint_text(propagate(inst, [x]), inst)
                      for inst in pair]
             assert texts[0] == texts[1], (seed, cs)
-        assert solve(pair[0]) == solve(pair[1]), seed
+        assert list(solutions(pair[0])) == list(solutions(pair[1])), seed
     assert nested_seen > 100
 
 
@@ -724,7 +714,7 @@ def test_entailed_or_wakes_on_backtracking(monkeypatch):
     oracle = sorted(enumerate_csp_solutions(inst),
                     key=lambda e: [e[n] for n in inst.var_order])
     leaves.clear()
-    assert solve(inst) == (oracle, True)
+    assert list(solutions(inst)) == oracle
     # propagation leaves only solutions here: a constraint that slept past
     # its backtrack would let z take values the leaf check rejects
     assert leaves and all(leaves)
@@ -762,8 +752,7 @@ def test_build_csp_p1_full():
     assert inst.var_order == ["x"]
     assert (inst.domains["x"].lo, inst.domains["x"].hi) == (0, 23)
     assert inst.constraints == [p1.gamma[geq_id]]
-    sols, _ = solve(inst)
-    assert [s["x"] for s in sols] == list(range(12, 24))
+    assert [s["x"] for s in solutions(inst)] == list(range(12, 24))
 
 
 def test_build_csp_weak_drops_negative_literals():

@@ -8,7 +8,7 @@ import pytest
 
 from ezcasp import fd, oracle
 from ezcasp import ground as ground_mod
-from ezcasp.asp import RuleP, enumerate_answer_sets_bruteforce
+from ezcasp.asp import RuleP
 from ezcasp.ground import (GroundError, GroundProgram, VariableDecl,
                            canon_atom, canon_term, display_atom, display_term,
                            expand_lists, ground, ground_program,
@@ -19,7 +19,8 @@ from ezcasp.lang import (GLOBAL_SIGNATURES, Atom, Choice, ChoiceElem,
                          IntensionalList, Lit, ListTerm, Rule, parse)
 from ezcasp.lang import _subterms as lang_subterms
 
-from bruteforce import brute_ground, library_ground_canon
+from bruteforce import (brute_ground, enumerate_answer_sets,
+                        library_ground_canon)
 from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ
 from ground_gen import random_nonground_source
 
@@ -262,6 +263,32 @@ def test_error_while_building_a_body_literal_keeps_message_and_position():
         assert str(e.value) == msg
 
 
+def test_built_in_arithmetic_agrees_with_fd_eval_term():
+    # the grounder's arithmetic and the CSP side's read one table of
+    # integer functions, truncating division included
+    def heads(text):
+        return {tuple(a.value for a in r.head.args)
+                for r in _ground_text(text).rules if r.head.rel == "r"}
+
+    grid = range(-7, 8)
+    I = fd.IntConst
+    for op, name in (("+", "plus"), ("-", "minus"), ("*", "times"),
+                     ("/", "div")):
+        nonzero = "B != 0, " if op == "/" else ""
+        got = heads(f"n(-7..7). r(A,B,X) :- n(A), n(B), {nonzero}"
+                    f"X = A {op} B.")
+        assert got == {(a, b, fd.eval_term(fd.Arith(name, (I(a), I(b))), {}))
+                       for a in grid for b in grid
+                       if op != "/" or b != 0}, op
+    assert heads("n(-7..7). r(A,X) :- n(A), X = -A.") == \
+        {(a, fd.eval_term(fd.Arith("neg", (I(a),)), {})) for a in grid}
+    for a in grid:
+        with pytest.raises(GroundError) as e:
+            _ground_text(f"z(0). r(X) :- z(B), X = {a} / B.")
+        assert str(e.value) == "1:7: division by zero in built-in arithmetic"
+        assert fd.eval_term(fd.Arith("div", (I(a), I(0))), {}) is None
+
+
 def test_definite_rule_over_domain_relations_runs_in_one_pass(monkeypatch):
     # its possible-atom pass would repeat the facts pass: same plan, same
     # final fact tables
@@ -396,10 +423,10 @@ def _subterms(t):
 
 def test_list_free_translation_walks_no_required_argument(monkeypatch):
     # list expansion keeps every rule object, and translation neither
-    # names nor checks a required-argument or any of its compound subterms:
-    # atoms are keyed by identity, and the declared variables, which are
-    # shared with the required-arguments, are named through the program's
-    # term table
+    # names nor checks a required-argument or any of its compound subterms
+    # other than the declared variables: atoms are keyed by identity, and
+    # each declared variable, which is shared with the required-arguments,
+    # is named once
     from ezcasp import ground as ground_mod
     g = _ground_text(RIDDLE_EZ)
     decls = ground_mod.collect_var_decls(g)
@@ -411,14 +438,17 @@ def test_list_free_translation_walks_no_required_argument(monkeypatch):
               for t in _subterms(r.head.args[0])
               if not isinstance(t, Const)}
     assert walked
-    calls = []
-    for fn in ("canon_term", "_is_ground"):
+    calls = {"canon_term": [], "_is_ground": []}
+    for fn, seen in calls.items():
         orig = getattr(ground_mod, fn)
-        monkeypatch.setattr(ground_mod, fn,
-                            lambda t, _f=orig: calls.append(id(t)) or _f(t))
+        monkeypatch.setattr(ground_mod, fn, lambda t, _f=orig, _s=seen:
+                            _s.append(id(t)) or _f(t))
     P = ground_mod.to_ca_program(out, decls)
     assert len(P.constraint_order) == 8
-    assert not walked & set(calls)
+    declared = [id(d.var_term) for d in decls]
+    assert len(set(declared)) == 3 and set(declared) <= walked
+    assert sorted(calls["canon_term"]) == sorted(declared)
+    assert not walked & set(calls["_is_ground"])
 
 
 def test_expand_lists_rebuilds_only_the_rules_with_lists():
@@ -551,8 +581,7 @@ def test_choice_bounds_compile():
     lower = [d for d in denials if len(d.neg) == 3]
     upper = [d for d in denials if len(d.pos) == 3]
     assert len(lower) == 1 and len(upper) == 1
-    from ezcasp.asp import enumerate_answer_sets_bruteforce
-    sets = enumerate_answer_sets_bruteforce(P.pi)
+    sets = enumerate_answer_sets(P.pi)
     counts = sorted(sum(1 for a in s if a.startswith("c(")) for s in sets)
     assert counts == [1, 1, 1, 2, 2, 2]
 
@@ -570,7 +599,7 @@ def test_choice_upper_bound_below_zero_denies_the_body(bound):
     p = P.pi.index[f"p({bound})"]
     assert [r for r in P.pi.rules if r.head is None] == \
         [RuleP(None, (p,), (), ())]
-    assert enumerate_answer_sets_bruteforce(P.pi) == []
+    assert enumerate_answer_sets(P.pi) == []
 
 
 @pytest.mark.parametrize("src,msg", [

@@ -61,6 +61,18 @@ def test_integers_are_runs_of_decimal_digits():
     assert str(e.value) == "1:3: unexpected character '²'"
 
 
+@pytest.mark.parametrize("source, col", [
+    ("p(!1).", 3),
+    ("p(-(!1)).", 5),
+    ("q(1). p(X) :- q(X), X < !1.", 25),
+])
+def test_bang_outside_required_is_a_syntax_error(source, col):
+    # `!` is a connective, which only a required argument holds
+    with pytest.raises(EzSyntaxError) as e:
+        parse(source)
+    assert str(e.value) == f"1:{col}: '!' outside a required argument"
+
+
 def test_parse_error_reports_position():
     with pytest.raises(EzSyntaxError) as e:
         parse("a.\nb :- ,")

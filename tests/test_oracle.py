@@ -59,9 +59,9 @@ def test_oracle_bounds(monkeypatch):
     # past the bound, the validator's feasibility checks use the fd solver
     trace = _engine_trace(P, "weak", limit=0)
     calls = []
-    feasible = fd.feasible
-    monkeypatch.setattr(fd, "feasible",
-                        lambda inst: calls.append(inst) or feasible(inst))
+    solutions = fd.solutions
+    monkeypatch.setattr(fd, "solutions",
+                        lambda inst: calls.append(inst) or solutions(inst))
     assert validate_trace(trace, P) == (True, None)
     assert len(calls) == 1
     monkeypatch.undo()
