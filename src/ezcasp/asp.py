@@ -369,7 +369,10 @@ class Propagator:
     The initial clauses are given on the empty record and attached in one
     pass, each watching its first two literals; that pass also notes
     whether one of them is empty (`empty_clause`).  `add_clause` adds one
-    clause at any later point.
+    clause at any later point.  An initial clause whose first two literals
+    are a and -a, such as the clause `a | -a` of `a :- not not a` (the rule
+    of each choice element and constraint atom), can never be unit or
+    falsified, so it is kept in `clauses` but watches nothing.
     """
 
     def __init__(self, m: Record, clauses: Iterable[Clause] = ()):
@@ -395,8 +398,9 @@ class Propagator:
             c = list(clause)
             lits.append(c)
             if len(c) > 1:
-                watches[c[0]].append(ci)
-                watches[c[1]].append(ci)
+                if c[0] != -c[1]:
+                    watches[c[0]].append(ci)
+                    watches[c[1]].append(ci)
             elif c:
                 units.append(ci)
             else:

@@ -13,11 +13,14 @@ and `solve_ca_s` (the search), the wall times of the front-end layers within
 `ground_stages_s` under the names of perfbench's layers, `parse_s` (parse,
 which also canonicalizes required-arguments), `ground_s` (ground) and
 `translate_s` (collect_var_decls, expand_lists and to_ca_program), the wall
-times of the search's layers within `solve_ca_s`, `clausify_s`
-(asp.clausify, once per solve), `fd_build_s` (fd.build_csp),
-`fd_search_s` (advancing fd.solutions) and `fd_core_s` (shrinking the
-projections of failed checks to cores), and `stats`, the solve's
-`SolveStats` counters, `core_checks` among them.
+times of the search's layers within `solve_ca_s` (`engine.LAYERS`),
+`clausify_s` (asp.clausify, once per solve), `unit_s` (unit propagation),
+`unfounded_s` (unfounded sets), `fd_build_s` (fd.build_csp),
+`fd_search_s` (deciding the feasibility of CSP checks: the witness test
+and advancing fd.solutions) and `fd_core_s` (shrinking the projections of
+failed checks to cores), and `stats`, the solve's `SolveStats` counters,
+`core_checks` among them.  The rows of `--bench-json` hold each run's
+`SolveStats` counters and the same search layers.
 
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fd
-from .engine import SchemaConfig, SolveStats, solve_ca
+from .engine import LAYERS, SchemaConfig, SolveStats, solve_ca
 from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError, display_atom,
                      ground_stages)
 from .lang import Atom, EzSyntaxError, display_op, print_rule
@@ -150,12 +153,15 @@ class RunReport:
     outcome: str             # 'SAT(n)' | 'UNSAT' | 'BUDGET' | 'ERROR: ...'
     wall_time: float
     stats: SolveStats = field(default_factory=SolveStats)
+    layer_s: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(LAYERS, 0.0))
 
     def row(self) -> dict:
         return {
             "instance": self.instance, "schema": self.schema,
             "semantics": self.semantics, "outcome": self.outcome,
             "wall_time": round(self.wall_time, 4), **vars(self.stats),
+            **{k: round(v, 6) for k, v in self.layer_s.items()},
         }
 
 
@@ -192,7 +198,8 @@ def bench(spec_path: str, semantics: str = "weak",
             else:
                 outcome = "BUDGET"
             reports.append(RunReport(instance, schema, semantics, outcome,
-                                     time.monotonic() - t0, res.stats))
+                                     time.monotonic() - t0, res.stats,
+                                     res.layer_s))
         except Exception as exc:               # per-row failure, keep going
             reports.append(RunReport(instance, schema, semantics,
                                      f"ERROR: {exc}",

@@ -12,7 +12,9 @@ Restart/Restart_t edges, restricted by the selected integration schema:
   grey   - as black, but the restart preserves the temporal store (Restart);
   clear  - the constraint solver is consulted on partial assignments every
            `check_freq` decisions; conflicts are resolved by chronological
-           backtracking and no restarts ever occur.
+           backtracking and no restarts ever occur.  A check on a partial
+           assignment first tests the witness, the last evaluation that a
+           check of the solve found, and searches only if it fails.
 
 No edge writes the temporal store, so Lambda stays empty and grey searches
 as black does; only the name of the restart edge differs.
@@ -60,10 +62,14 @@ from .ground import CAProgram
 __all__ = [
     "SchemaConfig", "SolveResult", "ExtendedAnswerSet", "SolveStats",
     "solve_ca", "BudgetExceeded",
-    "denial_key", "DEFAULT_STEP_BUDGET",
+    "denial_key", "DEFAULT_STEP_BUDGET", "LAYERS",
 ]
 
 DEFAULT_STEP_BUDGET = 1_000_000
+
+# the keys of `SolveResult.layer_s`
+LAYERS = ("clausify_s", "unit_s", "unfounded_s", "fd_build_s",
+          "fd_search_s", "fd_core_s")
 
 
 class BudgetExceeded(Exception):
@@ -140,12 +146,15 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    """`layer_s` holds the wall times of the solve's layers: `clausify_s`
-    in `asp.clausify`, called once per solve, and, summed over the solve,
-    `fd_build_s` in `fd.build_csp`, `fd_search_s` in advancing
-    `fd.solutions` and `fd_core_s` in shrinking the projections of failed
-    checks to cores.  They are kept apart from the counters of `stats`,
-    which are the same on every run."""
+    """`layer_s` holds the wall times of the solve's layers, under the keys
+    `LAYERS`: `clausify_s` in `asp.clausify`, called once per solve, and,
+    summed over the solve, `unit_s` in `Propagator.propagate`,
+    `unfounded_s` in `UnfoundedCheck.pending`, `fd_build_s` in
+    `fd.build_csp`, `fd_search_s` in deciding the feasibility of checks
+    (testing the witness with `fd.solved_by` and advancing `fd.solutions`)
+    and `fd_core_s` in shrinking the projections of failed checks to
+    cores.  They are kept apart from the counters of `stats`, which are the
+    same on every run."""
     status: str                        # 'sat' | 'unsat' | 'budget'
     models: List[ExtendedAnswerSet]
     stats: SolveStats
@@ -238,6 +247,11 @@ class _Run:
     under both rules does not depend on the order in which they fire, so
     decisions, learned denials and models are those of the reference; only
     the edges up to a conflict may differ.
+    A CSP check on an incomplete M is answered by the witness, the first
+    solution of the last check that found one, in any run of the solve,
+    when that evaluation solves the checked instance; only otherwise does
+    it search (`_csp_feasible`).  Such a check is not an edge, so the
+    witness changes no edge of the run, only the fd nodes.
     A failed CSP check learns the denial of a core of M's projection
     (`_core`), tested on the domains of the checked instance, which the run
     keeps for the Learn that follows.
@@ -261,9 +275,8 @@ class _Run:
         self.m = Record(self.abstraction.n_atoms)
         t0 = time.perf_counter()
         clauses = clausify(self.abstraction)
-        self.layer_s = {"clausify_s": time.perf_counter() - t0,
-                        "fd_build_s": 0.0, "fd_search_s": 0.0,
-                        "fd_core_s": 0.0}
+        self.layer_s = dict.fromkeys(LAYERS, 0.0)
+        self.layer_s["clausify_s"] = time.perf_counter() - t0
         self.prop = Propagator(self.m, clauses)
         self.unfounded = UnfoundedCheck(self.abstraction)
         # the csp-abstraction of M at the last CSP check
@@ -271,6 +284,8 @@ class _Run:
         # the indices of the constraints that changed something in its
         # root's propagation, if that failed (`fd.solutions`)
         self.root_active: List[int] = []
+        # the first solution of the last check that found one, in any run
+        self.witness: Optional[Dict[str, int]] = None
         self.charge = _charger(stats, budget)
         # the learned denials of every run so far
         self.gamma: List[RuleP] = []
@@ -278,8 +293,9 @@ class _Run:
 
     def _start_run(self) -> None:
         self.decisions_since_check = 0
-        # the solutions of the last CSP check, in labeling order; when the
-        # run ends in a model, they are the model's evaluations
+        # the solutions of the last CSP check that searched, in labeling
+        # order; when the run ends in a model, they are the model's
+        # evaluations
         self.csp_solutions: Iterator[Dict[str, int]] = iter(())
         self._post: Optional[str] = None    # digest of the current state
 
@@ -325,20 +341,35 @@ class _Run:
             self.trace.edge(self.run, rule, payload() if payload else {},
                             pre, self._post)
 
-    def _csp_feasible(self) -> bool:
+    def _csp_feasible(self, complete: bool) -> bool:
         """Check the csp-abstraction of M, keeping the instance, with its
-        projection and domains, for the Learn edge of a failed check."""
+        projection and domains, for the Learn edge of a failed check.
+        On an incomplete M the check is feasible at once, with no fd node,
+        if the witness solves the instance (`fd.solved_by`).  Otherwise,
+        and always on a complete M, whose evaluations are enumerated in
+        labeling order, it searches, and the first solution found becomes
+        the witness."""
         self.stats.csp_checks += 1
-        t0 = time.perf_counter()
+        layer_s, clock = self.layer_s, time.perf_counter
+        t0 = clock()
         inst = self.inst = fd.build_csp(self.program, self.m.trail,
                                         self.cfg.semantics)
-        self.layer_s["fd_build_s"] += time.perf_counter() - t0
+        t1 = clock()
+        layer_s["fd_build_s"] += t1 - t0
         self.root_active = []
+        if not complete and self.witness is not None:
+            solved = fd.solved_by(inst, self.witness)
+            layer_s["fd_search_s"] += clock() - t1
+            if solved:
+                return True
         search = _timed(fd.solutions(inst, self.charge, self.root_active),
-                        self.layer_s)
+                        layer_s)
         first = next(search, None)
         self.csp_solutions = itertools.chain((first,), search)
-        return first is not None
+        if first is None:
+            return False
+        self.witness = first
+        return True
 
     def _lit_strs(self, lits: Sequence[int]) -> List[str]:
         return [self.trace.lit_str(x) for x in lits]
@@ -422,6 +453,7 @@ class _Run:
         cfg, m, prop, stats = self.cfg, self.m, self.prop, self.stats
         unfounded, traced = self.unfounded, self.trace.enabled
         lit_str = self.trace.lit_str
+        layer_s, clock = self.layer_s, time.perf_counter
         n_atoms = self.abstraction.n_atoms
         while True:
             if not m.consistent:
@@ -441,7 +473,9 @@ class _Run:
             pre = self._pre()
             limit = 1 if traced else \
                 self.budget + 1 - stats.steps - stats.fd_nodes
+            t0 = clock()
             n = prop.propagate(limit)
+            layer_s["unit_s"] += clock() - t0
             if n:
                 stats.propagations += n
                 self._emit("UnitPropagate", pre, lambda: {
@@ -452,7 +486,9 @@ class _Run:
 
             # the atoms of one greatest unfounded set, each its own edge,
             # up to the first that M holds true
+            t0 = clock()
             atoms = unfounded.pending(m)
+            layer_s["unfounded_s"] += clock() - t0
             for a in atoms:
                 pre = self._pre()
                 gus = unfounded.greatest(m) if traced else None
@@ -479,7 +515,7 @@ class _Run:
                 if complete:
                     stats.candidates += 1
                 self.decisions_since_check = 0
-                if not self._csp_feasible():
+                if not self._csp_feasible(complete):
                     pre = self._pre()
                     m.append_bot()
                     self._emit("CPPropagate", pre, lambda: {

@@ -11,6 +11,8 @@ One walker, `_subexprs`, lists an expression and everything inside it;
 The ground-truth checker `satisfied` defines the semantics of every
 constraint; search verifies each leaf with it, so propagators only need to be
 sound (never remove a value that belongs to some solution), never complete.
+`solved_by` tests a given evaluation against an instance with the same
+checker, without a search.
 Propagation strength: bounds consistency for linear comparisons and
 sum/scalar_product, pairwise disequality for all_different, Hall-interval
 bounds for all_distinct, time-table filtering for cumulative (serialized is
@@ -64,8 +66,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
 __all__ = [
     "IntConst", "VarRef", "Arith", "Cmp", "BoolExpr", "Global", "ConstraintExpr",
     "Domain", "CSPInstance", "FdError", "ComplementUnsupported",
-    "satisfied", "eval_term", "complement", "propagate", "solutions",
-    "refuted", "vars_of", "build_csp", "CMP_NAMES",
+    "satisfied", "solved_by", "eval_term", "complement", "propagate",
+    "solutions", "refuted", "vars_of", "build_csp", "CMP_NAMES",
 ]
 
 _CMP_FUN = {
@@ -379,6 +381,19 @@ def satisfied(c, e: Dict[str, int]) -> bool:
     if isinstance(c, Global):
         return _sat_global(c, e)
     raise FdError(f"not a constraint: {c!r}")
+
+
+def solved_by(csp: CSPInstance, e: Dict[str, int]) -> bool:
+    """Whether `e`, with each variable of `csp` that it lacks set to the
+    lower bound of its domain, solves `csp`: every value lies in its domain
+    and every constraint is `satisfied`.  `csp` is not modified."""
+    full = {}
+    for v, d in csp.domains.items():
+        x = e.get(v, d.lo)
+        if not d.contains(x):
+            return False
+        full[v] = x
+    return all(satisfied(c, full) for c in csp.constraints)
 
 
 def complement(c) -> Cmp:

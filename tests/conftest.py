@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -7,6 +8,19 @@ from ezcasp.asp import RegularProgram
 from ezcasp.ground import CAProgram
 
 ENCODINGS = pathlib.Path(__file__).resolve().parent.parent / "src" / "ezcasp" / "encodings"
+
+
+
+def perfbench_gen():
+    """The benchmark's instance generators, `perfbench/gen.py`."""
+    path = str(ENCODINGS.parents[2] / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        import gen
+    finally:
+        sys.path.remove(path)
+    return gen
+
 
 LIGHT_EZ = (ENCODINGS / "light.ez").read_text()
 RIDDLE_EZ = (ENCODINGS / "riddle.ez").read_text()

@@ -7,7 +7,7 @@ import pytest
 
 from ezcasp.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, bench, emit_clp,
                         format_model, main)
-from ezcasp.engine import SchemaConfig, solve_ca
+from ezcasp.engine import LAYERS, SchemaConfig, solve_ca
 from ezcasp.ground import ground_program
 
 from conftest import CONDITIONAL_DECLS, ENCODINGS, LIGHT_EZ
@@ -524,10 +524,20 @@ def test_bench_json_rows(tmp_path, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out_json.read_text().splitlines()]
     assert rows[0]["schema"] == "black" and rows[0]["outcome"] == "SAT(1)"
-    # every counter of the solve's SolveStats
-    assert list(rows[0])[5:] == list(vars(solve_ca(
-        ground_program(LIGHT.read_text()), SchemaConfig(limit=1)).stats))
+    # every counter of the solve's SolveStats, then its search layers
+    res = solve_ca(ground_program(LIGHT.read_text()), SchemaConfig(limit=1))
+    assert list(rows[0])[5:] == [*vars(res.stats), *res.layer_s]
+    assert list(res.layer_s) == list(LAYERS)
     assert rows[0]["steps"] > 0 and rows[0]["runs"] == 1
+    assert all(rows[0][k] >= 0 for k in LAYERS)
+    assert rows[0]["fd_build_s"] > 0 and rows[0]["unit_s"] > 0
+    # a row whose solve failed has the same columns, at zero
+    spec.write_text(f"{LIGHT}\tpink\n")
+    main(["--bench", str(spec), "--bench-json", str(out_json)])
+    capsys.readouterr()
+    row = json.loads(out_json.read_text())
+    assert row["outcome"].startswith("ERROR") and list(row) == list(rows[0])
+    assert not any(row[k] for k in LAYERS)
 
 
 def test_desk_bench_schemas_agree(capsys):
@@ -697,17 +707,19 @@ def test_stats_file(tmp_path, capsys, path, n):
     layers = [written[k] for k in ("parse_s", "ground_s", "translate_s")]
     assert all(t >= 0 for t in layers)
     assert sum(layers) <= written["ground_stages_s"]
-    search_layers = [written[k] for k in ("clausify_s", "fd_build_s",
-                                          "fd_search_s", "fd_core_s")]
-    assert all(t >= 0 for t in search_layers)
-    assert sum(search_layers) <= written["solve_ca_s"]
-    # every solve here checks a CSP, so both fd layers take time; only
-    # riddle's learns a denial, and shrinking its projection tests a core
-    assert res.stats.csp_checks and all(search_layers[1:3])
-    assert bool(search_layers[3]) == bool(res.stats.core_checks) == \
+    search = {k: written[k] for k in LAYERS}
+    assert all(t >= 0 for t in search.values())
+    assert sum(search.values()) <= written["solve_ca_s"]
+    # every solve here propagates and checks a CSP, so the unit, unfounded
+    # and both fd layers take time; only riddle's learns a denial, and
+    # shrinking its projection tests a core
+    assert res.stats.csp_checks and all(
+        search[k] for k in ("unit_s", "unfounded_s", "fd_build_s",
+                            "fd_search_s"))
+    assert bool(search["fd_core_s"]) == bool(res.stats.core_checks) == \
         (path == RIDDLE)
-    assert set(res.layer_s) == {"clausify_s", "fd_build_s", "fd_search_s",
-                                "fd_core_s"}
+    assert set(res.layer_s) == {"clausify_s", "unit_s", "unfounded_s",
+                                "fd_build_s", "fd_search_s", "fd_core_s"}
 
 
 def test_stats_file_on_unsat_and_unwritable(tmp_path, capsys):

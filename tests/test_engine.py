@@ -10,7 +10,7 @@ from ezcasp.ground import ground_program
 from ezcasp import oracle
 
 from conftest import (CONDITIONAL_DECLS, ENCODINGS, RIDDLE_EZ,
-                      make_conflict_pair)
+                      make_conflict_pair, perfbench_gen)
 from ground_gen import random_program
 
 
@@ -126,6 +126,58 @@ def test_one_fd_search_per_model(monkeypatch):
     assert res.stats.csp_checks == 22 + res.stats.learned
     assert calls == {"build_csp": res.stats.csp_checks,
                      "solutions": res.stats.csp_checks}
+
+
+def test_clear_partial_checks_search_only_when_the_witness_fails(
+        monkeypatch):
+    # each check records the instance it built and the first solution of
+    # the last search that found one, as the witness; a check whose
+    # instance did not search must be solved by that witness, completed
+    # with the lower bounds of the variables it lacks
+    checks, searched, found = [], set(), []
+    build_csp, solutions = fd.build_csp, fd.solutions
+
+    def built(*args):
+        inst = build_csp(*args)
+        checks.append((inst, found[-1] if found else None))
+        return inst
+
+    def searching(inst, *args):
+        searched.add(id(inst))
+        for i, e in enumerate(solutions(inst, *args)):
+            if i == 0:
+                found.append(e)
+            yield e
+
+    monkeypatch.setattr(fd, "build_csp", built)
+    monkeypatch.setattr(fd, "solutions", searching)
+    P = ground_program((ENCODINGS / "wseq_toy.ez").read_text())
+    res = solve_ca(P, SchemaConfig(schema="clear", limit=0,
+                                   max_alphas_per_model=1))
+    assert len(_atom_sets(res)) == 22
+    assert len(checks) == res.stats.csp_checks
+    # every complete candidate searches, and most partial checks do not
+    assert res.stats.candidates <= len(searched) < res.stats.csp_checks
+    for inst, w in checks:
+        if id(inst) in searched:
+            continue
+        e = {v: w.get(v, d.lo) for v, d in inst.domains.items()}
+        assert all(d.contains(e[v]) for v, d in inst.domains.items())
+        assert all(fd.satisfied(c, e) for c in inst.constraints)
+
+
+def test_clear_tight_wseq_five_leaves_needs_fewer_fd_nodes_than_checks():
+    # five leaves whose (weight, card, cost) alternate (1,2,1) and (2,1,2)
+    # under perfbench's rules: every colored position costs at least 2, so
+    # budget 2(n-1)-1 is UNSAT; nearly every partial check is answered by
+    # the witness, with no fd node
+    n = 5
+    triples = [((1, 2, 1), (2, 1, 2))[i % 2] for i in range(n)]
+    w = perfbench_gen().Wseq(*(list(t) for t in zip(*triples)),
+                             2 * (n - 1) - 1)
+    res = solve_ca(ground_program(w.text()), SchemaConfig(schema="clear"))
+    assert res.status == "unsat"
+    assert res.stats.fd_nodes < res.stats.csp_checks
 
 
 # -- schema-specific behavior ------------------------------------------------------
@@ -548,10 +600,10 @@ PINNED_COUNTERS = [
     ("is_toy", "clear", "sat", 1, (0, 121, 1, 0, 0, 122, 2, 1, 7, 0)),
     ("light", "black", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2, 0)),
     ("light", "grey", "sat", 1, (4, 22, 1, 0, 0, 30, 2, 1, 2, 0)),
-    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1, 6, 0)),
+    ("light", "clear", "sat", 1, (4, 22, 3, 0, 0, 30, 2, 1, 4, 0)),
     ("rf_toy", "black", "sat", 1, (8, 912, 6, 5, 5, 939, 2, 6, 71, 65)),
     ("rf_toy", "grey", "sat", 1, (8, 912, 6, 5, 5, 939, 2, 6, 71, 65)),
-    ("rf_toy", "clear", "sat", 1, (6, 404, 7, 5, 0, 426, 2, 6, 72, 65)),
+    ("rf_toy", "clear", "sat", 1, (6, 404, 7, 5, 0, 426, 2, 6, 71, 65)),
     ("riddle", "black", "sat", 1, (3, 129, 2, 1, 1, 138, 2, 2, 5, 3)),
     ("riddle", "grey", "sat", 1, (3, 129, 2, 1, 1, 138, 2, 2, 5, 3)),
     ("riddle", "clear", "sat", 1, (2, 102, 2, 1, 0, 109, 2, 2, 5, 3)),
@@ -563,11 +615,11 @@ PINNED_COUNTERS = [
     ("wseq_toy", "grey", "sat", 22,
       (315, 3792, 24, 2, 2, 4377, 23, 24, 30, 6)),
     ("wseq_toy", "clear", "sat", 22,
-      (301, 3601, 300, 2, 0, 4161, 23, 24, 731, 6)),
+      (301, 3601, 300, 2, 0, 4161, 23, 24, 157, 6)),
     ("wseq_unsat", "black", "unsat", 0, (44, 803, 9, 9, 9, 899, 1, 9, 36, 27)),
     ("wseq_unsat", "grey", "unsat", 0, (44, 803, 9, 9, 9, 899, 1, 9, 36, 27)),
     ("wseq_unsat", "clear", "unsat", 0,
-      (12, 180, 16, 9, 0, 223, 1, 8, 53, 26)),
+      (12, 180, 16, 9, 0, 223, 1, 8, 41, 26)),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from ezcasp.fd import (Arith, BoolExpr, Cmp, ComplementUnsupported,
                        CSPInstance, Domain, Global, IntConst, VarRef,
                        build_csp, complement, eval_term, propagate,
-                       refuted, satisfied, solutions, vars_of)
+                       refuted, satisfied, solutions, solved_by, vars_of)
 from ezcasp.lang import GLOBAL_CONSTRAINTS
 
 from bruteforce import enumerate_csp_solutions
@@ -155,6 +155,42 @@ def test_serialized_is_cumulative_with_unit_resources():
         assert satisfied(g, dict(zip(names, starts))) == want, (starts, durs)
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_solved_by_tests_a_witness_on_a_later_instance():
+    # a witness is the first solution of an earlier instance; a later one
+    # narrows a domain or posts a new constraint, and then its own search
+    # finds a solution that the later instance accepts
+    x, y = V("x"), V("y")
+    inst = CSPInstance()
+    inst.add_var("x", 0, 3)
+    inst.add_var("y", 0, 3)
+    inst.post(C("leq", x, y))
+    w = next(solutions(inst))
+    assert w == {"x": 0, "y": 0} and solved_by(inst, w)
+    narrowed, holed, posted = inst.copy(), inst.copy(), inst.copy()
+    narrowed.domains["x"].set_min(1)
+    holed.domains["y"].remove(0)
+    posted.post(C("neq", x, y))
+    for later in (narrowed, holed, posted):
+        assert not solved_by(later, w)
+        assert solved_by(later, next(solutions(later)))
+    assert inst.domains["x"].lo == inst.domains["y"].lo == 0  # unmodified
+    empty = inst.copy()
+    empty.domains["x"].set_max(-1)
+    assert not solved_by(empty, w)
+    # a variable the witness lacks takes its domain's lower bound, and one
+    # the instance lacks is not read
+    z = V("z")
+    wider = inst.copy()
+    wider.add_var("z", 2, 5)
+    wider.post(C("geq", z, y))
+    assert solved_by(wider, w) and solved_by(wider, {**w, "u": 7})
+    assert solved_by(wider, {"x": 1, "y": 2})
+    assert not solved_by(wider, {"x": 1, "y": 3})
+    wider.post(C("gt", z, I(2)))
+    assert not solved_by(wider, w)
+    assert solved_by(wider, {**w, "z": 3})
 
 
 # -- complement ------------------------------------------------------------------

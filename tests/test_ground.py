@@ -1,7 +1,6 @@
 import collections
 import gc
 import pathlib
-import sys
 import types
 
 import pytest
@@ -21,11 +20,8 @@ from ezcasp.lang import _subterms as lang_subterms
 
 from bruteforce import (brute_ground, enumerate_answer_sets,
                         library_ground_canon)
-from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ
+from conftest import ENCODINGS, LIGHT_EZ, RIDDLE_EZ, perfbench_gen
 from ground_gen import random_nonground_source
-
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _ground_text(text: str) -> EzProgram:
@@ -807,12 +803,7 @@ def test_global_constraint_arity(name):
 
 def _sched_text() -> str:
     """The text of the first instance of perfbench's `sched` workload."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    return gen.workload("sched", 1)[0].text
+    return perfbench_gen().workload("sched", 1)[0].text
 
 
 def _interning_cases():

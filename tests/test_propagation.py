@@ -145,6 +145,18 @@ def test_unit_clauses_are_checked_directly():
     assert m.trail == [-1, 2]
 
 
+def test_tautologies_are_kept_but_watch_nothing():
+    # `a :- not not a` gives a | -a, which no record makes unit or false
+    m = Record(3)
+    clauses = [(1, -1), (-2, 2, 3), (-1, 3)]
+    prop = Propagator(m, clauses)
+    assert prop.clauses == clauses
+    assert [ci for wl in prop._watches for ci in wl] == [2, 2]
+    m.append(1, decided=True)
+    _fixpoint(prop)
+    assert m.trail == [1, 3]
+
+
 # -- the linear unfounded-set check -------------------------------------------------
 
 def _partial_records(rng, n_atoms, count):
