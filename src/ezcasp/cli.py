@@ -25,14 +25,17 @@ failed checks to cores), and `stats`, the solve's `SolveStats` counters,
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
 bindings sorted by variable name.  The step budget bounds the transition
-edges and the fd search nodes of a solve together; it can be overridden with
-the EZCASP_STEP_BUDGET environment variable.
+edges and the fd search nodes of a solve together.  A solve and a benchmark
+run take it from the EZCASP_STEP_BUDGET environment variable, which must be
+an integer >= 0, when that is set, and otherwise use
+`engine.DEFAULT_STEP_BUDGET`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -40,7 +43,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fd
-from .engine import LAYERS, SchemaConfig, SolveStats, solve_ca
+from .engine import (DEFAULT_STEP_BUDGET, LAYERS, SchemaConfig, SolveStats,
+                     solve_ca)
 from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError, display_atom,
                      ground_stages)
 from .lang import Atom, EzSyntaxError, display_op, print_rule
@@ -165,13 +169,26 @@ class RunReport:
         }
 
 
+def _step_budget() -> int:
+    """The step budget that EZCASP_STEP_BUDGET sets, if it is set, else
+    DEFAULT_STEP_BUDGET; ValueError if it is not an integer >= 0."""
+    text = os.environ.get("EZCASP_STEP_BUDGET")
+    if text is None:
+        return DEFAULT_STEP_BUDGET
+    if not text.strip().isdecimal():
+        raise ValueError(f"EZCASP_STEP_BUDGET must be an integer >= 0, "
+                         f"not {text!r}")
+    return int(text)
+
+
 def bench(spec_path: str, semantics: str = "weak",
           default_range: Tuple[int, int] = DEFAULT_FD_RANGE,
           out=None, json_path: Optional[str] = None) -> List[RunReport]:
     """Run every instance x schema pair in the spec file; failures are
-    recorded per row and the run continues."""
-    import os.path
+    recorded per row and the run continues.  Raises ValueError before any
+    row if EZCASP_STEP_BUDGET is set but is not an integer >= 0."""
     from .ground import ground_program
+    budget = _step_budget()
     if out is None:
         out = sys.stdout
     reports: List[RunReport] = []
@@ -187,7 +204,7 @@ def bench(spec_path: str, semantics: str = "weak",
         t0 = time.monotonic()
         try:
             cfg = SchemaConfig(schema=schema, semantics=semantics, limit=1,
-                               max_alphas_per_model=1)
+                               max_alphas_per_model=1, step_budget=budget)
             with open(path) as f:
                 program = ground_program(f.read(), default_range)
             res = solve_ca(program, cfg)
@@ -336,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   default_range=args.default_range,
                   json_path=args.bench_json)
             return 0
-        except OSError as exc:
+        except (OSError, ValueError) as exc:    # ValueError: the budget text
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 
@@ -382,13 +399,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.oracle:
         return _run_oracle(program, args)
 
-    cfg = SchemaConfig(schema=args.schema, semantics=args.semantics,
-                       check_freq=args.check_freq, limit=args.n)
     try:
-        cfg.step_budget = cfg.effective_budget()
-    except ValueError as exc:                  # EZCASP_STEP_BUDGET
+        budget = _step_budget()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    cfg = SchemaConfig(schema=args.schema, semantics=args.semantics,
+                       check_freq=args.check_freq, limit=args.n,
+                       step_budget=budget)
     try:
         start = time.perf_counter()
         res = solve_ca(program, cfg, collect_trace=bool(args.dump_trace))

@@ -48,7 +48,6 @@ CAProgram are safe.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
@@ -84,15 +83,15 @@ class SchemaConfig:
     complete assignments only); limit: maximum number of extended answer sets
     (0 = all); max_alphas_per_model: cap on evaluations enumerated per answer
     set (0 = all); step_budget: bound on the transition edges plus the fd
-    search nodes of a solve (None = EZCASP_STEP_BUDGET, else
-    DEFAULT_STEP_BUDGET).
+    search nodes of a solve.  The library reads no environment variable;
+    the command line reads EZCASP_STEP_BUDGET into step_budget.
     """
     schema: str = "black"
     semantics: str = "weak"
     check_freq: Optional[int] = 1
     limit: int = 1
     max_alphas_per_model: int = 0
-    step_budget: Optional[int] = None
+    step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self) -> None:
         if self.schema not in ("black", "grey", "clear"):
@@ -102,20 +101,8 @@ class SchemaConfig:
         if self.check_freq is not None and self.check_freq < 1:
             raise ValueError("check_freq must be >= 1")
         for name in ("limit", "max_alphas_per_model", "step_budget"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    def effective_budget(self) -> int:
-        if self.step_budget is not None:
-            return self.step_budget
-        text = os.environ.get("EZCASP_STEP_BUDGET")
-        if text is None:
-            return DEFAULT_STEP_BUDGET
-        if not text.strip().isdecimal():
-            raise ValueError(f"EZCASP_STEP_BUDGET must be an integer >= 0, "
-                             f"not {text!r}")
-        return int(text)
 
 
 @dataclass(frozen=True)
@@ -262,14 +249,13 @@ class _Run:
     """
 
     def __init__(self, program: CAProgram, cfg: SchemaConfig,
-                 stats: SolveStats, trace: _Trace, run_index: int,
-                 budget: int):
+                 stats: SolveStats, trace: _Trace, run_index: int):
         self.program = program
         self.cfg = cfg
         self.stats = stats
         self.trace = trace
         self.run = run_index
-        self.budget = budget
+        self.budget = cfg.step_budget
         self.abstraction: RegularProgram = program.asp_abstraction()
         self.names = self.abstraction.names
         self.m = Record(self.abstraction.n_atoms)
@@ -286,7 +272,7 @@ class _Run:
         self.root_active: List[int] = []
         # the first solution of the last check that found one, in any run
         self.witness: Optional[Dict[str, int]] = None
-        self.charge = _charger(stats, budget)
+        self.charge = _charger(stats, self.budget)
         # the learned denials of every run so far
         self.gamma: List[RuleP] = []
         self._start_run()
@@ -584,12 +570,11 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     stats = SolveStats()
     names = program.pi.names        # the abstraction adds no atoms
     trace = _Trace(collect_trace, names)
-    budget = cfg.effective_budget()
     models: List[ExtendedAnswerSet] = []
     blocking: List[RuleP] = []
     status = "unsat"
 
-    run = _Run(program, cfg, stats, trace, 0, budget)
+    run = _Run(program, cfg, stats, trace, 0)
     # an empty denial, whose clause is empty, is violated by every record;
     # no transition edge can represent the conflict, so the degenerate case
     # is decided up front

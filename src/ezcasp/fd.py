@@ -27,7 +27,10 @@ watcher of that variable, itself included, so the queue empties at a common
 fixpoint of all constraints.  Following the same paper, a propagator is
 compiled once and each run only reads domains: every comparison node
 carries its linear and interval forms (`Cmp.form`), built with the node,
-and its complement, built on first use; every `sum` and `scalar_product`
+and its complement, built on first use; every global node carries its
+reading (`Global.reading`), built on first use: the constraint it is read
+as, its arguments in that reading and whether its lists fit, which the
+checker and the filter both dispatch on; every `sum` and `scalar_product`
 node carries the linear form of its sum minus its target (`Global.form`),
 built with the node.  The other global filters narrow only plain-variable
 items, and read every other item, index, target, count value or limit as
@@ -35,11 +38,12 @@ its interval under the live domains (`_ival`).  A reified `or` is
 evaluated once per run, in one left-to-right pass over its disjuncts, with
 nested `or`s flattened once per node (`BoolExpr.disjuncts`), that decides
 between failure, entailment and the single open disjunct to enforce.  An
-`or` found entailed stays entailed under narrowing, so it is put to sleep:
-propagation neither queues nor filters it again until the search
-backtracks past the node where it fell asleep (`_Trail`), or, outside a
-search, until the call ends.  Cumulative filtering builds one profile of
-compulsory parts per run and lifts each job's part out of it in turn.
+`or` found entailed stays entailed under narrowing, so it is put to sleep
+on a trail (`_Trail`): propagation neither queues nor filters it again
+until the trail is undone past the node where it fell asleep.  Outside a
+search, a `propagate` call runs on a trail of its own that is never
+undone.  Cumulative filtering builds one profile of compulsory parts per
+run and lifts each job's part out of it in turn.
 
 Search is a generator (`solutions`) over an explicit stack of choice points,
 so its depth is not bounded by the interpreter's recursion limit.  It works
@@ -198,6 +202,26 @@ class Global(_Constraint):
         object.__setattr__(self, "form", _compile_sum(self)
                            if self.name in _SUMS else None)
 
+    @cached_property
+    def reading(self) -> Tuple[str, tuple, bool]:
+        """(name, args, fits), built once per node: the constraint the node
+        is read as, its arguments in that reading and whether its lists
+        fit.  `serialized` is read as `cumulative` with unit resources and
+        limit 1, `sum` as `scalar_product` with unit coefficients, and any
+        other global as itself.  The lists fit when the list arguments have
+        equal lengths (the paired lists of assignment, cumulative,
+        disjoint2 and scalar_product) and those of minimum and maximum have
+        an item; nothing satisfies a node whose lists do not fit."""
+        name, args = self.name, self.args
+        if name == "serialized":
+            name, args = "cumulative", (*args, (1,) * len(args[1]), 1)
+        elif name == "sum":
+            name, args = "scalar_product", ((1,) * len(args[0]), *args)
+        lengths = {len(a) for a in args if isinstance(a, tuple)}
+        fits = len(lengths) <= 1 and not (
+            name in ("minimum", "maximum") and 0 in lengths)
+        return name, args, fits
+
 
 ConstraintExpr = object
 
@@ -260,15 +284,15 @@ def _values(items, e) -> Optional[List[int]]:
 
 
 def _sat_global(g: Global, e: Dict[str, int]) -> bool:
-    name, args = g.name, g.args
-    if name == "serialized":       # as `_filter_global` reads it
-        name, args = "cumulative", (*args, (1,) * len(args[1]), 1)
+    name, args, fits = g.reading
+    if not fits:
+        return False
     if name in ("all_different", "all_distinct"):
         vals = _values(args[0], e)
         return vals is not None and len(set(vals)) == len(vals)
     if name == "assignment":
         xs, ys = _values(args[0], e), _values(args[1], e)
-        if xs is None or ys is None or len(xs) != len(ys):
+        if xs is None or ys is None:
             return False
         n = len(xs)
         if any(not 1 <= v <= n for v in xs + ys):
@@ -282,11 +306,13 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
         n = len(vs)
         if any(not 1 <= v <= n for v in vs) or len(set(vs)) != n:
             return False
-        seen, cur = 1, vs[0]
-        while cur != 1 and seen <= n:
+        # the cycle of the permutation through node 1 has all n nodes
+        steps, cur = 0, 1
+        for steps in range(1, n + 1):
             cur = vs[cur - 1]
-            seen += 1
-        return cur == 1 and seen == n
+            if cur == 1:
+                break
+        return steps == n
     if name == "count":
         m = eval_term(args[0], e)
         vals = _values(args[1], e)
@@ -296,10 +322,9 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
         return _CMP_FUN[args[2]](sum(1 for v in vals if v == m), target)
     if name == "cumulative":
         starts = _values(args[0], e)
-        durs, ress = list(args[1]), list(args[2])
+        durs, ress = args[1], args[2]
         limit = eval_term(args[3], e)
-        if starts is None or limit is None or \
-                not len(starts) == len(durs) == len(ress):
+        if starts is None or limit is None:
             return False
         for t in _active_times(starts, durs):
             used = sum(r for s, d, r in zip(starts, durs, ress)
@@ -309,9 +334,8 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
         return True
     if name == "disjoint2":
         xs, ys = _values(args[0], e), _values(args[2], e)
-        ws, hs = list(args[1]), list(args[3])
-        if xs is None or ys is None or \
-                not len(xs) == len(ws) == len(ys) == len(hs):
+        ws, hs = args[1], args[3]
+        if xs is None or ys is None:
             return False
         n = len(xs)
         for i in range(n):
@@ -332,14 +356,14 @@ def _sat_global(g: Global, e: Dict[str, int]) -> bool:
     if name in ("minimum", "maximum"):
         m = eval_term(args[0], e)
         vals = _values(args[1], e)
-        if m is None or vals is None or not vals:
+        if m is None or vals is None:
             return False
         return m == (min(vals) if name == "minimum" else max(vals))
-    if name in _SUMS:
-        terms = _sum_terms(g)
-        vals = None if terms is None else _values([t for _, t in terms], e)
-        return vals is not None and _CMP_FUN[args[-2]](
-            sum(c * v for (c, _), v in zip(terms, vals)), 0)
+    if name == "scalar_product":
+        coeffs, items, op, target = args
+        vals = _values((*items, target), e)     # the target's value last
+        return vals is not None and _CMP_FUN[op](
+            sum(map(mul, coeffs, vals)) - vals[-1], 0)
     raise FdError(f"unknown global constraint {name!r}")
 
 
@@ -649,37 +673,23 @@ def _compile_cmp(c: Cmp) -> tuple:
 _SUMS = ("sum", "scalar_product")
 
 
-def _sum_terms(g: Global) -> Optional[List[Tuple[int, object]]]:
-    """The (coefficient, term) pairs whose total is the weighted sum of a
-    `sum` or `scalar_product` minus its target; None for a
-    `scalar_product` whose lists differ in length, which nothing
-    satisfies."""
-    if g.name == "sum":
-        items, _, target = g.args
-        coeffs = (1,) * len(items)
-    else:
-        coeffs, items, _, target = g.args
-        if len(coeffs) != len(items):
-            return None
-    return list(zip(coeffs, items)) + [(-1, target)]
-
-
 def _compile_sum(g: Global) -> tuple:
     """The compiled form of a `sum` or `scalar_product` (see `Global`), in
     one pass over its items, so a long list needs no deep recursion."""
-    terms = _sum_terms(g)
-    if terms is None:
+    _, args, fits = g.reading
+    if not fits:
         return None, 0
-    coeffs: Dict[str, int] = {}
+    coeffs, items, _, target = args
+    merged: Dict[str, int] = {}
     const = 0
-    for c, t in terms:
+    for c, t in zip((*coeffs, -1), (*items, target)):
         lin = _linearize(t)
         if lin is None:
             return None, 0
         for k, v in lin[0].items():
-            coeffs[k] = coeffs.get(k, 0) + c * v
+            merged[k] = merged.get(k, 0) + c * v
         const += c * lin[1]
-    return tuple((k, v) for k, v in coeffs.items() if v), const
+    return tuple((k, v) for k, v in merged.items() if v), const
 
 
 def _decide(op: str, lo: int, hi: int) -> Optional[bool]:
@@ -712,7 +722,9 @@ class _Trail:
     constraint that propagation finds entailed is asleep (`asleep`, by
     constraint index) and listed in `slept`, so undoing wakes every
     constraint that fell asleep in the segments it undoes.  Segment 0,
-    before the first choice point, is never undone and saves nothing."""
+    before the first choice point, is never undone and saves no domain;
+    outside a search, a `propagate` call runs on a trail of its own that
+    stays at segment 0."""
 
     def __init__(self, n_constraints: int):
         self.entries: List[Tuple[Domain, int, int, Set[int]]] = []
@@ -746,10 +758,9 @@ class _Trail:
 class _Store:
     """Mutable propagation context over a CSPInstance's domains; `touched`
     lists the variables whose domains narrowed, in order, with repeats.
-    Under search, a domain is saved on the trail before it may change."""
+    A domain is saved on the trail before it may change."""
 
-    def __init__(self, domains: Dict[str, Domain],
-                 trail: Optional[_Trail] = None):
+    def __init__(self, domains: Dict[str, Domain], trail: _Trail):
         self.domains = domains
         self.trail = trail
         self.touched: List[str] = []
@@ -760,8 +771,7 @@ class _Store:
 
     def _writable(self, name: str) -> Domain:
         d = self.domains[name]
-        if self.trail is not None:
-            self.trail.save(name, d)
+        self.trail.save(name, d)
         return d
 
     def note(self, changed: bool, name: str) -> None:
@@ -814,45 +824,29 @@ def _filter_linear(st: _Store, coeffs: Sequence[Tuple[str, int]],
                 st.remove(n, -rest // c)
         return
 
-    bounds = []          # (upper_for_sum, lower_for_sum) two one-sided checks
+    # each bound as s * sum(coeff * var) <= k: s = 1 bounds the sum from
+    # above and s = -1 from below
+    bounds = []
     if op in ("leq", "lt", "eq"):
-        bounds.append(("leq", -const - (1 if op == "lt" else 0)))
+        bounds.append((1, -const - (op == "lt")))
     if op in ("geq", "gt", "eq"):
-        bounds.append(("geq", -const + (1 if op == "gt" else 0)))
-
-    for kind, k in bounds:
-        lo_sum = hi_sum = 0
-        terms = []
-        for n, c in coeffs:
-            d = doms[n]
-            a, b = (c * d.lo, c * d.hi) if c > 0 else (c * d.hi, c * d.lo)
-            terms.append((a, b))
-            lo_sum += a
-            hi_sum += b
-        if kind == "leq":
-            if lo_sum > k:
-                st.failed = True
+        bounds.append((-1, const - (op == "gt")))
+    for s, k in bounds:
+        terms = [(n, s * c) for n, c in coeffs]
+        mins = [c * doms[n].lo if c > 0 else c * doms[n].hi
+                for n, c in terms]
+        slack = k - sum(mins)
+        if slack < 0:
+            st.failed = True
+            return
+        for (n, c), a in zip(terms, mins):
+            # c * var may exceed its least value a by at most the slack
+            if c > 0:
+                st.set_max(n, (slack + a) // c)
+            else:
+                st.set_min(n, -(-(slack + a) // c))
+            if st.failed:
                 return
-            for (n, c), (a, _) in zip(coeffs, terms):
-                slack = k - (lo_sum - a)
-                if c > 0:
-                    st.set_max(n, slack // c)
-                else:
-                    st.set_min(n, -(-slack // c))
-                if st.failed:
-                    return
-        else:
-            if hi_sum < k:
-                st.failed = True
-                return
-            for (n, c), (_, b) in zip(coeffs, terms):
-                slack = k - (hi_sum - b)
-                if c > 0:
-                    st.set_min(n, -(-slack // c))
-                else:
-                    st.set_max(n, slack // c)
-                if st.failed:
-                    return
 
 
 def _filter_cmp(st: _Store, c: Cmp) -> None:
@@ -1061,10 +1055,7 @@ def _filter_cumulative(st: _Store, starts, durs, ress, limit) -> None:
     """Time-table filtering over one profile of the compulsory parts.  Each
     job is filtered against the profile less the parts of every job with
     the same start variable, which are then added back from the narrowed
-    domain.  Lists of unequal lengths fail, as `_sat_global` rejects them."""
-    if not len(starts) == len(durs) == len(ress):
-        st.failed = True
-        return
+    domain."""
     lim_hi = _ival(limit, st.domains)[1]
     parts: Dict[str, List[Tuple[int, int]]] = {}    # start -> running jobs
     for s, d, r in zip(starts, durs, ress):
@@ -1136,7 +1127,10 @@ def _filter_global(st: _Store, g: Global) -> None:
     """Filter a global constraint.  Only plain-variable items are narrowed;
     any other item, and every index, target, count value or limit, is read
     as its `_ival` interval under the live domains."""
-    name, args = g.name, g.args
+    name, args, fits = g.reading
+    if not fits:
+        st.failed = True                    # as `_sat_global` rejects it
+        return
     doms = st.domains
     if name == "all_different":
         _filter_pairwise_diseq(st, args[0])
@@ -1145,9 +1139,6 @@ def _filter_global(st: _Store, g: Global) -> None:
     elif name == "assignment":
         xs, ys = args
         n = len(xs)
-        if len(ys) != n:
-            st.failed = True                    # as `_sat_global` rejects it
-            return
         for v in xs + ys:
             if isinstance(v, VarRef):
                 st.intersect_range(v.name, 1, n)
@@ -1224,15 +1215,9 @@ def _filter_global(st: _Store, g: Global) -> None:
                             return
     elif name == "cumulative":
         _filter_cumulative(st, *args)
-    elif name == "serialized":
-        starts, durs = args
-        _filter_cumulative(st, starts, durs, (1,) * len(durs), 1)
     elif name == "disjoint2":
         xs, ws, ys, hs = args
         n = len(xs)
-        if not n == len(ws) == len(ys) == len(hs):
-            st.failed = True
-            return
         for i in range(n):
             for j in range(i + 1, n):
                 if min(ws[i], hs[i], ws[j], hs[j]) <= 0:
@@ -1280,9 +1265,6 @@ def _filter_global(st: _Store, g: Global) -> None:
             st.intersect_range(tgt.name, vlo, vhi)
     elif name in ("minimum", "maximum"):
         m, vs = args
-        if not vs:
-            st.failed = True
-            return
         rngs = [_ival(v, doms) for v in vs]
         pick = min if name == "minimum" else max
         mlo, mhi = pick(r[0] for r in rngs), pick(r[1] for r in rngs)
@@ -1302,19 +1284,15 @@ def _filter_global(st: _Store, g: Global) -> None:
                     st.set_max(v.name, mval_hi)
                 if st.failed:
                     return
-    elif name in _SUMS:
+    elif name == "scalar_product":
+        coeffs, items, op, target = args
         lin, const = g.form
-        op = args[-2]
         if lin is not None:
             _filter_linear(st, lin, const, op)
             return
-        terms = _sum_terms(g)
-        if terms is None:
-            st.failed = True                    # as `_sat_global` rejects it
-            return
         # a non-linear item or target: forward interval check only
         lo = hi = 0
-        for c, t in terms:
+        for c, t in zip((*coeffs, -1), (*items, target)):
             a, b = _ival(t, doms)
             lo += min(c * a, c * b)
             hi += max(c * a, c * b)
@@ -1338,7 +1316,8 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None,
     disjuncts, which evaluates each at most once, and any other formula is
     first tested with `_definitely`.  An `or` found entailed sleeps, so it
     is not queued again: on the trail of `csp`'s search, until the search
-    backtracks past the current node, and otherwise for this call.
+    backtracks past the current node, and otherwise, on a trail of this
+    call's own, for the rest of the call.
 
     `active`, if given, receives the index of each filter run that narrowed
     a domain or refuted its constraint.  When the call fails, the
@@ -1347,14 +1326,10 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None,
     """
     domains, constraints = csp.domains, csp.constraints
     watch = csp.watch_lists()
-    trail = csp._trail
+    trail = csp._trail or _Trail(len(constraints))
     st = _Store(domains, trail)
     touched = st.touched
-    if trail is None:
-        asleep, slept = bytearray(len(constraints)), None
-    else:
-        # a constraint asleep at segment 0 is not listed: it never wakes
-        asleep, slept = trail.asleep, (trail.slept if trail.segment else None)
+    asleep, slept = trail.asleep, trail.slept
     if changed is None:
         if any(d.empty for d in domains.values()):
             return False
@@ -1386,8 +1361,7 @@ def propagate(csp: CSPInstance, changed: Optional[Iterable[str]] = None,
                 val, only = _disjuncts(st, c.disjuncts, True)
                 if val:
                     asleep[i] = queued[i] = 1
-                    if slept is not None:
-                        slept.append(i)
+                    slept.append(i)
                 elif val is False:
                     st.failed = True
                 elif only is not None:

@@ -444,12 +444,26 @@ def test_negative_count_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "\u00b2"])
-def test_bad_step_budget_variable_is_one_error_line(capsys, monkeypatch,
-                                                    value):
+def test_bad_step_budget_variable_is_one_error_line(tmp_path, capsys,
+                                                    monkeypatch, value):
     monkeypatch.setenv("EZCASP_STEP_BUDGET", value)
-    assert run_cli(capsys, LIGHT) == (
-        EXIT_ERROR, "", f"error: EZCASP_STEP_BUDGET must be an integer >= 0, "
-                        f"not {value!r}\n")
+    # a benchmark run stops before its first row
+    spec = tmp_path / "s.bench"
+    spec.write_text(f"{LIGHT}\tblack\n{LIGHT}\tclear\n")
+    for args in ((LIGHT,), ("--bench", spec)):
+        assert run_cli(capsys, *args) == (
+            EXIT_ERROR, "", f"error: EZCASP_STEP_BUDGET must be an integer "
+                            f">= 0, not {value!r}\n")
+
+
+def test_step_budget_env_override(capsys, monkeypatch):
+    # the command line reads the variable; the library reads none
+    monkeypatch.setenv("EZCASP_STEP_BUDGET", "3")
+    assert run_cli(capsys, LIGHT, "--semantics", "full", "-n", "0") == (
+        EXIT_ERROR, "", "step budget exceeded\n")
+    res = solve_ca(ground_program(LIGHT.read_text()),
+                   SchemaConfig(semantics="full", limit=0))
+    assert res.status == "sat" and len(res.models) == 12
 
 
 @pytest.mark.parametrize("flag", ["--emit-clp", "--dump-trace"])
@@ -633,6 +647,24 @@ def test_global_edge_cases_match_oracle(tmp_path, capsys, constraint):
     solved = run_cli(capsys, f, "-n", "0")
     assert solved == run_cli(capsys, f, "--oracle", "-n", "0")
     assert solved == (EXIT_UNSAT, "UNSAT\n", "")
+
+
+@pytest.mark.parametrize("source, model", [
+    ("required(circuit([])).", "required(circuit([])), x=0 }"),
+    # an intensional list that expands to nothing only warns
+    ("{q(1)}. required(circuit([q/1])).", "q(1), required(circuit([])), x=0 }"),
+], ids=["literal", "intensional"])
+def test_empty_circuit_holds(tmp_path, capsys, source, model):
+    f = tmp_path / "c.ez"
+    f.write_text("cspdomain(fd). cspvar(x,0,3). " + source)
+    runs = [run_cli(capsys, f, "--schema", schema)
+            for schema in ("black", "grey", "clear")]
+    runs.append(run_cli(capsys, f, "--oracle"))
+    assert runs == [(EXIT_SAT, "{ cspdomain(fd), cspvar(x,0,3), " + model +
+                     "\n", "")] * 4
+    code, out, _ = run_cli(capsys, f, "--dump-ground")
+    assert code == 0 and "required(circuit([]))." in out
+    assert ("% warning: empty expansion of [q/1]" in out) == ("q/1" in source)
 
 
 _DOMAIN = "cspdomain(fd). cspvar(x,0,3). "

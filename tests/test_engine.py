@@ -1,11 +1,13 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from ezcasp import fd
 from ezcasp.asp import Record, RuleP, is_answer_set
-from ezcasp.engine import (SchemaConfig, SolveStats, _projection_denial,
-                           denial_key, solve_ca)
+from ezcasp.engine import (DEFAULT_STEP_BUDGET, SchemaConfig, SolveStats,
+                           _projection_denial, denial_key, solve_ca)
 from ezcasp.ground import ground_program
 from ezcasp import oracle
 
@@ -457,12 +459,6 @@ def test_step_budget_reported_distinctly(p1):
     assert res.models == []
 
 
-def test_step_budget_env_override(p1, monkeypatch):
-    monkeypatch.setenv("EZCASP_STEP_BUDGET", "3")
-    res = solve_ca(p1, SchemaConfig(semantics="full", limit=0))
-    assert res.status == "budget"
-
-
 PIGEONHOLE = ("cspdomain(fd). i(1..6). cspvar(x(I),1,5) :- i(I). "
               "required(all_different([x/1])).")
 
@@ -491,7 +487,7 @@ def _budget_sweep(P, schema, sample=None):
                                         max_alphas_per_model=1,
                                         step_budget=budget))
 
-    full = solve(None)
+    full = solve(DEFAULT_STEP_BUDGET)
     total = full.stats.steps + full.stats.fd_nodes
     budgets = range(1, total) if sample is None else \
         sorted(random.Random(7).sample(range(1, total), sample))
@@ -568,6 +564,52 @@ def test_core_tests_only_a_failed_root_propagation(source, fd_nodes, core,
     assert (res.stats.fd_nodes, res.stats.core_checks) == (fd_nodes, 0)
     assert learn["reason"]["core"] == learn["denial"]["pos"] == core
     assert learn["denial"]["neg"] == []
+
+
+@pytest.mark.parametrize("schema", ["black", "grey", "clear"])
+def test_core_skips_literals_that_a_refuting_test_dropped(schema):
+    # the root fails on x >= 3 and x =< 2 after x >= 2 and y >= x narrowed;
+    # without x >= 2, y >= x narrows nothing, so the refuting test drops
+    # |y >= x| too, which is then never tested: three tests for four
+    # literals
+    res = solve_ca(ground_program(
+        "cspdomain(fd). cspvar(x,0,9). cspvar(y,0,9). required(x >= 2). "
+        "required(y >= x). required(x >= 3). required(x <= 2)."),
+        SchemaConfig(schema=schema), collect_trace=True)
+    (learn,) = [r["payload"] for r in res.trace if r.get("rule") == "Learn"]
+    assert res.status == "unsat" and res.stats.core_checks == 3
+    assert learn["reason"]["core"] == [
+        "|x >= 3|", "|x =< 2|", "cspvar(x,0,9)", "cspvar(y,0,9)"]
+
+
+def test_untraced_solve_computes_no_digest(monkeypatch):
+    from ezcasp import engine
+
+    def digest(*args):
+        raise AssertionError("state_digest called without a trace")
+
+    monkeypatch.setattr(engine, "state_digest", digest)
+    for path in sorted(ENCODINGS.glob("*.ez")):
+        P = ground_program(path.read_text())
+        for schema in ("black", "grey", "clear"):
+            solve_ca(P, SchemaConfig(schema=schema, limit=0))
+    with pytest.raises(AssertionError, match="without a trace"):
+        solve_ca(P, SchemaConfig(), collect_trace=True)
+
+
+def test_untraced_solve_does_not_import_hashlib():
+    # the digests of a traced solve are the only use of hashlib
+    code = ("import sys\n"
+            "from ezcasp.engine import SchemaConfig, solve_ca\n"
+            "from ezcasp.ground import ground_program\n"
+            "P = ground_program(open(sys.argv[1]).read())\n"
+            "solve_ca(P, SchemaConfig(), collect_trace=sys.argv[2] == 'on')\n"
+            "print('hashlib' in sys.modules)\n")
+    for trace, imported in (("off", "False"), ("on", "True")):
+        r = subprocess.run([sys.executable, "-c", code,
+                            str(ENCODINGS / "light.ez"), trace],
+                           capture_output=True, text=True)
+        assert (r.returncode, r.stdout, r.stderr) == (0, imported + "\n", "")
 
 
 def test_fd_nodes_count_the_propagate_calls(monkeypatch):

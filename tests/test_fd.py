@@ -66,6 +66,47 @@ def test_circuit_examples():
     assert not satisfied(G("circuit", ((I(2), I(1), I(3)),)), {})
 
 
+def test_empty_circuit_holds_as_empty_all_different_does():
+    for name in ("circuit", "all_different"):
+        g = G(name, ((),))
+        assert satisfied(g, {}) and satisfied(g, {"x": 5})
+        inst = CSPInstance()
+        inst.add_var("x", 0, 3)
+        inst.post(g)
+        assert propagate(inst) and repr(inst.domains["x"]) == "Domain(0..3)"
+        assert [e["x"] for e in solutions(inst)] == [0, 1, 2, 3]
+
+
+def test_global_reading():
+    x, y = V("x"), V("y")
+    assert G("serialized", ((x, y), (2, 1))).reading == (
+        "cumulative", ((x, y), (2, 1), (1, 1), 1), True)
+    assert G("sum", ((x, y), "leq", I(5))).reading == (
+        "scalar_product", ((1, 1), (x, y), "leq", I(5)), True)
+    assert G("circuit", ((),)).reading == ("circuit", ((),), True)
+    # lists that do not fit: nothing satisfies them, and the filter fails
+    for g in (G("serialized", ((x, y), (2,))),
+              G("scalar_product", ((1,), (x, y), "eq", I(0))),
+              G("assignment", ((x, y), (x,))),
+              G("disjoint2", ((x,), (1,), (y,), (1, 1))),
+              G("cumulative", ((x,), (1,), (1, 1), I(1))),
+              G("minimum", (x, ())), G("maximum", (x, ()))):
+        assert g.reading[2] is False, g
+        assert not satisfied(g, {"x": 1, "y": 1})
+        inst = CSPInstance()
+        inst.add_var("x", 0, 3)
+        inst.add_var("y", 0, 3)
+        inst.post(g)
+        assert not propagate(inst), g
+    # the reading adds no field: repr, equality and hashing are the node's
+    g = G("sum", ((x,), "eq", I(1)))
+    assert g.reading[2]
+    assert g == G("sum", ((x,), "eq", I(1)))
+    assert hash(g) == hash(G("sum", ((x,), "eq", I(1))))
+    assert repr(g) == ("Global(name='sum', args=((VarRef(name='x'),), 'eq', "
+                       "IntConst(value=1)))")
+
+
 def _cycle_decomposition_is_single(perm):
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
@@ -346,7 +387,7 @@ def test_cumulative_one_profile_equals_per_job_profiles(monkeypatch):
         runs = []
         for filt in (fd._filter_cumulative, _cumulative_per_job_profile):
             copy = inst.copy()
-            st = fd._Store(copy.domains)
+            st = fd._Store(copy.domains, fd._Trail(0))
             filt(st, *g.args)
             runs.append(fixpoint_text(not st.failed, copy))
         assert runs[0] == runs[1], (seed, g)

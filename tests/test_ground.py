@@ -216,6 +216,42 @@ def test_failed_hoisted_run_is_undone_and_redone(monkeypatch):
     assert "q(1,5):-pos:a(1),pos:b(1,5)" in library_ground_canon(g)
 
 
+def test_failed_hoisted_run_is_undone_in_the_index_of_its_table(
+        monkeypatch):
+    # as above, but r(Y) :- a(X), q(X,Y) looks q up by its first argument
+    # before q's rule runs, so the undone addition of q(1,5) leaves that
+    # index too; else the redo would list q(1,5) twice there
+    from ezcasp.ground import _Table
+    pops = []
+    pop = _Table.pop
+    monkeypatch.setattr(_Table, "pop",
+                        lambda self: (pops.append((canon_atom(self.atoms[-1]),
+                                                   list(self.indexes))),
+                                      pop(self)))
+    p = parse("a(1). a(0). b(1,5). d(10). r(Y) :- a(X), q(X,Y). "
+              "q(X,Y) :- a(X), Z = 10 / X, b(X,Y).")
+    g = ground(p)
+    assert sorted(pops) == [("q(1,5)", []), ("q(1,5)", [(0,)])]
+    assert library_ground_canon(g) == brute_ground(p)
+    assert "r(5):-pos:a(1),pos:q(1,5)" in library_ground_canon(g)
+
+
+def test_empty_range_in_a_head_gives_no_rule():
+    g = _ground_text("p(3..1). q(X, 3..1) :- r(X). r(1). "
+                     "s(X, 1..2) :- r(X).")
+    assert library_ground_canon(g) == {"r(1):-", "s(1,1):-pos:r(1)",
+                                       "s(1,2):-pos:r(1)"}
+
+
+def test_relation_list_orders_facts_with_list_arguments():
+    # integers, then constants, then compounds, then lists by length and
+    # items (`term_key`)
+    p = ground_program("cspdomain(fd). cspvar(x,0,20). r([2],3). r([1],2). "
+                       "r([1,1],4). r(a,7). r(f(1),1). "
+                       "required(sum([r/2], <=, x)).")
+    assert p.pi.names[p.constraint_order[0]] == "|sum([7,1,2,3,4],leq,x)|"
+
+
 def test_early_builtin_raises_no_new_error():
     # Z = X / Y runs before c(X,Y) would filter out Y = 0; the grounder
     # must still give the instance that survives the join
