@@ -396,6 +396,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("trace ok" if ok else f"trace invalid: {why}")
         return 0 if ok else EXIT_ERROR
 
+    # the grounder's warnings, which --dump-ground shows as comments
+    for w in program.warnings:
+        print(f"warning: {args.file}: {w}", file=sys.stderr)
     if args.oracle:
         return _run_oracle(program, args)
 

@@ -19,13 +19,17 @@ Restart/Restart_t edges, restricted by the selected integration schema:
 No edge writes the temporal store, so Lambda stays empty and grey searches
 as black does; only the name of the restart edge differs.
 
-Every run starts from the empty record, halts in a semi-terminal state or
-Failstate, and (optionally) emits a machine-checkable trace.  The driver
-advances one propagation fixpoint per step, not one edge: it appends the
-Unit Propagate literals up to the fixpoint or a conflict, then every atom of
-one greatest unfounded set that the record does not falsify, in increasing
-id order and each as its own Unfounded edge, up to the first clash; only
-then does it propagate again, check the CSP or decide.  The closure does not
+Every run starts from the empty record and halts in a semi-terminal state
+or Failstate.  On request the run writes a machine-checkable trace itself:
+a start record, one record per edge whose pre-state digest is the post-state
+digest of the edge before, and an end record.  Every run of a trace ends in
+a `model`, `failstate` or `budget` record; a run whose model's evaluations
+exhaust the step budget keeps its `model` end.  The driver advances one
+propagation fixpoint per step, not one edge: it appends the Unit Propagate
+literals up to the fixpoint or a conflict, then every atom of one greatest
+unfounded set that the record does not falsify, in increasing id order and
+each as its own Unfounded edge, up to the first clash; only then does it
+propagate again, check the CSP or decide.  The closure does not
 depend on that order, so decisions, CSP checks, learned denials, restarts,
 runs, candidates, fd nodes and models are those of an order that fires one
 edge at a time; `propagations` and `steps` can differ where a conflict is
@@ -166,43 +170,6 @@ def _projection_denial(projection: Sequence[int], semantics: str,
     return RuleP(None, pos, negs, ())
 
 
-class _Trace:
-    def __init__(self, enabled: bool, names: Tuple[str, ...]):
-        self.enabled = enabled
-        self.records: List[dict] = []
-        self.names = names
-
-    def lit_str(self, lit: int) -> str:
-        return ("-" if lit < 0 else "") + self.names[lit_atom(lit)]
-
-    def denial_json(self, d: RuleP) -> dict:
-        return {"pos": [self.names[a] for a in d.pos],
-                "neg": [self.names[a] for a in d.neg]}
-
-    def start(self, run: int, blocking: Sequence[RuleP],
-              cfg: "SchemaConfig") -> None:
-        if self.enabled:
-            self.records.append({"run": run, "event": "start",
-                                 "schema": cfg.schema,
-                                 "semantics": cfg.semantics,
-                                 "blocking": [self.denial_json(d)
-                                              for d in blocking]})
-
-    def edge(self, run: int, rule: str, payload: dict,
-             pre: str, post: str) -> None:
-        if self.enabled:
-            self.records.append({"run": run, "rule": rule, "payload": payload,
-                                 "pre": pre, "post": post})
-
-    def end(self, run: int, status: str,
-            model: Optional[Sequence[str]] = None) -> None:
-        if self.enabled:
-            rec = {"run": run, "event": "end", "status": status}
-            if model is not None:
-                rec["model"] = sorted(model)
-            self.records.append(rec)
-
-
 def state_digest(m: Record, names: Sequence[str], gamma_keys: Sequence[str],
                  lam_keys: Sequence[str]) -> str:
     """Short hash of M||Gamma||Lambda; computed only when tracing."""
@@ -242,19 +209,31 @@ class _Run:
     A failed CSP check learns the denial of a core of M's projection
     (`_core`), tested on the domains of the checked instance, which the run
     keeps for the Learn that follows.
-    With the trace off no state digest or edge payload is computed, and one
-    call of the propagator may append literals up to the first edge past
-    the step budget; with it on, each call appends one, so that every edge
-    gets its own digests and payload.
+    The run writes its own trace into `records`: a start record, one record
+    per edge and an end record, `model`, `failstate` or, when the step
+    budget runs out before the run ends, `budget` (`end`).  Every change of
+    state within a run is an edge, so the digests chain: the start state's
+    is computed once, and each edge's pre-state digest is the post-state
+    digest of the one before.  With the trace off `records` is None, no
+    state digest or edge payload is computed, and one call of the
+    propagator may append literals up to the first edge past the step
+    budget; with it on, each call appends one, so that every edge gets its
+    own digests and payload.
     """
 
     def __init__(self, program: CAProgram, cfg: SchemaConfig,
-                 stats: SolveStats, trace: _Trace, run_index: int):
+                 stats: SolveStats, traced: bool):
         self.program = program
         self.cfg = cfg
         self.stats = stats
-        self.trace = trace
-        self.run = run_index
+        # the trace's records, None with the trace off
+        self.records: Optional[List[dict]] = [] if traced else None
+        # the name of the edge that restarts after Learn, None under clear,
+        # which never restarts and alone checks partial assignments
+        self.restart = {"black": "RestartT", "grey": "Restart"}.get(
+            cfg.schema)
+        self.check_freq = cfg.check_freq if self.restart is None else None
+        self.run = -1                   # the index of the current run
         self.budget = cfg.step_budget
         self.abstraction: RegularProgram = program.asp_abstraction()
         self.names = self.abstraction.names
@@ -275,26 +254,45 @@ class _Run:
         self.charge = _charger(stats, self.budget)
         # the learned denials of every run so far
         self.gamma: List[RuleP] = []
-        self._start_run()
+        # the denials blocking the models of the earlier runs
+        self.blocking: List[RuleP] = []
 
     def _start_run(self) -> None:
+        self.run += 1
+        self.stats.runs += 1
         self.decisions_since_check = 0
         # the solutions of the last CSP check that searched, in labeling
         # order; when the run ends in a model, they are the model's
         # evaluations
         self.csp_solutions: Iterator[Dict[str, int]] = iter(())
-        self._post: Optional[str] = None    # digest of the current state
+        if self.records is not None:
+            self.records.append({
+                "run": self.run, "event": "start",
+                "schema": self.cfg.schema, "semantics": self.cfg.semantics,
+                "blocking": [self._denial_json(d) for d in self.blocking]})
+            self._post = self._digest()     # digest of the current state
 
-    def next_run(self, blocking: RuleP) -> None:
-        """Start the next run from the empty record, on the program
-        extended with the denial `blocking`; Gamma is kept.
-        Blocking and learned denials have no head, so the unfounded-set
-        check needs no change."""
-        self.run += 1
+    def next_run(self) -> None:
+        """Set up the next run from the empty record, on the program
+        extended with the denial blocking the model that the run ended in;
+        Gamma is kept.  Blocking and learned denials have no head, so the
+        unfounded-set check needs no change."""
+        d = _projection_denial(sorted(self.m.literals(), key=abs), "full")
+        self.blocking.append(d)
         self.prop.reset()
         self.unfounded.reset()
-        self.prop.add_clause(rule_clause(blocking))
-        self._start_run()
+        self.prop.add_clause(rule_clause(d))
+
+    def end(self, status: str, model: Optional[FrozenSet[str]] = None
+            ) -> None:
+        """Write the end record of the run, unless it has one: the budget
+        can run out while the evaluations of its model are enumerated."""
+        records = self.records
+        if records is not None and records[-1].get("event") != "end":
+            rec = {"run": self.run, "event": "end", "status": status}
+            if model is not None:
+                rec["model"] = sorted(model)
+            records.append(rec)
 
     # -- helpers --------------------------------------------------------
 
@@ -302,18 +300,17 @@ class _Run:
         return state_digest(self.m, self.names,
                             [str(denial_key(d)) for d in self.gamma], ())
 
-    def _pre(self) -> Optional[str]:
-        """The pre-state digest of the next edge; None with the trace off.
-        Every change of state within a run is an edge, so after the first
-        edge it is the post-state digest of the last one."""
-        if not self.trace.enabled:
-            return None
-        if self._post is None:
-            self._post = self._digest()
-        return self._post
+    def _lit_str(self, lit: int) -> str:
+        return ("-" if lit < 0 else "") + self.names[lit_atom(lit)]
 
-    def _emit(self, rule: str, pre: Optional[str],
-              payload: Optional[Callable[[], dict]] = None,
+    def _lit_strs(self, lits: Sequence[int]) -> List[str]:
+        return [self._lit_str(x) for x in lits]
+
+    def _denial_json(self, d: RuleP) -> dict:
+        return {"pos": [self.names[a] for a in d.pos],
+                "neg": [self.names[a] for a in d.neg]}
+
+    def _emit(self, rule: str, payload: Optional[Callable[[], dict]] = None,
               n: int = 1) -> None:
         """Count `n` edges of `rule` that were just applied; with the trace
         on, `n` is 1 and the edge is recorded."""
@@ -322,10 +319,11 @@ class _Run:
         # transition edges and fd search nodes share the step budget
         if stats.steps + stats.fd_nodes > self.budget:
             raise BudgetExceeded()
-        if pre is not None:
-            self._post = self._digest()
-            self.trace.edge(self.run, rule, payload() if payload else {},
-                            pre, self._post)
+        if self.records is not None:
+            pre, self._post = self._post, self._digest()
+            self.records.append({"run": self.run, "rule": rule,
+                                 "payload": payload() if payload else {},
+                                 "pre": pre, "post": self._post})
 
     def _csp_feasible(self, complete: bool) -> bool:
         """Check the csp-abstraction of M, keeping the instance, with its
@@ -356,9 +354,6 @@ class _Run:
             return False
         self.witness = first
         return True
-
-    def _lit_strs(self, lits: Sequence[int]) -> List[str]:
-        return [self.trace.lit_str(x) for x in lits]
 
     def _core(self) -> Tuple[int, ...]:
         """A core of the last failed check's projection.  Its literals that
@@ -412,51 +407,41 @@ class _Run:
                                self.program.constraint_set)
         if not d.pos and not d.neg:
             return False
-        pre = self._pre()
         self.gamma.append(d)
         self.prop.add_clause(rule_clause(d))
         self.stats.learned += 1
-        self._emit("Learn", pre, lambda: {
-            "denial": self.trace.denial_json(d),
+        self._emit("Learn", lambda: {
+            "denial": self._denial_json(d),
             "reason": {"kind": "cp-conflict",
                        "projection": self._lit_strs(self.inst.projection),
                        "core": self._lit_strs(core)}})
         return True
 
-    def _restart(self) -> None:
-        pre = self._pre()
-        self.prop.reset()
-        self.unfounded.reset()
-        rule = "RestartT" if self.cfg.schema == "black" else "Restart"
-        self.decisions_since_check = 0
-        self.stats.restarts += 1
-        self._emit(rule, pre)
-
     # -- the run --------------------------------------------------------
 
-    def execute(self):
-        """-> ('model', Record) | ('failstate',)."""
-        cfg, m, prop, stats = self.cfg, self.m, self.prop, self.stats
-        unfounded, traced = self.unfounded, self.trace.enabled
-        lit_str = self.trace.lit_str
+    def execute(self) -> Optional[FrozenSet[str]]:
+        """Start a run and search to its end: the atoms of the model it
+        ends in, whose record is `m`, or None at Failstate."""
+        m, prop, stats = self.m, self.prop, self.stats
+        unfounded, traced = self.unfounded, self.records is not None
+        lit_str, check_freq = self._lit_str, self.check_freq
         layer_s, clock = self.layer_s, time.perf_counter
         n_atoms = self.abstraction.n_atoms
+        self._start_run()
         while True:
             if not m.consistent:
-                pre = self._pre()
                 if m.decisions:
                     unfounded.backjump(m.decisions[-1])
                     flipped = prop.backjump()
-                    self._emit("Backtrack", pre,
-                               lambda: {"lit": lit_str(flipped)})
+                    self._emit("Backtrack", lambda: {"lit": lit_str(flipped)})
                 else:
-                    self._emit("Fail", pre)
-                    return ("failstate",)
+                    self._emit("Fail")
+                    self.end("failstate")
+                    return None
                 continue
 
             # Unit Propagate to the fixpoint or a conflict, as far as the
             # budget reaches; one edge per call with the trace on
-            pre = self._pre()
             limit = 1 if traced else \
                 self.budget + 1 - stats.steps - stats.fd_nodes
             t0 = clock()
@@ -464,7 +449,7 @@ class _Run:
             layer_s["unit_s"] += clock() - t0
             if n:
                 stats.propagations += n
-                self._emit("UnitPropagate", pre, lambda: {
+                self._emit("UnitPropagate", lambda: {
                     "lit": lit_str(m.trail[-1]),
                     "clause": self._lit_strs(prop.reason)}, n)
                 if n == limit or not m.consistent:
@@ -476,11 +461,10 @@ class _Run:
             atoms = unfounded.pending(m)
             layer_s["unfounded_s"] += clock() - t0
             for a in atoms:
-                pre = self._pre()
                 gus = unfounded.greatest(m) if traced else None
                 m.append(-(a + 1))
                 stats.propagations += 1
-                self._emit("Unfounded", pre, lambda: {
+                self._emit("Unfounded", lambda: {
                     "lit": lit_str(-(a + 1)),
                     "unfounded": sorted(self.names[x] for x in gus)})
                 if m.clash:
@@ -490,36 +474,33 @@ class _Run:
 
             # consistent propagation fixpoint
             complete = m.is_complete()
-            if cfg.schema in ("black", "grey"):
-                check_now = complete
-            else:
-                check_now = complete or (
-                    cfg.check_freq is not None
-                    and self.decisions_since_check >= cfg.check_freq)
-
-            if check_now:
+            if complete or (check_freq is not None and
+                            self.decisions_since_check >= check_freq):
                 if complete:
                     stats.candidates += 1
                 self.decisions_since_check = 0
                 if not self._csp_feasible(complete):
-                    pre = self._pre()
                     m.append_bot()
-                    self._emit("CPPropagate", pre, lambda: {
+                    self._emit("CPPropagate", lambda: {
                         "projection": self._lit_strs(self.inst.projection)})
-                    learned = self._learn()
-                    if cfg.schema in ("black", "grey") and learned:
-                        self._restart()
+                    if self._learn() and self.restart:
+                        prop.reset()
+                        unfounded.reset()
+                        stats.restarts += 1
+                        self._emit(self.restart)
                     # otherwise resolve by Backtrack/Fail on the next loop
                     continue
                 if complete:
-                    return ("model", m)
+                    model = frozenset(self.names[lit_atom(l)]
+                                      for l in m.literals() if l > 0)
+                    self.end("model", model)
+                    return model
 
-            pre = self._pre()
             target = m.val.index(0, 1, n_atoms + 1)    # first unassigned atom
             m.append(target, decided=True)
             stats.decisions += 1
             self.decisions_since_check += 1
-            self._emit("Decide", pre, lambda: {"lit": lit_str(target)})
+            self._emit("Decide", lambda: {"lit": lit_str(target)})
 
 
 def _needed(posts: Dict[int, object], posted: Sequence[object],
@@ -565,38 +546,22 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
     Enumerates up to cfg.limit extended answer sets (0 = all): evaluations
     are enumerated per answer set in labeling order, by the same fd search
     that found the answer set's CSP feasible, then a new run with a blocking
-    denial looks for the next answer set.
+    denial looks for the next answer set.  A solve that exceeds the step
+    budget has status 'budget' and keeps the models found so far.
     """
     stats = SolveStats()
-    names = program.pi.names        # the abstraction adds no atoms
-    trace = _Trace(collect_trace, names)
     models: List[ExtendedAnswerSet] = []
-    blocking: List[RuleP] = []
+    run = _Run(program, cfg, stats, collect_trace)
     status = "unsat"
-
-    run = _Run(program, cfg, stats, trace, 0)
-    # an empty denial, whose clause is empty, is violated by every record;
-    # no transition edge can represent the conflict, so the degenerate case
-    # is decided up front
-    if run.prop.empty_clause:
-        return SolveResult("unsat", [], stats,
-                           trace.records if collect_trace else None,
-                           run.layer_s)
     try:
-        while True:
-            run_idx = run.run
-            stats.runs += 1
-            trace.start(run_idx, blocking, cfg)
-            outcome = run.execute()
-            if outcome[0] == "failstate":
-                trace.end(run_idx, "failstate")
+        # an empty denial, whose clause is empty, is violated by every
+        # record; no transition edge can represent the conflict, so the
+        # degenerate case has no run
+        while not run.prop.empty_clause:
+            atoms = run.execute()
+            if atoms is None:
                 break
-            m: Record = outcome[1]
-            atoms = frozenset(names[lit_atom(l)] for l in m.literals()
-                              if l > 0)
-            trace.end(run_idx, "model", model=atoms)
             status = "sat"
-
             # the run's last CSP check was on this model and found its first
             # evaluation; the same search goes on to the others, up to the
             # caps that are set
@@ -604,20 +569,16 @@ def solve_ca(program: CAProgram, cfg: SchemaConfig,
                                 cfg.limit and cfg.limit - len(models)) if c]
             sols = itertools.islice(run.csp_solutions,
                                     max(min(caps), 1) if caps else None)
-            lits = tuple(m.literals())
+            lits = tuple(run.m.literals())
             for s in sols:
                 models.append(ExtendedAnswerSet(
                     atoms, tuple(sorted(s.items())), lits))
             if cfg.limit and len(models) >= cfg.limit:
                 break
-            if not m.literals():
+            if not lits:
                 break           # the empty model over no atoms is unique
-            blocking.append(_projection_denial(sorted(lits, key=abs), "full"))
-            run.next_run(blocking[-1])
+            run.next_run()
     except BudgetExceeded:
-        return SolveResult("budget", models, stats,
-                           trace.records if collect_trace else None,
-                           run.layer_s)
-
-    return SolveResult(status if models else "unsat", models, stats,
-                       trace.records if collect_trace else None, run.layer_s)
+        status = "budget"
+        run.end("budget")
+    return SolveResult(status, models, stats, run.records, run.layer_s)

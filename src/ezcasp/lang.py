@@ -413,7 +413,8 @@ class _Parser:
         body: tuple = ()
         if self.at(":-"):
             self.next()
-            body = tuple(self.body())
+            if not self.at("."):        # `:-.` is an empty denial
+                body = tuple(self.body())
         self.expect(".")
         return Rule(head, body, pos)
 

@@ -614,6 +614,18 @@ def test_budget_covers_fd_labeling_via_cli(tmp_path, capsys, monkeypatch):
     assert code == EXIT_UNSAT and out == "UNSAT\n"
 
 
+def test_dumped_empty_denial_reparses(tmp_path, capsys):
+    # the ground program of `:- 1 < 2.` is the empty denial `:-.`
+    f = tmp_path / "e.ez"
+    f.write_text("a :- 1 < 2. :- 1 < 2.")
+    code, out, _ = run_cli(capsys, f, "--dump-ground")
+    assert code == 0 and ":-." in out.splitlines()
+    dumped = tmp_path / "dumped.ez"
+    dumped.write_text(out)
+    assert run_cli(capsys, dumped) == run_cli(capsys, f) == \
+        (EXIT_UNSAT, "UNSAT\n", "")
+
+
 # -- ground-program snapshots ------------------------------------------------------
 
 DUMP_GROUND = pathlib.Path(__file__).resolve().parent / "data" / "dump_ground"
@@ -660,8 +672,11 @@ def test_empty_circuit_holds(tmp_path, capsys, source, model):
     runs = [run_cli(capsys, f, "--schema", schema)
             for schema in ("black", "grey", "clear")]
     runs.append(run_cli(capsys, f, "--oracle"))
+    # a solve shows the grounder's warning before it solves
+    warning = f"warning: {f}: empty expansion of [q/1]\n" \
+        if "q/1" in source else ""
     assert runs == [(EXIT_SAT, "{ cspdomain(fd), cspvar(x,0,3), " + model +
-                     "\n", "")] * 4
+                     "\n", warning)] * 4
     code, out, _ = run_cli(capsys, f, "--dump-ground")
     assert code == 0 and "required(circuit([]))." in out
     assert ("% warning: empty expansion of [q/1]" in out) == ("q/1" in source)

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -679,6 +683,50 @@ def test_bundled_encodings_counters_are_pinned():
             (status, n_models, SolveStats(*counters)), (name, schema)
 
 
+# `tests/data/traces.txt` holds one `trace_line` per bundled encoding,
+# schema and semantics: a trace that changes while it still validates is
+# noticed here.  A change that should not alter the search must leave every
+# line as it is; one that should names each line it changes.  Regenerate it
+# with `PYTHONPATH=src:tests python -c "import test_engine as t;
+# t.write_traces()"`.
+TRACES = pathlib.Path(__file__).resolve().parent / "data" / "traces.txt"
+
+
+def trace_cases():
+    for path in sorted(ENCODINGS.glob("*.ez")):
+        P = ground_program(path.read_text())
+        for schema in ("black", "grey", "clear"):
+            for semantics in ("weak", "full"):
+                yield path.stem, P, schema, semantics
+
+
+def trace_line(name, P, schema, semantics) -> str:
+    """The status, the `SolveStats` fields and the sha1 of the JSON
+    records of a traced solve with limit 0 and one evaluation per answer
+    set."""
+    res = solve_ca(P, SchemaConfig(schema=schema, semantics=semantics,
+                                   limit=0, max_alphas_per_model=1),
+                   collect_trace=True)
+    stats = " ".join(str(v) for v in dataclasses.astuple(res.stats))
+    records = json.dumps(res.trace, sort_keys=True)
+    return (f"{name} {schema} {semantics} {res.status} {stats} "
+            f"{hashlib.sha1(records.encode()).hexdigest()}")
+
+
+def test_bundled_encodings_traces_are_pinned():
+    pinned = TRACES.read_text().splitlines()
+    now = [trace_line(*case) for case in trace_cases()]
+    assert len(now) == len(pinned)
+    changed = [" ".join(p.split()[:3]) for p, n in zip(pinned, now)
+               if p != n]
+    assert not changed, f"{len(changed)} traces changed: {changed}"
+
+
+def write_traces() -> None:
+    TRACES.write_text("".join(trace_line(*case) + "\n"
+                              for case in trace_cases()))
+
+
 # -- config validation --------------------------------------------------------------
 
 def test_schema_config_validation():
@@ -764,12 +812,25 @@ def test_full_answer_sets_project_into_weak():
 
 
 def _same_with_and_without_trace(P, cfg):
-    plain = solve_ca(P, cfg)
-    traced = solve_ca(P, cfg, collect_trace=True)
-    assert (traced.status, traced.models, traced.stats) == \
-        (plain.status, plain.models, plain.stats)
-    ok, why = oracle.validate_trace(traced.trace, P)
-    assert ok, why
+    """The solve and the solves at three step budgets below its edges give
+    the same status, models and counters with the trace on and off, and
+    every trace validates; returns how many of the budgets ran out while a
+    model's evaluations were enumerated, after its run had ended."""
+    steps = solve_ca(P, cfg).stats.steps
+    budgets = sorted({steps // 3, 2 * steps // 3, steps - 1})
+    after_an_end = 0
+    for c in [cfg] + [dataclasses.replace(cfg, step_budget=b)
+                      for b in budgets]:
+        plain = solve_ca(P, c)
+        traced = solve_ca(P, c, collect_trace=True)
+        assert (traced.status, traced.models, traced.stats) == \
+            (plain.status, plain.models, plain.stats)
+        ok, why = oracle.validate_trace(traced.trace, P)
+        assert ok, (c.step_budget, why)
+        if c is not cfg:
+            assert traced.status == "budget", c.step_budget
+            after_an_end += traced.trace[-1]["status"] == "model"
+    return after_an_end
 
 
 @pytest.mark.parametrize("schema", ["black", "grey", "clear"])
@@ -780,11 +841,11 @@ def test_tracing_changes_no_answer_or_counter(schema):
         _same_with_and_without_trace(
             ground_program(path.read_text()),
             SchemaConfig(schema=schema, limit=0, max_alphas_per_model=1))
-    for seed in range(80):
-        _same_with_and_without_trace(
-            random_program(seed),
-            SchemaConfig(schema=schema, semantics=("weak", "full")[seed % 2],
-                         limit=0))
+    after_an_end = sum(_same_with_and_without_trace(
+        random_program(seed),
+        SchemaConfig(schema=schema, semantics=("weak", "full")[seed % 2],
+                     limit=0)) for seed in range(80))
+    assert after_an_end > 0
 
 
 def test_all_traces_validate():

@@ -151,6 +151,7 @@ CORPUS = [
     "required(count(2,[x,y],>=,1)).",
     "a :- not not a.",
     ":- p, not q, not not r.",
+    "a :- b. :-.",                   # the empty denial
     "required(p(1) = 2 <- (q(1) = 0 /\\ q(2) = 1)) :- f(1).",
 ]
 
