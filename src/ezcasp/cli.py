@@ -22,6 +22,9 @@ failed checks to cores), and `stats`, the solve's `SolveStats` counters,
 `core_checks` among them.  The rows of `--bench-json` hold each run's
 `SolveStats` counters and the same search layers.
 
+A solve, `--oracle`, `--validate-trace` and each `--bench` row print the
+grounder's warnings on stderr, one `warning: FILE: TEXT` line each.
+
 Answer sets print one per line as '{ atom, ..., var=value, ... }': atoms
 sorted lexicographically with bare constraint atoms suppressed, then variable
 bindings sorted by variable name.  The step budget bounds the transition
@@ -39,7 +42,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fd
@@ -48,6 +50,7 @@ from .engine import (DEFAULT_STEP_BUDGET, LAYERS, SchemaConfig, SolveStats,
 from .ground import (CAProgram, DEFAULT_FD_RANGE, GroundError, display_atom,
                      ground_stages)
 from .lang import Atom, EzSyntaxError, display_op, print_rule
+from .records import RecordBase
 
 __all__ = ["main", "emit_clp", "bench", "RunReport", "format_model"]
 
@@ -149,16 +152,24 @@ def emit_clp(program: CAProgram, m_literals: Sequence[int],
 # Benchmark harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunReport:
-    instance: str
-    schema: str
-    semantics: str
-    outcome: str             # 'SAT(n)' | 'UNSAT' | 'BUDGET' | 'ERROR: ...'
-    wall_time: float
-    stats: SolveStats = field(default_factory=SolveStats)
-    layer_s: Dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(LAYERS, 0.0))
+class RunReport(RecordBase, frozen=False):
+    """One row of `bench`; `outcome` is 'SAT(n)', 'UNSAT', 'BUDGET' or
+    'ERROR: ...'."""
+    _fields = ("instance", "schema", "semantics", "outcome", "wall_time",
+               "stats", "layer_s")
+
+    def __init__(self, instance: str, schema: str, semantics: str,
+                 outcome: str, wall_time: float,
+                 stats: Optional[SolveStats] = None,
+                 layer_s: Optional[Dict[str, float]] = None) -> None:
+        self.instance = instance
+        self.schema = schema
+        self.semantics = semantics
+        self.outcome = outcome
+        self.wall_time = wall_time
+        self.stats = SolveStats() if stats is None else stats
+        self.layer_s = dict.fromkeys(LAYERS, 0.0) if layer_s is None \
+            else layer_s
 
     def row(self) -> dict:
         return {
@@ -207,6 +218,7 @@ def bench(spec_path: str, semantics: str = "weak",
                                max_alphas_per_model=1, step_budget=budget)
             with open(path) as f:
                 program = ground_program(f.read(), default_range)
+            _print_warnings(program, path)
             res = solve_ca(program, cfg)
             if res.status == "sat":
                 outcome = f"SAT({len(res.models)})"
@@ -227,6 +239,13 @@ def bench(spec_path: str, semantics: str = "weak",
             for r in reports:
                 f.write(json.dumps(r.row()) + "\n")
     return reports
+
+
+def _print_warnings(program: CAProgram, path: str) -> None:
+    """The grounder's warnings on stderr, one line each; --dump-ground
+    shows them as comments instead."""
+    for w in program.warnings:
+        print(f"warning: {path}: {w}", file=sys.stderr)
 
 
 def _print_bench_table(reports: List[RunReport], out) -> None:
@@ -384,6 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {args.file}: term nesting too deep", file=sys.stderr)
         return EXIT_ERROR
 
+    _print_warnings(program, args.file)
     if args.validate_trace:
         from .oracle import validate_trace
         try:
@@ -396,9 +416,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("trace ok" if ok else f"trace invalid: {why}")
         return 0 if ok else EXIT_ERROR
 
-    # the grounder's warnings, which --dump-ground shows as comments
-    for w in program.warnings:
-        print(f"warning: {args.file}: {w}", file=sys.stderr)
     if args.oracle:
         return _run_oracle(program, args)
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -61,6 +60,7 @@ from . import fd
 from .asp import (Propagator, Record, RegularProgram, RuleP, UnfoundedCheck,
                   clausify, lit_atom, rule_clause)
 from .ground import CAProgram
+from .records import RecordBase, set_field
 
 __all__ = [
     "SchemaConfig", "SolveResult", "ExtendedAnswerSet", "SolveStats",
@@ -79,8 +79,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass
-class SchemaConfig:
+class SchemaConfig(RecordBase, frozen=False):
     """Search configuration.
 
     check_freq: clear-box CSP check frequency in decisions (None = check
@@ -90,14 +89,19 @@ class SchemaConfig:
     search nodes of a solve.  The library reads no environment variable;
     the command line reads EZCASP_STEP_BUDGET into step_budget.
     """
-    schema: str = "black"
-    semantics: str = "weak"
-    check_freq: Optional[int] = 1
-    limit: int = 1
-    max_alphas_per_model: int = 0
-    step_budget: int = DEFAULT_STEP_BUDGET
+    _fields = ("schema", "semantics", "check_freq", "limit",
+               "max_alphas_per_model", "step_budget")
 
-    def __post_init__(self) -> None:
+    def __init__(self, schema: str = "black", semantics: str = "weak",
+                 check_freq: Optional[int] = 1, limit: int = 1,
+                 max_alphas_per_model: int = 0,
+                 step_budget: int = DEFAULT_STEP_BUDGET) -> None:
+        self.schema = schema
+        self.semantics = semantics
+        self.check_freq = check_freq
+        self.limit = limit
+        self.max_alphas_per_model = max_alphas_per_model
+        self.step_budget = step_budget
         if self.schema not in ("black", "grey", "clear"):
             raise ValueError(f"unknown schema {self.schema!r}")
         if self.semantics not in ("weak", "full"):
@@ -109,48 +113,68 @@ class SchemaConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class ExtendedAnswerSet:
+class ExtendedAnswerSet(RecordBase):
     """An answer set (its positive atoms and full literal tuple) paired with
     a solution of its csp-abstraction."""
-    atoms: FrozenSet[str]
-    assignment: Tuple[Tuple[str, int], ...]
-    literals: Tuple[int, ...]
+    _fields = ("atoms", "assignment", "literals")
+
+    def __init__(self, atoms: FrozenSet[str],
+                 assignment: Tuple[Tuple[str, int], ...],
+                 literals: Tuple[int, ...]) -> None:
+        set_field(self, "atoms", atoms)
+        set_field(self, "assignment", assignment)
+        set_field(self, "literals", literals)
 
     def assignment_dict(self) -> Dict[str, int]:
         return dict(self.assignment)
 
 
-@dataclass
-class SolveStats:
-    decisions: int = 0
-    propagations: int = 0
-    csp_checks: int = 0
-    learned: int = 0
-    restarts: int = 0
-    steps: int = 0             # transition edges
-    runs: int = 0
-    candidates: int = 0        # complete candidate models submitted to the CSP
-    fd_nodes: int = 0          # `fd.propagate` calls: search nodes, core tests
-    core_checks: int = 0       # core tests, one `fd.propagate` call each
+class SolveStats(RecordBase, frozen=False):
+    """The counters of a solve.  `steps` counts transition edges,
+    `candidates` the complete candidate models submitted to the CSP,
+    `fd_nodes` the `fd.propagate` calls (search nodes and core tests) and
+    `core_checks` the core tests, one `fd.propagate` call each."""
+    _fields = ("decisions", "propagations", "csp_checks", "learned",
+               "restarts", "steps", "runs", "candidates", "fd_nodes",
+               "core_checks")
+
+    def __init__(self, decisions: int = 0, propagations: int = 0,
+                 csp_checks: int = 0, learned: int = 0, restarts: int = 0,
+                 steps: int = 0, runs: int = 0, candidates: int = 0,
+                 fd_nodes: int = 0, core_checks: int = 0) -> None:
+        self.decisions = decisions
+        self.propagations = propagations
+        self.csp_checks = csp_checks
+        self.learned = learned
+        self.restarts = restarts
+        self.steps = steps
+        self.runs = runs
+        self.candidates = candidates
+        self.fd_nodes = fd_nodes
+        self.core_checks = core_checks
 
 
-@dataclass
-class SolveResult:
+class SolveResult(RecordBase, frozen=False):
     """`layer_s` holds the wall times of the solve's layers, under the keys
     `LAYERS`: `clausify_s` in `asp.clausify`, called once per solve, and,
     summed over the solve, `unit_s` in `Propagator.propagate`,
-    `unfounded_s` in `UnfoundedCheck.pending`, `fd_build_s` in
+    `unfounded_s` in `UnfoundedCheck.pending` (and in counting the unit
+    propagations just before it), `fd_build_s` in
     `fd.build_csp`, `fd_search_s` in deciding the feasibility of checks
     (testing the witness with `fd.solved_by` and advancing `fd.solutions`)
     and `fd_core_s` in shrinking the projections of failed checks to
     cores.  They are kept apart from the counters of `stats`, which are the
-    same on every run."""
-    status: str                        # 'sat' | 'unsat' | 'budget'
-    models: List[ExtendedAnswerSet]
-    stats: SolveStats
-    trace: Optional[List[dict]] = None
-    layer_s: Dict[str, float] = field(default_factory=dict)
+    same on every run.  `status` is 'sat', 'unsat' or 'budget'."""
+    _fields = ("status", "models", "stats", "trace", "layer_s")
+
+    def __init__(self, status: str, models: List[ExtendedAnswerSet],
+                 stats: SolveStats, trace: Optional[List[dict]] = None,
+                 layer_s: Optional[Dict[str, float]] = None) -> None:
+        self.status = status
+        self.models = models
+        self.stats = stats
+        self.trace = trace
+        self.layer_s = {} if layer_s is None else layer_s
 
 
 def denial_key(d: RuleP) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -428,79 +452,89 @@ class _Run:
         layer_s, clock = self.layer_s, time.perf_counter
         n_atoms = self.abstraction.n_atoms
         self._start_run()
-        while True:
-            if not m.consistent:
-                if m.decisions:
-                    unfounded.backjump(m.decisions[-1])
-                    flipped = prop.backjump()
-                    self._emit("Backtrack", lambda: {"lit": lit_str(flipped)})
-                else:
-                    self._emit("Fail")
-                    self.end("failstate")
-                    return None
-                continue
-
-            # Unit Propagate to the fixpoint or a conflict, as far as the
-            # budget reaches; one edge per call with the trace on
-            limit = 1 if traced else \
-                self.budget + 1 - stats.steps - stats.fd_nodes
-            t0 = clock()
-            n = prop.propagate(limit)
-            layer_s["unit_s"] += clock() - t0
-            if n:
-                stats.propagations += n
-                self._emit("UnitPropagate", lambda: {
-                    "lit": lit_str(m.trail[-1]),
-                    "clause": self._lit_strs(prop.reason)}, n)
-                if n == limit or not m.consistent:
+        unit_s = unfounded_s = 0.0    # added to layer_s on any exit
+        try:
+            while True:
+                if not m.consistent:
+                    if m.decisions:
+                        unfounded.backjump(m.decisions[-1])
+                        flipped = prop.backjump()
+                        self._emit("Backtrack",
+                                   lambda: {"lit": lit_str(flipped)})
+                    else:
+                        self._emit("Fail")
+                        self.end("failstate")
+                        return None
                     continue
 
-            # the atoms of one greatest unfounded set, each its own edge,
-            # up to the first that M holds true
-            t0 = clock()
-            atoms = unfounded.pending(m)
-            layer_s["unfounded_s"] += clock() - t0
-            for a in atoms:
-                gus = unfounded.greatest(m) if traced else None
-                m.append(-(a + 1))
-                stats.propagations += 1
-                self._emit("Unfounded", lambda: {
-                    "lit": lit_str(-(a + 1)),
-                    "unfounded": sorted(self.names[x] for x in gus)})
-                if m.clash:
-                    break
-            if atoms:
-                continue
+                # Unit Propagate to the fixpoint or a conflict, as far as
+                # the budget reaches; one edge per call with the trace on
+                limit = 1 if traced else \
+                    self.budget + 1 - stats.steps - stats.fd_nodes
+                t0 = clock()
+                n = prop.propagate(limit)
+                t1 = clock()
+                unit_s += t1 - t0
+                if n:
+                    stats.propagations += n
+                    self._emit("UnitPropagate", lambda: {
+                        "lit": lit_str(m.trail[-1]),
+                        "clause": self._lit_strs(prop.reason)}, n)
+                    if n == limit or not m.consistent:
+                        continue
 
-            # consistent propagation fixpoint
-            complete = m.is_complete()
-            if complete or (check_freq is not None and
-                            self.decisions_since_check >= check_freq):
-                if complete:
-                    stats.candidates += 1
-                self.decisions_since_check = 0
-                if not self._csp_feasible(complete):
-                    m.append_bot()
-                    self._emit("CPPropagate", lambda: {
-                        "projection": self._lit_strs(self.inst.projection)})
-                    if self._learn() and self.restart:
-                        prop.reset()
-                        unfounded.reset()
-                        stats.restarts += 1
-                        self._emit(self.restart)
-                    # otherwise resolve by Backtrack/Fail on the next loop
+                # the atoms of one greatest unfounded set, each its own edge,
+                # up to the first that M holds true; the clock read after the
+                # propagation starts this timing, which so also holds the
+                # count of the UnitPropagate edges just above (with the trace
+                # on, a propagation that assigns ends the pass)
+                atoms = unfounded.pending(m)
+                unfounded_s += clock() - t1
+                for a in atoms:
+                    gus = unfounded.greatest(m) if traced else None
+                    m.append(-(a + 1))
+                    stats.propagations += 1
+                    self._emit("Unfounded", lambda: {
+                        "lit": lit_str(-(a + 1)),
+                        "unfounded": sorted(self.names[x] for x in gus)})
+                    if m.clash:
+                        break
+                if atoms:
                     continue
-                if complete:
-                    model = frozenset(self.names[lit_atom(l)]
-                                      for l in m.literals() if l > 0)
-                    self.end("model", model)
-                    return model
 
-            target = m.val.index(0, 1, n_atoms + 1)    # first unassigned atom
-            m.append(target, decided=True)
-            stats.decisions += 1
-            self.decisions_since_check += 1
-            self._emit("Decide", lambda: {"lit": lit_str(target)})
+                # consistent propagation fixpoint
+                complete = m.is_complete()
+                if complete or (check_freq is not None and
+                                self.decisions_since_check >= check_freq):
+                    if complete:
+                        stats.candidates += 1
+                    self.decisions_since_check = 0
+                    if not self._csp_feasible(complete):
+                        m.append_bot()
+                        self._emit("CPPropagate", lambda: {"projection":
+                                   self._lit_strs(self.inst.projection)})
+                        if self._learn() and self.restart:
+                            prop.reset()
+                            unfounded.reset()
+                            stats.restarts += 1
+                            self._emit(self.restart)
+                        # otherwise Backtrack or Fail on the next loop
+                        continue
+                    if complete:
+                        model = frozenset(self.names[lit_atom(l)]
+                                          for l in m.literals() if l > 0)
+                        self.end("model", model)
+                        return model
+
+                # the first unassigned atom
+                target = m.val.index(0, 1, n_atoms + 1)
+                m.append(target, decided=True)
+                stats.decisions += 1
+                self.decisions_since_check += 1
+                self._emit("Decide", lambda: {"lit": lit_str(target)})
+        finally:
+            layer_s["unit_s"] += unit_s
+            layer_s["unfounded_s"] += unfounded_s
 
 
 def _needed(posts: Dict[int, object], posted: Sequence[object],

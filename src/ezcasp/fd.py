@@ -61,11 +61,12 @@ may be solved on separate threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, attrgetter, mul, neg, sub
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
+
+from .records import RecordBase, set_field
 
 __all__ = [
     "IntConst", "VarRef", "Arith", "Cmp", "BoolExpr", "Global", "ConstraintExpr",
@@ -113,24 +114,30 @@ class ComplementUnsupported(FdError):
 # Expression model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class IntConst(RecordBase):
+    _fields = ("value",)
+
+    def __init__(self, value: int) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class VarRef(RecordBase):
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(RecordBase):
     """op in {plus, minus, times, div, neg}; div truncates toward zero."""
-    op: str
-    args: tuple
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple) -> None:
+        set_field(self, "op", op)
+        set_field(self, "args", args)
 
 
-class _Constraint:
+class _Constraint(RecordBase):
     """Base of the constraint node types.  Nodes are immutable and shared
     by every CSP built from one program, so their variables are collected
     once per node."""
@@ -140,7 +147,6 @@ class _Constraint:
         return frozenset(vars_of(self))
 
 
-@dataclass(frozen=True)
 class Cmp(_Constraint):
     """Comparison lhs op rhs, compiled once when the node is built.
 
@@ -151,12 +157,14 @@ class Cmp(_Constraint):
     by the negated pairs of rhs, so that const plus their interval is
     exactly the interval of lhs - rhs that `_ival` gives; otherwise None.
     diff is lin itself when the two are equal."""
-    op: str
-    lhs: "ConstraintExpr"
-    rhs: "ConstraintExpr"
+    _fields = ("op", "lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "form", _compile_cmp(self))
+    def __init__(self, op: str, lhs: "ConstraintExpr",
+                 rhs: "ConstraintExpr") -> None:
+        set_field(self, "op", op)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "form", _compile_cmp(self))
 
     @cached_property
     def complement(self) -> "Cmp":
@@ -164,11 +172,13 @@ class Cmp(_Constraint):
         return Cmp(_CMP_COMPLEMENT[self.op], self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
 class BoolExpr(_Constraint):
     """Reified connective: op in {or, and, xor, impl, iff, not}."""
-    op: str
-    args: tuple
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple) -> None:
+        set_field(self, "op", op)
+        set_field(self, "args", args)
 
     @cached_property
     def disjuncts(self) -> tuple:
@@ -183,7 +193,6 @@ class BoolExpr(_Constraint):
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class Global(_Constraint):
     """Global constraint; args are tuples of terms, ints, or comparison-op
     names, per the catalog's signature for `name`.
@@ -195,12 +204,13 @@ class Global(_Constraint):
     is None if an item or the target is not linear, or if the lists of a
     `scalar_product` differ in length.  Any other global has
     form None."""
-    name: str
-    args: tuple
+    _fields = ("name", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "form", _compile_sum(self)
-                           if self.name in _SUMS else None)
+    def __init__(self, name: str, args: tuple) -> None:
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "form",
+                  _compile_sum(self) if name in _SUMS else None)
 
     @cached_property
     def reading(self) -> Tuple[str, tuple, bool]:

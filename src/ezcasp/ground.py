@@ -46,7 +46,6 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
@@ -59,6 +58,7 @@ from .lang import (
     SourcePos, Term, Var, CMP_OPS, GLOBAL_SIGNATURES, LOGIC_OPS,
     _subterms, parse,
 )
+from .records import RecordBase, set_field
 from .terms import (GroundError, _Terms, canon_atom, canon_term,
                     display_atom, display_term, term_key)
 
@@ -767,7 +767,6 @@ def _compute_facts(p: EzProgram, state: _GroundState,
 _KINDS = ("pos", "not", "notnot")          # body literal kinds, by code
 
 
-@dataclass(frozen=True)
 class GroundProgram(EzProgram):
     """A ground program with its atom table, as `ground` emits it.
 
@@ -778,10 +777,18 @@ class GroundProgram(EzProgram):
     required head holds an intensional list.  `terms` holds the interned
     terms and their memos; a program built otherwise gets an empty table,
     and its terms are then interned where a stage needs them to be.
-    Programs compare by their rules, as any `EzProgram`."""
-    atoms: Dict[int, Atom] = field(compare=False)
-    lists: Tuple[int, ...] = field(compare=False)
-    terms: _Terms = field(default_factory=_Terms, compare=False, repr=False)
+    Programs compare by their rules, as any `EzProgram`, and `terms` is
+    not shown in their repr."""
+    _fields = ("rules", "atoms", "lists")
+    _compared = ("rules",)
+
+    def __init__(self, rules: tuple, atoms: Dict[int, Atom],
+                 lists: Tuple[int, ...],
+                 terms: Optional[_Terms] = None) -> None:
+        set_field(self, "rules", rules)
+        set_field(self, "atoms", atoms)
+        set_field(self, "lists", lists)
+        set_field(self, "terms", _Terms() if terms is None else terms)
 
 
 def _no_variables(bound: tuple) -> tuple:
@@ -916,14 +923,17 @@ def ground(p: EzProgram) -> GroundProgram:
 # Intensional-list expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(RecordBase):
     """A cspvar declaration: the declaring ground atom, the variable term,
     and its optional range."""
-    atom: str
-    var_term: Term
-    lo: Optional[int]
-    hi: Optional[int]
+    _fields = ("atom", "var_term", "lo", "hi")
+
+    def __init__(self, atom: str, var_term: Term, lo: Optional[int],
+                 hi: Optional[int]) -> None:
+        set_field(self, "atom", atom)
+        set_field(self, "var_term", var_term)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
 
 def collect_var_decls(p: EzProgram) -> List[VariableDecl]:
@@ -1070,13 +1080,16 @@ class _ListExpander:
 # CA programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CADecl:
+class CADecl(RecordBase):
     """Variable declaration at the CA level; atom None = unconditional."""
-    atom: Optional[int]
-    var: str
-    lo: Optional[int]
-    hi: Optional[int]
+    _fields = ("atom", "var", "lo", "hi")
+
+    def __init__(self, atom: Optional[int], var: str, lo: Optional[int],
+                 hi: Optional[int]) -> None:
+        set_field(self, "atom", atom)
+        set_field(self, "var", var)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
 
 class CAProgram:

@@ -26,10 +26,11 @@ pretty_print may be called concurrently from any number of threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 from typing import Optional, Union
+
+from .records import RecordBase, set_field
 
 __all__ = [
     "Const", "Var", "Compound", "OpExpr", "ListTerm", "IntensionalList",
@@ -93,10 +94,12 @@ def display_op(functor: str) -> Optional[str]:
     return _DISPLAY.get(functor)
 
 
-@dataclass(frozen=True)
-class SourcePos:
-    line: int = 0
-    col: int = 0
+class SourcePos(RecordBase):
+    _fields = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0) -> None:
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -114,51 +117,65 @@ class EzSyntaxError(Exception):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: Union[int, str]
+class Const(RecordBase):
+    _fields = ("value",)
+
+    def __init__(self, value: Union[int, str]) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(RecordBase):
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Compound:
-    functor: str
-    args: tuple
+class Compound(RecordBase):
+    _fields = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple) -> None:
+        set_field(self, "functor", functor)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class OpExpr:
+class OpExpr(RecordBase):
     """Raw operator application as written in the source (infix or prefix),
     outside required-arguments: built-in arithmetic the grounder evaluates
     (the parser builds canonical `Compound`s inside required).  `op` is the
     normalized surface token ('>=', '+', '\\/', 'xor', '<-', '!', ...);
     unary minus and `!` have one argument.
     """
-    op: str
-    args: tuple
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple) -> None:
+        set_field(self, "op", op)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class ListTerm:
-    items: tuple
+class ListTerm(RecordBase):
+    _fields = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        set_field(self, "items", items)
 
 
-@dataclass(frozen=True)
-class IntensionalList:
+class IntensionalList(RecordBase):
     """``[name(prefix...)/arity]``; expanded by the grounder."""
-    name: str
-    prefix: tuple
-    arity: int
+    _fields = ("name", "prefix", "arity")
+
+    def __init__(self, name: str, prefix: tuple, arity: int) -> None:
+        set_field(self, "name", name)
+        set_field(self, "prefix", prefix)
+        set_field(self, "arity", arity)
 
 
-@dataclass(frozen=True)
-class RangeTerm:
-    lo: "Term"
-    hi: "Term"
+class RangeTerm(RecordBase):
+    _fields = ("lo", "hi")
+
+    def __init__(self, lo: "Term", hi: "Term") -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
 
 Term = Union[Const, Var, Compound, OpExpr, ListTerm, IntensionalList, RangeTerm]
@@ -186,67 +203,89 @@ _KIDS = {Compound: attrgetter("args"), OpExpr: attrgetter("args"),
 # Atoms, literals, rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    rel: str
-    args: tuple = ()
+class Atom(RecordBase):
+    _fields = ("rel", "args")
+
+    def __init__(self, rel: str, args: tuple = ()) -> None:
+        set_field(self, "rel", rel)
+        set_field(self, "args", args)
 
     @property
     def reserved(self) -> bool:
         return self.rel in RESERVED_RELATIONS
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(RecordBase):
     """Body literal: kind is 'pos', 'not' or 'notnot'."""
-    kind: str
-    atom: Atom
+    _fields = ("kind", "atom")
+
+    def __init__(self, kind: str, atom: Atom) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "atom", atom)
 
 
-@dataclass(frozen=True)
-class BuiltinLit:
+class BuiltinLit(RecordBase):
     """Built-in comparison (or `=`-binding) between arithmetic terms."""
-    op: str
-    lhs: Term
-    rhs: Term
+    _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Term, rhs: Term) -> None:
+        set_field(self, "op", op)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class AggItem:
-    atom: Atom
-    weight: Optional[Term]
-    conds: tuple
+class AggItem(RecordBase):
+    _fields = ("atom", "weight", "conds")
+
+    def __init__(self, atom: Atom, weight: Optional[Term],
+                 conds: tuple) -> None:
+        set_field(self, "atom", atom)
+        set_field(self, "weight", weight)
+        set_field(self, "conds", conds)
 
 
-@dataclass(frozen=True)
-class AggregateLit:
+class AggregateLit(RecordBase):
     """lparse-style body sum ``L #sum[ a=w : d ] U`` (either bound optional)."""
-    lower: Optional[Term]
-    items: tuple
-    upper: Optional[Term]
+    _fields = ("lower", "items", "upper")
+
+    def __init__(self, lower: Optional[Term], items: tuple,
+                 upper: Optional[Term]) -> None:
+        set_field(self, "lower", lower)
+        set_field(self, "items", items)
+        set_field(self, "upper", upper)
 
 
 BodyElement = Union[Lit, BuiltinLit, AggregateLit]
 
 
-@dataclass(frozen=True)
-class ChoiceElem:
-    atom: Atom
-    conds: tuple
+class ChoiceElem(RecordBase):
+    _fields = ("atom", "conds")
+
+    def __init__(self, atom: Atom, conds: tuple) -> None:
+        set_field(self, "atom", atom)
+        set_field(self, "conds", conds)
 
 
-@dataclass(frozen=True)
-class Choice:
-    lower: Optional[Term]
-    elems: tuple
-    upper: Optional[Term]
+class Choice(RecordBase):
+    _fields = ("lower", "elems", "upper")
+
+    def __init__(self, lower: Optional[Term], elems: tuple,
+                 upper: Optional[Term]) -> None:
+        set_field(self, "lower", lower)
+        set_field(self, "elems", elems)
+        set_field(self, "upper", upper)
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Union[None, Atom, Choice]
-    body: tuple
-    pos: SourcePos = field(default=SourcePos(), compare=False)
+class Rule(RecordBase):
+    """A rule; its source position `pos` is not compared."""
+    _fields = ("head", "body", "pos")
+    _compared = ("head", "body")
+
+    def __init__(self, head: Union[None, Atom, Choice], body: tuple,
+                 pos: SourcePos = SourcePos()) -> None:
+        set_field(self, "head", head)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
     @property
     def is_fact(self) -> bool:
@@ -254,9 +293,11 @@ class Rule:
         return isinstance(self.head, Atom) and not self.body
 
 
-@dataclass(frozen=True)
-class EzProgram:
-    rules: tuple
+class EzProgram(RecordBase):
+    _fields = ("rules",)
+
+    def __init__(self, rules: tuple) -> None:
+        set_field(self, "rules", rules)
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -677,6 +677,16 @@ def test_empty_circuit_holds(tmp_path, capsys, source, model):
         if "q/1" in source else ""
     assert runs == [(EXIT_SAT, "{ cspdomain(fd), cspvar(x,0,3), " + model +
                      "\n", warning)] * 4
+    # so do a trace's validation and a benchmark row, which names the
+    # instance's path
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(capsys, f, "--dump-trace", trace)[0] == EXIT_SAT
+    assert run_cli(capsys, f, "--validate-trace", trace) == \
+        (0, "trace ok\n", warning)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("c.ez\tblack\n")
+    code, out, err = run_cli(capsys, "--bench", spec)
+    assert (code, err) == (0, warning) and "SAT(1)" in out
     code, out, _ = run_cli(capsys, f, "--dump-ground")
     assert code == 0 and "required(circuit([]))." in out
     assert ("% warning: empty expansion of [q/1]" in out) == ("q/1" in source)
